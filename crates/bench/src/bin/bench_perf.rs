@@ -21,59 +21,38 @@
 //!   federation's synthetic traces (gated by `perf_gate` alongside engine
 //!   dispatch), plus the streaming path: jobs/sec of draining a million-job
 //!   synthetic stream without materialising a `Vec<Job>`, with the
-//!   peak-memory proxy (bytes the stream holds vs. the eager allocation);
-//! * **observability overhead**: the Experiment 2 quick pair run with the
-//!   span collector and handler profiler armed vs. absent, asserting the
-//!   run digests are **bit-identical** (the sinks are provably inert) and
-//!   recording the wall-clock delta; the armed run's per-event-type handler
-//!   timings land in the JSON's `profile` section;
-//! * **parallel sweep**: wall-clock of the Experiment 5 smoke sweep run
-//!   sequentially vs. with `--jobs N`, asserting the rendered CSVs are
-//!   **bitwise-identical** (the determinism gate CI relies on).
+//!   peak-memory proxy (bytes the stream holds vs. the eager allocation).
 //!
-//! Usage: `bench_perf [--smoke] [--jobs N] [--out PATH]`
+//! Usage: `bench_perf [--smoke] [--out PATH]`
 //!
 //! `--smoke` shrinks iteration counts for CI; `--out` defaults to
 //! `BENCH_perf.json` in the working directory.
 
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::rc::Rc;
 use std::time::Instant;
 
 use grid_cluster::{ClusterJob, EasyBackfilling, LocalScheduler, SpaceSharedFcfs};
 use grid_des::{BinaryHeapEventQueue, Context, Entity, EntityId, Event, EventKind, EventQueue, SimTime, Simulation};
 use grid_bench::populated_directory;
 use grid_directory::{FederationDirectory, RankOrder};
-use grid_experiments::exp5::{self, ScalabilitySweep};
-use grid_experiments::exp2;
 use grid_experiments::workloads::{replicated_workloads, scaled_stream_config, WorkloadOptions};
-use grid_federation_core::{DirectoryBackend, FedMessage, ProfileTable, SpanCollector};
+use grid_federation_core::{DirectoryBackend, FedMessage};
 use grid_workload::{JobId, PopulationProfile};
 
 struct Args {
     smoke: bool,
-    jobs: usize,
     out: String,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         smoke: false,
-        jobs: 4,
         out: "BENCH_perf.json".to_string(),
     };
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--smoke" => args.smoke = true,
-            "--jobs" => {
-                args.jobs = argv
-                    .next()
-                    .expect("--jobs needs a worker count")
-                    .parse()
-                    .expect("worker count must be an integer");
-            }
             "--out" => args.out = argv.next().expect("--out needs a path"),
             other => panic!("unknown argument: {other}"),
         }
@@ -328,18 +307,6 @@ fn bench_directory(backend: DirectoryBackend, n: usize, iters: usize) -> Directo
     }
 }
 
-fn run_sweep(
-    options: &WorkloadOptions,
-    sizes: &[usize],
-    profiles: &[PopulationProfile],
-    jobs: usize,
-) -> Vec<ScalabilitySweep> {
-    DirectoryBackend::ALL
-        .iter()
-        .map(|&backend| exp5::run_sweep_with_backend_jobs(options, sizes, profiles, backend, jobs))
-        .collect()
-}
-
 fn json_num(x: f64) -> String {
     if x.is_finite() {
         format!("{x:.2}")
@@ -356,14 +323,14 @@ fn main() {
         (100_000, 200_000, 20_000, 500_000)
     };
 
-    eprintln!("[1/7] event queue layouts ({queue_events} events, FedMessage payload)…");
+    eprintln!("[1/5] event queue layouts ({queue_events} events, FedMessage payload)…");
     let dary_eps = bench_dary_queue(queue_events);
     let binary_eps = bench_binary_heap_queue(queue_events);
 
-    eprintln!("[2/7] engine dispatch ({dispatch_events} timer events)…");
+    eprintln!("[2/5] engine dispatch ({dispatch_events} timer events)…");
     let dispatch_eps = bench_dispatch(dispatch_events);
 
-    eprintln!("[3/7] admission-control estimator ({quotes} quotes, 128-job queue)…");
+    eprintln!("[3/5] admission-control estimator ({quotes} quotes, 128-job queue)…");
     let fcfs = loaded(SpaceSharedFcfs::new(128));
     let (fcfs_inc, fcfs_rep) =
         bench_estimator(&fcfs, quotes, |s, p, t, now| s.estimate_completion_replay(p, t, now));
@@ -371,12 +338,12 @@ fn main() {
     let (easy_inc, easy_rep) =
         bench_estimator(&easy, quotes, |s, p, t, now| s.estimate_completion_replay(p, t, now));
 
-    eprintln!("[4/7] directory ranking ({ranks} ranks, n = {DIRECTORY_N}, all three backends)…");
+    eprintln!("[4/5] directory ranking ({ranks} ranks, n = {DIRECTORY_N}, all three backends)…");
     let dir_ideal = bench_directory(DirectoryBackend::Ideal, DIRECTORY_N, ranks);
     let dir_chord = bench_directory(DirectoryBackend::Chord, DIRECTORY_N, ranks);
     let dir_maan = bench_directory(DirectoryBackend::Maan, DIRECTORY_N, ranks);
 
-    eprintln!("[5/7] workload generation (replicated exp5 federation)…");
+    eprintln!("[5/5] workload generation (replicated exp5 federation)…");
     let workload_size = 20usize;
     let workload_profile = PopulationProfile::new(50);
     let workload_options = WorkloadOptions::quick();
@@ -417,59 +384,8 @@ fn main() {
     let stream_peak_bytes = stream_jobs * (8 + 4 + 8);
     let eager_peak_bytes = stream_jobs * std::mem::size_of::<grid_workload::Job>();
 
-    eprintln!("[6/7] observability overhead (exp2 quick pair, sinks armed vs absent)…");
-    let obs_options = WorkloadOptions::quick();
-    let (unarmed_secs, unarmed) = timed(|| exp2::run(&obs_options));
-    let tracer = Rc::new(RefCell::new(SpanCollector::new()));
-    let profile_table = Rc::new(RefCell::new(ProfileTable::new()));
-    let (armed_secs, armed) = timed(|| {
-        exp2::run_with_observers(
-            &obs_options,
-            Some(Rc::clone(&tracer)),
-            Some(Rc::clone(&profile_table)),
-        )
-    });
-    // The inertness proof the perf gates rest on: every other section above
-    // measures the sinks-absent hot paths, so those gates only stay honest
-    // if arming the sinks cannot change what a run computes.
-    assert_eq!(
-        armed.federated.digest, unarmed.federated.digest,
-        "OBSERVABILITY PERTURBATION: armed federated run digest differs from unarmed"
-    );
-    assert_eq!(
-        armed.independent.digest, unarmed.independent.digest,
-        "OBSERVABILITY PERTURBATION: the unarmed control run digests diverged"
-    );
-    let span_count = tracer.borrow().len();
-    let profile = profile_table.borrow();
-    let profiled_events = profile.total_events();
-    let obs_overhead = armed_secs / unarmed_secs - 1.0;
-
-    eprintln!("[7/7] exp5 smoke sweep: sequential vs --jobs {}…", args.jobs);
-    let options = WorkloadOptions::quick();
-    // Full mode uses a 3×3 grid so the pool has enough comparable points to
-    // show its scaling; smoke keeps the CI-sized 2×1 grid.
-    let (sizes, profiles): (&[usize], Vec<PopulationProfile>) = if args.smoke {
-        (&[8, 16], vec![PopulationProfile::new(50)])
-    } else {
-        (
-            &[10, 20, 30],
-            [0u32, 50, 100].iter().map(|&p| PopulationProfile::new(p)).collect(),
-        )
-    };
-    let (seq_secs, seq_sweeps) = timed(|| run_sweep(&options, sizes, &profiles, 1));
-    let (par_secs, par_sweeps) = timed(|| run_sweep(&options, sizes, &profiles, args.jobs));
-    // Same canonical CSV set the parallel_determinism regression test uses.
-    let seq_csvs = exp5::render_all_csvs(&seq_sweeps);
-    let par_csvs = exp5::render_all_csvs(&par_sweeps);
-    assert_eq!(
-        seq_csvs, par_csvs,
-        "DETERMINISM VIOLATION: parallel sweep CSVs differ from sequential output"
-    );
-
     let fcfs_speedup = fcfs_rep / fcfs_inc;
     let easy_speedup = easy_rep / easy_inc;
-    let sweep_speedup = seq_secs / par_secs;
     eprintln!(
         "event queue: 4-ary index heap {:.0} ev/s vs BinaryHeap {:.0} ev/s ({:.2}x)",
         dary_eps,
@@ -501,16 +417,6 @@ fn main() {
          peak {stream_peak_bytes} B streamed vs {eager_peak_bytes} B eager ({:.2}x)",
         eager_peak_bytes as f64 / stream_peak_bytes as f64
     );
-    eprintln!(
-        "observability: armed {armed_secs:.3}s vs unarmed {unarmed_secs:.3}s ({:+.1}%), \
-         digests bit-identical, {span_count} spans, {profiled_events} profiled events",
-        obs_overhead * 100.0
-    );
-    eprintln!(
-        "sweep: sequential {seq_secs:.2}s vs --jobs {} {par_secs:.2}s ({sweep_speedup:.2}x), CSVs bitwise-identical",
-        args.jobs
-    );
-
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"schema\": 1,");
     let _ = writeln!(json, "  \"smoke\": {},", args.smoke);
@@ -561,47 +467,6 @@ fn main() {
     let _ = writeln!(json, "    \"stream_jobs_per_sec\": {},", json_num(stream_jobs_per_sec));
     let _ = writeln!(json, "    \"stream_peak_bytes\": {stream_peak_bytes},");
     let _ = writeln!(json, "    \"eager_peak_bytes\": {eager_peak_bytes}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"observability\": {{");
-    let _ = writeln!(json, "    \"armed_secs\": {},", json_num(armed_secs));
-    let _ = writeln!(json, "    \"unarmed_secs\": {},", json_num(unarmed_secs));
-    // Wall-clock noise dominates this figure on small runs; it is tracked,
-    // not gated — the gated guarantee is the digest assertion above plus
-    // the sinks-absent hot-path gates.
-    let _ = writeln!(json, "    \"overhead_frac\": {},", json_num(obs_overhead));
-    let _ = writeln!(json, "    \"spans\": {span_count},");
-    let _ = writeln!(json, "    \"profiled_events\": {profiled_events},");
-    let _ = writeln!(json, "    \"digests_identical\": true");
-    let _ = writeln!(json, "  }},");
-    // The armed run's per-event-type handler timings, indented to sit as a
-    // nested object.
-    let profile_json: String = profile
-        .to_json()
-        .lines()
-        .enumerate()
-        .map(|(i, line)| if i == 0 { line.to_string() } else { format!("  {line}") })
-        .collect::<Vec<_>>()
-        .join("\n");
-    let _ = writeln!(json, "  \"profile\": {profile_json},");
-    let _ = writeln!(json, "  \"sweep\": {{");
-    // Context for the speedup figure: on a single-core host the parallel
-    // sweep cannot beat the sequential one, only match it.
-    let _ = writeln!(
-        json,
-        "    \"host_parallelism\": {},",
-        grid_experiments::parallel::default_jobs()
-    );
-    let _ = writeln!(json, "    \"sizes\": {sizes:?},");
-    let backend_labels: Vec<String> = seq_sweeps
-        .iter()
-        .map(|s| format!("\"{}\"", s.backend.label()))
-        .collect();
-    let _ = writeln!(json, "    \"backends\": [{}],", backend_labels.join(", "));
-    let _ = writeln!(json, "    \"sequential_secs\": {},", json_num(seq_secs));
-    let _ = writeln!(json, "    \"parallel_secs\": {},", json_num(par_secs));
-    let _ = writeln!(json, "    \"jobs\": {},", args.jobs);
-    let _ = writeln!(json, "    \"speedup\": {},", json_num(sweep_speedup));
-    let _ = writeln!(json, "    \"csvs_bitwise_identical\": true");
     let _ = writeln!(json, "  }}");
     json.push_str("}\n");
 

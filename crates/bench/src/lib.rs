@@ -2,28 +2,18 @@
 //!
 //! The actual benchmarks live in `benches/`:
 //!
-//! * `paper_tables` — regenerates Table 2 and Table 3 (Experiments 1–2),
-//! * `paper_figures` — regenerates the Experiment 3/4 figures (Fig. 3–9),
-//! * `scalability` — regenerates the Experiment 5 figures (Fig. 10–11),
 //! * `ablations` — design-choice ablations called out in DESIGN.md
 //!   (LRMS policy, directory implementation, charging policy, baseline
 //!   superschedulers),
 //! * `micro` — microbenchmarks of the substrates (event queue, LRMS,
 //!   directory, workload generator).
 //!
-//! Benchmarks use the reduced [`bench_options`] workload so a full
-//! `cargo bench` pass stays in the minutes range; the experiment binaries in
-//! `grid-experiments` regenerate the full-scale numbers.
+//! Benchmarks use the reduced [`tiny_options`] workload so a full
+//! `cargo bench` pass stays short; whole experiments are timed by the
+//! experiment binaries and `bench_perf`, not here.
 
 use grid_directory::{AnyDirectory, DirectoryBackend, FederationDirectory, Quote};
 use grid_experiments::workloads::WorkloadOptions;
-
-/// Workload options used by the benchmark harness: a quarter of the paper's
-/// job counts over half a simulated day (same as `WorkloadOptions::quick`).
-#[must_use]
-pub fn bench_options() -> WorkloadOptions {
-    WorkloadOptions::quick()
-}
 
 /// The directory population both `bench_perf`'s tracked `directory` section
 /// and the `micro` bench group measure: `n` distinct-priced, distinct-speed
@@ -44,8 +34,9 @@ pub fn populated_directory(backend: DirectoryBackend, n: usize) -> AnyDirectory 
     dir
 }
 
-/// An even smaller configuration for the per-iteration benches that run many
-/// times inside Criterion's measurement loop.
+/// A configuration smaller than `WorkloadOptions::quick` for the
+/// per-iteration benches that run many times inside Criterion's
+/// measurement loop.
 #[must_use]
 pub fn tiny_options() -> WorkloadOptions {
     WorkloadOptions {
@@ -61,9 +52,10 @@ mod tests {
 
     #[test]
     fn options_are_reduced() {
-        assert!(bench_options().job_scale < 1.0);
-        assert!(tiny_options().job_scale < bench_options().job_scale);
-        assert!(tiny_options().duration < bench_options().duration);
+        let quick = WorkloadOptions::quick();
+        assert!(quick.job_scale < 1.0);
+        assert!(tiny_options().job_scale < quick.job_scale);
+        assert!(tiny_options().duration < quick.duration);
     }
 
     #[test]

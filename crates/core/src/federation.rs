@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use grid_cluster::{EasyBackfilling, LocalScheduler, ResourceSpec, SpaceSharedFcfs};
+use grid_cluster::ResourceSpec;
 use grid_des::{
     DedupWindow, LinkFaults, NetworkFaultConfig, RunOutcome, SimRng, Simulation, TransmissionPlan,
 };
@@ -46,25 +46,6 @@ pub enum LrmsKind {
     SpaceSharedFcfs,
     /// EASY backfilling, used by the ablation benchmarks.
     EasyBackfilling,
-}
-
-/// How the GFAs' DBC loops execute their ranking queries.
-///
-/// Both paths resolve identical quotes and charge identical directory
-/// messages — they differ only in *execution* cost, which is why the slow
-/// one can serve as the differential oracle for the fast one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DirectoryQueryPath {
-    /// Each in-flight job streams ranks through a [`grid_directory::RankCursor`]
-    /// (one routed open, O(1) advances) and probes are memoised in a per-GFA,
-    /// epoch-keyed [`grid_directory::QuoteCache`].  The default.
-    #[default]
-    Cursor,
-    /// The paper's query-per-rank model executed literally: every rank is a
-    /// fresh `query_cheapest`/`query_fastest` call.  Kept as the
-    /// differential oracle — differential tests run both paths and assert
-    /// bitwise-identical reports.
-    PerRank,
 }
 
 /// How a GFA reacts when a ranking lookup faults because the entry's store
@@ -595,25 +576,18 @@ pub struct FederationConfig {
     /// Master seed of the simulation.
     pub seed: u64,
     /// How resource owners charge for executed jobs (see
-    /// [`ChargingPolicy`]); also used when fabricating budgets.
+    /// [`ChargingPolicy`]); also used to fabricate every job's budget and
+    /// deadline (Eq. 7–8) before the run.
     pub charging: ChargingPolicy,
     /// Horizon (in seconds) over which per-resource utilization is reported.
     /// `None` uses the final simulation time; the experiments pass the trace
     /// duration (two days) so utilizations are comparable to the paper's
     /// tables even when a few late jobs run past the trace window.
     pub utilization_horizon: Option<f64>,
-    /// When `true` (the default), budgets and deadlines are (re-)fabricated
-    /// from Eq. 7–8 before the run; set to `false` to honour caller-supplied
-    /// QoS values.
-    pub fabricate_qos: bool,
     /// Which directory backend serves the GFAs' ranking queries.  Backends
     /// resolve identical quotes and differ only in the directory-message
     /// counts (and simulated lookup time) they account.
     pub directory: DirectoryBackend,
-    /// How the DBC loop executes ranking queries (cursor-streamed with a
-    /// per-GFA quote cache, or the literal query-per-rank oracle).  Both
-    /// paths produce bitwise-identical reports; see [`DirectoryQueryPath`].
-    pub query_path: DirectoryQueryPath,
     /// Scripted departures `(gfa, time)`: at `time` the GFA withdraws its
     /// quote from the directory (`unsubscribe`), refuses new negotiations
     /// and stops self-accepting, while jobs already reserved on its LRMS run
@@ -624,13 +598,6 @@ pub struct FederationConfig {
     /// primitive and charges the new price for subsequently accepted jobs.
     /// Empty by default.
     pub repricings: Vec<(usize, f64, f64)>,
-    /// Whether publish-side directory traffic — the routed
-    /// put/remove/move messages `subscribe` / `unsubscribe` /
-    /// `update_price` cost under a distributed backend like
-    /// [`DirectoryBackend::Maan`] — is accounted into the ledger's
-    /// `publish` class (initial subscriptions included).  Defaults to
-    /// `true`; the centrally-stored backends publish for free either way.
-    pub charge_publish_traffic: bool,
     /// Stochastic churn model, or `None` for the static-ring path.  A
     /// config whose failure process is inactive (zero
     /// [`ChurnConfig::mean_uptime`]) schedules nothing and produces a run
@@ -654,12 +621,9 @@ impl Default for FederationConfig {
             seed: 42,
             charging: ChargingPolicy::default(),
             utilization_horizon: None,
-            fabricate_qos: true,
             directory: DirectoryBackend::Ideal,
-            query_path: DirectoryQueryPath::Cursor,
             departures: Vec::new(),
             repricings: Vec::new(),
-            charge_publish_traffic: true,
             churn: None,
             network: None,
         }
@@ -809,10 +773,8 @@ impl FederationBuilder {
         let n = resources.len();
         assert!(n > 0, "a federation needs at least one resource");
 
-        if config.fabricate_qos {
-            for (i, jobs) in workloads.iter_mut().enumerate() {
-                config.charging.fabricate_qos_all(jobs, &resources[i]);
-            }
+        for (i, jobs) in workloads.iter_mut().enumerate() {
+            config.charging.fabricate_qos_all(jobs, &resources[i]);
         }
 
         for (gfa, _) in &config.departures {
@@ -833,8 +795,6 @@ impl FederationBuilder {
             directory.set_replication(churn.replication);
         }
         let churn_active = config.churn.as_ref().is_some_and(ChurnConfig::is_active);
-        let retry = config.churn.as_ref().map_or_else(RetryPolicy::default, |c| c.retry);
-        let repair = config.churn.as_ref().map_or(RepairMode::Periodic, |c| c.repair);
         // The fault layer exists only when it can actually fire: inactive
         // configs take the `None` path, which is how `network: None` and a
         // zero-rate config stay digest-identical by construction.
@@ -852,7 +812,7 @@ impl FederationBuilder {
             // layer does not apply — the network can only fault messages
             // sent while the clock is running.
             let publish = directory.subscribe(Quote::from_spec(i, spec));
-            if config.charge_publish_traffic && publish > 0 {
+            if publish > 0 {
                 ledger.record_publish(i, publish, publish as f64 * config.latency);
                 audit.record_publish(i, publish);
             }
@@ -879,10 +839,6 @@ impl FederationBuilder {
             sim.set_profiler(Box::new(HandlerProfiler::new(table, FedMessage::label)));
         }
         for (i, spec) in resources.iter().enumerate() {
-            let lrms: Box<dyn LocalScheduler> = match config.lrms {
-                LrmsKind::SpaceSharedFcfs => Box::new(SpaceSharedFcfs::new(spec.processors)),
-                LrmsKind::EasyBackfilling => Box::new(EasyBackfilling::new(spec.processors)),
-            };
             let (churn_departures, churn_joins, stabilizations) = if churn_active {
                 let churn = config.churn.as_ref().expect("churn_active implies a config");
                 let (departs, joins) = churn_chain(churn, config.seed, i);
@@ -910,16 +866,9 @@ impl FederationBuilder {
             let gfa = Gfa::new(
                 i,
                 spec.clone(),
-                config.mode,
-                config.charging,
-                config.latency,
-                lrms,
                 std::mem::take(&mut workloads[i]),
                 schedule,
-                config.query_path,
-                config.charge_publish_traffic,
-                retry,
-                repair,
+                &config,
                 Rc::clone(&shared),
             );
             let id = sim.add_entity(Box::new(gfa));
@@ -1045,8 +994,9 @@ fn assemble_report(
         }
     }
 
-    debug_assert!(bank.is_balanced(), "GridBank must conserve currency");
-    debug_assert!(audit.is_consistent(), "audit chains must stay consistent");
+    // Always-on end-of-run checks: each is one O(n) pass per run.
+    assert!(bank.is_balanced(), "GridBank must conserve currency");
+    assert!(audit.is_consistent(), "audit chains must stay consistent");
 
     FederationReport {
         resources: metrics,
@@ -1370,7 +1320,7 @@ mod tests {
             ..FederationConfig::with_backend(backend)
         };
         let ideal = run_federation(resources.clone(), make(), with_scripts(DirectoryBackend::Ideal));
-        let maan = run_federation(resources.clone(), make(), with_scripts(DirectoryBackend::Maan));
+        let maan = run_federation(resources, make(), with_scripts(DirectoryBackend::Maan));
         assert_eq!(maan.backend, DirectoryBackend::Maan);
         assert_eq!(ideal.jobs.len(), maan.jobs.len());
         for (a, b) in ideal.jobs.iter().zip(&maan.jobs) {
@@ -1396,22 +1346,6 @@ mod tests {
             maan.messages.gfa(0).publish + maan.messages.gfa(1).publish,
             maan.directory_publish_messages()
         );
-
-        // The knob: turning the class off zeroes the ledger without
-        // touching outcomes.
-        let uncharged = run_federation(
-            resources,
-            make(),
-            FederationConfig {
-                charge_publish_traffic: false,
-                ..with_scripts(DirectoryBackend::Maan)
-            },
-        );
-        assert_eq!(uncharged.directory_publish_messages(), 0);
-        assert_eq!(uncharged.jobs.len(), maan.jobs.len());
-        for (a, b) in uncharged.jobs.iter().zip(&maan.jobs) {
-            assert_eq!(a.outcome, b.outcome);
-        }
     }
 
     #[test]

@@ -38,7 +38,10 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use grid_cluster::{completion_time, ClusterJob, LocalScheduler, ResourceSpec, StartedJob};
+use grid_cluster::{
+    completion_time, ClusterJob, EasyBackfilling, LocalScheduler, ResourceSpec, SpaceSharedFcfs,
+    StartedJob,
+};
 use grid_des::{Context, Entity, EntityId, Event, FlowRecord, SimTime, SpanRecord, SpanTrack};
 use grid_directory::{FederationDirectory, Quote, QuoteCache, RankCursor, RankOrder, TracedQuote};
 use grid_obs::{Counter, FSum, HistId};
@@ -46,7 +49,7 @@ use grid_workload::{Job, JobId, Strategy};
 
 use crate::economy::ChargingPolicy;
 use crate::federation::{
-    DirectoryQueryPath, GfaSchedule, RepairMode, RetryPolicy, SchedulingMode, SharedState,
+    FederationConfig, GfaSchedule, LrmsKind, RepairMode, RetryPolicy, SchedulingMode, SharedState,
 };
 use crate::messages::{FedMessage, MessageType};
 use crate::metrics::{ExecutionOutcome, JobRecord};
@@ -61,8 +64,7 @@ struct PendingJob {
     /// (routed) on the first probed rank and advanced one rank per probe, so
     /// resuming the DBC loop after a refused negotiation never recomputes
     /// rank `r` from scratch.  `None` until the job first misses the GFA's
-    /// quote cache (or always, under
-    /// [`DirectoryQueryPath::PerRank`]).
+    /// quote cache.
     cursor: Option<RankCursor>,
     /// Accountable negotiation messages exchanged so far for this job.
     messages: u32,
@@ -136,11 +138,6 @@ pub struct Gfa {
     /// Whether a faulted lookup triggers an immediate targeted ring repair
     /// or only the periodic stabilization rounds heal the overlay.
     repair: RepairMode,
-    /// How ranking queries execute (cursor-streamed or per-rank oracle).
-    query_path: DirectoryQueryPath,
-    /// Whether publish-side directory traffic (routed `unsubscribe` /
-    /// `update_price` operations) is accounted into the ledger.
-    charge_publish: bool,
     /// Epoch-keyed memo of quotes this GFA already streamed from the
     /// directory; invalidated automatically when the directory mutates.
     quote_cache: QuoteCache,
@@ -157,44 +154,41 @@ impl Gfa {
     /// Creates a GFA for resource `index`.
     ///
     /// `local_jobs` is the trace of jobs submitted by this cluster's local
-    /// user population (QoS already fabricated); `lrms` is the local
-    /// scheduler; `schedule` holds the scripted departure/re-pricing times;
-    /// `shared` is the federation-wide shared state (directory, bank,
-    /// ledger, collected records).
+    /// user population (QoS already fabricated); `schedule` holds the
+    /// scripted and churn-drawn directory actions; `config` supplies the
+    /// scheduling mode, charging policy, latency, local scheduler and the
+    /// churn config's retry and repair policies; `shared` is the
+    /// federation-wide shared state (directory, bank, ledger, collected
+    /// records).
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         index: usize,
         spec: ResourceSpec,
-        mode: SchedulingMode,
-        charging: ChargingPolicy,
-        latency: f64,
-        lrms: Box<dyn LocalScheduler>,
         local_jobs: Vec<Job>,
         schedule: GfaSchedule,
-        query_path: DirectoryQueryPath,
-        charge_publish: bool,
-        retry: RetryPolicy,
-        repair: RepairMode,
+        config: &FederationConfig,
         shared: Rc<RefCell<SharedState>>,
     ) -> Self {
         let name = format!("gfa-{index}-{}", spec.name);
+        let lrms: Box<dyn LocalScheduler> = match config.lrms {
+            LrmsKind::SpaceSharedFcfs => Box::new(SpaceSharedFcfs::new(spec.processors)),
+            LrmsKind::EasyBackfilling => Box::new(EasyBackfilling::new(spec.processors)),
+        };
+        let churn = config.churn.as_ref();
         Gfa {
             index,
             name,
             spec,
-            mode,
-            charging,
-            latency,
+            mode: config.mode,
+            charging: config.charging,
+            latency: config.latency,
             lrms,
             local_jobs,
             schedule,
             departed: false,
             retired: false,
-            retry,
-            repair,
-            query_path,
-            charge_publish,
+            retry: churn.map_or_else(RetryPolicy::default, |c| c.retry),
+            repair: churn.map_or(RepairMode::Periodic, |c| c.repair),
             quote_cache: QuoteCache::new(),
             shared,
             pending: BTreeMap::new(),
@@ -413,14 +407,13 @@ impl Gfa {
     /// accounting its directory messages (and the simulated network time
     /// they represent, hops × latency) into the ledger.
     ///
-    /// Under [`DirectoryQueryPath::Cursor`] the probe is served from this
-    /// GFA's epoch-keyed quote cache when possible and otherwise streamed
-    /// through the job's [`RankCursor`] — O(1) work per rank, with the
-    /// routed open paid once per `(ordering, epoch)`.  Under
-    /// [`DirectoryQueryPath::PerRank`] it executes the paper's
-    /// query-per-rank model literally.  Both paths return bit-identical
-    /// quotes and charges (the cursor path replays the oracle's telemetry),
-    /// which the differential tests assert end to end.
+    /// The probe is served from this GFA's epoch-keyed quote cache when
+    /// possible and otherwise streamed through the job's [`RankCursor`] —
+    /// O(1) work per rank, with the routed open paid once per
+    /// `(ordering, epoch)`.  Quotes, charges and telemetry are bit-identical
+    /// to the paper's literal query-per-rank model
+    /// ([`FederationDirectory::query_ranked`]), which the directory's
+    /// cursor property tests assert on every backend.
     ///
     /// The second return value is `true` when the probe *faulted*: the node
     /// storing the entry crashed and no live replica could answer before a
@@ -435,13 +428,9 @@ impl Gfa {
     ) -> (TracedQuote, bool) {
         let (traced, fault) = {
             let shared = self.shared.borrow();
-            let traced = match self.query_path {
-                DirectoryQueryPath::Cursor => {
-                    self.quote_cache
-                        .probe(&shared.directory, self.index, order, r, cursor)
-                }
-                DirectoryQueryPath::PerRank => shared.directory.query_ranked(self.index, order, r),
-            };
+            let traced = self
+                .quote_cache
+                .probe(&shared.directory, self.index, order, r, cursor);
             (traced, shared.directory.take_fault())
         };
         if traced.messages > 0 {
@@ -1013,8 +1002,8 @@ impl Gfa {
     /// ledger (messages × latency of simulated network time), mirroring how
     /// query-side directory traffic is charged.  Free mutations (the
     /// centrally-stored backends, or no-ops) record nothing.
-    fn record_publish(shared: &mut SharedState, gfa: usize, messages: u64, latency: f64, charge: bool) {
-        if charge && messages > 0 {
+    fn record_publish(shared: &mut SharedState, gfa: usize, messages: u64, latency: f64) {
+        if messages > 0 {
             shared.charge_publish(gfa, messages, messages as f64 * latency);
         }
     }
@@ -1046,13 +1035,7 @@ impl Gfa {
                     shared
                         .metrics
                         .add(self.index, Counter::ReactiveRepairMessages, messages);
-                    Self::record_publish(
-                        &mut shared,
-                        self.index,
-                        messages,
-                        self.latency,
-                        self.charge_publish,
-                    );
+                    Self::record_publish(&mut shared, self.index, messages, self.latency);
                     true
                 } else {
                     false
@@ -1137,7 +1120,7 @@ impl Gfa {
         self.retired = true;
         let mut shared = self.shared.borrow_mut();
         let messages = shared.directory.node_depart(self.index, true);
-        Self::record_publish(&mut shared, self.index, messages, self.latency, self.charge_publish);
+        Self::record_publish(&mut shared, self.index, messages, self.latency);
     }
 
     /// Handles a churn-drawn departure.  Graceful leaves behave like the
@@ -1157,7 +1140,7 @@ impl Gfa {
             shared.metrics.inc(self.index, Counter::Crashes);
         }
         let messages = shared.directory.node_depart(self.index, graceful);
-        Self::record_publish(&mut shared, self.index, messages, self.latency, self.charge_publish);
+        Self::record_publish(&mut shared, self.index, messages, self.latency);
     }
 
     /// Handles a churn-drawn rejoin: the GFA re-enters the overlay (a
@@ -1173,13 +1156,7 @@ impl Gfa {
         shared.metrics.inc(self.index, Counter::Rejoins);
         let join = shared.directory.node_join(self.index);
         let publish = shared.directory.subscribe(Quote::from_spec(self.index, &self.spec));
-        Self::record_publish(
-            &mut shared,
-            self.index,
-            join + publish,
-            self.latency,
-            self.charge_publish,
-        );
+        Self::record_publish(&mut shared, self.index, join + publish, self.latency);
     }
 
     /// Drives one periodic stabilization round of the overlay: crashed
@@ -1192,7 +1169,7 @@ impl Gfa {
         let messages = shared.directory.stabilize();
         shared.metrics.inc(self.index, Counter::StabilizationRounds);
         shared.metrics.add(self.index, Counter::StabilizationMessages, messages);
-        Self::record_publish(&mut shared, self.index, messages, self.latency, self.charge_publish);
+        Self::record_publish(&mut shared, self.index, messages, self.latency);
     }
 
     /// Handles a scripted re-pricing: republishes the access price through
@@ -1206,7 +1183,7 @@ impl Gfa {
         self.spec.price = price;
         let mut shared = self.shared.borrow_mut();
         let messages = shared.directory.update_price(self.index, price);
-        Self::record_publish(&mut shared, self.index, messages, self.latency, self.charge_publish);
+        Self::record_publish(&mut shared, self.index, messages, self.latency);
     }
 }
 

@@ -73,8 +73,8 @@ pub mod metrics;
 pub use audit::{AuditLedger, RunDigest};
 pub use economy::{apply_commodity_pricing, quote_price, ChargingPolicy, GridBank, PAPER_ACCESS_PRICE};
 pub use federation::{
-    run_federation, ChurnConfig, DirectoryQueryPath, FederationBuilder, FederationConfig,
-    GfaSchedule, LrmsKind, RepairMode, RetryPolicy, SchedulingMode, SharedState,
+    run_federation, ChurnConfig, FederationBuilder, FederationConfig, GfaSchedule, LrmsKind,
+    RepairMode, RetryPolicy, SchedulingMode, SharedState,
 };
 pub use grid_des::{Jitter, NetworkFaultConfig};
 pub use grid_directory::{CacheStats, DirectoryBackend};

@@ -318,8 +318,7 @@ pub struct FederationReport {
     /// Aggregated hit/miss counters of the GFAs' epoch-keyed quote caches.
     /// Observability only — cache hits replay the exact charges and
     /// telemetry of a live query, so nothing rendered from a report depends
-    /// on this field.  Always zero under
-    /// [`crate::federation::DirectoryQueryPath::PerRank`].
+    /// on this field.
     pub directory_cache: CacheStats,
     /// Churn and self-healing telemetry (all-zero without a churn config).
     pub churn: ChurnSummary,

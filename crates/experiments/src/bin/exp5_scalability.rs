@@ -175,9 +175,7 @@ fn main() {
     let sweeps: Vec<ScalabilitySweep> = args
         .backends
         .iter()
-        .map(|&backend| {
-            exp5::run_sweep_with_backend_jobs(&args.options, &sizes, &profiles, backend, args.jobs)
-        })
+        .map(|&backend| exp5::run_sweep(&args.options, &sizes, &profiles, backend, args.jobs))
         .collect();
 
     let mut outputs = Vec::new();

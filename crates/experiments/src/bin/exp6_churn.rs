@@ -143,13 +143,7 @@ fn main() {
         .backends
         .iter()
         .map(|&backend| {
-            exp6::run_sweep_with_backend_jobs(
-                &args.options,
-                &levels,
-                &exp6::DEFAULT_KS,
-                backend,
-                args.jobs,
-            )
+            exp6::run_sweep(&args.options, &levels, &exp6::DEFAULT_KS, backend, args.jobs)
         })
         .collect();
 

@@ -100,9 +100,7 @@ fn main() {
     let sweeps: Vec<UnreliableSweep> = args
         .backends
         .iter()
-        .map(|&backend| {
-            exp7::run_sweep_with_backend_jobs(&args.options, &levels, backend, args.jobs)
-        })
+        .map(|&backend| exp7::run_sweep(&args.options, &levels, backend, args.jobs))
         .collect();
     for sweep in &sweeps {
         exp7::assert_acceptance(sweep);
@@ -111,10 +109,15 @@ fn main() {
     let comparisons: Vec<RepairComparison> = OVERLAY_BACKENDS
         .iter()
         .filter(|b| args.backends.contains(b))
-        .map(|&backend| exp7::run_repair_comparison_jobs(&args.options, backend, args.jobs))
+        .map(|&backend| exp7::run_repair_comparison(&args.options, backend, args.jobs))
         .collect();
-    for cmp in &comparisons {
-        exp7::assert_repair_acceptance(cmp);
+    if !comparisons.is_empty() {
+        for backend in exp7::assert_repair_acceptance(&comparisons) {
+            eprintln!(
+                "repair comparison not exercised on {}: its periodic run saw no faulted lookup",
+                backend.label()
+            );
+        }
     }
 
     std::fs::create_dir_all(&args.out).expect("failed to create output directory");
@@ -145,6 +148,6 @@ fn main() {
     eprintln!(
         "acceptance criteria upheld: outcomes bit-identical to lossless on every \
          backend and fault level, all negotiations completed, reactive repair \
-         beat the periodic mean faulted-lookup wait"
+         beat the periodic mean faulted-lookup wait wherever lookups faulted"
     );
 }

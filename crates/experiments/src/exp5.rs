@@ -76,101 +76,53 @@ impl ScalabilitySweep {
     }
 }
 
-/// Runs the scalability sweep with the default (ideal) directory backend and
-/// a worker pool sized to the machine.
+/// Runs one point of the sweep: the economy federation of `size`
+/// replicated Table 1 clusters under `profile`, served by `backend`.
+///
+/// Every seed the run needs derives from `options.seed` and the
+/// per-resource indices, never from which worker runs the point or when.
+#[must_use]
+pub fn run_point(
+    options: &WorkloadOptions,
+    size: usize,
+    profile: PopulationProfile,
+    backend: DirectoryBackend,
+) -> FederationReport {
+    let setup = replicated_workloads(size, profile, options);
+    run_federation(
+        setup.resources,
+        setup.workloads,
+        FederationConfig {
+            mode: SchedulingMode::Economy,
+            seed: options.seed,
+            utilization_horizon: Some(options.duration),
+            directory: backend,
+            ..FederationConfig::default()
+        },
+    )
+}
+
+/// Runs the scalability sweep against one directory backend across at most
+/// `jobs` worker threads ([`parallel::default_jobs`] sizes the pool to the
+/// machine).
+///
+/// Points run size-major, profile-minor through [`run_point`] and are
+/// merged in that order, so the sweep's output is bitwise-identical for any
+/// `jobs` value (asserted by `tests/parallel_determinism.rs`).
 #[must_use]
 pub fn run_sweep(
     options: &WorkloadOptions,
     sizes: &[usize],
     profiles: &[PopulationProfile],
-) -> ScalabilitySweep {
-    run_sweep_with_backend(options, sizes, profiles, DirectoryBackend::Ideal)
-}
-
-/// Runs the scalability sweep against a specific directory backend with a
-/// worker pool sized to the machine.
-#[must_use]
-pub fn run_sweep_with_backend(
-    options: &WorkloadOptions,
-    sizes: &[usize],
-    profiles: &[PopulationProfile],
-    backend: DirectoryBackend,
-) -> ScalabilitySweep {
-    run_sweep_with_backend_jobs(options, sizes, profiles, backend, parallel::default_jobs())
-}
-
-/// Runs the scalability sweep against a specific directory backend across at
-/// most `jobs` worker threads.
-///
-/// Every (size, profile) pair is an independent run whose seeds derive from
-/// its own parameters (`options.seed` and the per-resource indices), never
-/// from execution order, and results are merged in deterministic run order —
-/// so the sweep's output is bitwise-identical for any `jobs` value
-/// (regression-tested, and re-asserted by `bench_perf` on every run).
-#[must_use]
-pub fn run_sweep_with_backend_jobs(
-    options: &WorkloadOptions,
-    sizes: &[usize],
-    profiles: &[PopulationProfile],
     backend: DirectoryBackend,
     jobs: usize,
 ) -> ScalabilitySweep {
-    run_sweep_inner(options, sizes, profiles, backend, jobs, None)
-}
-
-/// Runs the scalability sweep with the worker pool claiming points through
-/// an explicit [`parallel::ClaimSchedule`] instead of ascending cursor
-/// order.
-///
-/// This is the schedule-permutation regression harness: every claim order —
-/// reversed, strided, shuffled, stall-injected — must render sweep CSVs
-/// byte-identical to the sequential run, because results are merged by
-/// index, never by completion order (asserted by `parallel_determinism`).
-#[must_use]
-pub fn run_sweep_with_backend_schedule(
-    options: &WorkloadOptions,
-    sizes: &[usize],
-    profiles: &[PopulationProfile],
-    backend: DirectoryBackend,
-    jobs: usize,
-    schedule: &parallel::ClaimSchedule,
-) -> ScalabilitySweep {
-    run_sweep_inner(options, sizes, profiles, backend, jobs, Some(schedule))
-}
-
-fn run_sweep_inner(
-    options: &WorkloadOptions,
-    sizes: &[usize],
-    profiles: &[PopulationProfile],
-    backend: DirectoryBackend,
-    jobs: usize,
-    schedule: Option<&parallel::ClaimSchedule>,
-) -> ScalabilitySweep {
-    let points: Vec<(usize, PopulationProfile)> = sizes
-        .iter()
-        .flat_map(|&size| profiles.iter().map(move |&profile| (size, profile)))
-        .collect();
-    let point = |i: usize| {
-        let (size, profile) = points[i];
-        let setup = replicated_workloads(size, profile, options);
-        run_federation(
-            setup.resources,
-            setup.workloads,
-            FederationConfig {
-                mode: SchedulingMode::Economy,
-                seed: options.seed,
-                utilization_horizon: Some(options.duration),
-                directory: backend,
-                ..FederationConfig::default()
-            },
-        )
-    };
-    let mut flat = match schedule {
-        None => parallel::run_indexed(points.len(), jobs, point),
-        Some(schedule) => {
-            parallel::run_indexed_with_schedule(points.len(), jobs, schedule, point)
-        }
-    }
+    let count = sizes.len() * profiles.len();
+    let schedule = parallel::ClaimSchedule::identity(count);
+    let mut flat = parallel::run_indexed_with_schedule(count, jobs, &schedule, |i| {
+        let per_size = profiles.len();
+        run_point(options, sizes[i / per_size], profiles[i % per_size], backend)
+    })
     .into_iter();
     let reports: Vec<Vec<FederationReport>> = sizes
         .iter()
@@ -198,11 +150,17 @@ pub fn default_profiles() -> Vec<PopulationProfile> {
 }
 
 /// Runs the paper's configuration: [`DEFAULT_SIZES`] with
-/// [`default_profiles`] (pass a custom grid through [`run_sweep`] for the
-/// full Experiment 3 profile set).
+/// [`default_profiles`] on the ideal backend (pass a custom grid through
+/// [`run_sweep`] for the full Experiment 3 profile set).
 #[must_use]
 pub fn run(options: &WorkloadOptions) -> ScalabilitySweep {
-    run_sweep(options, &DEFAULT_SIZES, &default_profiles())
+    run_sweep(
+        options,
+        &DEFAULT_SIZES,
+        &default_profiles(),
+        DirectoryBackend::Ideal,
+        parallel::default_jobs(),
+    )
 }
 
 /// Which message series a panel summarises.
@@ -397,44 +355,6 @@ pub fn backend_directory_comparison(sweeps: &[ScalabilitySweep]) -> DataTable {
     table
 }
 
-/// Renders every CSV a set of sweeps produces — the Fig. 10/11/directory
-/// panels for each stat of each sweep, then the backend comparison table —
-/// as `(name, csv)` pairs in a stable order.
-///
-/// This is the canonical "everything exp5 emits" set: the
-/// parallel-determinism regression test and `bench_perf`'s CI determinism
-/// gate both compare exactly this, so neither can silently cover fewer
-/// panels than the other.
-///
-/// # Panics
-/// Panics if the sweeps disagree on sizes or profiles (see
-/// [`backend_directory_comparison`]).
-#[must_use]
-pub fn render_all_csvs(sweeps: &[ScalabilitySweep]) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for sweep in sweeps {
-        for stat in Stat::ALL {
-            out.push((
-                format!("fig10_{}_{}", stat.label(), sweep.backend.label()),
-                figure10(sweep, stat).to_csv(),
-            ));
-            out.push((
-                format!("fig11_{}_{}", stat.label(), sweep.backend.label()),
-                figure11(sweep, stat).to_csv(),
-            ));
-            out.push((
-                format!("directory_{}_{}", stat.label(), sweep.backend.label()),
-                figure_directory(sweep, stat).to_csv(),
-            ));
-        }
-    }
-    out.push((
-        "backend_comparison".to_string(),
-        backend_directory_comparison(sweeps).to_csv(),
-    ));
-    out
-}
-
 /// Renders the audit-ledger digest lines of a set of sweeps in a stable
 /// order: one line per (backend, size, profile) run, each carrying the
 /// run's [`grid_federation_core::RunDigest`] (outcome digest, full digest,
@@ -472,6 +392,8 @@ mod tests {
             &WorkloadOptions::quick(),
             &[10, 20],
             &[PopulationProfile::new(0), PopulationProfile::new(100)],
+            DirectoryBackend::Ideal,
+            parallel::default_jobs(),
         )
     }
 
@@ -536,10 +458,11 @@ mod tests {
         let options = WorkloadOptions::quick();
         let sizes = [10usize];
         let profiles = [PopulationProfile::new(50)];
-        let ideal = run_sweep_with_backend(&options, &sizes, &profiles, DirectoryBackend::Ideal);
+        let jobs = parallel::default_jobs();
+        let ideal = run_sweep(&options, &sizes, &profiles, DirectoryBackend::Ideal, jobs);
         let a = &ideal.reports[0][0];
         for backend in [DirectoryBackend::Chord, DirectoryBackend::Maan] {
-            let other = run_sweep_with_backend(&options, &sizes, &profiles, backend);
+            let other = run_sweep(&options, &sizes, &profiles, backend, jobs);
             let b = &other.reports[0][0];
             // Digest-first: the audit ledger's outcome chains commit to every
             // job record and bank transfer, so this one comparison subsumes
@@ -606,8 +529,13 @@ mod tests {
         //    in Fig. 10 as well).
         let options = WorkloadOptions::quick();
         let profiles = [PopulationProfile::new(50)];
-        let sweep =
-            run_sweep_with_backend(&options, &[10, 40], &profiles, DirectoryBackend::Chord);
+        let sweep = run_sweep(
+            &options,
+            &[10, 40],
+            &profiles,
+            DirectoryBackend::Chord,
+            parallel::default_jobs(),
+        );
         let hops_small = sweep.reports[0][0].directory_avg_route_messages;
         let hops_large = sweep.reports[1][0].directory_avg_route_messages;
         assert!(hops_small >= 1.0);
@@ -637,7 +565,7 @@ mod tests {
         let profiles = [PopulationProfile::new(50)];
         let sweeps: Vec<ScalabilitySweep> = DirectoryBackend::ALL
             .iter()
-            .map(|&b| run_sweep_with_backend(&options, &[10, 20], &profiles, b))
+            .map(|&b| run_sweep(&options, &[10, 20], &profiles, b, parallel::default_jobs()))
             .collect();
         let table = backend_directory_comparison(&sweeps);
         assert_eq!(table.len(), 2);

@@ -98,24 +98,12 @@ impl ChurnSweep {
     }
 }
 
-/// Runs the churn sweep for one backend with a worker pool sized to the
-/// machine.
-#[must_use]
-pub fn run_sweep_with_backend(
-    options: &WorkloadOptions,
-    levels: &[ChurnLevel],
-    ks: &[usize],
-    backend: DirectoryBackend,
-) -> ChurnSweep {
-    run_sweep_with_backend_jobs(options, levels, ks, backend, parallel::default_jobs())
-}
-
 /// Runs the churn sweep for one backend across at most `jobs` worker
 /// threads.  Point 0 is the churn-free baseline; every point's failure
 /// chains derive from the master seed and the GFA index alone, so the
 /// sweep is bitwise-identical for any `jobs` value.
 #[must_use]
-pub fn run_sweep_with_backend_jobs(
+pub fn run_sweep(
     options: &WorkloadOptions,
     levels: &[ChurnLevel],
     ks: &[usize],
@@ -142,7 +130,9 @@ pub fn run_sweep_with_backend_jobs(
             },
         )
     };
-    let mut flat = parallel::run_indexed(churns.len(), jobs, point).into_iter();
+    let schedule = parallel::ClaimSchedule::identity(churns.len());
+    let mut flat = parallel::run_indexed_with_schedule(churns.len(), jobs, &schedule, point)
+        .into_iter();
     let baseline = flat.next().expect("the baseline run is point 0");
     let reports: Vec<Vec<FederationReport>> = levels
         .iter()
@@ -160,7 +150,7 @@ pub fn run_sweep_with_backend_jobs(
 /// Runs the default grid on one backend.
 #[must_use]
 pub fn run(options: &WorkloadOptions, backend: DirectoryBackend) -> ChurnSweep {
-    run_sweep_with_backend(options, &DEFAULT_LEVELS, &DEFAULT_KS, backend)
+    run_sweep(options, &DEFAULT_LEVELS, &DEFAULT_KS, backend, parallel::default_jobs())
 }
 
 /// The lookup-success gate the knee ramp probes (the k = 3 acceptance
@@ -449,11 +439,12 @@ mod tests {
     use super::*;
 
     fn smoke_sweep(backend: DirectoryBackend) -> ChurnSweep {
-        run_sweep_with_backend(
+        run_sweep(
             &WorkloadOptions::quick(),
             &[DEFAULT_LEVELS[1]],
             &[1, 3],
             backend,
+            parallel::default_jobs(),
         )
     }
 
@@ -520,10 +511,8 @@ mod tests {
     fn sweep_is_parallel_deterministic() {
         let options = WorkloadOptions::quick();
         let levels = [DEFAULT_LEVELS[1]];
-        let seq =
-            run_sweep_with_backend_jobs(&options, &levels, &[1, 3], DirectoryBackend::Maan, 1);
-        let par =
-            run_sweep_with_backend_jobs(&options, &levels, &[1, 3], DirectoryBackend::Maan, 4);
+        let seq = run_sweep(&options, &levels, &[1, 3], DirectoryBackend::Maan, 1);
+        let par = run_sweep(&options, &levels, &[1, 3], DirectoryBackend::Maan, 4);
         assert_eq!(
             digest_manifest(std::slice::from_ref(&seq)),
             digest_manifest(std::slice::from_ref(&par))

@@ -96,23 +96,12 @@ pub struct UnreliableSweep {
     pub reports: Vec<FederationReport>,
 }
 
-/// Runs the fault sweep for one backend with a worker pool sized to the
-/// machine.
-#[must_use]
-pub fn run_sweep_with_backend(
-    options: &WorkloadOptions,
-    levels: &[FaultLevel],
-    backend: DirectoryBackend,
-) -> UnreliableSweep {
-    run_sweep_with_backend_jobs(options, levels, backend, parallel::default_jobs())
-}
-
 /// Runs the fault sweep for one backend across at most `jobs` worker
 /// threads.  Point 0 is the lossless baseline; the fault streams derive
 /// from the master seed and the link endpoints alone, so the sweep is
 /// bitwise-identical for any `jobs` value.
 #[must_use]
-pub fn run_sweep_with_backend_jobs(
+pub fn run_sweep(
     options: &WorkloadOptions,
     levels: &[FaultLevel],
     backend: DirectoryBackend,
@@ -136,7 +125,9 @@ pub fn run_sweep_with_backend_jobs(
             },
         )
     };
-    let mut flat = parallel::run_indexed(nets.len(), jobs, point).into_iter();
+    let schedule = parallel::ClaimSchedule::identity(nets.len());
+    let mut flat = parallel::run_indexed_with_schedule(nets.len(), jobs, &schedule, point)
+        .into_iter();
     let lossless = flat.next().expect("the lossless run is point 0");
     let reports: Vec<FederationReport> = levels
         .iter()
@@ -179,7 +170,7 @@ pub fn mean_fault_wait(report: &FederationReport) -> f64 {
 /// with k = 1 (no replicas, so a crashed store faults its lookups) plus
 /// moderate network faults, across at most `jobs` worker threads.
 #[must_use]
-pub fn run_repair_comparison_jobs(
+pub fn run_repair_comparison(
     options: &WorkloadOptions,
     backend: DirectoryBackend,
     jobs: usize,
@@ -203,7 +194,9 @@ pub fn run_repair_comparison_jobs(
             },
         )
     };
-    let mut flat = parallel::run_indexed(modes.len(), jobs, point).into_iter();
+    let schedule = parallel::ClaimSchedule::identity(modes.len());
+    let mut flat = parallel::run_indexed_with_schedule(modes.len(), jobs, &schedule, point)
+        .into_iter();
     let periodic = flat.next().expect("the periodic run is point 0");
     let reactive = flat.next().expect("the reactive run is point 1");
     RepairComparison {
@@ -385,36 +378,52 @@ pub fn assert_acceptance(sweep: &UnreliableSweep) {
     }
 }
 
-/// The repair-mode acceptance gate: reactive repair must fire and must
-/// measurably reduce the mean faulted-lookup wait relative to periodic-only
-/// stabilization on the same seed.
+/// The repair-mode acceptance gate over a set of overlay comparisons:
+/// reactive repair must fire and must measurably reduce the mean
+/// faulted-lookup wait relative to periodic-only stabilization on the same
+/// seed.
+///
+/// A comparison whose periodic run saw no faulted lookup has nothing to
+/// measure (full-scale Chord is one: its lookups all find a live store).
+/// Its backend is returned as *not exercised* instead of failing the gate,
+/// but at least one comparison must be exercised.
 ///
 /// # Panics
-/// Panics when reactive repair never fires, fails to beat the periodic
-/// mean wait, or either run leaks Grid Dollars.
-pub fn assert_repair_acceptance(cmp: &RepairComparison) {
-    let b = cmp.backend.label();
-    assert!(cmp.periodic.bank.is_balanced(), "{b}: periodic run leaked");
-    assert!(cmp.reactive.bank.is_balanced(), "{b}: reactive run leaked");
-    assert_eq!(
-        cmp.periodic.churn.reactive_repairs, 0,
-        "{b}: periodic-only stabilization must never repair reactively"
-    );
+/// Panics when no comparison saw a faulted lookup, when reactive repair
+/// never fires or fails to beat the periodic mean wait on an exercised
+/// backend, when a periodic run repairs reactively, or when any run leaks
+/// Grid Dollars.
+pub fn assert_repair_acceptance(comparisons: &[RepairComparison]) -> Vec<DirectoryBackend> {
+    let mut not_exercised = Vec::new();
+    for cmp in comparisons {
+        let b = cmp.backend.label();
+        assert!(cmp.periodic.bank.is_balanced(), "{b}: periodic run leaked");
+        assert!(cmp.reactive.bank.is_balanced(), "{b}: reactive run leaked");
+        assert_eq!(
+            cmp.periodic.churn.reactive_repairs, 0,
+            "{b}: periodic-only stabilization must never repair reactively"
+        );
+        if cmp.periodic.churn.lookup_faults == 0 {
+            not_exercised.push(cmp.backend);
+            continue;
+        }
+        assert!(
+            cmp.reactive.churn.reactive_repairs > 0,
+            "{b}: reactive mode must execute lookup-time repairs"
+        );
+        let periodic_wait = mean_fault_wait(&cmp.periodic);
+        let reactive_wait = mean_fault_wait(&cmp.reactive);
+        assert!(
+            reactive_wait < periodic_wait,
+            "{b}: reactive repair must reduce the mean faulted-lookup wait \
+             ({reactive_wait:.2}s vs. {periodic_wait:.2}s periodic)"
+        );
+    }
     assert!(
-        cmp.periodic.churn.lookup_faults > 0,
-        "{b}: the comparison needs faulted lookups to measure"
+        not_exercised.len() < comparisons.len(),
+        "the repair comparison needs faulted lookups to measure on at least one overlay backend"
     );
-    assert!(
-        cmp.reactive.churn.reactive_repairs > 0,
-        "{b}: reactive mode must execute lookup-time repairs"
-    );
-    let periodic_wait = mean_fault_wait(&cmp.periodic);
-    let reactive_wait = mean_fault_wait(&cmp.reactive);
-    assert!(
-        reactive_wait < periodic_wait,
-        "{b}: reactive repair must reduce the mean faulted-lookup wait \
-         ({reactive_wait:.2}s vs. {periodic_wait:.2}s periodic)"
-    );
+    not_exercised
 }
 
 #[cfg(test)]
@@ -429,8 +438,7 @@ mod tests {
             DirectoryBackend::Chord,
             DirectoryBackend::Maan,
         ] {
-            let sweep =
-                run_sweep_with_backend(&options, &[DEFAULT_FAULTS[1]], backend);
+            let sweep = run_sweep(&options, &[DEFAULT_FAULTS[1]], backend, parallel::default_jobs());
             assert_acceptance(&sweep);
             let table = figure_fault_traffic(&sweep);
             assert_eq!(table.len(), 1);
@@ -444,21 +452,50 @@ mod tests {
         let comparisons: Vec<RepairComparison> =
             [DirectoryBackend::Chord, DirectoryBackend::Maan]
                 .iter()
-                .map(|&b| run_repair_comparison_jobs(&options, b, 2))
+                .map(|&b| run_repair_comparison(&options, b, 2))
                 .collect();
-        for cmp in &comparisons {
-            assert_repair_acceptance(cmp);
-        }
+        assert!(
+            assert_repair_acceptance(&comparisons).is_empty(),
+            "both overlays fault at quick scale"
+        );
         let table = figure_repair_tradeoff(&comparisons);
         assert_eq!(table.len(), 4, "two backends × two modes");
+    }
+
+    /// A comparison with nothing to measure: both modes replaced by a
+    /// churn-free run, so neither sees a faulted lookup.
+    fn fault_free_comparison(backend: DirectoryBackend) -> RepairComparison {
+        let lossless = run_sweep(&WorkloadOptions::quick(), &[], backend, 1).lossless;
+        RepairComparison {
+            backend,
+            periodic: lossless.clone(),
+            reactive: lossless,
+        }
+    }
+
+    #[test]
+    fn repair_gate_reports_fault_free_backends_as_not_exercised() {
+        let quiet = fault_free_comparison(DirectoryBackend::Chord);
+        assert_eq!(quiet.periodic.churn.lookup_faults, 0);
+        let faulting = run_repair_comparison(&WorkloadOptions::quick(), DirectoryBackend::Maan, 2);
+        assert_eq!(
+            assert_repair_acceptance(&[quiet, faulting]),
+            vec![DirectoryBackend::Chord]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "needs faulted lookups to measure on at least one overlay backend")]
+    fn repair_gate_needs_one_exercised_backend() {
+        let _ = assert_repair_acceptance(&[fault_free_comparison(DirectoryBackend::Maan)]);
     }
 
     #[test]
     fn sweep_is_parallel_deterministic_and_manifest_stable() {
         let options = WorkloadOptions::quick();
         let levels = [DEFAULT_FAULTS[0]];
-        let seq = run_sweep_with_backend_jobs(&options, &levels, DirectoryBackend::Maan, 1);
-        let par = run_sweep_with_backend_jobs(&options, &levels, DirectoryBackend::Maan, 4);
+        let seq = run_sweep(&options, &levels, DirectoryBackend::Maan, 1);
+        let par = run_sweep(&options, &levels, DirectoryBackend::Maan, 4);
         let seq_manifest = digest_manifest(std::slice::from_ref(&seq), &[]);
         assert_eq!(seq_manifest, digest_manifest(std::slice::from_ref(&par), &[]));
         // Lossless baseline + one level = 2 lines.

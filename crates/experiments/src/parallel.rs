@@ -1,14 +1,13 @@
 //! Deterministic parallel execution of independent sweep points.
 //!
-//! Parameter sweeps (Experiment 5's cluster-count × backend × profile grid,
-//! the scalability bench, `run_all`) consist of fully independent simulation
-//! runs: each run derives every seed it needs from its own parameters, never
-//! from execution order.  This module fans those runs across a bounded
-//! worker pool (`--jobs N`) built on `std::thread::scope` — no external
-//! crates — and merges the results **in deterministic run order**, so the
-//! output of a parallel sweep is bitwise-identical to the sequential one
-//! (asserted by a regression test and re-checked by `bench_perf` on every CI
-//! run).
+//! Parameter sweeps (the grids of Experiments 5–7, and `run_all`, which
+//! runs them all) consist of fully independent simulation runs: each run
+//! derives every seed it needs from its own parameters, never from
+//! execution order.  This module fans those runs across a bounded worker
+//! pool (`--jobs N`) built on `std::thread::scope` — no external crates —
+//! and merges the results **in deterministic run order**, so the output of
+//! a parallel sweep is bitwise-identical to the sequential one (asserted by
+//! regression tests).
 //!
 //! Work distribution uses a shared atomic cursor: workers claim the next
 //! unclaimed index, so stragglers never serialise the tail of the sweep.
@@ -16,14 +15,15 @@
 //! results are placed by index, the merge order — and therefore every CSV —
 //! is not.
 //!
-//! That independence claim is what the **schedule-permutation harness**
-//! ([`ClaimSchedule`] + [`run_indexed_with_schedule`]) stress-tests: it
-//! drives the same worker pool through adversarial claim orders — reversed,
-//! strided, seeded shuffles, with OS-yield stalls injected mid-sweep — that
-//! the production `fetch_add` cursor would only reach under pathological
-//! thread scheduling.  The merged output must stay identical under every
-//! schedule; `exp5::run_sweep_with_backend_schedule` extends the check to
-//! byte-identical sweep CSVs.
+//! There is one pool, [`run_indexed_with_schedule`], and one claim-order
+//! type, [`ClaimSchedule`].  Production sweeps pass
+//! [`ClaimSchedule::identity`] (ascending indices, no stalls); the
+//! **schedule-permutation harness** drives the very same pool through
+//! adversarial claim orders — reversed, strided, seeded shuffles, with
+//! OS-yield stalls injected mid-sweep — that the `fetch_add` cursor would
+//! only reach under pathological thread scheduling.  The merged output must
+//! stay identical under every schedule; `tests/parallel_determinism.rs`
+//! extends the check to whole exp5 sweeps.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
@@ -35,72 +35,16 @@ pub fn default_jobs() -> usize {
     thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Runs `task(0..count)` across at most `jobs` worker threads and returns
-/// the results ordered by index (identical to a sequential `map`).
-///
-/// `jobs <= 1` (or `count <= 1`) degrades to a plain sequential loop on the
-/// calling thread, which is also the reference ordering the parallel path
-/// must reproduce.
-///
-/// # Panics
-/// Propagates a panic from any task once all workers have been joined.
-pub fn run_indexed<T, F>(count: usize, jobs: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let jobs = jobs.max(1).min(count.max(1));
-    if jobs <= 1 {
-        return (0..count).map(task).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let task = &task;
-    let next = &next;
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(count);
-    slots.resize_with(count, || None);
-
-    let per_worker: Vec<Vec<(usize, T)>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= count {
-                            break;
-                        }
-                        out.push((index, task(index)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker must not panic"))
-            .collect()
-    });
-
-    for (index, value) in per_worker.into_iter().flatten() {
-        debug_assert!(slots[index].is_none(), "index {index} computed twice");
-        slots[index] = Some(value);
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index computed exactly once"))
-        .collect()
-}
-
 /// An explicit claim order for [`run_indexed_with_schedule`]: the shared
 /// cursor walks positions `0..count`, and the worker that wins position `p`
 /// computes sweep index `order[p]` — optionally stalling (yielding its OS
 /// time slice) first, to widen the window for other workers to overtake it.
 ///
-/// Production sweeps always claim in ascending index order; a schedule
-/// replays the claim orders that only adversarial thread scheduling would
-/// produce, so the determinism regression tests can cover them on demand
-/// instead of hoping the OS eventually does.
+/// Production sweeps claim in ascending index order
+/// ([`ClaimSchedule::identity`]); the other schedules replay the claim
+/// orders that only adversarial thread scheduling would produce, so the
+/// determinism regression tests can cover them on demand instead of hoping
+/// the OS eventually does.
 #[derive(Debug, Clone)]
 pub struct ClaimSchedule {
     /// `order[p]` is the sweep index claimed at cursor position `p`; must be
@@ -226,15 +170,18 @@ impl ClaimSchedule {
     }
 }
 
-/// [`run_indexed`], but claiming work through an explicit [`ClaimSchedule`]
-/// instead of ascending cursor order.  Results still come back ordered by
-/// index, so for any pure `task` the output must equal `run_indexed`'s —
-/// that equality is the schedule-permutation regression the determinism
-/// tests assert.
+/// Runs `task(0..count)` across at most `jobs` worker threads, claiming
+/// work in the order `schedule` gives, and returns the results ordered by
+/// index (identical to a sequential `map` for any pure `task`).
+///
+/// `jobs <= 1` (or `count <= 1`) computes on the calling thread, still in
+/// claim order; that is the reference the parallel path must reproduce.
+/// For any pure `task` the output is the same under every schedule — the
+/// schedule-permutation regression the determinism tests assert.
 ///
 /// # Panics
 /// Panics when the schedule is not a permutation of `0..count`, and
-/// propagates task panics like [`run_indexed`].
+/// propagates a panic from any task once all workers have been joined.
 pub fn run_indexed_with_schedule<T, F>(
     count: usize,
     jobs: usize,
@@ -307,6 +254,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The production call shape: ascending claims.
+    fn run_indexed<T: Send>(count: usize, jobs: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        run_indexed_with_schedule(count, jobs, &ClaimSchedule::identity(count), task)
+    }
 
     #[test]
     fn results_come_back_in_index_order() {

@@ -3,37 +3,21 @@
 //! (`jobs = 1`), through the worker pool (`jobs = 4`), and through every
 //! adversarial claim-order permutation must produce identical runs.
 //!
-//! Identity is asserted digest-first: every run's hash-chained
+//! Identity is asserted on the digest manifests: every run's hash-chained
 //! [`grid_federation_core::RunDigest`] commits to the full job/bank/message
-//! history, so comparing the digest manifests is the O(runs) equivalent of
-//! diffing every rendered CSV.  The original CSV byte-comparison is kept as
-//! the independent oracle behind `AUDIT_CSV_ORACLE=1` (CI runs it on the
-//! differential job; it is redundant on every push).
+//! history, so comparing them is the O(runs) equivalent of diffing every
+//! rendered CSV.
 
 use grid_experiments::exp5;
-use grid_experiments::parallel::ClaimSchedule;
+use grid_experiments::parallel::{run_indexed_with_schedule, ClaimSchedule};
 use grid_experiments::workloads::WorkloadOptions;
 use grid_federation_core::DirectoryBackend;
 use grid_workload::PopulationProfile;
 
-fn csv_oracle_enabled() -> bool {
-    std::env::var_os("AUDIT_CSV_ORACLE").is_some_and(|v| v == "1")
-}
-
 fn assert_sweeps_identical(reference: &[exp5::ScalabilitySweep], other: &[exp5::ScalabilitySweep], what: &str) {
     let manifest_r = exp5::digest_manifest(reference);
-    let manifest_o = exp5::digest_manifest(other);
     assert!(!manifest_r.is_empty(), "manifests must cover the runs");
-    assert_eq!(manifest_r, manifest_o, "digest manifest differs: {what}");
-    if csv_oracle_enabled() {
-        let csvs_r = exp5::render_all_csvs(reference);
-        let csvs_o = exp5::render_all_csvs(other);
-        assert_eq!(csvs_r.len(), csvs_o.len());
-        for ((name_r, csv_r), (name_o, csv_o)) in csvs_r.iter().zip(&csvs_o) {
-            assert_eq!(name_r, name_o);
-            assert_eq!(csv_r, csv_o, "CSV {name_r} differs: {what}");
-        }
-    }
+    assert_eq!(manifest_r, exp5::digest_manifest(other), "digest manifest differs: {what}");
 }
 
 #[test]
@@ -47,9 +31,7 @@ fn parallel_sweep_runs_are_bitwise_identical_to_sequential() {
     let run = |jobs: usize| -> Vec<exp5::ScalabilitySweep> {
         DirectoryBackend::ALL
             .iter()
-            .map(|&backend| {
-                exp5::run_sweep_with_backend_jobs(&options, &sizes, &profiles, backend, jobs)
-            })
+            .map(|&backend| exp5::run_sweep(&options, &sizes, &profiles, backend, jobs))
             .collect()
     };
 
@@ -58,28 +40,32 @@ fn parallel_sweep_runs_are_bitwise_identical_to_sequential() {
     assert_sweeps_identical(&sequential, &parallel, "sequential vs parallel");
 }
 
-/// The schedule-permutation harness: the worker pool claims sweep points in
-/// adversarial orders (reversed, strided, seeded shuffles, with OS-yield
-/// stalls injected) that the production cursor would only reach under
-/// pathological thread scheduling, and the merged runs must remain
-/// digest-identical to the sequential reference under every one of them.
+/// The schedule-permutation harness: the production worker pool claims
+/// exp5's points in adversarial orders (reversed, strided, seeded shuffles,
+/// with OS-yield stalls injected) that ascending claims would only reach
+/// under pathological thread scheduling, and the merged runs must remain
+/// digest-identical to the sequential sweep under every one of them.
 #[test]
 fn adversarial_claim_schedules_produce_identical_runs() {
     let options = WorkloadOptions::quick();
     let sizes = [8usize, 16];
-    let profiles = [PopulationProfile::new(50)];
+    let profile = PopulationProfile::new(50);
     let backend = DirectoryBackend::Chord;
-    let point_count = sizes.len() * profiles.len();
 
-    let reference =
-        vec![exp5::run_sweep_with_backend_jobs(&options, &sizes, &profiles, backend, 1)];
+    let reference = exp5::run_sweep(&options, &sizes, &[profile], backend, 1);
 
-    for schedule in ClaimSchedule::adversarial_suite(point_count) {
-        let sweep = exp5::run_sweep_with_backend_schedule(
-            &options, &sizes, &profiles, backend, 4, &schedule,
-        );
+    for schedule in ClaimSchedule::adversarial_suite(sizes.len()) {
+        let reports = run_indexed_with_schedule(sizes.len(), 4, &schedule, |i| {
+            exp5::run_point(&options, sizes[i], profile, backend)
+        });
+        let sweep = exp5::ScalabilitySweep {
+            backend,
+            sizes: sizes.to_vec(),
+            profiles: vec![profile],
+            reports: reports.into_iter().map(|report| vec![report]).collect(),
+        };
         assert_sweeps_identical(
-            &reference,
+            std::slice::from_ref(&reference),
             std::slice::from_ref(&sweep),
             &format!("claim schedule {}", schedule.label()),
         );

@@ -41,6 +41,8 @@ fn backends_differ_only_in_directory_traffic() {
         .abs()
         < 1e-6);
     assert_eq!(ideal.messages.publish_messages(), 0, "central stores publish for free");
+    assert!(ideal.directory_cache.hits > 0, "ideal: cache never hit");
+    assert!(ideal.directory_cache.misses > 0, "ideal: cache never missed");
 
     for backend in [DirectoryBackend::Chord, DirectoryBackend::Maan] {
         let other = run_with(backend);
@@ -105,6 +107,10 @@ fn backends_differ_only_in_directory_traffic() {
         // invariant is that directory/publish traffic is the only place
         // backends may diverge.)
         assert!(other.messages.directory_seconds() > 0.0);
+        // The GFAs' quote caches are really on the query path: some probes
+        // are served from the cache and some stream through a cursor.
+        assert!(other.directory_cache.hits > 0, "{backend:?}: cache never hit");
+        assert!(other.directory_cache.misses > 0, "{backend:?}: cache never missed");
         if backend == DirectoryBackend::Maan {
             // 8 resources × ≥ 2 routed puts each: the publish class is live.
             assert!(

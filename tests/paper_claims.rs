@@ -17,6 +17,7 @@ use grid_experiments::exp5::Stat;
 use grid_experiments::summary::HeadlineClaims;
 use grid_experiments::workloads::WorkloadOptions;
 use grid_experiments::{exp1, exp2, exp3, exp4, exp5};
+use grid_federation_core::DirectoryBackend;
 use grid_workload::PopulationProfile;
 
 fn options() -> WorkloadOptions {
@@ -149,6 +150,8 @@ fn message_complexity_grows_slowly_with_system_size() {
         &options(),
         &[10, 20, 40],
         &[PopulationProfile::new(0), PopulationProfile::new(100)],
+        DirectoryBackend::Ideal,
+        grid_experiments::parallel::default_jobs(),
     );
     for (pi, profile) in sweep.profiles.iter().enumerate() {
         let per_job: Vec<f64> = sweep
