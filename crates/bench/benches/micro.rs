@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use grid_cluster::{ClusterJob, EasyBackfilling, LocalScheduler, SpaceSharedFcfs};
 use grid_des::{BinaryHeapEventQueue, Context, Entity, EntityId, Event, EventQueue, SimTime, Simulation};
-use grid_bench::populated_directory;
+use grid_bench::{populated_directory, population_quote};
 use grid_directory::{
     AnyDirectory, ChordOverlay, DirectoryBackend, FederationDirectory, IdealDirectory, Quote,
     RankOrder,
@@ -246,6 +246,34 @@ fn directory_operations(c: &mut Criterion) {
             })
         });
     }
+
+    // MAAN maintenance at n = 200: a reprice splices one price entry and
+    // refreshes the speed replica; a membership cycle patches the ring and
+    // fingers, hands entries off and rebuilds the walk index.
+    let n = 200usize;
+    let mut maan = populated_directory(DirectoryBackend::Maan, n);
+    group.bench_function("maan_update_price_200", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i += 1;
+            let gfa = i % n;
+            // Each pass shifts every price one step, so no write is a no-op.
+            black_box(maan.update_price(gfa, 1.0 + 0.07 * ((gfa * 7 + 1 + i / n) % n) as f64))
+        })
+    });
+    group.bench_function("maan_depart_join_cycle_200", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i += 1;
+            // Alternate graceful leaves and crashes; every cycle restores
+            // the membership it started from.
+            let gfa = (i * 37) % n;
+            let departed = maan.node_depart(gfa, i % 2 == 0);
+            let repaired = maan.stabilize();
+            let joined = maan.node_join(gfa) + maan.subscribe(population_quote(gfa, n));
+            black_box(departed + repaired + joined)
+        })
+    });
     group.finish();
 }
 

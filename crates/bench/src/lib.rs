@@ -23,15 +23,22 @@ use grid_experiments::workloads::WorkloadOptions;
 pub fn populated_directory(backend: DirectoryBackend, n: usize) -> AnyDirectory {
     let mut dir = backend.build(n, 0xD1CE);
     for gfa in 0..n {
-        let _ = dir.subscribe(Quote {
-            gfa,
-            processors: 128,
-            mips: 400.0 + 9.0 * ((gfa * 13) % n) as f64,
-            bandwidth: 1.0 + (gfa % 4) as f64,
-            price: 1.0 + 0.07 * ((gfa * 7) % n) as f64,
-        });
+        let _ = dir.subscribe(population_quote(gfa, n));
     }
     dir
+}
+
+/// GFA `gfa`'s quote in the [`populated_directory`] population of `n`
+/// (what a rejoining GFA republishes in the membership benches).
+#[must_use]
+pub fn population_quote(gfa: usize, n: usize) -> Quote {
+    Quote {
+        gfa,
+        processors: 128,
+        mips: 400.0 + 9.0 * ((gfa * 13) % n) as f64,
+        bandwidth: 1.0 + (gfa % 4) as f64,
+        price: 1.0 + 0.07 * ((gfa * 7) % n) as f64,
+    }
 }
 
 /// A configuration smaller than `WorkloadOptions::quick` for the

@@ -4,7 +4,7 @@
 //! the shared federation state after each delivered event.  The sentry is a
 //! pure observer: it holds the high-water marks of the monotone quantities
 //! and asserts that the federation's global accounting identities still
-//! hold.  Ten invariants are checked:
+//! hold.  Eleven invariants are checked:
 //!
 //! 1. **Grid-Dollar conservation** — every payment debits a user account
 //!    and credits an owner account, so total earnings must equal total
@@ -37,6 +37,11 @@
 //!     network fault layer only slide forward (their base-sequence sum never
 //!     decreases); a rewound window would re-admit envelopes it already
 //!     accepted, voiding invariant 9's premise.
+//! 11. **Index consistency** — the overlay's ring order and finger tables,
+//!     and MAAN's walk index, are patched in place on every directory
+//!     change; they must equal a from-scratch rebuild over the current
+//!     membership and stores.  Checked only on events after which the
+//!     content or membership epoch moved.
 //!
 //! Event-*time* monotonicity is the engine's own invariant and is enforced
 //! inside `grid-des` (promoted to a hard assert under the same feature).
@@ -45,6 +50,7 @@
 //! `AnyDirectory::corrupt_membership_rewind`,
 //! `AnyDirectory::corrupt_overreplicate`,
 //! `AnyDirectory::corrupt_serve_departed`,
+//! `AnyDirectory::corrupt_finger`,
 //! `SharedState::corrupt_replay_message`,
 //! `NetState::corrupt_dedup_rewind`, the event-time corruptor in
 //! `grid-des` — exist so the test suite can prove each check actually
@@ -158,14 +164,24 @@ impl InvariantSentry {
             "directory epoch rewound at t={now}: {epoch} after {}",
             self.last_epoch
         );
-        self.last_epoch = epoch;
-
         let membership = directory.membership_epoch();
         assert!(
             membership >= self.last_membership_epoch,
             "membership epoch rewound at t={now}: {membership} after {}",
             self.last_membership_epoch
         );
+        // The derived indexes only change with the directory, and every
+        // directory change moves one of the two epochs, so the (costly)
+        // from-scratch comparison runs only then.
+        if epoch != self.last_epoch || membership != self.last_membership_epoch {
+            assert!(
+                directory.index_consistent(),
+                "directory index diverged at t={now}: the incrementally \
+                 maintained ring, fingers or walk index differ from a \
+                 from-scratch rebuild"
+            );
+        }
+        self.last_epoch = epoch;
         self.last_membership_epoch = membership;
 
         assert!(

@@ -185,6 +185,46 @@ fn serving_from_departed_node_fires_liveness() {
     sentry.check(1.0, &bank, &ledger, &dir, &audit, &[], None);
 }
 
+/// The index check runs only when an epoch moved, so the corrupting double
+/// is followed by a reprice, exactly as a real write would follow a stale
+/// patch.
+fn corrupt_finger_then_write(backend: DirectoryBackend) {
+    let (bank, ledger, mut dir, audit) = overlay_state(backend);
+    // Churn first, so the check also covers the patched ring.
+    let _ = dir.node_depart(2, true);
+    let _ = dir.node_join(2);
+    let mut sentry = InvariantSentry::new();
+    sentry.check(0.0, &bank, &ledger, &dir, &audit, &[], None);
+    // The corrupting double points a finger at the wrong node.
+    dir.corrupt_finger();
+    let _ = dir.update_price(0, 2.5);
+    sentry.check(1.0, &bank, &ledger, &dir, &audit, &[], None);
+}
+
+#[test]
+#[should_panic(expected = "directory index diverged")]
+fn corrupt_finger_fires_index_consistency_on_maan() {
+    corrupt_finger_then_write(DirectoryBackend::Maan);
+}
+
+#[test]
+#[should_panic(expected = "directory index diverged")]
+fn corrupt_finger_fires_index_consistency_on_chord() {
+    corrupt_finger_then_write(DirectoryBackend::Chord);
+}
+
+#[test]
+fn unchanged_epochs_skip_the_index_check() {
+    let (bank, ledger, mut dir, audit) = overlay_state(DirectoryBackend::Maan);
+    let mut sentry = InvariantSentry::new();
+    sentry.check(0.0, &bank, &ledger, &dir, &audit, &[], None);
+    // No epoch moves after the corruption, so the sentry does not pay for
+    // the from-scratch comparison and stays green.
+    dir.corrupt_finger();
+    sentry.check(1.0, &bank, &ledger, &dir, &audit, &[], None);
+    assert!(!dir.index_consistent());
+}
+
 /// End to end: a churning federation — departures, crashes, rejoins,
 /// stabilization and replica repair — keeps every invariant green on
 /// the genuinely distributed backend.

@@ -191,6 +191,21 @@ impl AnyDirectory {
         }
     }
 
+    /// Corrupting test double: points one finger of the overlay at the
+    /// wrong node.  Only exists so the invariant tests can prove the
+    /// `index_consistent` check fires; the ideal backend has no overlay.
+    ///
+    /// # Panics
+    /// Panics on the ideal backend.
+    #[cfg(feature = "invariants")]
+    pub fn corrupt_finger(&mut self) {
+        match self {
+            AnyDirectory::Ideal(_) => panic!("the ideal backend has no overlay to corrupt"),
+            AnyDirectory::Chord(d) => d.corrupt_finger(),
+            AnyDirectory::Maan(d) => d.corrupt_finger(),
+        }
+    }
+
     /// Total routed publish-side messages charged by mutations so far: zero
     /// for the centrally-stored backends, the measured put/remove/move
     /// routing cost for MAAN.
@@ -284,6 +299,10 @@ impl FederationDirectory for AnyDirectory {
     }
     fn serves_only_live(&self) -> bool {
         dispatch!(self, d => d.serves_only_live())
+    }
+    #[cfg(feature = "invariants")]
+    fn index_consistent(&self) -> bool {
+        dispatch!(self, d => d.index_consistent())
     }
 }
 

@@ -61,28 +61,38 @@ fn in_open_interval(x: u64, from: u64, to: u64) -> bool {
     }
 }
 
-/// One overlay node: its ring identifier and finger table.
-#[derive(Debug, Clone)]
+/// Finger `j` of the node at `id` points at the successor of this key,
+/// `id + 2^j`.
+fn finger_target(id: u64, j: usize) -> u64 {
+    id.wrapping_add(1u64.wrapping_shl(j as u32))
+}
+
+/// One overlay node: its ring identifier and finger table.  A node's index
+/// in the overlay's node vector is the index of the GFA it represents.
+#[derive(Debug, Clone, PartialEq)]
 struct ChordNode {
-    /// Index of the GFA this node represents.
-    gfa: usize,
     /// Ring identifier.
     id: u64,
-    /// `fingers[j]` = index (into the overlay's node vector) of the successor
-    /// of `id + 2^j`.
+    /// `fingers[j]` = index (node, and so GFA) of the successor of
+    /// `id + 2^j`.
     fingers: Vec<usize>,
     /// Whether the node is currently part of the live ring.  Departed nodes
-    /// keep their slot (and finger table, rebuilt over the live ring) so
-    /// lookups *originating* at them still terminate, but they own no keys
-    /// and no walk arcs.
+    /// keep their slot (and finger table, kept pointing into the live ring)
+    /// so lookups *originating* at them still terminate, but they own no
+    /// keys and no walk arcs.
     alive: bool,
 }
 
 /// A Chord ring over the federation's GFAs.
-#[derive(Debug, Clone)]
+///
+/// Equality compares the node placement, the live set, the ring order and
+/// every finger table (departed nodes' included), which is how tests check
+/// the incrementally patched routing state against [`Self::rebuilt`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChordOverlay {
     nodes: Vec<ChordNode>,
-    /// Node vector indices sorted by ring id, for successor lookups.
+    /// The live nodes' indices (their GFAs) sorted by ring id, for
+    /// successor lookups.
     ring_order: Vec<usize>,
 }
 
@@ -91,7 +101,9 @@ impl ChordOverlay {
     pub const ID_BITS: usize = 64;
 
     /// Builds an overlay of `n` nodes (GFA indices `0..n`), placing each node
-    /// at `hash64(seed ⊕ gfa)` on the ring.
+    /// at `hash64(seed ⊕ gfa)` on the ring.  GFA `g`'s node is `nodes[g]`
+    /// for the overlay's whole life, so ring order, fingers and lookups
+    /// hold GFA indices directly and a lookup indexes its origin in O(1).
     ///
     /// # Panics
     /// Panics if `n == 0`.
@@ -100,7 +112,6 @@ impl ChordOverlay {
         assert!(n > 0, "an overlay needs at least one node");
         let nodes: Vec<ChordNode> = (0..n)
             .map(|gfa| ChordNode {
-                gfa,
                 id: hash64(seed ^ (gfa as u64).wrapping_mul(0x2545_F491_4F6C_DD1D)),
                 fingers: Vec::new(),
                 alive: true,
@@ -114,34 +125,24 @@ impl ChordOverlay {
         overlay
     }
 
-    /// Successor of an arbitrary key on the live ring, as an index into
-    /// `nodes`.
-    fn successor_index_of(&self, key: u64) -> usize {
-        match self
-            .ring_order
-            .binary_search_by(|&i| self.nodes[i].id.cmp(&key))
-        {
-            Ok(pos) => self.ring_order[pos],
-            Err(pos) => self.ring_order[pos % self.ring_order.len()],
-        }
-    }
-
-    /// Rebuilds the ring order and every node's finger table over the
-    /// current live membership.  Dead nodes get fingers too — a lookup
+    /// Builds the ring order and every node's finger table from scratch over
+    /// the current live membership.  Dead nodes get fingers too — a lookup
     /// *originating* at a departed node must still route onto the live ring.
+    /// Only construction (and the [`Self::rebuilt`] reference) pays for
+    /// this; membership changes patch the state in place.
     fn rebuild_routing(&mut self) {
         let mut ring_order: Vec<usize> =
             (0..self.nodes.len()).filter(|&i| self.nodes[i].alive).collect();
         ring_order.sort_by_key(|&i| self.nodes[i].id);
+        debug_assert!(
+            ring_order.windows(2).all(|w| self.nodes[w[0]].id < self.nodes[w[1]].id),
+            "ring identifiers are distinct"
+        );
         self.ring_order = ring_order;
         for i in 0..self.nodes.len() {
             let id = self.nodes[i].id;
-            let fingers: Vec<usize> = (0..Self::ID_BITS)
-                .map(|j| {
-                    let target = id.wrapping_add(1u64.wrapping_shl(j as u32));
-                    self.successor_index_of(target)
-                })
-                .collect();
+            let fingers: Vec<usize> =
+                (0..Self::ID_BITS).map(|j| self.owner_of(finger_target(id, j))).collect();
             self.nodes[i].fingers = fingers;
         }
     }
@@ -165,28 +166,90 @@ impl ChordOverlay {
         self.nodes.get(gfa).is_some_and(|n| n.alive)
     }
 
-    /// Removes GFA `gfa`'s node from the live ring, rebuilding the routing
-    /// state.  Returns whether the membership changed; the last live node is
-    /// never removed (the ring is the routing substrate — an empty ring
-    /// would strand every subsequent lookup), and removing an unknown or
-    /// already-dead node is a no-op.
+    /// Corrupting test double: points node 0's first finger at the wrong
+    /// node, leaving the ring order alone.  Only exists so the invariant
+    /// tests can prove the `index_consistent` check fires.
+    ///
+    /// # Panics
+    /// Panics on a one-node overlay, which has no wrong node to point at.
+    #[cfg(feature = "invariants")]
+    pub fn corrupt_finger(&mut self) {
+        let n = self.nodes.len();
+        assert!(n > 1, "corrupting a finger needs at least two nodes");
+        let finger = &mut self.nodes[0].fingers[0];
+        *finger = (*finger + 1) % n;
+    }
+
+    /// A from-scratch overlay with the same node placement and live set:
+    /// the reference the in-place membership patches must reproduce
+    /// exactly (compare with `==`).
+    #[must_use]
+    pub fn rebuilt(&self) -> ChordOverlay {
+        let mut fresh = self.clone();
+        fresh.rebuild_routing();
+        fresh
+    }
+
+    /// Position of live node `gfa` in `ring_order` (where it would be
+    /// spliced in, if it is not live).
+    fn ring_position(&self, gfa: usize) -> usize {
+        let id = self.nodes[gfa].id;
+        self.ring_order.partition_point(|&i| self.nodes[i].id < id)
+    }
+
+    /// Removes GFA `gfa`'s node from the live ring.  Returns whether the
+    /// membership changed; the last live node is never removed (the ring is
+    /// the routing substrate — an empty ring would strand every subsequent
+    /// lookup), and removing an unknown or already-dead node is a no-op.
+    ///
+    /// The routing state is patched, not rebuilt: the node is spliced out
+    /// of the ring order, and every finger that pointed at it — departed
+    /// nodes' fingers included — now points at its live successor, the new
+    /// owner of every key it owned.
     pub fn remove_node(&mut self, gfa: usize) -> bool {
         if !self.is_alive(gfa) || self.ring_order.len() <= 1 {
             return false;
         }
         self.nodes[gfa].alive = false;
-        self.rebuild_routing();
+        let pos = self.ring_position(gfa);
+        self.ring_order.remove(pos);
+        let heir = self.ring_order[pos % self.ring_order.len()];
+        for node in &mut self.nodes {
+            for finger in &mut node.fingers {
+                if *finger == gfa {
+                    *finger = heir;
+                }
+            }
+        }
         true
     }
 
-    /// Re-admits a previously removed node to the live ring, rebuilding the
-    /// routing state.  Returns whether the membership changed.
+    /// Re-admits a previously removed node to the live ring.  Returns
+    /// whether the membership changed.
+    ///
+    /// The routing state is patched, not rebuilt: the node is spliced into
+    /// the ring order at its sorted position, and every finger whose target
+    /// `id + 2^j` falls in the range it takes over, `(pred.id, id]`, moves
+    /// from its successor to it — departed nodes' fingers included.
     pub fn insert_node(&mut self, gfa: usize) -> bool {
         if gfa >= self.nodes.len() || self.nodes[gfa].alive {
             return false;
         }
         self.nodes[gfa].alive = true;
-        self.rebuild_routing();
+        let pos = self.ring_position(gfa);
+        self.ring_order.insert(pos, gfa);
+        let len = self.ring_order.len();
+        let pred_id = self.nodes[self.ring_order[(pos + len - 1) % len]].id;
+        let succ = self.ring_order[(pos + 1) % len];
+        let id = self.nodes[gfa].id;
+        for node in &mut self.nodes {
+            let base = node.id;
+            for (j, finger) in node.fingers.iter_mut().enumerate() {
+                if *finger == succ && in_interval(finger_target(base, j), pred_id, id) {
+                    *finger = gfa;
+                }
+            }
+        }
         true
     }
 
@@ -196,16 +259,13 @@ impl ChordOverlay {
     /// when `gfa` is not live.
     #[must_use]
     pub fn successors(&self, gfa: usize, count: usize) -> Vec<usize> {
-        let n = self.ring_order.len();
-        let Some(pos) = self
-            .ring_order
-            .iter()
-            .position(|&i| self.nodes[i].gfa == gfa)
-        else {
+        if !self.is_alive(gfa) {
             return Vec::new();
-        };
+        }
+        let n = self.ring_order.len();
+        let pos = self.ring_position(gfa);
         (1..=count.min(n.saturating_sub(1)))
-            .map(|step| self.nodes[self.ring_order[(pos + step) % n]].gfa)
+            .map(|step| self.ring_order[(pos + step) % n])
             .collect()
     }
 
@@ -218,7 +278,13 @@ impl ChordOverlay {
     /// The GFA index owning `key` (its successor on the live ring).
     #[must_use]
     pub fn owner_of(&self, key: u64) -> usize {
-        self.nodes[self.successor_index_of(key)].gfa
+        match self
+            .ring_order
+            .binary_search_by(|&i| self.nodes[i].id.cmp(&key))
+        {
+            Ok(pos) => self.ring_order[pos],
+            Err(pos) => self.ring_order[pos % self.ring_order.len()],
+        }
     }
 
     /// Routes from the node representing `from_gfa` towards `key` using
@@ -229,11 +295,8 @@ impl ChordOverlay {
     /// Panics if `from_gfa` is not part of the overlay.
     #[must_use]
     pub fn lookup(&self, from_gfa: usize, key: u64) -> (usize, u32) {
-        let mut current = self
-            .nodes
-            .iter()
-            .position(|n| n.gfa == from_gfa)
-            .unwrap_or_else(|| panic!("GFA {from_gfa} is not in the overlay"));
+        assert!(from_gfa < self.nodes.len(), "GFA {from_gfa} is not in the overlay");
+        let mut current = from_gfa;
         let mut hops = 0u32;
         // Hard bound to guarantee termination even if the finger tables were
         // corrupted; 4·bits is far beyond any legitimate route length.
@@ -242,7 +305,7 @@ impl ChordOverlay {
             let node = &self.nodes[current];
             let successor = node.fingers[0];
             if in_interval(key, node.id, self.nodes[successor].id) {
-                return (self.nodes[successor].gfa, hops + 1);
+                return (successor, hops + 1);
             }
             // Closest preceding finger: the furthest finger that lies
             // strictly between this node and the key.
@@ -254,12 +317,12 @@ impl ChordOverlay {
                 }
             }
             if next == current {
-                return (node.gfa, hops);
+                return (current, hops);
             }
             current = next;
             hops += 1;
             if hops >= max_hops {
-                return (self.nodes[current].gfa, hops);
+                return (current, hops);
             }
         }
     }
@@ -287,7 +350,7 @@ impl ChordOverlay {
     /// The GFA owning walk arc `arc`.
     #[must_use]
     pub fn walk_arc_owner(&self, arc: usize) -> usize {
-        self.nodes[self.ring_order[arc % self.ring_order.len()]].gfa
+        self.ring_order[arc % self.ring_order.len()]
     }
 
     /// Average hops over a deterministic sample of `samples` random lookups,
@@ -417,6 +480,12 @@ impl ChordDirectory {
     #[cfg(feature = "invariants")]
     pub fn corrupt_membership_rewind(&mut self) {
         self.membership_epoch = 0;
+    }
+
+    /// Corrupting test double: see [`ChordOverlay::corrupt_finger`].
+    #[cfg(feature = "invariants")]
+    pub fn corrupt_finger(&mut self) {
+        self.overlay.corrupt_finger();
     }
 
     /// Total directory messages spent on ranking queries so far (routed
@@ -767,6 +836,11 @@ impl FederationDirectory for ChordDirectory {
 
     fn serves_only_live(&self) -> bool {
         self.exact.quotes().iter().all(|q| !self.down[q.gfa])
+    }
+
+    #[cfg(feature = "invariants")]
+    fn index_consistent(&self) -> bool {
+        self.overlay == self.overlay.rebuilt()
     }
 }
 

@@ -37,6 +37,12 @@
 //! origin, so the cursor path, the query-per-rank oracle and GFA cache
 //! replays all charge identically (the invariant the federation's ledger
 //! accounting relies on).
+//!
+//! Queries read a flattened walk index (the node stores concatenated in
+//! walk order) kept in step with the stores incrementally: a content write
+//! splices the one or two entries it touched into the index by binary
+//! search, and only a ring-membership change — which renumbers the walk
+//! arcs — rebuilds it from the stores.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -55,11 +61,13 @@ struct NodeStore {
     entries: [Vec<(u64, Quote)>; 2],
 }
 
-/// One entry of the flattened walk index: the quote plus the walk arc its
-/// key lives in (the arc delta between consecutive ranks is the number of
-/// successor hops a range walk pays to advance between them).
-#[derive(Debug, Clone, Copy)]
+/// One entry of the flattened walk index: the quote, its attribute key
+/// (so writes can binary-search the index without rehashing) and the walk
+/// arc the key lives in (the arc delta between consecutive ranks is the
+/// number of successor hops a range walk pays to advance between them).
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct FlatEntry {
+    key: u64,
     arc: usize,
     quote: Quote,
 }
@@ -90,9 +98,12 @@ pub struct MaanDirectory {
     /// in subscription order.  Used to locate the old keys on republish /
     /// withdraw and to answer `len()`.
     published: Vec<Quote>,
-    /// Flattened walk indexes (one per attribute), rebuilt eagerly from the
-    /// node stores on every mutation so queries and charge computations are
-    /// O(1) per rank.
+    /// Flattened walk indexes (one per attribute), so queries and charge
+    /// computations are O(1) per rank.  Each is sorted by [`entry_cmp`] and
+    /// always equals what [`Self::rebuild_flat`] derives from the node
+    /// stores: content writes splice the entries they touch in place
+    /// (binary search, `O(log m)` plus one shift), and ring-membership
+    /// changes — which renumber the walk arcs — rebuild it.
     flat: [Vec<FlatEntry>; 2],
     epoch: u64,
     queries: Cell<u64>,
@@ -109,7 +120,11 @@ pub struct MaanDirectory {
     replication: usize,
     /// Replica records per dimension: `(entry's GFA, holder GFA)`.  Records
     /// only — resolution always reads the canonical walk index; copies
-    /// decide whether a lookup hitting a crashed store can detour.
+    /// decide whether a lookup hitting a crashed store can detour.  Each
+    /// list is sorted and duplicate-free: it is the last repair round's
+    /// `desired` set minus records dropped since (`retain` keeps the
+    /// order), so [`Self::repair_replicas`] can binary-search it.  Only the
+    /// `invariants`-only `corrupt_overreplicate` double breaks this.
     copies: [Vec<(usize, usize)>; 2],
     /// Per-GFA departed flag (graceful leave or crash).
     down: Vec<bool>,
@@ -198,6 +213,12 @@ impl MaanDirectory {
     #[cfg(feature = "invariants")]
     pub fn corrupt_membership_rewind(&mut self) {
         self.membership_epoch = 0;
+    }
+
+    /// Corrupting test double: see [`ChordOverlay::corrupt_finger`].
+    #[cfg(feature = "invariants")]
+    pub fn corrupt_finger(&mut self) {
+        self.overlay.corrupt_finger();
     }
 
     /// The underlying overlay (for inspection in benches and tests).
@@ -363,7 +384,7 @@ impl MaanDirectory {
 
     /// Cold tail of [`FederationDirectory::cursor_next`]: lazy revalidation
     /// after an epoch move.  The distributed store mutated under the cursor:
-    /// positional reads already see the rebuilt walk index, and a cursor
+    /// positional reads already see the current walk index, and a cursor
     /// that has not yielded its head yet re-routes against the current
     /// rank-1 placement (quotes relocate when their keys change, and
     /// membership churn re-shapes the ring the route crosses), exactly like
@@ -403,31 +424,35 @@ impl MaanDirectory {
         }
     }
 
-    /// Moves every entry whose key's owner changed (because the live ring
-    /// gained or lost a node) to its current owner's store, returning the
-    /// number of entries moved — each handoff is one successor-transfer
-    /// message.  Must run after **every** ring-membership change: the walk
-    /// index rebuild and `remove_entry`'s owner lookup both require entries
-    /// to sit at `owner_of(key)`.
-    fn reconcile_stores(&mut self) -> u64 {
+    /// Moves every entry of the `suspects` stores whose key's owner changed
+    /// (because the live ring gained or lost a node) to its current owner's
+    /// store, returning the number of entries moved — each handoff is one
+    /// successor-transfer message.  Must run after **every** ring-membership
+    /// change, once all of that change's nodes are in or out, so each entry
+    /// moves once, straight to its final owner: the walk index rebuild and
+    /// `remove_entry`'s owner lookup both require entries to sit at
+    /// `owner_of(key)`.  Only two kinds of store can hold misplaced entries,
+    /// so only they are scanned: a removed node's (it owns nothing now) and
+    /// an inserted node's successor's (the inserted node took over part of
+    /// its range).  Every other live node's range is unchanged or grew.
+    fn reconcile_stores(&mut self, suspects: &[usize]) -> u64 {
         let mut moved = 0u64;
         for order in RankOrder::ALL {
             let dim = order.index();
             let mut relocated: Vec<(u64, Quote)> = Vec::new();
-            for node in 0..self.nodes.len() {
-                let mut i = 0;
-                while i < self.nodes[node].entries[dim].len() {
-                    let key = self.nodes[node].entries[dim][i].0;
-                    if self.overlay.owner_of(key) != node {
-                        relocated.push(self.nodes[node].entries[dim].remove(i));
-                    } else {
-                        i += 1;
+            for &node in suspects {
+                let overlay = &self.overlay;
+                self.nodes[node].entries[dim].retain(|&entry| {
+                    let stays = overlay.owner_of(entry.0) == node;
+                    if !stays {
+                        relocated.push(entry);
                     }
-                }
+                    stays
+                });
             }
             moved += relocated.len() as u64;
             for (key, quote) in relocated {
-                self.insert_entry(order, key, quote);
+                self.store_insert(order, key, quote);
             }
         }
         moved
@@ -457,7 +482,7 @@ impl MaanDirectory {
             desired.dedup();
             messages += desired
                 .iter()
-                .filter(|pair| !self.copies[dim].contains(pair))
+                .filter(|pair| self.copies[dim].binary_search(pair).is_err())
                 .count() as u64;
             self.copies[dim] = desired;
         }
@@ -475,8 +500,9 @@ impl MaanDirectory {
         self.flat[order.index()].get(r - 1).map(|e| e.quote)
     }
 
-    /// Inserts `quote` into the owner node's store for `order` under `key`.
-    fn insert_entry(&mut self, order: RankOrder, key: u64, quote: Quote) {
+    /// Inserts `quote` into the owner node's store for `order` under `key`
+    /// (the store only; see [`Self::insert_entry`]).
+    fn store_insert(&mut self, order: RankOrder, key: u64, quote: Quote) {
         let node = self.overlay.owner_of(key);
         let store = &mut self.nodes[node].entries[order.index()];
         let probe = (key, quote);
@@ -486,7 +512,24 @@ impl MaanDirectory {
         store.insert(at, probe);
     }
 
-    /// Removes `quote`'s entry (published under `key`) from its owner node.
+    /// Where the entry `(key, quote)` sits in the walk index of `order`:
+    /// `Ok(position)` if present, else `Err(insertion point)`.
+    fn flat_search(&self, order: RankOrder, key: u64, quote: Quote) -> Result<usize, usize> {
+        let probe = (key, quote);
+        self.flat[order.index()].binary_search_by(|e| entry_cmp(order, &(e.key, e.quote), &probe))
+    }
+
+    /// Inserts `quote` under `key` into the owner node's store for `order`
+    /// and splices it into the walk index.
+    fn insert_entry(&mut self, order: RankOrder, key: u64, quote: Quote) {
+        self.store_insert(order, key, quote);
+        let at = self.flat_search(order, key, quote).unwrap_or_else(|pos| pos);
+        let arc = self.overlay.walk_arc_of(key);
+        self.flat[order.index()].insert(at, FlatEntry { key, arc, quote });
+    }
+
+    /// Removes `quote`'s entry (published under `key`) from its owner node
+    /// and from the walk index.
     fn remove_entry(&mut self, order: RankOrder, key: u64, quote: Quote) {
         let node = self.overlay.owner_of(key);
         let store = &mut self.nodes[node].entries[order.index()];
@@ -495,31 +538,53 @@ impl MaanDirectory {
             .binary_search_by(|e| entry_cmp(order, e, &probe))
             .expect("a published entry is present at its owner node");
         store.remove(at);
+        let at = self
+            .flat_search(order, key, quote)
+            .expect("a published entry is present in the walk index");
+        self.flat[order.index()].remove(at);
     }
 
-    /// Rebuilds the flattened walk indexes from the node stores: nodes are
+    /// The walk index of `order` as the node stores define it: nodes are
     /// visited in walk-arc order (ascending key ranges, wrap arc last) and
     /// contribute the entries whose keys fall in that arc.  Because node
     /// stores are kept sorted by `(key, attribute, gfa)` and the arc index
     /// is monotone in the key, the concatenation is the exact ranking.
+    fn walk_entries(&self, order: RankOrder) -> impl Iterator<Item = FlatEntry> + '_ {
+        let dim = order.index();
+        (0..self.overlay.walk_arcs()).flat_map(move |arc| {
+            let node = self.overlay.walk_arc_owner(arc);
+            self.nodes[node].entries[dim]
+                .iter()
+                .filter(move |&&(key, _)| self.overlay.walk_arc_of(key) == arc)
+                .map(move |&(key, quote)| FlatEntry { key, arc, quote })
+        })
+    }
+
+    /// Rebuilds the flattened walk indexes from the node stores — needed
+    /// only after a ring-membership change, which renumbers the walk arcs.
     fn rebuild_flat(&mut self) {
         for order in RankOrder::ALL {
             let dim = order.index();
-            self.flat[dim].clear();
-            for arc in 0..self.overlay.walk_arcs() {
-                let node = self.overlay.walk_arc_owner(arc);
-                for &(key, quote) in &self.nodes[node].entries[dim] {
-                    if self.overlay.walk_arc_of(key) == arc {
-                        self.flat[dim].push(FlatEntry { arc, quote });
-                    }
-                }
-            }
+            let mut flat = std::mem::take(&mut self.flat[dim]);
+            flat.clear();
+            flat.extend(self.walk_entries(order));
             debug_assert_eq!(
-                self.flat[dim].len(),
+                flat.len(),
                 self.published.len(),
                 "every published quote appears exactly once per attribute index"
             );
+            self.flat[dim] = flat;
         }
+    }
+
+    /// Whether the incrementally spliced walk indexes equal a rebuild from
+    /// the node stores — the check the differential tests and the
+    /// invariant sentry run against the splice-on-write maintenance.
+    #[must_use]
+    pub fn walk_index_matches_stores(&self) -> bool {
+        RankOrder::ALL
+            .iter()
+            .all(|&order| self.walk_entries(order).eq(self.flat[order.index()].iter().copied()))
     }
 }
 
@@ -552,7 +617,6 @@ impl FederationDirectory for MaanDirectory {
         messages += self.route_hops_from(publisher, new_pk);
         messages += self.route_hops_from(publisher, new_sk);
         self.drop_copies_of(publisher);
-        self.rebuild_flat();
         self.epoch += 1;
         self.publish_messages += messages;
         messages
@@ -569,7 +633,6 @@ impl FederationDirectory for MaanDirectory {
         self.remove_entry(RankOrder::Fastest, sk, old);
         let messages = self.route_hops_from(gfa, pk) + self.route_hops_from(gfa, sk);
         self.drop_copies_of(gfa);
-        self.rebuild_flat();
         self.epoch += 1;
         self.publish_messages += messages;
         messages
@@ -592,10 +655,10 @@ impl FederationDirectory for MaanDirectory {
         self.remove_entry(RankOrder::Cheapest, old_pk, old);
         self.insert_entry(RankOrder::Cheapest, new_pk, new_quote);
         // The speed register stores a full replica of the quote; its key
-        // (and therefore its owner and position) depends only on the MIPS,
-        // so the reprice refreshes the replica's payload in place — the
-        // update rides along with the price move, costing no extra routed
-        // messages.
+        // (and therefore its owner and position, in the store and in the
+        // walk index) depends only on the MIPS, so the reprice refreshes
+        // the replica's payload in place — the update rides along with the
+        // price move, costing no extra routed messages.
         let sk = keys::speed_key(old.mips);
         let speed_node = self.overlay.owner_of(sk);
         let store = &mut self.nodes[speed_node].entries[RankOrder::Fastest.index()];
@@ -604,6 +667,10 @@ impl FederationDirectory for MaanDirectory {
             .binary_search_by(|e| entry_cmp(RankOrder::Fastest, e, &probe))
             .expect("a published quote has a speed-register replica at its owner node");
         store[at].1 = new_quote;
+        let at = self
+            .flat_search(RankOrder::Fastest, sk, old)
+            .expect("a published quote has a speed-register replica in the walk index");
+        self.flat[RankOrder::Fastest.index()][at].quote = new_quote;
         self.published[slot] = new_quote;
         // A *move*: one routed message when the entry stays on its owner,
         // a routed remove plus a routed put when it migrates.  The speed
@@ -614,7 +681,6 @@ impl FederationDirectory for MaanDirectory {
             self.route_hops_from(gfa, old_pk) + self.route_hops_from(gfa, new_pk)
         };
         self.drop_copies_of(gfa);
-        self.rebuild_flat();
         self.epoch += 1;
         self.publish_messages += messages;
         messages
@@ -744,7 +810,8 @@ impl FederationDirectory for MaanDirectory {
                 self.copies[order.index()].retain(|c| c.1 != gfa);
             }
             if self.overlay.remove_node(gfa) {
-                let moved = self.reconcile_stores();
+                let moved = self.reconcile_stores(&[gfa]);
+                self.rebuild_flat();
                 self.publish_messages += moved;
                 messages += moved;
             }
@@ -753,7 +820,9 @@ impl FederationDirectory for MaanDirectory {
             // A crash is silent: the dead GFA's own offer vanishes from the
             // index (nothing may keep serving it), its store becomes an
             // unreachable ghost still squatting on the ring, and no messages
-            // flow until a stabilization round notices and repairs.
+            // flow until a stabilization round notices and repairs.  The
+            // ring is unchanged, so the walk index only loses the two
+            // spliced-out entries.
             if let Some(slot) = self.published.iter().position(|q| q.gfa == gfa) {
                 let old = self.published.remove(slot);
                 self.remove_entry(RankOrder::Cheapest, keys::price_key(old.price), old);
@@ -768,7 +837,6 @@ impl FederationDirectory for MaanDirectory {
         };
         self.membership_epoch += 1;
         self.epoch += 1;
-        self.rebuild_flat();
         messages
     }
 
@@ -783,35 +851,36 @@ impl FederationDirectory for MaanDirectory {
         // every entry the new owner inherits is one transfer message.  A
         // crashed node rejoining before its eviction finds its ring position
         // (and ghost store) intact, so only the join handshake is paid.
-        let _ = self.overlay.insert_node(gfa);
-        let moved = self.reconcile_stores();
+        let mut moved = 0;
+        if self.overlay.insert_node(gfa) {
+            // The new node takes its key range over from its successor.
+            let heir = self.overlay.successors(gfa, 1);
+            moved = self.reconcile_stores(&heir);
+            self.rebuild_flat();
+        }
         let messages = ceil_log2(self.overlay.live_len() as u64) + moved;
         self.publish_messages += moved;
         self.membership_epoch += 1;
         self.epoch += 1;
-        self.rebuild_flat();
         messages
     }
 
     fn stabilize(&mut self) -> u64 {
         let mut messages = 0u64;
-        let mut evicted = 0u64;
-        if !self.pending_dead.is_empty() {
-            for gfa in std::mem::take(&mut self.pending_dead) {
-                if self.overlay.remove_node(gfa) {
-                    evicted += 1;
-                }
-            }
-        }
-        if evicted > 0 {
+        let mut evicted = std::mem::take(&mut self.pending_dead);
+        evicted.retain(|&gfa| self.overlay.remove_node(gfa));
+        if !evicted.is_empty() {
             // Each eviction is a routed repair (successor-list splice), and
             // the evicted ghost's entries hand off to the inheriting owner —
             // one transfer message per entry, like a graceful handoff but
             // paid by the repairing successor instead of the departed node.
-            messages += evicted * ceil_log2(self.overlay.live_len().max(1) as u64);
-            messages += self.reconcile_stores();
+            messages += evicted.len() as u64 * ceil_log2(self.overlay.live_len().max(1) as u64);
+            messages += self.reconcile_stores(&evicted);
         }
         if self.replication > 1 {
+            // Runs before the walk index is rebuilt below, so after an
+            // eviction it places copies by the pre-eviction arc numbers.
+            // The committed run digests pin that placement.
             messages += self.repair_replicas();
         }
         if messages > 0 {
@@ -821,7 +890,7 @@ impl FederationDirectory for MaanDirectory {
             self.publish_messages += messages;
             self.epoch += 1;
         }
-        if evicted > 0 {
+        if !evicted.is_empty() {
             self.membership_epoch += 1;
             self.rebuild_flat();
         }
@@ -849,8 +918,9 @@ impl FederationDirectory for MaanDirectory {
         // successor-list splice, the ghost store's entry handoffs, and (when
         // replicated) the replica repair the eviction makes possible.
         let mut messages = ceil_log2(self.overlay.live_len().max(1) as u64);
-        messages += self.reconcile_stores();
+        messages += self.reconcile_stores(&[gfa]);
         if self.replication > 1 {
+            // Pre-eviction arc numbers, as in `stabilize`.
             messages += self.repair_replicas();
         }
         self.publish_messages += messages;
@@ -886,6 +956,11 @@ impl FederationDirectory for MaanDirectory {
 
     fn serves_only_live(&self) -> bool {
         self.published.iter().all(|q| !self.down[q.gfa])
+    }
+
+    #[cfg(feature = "invariants")]
+    fn index_consistent(&self) -> bool {
+        self.overlay == self.overlay.rebuilt() && self.walk_index_matches_stores()
     }
 }
 

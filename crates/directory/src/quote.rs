@@ -285,7 +285,7 @@ pub trait FederationDirectory {
     }
 
     /// Runs one periodic stabilization round: evicts crashed nodes from the
-    /// routing structures, rebuilds successor/finger state, and repairs
+    /// routing structures, repairs successor/finger state, and repairs
     /// entry replication back up to the configured factor.  Returns the
     /// round's message cost.  A no-op (cost 0) on a central store.
     #[must_use = "the publish-side message cost must be charged into the ledger or explicitly dropped"]
@@ -349,6 +349,16 @@ pub trait FederationDirectory {
     /// store, where `node_depart` removes the quote synchronously.
     #[must_use]
     fn serves_only_live(&self) -> bool {
+        true
+    }
+
+    /// Invariant probe: the incrementally maintained routing state (ring
+    /// order and every finger table) and walk indexes equal a from-scratch
+    /// rebuild over the current membership and stores.  Trivially `true`
+    /// for a central store, which keeps no derived index.
+    #[cfg(feature = "invariants")]
+    #[must_use]
+    fn index_consistent(&self) -> bool {
         true
     }
 }

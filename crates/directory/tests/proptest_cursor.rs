@@ -193,7 +193,7 @@ proptest! {
 
     /// MAAN backend: the cursor/cache fast path is bit-identical to the
     /// query-per-rank oracle even though advances carry boundary-crossing
-    /// charges and mutations rebuild the distributed walk index.
+    /// charges and mutations splice the distributed walk index.
     #[test]
     fn maan_cursor_path_matches_query_per_rank(ops in proptest::collection::vec(op(), 1..60)) {
         drive(DirectoryBackend::Maan, &ops);
