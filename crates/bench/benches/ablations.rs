@@ -13,7 +13,7 @@ use std::hint::black_box;
 
 use grid_baselines::{run_broadcast, run_flock, BroadcastConfig, FlockConfig};
 use grid_bench::tiny_options;
-use grid_directory::{ChordOverlay, FederationDirectory, IdealDirectory, Quote};
+use grid_directory::{ChordOverlay, FederationDirectory, IdealDirectory, Quote, RankOrder};
 use grid_experiments::workloads::{paper_workloads, replicated_workloads};
 use grid_federation_core::federation::{
     run_federation, FederationConfig, LrmsKind, SchedulingMode,
@@ -65,7 +65,8 @@ fn ablation_directory(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = 0u64;
                 for r in 1..=n {
-                    acc += ideal.kth_cheapest(r).map(|q| q.gfa as u64).unwrap_or(0);
+                    let quote = ideal.query_ranked(0, RankOrder::Cheapest, r).quote;
+                    acc += quote.map(|q| q.gfa as u64).unwrap_or(0);
                     acc += ideal.query_message_cost();
                 }
                 black_box(acc)

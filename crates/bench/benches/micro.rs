@@ -198,8 +198,9 @@ fn directory_operations(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0usize;
             for r in 1..=64 {
-                acc += dir.kth_cheapest(r).map(|q| q.gfa).unwrap_or(0);
-                acc += dir.kth_fastest(r).map(|q| q.gfa).unwrap_or(0);
+                for order in RankOrder::ALL {
+                    acc += dir.query_ranked(0, order, r).quote.map(|q| q.gfa).unwrap_or(0);
+                }
             }
             black_box(acc)
         })
@@ -242,7 +243,7 @@ fn directory_operations(c: &mut Criterion) {
             let mut i = 0usize;
             b.iter(|| {
                 i += 1;
-                black_box(dir.query_cheapest(i % n, 1 + (i % n)).quote)
+                black_box(dir.query_ranked(i % n, RankOrder::Cheapest, 1 + (i % n)).quote)
             })
         });
     }
@@ -283,7 +284,8 @@ fn directory_operations(c: &mut Criterion) {
 fn directory_cursor_matches_oracle(dir: &AnyDirectory, n: usize) {
     let mut cursor = dir.open_cursor(0, RankOrder::Cheapest);
     for r in 1..=n {
-        assert_eq!(dir.cursor_next(&mut cursor).quote, dir.query_cheapest(0, r).quote);
+        let oracle = dir.query_ranked(0, RankOrder::Cheapest, r).quote;
+        assert_eq!(dir.cursor_next(&mut cursor).quote, oracle);
     }
 }
 

@@ -271,16 +271,16 @@ fn bench_directory(backend: DirectoryBackend, n: usize, iters: usize) -> Directo
     for r in 1..=n {
         assert_eq!(
             dir.cursor_next(&mut check).quote,
-            dir.query_cheapest(0, r).quote,
+            dir.query_ranked(0, RankOrder::Cheapest, r).quote,
             "cursor diverged from the query-per-rank oracle at rank {r}"
         );
     }
 
     let fresh_secs = measure_ranks(iters, |i| {
-        dir.query_cheapest(i % n, 1).quote.map_or(0, |q| q.gfa)
+        dir.query_ranked(i % n, RankOrder::Cheapest, 1).quote.map_or(0, |q| q.gfa)
     });
     let legacy_secs = measure_ranks(iters, |i| {
-        dir.query_cheapest(i % n, 2 + (i % (n - 1))).quote.map_or(0, |q| q.gfa)
+        dir.query_ranked(i % n, RankOrder::Cheapest, 2 + (i % (n - 1))).quote.map_or(0, |q| q.gfa)
     });
     let open_secs = measure_ranks(iters, |i| {
         let mut cursor = dir.open_cursor(i % n, RankOrder::Cheapest);

@@ -56,6 +56,7 @@ pub fn tiny_options() -> WorkloadOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grid_directory::RankOrder;
 
     #[test]
     fn options_are_reduced() {
@@ -71,8 +72,8 @@ mod tests {
             let dir = populated_directory(backend, 50);
             assert_eq!(dir.len(), 50);
             // Distinct prices and speeds, so every rank is unambiguous.
-            let cheapest = dir.kth_cheapest(1).unwrap();
-            let second = dir.kth_cheapest(2).unwrap();
+            let cheapest = dir.query_ranked(0, RankOrder::Cheapest, 1).quote.unwrap();
+            let second = dir.query_ranked(0, RankOrder::Cheapest, 2).quote.unwrap();
             assert!(cheapest.price < second.price);
         }
     }

@@ -16,14 +16,14 @@ use grid_des::{
 };
 use grid_des::{FlowRecord, SpanRecord};
 use grid_directory::{AnyDirectory, CacheStats, DirectoryBackend, FederationDirectory, Quote};
-use grid_obs::{Counter, FSum, HandlerProfiler, HistId, MetricsRegistry, ProfileTable, SpanCollector};
+use grid_obs::{Counter, HandlerProfiler, HistId, MetricsRegistry, ProfileTable, SpanCollector};
 use grid_workload::Job;
 
 use crate::audit::AuditLedger;
 use crate::economy::{ChargingPolicy, GridBank};
 use crate::gfa::Gfa;
 use crate::messages::{FedMessage, MessageLedger, MessageType};
-use crate::metrics::{ChurnSummary, FederationReport, JobRecord, NetworkSummary, ResourceMetrics};
+use crate::metrics::{FederationReport, JobRecord, ResourceMetrics};
 use grid_workload::JobId;
 
 /// Which resource-sharing environment to simulate (the paper's three
@@ -426,20 +426,25 @@ impl SharedState {
         }
     }
 
-    /// Records a publish-side directory charge in both ledgers, plus the
-    /// fault layer's per-hop retransmissions when active.
-    pub fn charge_publish(&mut self, gfa: usize, messages: u64, seconds: f64) {
+    /// Records the publish-side message cost of a directory mutation in
+    /// both ledgers (`messages × latency` of simulated network time, like
+    /// query-side traffic), plus the fault layer's per-hop retransmissions
+    /// when active.  Free mutations (the centrally-stored backends, or
+    /// no-ops) record nothing.
+    pub fn charge_publish(&mut self, gfa: usize, messages: u64, latency: f64) {
+        if messages == 0 {
+            return;
+        }
+        let seconds = messages as f64 * latency;
         self.ledger.record_publish(gfa, messages, seconds);
         self.audit.record_publish(gfa, messages);
-        if messages > 0 {
-            if let Some(net) = &mut self.net {
-                let extra = net.publish_extra(gfa, messages);
-                if extra > 0 {
-                    self.metrics.add(gfa, Counter::NetPublishRetransmissions, extra);
-                    let per_hop = seconds / messages as f64;
-                    self.ledger.record_publish(gfa, extra, per_hop * extra as f64);
-                    self.audit.record_publish(gfa, extra);
-                }
+        if let Some(net) = &mut self.net {
+            let extra = net.publish_extra(gfa, messages);
+            if extra > 0 {
+                self.metrics.add(gfa, Counter::NetPublishRetransmissions, extra);
+                let per_hop = seconds / messages as f64;
+                self.ledger.record_publish(gfa, extra, per_hop * extra as f64);
+                self.audit.record_publish(gfa, extra);
             }
         }
     }
@@ -917,36 +922,9 @@ fn assemble_report(
         metrics: registry,
         ..
     } = state;
-    // The legacy report summaries are *views* of the metrics registry now:
-    // one accounting surface, with the reported values pinned unchanged
-    // (counters are added in the same event order the loose fields used to
-    // be, so the f64 sums are bit-identical too).
     let directory_cache = CacheStats {
         hits: registry.counter(Counter::CacheHits),
         misses: registry.counter(Counter::CacheMisses),
-    };
-    let churn = ChurnSummary {
-        graceful_leaves: registry.counter(Counter::GracefulLeaves),
-        crashes: registry.counter(Counter::Crashes),
-        rejoins: registry.counter(Counter::Rejoins),
-        stabilization_rounds: registry.counter(Counter::StabilizationRounds),
-        stabilization_messages: registry.counter(Counter::StabilizationMessages),
-        lookup_faults: registry.counter(Counter::LookupFaults),
-        retries: registry.counter(Counter::FaultRetries),
-        local_fallbacks: registry.counter(Counter::LocalFallbacks),
-        reactive_repairs: registry.counter(Counter::ReactiveRepairs),
-        reactive_repair_messages: registry.counter(Counter::ReactiveRepairMessages),
-        fault_wait_seconds: registry.fsum(FSum::FaultWaitSeconds),
-    };
-    let network = NetworkSummary {
-        enveloped: registry.counter(Counter::NetEnveloped),
-        retransmissions: registry.counter(Counter::NetRetransmissions),
-        duplicates: registry.counter(Counter::NetDuplicates),
-        dedup_drops: registry.counter(Counter::NetDedupDrops),
-        directory_retransmissions: registry.counter(Counter::NetDirectoryRetransmissions),
-        publish_retransmissions: registry.counter(Counter::NetPublishRetransmissions),
-        jitter_seconds: registry.fsum(FSum::JitterSeconds),
-        backoff_seconds: registry.fsum(FSum::BackoffSeconds),
     };
     let directory_queries = directory.queries_served();
     let directory_avg_route_messages = directory.average_route_messages();
@@ -1008,8 +986,6 @@ fn assemble_report(
         directory_queries,
         directory_avg_route_messages,
         directory_cache,
-        churn,
-        network,
         metrics: registry,
         digest: audit.digest(),
     }
@@ -1334,17 +1310,17 @@ mod tests {
         }
         // Publish traffic: MAAN routed 2 initial puts + a departure's
         // removes + a repricing's move; the central backends publish free.
-        assert_eq!(ideal.directory_publish_messages(), 0);
+        assert_eq!(ideal.messages.publish_messages(), 0);
         assert!(
-            maan.directory_publish_messages() >= 5,
+            maan.messages.publish_messages() >= 5,
             "2 subscribes + unsubscribe + reprice must route publish messages (got {})",
-            maan.directory_publish_messages()
+            maan.messages.publish_messages()
         );
         assert!(maan.messages.publish_seconds() > 0.0);
         assert!(maan.avg_publish_messages_per_gfa() > 0.0);
         assert_eq!(
             maan.messages.gfa(0).publish + maan.messages.gfa(1).publish,
-            maan.directory_publish_messages()
+            maan.messages.publish_messages()
         );
     }
 

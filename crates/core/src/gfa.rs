@@ -54,10 +54,48 @@ use crate::federation::{
 use crate::messages::{FedMessage, MessageType};
 use crate::metrics::{ExecutionOutcome, JobRecord};
 
+/// One locally submitted job on its way from arrival to its [`JobRecord`]:
+/// the job itself plus the per-job tallies the record reports.  It moves,
+/// never copied, through [`PendingJob`], [`AwaitingRemote`] or
+/// [`ExecutingJob`] until the job concludes.
+#[derive(Debug, Clone)]
+struct Ticket {
+    job: Job,
+    /// Accountable negotiation messages exchanged so far for this job.
+    messages: u32,
+    /// Directory messages spent on this job's ranking queries so far.
+    directory_messages: u32,
+    /// Execution time on the origin, `D(J, R_k)`.
+    expected_local_response: f64,
+    /// Cost on the origin, `B(J, R_k)`.
+    expected_local_cost: f64,
+}
+
+impl Ticket {
+    /// The job's final record at `origin`.
+    fn record(&self, origin: usize, outcome: ExecutionOutcome) -> JobRecord {
+        let job = &self.job;
+        JobRecord {
+            id: job.id,
+            origin,
+            strategy: job.qos.strategy,
+            submit: job.submit,
+            processors: job.processors,
+            deadline: job.qos.deadline,
+            budget: job.qos.budget,
+            expected_local_response: self.expected_local_response,
+            expected_local_cost: self.expected_local_cost,
+            messages: self.messages,
+            directory_messages: self.directory_messages,
+            outcome,
+        }
+    }
+}
+
 /// A job this GFA is still trying to place (it is the origin).
 #[derive(Debug, Clone)]
 struct PendingJob {
-    job: Job,
+    ticket: Ticket,
     /// Next rank `r` to query (1-based).
     next_rank: usize,
     /// This job's streaming position in the directory ranking: opened
@@ -66,10 +104,6 @@ struct PendingJob {
     /// rank `r` from scratch.  `None` until the job first misses the GFA's
     /// quote cache.
     cursor: Option<RankCursor>,
-    /// Accountable negotiation messages exchanged so far for this job.
-    messages: u32,
-    /// Directory messages spent on this job's ranking queries so far.
-    directory_messages: u32,
     /// Backoff retries already spent after faulted lookups (see
     /// [`RetryPolicy`]).
     retries: u32,
@@ -80,19 +114,13 @@ struct PendingJob {
     /// with, so they need not be recomputed when the reply arrives.
     candidate_service: f64,
     candidate_cost: f64,
-    expected_local_response: f64,
-    expected_local_cost: f64,
 }
 
 /// A job dispatched to a remote executor, awaiting its completion message.
 #[derive(Debug, Clone)]
 struct AwaitingRemote {
-    job: Job,
-    messages: u32,
-    directory_messages: u32,
+    ticket: Ticket,
     service_time: f64,
-    expected_local_response: f64,
-    expected_local_cost: f64,
 }
 
 /// A job reserved/executing on this GFA's own LRMS.
@@ -101,18 +129,9 @@ struct ExecutingJob {
     origin: usize,
     cost: f64,
     start: Option<f64>,
-    /// Populated only when the origin is this GFA itself: the information
-    /// needed to emit the job record at completion.
-    local_seed: Option<LocalSeed>,
-}
-
-#[derive(Debug, Clone)]
-struct LocalSeed {
-    job: Job,
-    messages: u32,
-    directory_messages: u32,
-    expected_local_response: f64,
-    expected_local_cost: f64,
+    /// Populated only when the origin is this GFA itself: the job's ticket,
+    /// turned into its record at completion.
+    ticket: Option<Ticket>,
 }
 
 /// The Grid Federation Agent entity.
@@ -344,34 +363,33 @@ impl Gfa {
 
     /// Handles a job arriving from the local user population.
     fn on_job_arrival(&mut self, job: Job, ctx: &mut Context<'_, FedMessage>) {
-        let expected_local_response = completion_time(&job, &self.spec, &self.spec);
-        let expected_local_cost = self.charging.charge(&job, &self.spec);
+        let ticket = Ticket {
+            expected_local_response: completion_time(&job, &self.spec, &self.spec),
+            expected_local_cost: self.charging.charge(&job, &self.spec),
+            job,
+            messages: 0,
+            directory_messages: 0,
+        };
         self.shared
             .borrow_mut()
             .metrics
             .observe(HistId::QueueDepth, self.lrms.queued_count() as f64);
 
         match self.mode {
-            SchedulingMode::Independent => {
-                self.schedule_independent(job, expected_local_response, expected_local_cost, ctx);
-            }
+            SchedulingMode::Independent => self.schedule_independent(ticket, ctx),
             SchedulingMode::FederationNoEconomy | SchedulingMode::Economy => {
                 // Try candidates through the federation loop.  In the
                 // no-economy mode the local resource is always the first
                 // candidate (the paper processes locally whenever possible);
                 // in economy mode the ranking alone decides.
                 let pending = PendingJob {
-                    job,
+                    ticket,
                     next_rank: 1,
                     cursor: None,
-                    messages: 0,
-                    directory_messages: 0,
                     retries: 0,
                     negotiation_start: 0.0,
                     candidate_service: 0.0,
                     candidate_cost: 0.0,
-                    expected_local_response,
-                    expected_local_cost,
                 };
                 self.try_candidates(pending, ctx);
             }
@@ -380,15 +398,10 @@ impl Gfa {
 
     /// Experiment 1 behaviour: accept iff the local LRMS can finish the job
     /// before its deadline; no federation, no messages.
-    fn schedule_independent(
-        &mut self,
-        job: Job,
-        expected_local_response: f64,
-        expected_local_cost: f64,
-        ctx: &mut Context<'_, FedMessage>,
-    ) {
+    fn schedule_independent(&mut self, ticket: Ticket, ctx: &mut Context<'_, FedMessage>) {
         let now = ctx.now().as_secs();
-        let service = completion_time(&job, &self.spec, &self.spec);
+        let job = &ticket.job;
+        let service = completion_time(job, &self.spec, &self.spec);
         let fits = job.processors <= self.spec.processors;
         let estimate = if fits {
             self.lrms.estimate_completion(job.processors, service, now)
@@ -396,10 +409,10 @@ impl Gfa {
             f64::INFINITY
         };
         if fits && estimate <= job.absolute_deadline() + 1e-9 {
-            let cost = self.charging.charge(&job, &self.spec);
-            self.accept_locally(job, service, cost, 0, 0, expected_local_response, expected_local_cost, ctx);
+            let cost = self.charging.charge(job, &self.spec);
+            self.accept_locally(ticket, service, cost, ctx);
         } else {
-            self.record_rejection(&job, 0, 0, expected_local_response, expected_local_cost);
+            self.record_rejection(ticket);
         }
     }
 
@@ -459,9 +472,8 @@ impl Gfa {
     fn try_candidates(&mut self, mut pending: PendingJob, ctx: &mut Context<'_, FedMessage>) {
         let now = ctx.now().as_secs();
         let directory_len = self.shared.borrow().directory.len();
-        let job = pending.job.clone();
-        let strategy = job.qos.strategy;
-        let absolute_deadline = job.absolute_deadline();
+        let strategy = pending.ticket.job.qos.strategy;
+        let absolute_deadline = pending.ticket.job.absolute_deadline();
 
         loop {
             // In the no-economy federation the local cluster is implicitly
@@ -480,7 +492,8 @@ impl Gfa {
                     } else {
                         let (traced, fault) =
                             self.probe_directory(RankOrder::Fastest, r, &mut pending.cursor, now);
-                        pending.directory_messages += u32::try_from(traced.messages).unwrap_or(u32::MAX);
+                        pending.ticket.directory_messages +=
+                            u32::try_from(traced.messages).unwrap_or(u32::MAX);
                         if fault {
                             self.defer_after_fault(pending, ctx);
                             return;
@@ -499,7 +512,8 @@ impl Gfa {
                         RankOrder::Cheapest
                     };
                     let (traced, fault) = self.probe_directory(order, r, &mut pending.cursor, now);
-                    pending.directory_messages += u32::try_from(traced.messages).unwrap_or(u32::MAX);
+                    pending.ticket.directory_messages +=
+                        u32::try_from(traced.messages).unwrap_or(u32::MAX);
                     if fault {
                         self.defer_after_fault(pending, ctx);
                         return;
@@ -511,13 +525,7 @@ impl Gfa {
 
             let Some(quote) = candidate else {
                 // Quotes exhausted: the job is dropped.
-                self.record_rejection(
-                    &job,
-                    pending.messages,
-                    pending.directory_messages,
-                    pending.expected_local_response,
-                    pending.expected_local_cost,
-                );
+                self.record_rejection(pending.ticket);
                 return;
             };
 
@@ -531,12 +539,13 @@ impl Gfa {
             }
 
             // Static feasibility checks from the quote (no messages).
+            let job = &pending.ticket.job;
             if quote.processors < job.processors {
                 continue;
             }
             let candidate_spec = quote.to_spec();
-            let service = completion_time(&job, &candidate_spec, &self.spec);
-            let cost = self.charging.charge(&job, &candidate_spec);
+            let service = completion_time(job, &candidate_spec, &self.spec);
+            let cost = self.charging.charge(job, &candidate_spec);
             if now + service > absolute_deadline + 1e-9 {
                 // Even an unloaded cluster of this speed cannot meet the
                 // deadline; the paper's GFA would not negotiate with it.
@@ -571,19 +580,10 @@ impl Gfa {
                         });
                     }
                 }
-                pending.messages += 2;
+                pending.ticket.messages += 2;
                 let estimate = self.lrms.estimate_completion(job.processors, service, now);
                 if !self.departed && estimate <= absolute_deadline + 1e-9 {
-                    self.accept_locally(
-                        job,
-                        service,
-                        cost,
-                        pending.messages,
-                        pending.directory_messages,
-                        pending.expected_local_response,
-                        pending.expected_local_cost,
-                        ctx,
-                    );
+                    self.accept_locally(pending.ticket, service, cost, ctx);
                     return;
                 }
                 continue;
@@ -591,14 +591,14 @@ impl Gfa {
 
             // Remote candidate: launch the admission-control negotiation and
             // wait for the reply event.
-            pending.messages += 1;
+            let job_id = job.id;
+            let processors = job.processors;
+            pending.ticket.messages += 1;
             pending.candidate_service = service;
             pending.candidate_cost = cost;
             pending.negotiation_start = now;
             let attempt = u32::try_from(pending.next_rank - 1).unwrap_or(u32::MAX);
             let origin = self.index;
-            let job_id = job.id;
-            let processors = job.processors;
             self.send_protocol(
                 quote.gfa,
                 MessageType::Negotiate,
@@ -616,43 +616,33 @@ impl Gfa {
                 },
                 ctx,
             );
-            self.pending.insert(job.id, pending);
+            self.pending.insert(job_id, pending);
             return;
         }
     }
 
     /// Accepts a job onto the local LRMS (the origin is this GFA itself).
-    #[allow(clippy::too_many_arguments)]
     fn accept_locally(
         &mut self,
-        job: Job,
+        ticket: Ticket,
         service: f64,
         cost: f64,
-        messages: u32,
-        directory_messages: u32,
-        expected_local_response: f64,
-        expected_local_cost: f64,
         ctx: &mut Context<'_, FedMessage>,
     ) {
         let now = ctx.now().as_secs();
         let cluster_job = ClusterJob {
-            id: job.id,
-            processors: job.processors,
+            id: ticket.job.id,
+            processors: ticket.job.processors,
             service_time: service,
         };
+        let (messages, directory_messages) = (ticket.messages, ticket.directory_messages);
         self.executing.insert(
-            job.id,
+            cluster_job.id,
             ExecutingJob {
                 origin: self.index,
                 cost,
                 start: None,
-                local_seed: Some(LocalSeed {
-                    job: job.clone(),
-                    messages,
-                    directory_messages,
-                    expected_local_response,
-                    expected_local_cost,
-                }),
+                ticket: Some(ticket),
             },
         );
         let mut started = std::mem::take(&mut self.scratch);
@@ -662,53 +652,31 @@ impl Gfa {
         self.scratch = started;
         self.shared
             .borrow_mut()
-            .conclude_job(job.id, messages, directory_messages);
+            .conclude_job(cluster_job.id, messages, directory_messages);
     }
 
     /// Records a rejected job.
-    fn record_rejection(
-        &mut self,
-        job: &Job,
-        messages: u32,
-        directory_messages: u32,
-        expected_local_response: f64,
-        expected_local_cost: f64,
-    ) {
+    fn record_rejection(&self, ticket: Ticket) {
         let mut shared = self.shared.borrow_mut();
-        shared.conclude_job(job.id, messages, directory_messages);
-        shared.push_job_record(JobRecord {
-            id: job.id,
-            origin: self.index,
-            strategy: job.qos.strategy,
-            submit: job.submit,
-            processors: job.processors,
-            deadline: job.qos.deadline,
-            budget: job.qos.budget,
-            expected_local_response,
-            expected_local_cost,
-            messages,
-            directory_messages,
-            outcome: ExecutionOutcome::Rejected,
-        });
+        shared.conclude_job(ticket.job.id, ticket.messages, ticket.directory_messages);
+        shared.push_job_record(ticket.record(self.index, ExecutionOutcome::Rejected));
     }
 
-    /// Handles an incoming admission-control enquiry from another GFA.
-    #[allow(clippy::too_many_arguments)]
+    /// Handles an incoming admission-control enquiry from another GFA: can
+    /// `job` be reserved here and finish by `absolute_deadline`?
     fn on_negotiate(
         &mut self,
-        job: JobId,
+        job: ClusterJob,
         origin: usize,
-        processors: u32,
-        service_time: f64,
         cost: f64,
         absolute_deadline: f64,
         attempt: u32,
         ctx: &mut Context<'_, FedMessage>,
     ) {
         let now = ctx.now().as_secs();
-        let fits = processors <= self.spec.processors;
+        let fits = job.processors <= self.spec.processors;
         let estimate = if fits {
-            self.lrms.estimate_completion(processors, service_time, now)
+            self.lrms.estimate_completion(job.processors, job.service_time, now)
         } else {
             f64::INFINITY
         };
@@ -720,25 +688,17 @@ impl Gfa {
             // Reserve immediately so the guarantee cannot be invalidated by a
             // concurrent negotiation with another GFA.
             self.executing.insert(
-                job,
+                job.id,
                 ExecutingJob {
                     origin,
                     cost,
                     start: None,
-                    local_seed: None,
+                    ticket: None,
                 },
             );
             let mut started = std::mem::take(&mut self.scratch);
             started.clear();
-            self.lrms.submit_into(
-                ClusterJob {
-                    id: job,
-                    processors,
-                    service_time,
-                },
-                now,
-                &mut started,
-            );
+            self.lrms.submit_into(job, now, &mut started);
             self.handle_started(&started, ctx);
             self.scratch = started;
         }
@@ -749,7 +709,7 @@ impl Gfa {
             origin,
             self.index,
             |seq| FedMessage::NegotiateReply {
-                job,
+                job: job.id,
                 accept,
                 candidate,
                 attempt,
@@ -770,7 +730,7 @@ impl Gfa {
         let Some(mut pending) = self.pending.remove(&job) else {
             panic!("negotiate reply for unknown pending job {job}");
         };
-        pending.messages += 1;
+        pending.ticket.messages += 1;
         {
             let shared = self.shared.borrow();
             if shared.trace_armed() {
@@ -790,15 +750,14 @@ impl Gfa {
         if accept {
             let service = pending.candidate_service;
             let cost = pending.candidate_cost;
-            pending.messages += 1;
-            let dispatched = pending.job.clone();
+            pending.ticket.messages += 1;
             let seq = self.send_protocol(
                 candidate,
                 MessageType::JobSubmission,
                 self.index,
                 candidate,
                 |seq| FedMessage::JobDispatch {
-                    job: dispatched.clone(),
+                    job: pending.ticket.job.clone(),
                     service_time: service,
                     cost,
                     seq,
@@ -820,12 +779,8 @@ impl Gfa {
             self.awaiting_remote.insert(
                 job,
                 AwaitingRemote {
-                    job: pending.job,
-                    messages: pending.messages,
-                    directory_messages: pending.directory_messages,
+                    ticket: pending.ticket,
                     service_time: service,
-                    expected_local_response: pending.expected_local_response,
-                    expected_local_cost: pending.expected_local_cost,
                 },
             );
         } else {
@@ -890,32 +845,22 @@ impl Gfa {
         }
 
         if entry.origin == self.index {
-            // Every locally submitted job stores its seed in `on_submit`
-            // before it can finish, so this expect can never fire.
+            // Every locally submitted job stores its ticket in
+            // `accept_locally` before it can finish, so this expect can
+            // never fire.
             // fedlint: allow(hot-path-unwrap)
-            let seed = entry
-                .local_seed
-                .expect("locally originated jobs carry their record seed");
-            let start = entry.start.unwrap_or(seed.job.submit);
-            let record = JobRecord {
-                id: job,
-                origin: self.index,
-                strategy: seed.job.qos.strategy,
-                submit: seed.job.submit,
-                processors: seed.job.processors,
-                deadline: seed.job.qos.deadline,
-                budget: seed.job.qos.budget,
-                expected_local_response: seed.expected_local_response,
-                expected_local_cost: seed.expected_local_cost,
-                messages: seed.messages,
-                directory_messages: seed.directory_messages,
-                outcome: ExecutionOutcome::Completed {
+            let ticket = entry
+                .ticket
+                .expect("locally originated jobs carry their ticket");
+            let record = ticket.record(
+                self.index,
+                ExecutionOutcome::Completed {
                     executed_on: self.index,
-                    start,
+                    start: entry.start.unwrap_or(ticket.job.submit),
                     finish: now,
                     cost: entry.cost,
                 },
-            };
+            );
             self.shared.borrow_mut().push_job_record(record);
         } else {
             let executed_on = self.index;
@@ -961,7 +906,7 @@ impl Gfa {
         let Some(mut awaiting) = self.awaiting_remote.remove(&job) else {
             panic!("completion message for unknown job {job}");
         };
-        awaiting.messages += 1;
+        awaiting.ticket.messages += 1;
         {
             let shared = self.shared.borrow();
             if shared.trace_armed() {
@@ -974,38 +919,18 @@ impl Gfa {
                 });
             }
         }
-        let record = JobRecord {
-            id: job,
-            origin: self.index,
-            strategy: awaiting.job.qos.strategy,
-            submit: awaiting.job.submit,
-            processors: awaiting.job.processors,
-            deadline: awaiting.job.qos.deadline,
-            budget: awaiting.job.qos.budget,
-            expected_local_response: awaiting.expected_local_response,
-            expected_local_cost: awaiting.expected_local_cost,
-            messages: awaiting.messages,
-            directory_messages: awaiting.directory_messages,
-            outcome: ExecutionOutcome::Completed {
+        let ticket = &awaiting.ticket;
+        let mut shared = self.shared.borrow_mut();
+        shared.conclude_job(job, ticket.messages, ticket.directory_messages);
+        shared.push_job_record(ticket.record(
+            self.index,
+            ExecutionOutcome::Completed {
                 executed_on,
                 start: finish - awaiting.service_time,
                 finish,
                 cost,
             },
-        };
-        let mut shared = self.shared.borrow_mut();
-        shared.conclude_job(job, awaiting.messages, awaiting.directory_messages);
-        shared.push_job_record(record);
-    }
-
-    /// Accounts the publish-side message cost of a quote mutation into the
-    /// ledger (messages × latency of simulated network time), mirroring how
-    /// query-side directory traffic is charged.  Free mutations (the
-    /// centrally-stored backends, or no-ops) record nothing.
-    fn record_publish(shared: &mut SharedState, gfa: usize, messages: u64, latency: f64) {
-        if messages > 0 {
-            shared.charge_publish(gfa, messages, messages as f64 * latency);
-        }
+        ));
     }
 
     /// A ranking probe faulted (see [`Gfa::probe_directory`]).  Graceful
@@ -1035,7 +960,7 @@ impl Gfa {
                     shared
                         .metrics
                         .add(self.index, Counter::ReactiveRepairMessages, messages);
-                    Self::record_publish(&mut shared, self.index, messages, self.latency);
+                    shared.charge_publish(self.index, messages, self.latency);
                     true
                 } else {
                     false
@@ -1056,7 +981,7 @@ impl Gfa {
                     .metrics
                     .add_f(self.index, FSum::FaultWaitSeconds, delay);
             }
-            let job = pending.job.id;
+            let job = pending.ticket.job.id;
             ctx.timer_at(
                 SimTime::new(ctx.now().as_secs() + delay),
                 FedMessage::DirectoryRetry { job },
@@ -1071,9 +996,10 @@ impl Gfa {
             .borrow_mut()
             .metrics
             .inc(self.index, Counter::LocalFallbacks);
-        let job = pending.job;
+        let ticket = pending.ticket;
+        let job = &ticket.job;
         let now = ctx.now().as_secs();
-        let service = completion_time(&job, &self.spec, &self.spec);
+        let service = completion_time(job, &self.spec, &self.spec);
         let fits = !self.departed && job.processors <= self.spec.processors;
         let estimate = if fits {
             self.lrms.estimate_completion(job.processors, service, now)
@@ -1081,25 +1007,10 @@ impl Gfa {
             f64::INFINITY
         };
         if fits && estimate <= job.absolute_deadline() + 1e-9 {
-            let cost = self.charging.charge(&job, &self.spec);
-            self.accept_locally(
-                job,
-                service,
-                cost,
-                pending.messages,
-                pending.directory_messages,
-                pending.expected_local_response,
-                pending.expected_local_cost,
-                ctx,
-            );
+            let cost = self.charging.charge(job, &self.spec);
+            self.accept_locally(ticket, service, cost, ctx);
         } else {
-            self.record_rejection(
-                &job,
-                pending.messages,
-                pending.directory_messages,
-                pending.expected_local_response,
-                pending.expected_local_cost,
-            );
+            self.record_rejection(ticket);
         }
     }
 
@@ -1120,7 +1031,7 @@ impl Gfa {
         self.retired = true;
         let mut shared = self.shared.borrow_mut();
         let messages = shared.directory.node_depart(self.index, true);
-        Self::record_publish(&mut shared, self.index, messages, self.latency);
+        shared.charge_publish(self.index, messages, self.latency);
     }
 
     /// Handles a churn-drawn departure.  Graceful leaves behave like the
@@ -1140,7 +1051,7 @@ impl Gfa {
             shared.metrics.inc(self.index, Counter::Crashes);
         }
         let messages = shared.directory.node_depart(self.index, graceful);
-        Self::record_publish(&mut shared, self.index, messages, self.latency);
+        shared.charge_publish(self.index, messages, self.latency);
     }
 
     /// Handles a churn-drawn rejoin: the GFA re-enters the overlay (a
@@ -1156,7 +1067,7 @@ impl Gfa {
         shared.metrics.inc(self.index, Counter::Rejoins);
         let join = shared.directory.node_join(self.index);
         let publish = shared.directory.subscribe(Quote::from_spec(self.index, &self.spec));
-        Self::record_publish(&mut shared, self.index, join + publish, self.latency);
+        shared.charge_publish(self.index, join + publish, self.latency);
     }
 
     /// Drives one periodic stabilization round of the overlay: crashed
@@ -1169,7 +1080,7 @@ impl Gfa {
         let messages = shared.directory.stabilize();
         shared.metrics.inc(self.index, Counter::StabilizationRounds);
         shared.metrics.add(self.index, Counter::StabilizationMessages, messages);
-        Self::record_publish(&mut shared, self.index, messages, self.latency);
+        shared.charge_publish(self.index, messages, self.latency);
     }
 
     /// Handles a scripted re-pricing: republishes the access price through
@@ -1183,7 +1094,7 @@ impl Gfa {
         self.spec.price = price;
         let mut shared = self.shared.borrow_mut();
         let messages = shared.directory.update_price(self.index, price);
-        Self::record_publish(&mut shared, self.index, messages, self.latency);
+        shared.charge_publish(self.index, messages, self.latency);
     }
 }
 
@@ -1236,10 +1147,12 @@ impl Entity<FedMessage> for Gfa {
                     attempt,
                     seq: _,
                 } => self.on_negotiate(
-                    job,
+                    ClusterJob {
+                        id: job,
+                        processors,
+                        service_time,
+                    },
                     origin,
-                    processors,
-                    service_time,
                     cost,
                     absolute_deadline,
                     attempt,

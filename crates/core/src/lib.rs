@@ -86,6 +86,4 @@ pub use gfa::Gfa;
 #[cfg(feature = "invariants")]
 pub use invariants::InvariantSentry;
 pub use messages::{FedMessage, GfaMessageCounters, MessageLedger, MessageType};
-pub use metrics::{
-    ChurnSummary, ExecutionOutcome, FederationReport, JobRecord, NetworkSummary, ResourceMetrics,
-};
+pub use metrics::{ExecutionOutcome, FederationReport, JobRecord, ResourceMetrics};

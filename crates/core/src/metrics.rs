@@ -8,7 +8,7 @@
 //! jobs (Fig. 7–8), and message counts (Fig. 9–11).
 
 use grid_directory::{CacheStats, DirectoryBackend};
-use grid_obs::{MetricsRegistry, PercentileSummary};
+use grid_obs::{Counter, MetricsRegistry};
 use grid_workload::{JobId, Strategy};
 
 use crate::audit::RunDigest;
@@ -163,135 +163,6 @@ impl ResourceMetrics {
     }
 }
 
-/// Aggregate churn and self-healing telemetry of one run.
-///
-/// All-zero when the run had no churn configured (the static-ring path) —
-/// the counters live outside the audit chains, so enabling a zero-rate
-/// churn config leaves the run's [`RunDigest`] bit-identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ChurnSummary {
-    /// Graceful departures delivered by the seeded failure process (the
-    /// node handed its stored directory entries off before leaving).
-    pub graceful_leaves: u64,
-    /// Ungraceful crashes delivered (entries dropped cold; the node squats
-    /// in the overlay until a stabilization round evicts it).
-    pub crashes: u64,
-    /// Churned-out nodes that came back, rejoined the overlay and
-    /// republished their quote.
-    pub rejoins: u64,
-    /// Periodic stabilization rounds executed (including free ones on an
-    /// already-stable overlay).
-    pub stabilization_rounds: u64,
-    /// Overlay messages those rounds cost: crashed-node eviction, entry
-    /// reconciliation and replica repair, charged into the publish class.
-    pub stabilization_messages: u64,
-    /// Ranking lookups that faulted: the entry's store had crashed and no
-    /// live replica could answer before stabilization repaired the overlay.
-    pub lookup_faults: u64,
-    /// Backoff retries scheduled after faulted lookups.
-    pub retries: u64,
-    /// Jobs that exhausted their retry budget and degraded to local-only
-    /// scheduling.
-    pub local_fallbacks: u64,
-    /// Reactive lookup-time repairs executed (only under
-    /// [`RepairMode::Reactive`](crate::federation::RepairMode::Reactive)):
-    /// a faulted lookup triggered an immediate targeted eviction of the
-    /// crashed store instead of waiting for the periodic round.
-    pub reactive_repairs: u64,
-    /// Overlay messages those reactive repairs cost, charged into the
-    /// publish class like stabilization traffic.
-    pub reactive_repair_messages: u64,
-    /// Total simulated seconds jobs spent parked in post-fault backoff
-    /// before their next directory attempt — the latency price of waiting
-    /// for the periodic round, and the quantity reactive repair trades
-    /// messages against.
-    pub fault_wait_seconds: f64,
-}
-
-impl ChurnSummary {
-    /// Total churn events (departures plus rejoins) the run delivered.
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        self.graceful_leaves + self.crashes + self.rejoins
-    }
-
-    /// Fraction of ranking lookups that resolved, given the directory's
-    /// served-query count: `served / (served + faults)`, or `1.0` when the
-    /// run never touched the directory.
-    #[must_use]
-    pub fn lookup_success_rate(&self, queries_served: u64) -> f64 {
-        let total = queries_served + self.lookup_faults;
-        if total == 0 {
-            1.0
-        } else {
-            queries_served as f64 / total as f64
-        }
-    }
-}
-
-/// Aggregate unreliable-network telemetry of one run.
-///
-/// All-zero when the run had no network fault layer (the reliable-transport
-/// path) — like [`ChurnSummary`], these counters live outside the audit
-/// chains, so an inactive fault config leaves the run's [`RunDigest`]
-/// bit-identical.  The retransmit and duplicate *charges* do enter the
-/// traffic chains (they are real ledger messages); only `digest.outcomes`
-/// is guaranteed invariant under faults.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct NetworkSummary {
-    /// Protocol messages sent with a sequence-numbered envelope (the
-    /// at-most-once-delivery surface: negotiate, reply, dispatch,
-    /// completion).
-    pub enveloped: u64,
-    /// Retransmissions the fault layer charged for dropped protocol
-    /// messages (each one a full extra message in the sender's ledger
-    /// class).
-    pub retransmissions: u64,
-    /// Protocol messages the fault layer duplicated; each duplicate is
-    /// delivered as a real second event and must be rejected by the
-    /// receiver's dedup window.
-    pub duplicates: u64,
-    /// Deliveries rejected by receiver-side dedup windows (every duplicate
-    /// that actually arrived lands here — the at-most-once-effect proof).
-    pub dedup_drops: u64,
-    /// Extra routed directory-query messages charged for per-hop drops on
-    /// the lookup path.
-    pub directory_retransmissions: u64,
-    /// Extra routed publish messages charged for per-hop drops on the
-    /// publish path.
-    pub publish_retransmissions: u64,
-    /// Total latency jitter drawn across enveloped sends (statistical
-    /// telemetry; semantic deliveries stay on the nominal timeline).
-    pub jitter_seconds: f64,
-    /// Total retransmission backoff accumulated across enveloped sends
-    /// (timeout × 2^attempt, capped), i.e. the latency the protocol would
-    /// have waited out on a real lossy link.
-    pub backoff_seconds: f64,
-}
-
-impl NetworkSummary {
-    /// Whether the fault layer touched anything this run.
-    #[must_use]
-    pub fn is_quiet(&self) -> bool {
-        self.enveloped == 0
-            && self.retransmissions == 0
-            && self.duplicates == 0
-            && self.dedup_drops == 0
-            && self.directory_retransmissions == 0
-            && self.publish_retransmissions == 0
-    }
-
-    /// Total extra messages the fault layer charged on top of the lossless
-    /// traffic (protocol retransmits + duplicates + query/publish repair).
-    #[must_use]
-    pub fn extra_messages(&self) -> u64 {
-        self.retransmissions
-            + self.duplicates
-            + self.directory_retransmissions
-            + self.publish_retransmissions
-    }
-}
-
 /// Everything a federation run produces.
 #[derive(Debug, Clone)]
 pub struct FederationReport {
@@ -320,16 +191,11 @@ pub struct FederationReport {
     /// telemetry of a live query, so nothing rendered from a report depends
     /// on this field.
     pub directory_cache: CacheStats,
-    /// Churn and self-healing telemetry (all-zero without a churn config).
-    pub churn: ChurnSummary,
-    /// Unreliable-network telemetry (all-zero without an active fault
-    /// config).
-    pub network: NetworkSummary,
     /// The run's full metrics registry: every counter, floating-point sum
-    /// and log-linear histogram the model recorded at event boundaries.
-    /// [`FederationReport::directory_cache`], [`FederationReport::churn`]
-    /// and [`FederationReport::network`] are reconstructed views of this
-    /// registry, kept for API stability.
+    /// and log-linear histogram the model recorded at event boundaries —
+    /// the churn and self-healing telemetry, the unreliable-network
+    /// telemetry (all zero when neither fault model is active) and the
+    /// quote-cache tallies [`FederationReport::directory_cache`] copies.
     pub metrics: MetricsRegistry,
     /// The run's hash-chained audit digest (see [`crate::audit`]): two runs
     /// with equal `digest.full` executed the same audited history; equal
@@ -339,13 +205,6 @@ pub struct FederationReport {
 }
 
 impl FederationReport {
-    /// p50/p90/p99 panels over the run's wait, slowdown, negotiation,
-    /// lookup-latency and queue-depth distributions.
-    #[must_use]
-    pub fn percentiles(&self) -> PercentileSummary {
-        self.metrics.percentiles()
-    }
-
     /// Mean acceptance rate across resources (the paper's "average job
     /// acceptance rate over all resources", 90.3 % → 98.6 %).
     #[must_use]
@@ -390,26 +249,9 @@ impl FederationReport {
     /// resource, as the paper does.
     #[must_use]
     pub fn avg_response_time(&self, origin: usize, include_rejected: bool) -> f64 {
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for j in self.jobs_of(origin) {
-            match j.response_time() {
-                Some(rt) => {
-                    sum += rt;
-                    count += 1;
-                }
-                None if include_rejected => {
-                    sum += j.expected_local_response;
-                    count += 1;
-                }
-                None => {}
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum / count as f64
-        }
+        mean_over(self.jobs_of(origin), include_rejected, JobRecord::response_time, |j| {
+            j.expected_local_response
+        })
     }
 
     /// Average budget spent by the users local to `origin`; same
@@ -417,26 +259,9 @@ impl FederationReport {
     /// (Fig. 7(b) and 8(b)).
     #[must_use]
     pub fn avg_budget_spent(&self, origin: usize, include_rejected: bool) -> f64 {
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for j in self.jobs_of(origin) {
-            match j.cost_paid() {
-                Some(c) => {
-                    sum += c;
-                    count += 1;
-                }
-                None if include_rejected => {
-                    sum += j.expected_local_cost;
-                    count += 1;
-                }
-                None => {}
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum / count as f64
-        }
+        mean_over(self.jobs_of(origin), include_rejected, JobRecord::cost_paid, |j| {
+            j.expected_local_cost
+        })
     }
 
     /// Federation-wide average response time over *all* users
@@ -444,51 +269,17 @@ impl FederationReport {
     /// 1.171 × 10⁴ vs 1.207 × 10⁴ sim units under all-OFT).
     #[must_use]
     pub fn federation_avg_response_time(&self, include_rejected: bool) -> f64 {
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for j in &self.jobs {
-            match j.response_time() {
-                Some(rt) => {
-                    sum += rt;
-                    count += 1;
-                }
-                None if include_rejected => {
-                    sum += j.expected_local_response;
-                    count += 1;
-                }
-                None => {}
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum / count as f64
-        }
+        mean_over(self.jobs.iter(), include_rejected, JobRecord::response_time, |j| {
+            j.expected_local_response
+        })
     }
 
     /// Federation-wide average budget spent over all users.
     #[must_use]
     pub fn federation_avg_budget_spent(&self, include_rejected: bool) -> f64 {
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for j in &self.jobs {
-            match j.cost_paid() {
-                Some(c) => {
-                    sum += c;
-                    count += 1;
-                }
-                None if include_rejected => {
-                    sum += j.expected_local_cost;
-                    count += 1;
-                }
-                None => {}
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum / count as f64
-        }
+        mean_over(self.jobs.iter(), include_rejected, JobRecord::cost_paid, |j| {
+            j.expected_local_cost
+        })
     }
 
     /// Average directory messages per ranking query (routed lookups and
@@ -503,16 +294,6 @@ impl FederationReport {
         }
     }
 
-    /// Total publish-side directory messages of the run — the routed
-    /// put/remove/move traffic of `subscribe` / `unsubscribe` /
-    /// `update_price` under a distributed backend (zero under the
-    /// centrally-stored backends).  Convenience accessor for
-    /// [`MessageLedger::publish_messages`].
-    #[must_use]
-    pub fn directory_publish_messages(&self) -> u64 {
-        self.messages.publish_messages()
-    }
-
     /// Average publish-side directory messages per GFA.
     #[must_use]
     pub fn avg_publish_messages_per_gfa(&self) -> f64 {
@@ -523,11 +304,18 @@ impl FederationReport {
         }
     }
 
-    /// Fraction of ranking lookups that resolved despite churn (see
-    /// [`ChurnSummary::lookup_success_rate`]); `1.0` on a static ring.
+    /// Fraction of ranking lookups that resolved despite churn:
+    /// `served / (served + faults)`, or `1.0` when the run never touched the
+    /// directory (in particular on a static ring, which never faults).
     #[must_use]
     pub fn lookup_success_rate(&self) -> f64 {
-        self.churn.lookup_success_rate(self.directory_queries)
+        let served = self.directory_queries;
+        let total = served + self.metrics.counter(Counter::LookupFaults);
+        if total == 0 {
+            1.0
+        } else {
+            served as f64 / total as f64
+        }
     }
 
     /// Fraction of accepted jobs whose QoS (budget **and** deadline) was met.
@@ -538,6 +326,25 @@ impl FederationReport {
             return 0.0;
         }
         accepted.iter().filter(|j| j.qos_satisfied()).count() as f64 / accepted.len() as f64
+    }
+}
+
+/// Mean of `observed` over `jobs`, summed in job order; a job without an
+/// observed value (a rejected one) contributes `expected` when
+/// `include_rejected` and is skipped otherwise.  `0.0` over no jobs.
+fn mean_over<'a>(
+    jobs: impl Iterator<Item = &'a JobRecord>,
+    include_rejected: bool,
+    observed: fn(&JobRecord) -> Option<f64>,
+    expected: fn(&JobRecord) -> f64,
+) -> f64 {
+    let (sum, count) = jobs
+        .filter_map(|j| observed(j).or_else(|| include_rejected.then(|| expected(j))))
+        .fold((0.0, 0usize), |(sum, count), v| (sum + v, count + 1));
+    if count == 0 {
+        0.0
+    } else {
+        sum / count as f64
     }
 }
 
@@ -616,8 +423,6 @@ mod tests {
             directory_queries: 0,
             directory_avg_route_messages: 0.0,
             directory_cache: CacheStats::default(),
-            churn: ChurnSummary::default(),
-            network: NetworkSummary::default(),
             metrics: MetricsRegistry::new(2),
             digest: crate::audit::AuditLedger::new(2).digest(),
         }
@@ -690,8 +495,6 @@ mod tests {
             directory_queries: 0,
             directory_avg_route_messages: 0.0,
             directory_cache: CacheStats::default(),
-            churn: ChurnSummary::default(),
-            network: NetworkSummary::default(),
             metrics: MetricsRegistry::new(0),
             digest: crate::audit::AuditLedger::new(0).digest(),
         };
@@ -706,36 +509,12 @@ mod tests {
     }
 
     #[test]
-    fn network_summary_accessors() {
-        let mut n = NetworkSummary::default();
-        assert!(n.is_quiet());
-        assert_eq!(n.extra_messages(), 0);
-        n.enveloped = 10;
-        n.retransmissions = 3;
-        n.duplicates = 2;
-        n.dedup_drops = 2;
-        n.directory_retransmissions = 4;
-        n.publish_retransmissions = 1;
-        assert!(!n.is_quiet());
-        assert_eq!(n.extra_messages(), 10);
-    }
-
-    #[test]
-    fn churn_summary_rates() {
-        let mut c = ChurnSummary::default();
-        assert_eq!(c.events(), 0);
-        assert_eq!(c.lookup_success_rate(0), 1.0);
-        c.graceful_leaves = 2;
-        c.crashes = 1;
-        c.rejoins = 2;
-        c.lookup_faults = 5;
-        assert_eq!(c.events(), 5);
-        assert!((c.lookup_success_rate(95) - 0.95).abs() < 1e-12);
-        // The report-level view divides the directory's served-query count.
+    fn lookup_success_rate_reads_the_fault_counter() {
         let mut rep = report();
         assert_eq!(rep.lookup_success_rate(), 1.0);
         rep.directory_queries = 3;
-        rep.churn.lookup_faults = 1;
+        assert_eq!(rep.lookup_success_rate(), 1.0);
+        rep.metrics.add(0, Counter::LookupFaults, 1);
         assert!((rep.lookup_success_rate() - 0.75).abs() < 1e-12);
     }
 }

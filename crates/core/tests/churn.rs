@@ -7,7 +7,7 @@
 
 use grid_cluster::ResourceSpec;
 use grid_federation_core::{
-    run_federation, ChurnConfig, DirectoryBackend, FederationConfig, FederationReport,
+    run_federation, ChurnConfig, Counter, DirectoryBackend, FederationConfig, FederationReport,
     SchedulingMode,
 };
 use grid_workload::{Job, JobId, Strategy, UserId};
@@ -84,6 +84,14 @@ fn moderate_churn(replication: usize) -> ChurnConfig {
     }
 }
 
+/// Churn events (departures plus rejoins) a run delivered.
+fn churn_events(report: &FederationReport) -> u64 {
+    [Counter::GracefulLeaves, Counter::Crashes, Counter::Rejoins]
+        .into_iter()
+        .map(|c| report.metrics.counter(c))
+        .sum()
+}
+
 const BACKENDS: [DirectoryBackend; 3] = [
     DirectoryBackend::Ideal,
     DirectoryBackend::Chord,
@@ -111,21 +119,22 @@ fn inactive_churn_config_is_digest_identical_to_none() {
             baseline.digest, inactive.digest,
             "{backend:?}: an inactive churn config must not perturb the run"
         );
-        assert_eq!(inactive.churn.events(), 0);
+        assert_eq!(baseline.metrics, inactive.metrics, "{backend:?}");
+        assert_eq!(churn_events(&inactive), 0);
         assert_eq!(inactive.lookup_success_rate(), 1.0);
     }
 }
 
 /// The seeded failure process is part of the deterministic simulation:
-/// identical configs replay to identical digests, churn summary included.
+/// identical configs replay to identical digests, metrics registry included.
 #[test]
 fn churn_runs_are_deterministic() {
     for backend in [DirectoryBackend::Chord, DirectoryBackend::Maan] {
         let a = run(backend, Some(moderate_churn(2)), 0xFEED);
         let b = run(backend, Some(moderate_churn(2)), 0xFEED);
         assert_eq!(a.digest, b.digest, "{backend:?}");
-        assert_eq!(a.churn, b.churn, "{backend:?}");
-        assert!(a.churn.events() > 0, "{backend:?}: churn must actually fire");
+        assert_eq!(a.metrics, b.metrics, "{backend:?}");
+        assert!(churn_events(&a) > 0, "{backend:?}: churn must actually fire");
     }
 }
 
@@ -136,7 +145,7 @@ fn churn_runs_are_deterministic() {
 fn k3_replication_keeps_lookups_available_under_moderate_churn() {
     for backend in [DirectoryBackend::Chord, DirectoryBackend::Maan] {
         let report = run(backend, Some(moderate_churn(3)), 0xFEED);
-        assert!(report.churn.events() > 0, "{backend:?}");
+        assert!(churn_events(&report) > 0, "{backend:?}");
         let rate = report.lookup_success_rate();
         assert!(
             rate >= 0.99,
@@ -162,13 +171,14 @@ fn unreplicated_crashes_exercise_retry_and_fallback() {
         ..ChurnConfig::default()
     };
     let report = run(DirectoryBackend::Maan, Some(churn), 0xFEED);
-    assert!(report.churn.crashes > 0);
-    assert_eq!(report.churn.graceful_leaves, 0);
+    let count = |c| report.metrics.counter(c);
+    assert!(count(Counter::Crashes) > 0);
+    assert_eq!(count(Counter::GracefulLeaves), 0);
     assert!(
-        report.churn.lookup_faults > 0,
+        count(Counter::LookupFaults) > 0,
         "crashes with k=1 must produce unanswerable lookups"
     );
-    assert!(report.churn.retries > 0, "faulted jobs must retry with backoff");
+    assert!(count(Counter::FaultRetries) > 0, "faulted jobs must retry with backoff");
     assert_eq!(
         report.jobs.len(),
         GFAS * 40,
@@ -176,7 +186,7 @@ fn unreplicated_crashes_exercise_retry_and_fallback() {
     );
     assert!(report.lookup_success_rate() < 1.0);
     // Stabilization repaired the ring: rounds ran and charged traffic.
-    assert!(report.churn.stabilization_rounds > 0);
+    assert!(count(Counter::StabilizationRounds) > 0);
 }
 
 /// More replicas never hurt availability for the same failure sequence:
@@ -186,8 +196,8 @@ fn unreplicated_crashes_exercise_retry_and_fallback() {
 fn replication_is_monotone_in_availability() {
     let fault_count = |k: usize| {
         run(DirectoryBackend::Maan, Some(moderate_churn(k)), 0xFEED)
-            .churn
-            .lookup_faults
+            .metrics
+            .counter(Counter::LookupFaults)
     };
     let (k1, k2, k3) = (fault_count(1), fault_count(2), fault_count(3));
     assert!(k3 <= k2 && k2 <= k1, "faults must not grow with k: {k1} {k2} {k3}");
@@ -236,6 +246,6 @@ proptest! {
             ..ChurnConfig::default()
         }));
         prop_assert_eq!(baseline.digest, inactive.digest);
-        prop_assert_eq!(inactive.churn.events(), 0);
+        prop_assert_eq!(baseline.metrics, inactive.metrics);
     }
 }

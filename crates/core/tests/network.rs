@@ -8,7 +8,7 @@
 
 use grid_cluster::ResourceSpec;
 use grid_federation_core::{
-    run_federation, DirectoryBackend, FederationConfig, FederationReport, Jitter,
+    run_federation, Counter, DirectoryBackend, FederationConfig, FederationReport, Jitter,
     NetworkFaultConfig, SchedulingMode,
 };
 use grid_workload::{Job, JobId, Strategy, UserId};
@@ -90,11 +90,12 @@ fn inactive_network_config_is_digest_identical_to_none() {
             baseline.digest, inactive.digest,
             "{backend:?}: an inactive fault config must not perturb the run"
         );
-        assert!(
-            inactive.network.is_quiet(),
+        assert_eq!(
+            inactive.metrics.counter(Counter::NetEnveloped),
+            0,
             "{backend:?}: the reliable transport must report no fault traffic"
         );
-        assert_eq!(baseline.network, inactive.network, "{backend:?}");
+        assert_eq!(baseline.metrics, inactive.metrics, "{backend:?}");
     }
 }
 
@@ -117,20 +118,18 @@ fn moderate_faults_keep_outcomes_bit_identical_to_lossless() {
             "{backend:?}: every negotiation must eventually complete"
         );
         assert!(lossy.bank.is_balanced(), "{backend:?}");
+        let count = |c| lossy.metrics.counter(c);
         assert!(
-            lossy.network.enveloped > 0,
+            count(Counter::NetEnveloped) > 0,
             "{backend:?}: protocol messages must travel enveloped"
         );
         assert!(
-            lossy.network.retransmissions > 0,
+            count(Counter::NetRetransmissions) > 0,
             "{backend:?}: 2% loss over this workload must force retransmissions"
         );
-        assert!(
-            lossy.network.extra_messages() > 0,
-            "{backend:?}: fault traffic must be charged"
-        );
         assert_eq!(
-            lossy.network.dedup_drops, lossy.network.duplicates,
+            count(Counter::NetDedupDrops),
+            count(Counter::NetDuplicates),
             "{backend:?}: every in-flight duplicate must be delivered and deduplicated"
         );
         assert_ne!(
@@ -141,7 +140,7 @@ fn moderate_faults_keep_outcomes_bit_identical_to_lossless() {
         let lossy_traffic = lossy.messages.total_messages();
         assert_eq!(
             lossy_traffic,
-            base_traffic + lossy.network.retransmissions + lossy.network.duplicates,
+            base_traffic + count(Counter::NetRetransmissions) + count(Counter::NetDuplicates),
             "{backend:?}: retransmit and duplicate charges must land in the negotiation class"
         );
     }
@@ -155,8 +154,8 @@ fn lossy_runs_are_deterministic() {
         let a = run(backend, Some(NetworkFaultConfig::moderate()), 0xFEED);
         let b = run(backend, Some(NetworkFaultConfig::moderate()), 0xFEED);
         assert_eq!(a.digest, b.digest, "{backend:?}");
-        assert_eq!(a.network, b.network, "{backend:?}");
-        assert!(a.network.retransmissions > 0, "{backend:?}");
+        assert_eq!(a.metrics, b.metrics, "{backend:?}");
+        assert!(a.metrics.counter(Counter::NetRetransmissions) > 0, "{backend:?}");
     }
 }
 
@@ -174,11 +173,12 @@ fn heavier_loss_means_more_retransmissions_same_outcomes() {
         };
         let lossy = run(DirectoryBackend::Maan, Some(cfg), 0xFEED);
         assert_eq!(lossless.digest.outcomes, lossy.digest.outcomes, "drop={drop}");
+        let retransmissions = lossy.metrics.counter(Counter::NetRetransmissions);
         assert!(
-            lossy.network.retransmissions >= last,
+            retransmissions >= last,
             "drop={drop}: retransmissions must not shrink as loss grows"
         );
-        last = lossy.network.retransmissions;
+        last = retransmissions;
     }
     assert!(last > 0);
 }
@@ -212,6 +212,6 @@ proptest! {
             0xD1FF,
         );
         prop_assert_eq!(baseline.digest, inactive.digest);
-        prop_assert!(inactive.network.is_quiet());
+        prop_assert_eq!(baseline.metrics, inactive.metrics);
     }
 }

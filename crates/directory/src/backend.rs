@@ -125,11 +125,7 @@ impl AnyDirectory {
     /// (nothing was measured, so nothing is reported).
     #[must_use]
     pub fn average_route_messages(&self) -> f64 {
-        match self {
-            AnyDirectory::Ideal(d) => d.average_route_messages(),
-            AnyDirectory::Chord(d) => d.average_route_hops(),
-            AnyDirectory::Maan(d) => d.average_route_hops(),
-        }
+        dispatch!(self, d => d.average_route_messages())
     }
 
     /// Corrupting test double: rewinds the content epoch to zero, whatever
@@ -205,17 +201,6 @@ impl AnyDirectory {
             AnyDirectory::Maan(d) => d.corrupt_finger(),
         }
     }
-
-    /// Total routed publish-side messages charged by mutations so far: zero
-    /// for the centrally-stored backends, the measured put/remove/move
-    /// routing cost for MAAN.
-    #[must_use]
-    pub fn publish_messages_total(&self) -> u64 {
-        match self {
-            AnyDirectory::Ideal(_) | AnyDirectory::Chord(_) => 0,
-            AnyDirectory::Maan(d) => d.publish_messages_total(),
-        }
-    }
 }
 
 impl FederationDirectory for AnyDirectory {
@@ -228,17 +213,11 @@ impl FederationDirectory for AnyDirectory {
     fn update_price(&mut self, gfa: usize, price: f64) -> u64 {
         dispatch!(self, d => d.update_price(gfa, price))
     }
-    fn query_cheapest(&self, origin: usize, r: usize) -> TracedQuote {
-        dispatch!(self, d => d.query_cheapest(origin, r))
-    }
-    fn query_fastest(&self, origin: usize, r: usize) -> TracedQuote {
-        dispatch!(self, d => d.query_fastest(origin, r))
+    fn query_ranked(&self, origin: usize, order: RankOrder, r: usize) -> TracedQuote {
+        dispatch!(self, d => d.query_ranked(origin, order, r))
     }
     fn len(&self) -> usize {
         dispatch!(self, d => d.len())
-    }
-    fn query_message_cost(&self) -> u64 {
-        dispatch!(self, d => d.query_message_cost())
     }
     fn queries_served(&self) -> u64 {
         dispatch!(self, d => d.queries_served())
@@ -345,17 +324,17 @@ mod tests {
                 let _ = dir.subscribe(quote(i, *mips, *price));
             }
             assert_eq!(dir.len(), 4);
-            assert_eq!(dir.kth_cheapest(1).unwrap().gfa, 3);
-            assert_eq!(dir.kth_fastest(1).unwrap().gfa, 1);
-            let traced = dir.query_cheapest(2, 1);
+            assert_eq!(dir.query_ranked(0, RankOrder::Cheapest, 1).quote.unwrap().gfa, 3);
+            assert_eq!(dir.query_ranked(0, RankOrder::Fastest, 1).quote.unwrap().gfa, 1);
+            let traced = dir.query_ranked(2, RankOrder::Cheapest, 1);
             assert_eq!(traced.quote.unwrap().gfa, 3);
             assert!(traced.messages >= 1);
             assert!(dir.queries_served() >= 3);
             assert!(dir.average_route_messages() >= 1.0);
             let _ = dir.unsubscribe(3);
-            assert_eq!(dir.kth_cheapest(1).unwrap().gfa, 1);
+            assert_eq!(dir.query_ranked(0, RankOrder::Cheapest, 1).quote.unwrap().gfa, 1);
             let _ = dir.update_price(0, 0.1);
-            assert_eq!(dir.kth_cheapest(1).unwrap().gfa, 0);
+            assert_eq!(dir.query_ranked(0, RankOrder::Cheapest, 1).quote.unwrap().gfa, 0);
         }
     }
 
@@ -376,10 +355,8 @@ mod tests {
             let m = dir.subscribe(quote(0, 500.0, 3.0));
             if backend == DirectoryBackend::Maan {
                 assert!(m >= 2, "{backend:?}: a MAAN publish routes one put per attribute");
-                assert!(dir.publish_messages_total() >= m);
             } else {
                 assert_eq!(m, 0, "{backend:?}: central stores publish for free");
-                assert_eq!(dir.publish_messages_total(), 0);
             }
         }
     }

@@ -387,8 +387,6 @@ impl ChordOverlay {
 pub struct ChordDirectory {
     overlay: ChordOverlay,
     exact: IdealDirectory,
-    /// All directory messages spent (routed lookups + cursor advances).
-    hops_total: std::cell::Cell<u64>,
     /// Routed (rank-1) lookups served, and the hops they took — the
     /// measured counterpart of the paper's `O(log n)` per-query model.
     routes: std::cell::Cell<u64>,
@@ -432,7 +430,6 @@ impl ChordDirectory {
         ChordDirectory {
             overlay: ChordOverlay::new(n, seed),
             exact: IdealDirectory::new(),
-            hops_total: std::cell::Cell::new(0),
             routes: std::cell::Cell::new(0),
             route_hops: std::cell::Cell::new(0),
             seed,
@@ -488,28 +485,10 @@ impl ChordDirectory {
         self.overlay.corrupt_finger();
     }
 
-    /// Total directory messages spent on ranking queries so far (routed
-    /// lookups plus cursor advances).
-    #[must_use]
-    pub fn hops_total(&self) -> u64 {
-        self.hops_total.get()
-    }
-
-    /// Average directory messages per ranking query served so far.
-    #[must_use]
-    pub fn average_hops_per_query(&self) -> f64 {
-        let served = self.exact.queries_served();
-        if served == 0 {
-            0.0
-        } else {
-            self.hops_total.get() as f64 / served as f64
-        }
-    }
-
     /// Average hops of one *routed* lookup (rank-1 cursor establishment) —
     /// the measured quantity the paper models as `O(log n)`.
     #[must_use]
-    pub fn average_route_hops(&self) -> f64 {
+    pub fn average_route_messages(&self) -> f64 {
         let routes = self.routes.get();
         if routes == 0 {
             0.0
@@ -600,22 +579,19 @@ impl ChordDirectory {
     /// path, the cursor path and cache replays cannot drift apart: rank 1
     /// charges `route_hops()` (lazily — live queries walk the overlay,
     /// cursors and replays reuse a measured walk) and records the routed
-    /// lookup; every higher rank is one cursor-advance hop.  All messages
-    /// accumulate into `hops_total`.  Rank 0 must be short-circuited by
-    /// callers.
+    /// lookup; every higher rank is one cursor-advance hop.  Rank 0 must be
+    /// short-circuited by callers.
     #[inline]
     fn charge_ranked(&self, r: usize, route_hops: impl FnOnce() -> u64) -> u64 {
         debug_assert!(r >= 1, "rank 0 is answered locally and never charged");
-        let messages = if r == 1 {
+        if r == 1 {
             let hops = route_hops();
             self.routes.set(self.routes.get() + 1);
             self.route_hops.set(self.route_hops.get() + hops);
             hops
         } else {
             1
-        };
-        self.hops_total.set(self.hops_total.get() + messages);
-        messages
+        }
     }
 
 }
@@ -633,60 +609,28 @@ impl FederationDirectory for ChordDirectory {
     fn update_price(&mut self, gfa: usize, price: f64) -> u64 {
         self.exact.update_price(gfa, price)
     }
-    fn query_cheapest(&self, origin: usize, r: usize) -> TracedQuote {
+    fn query_ranked(&self, origin: usize, order: RankOrder, r: usize) -> TracedQuote {
         if r == 0 {
             return TracedQuote { quote: None, messages: 0 };
         }
         self.fault.set(false);
         let (extra, fault) = if r == 1 {
-            self.rank1_availability(RankOrder::Cheapest)
+            self.rank1_availability(order)
         } else {
             (0, false)
         };
-        let messages =
-            self.charge_ranked(r, || self.route_to_head(origin, RankOrder::Cheapest) + extra);
+        let messages = self.charge_ranked(r, || self.route_to_head(origin, order) + extra);
         if fault {
             self.fault.set(true);
             return TracedQuote { quote: None, messages };
         }
         TracedQuote {
-            quote: self.exact.kth_cheapest(r),
-            messages,
-        }
-    }
-    fn query_fastest(&self, origin: usize, r: usize) -> TracedQuote {
-        if r == 0 {
-            return TracedQuote { quote: None, messages: 0 };
-        }
-        self.fault.set(false);
-        let (extra, fault) = if r == 1 {
-            self.rank1_availability(RankOrder::Fastest)
-        } else {
-            (0, false)
-        };
-        let messages =
-            self.charge_ranked(r, || self.route_to_head(origin, RankOrder::Fastest) + extra);
-        if fault {
-            self.fault.set(true);
-            return TracedQuote { quote: None, messages };
-        }
-        TracedQuote {
-            quote: self.exact.kth_fastest(r),
+            quote: self.exact.resolve_ranked(order, r),
             messages,
         }
     }
     fn len(&self) -> usize {
         self.exact.len()
-    }
-    fn query_message_cost(&self) -> u64 {
-        // Report the measured average, falling back to the model before any
-        // query has been served.
-        let avg = self.average_hops_per_query();
-        if avg > 0.0 {
-            avg.round() as u64
-        } else {
-            self.exact.query_message_cost()
-        }
     }
     fn queries_served(&self) -> u64 {
         self.exact.queries_served()
@@ -964,14 +908,13 @@ mod tests {
             let _ = dir.subscribe(Quote::from_spec(i, &r.spec));
         }
         assert_eq!(dir.len(), 8);
-        assert_eq!(dir.kth_cheapest(1).unwrap().gfa, 3); // LANL Origin
-        assert_eq!(dir.kth_fastest(1).unwrap().gfa, 4); // NASA iPSC
-        assert!(dir.kth_cheapest(0).is_none());
-        assert!(dir.kth_fastest(100).is_none());
+        let head = |order| dir.query_ranked(0, order, 1).quote.unwrap().gfa;
+        assert_eq!(head(RankOrder::Cheapest), 3); // LANL Origin
+        assert_eq!(head(RankOrder::Fastest), 4); // NASA iPSC
+        assert!(dir.query_ranked(0, RankOrder::Cheapest, 0).quote.is_none());
+        assert!(dir.query_ranked(0, RankOrder::Fastest, 100).quote.is_none());
         assert!(dir.queries_served() >= 3);
-        assert!(dir.hops_total() >= 1);
-        assert!(dir.average_hops_per_query() >= 1.0);
-        assert!(dir.query_message_cost() >= 1);
+        assert!(dir.average_route_messages() >= 1.0);
         assert!(!dir.overlay().is_empty());
     }
 
@@ -1014,19 +957,18 @@ mod tests {
             let _ = dir.subscribe(Quote::from_spec(i, &r.spec));
         }
         // Rank 1 establishes the cursor: a routed lookup of ≥ 1 hop.
-        let head = dir.query_cheapest(2, 1);
+        let head = dir.query_ranked(2, RankOrder::Cheapest, 1);
         assert!(head.messages >= 1);
         assert_eq!(dir.routes.get(), 1);
         assert_eq!(dir.route_hops.get(), head.messages);
         // Every higher rank advances the cursor exactly one hop.
         for r in 2..=8 {
-            assert_eq!(dir.query_cheapest(2, r).messages, 1, "rank {r}");
+            assert_eq!(dir.query_ranked(2, RankOrder::Cheapest, r).messages, 1, "rank {r}");
         }
         assert_eq!(dir.routes.get(), 1, "cursor advances are not routed lookups");
-        assert_eq!(dir.hops_total(), head.messages + 7);
-        assert!(dir.average_route_hops() >= 1.0);
+        assert_eq!(dir.average_route_messages(), head.messages as f64);
         // A fresh ranking dimension routes again.
-        let fast = dir.query_fastest(5, 1);
+        let fast = dir.query_ranked(5, RankOrder::Fastest, 1);
         assert!(fast.messages >= 1);
         assert_eq!(dir.routes.get(), 2);
     }
@@ -1041,7 +983,7 @@ mod tests {
         // same quote; only the measured hop count may differ.
         let mut costs = Vec::new();
         for origin in 0..8 {
-            let traced = dir.query_cheapest(origin, 1);
+            let traced = dir.query_ranked(origin, RankOrder::Cheapest, 1);
             assert_eq!(traced.quote.unwrap().gfa, 3); // LANL Origin
             assert!(traced.messages >= 1);
             costs.push(traced.messages);
@@ -1051,12 +993,12 @@ mod tests {
             "hop counts should depend on the query origin (got {costs:?})"
         );
         // Rank 0 is answered locally and costs nothing.
-        let invalid = dir.query_fastest(0, 0);
+        let invalid = dir.query_ranked(0, RankOrder::Fastest, 0);
         assert_eq!(invalid.quote, None);
         assert_eq!(invalid.messages, 0);
         // Out-of-overlay origins (e.g. benches) wrap around instead of
         // panicking.
-        assert!(dir.query_fastest(8_000, 2).quote.is_some());
+        assert!(dir.query_ranked(8_000, RankOrder::Fastest, 2).quote.is_some());
     }
 
     #[test]
@@ -1136,17 +1078,17 @@ mod tests {
             "a crashed node squats on the ring until stabilization"
         );
         // k = 1: the routed lookup terminates at the crashed head and faults.
-        let faulted = dir.query_cheapest(0, 1);
+        let faulted = dir.query_ranked(0, RankOrder::Cheapest, 1);
         assert!(faulted.quote.is_none());
         assert!(faulted.messages >= 1, "the wasted route is still charged");
         assert!(dir.take_fault());
         assert!(!dir.take_fault(), "take_fault is one-shot");
         // Deeper ranks advance along the range without touching the head.
-        assert!(dir.query_cheapest(0, 2).quote.is_some());
+        assert!(dir.query_ranked(0, RankOrder::Cheapest, 2).quote.is_some());
         assert!(!dir.take_fault());
         // k = 2: the successor replica answers for one extra message.
         dir.set_replication(2);
-        let detoured = dir.query_cheapest(0, 1);
+        let detoured = dir.query_ranked(0, RankOrder::Cheapest, 1);
         assert!(detoured.quote.is_some());
         assert!(!dir.peek_fault());
         assert_eq!(detoured.messages, faulted.messages + 1);
@@ -1157,7 +1099,7 @@ mod tests {
         assert!(dir.epoch() > epoch_before, "ring repair revalidates caches");
         assert_eq!(dir.membership_epoch(), 2);
         assert_eq!(dir.overlay().live_len(), 7);
-        assert!(dir.query_cheapest(0, 1).quote.is_some());
+        assert!(dir.query_ranked(0, RankOrder::Cheapest, 1).quote.is_some());
         assert!(!dir.take_fault());
         assert_eq!(dir.stabilize(), 0, "a stable ring has nothing to repair");
         // The crashed GFA rejoins (its quote republish is the GFA's job).

@@ -1,7 +1,7 @@
 //! The idealised federation directory used by the experiments.
 //!
 //! Quotes are kept in two rank orders (by price and by speed) that are
-//! rebuilt lazily after mutations.  Queries are exact and deterministic; the
+//! maintained eagerly across mutations.  Queries are exact and deterministic; the
 //! *modelled* message cost of a query is `⌈log₂ n⌉`, matching the paper's
 //! assumption of an efficient P2P directory ("we assume the query process is
 //! optimal, i.e. that it takes O(log n) messages to query the directory").
@@ -17,7 +17,6 @@ pub struct IdealDirectory {
     quotes: Vec<Quote>,
     by_price: Vec<usize>,
     by_speed: Vec<usize>,
-    dirty: bool,
     /// Content epoch: bumped by every mutation so open cursors and GFA-side
     /// quote caches can detect staleness (see [`FederationDirectory::epoch`]).
     epoch: u64,
@@ -55,10 +54,9 @@ impl IdealDirectory {
         self.epoch = 0;
     }
 
-    fn rebuild_if_dirty(&mut self) {
-        if !self.dirty {
-            return;
-        }
+    /// Re-sorts both rank orders from the quote store (after a subscribe or
+    /// unsubscribe; a reprice repositions one entry instead).
+    fn rebuild_orders(&mut self) {
         self.by_price = (0..self.quotes.len()).collect();
         self.by_price.sort_by(|&a, &b| {
             self.quotes[a]
@@ -73,21 +71,6 @@ impl IdealDirectory {
                 .total_cmp(&self.quotes[a].mips)
                 .then_with(|| self.quotes[a].gfa.cmp(&self.quotes[b].gfa))
         });
-        self.dirty = false;
-    }
-
-    /// Immutable variant of the rank lookup.  The index vectors are rebuilt
-    /// eagerly on mutation, so by the time queries arrive the directory is
-    /// clean; the debug assertion documents that invariant without taxing
-    /// the cursor hot path.
-    #[inline]
-    fn ranked(&self, order: &[usize], r: usize) -> Option<Quote> {
-        debug_assert!(!self.dirty, "directory indices must be rebuilt before querying");
-        if r == 0 {
-            return None;
-        }
-        self.queries.set(self.queries.get() + 1);
-        order.get(r - 1).map(|&i| self.quotes[i])
     }
 
     /// All quotes currently subscribed, in subscription order.
@@ -96,17 +79,22 @@ impl IdealDirectory {
         &self.quotes
     }
 
-    /// Resolves the `r`-th quote of `order`, counting the served query.
-    /// O(1): both rank orders are maintained across mutations.  Also used by
-    /// the Chord backend, whose cursor advances resolve rank data here while
-    /// charging overlay hops of their own.
+    /// Resolves the `r`-th quote of `order`, counting the served query
+    /// (rank 0 is answered locally and not counted).  O(1): both rank
+    /// orders are maintained across mutations.  Also used by the Chord
+    /// backend, which resolves rank data here while charging overlay hops
+    /// of its own.
     #[inline]
     pub(crate) fn resolve_ranked(&self, order: RankOrder, r: usize) -> Option<Quote> {
+        if r == 0 {
+            return None;
+        }
+        self.queries.set(self.queries.get() + 1);
         let index = match order {
             RankOrder::Cheapest => &self.by_price,
             RankOrder::Fastest => &self.by_speed,
         };
-        self.ranked(index, r)
+        index.get(r - 1).map(|&i| self.quotes[i])
     }
 
     /// Counts one served query without resolving anything — the Chord
@@ -154,6 +142,15 @@ impl IdealDirectory {
         }
     }
 
+    /// The number of messages one *routed* ranking lookup (rank-1 cursor
+    /// establishment) is modelled to cost: `⌈log₂ n⌉` at the directory's
+    /// current size, at least one — the paper's `O(log n)` assumption.
+    #[must_use]
+    pub fn query_message_cost(&self) -> u64 {
+        let n = self.quotes.len().max(1) as f64;
+        n.log2().ceil().max(1.0) as u64
+    }
+
     /// Average messages charged per *routed* (rank-1) lookup so far.  Equals
     /// `⌈log₂ n⌉` while the directory size is stable, and the charge-weighted
     /// average when (un)subscriptions resized it mid-run.
@@ -178,8 +175,7 @@ impl FederationDirectory for IdealDirectory {
         } else {
             self.quotes.push(quote);
         }
-        self.dirty = true;
-        self.rebuild_if_dirty();
+        self.rebuild_orders();
         self.epoch += 1;
         0
     }
@@ -190,8 +186,7 @@ impl FederationDirectory for IdealDirectory {
         if self.quotes.len() == before {
             return 0; // unknown GFA: nothing changed, keep caches valid
         }
-        self.dirty = true;
-        self.rebuild_if_dirty();
+        self.rebuild_orders();
         self.epoch += 1;
         0
     }
@@ -200,7 +195,6 @@ impl FederationDirectory for IdealDirectory {
         let Some(qi) = self.quotes.iter().position(|q| q.gfa == gfa) else {
             return 0;
         };
-        debug_assert!(!self.dirty, "rank orders are maintained eagerly across mutations");
         let old_price = self.quotes[qi].price;
         if old_price.to_bits() == price.to_bits() {
             // Repricing to the identical price changes nothing observable:
@@ -238,27 +232,15 @@ impl FederationDirectory for IdealDirectory {
         0
     }
 
-    fn query_cheapest(&self, _origin: usize, r: usize) -> TracedQuote {
+    fn query_ranked(&self, _origin: usize, order: RankOrder, r: usize) -> TracedQuote {
         TracedQuote {
-            quote: self.ranked(&self.by_price, r),
-            messages: self.charge_query(r),
-        }
-    }
-
-    fn query_fastest(&self, _origin: usize, r: usize) -> TracedQuote {
-        TracedQuote {
-            quote: self.ranked(&self.by_speed, r),
+            quote: self.resolve_ranked(order, r),
             messages: self.charge_query(r),
         }
     }
 
     fn len(&self) -> usize {
         self.quotes.len()
-    }
-
-    fn query_message_cost(&self) -> u64 {
-        let n = self.quotes.len().max(1) as f64;
-        n.log2().ceil().max(1.0) as u64
     }
 
     fn queries_served(&self) -> u64 {
@@ -325,15 +307,15 @@ mod tests {
         assert_eq!(dir.len(), 8);
         assert!(!dir.is_empty());
         // Cheapest: LANL Origin (3.59), then LANL CM5 (3.98).
-        assert_eq!(dir.kth_cheapest(1).unwrap().gfa, 3);
-        assert_eq!(dir.kth_cheapest(2).unwrap().gfa, 2);
+        assert_eq!(dir.query_ranked(0, RankOrder::Cheapest, 1).quote.unwrap().gfa, 3);
+        assert_eq!(dir.query_ranked(0, RankOrder::Cheapest, 2).quote.unwrap().gfa, 2);
         // Fastest: NASA iPSC (930), then SDSC SP2 (920), then KTH SP2 (900).
-        assert_eq!(dir.kth_fastest(1).unwrap().gfa, 4);
-        assert_eq!(dir.kth_fastest(2).unwrap().gfa, 7);
-        assert_eq!(dir.kth_fastest(3).unwrap().gfa, 1);
+        assert_eq!(dir.query_ranked(0, RankOrder::Fastest, 1).quote.unwrap().gfa, 4);
+        assert_eq!(dir.query_ranked(0, RankOrder::Fastest, 2).quote.unwrap().gfa, 7);
+        assert_eq!(dir.query_ranked(0, RankOrder::Fastest, 3).quote.unwrap().gfa, 1);
         // Rank past the end → None; rank 0 is invalid → None.
-        assert!(dir.kth_cheapest(9).is_none());
-        assert!(dir.kth_cheapest(0).is_none());
+        assert!(dir.query_ranked(0, RankOrder::Cheapest, 9).quote.is_none());
+        assert!(dir.query_ranked(0, RankOrder::Cheapest, 0).quote.is_none());
     }
 
     #[test]
@@ -342,12 +324,13 @@ mod tests {
         let mut prices: Vec<f64> = dir.quotes().iter().map(|q| q.price).collect();
         prices.sort_by(f64::total_cmp);
         for (i, price) in prices.iter().enumerate() {
-            assert_eq!(dir.kth_cheapest(i + 1).unwrap().price, *price);
+            let got = dir.query_ranked(0, RankOrder::Cheapest, i + 1).quote.unwrap();
+            assert_eq!(got.price, *price);
         }
         let mut speeds: Vec<f64> = dir.quotes().iter().map(|q| q.mips).collect();
         speeds.sort_by(|a, b| b.total_cmp(a));
         for (i, mips) in speeds.iter().enumerate() {
-            assert_eq!(dir.kth_fastest(i + 1).unwrap().mips, *mips);
+            assert_eq!(dir.query_ranked(0, RankOrder::Fastest, i + 1).quote.unwrap().mips, *mips);
         }
     }
 
@@ -359,17 +342,17 @@ mod tests {
         q.price = 1.0;
         let _ = dir.subscribe(q);
         assert_eq!(dir.len(), 8);
-        assert_eq!(dir.kth_cheapest(1).unwrap().gfa, 0);
+        assert_eq!(dir.query_ranked(0, RankOrder::Cheapest, 1).quote.unwrap().gfa, 0);
         let _ = dir.unsubscribe(0);
         assert_eq!(dir.len(), 7);
-        assert_ne!(dir.kth_cheapest(1).unwrap().gfa, 0);
+        assert_ne!(dir.query_ranked(0, RankOrder::Cheapest, 1).quote.unwrap().gfa, 0);
     }
 
     #[test]
     fn update_price_rebuilds_ranking() {
         let mut dir = paper_directory();
         let _ = dir.update_price(1, 0.5);
-        assert_eq!(dir.kth_cheapest(1).unwrap().gfa, 1);
+        assert_eq!(dir.query_ranked(0, RankOrder::Cheapest, 1).quote.unwrap().gfa, 1);
         // Updating an unknown GFA is a no-op.
         let _ = dir.update_price(99, 0.1);
         assert_eq!(dir.len(), 8);
@@ -396,7 +379,7 @@ mod tests {
                 dir.quotes().iter().map(|q| (q.price, q.gfa)).collect();
             oracle.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             for (i, (price, gfa)) in oracle.iter().enumerate() {
-                let got = dir.kth_cheapest(i + 1).unwrap();
+                let got = dir.query_ranked(0, RankOrder::Cheapest, i + 1).quote.unwrap();
                 assert_eq!(
                     (got.price.to_bits(), got.gfa),
                     (price.to_bits(), *gfa),
@@ -405,7 +388,7 @@ mod tests {
                 );
             }
             // The speed ranking is untouched by repricings.
-            assert_eq!(dir.kth_fastest(1).unwrap().gfa, 4);
+            assert_eq!(dir.query_ranked(0, RankOrder::Fastest, 1).quote.unwrap().gfa, 4);
         }
     }
 
@@ -414,7 +397,7 @@ mod tests {
         let mut dir = paper_directory();
         let e0 = dir.epoch();
         // Queries do not move the epoch.
-        let _ = dir.kth_cheapest(3);
+        let _ = dir.query_ranked(0, RankOrder::Cheapest, 3).quote;
         assert_eq!(dir.epoch(), e0);
         // Mutations do.
         let _ = dir.update_price(2, 9.9);
@@ -426,10 +409,10 @@ mod tests {
         // No-op mutations (unknown GFA, unchanged price) leave caches valid.
         let _ = dir.unsubscribe(99);
         let _ = dir.update_price(99, 1.0);
-        let current = dir.kth_cheapest(4).unwrap();
+        let current = dir.query_ranked(0, RankOrder::Cheapest, 4).quote.unwrap();
         let _ = dir.update_price(current.gfa, current.price);
         assert_eq!(dir.epoch(), e0 + 3);
-        assert_eq!(dir.kth_cheapest(4).unwrap().gfa, current.gfa);
+        assert_eq!(dir.query_ranked(0, RankOrder::Cheapest, 4).quote.unwrap().gfa, current.gfa);
     }
 
     #[test]
@@ -459,10 +442,10 @@ mod tests {
     fn route_average_tracks_charges_across_resizes() {
         let dir = paper_directory();
         assert_eq!(dir.average_route_messages(), 0.0); // nothing routed yet
-        let head = dir.query_cheapest(0, 1);
+        let head = dir.query_ranked(0, RankOrder::Cheapest, 1);
         assert_eq!(head.messages, 3); // ⌈log₂ 8⌉
-        assert_eq!(dir.query_cheapest(0, 2).messages, 1); // cursor advance
-        assert_eq!(dir.query_cheapest(0, 0).messages, 0);
+        assert_eq!(dir.query_ranked(0, RankOrder::Cheapest, 2).messages, 1); // cursor advance
+        assert_eq!(dir.query_ranked(0, RankOrder::Cheapest, 0).messages, 0);
         assert_eq!(dir.average_route_messages(), 3.0);
         // Shrinking the directory mid-run changes the cost of *future*
         // routes; the average reflects what was actually charged.
@@ -471,7 +454,7 @@ mod tests {
             let _ = dir.unsubscribe(gfa);
         }
         assert_eq!(dir.query_message_cost(), 2); // ⌈log₂ 4⌉
-        assert_eq!(dir.query_fastest(0, 1).messages, 2);
+        assert_eq!(dir.query_ranked(0, RankOrder::Fastest, 1).messages, 2);
         assert!((dir.average_route_messages() - 2.5).abs() < 1e-12); // (3+2)/2
     }
 
@@ -479,9 +462,9 @@ mod tests {
     fn queries_are_counted() {
         let dir = paper_directory();
         assert_eq!(dir.queries_served(), 0);
-        let _ = dir.kth_cheapest(1);
-        let _ = dir.kth_fastest(2);
-        let _ = dir.kth_fastest(0); // invalid rank: not counted
+        let _ = dir.query_ranked(0, RankOrder::Cheapest, 1).quote;
+        let _ = dir.query_ranked(0, RankOrder::Fastest, 2).quote;
+        let _ = dir.query_ranked(0, RankOrder::Fastest, 0).quote; // invalid rank: not counted
         assert_eq!(dir.queries_served(), 2);
     }
 
@@ -494,9 +477,10 @@ mod tests {
             bandwidth: 1.0,
             price: 2.5,
         }));
-        let order: Vec<usize> = (1..=4).map(|r| dir.kth_cheapest(r).unwrap().gfa).collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
-        let order: Vec<usize> = (1..=4).map(|r| dir.kth_fastest(r).unwrap().gfa).collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
+        for order in RankOrder::ALL {
+            let ranked: Vec<usize> =
+                (1..=4).map(|r| dir.query_ranked(0, order, r).quote.unwrap().gfa).collect();
+            assert_eq!(ranked, vec![0, 1, 2, 3], "{order:?}");
+        }
     }
 }

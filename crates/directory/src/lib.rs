@@ -33,7 +33,8 @@
 //! * [`cursor::RankCursor`] / [`cursor::QuoteCache`] — the streaming rank
 //!   cursor (one routed open, O(1) advances — the execution profile matching
 //!   the `O(log n + k)` message model) and the per-GFA, epoch-keyed quote
-//!   memo layered on top.  The query-per-rank methods remain as the
+//!   memo layered on top.  The query-per-rank method
+//!   ([`quote::FederationDirectory::query_ranked`]) remains as the
 //!   differential oracle the cursor path is tested against.
 
 #![deny(missing_docs)]

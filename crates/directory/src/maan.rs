@@ -107,14 +107,9 @@ pub struct MaanDirectory {
     flat: [Vec<FlatEntry>; 2],
     epoch: u64,
     queries: Cell<u64>,
-    /// All directory messages spent on ranking queries (routed lookups,
-    /// cursor advances and boundary crossings).
-    hops_total: Cell<u64>,
     /// Routed (rank-1) lookups served and the messages they cost.
     routes: Cell<u64>,
     route_hops: Cell<u64>,
-    /// Total routed publish-side messages charged by mutations.
-    publish_messages: u64,
     /// Replication factor `k ≥ 1`: each entry keeps `k − 1` successor
     /// copies, (re)created lazily by [`FederationDirectory::stabilize`].
     replication: usize,
@@ -156,10 +151,8 @@ impl MaanDirectory {
             flat: [Vec::new(), Vec::new()],
             epoch: 0,
             queries: Cell::new(0),
-            hops_total: Cell::new(0),
             routes: Cell::new(0),
             route_hops: Cell::new(0),
-            publish_messages: 0,
             replication: 1,
             copies: [Vec::new(), Vec::new()],
             down: vec![false; n],
@@ -227,34 +220,10 @@ impl MaanDirectory {
         &self.overlay
     }
 
-    /// Total directory messages spent on ranking queries so far.
-    #[must_use]
-    pub fn hops_total(&self) -> u64 {
-        self.hops_total.get()
-    }
-
-    /// Total routed publish-side messages charged by `subscribe` /
-    /// `unsubscribe` / `update_price` so far.
-    #[must_use]
-    pub fn publish_messages_total(&self) -> u64 {
-        self.publish_messages
-    }
-
-    /// Average directory messages per ranking query served so far.
-    #[must_use]
-    pub fn average_hops_per_query(&self) -> f64 {
-        let served = self.queries.get();
-        if served == 0 {
-            0.0
-        } else {
-            self.hops_total.get() as f64 / served as f64
-        }
-    }
-
     /// Average messages of one *routed* (rank-1) lookup — the measured
     /// quantity the paper models as `O(log n)`.
     #[must_use]
-    pub fn average_route_hops(&self) -> f64 {
+    pub fn average_route_messages(&self) -> f64 {
         let routes = self.routes.get();
         if routes == 0 {
             0.0
@@ -339,16 +308,14 @@ impl MaanDirectory {
     #[inline]
     fn charge_ranked(&self, order: RankOrder, r: usize, extra: u64, route: impl FnOnce() -> u64) -> u64 {
         debug_assert!(r >= 1, "rank 0 is answered locally and never charged");
-        let messages = if r == 1 {
+        if r == 1 {
             let hops = route() + extra;
             self.routes.set(self.routes.get() + 1);
             self.route_hops.set(self.route_hops.get() + hops);
             hops
         } else {
             self.advance_messages(order, r) + extra
-        };
-        self.hops_total.set(self.hops_total.get() + messages);
-        messages
+        }
     }
 
     /// Availability of the rank-`r` lookup of `order` under the current
@@ -618,7 +585,6 @@ impl FederationDirectory for MaanDirectory {
         messages += self.route_hops_from(publisher, new_sk);
         self.drop_copies_of(publisher);
         self.epoch += 1;
-        self.publish_messages += messages;
         messages
     }
 
@@ -634,7 +600,6 @@ impl FederationDirectory for MaanDirectory {
         let messages = self.route_hops_from(gfa, pk) + self.route_hops_from(gfa, sk);
         self.drop_copies_of(gfa);
         self.epoch += 1;
-        self.publish_messages += messages;
         messages
     }
 
@@ -682,62 +647,28 @@ impl FederationDirectory for MaanDirectory {
         };
         self.drop_copies_of(gfa);
         self.epoch += 1;
-        self.publish_messages += messages;
         messages
     }
 
-    fn query_cheapest(&self, origin: usize, r: usize) -> TracedQuote {
+    fn query_ranked(&self, origin: usize, order: RankOrder, r: usize) -> TracedQuote {
         if r == 0 {
             return TracedQuote { quote: None, messages: 0 };
         }
         self.fault.set(false);
-        let (extra, fault) = self.availability(RankOrder::Cheapest, r);
-        let messages = self.charge_ranked(RankOrder::Cheapest, r, extra, || {
-            self.route_to_rank1(origin, RankOrder::Cheapest)
-        });
+        let (extra, fault) = self.availability(order, r);
+        let messages = self.charge_ranked(order, r, extra, || self.route_to_rank1(origin, order));
         if fault {
             self.fault.set(true);
             return TracedQuote { quote: None, messages };
         }
         TracedQuote {
-            quote: self.resolve_ranked(RankOrder::Cheapest, r),
-            messages,
-        }
-    }
-
-    fn query_fastest(&self, origin: usize, r: usize) -> TracedQuote {
-        if r == 0 {
-            return TracedQuote { quote: None, messages: 0 };
-        }
-        self.fault.set(false);
-        let (extra, fault) = self.availability(RankOrder::Fastest, r);
-        let messages = self.charge_ranked(RankOrder::Fastest, r, extra, || {
-            self.route_to_rank1(origin, RankOrder::Fastest)
-        });
-        if fault {
-            self.fault.set(true);
-            return TracedQuote { quote: None, messages };
-        }
-        TracedQuote {
-            quote: self.resolve_ranked(RankOrder::Fastest, r),
+            quote: self.resolve_ranked(order, r),
             messages,
         }
     }
 
     fn len(&self) -> usize {
         self.published.len()
-    }
-
-    fn query_message_cost(&self) -> u64 {
-        // Report the measured average, falling back to the model before any
-        // query has been served.
-        let avg = self.average_hops_per_query();
-        if avg > 0.0 {
-            avg.round() as u64
-        } else {
-            let n = self.published.len().max(1) as f64;
-            n.log2().ceil().max(1.0) as u64
-        }
     }
 
     fn queries_served(&self) -> u64 {
@@ -786,7 +717,6 @@ impl FederationDirectory for MaanDirectory {
             self.routes.set(self.routes.get() + 1);
             self.route_hops.set(self.route_hops.get() + messages);
         }
-        self.hops_total.set(self.hops_total.get() + messages);
     }
 
     fn membership_epoch(&self) -> u64 {
@@ -812,7 +742,6 @@ impl FederationDirectory for MaanDirectory {
             if self.overlay.remove_node(gfa) {
                 let moved = self.reconcile_stores(&[gfa]);
                 self.rebuild_flat();
-                self.publish_messages += moved;
                 messages += moved;
             }
             messages
@@ -859,7 +788,6 @@ impl FederationDirectory for MaanDirectory {
             self.rebuild_flat();
         }
         let messages = ceil_log2(self.overlay.live_len() as u64) + moved;
-        self.publish_messages += moved;
         self.membership_epoch += 1;
         self.epoch += 1;
         messages
@@ -887,7 +815,6 @@ impl FederationDirectory for MaanDirectory {
             // Ring repair and replica placement both change what subsequent
             // lookups charge; bump the content epoch so open cursors and
             // GFA-side caches revalidate instead of replaying stale charges.
-            self.publish_messages += messages;
             self.epoch += 1;
         }
         if !evicted.is_empty() {
@@ -923,7 +850,6 @@ impl FederationDirectory for MaanDirectory {
             // Pre-eviction arc numbers, as in `stabilize`.
             messages += self.repair_replicas();
         }
-        self.publish_messages += messages;
         self.epoch += 1;
         self.membership_epoch += 1;
         self.rebuild_flat();
@@ -992,8 +918,10 @@ mod tests {
                 .map(|(i, r)| Quote::from_spec(i, &r.spec)),
         );
         for r in 0..=9 {
-            assert_eq!(maan.kth_cheapest(r), ideal.kth_cheapest(r), "rank {r} cheapest");
-            assert_eq!(maan.kth_fastest(r), ideal.kth_fastest(r), "rank {r} fastest");
+            for order in RankOrder::ALL {
+                let (got, want) = (maan.query_ranked(0, order, r), ideal.query_ranked(0, order, r));
+                assert_eq!(got.quote, want.quote, "rank {r} {order:?}");
+            }
         }
     }
 
@@ -1063,12 +991,11 @@ mod tests {
         let mut q = Quote { gfa: 0, processors: 64, mips: 700.0, bandwidth: 1.0, price: 3.0 };
         let put = dir.subscribe(q);
         assert!(put >= 2, "a publish routes one put per attribute (got {put})");
-        assert_eq!(dir.publish_messages_total(), put);
 
         // A reprice is a move: ≥ 1 routed message, speed entry untouched.
         let moved = dir.update_price(0, 8.5);
         assert!(moved >= 1);
-        assert_eq!(dir.kth_cheapest(1).unwrap().price, 8.5);
+        assert_eq!(dir.query_ranked(0, RankOrder::Cheapest, 1).quote.unwrap().price, 8.5);
 
         // Identical reprice and unknown GFAs are free no-ops.
         let e = dir.epoch();
@@ -1088,10 +1015,6 @@ mod tests {
         let removed = dir.unsubscribe(0);
         assert!(removed >= 2);
         assert!(dir.is_empty());
-        assert_eq!(
-            dir.publish_messages_total(),
-            put + moved + republish + removed
-        );
     }
 
     #[test]
@@ -1126,11 +1049,11 @@ mod tests {
             by_speed.sort_by(|a, b| b.mips.total_cmp(&a.mips).then(a.gfa.cmp(&b.gfa)));
             for r in 1..=12 {
                 assert_eq!(
-                    dir.kth_cheapest(r).unwrap().gfa,
+                    dir.query_ranked(0, RankOrder::Cheapest, r).quote.unwrap().gfa,
                     by_price[r - 1].gfa,
                     "step {step}: rank {r} cheapest diverged"
                 );
-                let fast = dir.kth_fastest(r).unwrap();
+                let fast = dir.query_ranked(0, RankOrder::Fastest, r).quote.unwrap();
                 assert_eq!(fast.gfa, by_speed[r - 1].gfa, "step {step}: rank {r} fastest diverged");
                 // Regression: a reprice must refresh the speed register's
                 // replica, or streamed quotes would carry stale prices.
@@ -1146,14 +1069,13 @@ mod tests {
     #[test]
     fn route_telemetry_tracks_rank1_lookups() {
         let dir = paper_maan(8);
-        assert_eq!(dir.average_route_hops(), 0.0);
-        let head = dir.query_cheapest(2, 1);
+        assert_eq!(dir.average_route_messages(), 0.0);
+        let head = dir.query_ranked(2, RankOrder::Cheapest, 1);
         assert!(head.messages >= 1);
-        assert_eq!(dir.average_route_hops(), head.messages as f64);
-        let _ = dir.query_cheapest(2, 2);
+        assert_eq!(dir.average_route_messages(), head.messages as f64);
+        let _ = dir.query_ranked(2, RankOrder::Cheapest, 2);
         assert_eq!(dir.routes.get(), 1, "advances are not routed lookups");
-        assert!(dir.hops_total() > head.messages);
-        assert!(dir.query_message_cost() >= 1);
+        assert_eq!(dir.average_route_messages(), head.messages as f64);
         assert!(dir.queries_served() >= 2);
     }
 
@@ -1165,7 +1087,9 @@ mod tests {
         for (gfa, price) in [(0, 50.0), (1, 80.0), (2, 50.0), (3, 11.0)] {
             let _ = dir.subscribe(Quote { gfa, processors: 8, mips: 500.0, bandwidth: 1.0, price });
         }
-        let order: Vec<usize> = (1..=4).map(|r| dir.kth_cheapest(r).unwrap().gfa).collect();
+        let order: Vec<usize> = (1..=4)
+            .map(|r| dir.query_ranked(0, RankOrder::Cheapest, r).quote.unwrap().gfa)
+            .collect();
         assert_eq!(order, vec![3, 0, 2, 1], "ties break by price then GFA");
         // All four clamped price entries share one owner node.
         let owners: Vec<usize> = (0..6)
@@ -1222,9 +1146,10 @@ mod tests {
         let mut rest: Vec<Quote> = spread_quotes(16).into_iter().filter(|q| q.gfa != g).collect();
         rest.sort_by(|a, b| a.price.total_cmp(&b.price).then(a.gfa.cmp(&b.gfa)));
         for (i, q) in rest.iter().enumerate() {
-            assert_eq!(dir.kth_cheapest(i + 1).unwrap().gfa, q.gfa, "rank {}", i + 1);
+            let got = dir.query_ranked(0, RankOrder::Cheapest, i + 1).quote.unwrap();
+            assert_eq!(got.gfa, q.gfa, "rank {}", i + 1);
         }
-        assert!(dir.kth_cheapest(16).is_none());
+        assert!(dir.query_ranked(0, RankOrder::Cheapest, 16).quote.is_none());
     }
 
     #[test]
@@ -1249,8 +1174,8 @@ mod tests {
 
         let mut faulted = 0usize;
         for r in 1..=dir.len() {
-            let replicated = dir.query_cheapest(0, r);
-            let bare = k1.query_cheapest(0, r);
+            let replicated = dir.query_ranked(0, RankOrder::Cheapest, r);
+            let bare = k1.query_ranked(0, RankOrder::Cheapest, r);
             assert!(replicated.quote.is_some(), "rank {r}: a replica must answer");
             assert!(!dir.take_fault());
             if bare.quote.is_none() {
@@ -1275,7 +1200,7 @@ mod tests {
             assert!(d.stabilize() > 0);
             assert_eq!(d.membership_epoch(), 2);
             for r in 1..=d.len() {
-                assert!(d.query_cheapest(0, r).quote.is_some(), "rank {r}");
+                assert!(d.query_ranked(0, RankOrder::Cheapest, r).quote.is_some(), "rank {r}");
                 assert!(!d.take_fault());
             }
             assert!(d.replication_ok());
@@ -1301,14 +1226,13 @@ mod tests {
             assert_eq!(k1.subscribe(q), k3.subscribe(q));
         }
         for r in 1..=12 {
-            let a = k1.query_cheapest(1, r);
-            let b = k3.query_cheapest(1, r);
+            let a = k1.query_ranked(1, RankOrder::Cheapest, r);
+            let b = k3.query_ranked(1, RankOrder::Cheapest, r);
             assert_eq!(a.quote, b.quote, "rank {r}");
             assert_eq!(a.messages, b.messages, "rank {r}");
         }
         assert_eq!(k1.update_price(3, 7.7), k3.update_price(3, 7.7));
         assert_eq!(k1.unsubscribe(5), k3.unsubscribe(5));
-        assert_eq!(k1.publish_messages_total(), k3.publish_messages_total());
         assert_eq!(k1.epoch(), k3.epoch());
         assert_eq!(k3.membership_epoch(), 0);
         assert!(k3.replication_ok());

@@ -125,7 +125,7 @@ pub trait FederationDirectory {
     #[must_use = "the publish-side message cost must be charged into the ledger or explicitly dropped"]
     fn update_price(&mut self, gfa: usize, price: f64) -> u64;
 
-    /// The `r`-th cheapest quote (1-based), queried from GFA `origin`,
+    /// The `r`-th quote (1-based) in `order`, queried from GFA `origin`,
     /// together with the number of directory messages the query cost.  Ties
     /// are broken by GFA index so that results are deterministic.
     ///
@@ -139,23 +139,10 @@ pub trait FederationDirectory {
     ///
     /// Every backend must resolve the *same* quote for the same directory
     /// contents — backends may only differ in the message cost (and therefore
-    /// the simulated lookup latency) they report.
-    fn query_cheapest(&self, origin: usize, r: usize) -> TracedQuote;
-
-    /// The `r`-th fastest quote (1-based, by per-processor MIPS), queried
-    /// from GFA `origin`, with the query's message cost.
-    fn query_fastest(&self, origin: usize, r: usize) -> TracedQuote;
-
-    /// The `r`-th quote in `order`, dispatching to [`Self::query_cheapest`]
-    /// or [`Self::query_fastest`].  This is the *query-per-rank* path the
-    /// paper's Fig. 10/11 cost model describes; it is retained as the
+    /// the simulated lookup latency) they report.  This *query-per-rank* path
+    /// is the paper's Fig. 10/11 cost model; it is retained as the
     /// differential oracle for the cursor primitive below.
-    fn query_ranked(&self, origin: usize, order: RankOrder, r: usize) -> TracedQuote {
-        match order {
-            RankOrder::Cheapest => self.query_cheapest(origin, r),
-            RankOrder::Fastest => self.query_fastest(origin, r),
-        }
-    }
+    fn query_ranked(&self, origin: usize, order: RankOrder, r: usize) -> TracedQuote;
 
     /// The directory's *epoch*: a counter bumped by every content mutation
     /// (`subscribe`, `unsubscribe`, `update_price`).  Open cursors and
@@ -196,27 +183,13 @@ pub trait FederationDirectory {
     /// Records a ranking query that was answered from a GFA-side cache
     /// ([`crate::cursor::QuoteCache`]) without touching the rank data: bumps
     /// the same internal statistics — queries served, routed lookups, route
-    /// messages, hop totals — that a live query at rank `r` would have, so
+    /// messages — that a live query at rank `r` would have, so
     /// cached runs report bit-identical directory telemetry.
     /// `route_messages` is the message charge the cache replayed for this
     /// rank (the routed-open cost for `r == 1`, the cursor-advance cost —
     /// which MAAN's boundary crossings can make exceed 1 — for deeper
     /// ranks).
     fn note_replayed_query(&self, origin: usize, order: RankOrder, r: usize, route_messages: u64);
-
-    /// Convenience wrapper around [`Self::query_cheapest`] that discards the
-    /// message cost (for tests and benches).  The query is still *served* —
-    /// backends count it in `queries_served` and their internal hop/route
-    /// statistics, exactly like a traced call from origin 0.
-    fn kth_cheapest(&self, r: usize) -> Option<Quote> {
-        self.query_cheapest(0, r).quote
-    }
-
-    /// Convenience wrapper around [`Self::query_fastest`]; same accounting
-    /// behaviour as [`Self::kth_cheapest`].
-    fn kth_fastest(&self, r: usize) -> Option<Quote> {
-        self.query_fastest(0, r).quote
-    }
 
     /// Number of subscribed GFAs.
     #[must_use]
@@ -227,13 +200,6 @@ pub trait FederationDirectory {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// The number of messages one *routed* ranking lookup (rank-1 cursor
-    /// establishment) is modelled to cost in this directory implementation
-    /// (the paper assumes `O(log n)`).  Traced queries report their actual
-    /// cost, which for measured backends may differ per query.
-    #[must_use]
-    fn query_message_cost(&self) -> u64;
 
     /// Total ranking queries served since construction.
     #[must_use]

@@ -52,18 +52,18 @@ fn rankings_agree_with_sorted_oracles() {
         by_speed.sort_by(|a, b| b.mips.total_cmp(&a.mips).then(a.gfa.cmp(&b.gfa)));
         for r in 1..=N {
             assert_eq!(
-                dir.kth_cheapest(r).unwrap().gfa,
+                dir.query_ranked(0, RankOrder::Cheapest, r).quote.unwrap().gfa,
                 by_price[r - 1].gfa,
                 "{backend:?}: rank {r} cheapest"
             );
             assert_eq!(
-                dir.kth_fastest(r).unwrap().gfa,
+                dir.query_ranked(0, RankOrder::Fastest, r).quote.unwrap().gfa,
                 by_speed[r - 1].gfa,
                 "{backend:?}: rank {r} fastest"
             );
         }
-        assert!(dir.kth_cheapest(N + 1).is_none());
-        assert!(dir.kth_cheapest(0).is_none());
+        assert!(dir.query_ranked(0, RankOrder::Cheapest, N + 1).quote.is_none());
+        assert!(dir.query_ranked(0, RankOrder::Cheapest, 0).quote.is_none());
         assert_eq!(dir.len(), N);
         assert!(!dir.is_empty());
     });
@@ -75,47 +75,49 @@ fn resubscription_overwrites_in_place() {
         let mut q = quote(5, 9_999.0, 0.01);
         let _ = dir.subscribe(q);
         assert_eq!(dir.len(), N, "{backend:?}: republish must not grow the directory");
-        assert_eq!(dir.kth_cheapest(1).unwrap().gfa, 5);
-        assert_eq!(dir.kth_fastest(1).unwrap().gfa, 5);
+        assert_eq!(dir.query_ranked(0, RankOrder::Cheapest, 1).quote.unwrap().gfa, 5);
+        assert_eq!(dir.query_ranked(0, RankOrder::Fastest, 1).quote.unwrap().gfa, 5);
         // Republish again with mid-range values: the old extreme quote is gone.
         q.mips = 1.0;
         q.price = 1_000.0;
         let _ = dir.subscribe(q);
-        assert_eq!(dir.kth_cheapest(N).unwrap().gfa, 5);
-        assert_eq!(dir.kth_fastest(N).unwrap().gfa, 5);
+        assert_eq!(dir.query_ranked(0, RankOrder::Cheapest, N).quote.unwrap().gfa, 5);
+        assert_eq!(dir.query_ranked(0, RankOrder::Fastest, N).quote.unwrap().gfa, 5);
     });
 }
 
 #[test]
 fn unsubscribe_removes_and_reranks() {
     for_each_backend(|backend, mut dir| {
-        let cheapest = dir.kth_cheapest(1).unwrap().gfa;
+        let cheapest = dir.query_ranked(0, RankOrder::Cheapest, 1).quote.unwrap().gfa;
         let _ = dir.unsubscribe(cheapest);
         assert_eq!(dir.len(), N - 1, "{backend:?}");
-        assert_ne!(dir.kth_cheapest(1).unwrap().gfa, cheapest);
-        assert!(dir.kth_cheapest(N).is_none());
+        assert_ne!(dir.query_ranked(0, RankOrder::Cheapest, 1).quote.unwrap().gfa, cheapest);
+        assert!(dir.query_ranked(0, RankOrder::Cheapest, N).quote.is_none());
         // Unsubscribing an unknown GFA is a no-op.
         let _ = dir.unsubscribe(cheapest);
         assert_eq!(dir.len(), N - 1);
         // The departed GFA can rejoin.
         let _ = dir.subscribe(quote(cheapest, 600.0, 0.5));
         assert_eq!(dir.len(), N);
-        assert_eq!(dir.kth_cheapest(1).unwrap().gfa, cheapest);
+        assert_eq!(dir.query_ranked(0, RankOrder::Cheapest, 1).quote.unwrap().gfa, cheapest);
     });
 }
 
 #[test]
 fn update_price_reranks_without_touching_speed() {
     for_each_backend(|backend, mut dir| {
-        let fastest_before = dir.kth_fastest(1).unwrap().gfa;
-        let target = dir.kth_cheapest(N).unwrap().gfa; // most expensive
+        let fastest_before = dir.query_ranked(0, RankOrder::Fastest, 1).quote.unwrap().gfa;
+        // The most expensive quote becomes the cheapest.
+        let target = dir.query_ranked(0, RankOrder::Cheapest, N).quote.unwrap().gfa;
         let _ = dir.update_price(target, 0.001);
-        assert_eq!(dir.kth_cheapest(1).unwrap().gfa, target, "{backend:?}");
-        assert_eq!(dir.kth_fastest(1).unwrap().gfa, fastest_before);
+        let cheapest = dir.query_ranked(0, RankOrder::Cheapest, 1).quote.unwrap();
+        assert_eq!(cheapest.gfa, target, "{backend:?}");
+        assert_eq!(dir.query_ranked(0, RankOrder::Fastest, 1).quote.unwrap().gfa, fastest_before);
         // Updating an unknown GFA is a no-op.
         let _ = dir.update_price(999, 0.000_1);
         assert_eq!(dir.len(), N);
-        assert_ne!(dir.kth_cheapest(1).unwrap().gfa, 999);
+        assert_ne!(dir.query_ranked(0, RankOrder::Cheapest, 1).quote.unwrap().gfa, 999);
     });
 }
 
@@ -124,21 +126,21 @@ fn traced_queries_match_untraced_results_and_cost_messages() {
     for_each_backend(|backend, dir| {
         for origin in 0..N {
             for r in 1..=N {
-                let cheap = dir.query_cheapest(origin, r);
-                assert_eq!(cheap.quote, dir.kth_cheapest(r), "{backend:?}");
+                let cheap = dir.query_ranked(origin, RankOrder::Cheapest, r);
+                let from_zero = dir.query_ranked(0, RankOrder::Cheapest, r);
+                assert_eq!(cheap.quote, from_zero.quote, "{backend:?}");
                 assert!(
                     cheap.messages >= 1,
                     "{backend:?}: a served query must cost at least one message"
                 );
-                let fast = dir.query_fastest(origin, r);
-                assert_eq!(fast.quote, dir.kth_fastest(r));
+                let fast = dir.query_ranked(origin, RankOrder::Fastest, r);
+                assert_eq!(fast.quote, dir.query_ranked(0, RankOrder::Fastest, r).quote);
                 assert!(fast.messages >= 1);
             }
             // Rank 0 is answered locally, for free, on every backend.
-            assert_eq!(dir.query_cheapest(origin, 0).messages, 0);
-            assert_eq!(dir.query_fastest(origin, 0).quote, None);
+            assert_eq!(dir.query_ranked(origin, RankOrder::Cheapest, 0).messages, 0);
+            assert_eq!(dir.query_ranked(origin, RankOrder::Fastest, 0).quote, None);
         }
-        assert!(dir.query_message_cost() >= 1);
         assert!(dir.queries_served() > 0);
     });
 }
@@ -178,7 +180,7 @@ fn every_mutation_kind_bumps_the_epoch_exactly_once() {
         let _ = dir.update_price(77, 1.0);
         assert_eq!(dir.epoch(), e0 + 3, "{backend:?}");
         // Queries never move the epoch.
-        let _ = dir.query_cheapest(0, 1);
+        let _ = dir.query_ranked(0, RankOrder::Cheapest, 1);
         let mut cursor = dir.open_cursor(0, RankOrder::Fastest);
         let _ = dir.cursor_next(&mut cursor);
         assert_eq!(dir.epoch(), e0 + 3, "{backend:?}");
@@ -222,13 +224,13 @@ fn backends_resolve_identical_quotes_for_identical_mutations() {
             assert_eq!(ideal.len(), dir.len(), "{backend:?}");
             for r in 1..=ideal.len() + 1 {
                 assert_eq!(
-                    ideal.kth_cheapest(r),
-                    dir.kth_cheapest(r),
+                    ideal.query_ranked(0, RankOrder::Cheapest, r).quote,
+                    dir.query_ranked(0, RankOrder::Cheapest, r).quote,
                     "{backend:?} after {op}({gfa})"
                 );
                 assert_eq!(
-                    ideal.kth_fastest(r),
-                    dir.kth_fastest(r),
+                    ideal.query_ranked(0, RankOrder::Fastest, r).quote,
+                    dir.query_ranked(0, RankOrder::Fastest, r).quote,
                     "{backend:?} after {op}({gfa})"
                 );
             }
@@ -255,11 +257,9 @@ fn publish_costs_are_zero_for_central_stores_and_routed_for_maan() {
                     publish >= 2 * N as u64 + 2,
                     "{backend:?}: N publishes, a move and a withdrawal must route (got {publish})"
                 );
-                assert_eq!(dir.publish_messages_total(), publish);
             }
             _ => {
                 assert_eq!(publish, 0, "{backend:?}: central stores mutate for free");
-                assert_eq!(dir.publish_messages_total(), 0);
             }
         }
     }

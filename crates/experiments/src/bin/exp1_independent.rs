@@ -22,7 +22,12 @@ fn parse_args() -> (WorkloadOptions, PathBuf, ObsArgs) {
             continue;
         }
         match arg.as_str() {
-            "--quick" => options = WorkloadOptions::quick(),
+            "--quick" => {
+                options = WorkloadOptions {
+                    seed: options.seed,
+                    ..WorkloadOptions::quick()
+                }
+            }
             "--out" => {
                 out = PathBuf::from(args.next().expect("--out needs a directory"));
             }

@@ -15,7 +15,12 @@ fn parse_args() -> (WorkloadOptions, PathBuf) {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => options = WorkloadOptions::quick(),
+            "--quick" => {
+                options = WorkloadOptions {
+                    seed: options.seed,
+                    ..WorkloadOptions::quick()
+                }
+            }
             "--out" => out = PathBuf::from(args.next().expect("--out needs a directory")),
             "--seed" => {
                 options.seed = args

@@ -51,25 +51,23 @@ fn parse_args() -> Args {
         stream_smoke: false,
         stream_jobs: 1_000_000,
     };
-    // Applied after the loop so flag order cannot matter (`--seed 7 --smoke`
-    // must not have the quick preset clobber the seed).
-    let mut seed: Option<u64> = None;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--quick" => args.options = WorkloadOptions::quick(),
-            "--smoke" => {
-                args.options = WorkloadOptions::quick();
-                args.smoke = true;
+            "--quick" | "--smoke" => {
+                args.options = WorkloadOptions {
+                    seed: args.options.seed,
+                    ..WorkloadOptions::quick()
+                };
+                args.smoke |= arg == "--smoke";
             }
             "--out" => args.out = PathBuf::from(argv.next().expect("--out needs a directory")),
             "--seed" => {
-                seed = Some(
-                    argv.next()
-                        .expect("--seed needs a value")
-                        .parse()
-                        .expect("seed must be an integer"),
-                );
+                args.options.seed = argv
+                    .next()
+                    .expect("--seed needs a value")
+                    .parse()
+                    .expect("seed must be an integer");
             }
             "--backend" => {
                 let which = argv.next().expect("--backend needs ideal|chord|maan|all");
@@ -98,9 +96,6 @@ fn parse_args() -> Args {
             }
             other => panic!("unknown argument: {other}"),
         }
-    }
-    if let Some(seed) = seed {
-        args.options.seed = seed;
     }
     args
 }

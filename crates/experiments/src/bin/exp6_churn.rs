@@ -47,25 +47,24 @@ fn parse_args() -> Args {
         knee: false,
         jobs: grid_experiments::parallel::default_jobs(),
     };
-    // Applied after the loop so flag order cannot matter.
-    let mut seed: Option<u64> = None;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--quick" => args.options = WorkloadOptions::quick(),
-            "--smoke" => {
-                args.options = WorkloadOptions::quick();
-                args.smoke = true;
+            "--quick" | "--smoke" => {
+                args.options = WorkloadOptions {
+                    seed: args.options.seed,
+                    ..WorkloadOptions::quick()
+                };
+                args.smoke |= arg == "--smoke";
             }
             "--knee" => args.knee = true,
             "--out" => args.out = PathBuf::from(argv.next().expect("--out needs a directory")),
             "--seed" => {
-                seed = Some(
-                    argv.next()
-                        .expect("--seed needs a value")
-                        .parse()
-                        .expect("seed must be an integer"),
-                );
+                args.options.seed = argv
+                    .next()
+                    .expect("--seed needs a value")
+                    .parse()
+                    .expect("seed must be an integer");
             }
             "--backend" => {
                 let which = argv.next().expect("--backend needs chord|maan|all");
@@ -83,9 +82,6 @@ fn parse_args() -> Args {
             }
             other => panic!("unknown argument: {other}"),
         }
-    }
-    if let Some(seed) = seed {
-        args.options.seed = seed;
     }
     args
 }

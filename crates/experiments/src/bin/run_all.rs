@@ -27,7 +27,10 @@ fn parse_args() -> (WorkloadOptions, PathBuf, bool, usize) {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => {
-                options = WorkloadOptions::quick();
+                options = WorkloadOptions {
+                    seed: options.seed,
+                    ..WorkloadOptions::quick()
+                };
                 quick = true;
             }
             "--out" => out = PathBuf::from(args.next().expect("--out needs a directory")),

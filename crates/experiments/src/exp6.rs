@@ -22,7 +22,7 @@
 //! (`ChurnConfig` inert ⇒ static-ring digests) stays pinned in CI.
 
 use grid_federation_core::federation::{run_federation, FederationConfig, SchedulingMode};
-use grid_federation_core::{ChurnConfig, DirectoryBackend, FederationReport};
+use grid_federation_core::{ChurnConfig, Counter, DirectoryBackend, FederationReport};
 use grid_workload::PopulationProfile;
 
 use crate::parallel;
@@ -248,7 +248,7 @@ pub fn figure_knee(sweep: &KneeSweep) -> DataTable {
         let rate = report.lookup_success_rate();
         table.push_row(vec![
             format!("{intensity}"),
-            format!("{}", report.churn.lookup_faults),
+            format!("{}", report.metrics.counter(Counter::LookupFaults)),
             f2(rate * 100.0),
             if rate < KNEE_THRESHOLD { "KNEE".to_string() } else { "ok".to_string() },
         ]);
@@ -274,9 +274,13 @@ fn extract_metric(report: &FederationReport, baseline: &FederationReport, metric
         Metric::Availability => f2(report.lookup_success_rate() * 100.0),
         Metric::Retries => format!(
             "{}",
-            report.churn.retries + report.churn.local_fallbacks
+            report.metrics.counter(Counter::FaultRetries)
+                + report.metrics.counter(Counter::LocalFallbacks)
         ),
-        Metric::Stabilization => format!("{}", report.churn.stabilization_messages),
+        Metric::Stabilization => format!(
+            "{}",
+            report.metrics.counter(Counter::StabilizationMessages)
+        ),
         Metric::Latency => {
             let base = baseline.federation_avg_response_time(false);
             if base > 0.0 {
@@ -393,6 +397,14 @@ pub fn digest_manifest(sweeps: &[ChurnSweep]) -> String {
     out
 }
 
+/// Churn events (departures plus rejoins) a run delivered.
+fn churn_events(report: &FederationReport) -> u64 {
+    [Counter::GracefulLeaves, Counter::Crashes, Counter::Rejoins]
+        .into_iter()
+        .map(|c| report.metrics.counter(c))
+        .sum()
+}
+
 /// The acceptance criteria the smoke run (and the full run) must uphold;
 /// called by the `exp6_churn` binary after every sweep.
 ///
@@ -400,7 +412,7 @@ pub fn digest_manifest(sweeps: &[ChurnSweep]) -> String {
 /// Panics when a criterion fails — CI runs this as a blocking step.
 pub fn assert_acceptance(sweep: &ChurnSweep) {
     assert_eq!(
-        sweep.baseline.churn.events(),
+        churn_events(&sweep.baseline),
         0,
         "{}: the baseline must be churn-free",
         sweep.backend.label()
@@ -409,7 +421,7 @@ pub fn assert_acceptance(sweep: &ChurnSweep) {
         for (ki, k) in sweep.ks.iter().enumerate() {
             let report = &sweep.reports[li][ki];
             assert!(
-                report.churn.events() > 0,
+                churn_events(report) > 0,
                 "{}/{}: the churn process must fire",
                 sweep.backend.label(),
                 level.label
@@ -470,7 +482,8 @@ mod tests {
         );
         assert!(k3.lookup_success_rate() >= 0.99);
         // Replication is paid for in stabilization traffic.
-        assert!(k3.churn.stabilization_messages >= k1.churn.stabilization_messages);
+        let stabilization = Counter::StabilizationMessages;
+        assert!(k3.metrics.counter(stabilization) >= k1.metrics.counter(stabilization));
     }
 
     #[test]

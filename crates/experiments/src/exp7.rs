@@ -25,7 +25,7 @@
 
 use grid_federation_core::federation::{run_federation, FederationConfig, SchedulingMode};
 use grid_federation_core::{
-    DirectoryBackend, FederationReport, Jitter, NetworkFaultConfig, RepairMode,
+    Counter, DirectoryBackend, FSum, FederationReport, Jitter, NetworkFaultConfig, RepairMode,
 };
 use grid_workload::PopulationProfile;
 
@@ -153,16 +153,27 @@ pub struct RepairComparison {
     pub reactive: FederationReport,
 }
 
+/// Every counter the unreliable-network layer records, in the traffic
+/// table's column order.
+const NET_COUNTERS: [Counter; 6] = [
+    Counter::NetEnveloped,
+    Counter::NetRetransmissions,
+    Counter::NetDuplicates,
+    Counter::NetDedupDrops,
+    Counter::NetDirectoryRetransmissions,
+    Counter::NetPublishRetransmissions,
+];
+
 /// Mean seconds a faulted lookup spends waiting in retry backoff before
 /// the overlay can answer again — the latency the repair mode trades
 /// messages against.
 #[must_use]
 pub fn mean_fault_wait(report: &FederationReport) -> f64 {
-    let faults = report.churn.lookup_faults;
+    let faults = report.metrics.counter(Counter::LookupFaults);
     if faults == 0 {
         0.0
     } else {
-        report.churn.fault_wait_seconds / faults as f64
+        report.metrics.fsum(FSum::FaultWaitSeconds) / faults as f64
     }
 }
 
@@ -228,22 +239,17 @@ pub fn figure_fault_traffic(sweep: &UnreliableSweep) -> DataTable {
         ],
     );
     for (level, report) in sweep.levels.iter().zip(&sweep.reports) {
-        let net = &report.network;
-        table.push_row(vec![
-            level.label.to_string(),
-            format!("{}", net.enveloped),
-            format!("{}", net.retransmissions),
-            format!("{}", net.duplicates),
-            format!("{}", net.dedup_drops),
-            format!("{}", net.directory_retransmissions),
-            format!("{}", net.publish_retransmissions),
-            f2(net.backoff_seconds),
+        let mut row = vec![level.label.to_string()];
+        row.extend(NET_COUNTERS.map(|c| format!("{}", report.metrics.counter(c))));
+        row.extend([
+            f2(report.metrics.fsum(FSum::BackoffSeconds)),
             if report.digest.outcomes == sweep.lossless.digest.outcomes {
                 "yes".to_string()
             } else {
                 "NO".to_string()
             },
         ]);
+        table.push_row(row);
     }
     table
 }
@@ -269,16 +275,16 @@ pub fn figure_repair_tradeoff(comparisons: &[RepairComparison]) -> DataTable {
             (RepairMode::Periodic, &cmp.periodic),
             (RepairMode::Reactive, &cmp.reactive),
         ] {
-            let churn = &report.churn;
+            let count = |c| report.metrics.counter(c);
             table.push_row(vec![
                 cmp.backend.label().to_string(),
                 mode.label().to_string(),
-                format!("{}", churn.lookup_faults),
+                format!("{}", count(Counter::LookupFaults)),
                 f2(mean_fault_wait(report)),
-                format!("{}", churn.reactive_repairs),
+                format!("{}", count(Counter::ReactiveRepairs)),
                 format!(
                     "{}",
-                    churn.stabilization_messages + churn.reactive_repair_messages
+                    count(Counter::StabilizationMessages) + count(Counter::ReactiveRepairMessages)
                 ),
                 f2(report.lookup_success_rate() * 100.0),
             ]);
@@ -344,7 +350,7 @@ pub fn digest_manifest(
 pub fn assert_acceptance(sweep: &UnreliableSweep) {
     let b = sweep.backend.label();
     assert!(
-        sweep.lossless.network.is_quiet(),
+        NET_COUNTERS.iter().all(|&c| sweep.lossless.metrics.counter(c) == 0),
         "{b}: the lossless baseline must report no fault traffic"
     );
     for (level, report) in sweep.levels.iter().zip(&sweep.reports) {
@@ -359,20 +365,22 @@ pub fn assert_acceptance(sweep: &UnreliableSweep) {
             "{b}/{l}: every negotiation must eventually complete"
         );
         assert!(report.bank.is_balanced(), "{b}/{l}: Grid Dollars leaked");
+        let count = |c| report.metrics.counter(c);
         assert!(
-            report.network.enveloped > 0,
+            count(Counter::NetEnveloped) > 0,
             "{b}/{l}: protocol messages must travel enveloped"
         );
         assert!(
-            report.network.retransmissions > 0,
+            count(Counter::NetRetransmissions) > 0,
             "{b}/{l}: ≥1% loss over this workload must force retransmissions"
         );
         assert!(
-            report.network.extra_messages() > 0,
+            report.messages.total_messages() > sweep.lossless.messages.total_messages(),
             "{b}/{l}: retransmit traffic must be visible in the ledgers"
         );
         assert_eq!(
-            report.network.dedup_drops, report.network.duplicates,
+            count(Counter::NetDedupDrops),
+            count(Counter::NetDuplicates),
             "{b}/{l}: every delivered duplicate must be deduplicated, and nothing else"
         );
     }
@@ -400,15 +408,15 @@ pub fn assert_repair_acceptance(comparisons: &[RepairComparison]) -> Vec<Directo
         assert!(cmp.periodic.bank.is_balanced(), "{b}: periodic run leaked");
         assert!(cmp.reactive.bank.is_balanced(), "{b}: reactive run leaked");
         assert_eq!(
-            cmp.periodic.churn.reactive_repairs, 0,
+            cmp.periodic.metrics.counter(Counter::ReactiveRepairs), 0,
             "{b}: periodic-only stabilization must never repair reactively"
         );
-        if cmp.periodic.churn.lookup_faults == 0 {
+        if cmp.periodic.metrics.counter(Counter::LookupFaults) == 0 {
             not_exercised.push(cmp.backend);
             continue;
         }
         assert!(
-            cmp.reactive.churn.reactive_repairs > 0,
+            cmp.reactive.metrics.counter(Counter::ReactiveRepairs) > 0,
             "{b}: reactive mode must execute lookup-time repairs"
         );
         let periodic_wait = mean_fault_wait(&cmp.periodic);
@@ -476,7 +484,7 @@ mod tests {
     #[test]
     fn repair_gate_reports_fault_free_backends_as_not_exercised() {
         let quiet = fault_free_comparison(DirectoryBackend::Chord);
-        assert_eq!(quiet.periodic.churn.lookup_faults, 0);
+        assert_eq!(quiet.periodic.metrics.counter(Counter::LookupFaults), 0);
         let faulting = run_repair_comparison(&WorkloadOptions::quick(), DirectoryBackend::Maan, 2);
         assert_eq!(
             assert_repair_acceptance(&[quiet, faulting]),

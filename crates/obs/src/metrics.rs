@@ -18,10 +18,8 @@
 
 use std::fmt::Write as _;
 
-/// Monotone event counters, one accounting surface for tallies that earlier
-/// PRs kept as loose struct fields (`CacheStats`, `ChurnSummary`,
-/// `NetworkSummary`).  The reported summaries are reconstructed from these
-/// ids at report time, value-for-value.
+/// Monotone event counters: the one accounting surface for the run's
+/// quote-cache, churn, self-healing, network-fault and job-outcome tallies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
     /// Quote-cache hits (per-GFA caches, merged at run end).
@@ -124,8 +122,7 @@ impl Counter {
 
 /// Float accumulators (sums of simulated seconds); kept apart from the
 /// `u64` counters so every addition stays in the exact order the events
-/// fired — the reconstructed summary values are bit-identical to the loose
-/// fields they replaced.
+/// fired, which keeps the sums deterministic bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FSum {
     /// Simulated seconds jobs spent waiting out lookup-fault retries.

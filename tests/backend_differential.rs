@@ -5,9 +5,12 @@
 //! in directory/publish message counts and the simulated lookup latency
 //! those messages account.
 
+use std::collections::BTreeMap;
+
+use grid_experiments::exp6::DEFAULT_LEVELS;
 use grid_experiments::workloads::{paper_workloads, WorkloadOptions};
 use grid_federation_core::federation::{run_federation, FederationConfig, SchedulingMode};
-use grid_federation_core::{DirectoryBackend, FederationReport};
+use grid_federation_core::{Counter, DirectoryBackend, FederationReport, NetworkFaultConfig};
 use grid_workload::PopulationProfile;
 
 fn run_with(backend: DirectoryBackend) -> FederationReport {
@@ -114,13 +117,13 @@ fn backends_differ_only_in_directory_traffic() {
         if backend == DirectoryBackend::Maan {
             // 8 resources × ≥ 2 routed puts each: the publish class is live.
             assert!(
-                other.directory_publish_messages() >= 16,
+                other.messages.publish_messages() >= 16,
                 "MAAN must charge its initial publishes (got {})",
-                other.directory_publish_messages()
+                other.messages.publish_messages()
             );
             assert!(other.messages.publish_seconds() > 0.0);
         } else {
-            assert_eq!(other.directory_publish_messages(), 0);
+            assert_eq!(other.messages.publish_messages(), 0);
         }
     }
 }
@@ -166,9 +169,9 @@ fn departures_are_outcome_identical_across_backends() {
             // The departure's routed removes and the repricing's routed move
             // land in the publish class on top of the initial subscribes.
             assert!(
-                other.directory_publish_messages() > 16,
+                other.messages.publish_messages() > 16,
                 "mid-run mutations must add publish traffic (got {})",
-                other.directory_publish_messages()
+                other.messages.publish_messages()
             );
         }
     }
@@ -179,4 +182,74 @@ fn departures_are_outcome_identical_across_backends() {
         ideal.resources[4].remote_jobs_processed <= undisturbed.resources[4].remote_jobs_processed,
         "a departed resource cannot attract more remote work"
     );
+}
+
+/// The per-job tallies in the job records, the message ledger and the
+/// metrics registry are three views of one charge stream, so they must
+/// agree exactly — on every backend, with and without scripted repricings,
+/// churn (k = 2, overlay backends only) and moderate network faults.
+#[test]
+fn job_records_ledger_and_registry_agree() {
+    let options = WorkloadOptions::quick();
+    let moderate = DEFAULT_LEVELS[1];
+    assert_eq!(moderate.label, "moderate");
+    for backend in DirectoryBackend::ALL {
+        let churn_modes: &[bool] = if backend == DirectoryBackend::Ideal {
+            &[false]
+        } else {
+            &[false, true]
+        };
+        for &churn in churn_modes {
+            for (reprice, faults) in [(false, false), (true, false), (false, true), (true, true)] {
+                let setup = paper_workloads(PopulationProfile::new(50), &options);
+                let report = run_federation(
+                    setup.resources,
+                    setup.workloads,
+                    FederationConfig {
+                        mode: SchedulingMode::Economy,
+                        seed: options.seed,
+                        utilization_horizon: Some(options.duration),
+                        directory: backend,
+                        repricings: if reprice {
+                            vec![(3, options.duration * 0.3, 6.0), (5, options.duration * 0.6, 1.0)]
+                        } else {
+                            Vec::new()
+                        },
+                        churn: churn.then(|| moderate.to_config(&options, 2)),
+                        network: faults.then(NetworkFaultConfig::moderate),
+                        ..FederationConfig::default()
+                    },
+                );
+                let case = format!("{backend:?} reprice={reprice} churn={churn} faults={faults}");
+                let ledger = &report.messages;
+                let negotiation: BTreeMap<_, _> = ledger.per_job().iter().copied().collect();
+                let directory: BTreeMap<_, _> =
+                    ledger.per_job_directory().iter().copied().collect();
+                assert_eq!(negotiation.len(), report.jobs.len(), "{case}: one entry per job");
+                assert_eq!(directory.len(), report.jobs.len(), "{case}");
+                for job in &report.jobs {
+                    let id = job.id;
+                    assert_eq!(negotiation[&id], job.messages, "{case}: job {id}");
+                    assert_eq!(directory[&id], job.directory_messages, "{case}: job {id}");
+                }
+                let count = |c| report.metrics.counter(c);
+                assert_eq!(count(Counter::NetEnveloped) > 0, faults, "{case}: fault layer");
+                let departures = count(Counter::Crashes) + count(Counter::GracefulLeaves);
+                assert_eq!(departures > 0, churn, "{case}: churn process");
+                let messages: u64 = report.jobs.iter().map(|j| u64::from(j.messages)).sum();
+                assert_eq!(
+                    messages + count(Counter::NetRetransmissions) + count(Counter::NetDuplicates),
+                    ledger.total_messages(),
+                    "{case}: negotiation class"
+                );
+                let directory_messages: u64 =
+                    report.jobs.iter().map(|j| u64::from(j.directory_messages)).sum();
+                assert_eq!(
+                    directory_messages + count(Counter::NetDirectoryRetransmissions),
+                    ledger.directory_messages(),
+                    "{case}: directory class"
+                );
+            }
+        }
+    }
 }
