@@ -27,7 +27,14 @@ pub fn transfer_volume(job: &Job, origin: &ResourceSpec) -> f64 {
 /// inflates its communication phase proportionally.
 #[must_use]
 pub fn completion_time(job: &Job, target: &ResourceSpec, origin: &ResourceSpec) -> f64 {
-    job.compute_time(target.mips) + job.comm_overhead * origin.bandwidth / target.bandwidth
+    service_time(job, target.mips, target.bandwidth, origin)
+}
+
+/// [`completion_time`] on a target given by its per-processor speed `mips`
+/// and interconnect `bandwidth` alone, e.g. read off a directory quote.
+#[must_use]
+pub fn service_time(job: &Job, mips: f64, bandwidth: f64, origin: &ResourceSpec) -> f64 {
+    job.compute_time(mips) + job.comm_overhead * origin.bandwidth / bandwidth
 }
 
 /// Cost of executing `job` on `target`, `B(J, R_m) = c_m · l / (µ_m · p)`
@@ -35,19 +42,6 @@ pub fn completion_time(job: &Job, target: &ResourceSpec, origin: &ResourceSpec) 
 #[must_use]
 pub fn cost(job: &Job, target: &ResourceSpec) -> f64 {
     target.price * job.compute_time(target.mips)
-}
-
-/// Cost of executing `job` on `target` when the owner charges per 1000 MI of
-/// executed work (`B = c_m · l / 1000`).
-///
-/// The paper defines both conventions ("the cluster owner charges c_i per
-/// unit time or per unit of million instructions executed, e.g. per 1000
-/// MI"); the magnitudes of its incentive and budget figures (≈10⁹ Grid
-/// Dollars federation-wide, ≈10⁵ per job) match this per-work convention, so
-/// the economy experiments default to it — see DESIGN.md.
-#[must_use]
-pub fn cost_per_kilo_mi(job: &Job, target: &ResourceSpec) -> f64 {
-    target.price * job.length_mi / 1_000.0
 }
 
 /// Fabricates the QoS constraints the paper assigns to every trace job

@@ -15,6 +15,14 @@
 //! O(log R) with zero allocation — and the profile is invalidated only when
 //! the scheduler's epoch advances (a `submit`/`on_finished` mutated state).
 //!
+//! A finish the profile predicted does not invalidate it.  The replay
+//! assumes every running job releases its processors exactly at its
+//! recorded finish and the queue then starts in FCFS order; a job finishing
+//! at exactly (bitwise) that time, inside the profile's window, is that
+//! prediction coming true, so the step function is still exact.  FCFS then
+//! keeps the profile and only moves its window
+//! ([`QuoteCache::keep_across_finish`]); any other finish bumps the epoch.
+//!
 //! The original replay estimator is retained as [`replay_estimate`]: it is
 //! the differential oracle the property tests compare against and the
 //! baseline the `bench_perf` binary measures the speedup from.
@@ -69,6 +77,10 @@ pub(crate) struct QuoteCache {
     /// Scratch heap reused across rebuilds.
     scratch: BinaryHeap<Reverse<FinishEvent>>,
     built: bool,
+    /// Replays run so far, so tests can tell a kept profile from a rebuilt
+    /// one.
+    #[cfg(test)]
+    pub(crate) rebuilds: u64,
 }
 
 impl QuoteCache {
@@ -93,6 +105,41 @@ impl QuoteCache {
             self.rebuild(total, busy, running, queue, epoch, now);
         }
         self.threshold(processors).max(now) + service_time
+    }
+
+    /// Keeps the profile across a running job's finish at `now` that the
+    /// profile predicted: the job's recorded `finish` equals `now` bitwise,
+    /// the profile is current (built at `epoch`), and `now` lies in its
+    /// window.  The caller has already released the job and started the
+    /// queued jobs that fit, exactly as the replay did at this instant, so
+    /// the steps stay exact; only the window moves to `now` and, while jobs
+    /// are queued, to the earliest finish of the `running` jobs now.
+    ///
+    /// Returns `false`, leaving the cache untouched, when the finish was
+    /// not predicted; the caller then bumps its epoch.
+    pub(crate) fn keep_across_finish(
+        &mut self,
+        epoch: u64,
+        finish: f64,
+        now: f64,
+        running: &[StartedJob],
+        queue_empty: bool,
+    ) -> bool {
+        if !self.built
+            || self.epoch != epoch
+            || finish.to_bits() != now.to_bits()
+            || now < self.base
+            || now > self.valid_until
+        {
+            return false;
+        }
+        let min_finish = running
+            .iter()
+            .map(|r| r.finish)
+            .fold(f64::INFINITY, f64::min);
+        self.base = now;
+        self.valid_until = window_end(min_finish, queue_empty, now);
+        true
     }
 
     /// One FCFS replay of the current state, recorded as availability steps.
@@ -148,17 +195,11 @@ impl QuoteCache {
         self.epoch = epoch;
         self.base = now;
         self.built = true;
-        // With a non-empty queue the replayed start times depend on `now`
-        // only while no running job finishes in between; with an empty queue
-        // every threshold is re-clamped against `now`, so the profile holds
-        // for the rest of the epoch.
-        self.valid_until = if queue.is_empty() {
-            f64::INFINITY
-        } else if min_finish > now {
-            min_finish
-        } else {
-            now
-        };
+        self.valid_until = window_end(min_finish, queue.is_empty(), now);
+        #[cfg(test)]
+        {
+            self.rebuilds += 1;
+        }
     }
 
     /// Earliest profile time at which `processors` PEs are simultaneously
@@ -167,6 +208,21 @@ impl QuoteCache {
         let idx = self.steps.partition_point(|&(_, f)| f < processors);
         debug_assert!(idx < self.steps.len(), "capacity check happens before the quote");
         self.steps[idx].0
+    }
+}
+
+/// End of the window in which a profile replayed at `now` answers exactly,
+/// given the earliest running finish.  With a non-empty queue the replayed
+/// start times depend on `now` only while no running job finishes in
+/// between; with an empty queue every threshold is re-clamped against
+/// `now`, so the profile holds for the rest of the epoch.
+fn window_end(min_finish: f64, queue_empty: bool, now: f64) -> f64 {
+    if queue_empty {
+        f64::INFINITY
+    } else if min_finish > now {
+        min_finish
+    } else {
+        now
     }
 }
 

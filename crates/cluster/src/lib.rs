@@ -37,8 +37,7 @@ pub mod resource;
 pub use backfill::EasyBackfilling;
 pub use catalog::{paper_resources, replicated_resources, PaperResource};
 pub use cost::{
-    completion_time, cost as job_cost, cost_per_kilo_mi, fabricate_qos, fabricate_qos_all,
-    transfer_volume,
+    completion_time, fabricate_qos, fabricate_qos_all, service_time, transfer_volume,
 };
 pub use lrms::{ClusterJob, LocalScheduler, SpaceSharedFcfs, StartedJob};
 pub use resource::ResourceSpec;

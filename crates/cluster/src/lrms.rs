@@ -136,7 +136,8 @@ pub struct SpaceSharedFcfs {
     busy_acc: f64,
     last_change: f64,
     completed_jobs: u64,
-    /// Bumped on every state change; stamps the quote cache.
+    /// Bumped on every state change the quote profile did not predict (see
+    /// [`crate::estimate`]); stamps the quote cache.
     epoch: u64,
     quote_cache: RefCell<QuoteCache>,
 }
@@ -265,7 +266,6 @@ impl LocalScheduler for SpaceSharedFcfs {
 
     fn on_finished_into(&mut self, id: JobId, now: f64, started: &mut Vec<StartedJob>) {
         self.advance_accounting(now);
-        self.epoch += 1;
         let pos = self
             .running
             .iter()
@@ -275,6 +275,18 @@ impl LocalScheduler for SpaceSharedFcfs {
         self.busy -= finished.processors;
         self.completed_jobs += 1;
         self.try_start_queued(now, started);
+        // A finish the quote profile predicted leaves it exact; any other
+        // one invalidates it.
+        let kept = self.quote_cache.get_mut().keep_across_finish(
+            self.epoch,
+            finished.finish,
+            now,
+            &self.running,
+            self.queue.is_empty(),
+        );
+        if !kept {
+            self.epoch += 1;
+        }
     }
 
     fn estimate_completion(&self, processors: u32, service_time: f64, now: f64) -> f64 {
@@ -431,6 +443,96 @@ mod tests {
         let inc = s.estimate_completion(16, 10.0, 100.0);
         let oracle = s.estimate_completion_replay(16, 10.0, 100.0);
         assert_eq!(inc.to_bits(), oracle.to_bits());
+    }
+
+    /// Quote profile rebuilds so far.
+    fn rebuilds(s: &SpaceSharedFcfs) -> u64 {
+        s.quote_cache.borrow().rebuilds
+    }
+
+    /// A burst of quotes at `now`, each bit-identical to the replay oracle.
+    fn assert_quotes_exact(s: &SpaceSharedFcfs, now: f64) {
+        for procs in 1..=s.total_processors() {
+            for service in [0.0, 7.5, 80.0] {
+                let inc = s.estimate_completion(procs, service, now);
+                let oracle = s.estimate_completion_replay(procs, service, now);
+                assert_eq!(
+                    inc.to_bits(),
+                    oracle.to_bits(),
+                    "procs={procs} service={service} now={now}"
+                );
+            }
+        }
+    }
+
+    /// Three jobs on 16 PEs: job 0 (12 PEs) runs until 100, jobs 1 (8 PEs,
+    /// 50 s) and 2 (10 PEs, 30 s) queue behind it.
+    fn loaded() -> SpaceSharedFcfs {
+        let mut s = SpaceSharedFcfs::new(16);
+        s.submit(job(0, 12, 100.0), 0.0);
+        s.submit(job(1, 8, 50.0), 10.0);
+        s.submit(job(2, 10, 30.0), 20.0);
+        s
+    }
+
+    #[test]
+    fn on_time_finishes_keep_the_quote_profile() {
+        let mut s = loaded();
+        assert_quotes_exact(&s, 25.0);
+        assert_eq!(rebuilds(&s), 1);
+        // Job 0 finishes exactly at its recorded finish and job 1 starts, as
+        // the profile's replay predicted: no rebuild.
+        let started = s.on_finished(jid(0), 100.0);
+        assert_eq!(started.len(), 1);
+        assert_quotes_exact(&s, 100.0);
+        assert_quotes_exact(&s, 130.0);
+        // Job 1 finishes on time at 150 and job 2 starts; the queue is now
+        // empty, so the profile holds for every later quote.
+        let started = s.on_finished(jid(1), 150.0);
+        assert_eq!(started[0].id, jid(2));
+        assert_quotes_exact(&s, 150.0);
+        assert_quotes_exact(&s, 170.0);
+        s.on_finished(jid(2), 180.0);
+        assert_quotes_exact(&s, 180.0);
+        assert_quotes_exact(&s, 500.0);
+        assert_eq!(rebuilds(&s), 1);
+    }
+
+    #[test]
+    fn off_schedule_finishes_rebuild_the_quote_profile() {
+        // Early (by ten seconds, or by one ulp): the replay credited job 0's
+        // PEs at 100, not before.  Late: the finish lies past the profile's
+        // window.
+        for at in [90.0, f64::from_bits(100.0f64.to_bits() - 1), 100.5] {
+            let mut s = loaded();
+            assert_quotes_exact(&s, 25.0);
+            s.on_finished(jid(0), at);
+            assert_quotes_exact(&s, at);
+            assert_quotes_exact(&s, at + 20.0);
+            assert_eq!(rebuilds(&s), 2, "finish at {at}");
+        }
+        // Out of order: job 0 finishes on time while job 1, due earlier at
+        // 50, is still running.
+        let mut s = SpaceSharedFcfs::new(16);
+        s.submit(job(0, 8, 100.0), 0.0);
+        s.submit(job(1, 8, 50.0), 0.0);
+        s.submit(job(2, 16, 10.0), 0.0);
+        assert_quotes_exact(&s, 10.0);
+        s.on_finished(jid(0), 100.0);
+        assert_quotes_exact(&s, 100.0);
+        assert_eq!(rebuilds(&s), 2);
+    }
+
+    #[test]
+    fn a_stale_profile_is_not_kept_across_an_on_time_finish() {
+        let mut s = loaded();
+        assert_quotes_exact(&s, 25.0);
+        // A submit after the last quote leaves the profile a state behind;
+        // the on-time finish that follows must not revive it.
+        s.submit(job(3, 2, 5.0), 30.0);
+        s.on_finished(jid(0), 100.0);
+        assert_quotes_exact(&s, 100.0);
+        assert_eq!(rebuilds(&s), 2);
     }
 
     #[test]

@@ -41,9 +41,16 @@ impl ChargingPolicy {
     /// The charge for executing `job` on `target` under this policy.
     #[must_use]
     pub fn charge(self, job: &Job, target: &ResourceSpec) -> f64 {
+        self.charge_at(job, target.mips, target.price)
+    }
+
+    /// [`Self::charge`] on a target given by its per-processor speed `mips`
+    /// and access `price` alone, e.g. read off a directory quote.
+    #[must_use]
+    pub fn charge_at(self, job: &Job, mips: f64, price: f64) -> f64 {
         match self {
-            ChargingPolicy::PerCpuSecond => grid_cluster::job_cost(job, target),
-            ChargingPolicy::PerKiloMi => grid_cluster::cost_per_kilo_mi(job, target),
+            ChargingPolicy::PerCpuSecond => price * job.compute_time(mips),
+            ChargingPolicy::PerKiloMi => price * job.length_mi / 1_000.0,
         }
     }
 

@@ -39,8 +39,8 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use grid_cluster::{
-    completion_time, ClusterJob, EasyBackfilling, LocalScheduler, ResourceSpec, SpaceSharedFcfs,
-    StartedJob,
+    completion_time, service_time, ClusterJob, EasyBackfilling, LocalScheduler, ResourceSpec,
+    SpaceSharedFcfs, StartedJob,
 };
 use grid_des::{Context, Entity, EntityId, Event, FlowRecord, SimTime, SpanRecord, SpanTrack};
 use grid_directory::{FederationDirectory, Quote, QuoteCache, RankCursor, RankOrder, TracedQuote};
@@ -110,10 +110,9 @@ struct PendingJob {
     /// When the current remote negotiation round-trip was launched (only
     /// meaningful while a reply is awaited; read by the negotiation span).
     negotiation_start: f64,
-    /// Service time and cost on the candidate currently being negotiated
-    /// with, so they need not be recomputed when the reply arrives.
+    /// Service time on the candidate currently being negotiated with, so it
+    /// need not be recomputed when the reply arrives.
     candidate_service: f64,
-    candidate_cost: f64,
 }
 
 /// A job dispatched to a remote executor, awaiting its completion message.
@@ -389,7 +388,6 @@ impl Gfa {
                     retries: 0,
                     negotiation_start: 0.0,
                     candidate_service: 0.0,
-                    candidate_cost: 0.0,
                 };
                 self.try_candidates(pending, ctx);
             }
@@ -543,9 +541,8 @@ impl Gfa {
             if quote.processors < job.processors {
                 continue;
             }
-            let candidate_spec = quote.to_spec();
-            let service = completion_time(job, &candidate_spec, &self.spec);
-            let cost = self.charging.charge(job, &candidate_spec);
+            let service = service_time(job, quote.mips, quote.bandwidth, &self.spec);
+            let cost = self.charging.charge_at(job, quote.mips, quote.price);
             if now + service > absolute_deadline + 1e-9 {
                 // Even an unloaded cluster of this speed cannot meet the
                 // deadline; the paper's GFA would not negotiate with it.
@@ -595,7 +592,6 @@ impl Gfa {
             let processors = job.processors;
             pending.ticket.messages += 1;
             pending.candidate_service = service;
-            pending.candidate_cost = cost;
             pending.negotiation_start = now;
             let attempt = u32::try_from(pending.next_rank - 1).unwrap_or(u32::MAX);
             let origin = self.index;
@@ -749,19 +745,13 @@ impl Gfa {
         }
         if accept {
             let service = pending.candidate_service;
-            let cost = pending.candidate_cost;
             pending.ticket.messages += 1;
             let seq = self.send_protocol(
                 candidate,
                 MessageType::JobSubmission,
                 self.index,
                 candidate,
-                |seq| FedMessage::JobDispatch {
-                    job: pending.ticket.job.clone(),
-                    service_time: service,
-                    cost,
-                    seq,
-                },
+                |seq| FedMessage::JobDispatch { job, seq },
                 ctx,
             );
             {
@@ -789,11 +779,10 @@ impl Gfa {
     }
 
     /// Handles the arrival of an actual job we previously accepted.
-    fn on_job_dispatch(&mut self, job: Job, _service_time: f64, _cost: f64, seq: u64, now: SimTime) {
+    fn on_job_dispatch(&mut self, job: JobId, seq: u64, now: SimTime) {
         assert!(
-            self.executing.contains_key(&job.id),
-            "job {} dispatched to {} without a prior reservation",
-            job.id,
+            self.executing.contains_key(&job),
+            "job {job} dispatched to {} without a prior reservation",
             self.name
         );
         let shared = self.shared.borrow();
@@ -801,7 +790,7 @@ impl Gfa {
             // Consuming endpoint of the dispatch flow; the id composes the
             // same link + envelope sequence the producing side used.
             shared.emit_flow(FlowRecord {
-                id: Self::flow_id(seq, job.id.origin, self.index, job.id, false),
+                id: Self::flow_id(seq, job.origin, self.index, job, false),
                 gfa: self.index,
                 track: SpanTrack::Execution,
                 time: now,
@@ -1106,7 +1095,7 @@ impl Entity<FedMessage> for Gfa {
     fn on_start(&mut self, ctx: &mut Context<'_, FedMessage>) {
         let jobs = std::mem::take(&mut self.local_jobs);
         for job in jobs {
-            ctx.timer_at(SimTime::new(job.submit), FedMessage::JobArrival(job));
+            ctx.timer_at(SimTime::new(job.submit), FedMessage::JobArrival(Box::new(job)));
         }
         if let Some(at) = self.schedule.departure {
             ctx.timer_at(SimTime::new(at), FedMessage::Depart);
@@ -1136,7 +1125,7 @@ impl Entity<FedMessage> for Gfa {
         // exact event that caused them.
         if self.admit_envelope(&event) {
             match event.payload {
-                FedMessage::JobArrival(job) => self.on_job_arrival(job, ctx),
+                FedMessage::JobArrival(job) => self.on_job_arrival(*job, ctx),
                 FedMessage::Negotiate {
                     job,
                     origin,
@@ -1165,12 +1154,7 @@ impl Entity<FedMessage> for Gfa {
                     attempt: _,
                     seq: _,
                 } => self.on_negotiate_reply(job, accept, candidate, ctx),
-                FedMessage::JobDispatch {
-                    job,
-                    service_time,
-                    cost,
-                    seq,
-                } => self.on_job_dispatch(job, service_time, cost, seq, ctx.now()),
+                FedMessage::JobDispatch { job, seq } => self.on_job_dispatch(job, seq, ctx.now()),
                 FedMessage::JobCompletion {
                     job,
                     executed_on,

@@ -21,10 +21,15 @@
 use grid_workload::{Job, JobId};
 
 /// Message and timer payloads exchanged between federation entities.
+///
+/// Every variant stays small (no inline [`Job`]), so an `Event<FedMessage>`
+/// is at most 112 bytes and each negotiation leg moves little through the
+/// event queue.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FedMessage {
-    /// Self-timer: one of this GFA's local users submits a job.
-    JobArrival(Job),
+    /// Self-timer: one of this GFA's local users submits a job.  Boxed so
+    /// the job's memory is released once it arrives.
+    JobArrival(Box<Job>),
     /// Admission-control enquiry sent to a candidate GFA: "can you finish
     /// this job before its deadline?"
     Negotiate {
@@ -63,14 +68,12 @@ pub enum FedMessage {
         /// Per-link envelope sequence number (0 on a reliable transport).
         seq: u64,
     },
-    /// The actual job, sent after an accepted negotiation.
+    /// The actual job, sent after an accepted negotiation.  The executor
+    /// already reserved the job (identity, processors, service time) when it
+    /// accepted the negotiation, so the dispatch carries only its id.
     JobDispatch {
-        /// The job itself.
-        job: Job,
-        /// Service time on the executing resource.
-        service_time: f64,
-        /// Cost on the executing resource.
-        cost: f64,
+        /// Job being dispatched.
+        job: JobId,
         /// Per-link envelope sequence number (0 on a reliable transport).
         seq: u64,
     },
@@ -175,7 +178,8 @@ pub enum MessageType {
 }
 
 impl MessageType {
-    /// All four types, in a stable order (useful for table headers).
+    /// All four types, in declaration order (useful for table headers);
+    /// `mtype as usize` is a type's index here.
     pub const ALL: [MessageType; 4] = [
         MessageType::Negotiate,
         MessageType::Reply,
@@ -266,10 +270,9 @@ impl MessageLedger {
             origin < self.per_gfa.len() && counterpart < self.per_gfa.len(),
             "unknown GFA in message record ({origin}, {counterpart})"
         );
-        let type_idx = MessageType::ALL
-            .iter()
-            .position(|t| *t == mtype)
-            .expect("type present in ALL");
+        // `ALL` lists the variants in declaration order, so the
+        // discriminant is the type's index.
+        let type_idx = mtype as usize;
         self.per_gfa[origin].local += 1;
         self.per_gfa[origin].by_type[type_idx] += 1;
         if counterpart != origin {
@@ -477,6 +480,18 @@ mod tests {
         let empty = MessageLedger::new(0);
         assert_eq!(empty.per_gfa_summary(), (0, 0.0, 0));
         assert_eq!(MessageLedger::new(1).per_job_summary(), (0, 0.0, 0));
+    }
+
+    #[test]
+    fn discriminants_index_all() {
+        for (i, mtype) in MessageType::ALL.iter().enumerate() {
+            assert_eq!(*mtype as usize, i);
+        }
+    }
+
+    #[test]
+    fn events_carrying_federation_messages_stay_within_112_bytes() {
+        assert!(std::mem::size_of::<grid_des::Event<FedMessage>>() <= 112);
     }
 
     #[test]

@@ -1,21 +1,31 @@
 //! The future-event list.
 //!
-//! An **index-based 4-ary min-heap** keyed on `(time, seq)`.  Two events
-//! scheduled for the same instant are delivered in the order they were
-//! scheduled, which makes every simulation run fully deterministic — a
-//! property the Grid-Federation experiments rely on (identical seeds must
-//! reproduce identical figures).
+//! Events are delivered in `(time, seq)` order: two events scheduled for the
+//! same instant are delivered in the order they were scheduled, which makes
+//! every simulation run fully deterministic — a property the Grid-Federation
+//! experiments rely on (identical seeds must reproduce identical figures).
 //!
-//! The heap itself stores only small fixed-size keys (`time`, `seq`, slot
-//! index); the payloads live in a slab indexed by slot.  Sift operations
-//! therefore move 24-byte keys regardless of how wide the model's message
-//! enum is — the federation's `FedMessage` carries whole jobs — and the
-//! 4-ary layout halves the tree depth relative to a binary heap.  The
-//! pre-overhaul `BinaryHeap<Event<M>>` layout is retained as
-//! [`BinaryHeapEventQueue`] so the micro benches (and `bench_perf`) keep
-//! measuring the choice instead of assuming it.
+//! Payloads live in a slab indexed by slot; the ordering works on small
+//! fixed-size keys (`time`, `seq`, slot index), so it moves 24-byte keys
+//! regardless of how wide the model's message enum is.  Pending keys sit in
+//! one of two containers under that one total order:
+//!
+//! * a **sealed run**: once every entity's `on_start` has run,
+//!   [`EventQueue::seal`] sorts the pending keys once (latest first, so the
+//!   earliest pops off the end).  A federation schedules every job arrival
+//!   up front, so this run holds the bulk of a trace's timers and costs
+//!   nothing per delivery beyond a `Vec::pop`;
+//! * an **index-based 4-ary min-heap** for everything pushed after the seal
+//!   — in a federation, the negotiation round-trips in flight.  The 4-ary
+//!   layout halves the tree depth relative to a binary heap.
+//!
+//! [`EventQueue::pop`] takes the earlier of the run's head and the heap's
+//! root, so sealing never changes delivery order.  The pre-overhaul
+//! `BinaryHeap<Event<M>>` layout is retained as [`BinaryHeapEventQueue`] so
+//! the micro benches (and `bench_perf`) keep measuring the choice instead of
+//! assuming it, and the differential tests compare against it.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::event::Event;
@@ -25,29 +35,33 @@ use crate::time::SimTime;
 /// share a cache line's worth of keys.
 const D: usize = 4;
 
-/// Compact heap entry: total order on `(time, seq)`, payload referenced by
+/// Compact queue entry: total order on `(time, seq)`, payload referenced by
 /// slab slot.
 #[derive(Debug, Clone, Copy)]
-struct HeapKey {
+struct Key {
     time: SimTime,
     seq: u64,
     slot: u32,
 }
 
-impl HeapKey {
+impl Key {
+    /// Strictly before `other` in `(time, seq)` order.  Compares the raw
+    /// seconds inline — `SimTime` construction rules out NaN, so `<` and
+    /// `==` on the `f64`s agree with `SimTime`'s `Ord` — keeping the
+    /// per-sift comparison free of calls.
     #[inline]
-    fn earlier_than(&self, other: &HeapKey) -> bool {
-        match self.time.cmp(&other.time) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => self.seq < other.seq,
-        }
+    fn earlier_than(&self, other: &Key) -> bool {
+        let (a, b) = (self.time.as_secs(), other.time.as_secs());
+        a < b || (a == b && self.seq < other.seq)
     }
 }
 
 /// Future-event list with deterministic ordering.
 pub struct EventQueue<M> {
-    heap: Vec<HeapKey>,
+    /// Keys sealed by [`Self::seal`], sorted latest first: the earliest
+    /// sealed key is `run.last()`.
+    run: Vec<Key>,
+    heap: Vec<Key>,
     slots: Vec<Option<Event<M>>>,
     free: Vec<u32>,
     next_seq: u64,
@@ -64,13 +78,7 @@ impl<M> EventQueue<M> {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        EventQueue {
-            heap: Vec::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            next_seq: 0,
-            scheduled_total: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue with pre-allocated capacity, useful when the
@@ -79,6 +87,7 @@ impl<M> EventQueue<M> {
     #[must_use]
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
+            run: Vec::new(),
             heap: Vec::with_capacity(cap),
             slots: Vec::with_capacity(cap),
             free: Vec::new(),
@@ -96,7 +105,7 @@ impl<M> EventQueue<M> {
         event.seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
-        let key = HeapKey {
+        let key = Key {
             time: event.time,
             seq: event.seq,
             slot: match self.free.pop() {
@@ -106,7 +115,7 @@ impl<M> EventQueue<M> {
                 }
                 None => {
                     // Documented capacity limit (see `# Panics`): the 4-byte
-                    // heap key is what makes the queue cache-friendly.
+                    // slot index is what keeps the keys compact.
                     // fedlint: allow(hot-path-unwrap)
                     let slot = u32::try_from(self.slots.len())
                         .expect("more than u32::MAX pending events");
@@ -119,22 +128,68 @@ impl<M> EventQueue<M> {
         self.sift_up(self.heap.len() - 1);
     }
 
+    /// Moves every pending key into the sealed run, sorted once by
+    /// `(time, seq)`.  Events pushed afterwards go to the heap, and
+    /// [`Self::pop`] merges the two, so sealing never changes delivery
+    /// order; it only takes a batch scheduled up front (the simulation
+    /// seals once every entity's `on_start` has run) out of the heap that
+    /// later pushes sift through.  The payloads stay in the slab, whose
+    /// slots later pushes reuse as the run drains.
+    pub fn seal(&mut self) {
+        let mut keys = std::mem::take(&mut self.heap);
+        keys.append(&mut self.run);
+        keys.sort_unstable_by_key(|k| Reverse((k.time, k.seq)));
+        self.run = keys;
+    }
+
+    /// Whether the earliest pending key is the sealed run's head rather
+    /// than the heap's root (`false` on an empty run).
+    #[inline]
+    fn run_leads(&self) -> bool {
+        match (self.run.last(), self.heap.first()) {
+            (Some(head), Some(root)) => head.earlier_than(root),
+            (head, _) => head.is_some(),
+        }
+    }
+
+    /// The earliest pending key, in whichever container holds it.
+    #[inline]
+    fn earliest(&self) -> Option<&Key> {
+        if self.run_leads() {
+            self.run.last()
+        } else {
+            self.heap.first()
+        }
+    }
+
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<Event<M>> {
+        let key = if self.run_leads() {
+            self.run.pop()?
+        } else {
+            self.pop_heap()?
+        };
+        let slot = &mut self.slots[key.slot as usize];
+        debug_assert!(slot.is_some(), "a pending key references a filled slot");
+        // Every pending key references a filled slot, so this `?` cannot
+        // bail — written `?`-style to keep panicking branches off the
+        // dispatch hot path.
+        let event = slot.take()?;
+        self.free.push(key.slot);
+        Some(event)
+    }
+
+    /// Removes and returns the heap's root key, if any.
+    fn pop_heap(&mut self) -> Option<Key> {
         let root = *self.heap.first()?;
-        // `first()` just returned, so the heap is non-empty and neither `?`
-        // below can actually bail — written `?`-style to keep panicking
-        // branches off the dispatch hot path.
+        // `first()` just returned, so the heap is non-empty and this `?`
+        // cannot bail.
         let last = self.heap.pop()?;
         if !self.heap.is_empty() {
             self.heap[0] = last;
             self.sift_down(0);
         }
-        let slot = &mut self.slots[root.slot as usize];
-        debug_assert!(slot.is_some(), "heap key references a filled slot");
-        let event = slot.take()?;
-        self.free.push(root.slot);
-        Some(event)
+        Some(root)
     }
 
     /// Removes and returns the earliest event if its timestamp is `<= limit`;
@@ -142,7 +197,7 @@ impl<M> EventQueue<M> {
     /// primitive the simulation loop uses instead of a separate
     /// peek-then-pop.
     pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<Event<M>> {
-        if self.heap.first()?.time > limit {
+        if self.earliest()?.time > limit {
             return None;
         }
         self.pop()
@@ -151,19 +206,19 @@ impl<M> EventQueue<M> {
     /// Returns the timestamp of the earliest pending event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|k| k.time)
+        self.earliest().map(|k| k.time)
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
     /// Whether the queue is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 
     /// Total number of events ever scheduled through this queue.
@@ -173,25 +228,32 @@ impl<M> EventQueue<M> {
     }
 
     /// Corrupting test double: rewrites the earliest pending event's
-    /// timestamp to `new_time` **without** restoring heap order, emulating a
-    /// scheduler bug that delivers an event from the past.  Returns `false`
-    /// on an empty queue.  Only exists so the invariant tests can prove the
-    /// engine's time-monotonicity check fires; never compiled into normal
-    /// builds.
+    /// timestamp to `new_time` **without** restoring the queue's order,
+    /// emulating a scheduler bug that delivers an event from the past.
+    /// Reaches the earliest event in whichever container holds it (the
+    /// sealed run or the heap).  Returns `false` on an empty queue.  Only
+    /// exists so the invariant tests can prove the engine's
+    /// time-monotonicity check fires; never compiled into normal builds.
     #[cfg(feature = "invariants")]
     pub fn corrupt_earliest_time(&mut self, new_time: SimTime) -> bool {
-        let Some(root) = self.heap.first() else {
+        let key = if self.run_leads() {
+            self.run.last_mut()
+        } else {
+            self.heap.first_mut()
+        };
+        let Some(key) = key else {
             return false;
         };
-        if let Some(event) = self.slots[root.slot as usize].as_mut() {
+        key.time = new_time;
+        if let Some(event) = self.slots[key.slot as usize].as_mut() {
             event.time = new_time;
         }
-        self.heap[0].time = new_time;
         true
     }
 
     /// Drops every pending event, e.g. when a run is aborted at its horizon.
     pub fn clear(&mut self) {
+        self.run.clear();
         self.heap.clear();
         self.slots.clear();
         self.free.clear();
@@ -426,10 +488,49 @@ mod tests {
     }
 
     #[test]
+    fn sealed_run_and_heap_merge_in_time_then_seq_order() {
+        let mut q = EventQueue::new();
+        q.push(event(5.0, 0));
+        q.push(event(1.0, 1));
+        q.push(event(3.0, 2));
+        q.seal();
+        assert_eq!(q.len(), 3);
+        // Pushed after the seal: an earlier time, a tie with the run's t=3
+        // (later seq, so after it) and a tie with its t=5.
+        q.push(event(2.0, 3));
+        q.push(event(3.0, 4));
+        q.push(event(5.0, 5));
+        assert_eq!(q.len(), 6);
+        assert_eq!(q.peek_time(), Some(SimTime::new(1.0)));
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
+        assert_eq!(order, vec![1, 3, 2, 4, 0, 5]);
+        assert!(q.is_empty());
+        assert_eq!(q.scheduled_total(), 6);
+    }
+
+    #[test]
+    fn pop_at_or_before_and_clear_cover_the_sealed_run() {
+        let mut q = EventQueue::new();
+        q.push(event(4.0, 0));
+        q.seal();
+        q.push(event(6.0, 1));
+        assert!(q.pop_at_or_before(SimTime::new(3.0)).is_none());
+        assert_eq!(q.pop_at_or_before(SimTime::new(4.0)).unwrap().payload, 0);
+        assert!(q.pop_at_or_before(SimTime::new(5.0)).is_none());
+        q.push(event(7.0, 2));
+        q.seal();
+        assert_eq!(q.len(), 2);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
     fn dary_and_binary_heap_layouts_deliver_identical_orderings() {
         // The layout decision must never change delivery order: feed the
         // same pseudo-random schedule to both queues (interleaving pushes
-        // and pops to exercise slot recycling) and require identical output.
+        // and pops to exercise slot recycling, and sealing once midway) and
+        // require identical output.
         let mut dary = EventQueue::new();
         let mut binary = BinaryHeapEventQueue::new();
         let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -440,6 +541,11 @@ mod tests {
             let t = f64::from((state >> 33) as u32 % 97);
             dary.push(event(t, i));
             binary.push(event(t, i));
+            if i == 200 {
+                // Seal what is pending so the rest of the schedule merges
+                // the sealed run with the heap.
+                dary.seal();
+            }
             if state % 3 == 0 {
                 out_dary.push(dary.pop().map(|e| (e.time, e.seq, e.payload)));
                 out_binary.push(binary.pop().map(|e| (e.time, e.seq, e.payload)));

@@ -203,6 +203,11 @@ impl<M: std::fmt::Debug> Simulation<M> {
                 entity.on_start(&mut ctx);
                 self.entities[idx] = Some(entity);
             }
+            // Everything scheduled up front (a federation's job arrivals)
+            // is sorted once into the queue's sealed run, so the heap that
+            // every later message sifts through holds only the events in
+            // flight.  Delivery order is unchanged.
+            self.queue.seal();
         }
 
         let outcome = loop {

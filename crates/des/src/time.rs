@@ -47,6 +47,7 @@ impl SimTime {
     }
 
     /// Returns the raw number of seconds.
+    #[inline]
     #[must_use]
     pub fn as_secs(self) -> f64 {
         self.0

@@ -1,6 +1,11 @@
 //! Property-based tests for the discrete-event engine invariants.
 
-use grid_des::{Context, Entity, EntityId, Event, EventQueue, SimRng, SimTime, Simulation};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use grid_des::{
+    BinaryHeapEventQueue, Context, Entity, EntityId, Event, EventQueue, SimRng, SimTime, Simulation,
+};
 use proptest::prelude::*;
 
 fn make_event(t: f64, payload: u32) -> Event<u32> {
@@ -109,5 +114,81 @@ proptest! {
         // debug-asserts, but in release proptest runs we re-verify via stats:
         prop_assert!(sim.stats().events_delivered > 0);
         prop_assert!(sim.now().as_secs() >= 0.0);
+    }
+}
+
+/// Follow-up timers one delivery may schedule, so the heap grows while the
+/// sealed run drains.
+const FOLLOWUPS_PER_EVENT: usize = 2;
+
+/// An entity whose start-up batch lands in the queue's sealed run and whose
+/// follow-up timers, pushed during the run, land in the heap.  Small integer
+/// times and delays make equal timestamps split between the two containers
+/// common.  Records every delivered `(time, seq)`.
+struct SealMixer {
+    batch: Vec<u32>,
+    followups: Vec<u32>,
+    next: usize,
+    delivered: Rc<RefCell<Vec<(u64, u64)>>>,
+}
+
+impl Entity<u32> for SealMixer {
+    fn name(&self) -> &str {
+        "seal-mixer"
+    }
+    fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+        for t in &self.batch {
+            ctx.timer_at(SimTime::new(f64::from(*t)), 0);
+        }
+    }
+    fn on_event(&mut self, event: Event<u32>, ctx: &mut Context<'_, u32>) {
+        self.delivered
+            .borrow_mut()
+            .push((event.time.as_secs().to_bits(), event.seq));
+        for _ in 0..FOLLOWUPS_PER_EVENT {
+            if let Some(delay) = self.followups.get(self.next) {
+                ctx.timer(f64::from(*delay), 0);
+                self.next += 1;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// A simulation whose start-up batch is sealed into a sorted run and
+    /// whose later events go to the heap delivers exactly the `(time, seq)`
+    /// sequence the plain binary-heap queue delivers for the same schedule.
+    #[test]
+    fn sealed_run_plus_heap_matches_the_binary_heap_order(
+        batch in proptest::collection::vec(0u32..20, 0..80),
+        followups in proptest::collection::vec(0u32..6, 0..120),
+    ) {
+        let delivered = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulation::new(1);
+        sim.add_entity(Box::new(SealMixer {
+            batch: batch.clone(),
+            followups: followups.clone(),
+            next: 0,
+            delivered: Rc::clone(&delivered),
+        }));
+        sim.run();
+
+        let mut reference = BinaryHeapEventQueue::new();
+        for t in &batch {
+            reference.push(make_event(f64::from(*t), 0));
+        }
+        let mut next = 0;
+        let mut expected = Vec::new();
+        while let Some(ev) = reference.pop() {
+            expected.push((ev.time.as_secs().to_bits(), ev.seq));
+            for _ in 0..FOLLOWUPS_PER_EVENT {
+                if let Some(delay) = followups.get(next) {
+                    reference.push(make_event(ev.time.as_secs() + f64::from(*delay), 0));
+                    next += 1;
+                }
+            }
+        }
+        prop_assert_eq!(&*delivered.borrow(), &expected);
     }
 }

@@ -63,19 +63,6 @@ impl Quote {
             price: spec.price,
         }
     }
-
-    /// Reconstructs a [`ResourceSpec`] (with a synthetic name) from the quote,
-    /// for callers that want to reuse the cost-model functions directly.
-    #[must_use]
-    pub fn to_spec(&self) -> ResourceSpec {
-        ResourceSpec::new(
-            &format!("gfa-{}", self.gfa),
-            self.processors,
-            self.mips,
-            self.bandwidth,
-            self.price,
-        )
-    }
 }
 
 /// The answer to one traced ranking query: the quote at the requested rank
@@ -334,17 +321,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quote_roundtrips_through_spec() {
+    fn quote_copies_the_spec_fields() {
         let spec = ResourceSpec::new("CTC SP2", 512, 850.0, 2.0, 4.84);
         let q = Quote::from_spec(3, &spec);
         assert_eq!(q.gfa, 3);
-        assert_eq!(q.processors, 512);
-        assert_eq!(q.mips, 850.0);
-        let back = q.to_spec();
-        assert_eq!(back.processors, spec.processors);
-        assert_eq!(back.mips, spec.mips);
-        assert_eq!(back.bandwidth, spec.bandwidth);
-        assert_eq!(back.price, spec.price);
-        assert_eq!(back.name, "gfa-3");
+        assert_eq!(q.processors, spec.processors);
+        assert_eq!(q.mips, spec.mips);
+        assert_eq!(q.bandwidth, spec.bandwidth);
+        assert_eq!(q.price, spec.price);
     }
 }
