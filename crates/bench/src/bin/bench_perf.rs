@@ -14,9 +14,9 @@
 //!   128-job queue, for both LRMS policies (answers are asserted
 //!   bit-identical while measuring);
 //! * **directory ranking**: ns/rank of the streaming cursor (routed open
-//!   vs. O(1) advance) against the query-per-rank oracle at n = 50, on all
-//!   three backends (ideal, chord, and the distributed MAAN range index) —
-//!   quotes are asserted identical while measuring;
+//!   vs. O(1) advance) against the query-per-rank oracle at n = 50, on both
+//!   backends (ideal and the distributed MAAN range index) — quotes are
+//!   asserted identical while measuring;
 //! * **workload generation**: jobs/sec of building a replicated Experiment-5
 //!   federation's synthetic traces (gated by `perf_gate` alongside engine
 //!   dispatch), plus the streaming path: jobs/sec of draining a million-job
@@ -338,9 +338,8 @@ fn main() {
     let (easy_inc, easy_rep) =
         bench_estimator(&easy, quotes, |s, p, t, now| s.estimate_completion_replay(p, t, now));
 
-    eprintln!("[4/5] directory ranking ({ranks} ranks, n = {DIRECTORY_N}, all three backends)…");
+    eprintln!("[4/5] directory ranking ({ranks} ranks, n = {DIRECTORY_N}, both backends)…");
     let dir_ideal = bench_directory(DirectoryBackend::Ideal, DIRECTORY_N, ranks);
-    let dir_chord = bench_directory(DirectoryBackend::Chord, DIRECTORY_N, ranks);
     let dir_maan = bench_directory(DirectoryBackend::Maan, DIRECTORY_N, ranks);
 
     eprintln!("[5/5] workload generation (replicated exp5 federation)…");
@@ -397,7 +396,8 @@ fn main() {
         "estimator: FCFS {fcfs_inc:.0} ns/quote vs replay {fcfs_rep:.0} ns/quote ({fcfs_speedup:.1}x); \
          EASY {easy_inc:.0} ns/quote vs replay {easy_rep:.0} ns/quote ({easy_speedup:.1}x)"
     );
-    for (label, perf) in [("ideal", &dir_ideal), ("chord", &dir_chord), ("maan", &dir_maan)] {
+    let backends = [("ideal", &dir_ideal), ("maan", &dir_maan)];
+    for (label, perf) in backends {
         eprintln!(
             "directory[{label}]: fresh routed query {:.1} ns vs cursor open {:.1} ns, \
              advance {:.1} ns ({:.1}x cheaper than a fresh query), legacy rank-r {:.1} ns",
@@ -444,7 +444,6 @@ fn main() {
     let _ = writeln!(json, "  \"directory\": {{");
     let _ = writeln!(json, "    \"n\": {DIRECTORY_N},");
     let _ = writeln!(json, "    \"ranks\": {ranks},");
-    let backends = [("ideal", &dir_ideal), ("chord", &dir_chord), ("maan", &dir_maan)];
     for (i, (label, perf)) in backends.iter().enumerate() {
         let _ = writeln!(json, "    \"{label}\": {{");
         let _ = writeln!(json, "      \"fresh_query_ns\": {},", json_num(perf.fresh_query_ns));

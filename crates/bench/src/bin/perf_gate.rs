@@ -8,9 +8,8 @@
 //!   `easy_incremental_ns_per_quote`) — lower is better;
 //! * **event-queue events/s** (`dary_index_heap_events_per_sec`) — higher
 //!   is better;
-//! * **directory cursor-advance ns/rank** (`advance_ns`, all three
-//!   backends including the distributed MAAN range index) — lower is
-//!   better, gated so the cursor path cannot silently decay back into
+//! * **directory cursor-advance ns/rank** (`advance_ns`, both backends:
+//!   ideal and the distributed MAAN range index) — lower is better, gated so the cursor path cannot silently decay back into
 //!   query-per-rank costs;
 //! * **engine dispatch events/s** (`dispatch.events_per_sec`) — higher is
 //!   better;
@@ -140,7 +139,7 @@ struct Gate {
     direction: Direction,
 }
 
-const GATES: [Gate; 9] = [
+const GATES: [Gate; 8] = [
     Gate {
         label: "event queue (4-ary heap events/s)",
         anchor: None,
@@ -162,12 +161,6 @@ const GATES: [Gate; 9] = [
     Gate {
         label: "directory ideal cursor advance (ns/rank)",
         anchor: Some("ideal"),
-        key: "advance_ns",
-        direction: Direction::LowerIsBetter,
-    },
-    Gate {
-        label: "directory chord cursor advance (ns/rank)",
-        anchor: Some("chord"),
         key: "advance_ns",
         direction: Direction::LowerIsBetter,
     },
@@ -364,10 +357,10 @@ mod tests {
 
     #[test]
     fn directory_advance_regression_fails_per_backend() {
-        let current = tweaked("\"chord\": { \"advance_ns\": 2.50", "\"chord\": { \"advance_ns\": 9.00");
+        let current = tweaked("\"maan\": { \"advance_ns\": 3.00", "\"maan\": { \"advance_ns\": 9.00");
         let failures = run_gates(SAMPLE, &current, 0.30);
         assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("chord"));
+        assert!(failures[0].contains("maan"));
     }
 
     #[test]

@@ -928,6 +928,7 @@ fn assemble_report(
     };
     let directory_queries = directory.queries_served();
     let directory_avg_route_messages = directory.average_route_messages();
+    let directory_avg_finger_hops = directory.average_finger_hops();
 
     let mut metrics: Vec<ResourceMetrics> = resources
         .iter()
@@ -985,6 +986,7 @@ fn assemble_report(
         backend,
         directory_queries,
         directory_avg_route_messages,
+        directory_avg_finger_hops,
         directory_cache,
         metrics: registry,
         digest: audit.digest(),
@@ -1235,44 +1237,6 @@ mod tests {
         assert_eq!(rec.messages, 2);
         assert_eq!(report.messages.total_messages(), 2);
         assert_eq!(report.messages.per_job_directory_summary(), (1, 1.0, 1));
-    }
-
-    #[test]
-    fn chord_backend_matches_ideal_outcomes_with_measured_costs() {
-        let resources = two_resources();
-        let make = || {
-            vec![
-                (0..6)
-                    .map(|i| job(0, i, i as f64 * 40.0, 4, 150.0, if i % 2 == 0 { Strategy::Oft } else { Strategy::Ofc }))
-                    .collect::<Vec<_>>(),
-                vec![job(1, 0, 0.0, 8, 120.0, Strategy::Ofc)],
-            ]
-        };
-        let ideal = run_federation(resources.clone(), make(), FederationConfig::default());
-        let chord = run_federation(
-            resources,
-            make(),
-            FederationConfig::with_backend(DirectoryBackend::Chord),
-        );
-        assert_eq!(chord.backend, DirectoryBackend::Chord);
-        // Identical job outcomes, negotiation traffic and bank balances…
-        assert_eq!(ideal.jobs.len(), chord.jobs.len());
-        for (a, b) in ideal.jobs.iter().zip(&chord.jobs) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.outcome, b.outcome);
-            assert_eq!(a.messages, b.messages);
-        }
-        assert_eq!(ideal.messages.total_messages(), chord.messages.total_messages());
-        for i in 0..2 {
-            assert!((ideal.bank.earnings(i) - chord.bank.earnings(i)).abs() < 1e-12);
-        }
-        // …while both account (generally different) directory traffic.
-        assert!(ideal.messages.directory_messages() > 0);
-        assert!(chord.messages.directory_messages() > 0);
-        assert!(chord.messages.directory_seconds() > 0.0);
-        // Digest view of the same conformance statement: outcome chains are
-        // backend-invariant even when traffic accounting differs.
-        assert_eq!(ideal.digest.outcomes, chord.digest.outcomes);
     }
 
     #[test]

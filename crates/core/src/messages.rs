@@ -8,7 +8,7 @@
 //! Directory queries are accounted as a **separate** message class
 //! (`directory`): every ranking query reports the number of overlay messages
 //! it cost — a routed rank-1 lookup (modelled `⌈log₂ n⌉` for the ideal
-//! backend, measured Chord hops for the overlay backend) plus one
+//! backend, measured overlay hops for the MAAN backend) plus one
 //! cursor-advance message per further rank, the `O(log n + k)` complexity of
 //! DHT range queries — and the ledger tracks those counts, plus the
 //! simulated network time they represent, without ever mixing them into the
@@ -204,7 +204,7 @@ pub struct GfaMessageCounters {
     /// Publish-side directory messages this GFA's quote mutations cost —
     /// the routed put/remove/move operations of `subscribe`, `unsubscribe`
     /// and `update_price` under a distributed backend (always zero under
-    /// the centrally-stored `Ideal`/`Chord` backends).  Its own traffic
+    /// the centrally-stored `Ideal` backend).  Its own traffic
     /// class, kept out of both the negotiation counters and `directory`.
     pub publish: u64,
 }

@@ -59,8 +59,9 @@ pub struct JobRecord {
     pub messages: u32,
     /// Directory messages spent on this job's ranking queries, following
     /// the DHT range-query model `O(log n + k)`: a routed rank-1 lookup
-    /// (modelled `⌈log₂ n⌉` under the ideal backend, measured overlay hops
-    /// under Chord) plus one cursor-advance message per further rank probed.
+    /// (modelled `⌈log₂ n⌉` under the ideal backend, the measured route and
+    /// arc walk under MAAN) plus one cursor-advance message per further rank
+    /// probed (MAAN adds the node boundaries the walk crosses).
     /// Accounted separately from `messages` so Fig. 10/11 remain comparable
     /// across directory backends.
     pub directory_messages: u32,
@@ -182,10 +183,15 @@ pub struct FederationReport {
     pub directory_queries: u64,
     /// Average messages of one *routed* ranking lookup (rank-1 cursor
     /// establishment): the charged `⌈log₂ n⌉` average under the ideal
-    /// backend, measured overlay hops under Chord, zero if the run never
-    /// touched the directory.  This is the quantity the paper's `O(log n)`
-    /// assumption is about.
+    /// backend, the measured route plus arc walk under MAAN, zero if the run
+    /// never touched the directory.  This is the quantity the paper's
+    /// `O(log n)` assumption is about.
     pub directory_avg_route_messages: f64,
+    /// Average closest-preceding-finger hops of one route the MAAN overlay
+    /// actually walked, without the arc walk: the pure routing cost,
+    /// measured against the paper's `⌈log₂ n⌉`.  Zero under the ideal
+    /// backend, which routes nothing.
+    pub directory_avg_finger_hops: f64,
     /// Aggregated hit/miss counters of the GFAs' epoch-keyed quote caches.
     /// Observability only — cache hits replay the exact charges and
     /// telemetry of a live query, so nothing rendered from a report depends
@@ -422,6 +428,7 @@ mod tests {
             backend: DirectoryBackend::Ideal,
             directory_queries: 0,
             directory_avg_route_messages: 0.0,
+            directory_avg_finger_hops: 0.0,
             directory_cache: CacheStats::default(),
             metrics: MetricsRegistry::new(2),
             digest: crate::audit::AuditLedger::new(2).digest(),
@@ -491,9 +498,10 @@ mod tests {
             messages: MessageLedger::new(0),
             bank: GridBank::new(0),
             sim_end: 0.0,
-            backend: DirectoryBackend::Chord,
+            backend: DirectoryBackend::Maan,
             directory_queries: 0,
             directory_avg_route_messages: 0.0,
+            directory_avg_finger_hops: 0.0,
             directory_cache: CacheStats::default(),
             metrics: MetricsRegistry::new(0),
             digest: crate::audit::AuditLedger::new(0).digest(),

@@ -135,9 +135,9 @@ fn audit_records_keep_the_sentry_green_as_they_accumulate() {
 }
 
 /// An overlay directory with one published quote, for the churn doubles.
-fn overlay_state(backend: DirectoryBackend) -> (GridBank, MessageLedger, AnyDirectory, AuditLedger) {
+fn overlay_state() -> (GridBank, MessageLedger, AnyDirectory, AuditLedger) {
     let (bank, ledger, _, audit) = healthy_state();
-    let mut dir = backend.build(4, 0xBEEF);
+    let mut dir = DirectoryBackend::Maan.build(4, 0xBEEF);
     let _ = dir.subscribe(Quote {
         gfa: 0,
         processors: 16,
@@ -151,7 +151,7 @@ fn overlay_state(backend: DirectoryBackend) -> (GridBank, MessageLedger, AnyDire
 #[test]
 #[should_panic(expected = "membership epoch rewound")]
 fn membership_rewind_fires_monotonicity() {
-    let (bank, ledger, mut dir, audit) = overlay_state(DirectoryBackend::Maan);
+    let (bank, ledger, mut dir, audit) = overlay_state();
     // A graceful departure bumps the membership epoch past zero.
     let _ = dir.node_depart(1, true);
     let mut sentry = InvariantSentry::new();
@@ -164,7 +164,7 @@ fn membership_rewind_fires_monotonicity() {
 #[test]
 #[should_panic(expected = "replication factor exceeded")]
 fn overreplication_fires_replication_bound() {
-    let (bank, ledger, mut dir, audit) = overlay_state(DirectoryBackend::Maan);
+    let (bank, ledger, mut dir, audit) = overlay_state();
     dir.set_replication(2);
     let mut sentry = InvariantSentry::new();
     sentry.check(0.0, &bank, &ledger, &dir, &audit, &[], None);
@@ -176,7 +176,7 @@ fn overreplication_fires_replication_bound() {
 #[test]
 #[should_panic(expected = "departed node still serves")]
 fn serving_from_departed_node_fires_liveness() {
-    let (bank, ledger, mut dir, audit) = overlay_state(DirectoryBackend::Chord);
+    let (bank, ledger, mut dir, audit) = overlay_state();
     let mut sentry = InvariantSentry::new();
     sentry.check(0.0, &bank, &ledger, &dir, &audit, &[], None);
     // The corrupting double marks the quote's owner down without the
@@ -188,8 +188,10 @@ fn serving_from_departed_node_fires_liveness() {
 /// The index check runs only when an epoch moved, so the corrupting double
 /// is followed by a reprice, exactly as a real write would follow a stale
 /// patch.
-fn corrupt_finger_then_write(backend: DirectoryBackend) {
-    let (bank, ledger, mut dir, audit) = overlay_state(backend);
+#[test]
+#[should_panic(expected = "directory index diverged")]
+fn corrupt_finger_fires_index_consistency_on_maan() {
+    let (bank, ledger, mut dir, audit) = overlay_state();
     // Churn first, so the check also covers the patched ring.
     let _ = dir.node_depart(2, true);
     let _ = dir.node_join(2);
@@ -202,20 +204,8 @@ fn corrupt_finger_then_write(backend: DirectoryBackend) {
 }
 
 #[test]
-#[should_panic(expected = "directory index diverged")]
-fn corrupt_finger_fires_index_consistency_on_maan() {
-    corrupt_finger_then_write(DirectoryBackend::Maan);
-}
-
-#[test]
-#[should_panic(expected = "directory index diverged")]
-fn corrupt_finger_fires_index_consistency_on_chord() {
-    corrupt_finger_then_write(DirectoryBackend::Chord);
-}
-
-#[test]
 fn unchanged_epochs_skip_the_index_check() {
-    let (bank, ledger, mut dir, audit) = overlay_state(DirectoryBackend::Maan);
+    let (bank, ledger, mut dir, audit) = overlay_state();
     let mut sentry = InvariantSentry::new();
     sentry.check(0.0, &bank, &ledger, &dir, &audit, &[], None);
     // No epoch moves after the corruption, so the sentry does not pay for
@@ -267,19 +257,18 @@ fn churning_federation_passes_under_invariant_checking() {
 
 #[test]
 fn epoch_rewind_double_works_on_overlay_backends() {
-    for backend in [DirectoryBackend::Chord, DirectoryBackend::Maan] {
-        let mut dir = backend.build(4, 0xF00D);
-        let _ = dir.subscribe(Quote {
-            gfa: 1,
-            processors: 8,
-            mips: 700.0,
-            bandwidth: 1.0,
-            price: 3.0,
-        });
-        assert!(dir.epoch() > 0, "{backend:?}: mutation must bump the epoch");
-        dir.corrupt_epoch_rewind();
-        assert_eq!(dir.epoch(), 0, "{backend:?}: double must rewind the epoch");
-    }
+    let backend = DirectoryBackend::Maan;
+    let mut dir = backend.build(4, 0xF00D);
+    let _ = dir.subscribe(Quote {
+        gfa: 1,
+        processors: 8,
+        mips: 700.0,
+        bandwidth: 1.0,
+        price: 3.0,
+    });
+    assert!(dir.epoch() > 0, "{backend:?}: mutation must bump the epoch");
+    dir.corrupt_epoch_rewind();
+    assert_eq!(dir.epoch(), 0, "{backend:?}: double must rewind the epoch");
 }
 
 /// A minimal shared state with one concluded job, for the at-most-once
@@ -415,11 +404,7 @@ fn job(origin: usize, seq: usize, submit: f64, strategy: Strategy) -> Job {
 /// the audit chains consistent.
 #[test]
 fn federation_runs_pass_under_invariant_checking() {
-    for backend in [
-        DirectoryBackend::Ideal,
-        DirectoryBackend::Chord,
-        DirectoryBackend::Maan,
-    ] {
+    for backend in DirectoryBackend::ALL {
         let resources = vec![
             ResourceSpec::new("slow-cheap", 32, 500.0, 1.0, 2.0),
             ResourceSpec::new("fast-pricey", 32, 1_000.0, 2.0, 4.0),

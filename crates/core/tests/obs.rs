@@ -24,12 +24,6 @@ use proptest::prelude::*;
 
 const DURATION: f64 = 30_000.0;
 
-const BACKENDS: [DirectoryBackend; 3] = [
-    DirectoryBackend::Ideal,
-    DirectoryBackend::Chord,
-    DirectoryBackend::Maan,
-];
-
 fn resources(n: usize) -> Vec<ResourceSpec> {
     (0..n)
         .map(|i| {
@@ -130,7 +124,7 @@ fn run(
 /// while the sinks demonstrably saw the run (spans and profiled events).
 #[test]
 fn armed_sinks_are_digest_inert_on_every_backend_under_churn_and_faults() {
-    for backend in BACKENDS {
+    for backend in DirectoryBackend::ALL {
         for (churn, network) in [
             (None, None),
             (Some(moderate_churn()), None),
@@ -173,7 +167,7 @@ fn armed_sinks_are_digest_inert_on_every_backend_under_churn_and_faults() {
 #[test]
 fn chrome_trace_export_is_valid_and_per_track_monotone() {
     let cfg = config(
-        DirectoryBackend::Chord,
+        DirectoryBackend::Maan,
         Some(moderate_churn()),
         Some(NetworkFaultConfig::moderate()),
         0xC0FFEE,
@@ -236,12 +230,12 @@ proptest! {
     #[test]
     fn armed_and_unarmed_runs_agree_for_any_seed(
         seed in any::<u64>(),
-        backend_index in 0usize..3,
+        backend_index in 0usize..2,
         with_churn in any::<bool>(),
         with_network in any::<bool>(),
     ) {
         let cfg = config(
-            BACKENDS[backend_index],
+            DirectoryBackend::ALL[backend_index],
             with_churn.then(moderate_churn),
             with_network.then(NetworkFaultConfig::moderate),
             seed,

@@ -7,7 +7,6 @@
 //! — every call is a two-arm `match` on a discriminant rather than a vtable
 //! indirection — while still letting experiments swap backends at run time.
 
-use crate::chord::ChordDirectory;
 use crate::cursor::RankCursor;
 use crate::ideal::IdealDirectory;
 use crate::maan::MaanDirectory;
@@ -20,10 +19,6 @@ pub enum DirectoryBackend {
     /// cost of `⌈log₂ n⌉` per query (the paper's assumption).
     #[default]
     Ideal,
-    /// The Chord overlay: exact rankings whose message cost is the *measured*
-    /// hop count of routing the query through real finger tables (the rank
-    /// data itself stays central).
-    Chord,
     /// The MAAN-style multi-attribute range index: quotes are **stored at
     /// the ring nodes owning their locality-preserving-hashed price and
     /// speed keys**, queries walk the distributed range (so cursor advances
@@ -35,31 +30,27 @@ pub enum DirectoryBackend {
 impl DirectoryBackend {
     /// Every backend, in a stable order (useful for sweeps and table
     /// headers).
-    pub const ALL: [DirectoryBackend; 3] = [
-        DirectoryBackend::Ideal,
-        DirectoryBackend::Chord,
-        DirectoryBackend::Maan,
-    ];
+    pub const ALL: [DirectoryBackend; 2] = [DirectoryBackend::Ideal, DirectoryBackend::Maan];
 
     /// Short lowercase label used in file names and table headers.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             DirectoryBackend::Ideal => "ideal",
-            DirectoryBackend::Chord => "chord",
             DirectoryBackend::Maan => "maan",
         }
     }
 
     /// Builds an empty directory of this backend for a federation of `n`
-    /// GFAs.  `seed` places the overlay's nodes on the ring; the ideal
+    /// GFAs.  `seed` places the MAAN overlay's nodes on the ring; the ideal
     /// backend ignores both parameters.
     #[must_use]
     pub fn build(self, n: usize, seed: u64) -> AnyDirectory {
         match self {
             DirectoryBackend::Ideal => AnyDirectory::Ideal(IdealDirectory::new()),
-            DirectoryBackend::Chord => AnyDirectory::Chord(ChordDirectory::new(n.max(1), seed)),
-            DirectoryBackend::Maan => AnyDirectory::Maan(MaanDirectory::new(n.max(1), seed)),
+            DirectoryBackend::Maan => {
+                AnyDirectory::Maan(Box::new(MaanDirectory::new(n.max(1), seed)))
+            }
         }
     }
 }
@@ -70,10 +61,9 @@ impl std::str::FromStr for DirectoryBackend {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "ideal" => Ok(DirectoryBackend::Ideal),
-            "chord" => Ok(DirectoryBackend::Chord),
             "maan" => Ok(DirectoryBackend::Maan),
             other => Err(format!(
-                "unknown directory backend '{other}' (expected 'ideal', 'chord' or 'maan')"
+                "unknown directory backend '{other}' (expected 'ideal' or 'maan')"
             )),
         }
     }
@@ -91,41 +81,40 @@ impl std::fmt::Display for DirectoryBackend {
 pub enum AnyDirectory {
     /// An [`IdealDirectory`].
     Ideal(IdealDirectory),
-    /// A [`ChordDirectory`].
-    Chord(ChordDirectory),
-    /// A [`MaanDirectory`].
-    Maan(MaanDirectory),
+    /// A [`MaanDirectory`], boxed: its overlay, node stores and walk
+    /// indexes make it three times the ideal directory's size.
+    Maan(Box<MaanDirectory>),
 }
 
 macro_rules! dispatch {
     ($self:ident, $d:ident => $e:expr) => {
         match $self {
             AnyDirectory::Ideal($d) => $e,
-            AnyDirectory::Chord($d) => $e,
             AnyDirectory::Maan($d) => $e,
         }
     };
 }
 
 impl AnyDirectory {
-    /// Which backend this directory is.
-    #[must_use]
-    pub fn backend(&self) -> DirectoryBackend {
-        match self {
-            AnyDirectory::Ideal(_) => DirectoryBackend::Ideal,
-            AnyDirectory::Chord(_) => DirectoryBackend::Chord,
-            AnyDirectory::Maan(_) => DirectoryBackend::Maan,
-        }
-    }
-
     /// Average messages of one *routed* ranking lookup (rank-1 cursor
     /// establishment) — the quantity the paper models as `O(log n)`: the
-    /// charged `⌈log₂ n⌉` average for the ideal backend, the measured hop
-    /// average for the overlay backends.  Zero when no lookup was routed
+    /// charged `⌈log₂ n⌉` average for the ideal backend, the measured
+    /// route-plus-walk average for MAAN.  Zero when no lookup was routed
     /// (nothing was measured, so nothing is reported).
     #[must_use]
     pub fn average_route_messages(&self) -> f64 {
         dispatch!(self, d => d.average_route_messages())
+    }
+
+    /// Average closest-preceding-finger hops of one walked route, without
+    /// the arc walk: see [`MaanDirectory::average_finger_hops`].  Zero for
+    /// the ideal backend, which routes nothing.
+    #[must_use]
+    pub fn average_finger_hops(&self) -> f64 {
+        match self {
+            AnyDirectory::Ideal(_) => 0.0,
+            AnyDirectory::Maan(d) => d.average_finger_hops(),
+        }
     }
 
     /// Corrupting test double: rewinds the content epoch to zero, whatever
@@ -136,70 +125,44 @@ impl AnyDirectory {
         dispatch!(self, d => d.corrupt_epoch_rewind())
     }
 
-    /// Corrupting test double: marks the GFA of the first stored quote as
-    /// departed without withdrawing it, so the directory keeps serving a
-    /// dead node's offer.  Only exists so the invariant tests can prove the
-    /// `serves_only_live` check fires; the ideal backend has no membership
-    /// state to corrupt.
+    /// The MAAN directory an `invariants`-only corrupting double targets:
+    /// only it keeps membership, replica and overlay state to corrupt.
     ///
     /// # Panics
     /// Panics on the ideal backend.
+    #[cfg(feature = "invariants")]
+    fn maan_to_corrupt(&mut self) -> &mut MaanDirectory {
+        match self {
+            AnyDirectory::Maan(d) => d.as_mut(),
+            AnyDirectory::Ideal(_) => {
+                panic!("the ideal backend has no membership, replica or overlay state to corrupt")
+            }
+        }
+    }
+
+    /// Corrupting test double: see [`MaanDirectory::corrupt_serve_departed`].
     #[cfg(feature = "invariants")]
     pub fn corrupt_serve_departed(&mut self) {
-        match self {
-            AnyDirectory::Ideal(_) => {
-                panic!("the ideal backend has no membership state to corrupt")
-            }
-            AnyDirectory::Chord(d) => d.corrupt_serve_departed(),
-            AnyDirectory::Maan(d) => d.corrupt_serve_departed(),
-        }
+        self.maan_to_corrupt().corrupt_serve_departed();
     }
 
-    /// Corrupting test double: records more replica copies than the
-    /// replication factor allows.  Only exists so the invariant tests can
-    /// prove the `replication_ok` check fires; only the MAAN backend keeps
-    /// replica records.
-    ///
-    /// # Panics
-    /// Panics on the ideal and Chord backends.
+    /// Corrupting test double: see [`MaanDirectory::corrupt_overreplicate`].
     #[cfg(feature = "invariants")]
     pub fn corrupt_overreplicate(&mut self) {
-        match self {
-            AnyDirectory::Maan(d) => d.corrupt_overreplicate(),
-            _ => panic!("only the MAAN backend keeps replica records to corrupt"),
-        }
+        self.maan_to_corrupt().corrupt_overreplicate();
     }
 
-    /// Corrupting test double: rewinds the membership epoch to zero.  Only
-    /// exists so the invariant tests can prove the membership-monotonicity
-    /// check fires; the ideal backend has no membership state to corrupt.
-    ///
-    /// # Panics
-    /// Panics on the ideal backend.
+    /// Corrupting test double: see
+    /// [`MaanDirectory::corrupt_membership_rewind`].
     #[cfg(feature = "invariants")]
     pub fn corrupt_membership_rewind(&mut self) {
-        match self {
-            AnyDirectory::Ideal(_) => {
-                panic!("the ideal backend has no membership state to corrupt")
-            }
-            AnyDirectory::Chord(d) => d.corrupt_membership_rewind(),
-            AnyDirectory::Maan(d) => d.corrupt_membership_rewind(),
-        }
+        self.maan_to_corrupt().corrupt_membership_rewind();
     }
 
-    /// Corrupting test double: points one finger of the overlay at the
-    /// wrong node.  Only exists so the invariant tests can prove the
-    /// `index_consistent` check fires; the ideal backend has no overlay.
-    ///
-    /// # Panics
-    /// Panics on the ideal backend.
+    /// Corrupting test double: see [`MaanDirectory::corrupt_finger`].
     #[cfg(feature = "invariants")]
     pub fn corrupt_finger(&mut self) {
-        match self {
-            AnyDirectory::Ideal(_) => panic!("the ideal backend has no overlay to corrupt"),
-            AnyDirectory::Chord(d) => d.corrupt_finger(),
-            AnyDirectory::Maan(d) => d.corrupt_finger(),
-        }
+        self.maan_to_corrupt().corrupt_finger();
     }
 }
 
@@ -229,7 +192,7 @@ impl FederationDirectory for AnyDirectory {
     fn open_cursor(&self, origin: usize, order: RankOrder) -> RankCursor {
         dispatch!(self, d => d.open_cursor(origin, order))
     }
-    // `inline(always)`: with three backend bodies inlined into the match,
+    // `inline(always)`: with every backend body inlined into the match,
     // the wrapper exceeds the inliner's default threshold and the ~2 ns
     // steady-state advance turns into an outlined call (measured 2× on the
     // gated advance_ns metric when the MAAN arm was added).  The DBC loop
@@ -303,14 +266,24 @@ mod tests {
     fn build_and_label_roundtrip() {
         for backend in DirectoryBackend::ALL {
             let dir = backend.build(8, 7);
-            assert_eq!(dir.backend(), backend);
             assert_eq!(backend.label().parse::<DirectoryBackend>().unwrap(), backend);
             assert_eq!(format!("{backend}"), backend.label());
             assert!(dir.is_empty());
         }
         assert!("pastry".parse::<DirectoryBackend>().is_err());
         assert_eq!(DirectoryBackend::default(), DirectoryBackend::Ideal);
-        assert_eq!(DirectoryBackend::ALL.len(), 3);
+        assert_eq!(DirectoryBackend::ALL.len(), 2);
+    }
+
+    #[test]
+    fn unknown_backends_are_rejected_naming_the_valid_ones() {
+        for name in ["chord", "both", ""] {
+            let err = name.parse::<DirectoryBackend>().unwrap_err();
+            assert_eq!(
+                err,
+                format!("unknown directory backend '{name}' (expected 'ideal' or 'maan')")
+            );
+        }
     }
 
     #[test]
@@ -342,10 +315,8 @@ mod tests {
     fn overlay_builds_survive_zero_sizing() {
         // `build` clamps to one overlay node so stray callers can't panic the
         // overlay constructor; the federation itself always has n ≥ 1.
-        for backend in [DirectoryBackend::Chord, DirectoryBackend::Maan] {
-            let dir = backend.build(0, 3);
-            assert_eq!(dir.len(), 0);
-        }
+        let dir = DirectoryBackend::Maan.build(0, 3);
+        assert_eq!(dir.len(), 0);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! MAAN-style DHT range queries route **once** to the head of a range index
 //! and then stream results, one cursor-advance message per rank.  Before
 //! this module the federation *charged* that model but *executed* a fresh
-//! ranked query per rank (re-routing through Chord, re-pricing the ideal
-//! model on every rank-1 probe).  [`RankCursor`] makes the execution cost
+//! ranked query per rank (re-routing through the overlay, re-pricing the
+//! ideal model on every rank-1 probe).  [`RankCursor`] makes the execution cost
 //! match the charged cost: one routed lookup opens the cursor, every
 //! [`FederationDirectory::cursor_next`] is O(1).
 //!

@@ -81,11 +81,9 @@ impl IdealDirectory {
 
     /// Resolves the `r`-th quote of `order`, counting the served query
     /// (rank 0 is answered locally and not counted).  O(1): both rank
-    /// orders are maintained across mutations.  Also used by the Chord
-    /// backend, which resolves rank data here while charging overlay hops
-    /// of its own.
+    /// orders are maintained across mutations.
     #[inline]
-    pub(crate) fn resolve_ranked(&self, order: RankOrder, r: usize) -> Option<Quote> {
+    fn resolve_ranked(&self, order: RankOrder, r: usize) -> Option<Quote> {
         if r == 0 {
             return None;
         }
@@ -95,22 +93,6 @@ impl IdealDirectory {
             RankOrder::Fastest => &self.by_speed,
         };
         index.get(r - 1).map(|&i| self.quotes[i])
-    }
-
-    /// Counts one served query without resolving anything — the Chord
-    /// backend's share of a replayed (GFA-cached) query.
-    #[inline]
-    pub(crate) fn count_replayed_query(&self) {
-        self.queries.set(self.queries.get() + 1);
-    }
-
-    /// Advances the content epoch without touching the quote store — the
-    /// Chord backend's way to invalidate cursors and GFA caches after a
-    /// *ring* repair changed its measured route costs while the (centrally
-    /// held) rank data stayed put.
-    #[inline]
-    pub(crate) fn bump_epoch(&mut self) {
-        self.epoch += 1;
     }
 
     /// The single place rank-dependent charges are applied, so the oracle

@@ -9,22 +9,21 @@
 //! negotiation traffic.
 //!
 //! This crate supplies both the assumed abstraction and a concrete check of
-//! it:
+//! it, as two backends:
 //!
 //! * [`ideal::IdealDirectory`] — the model the experiments use: a consistent
 //!   quote store with exact `k`-th cheapest / fastest queries whose *modelled*
 //!   cost is `⌈log₂ n⌉` messages, matching the paper's assumption.
-//! * [`chord::ChordOverlay`] / [`chord::ChordDirectory`] — a Chord-style
-//!   structured overlay in which quotes are indexed by price-rank and
-//!   speed-rank keys; lookups route through actual finger tables and report
-//!   real hop counts, which the `ablation_directory` benchmark compares
-//!   against the idealised `⌈log₂ n⌉` model.
 //! * [`maan::MaanDirectory`] — the MAAN-style multi-attribute range index:
 //!   quotes are **stored at the ring nodes owning their
 //!   locality-preserving-hashed keys** ([`keys`]), rank queries walk the
 //!   distributed range (boundary-crossing advances cost extra hops) and
 //!   `subscribe` / `unsubscribe` / `update_price` are routed
-//!   put/remove/move operations charged as publish-side traffic.
+//!   put/remove/move operations charged as publish-side traffic.  Its
+//!   finger-hop tally is the measured counterpart of the `⌈log₂ n⌉` model.
+//! * [`chord::ChordOverlay`] — the Chord-style ring MAAN routes over: node
+//!   identifiers, finger tables and greedy closest-preceding-finger routing
+//!   with real hop counts, patched in place on membership changes.
 //! * [`backend::DirectoryBackend`] / [`backend::AnyDirectory`] — the
 //!   configuration enum and monomorphic enum-dispatch wrapper that let the
 //!   federation pick its backend at run time; traced queries
@@ -49,7 +48,7 @@ pub mod maan;
 pub mod quote;
 
 pub use backend::{AnyDirectory, DirectoryBackend};
-pub use chord::{ChordDirectory, ChordOverlay};
+pub use chord::ChordOverlay;
 pub use cursor::{CacheStats, QuoteCache, RankCursor};
 pub use ideal::IdealDirectory;
 pub use maan::MaanDirectory;

@@ -1,12 +1,10 @@
 //! A MAAN-style multi-attribute range index living on the Chord ring.
 //!
-//! This is the third directory backend, and the first in which the rank data
-//! itself is **distributed**: the `Ideal` backend models message costs over a
-//! central store and the `Chord` backend measures routing hops while still
-//! resolving every rank through an exact in-memory store, but
-//! [`MaanDirectory`] stores each quote *at the ring nodes that own its
-//! attribute keys* (see [`crate::keys`]) and answers rank queries by actually
-//! walking that partitioned state:
+//! Of the two directory backends this is the one whose rank data is
+//! **distributed**: the `Ideal` backend models message costs over a central
+//! store, while [`MaanDirectory`] stores each quote *at the ring nodes that
+//! own its attribute keys* (see [`crate::keys`]) and answers rank queries by
+//! actually walking that partitioned state:
 //!
 //! * **publish** (`subscribe`) puts the quote under its price key and its
 //!   speed key — two routed messages from the publisher's node to the owner
@@ -24,8 +22,13 @@
 //!   populated arc; every further rank costs one cursor-advance message
 //!   **plus one message per node boundary the walk crosses** — the
 //!   `O(log n + k)` profile of MAAN range queries, including the
-//!   boundary-crossing advances (`> 1` message) the modelled backends never
-//!   produce.
+//!   boundary-crossing advances (`> 1` message) the modelled `Ideal` backend
+//!   never produces.
+//!
+//! Apart from the charges, the directory tallies the closest-preceding-finger
+//! hops of every route it walks without the arc walk
+//! ([`MaanDirectory::average_finger_hops`]): the pure overlay routing cost
+//! the paper models as `O(log n)`.
 //!
 //! Because the locality-preserving hash is monotone and ties share an owner
 //! node (where the node-local store orders them by the true attribute
@@ -86,6 +89,14 @@ fn entry_cmp(order: RankOrder, a: &(u64, Quote), b: &(u64, Quote)) -> Ordering {
         .then_with(|| a.1.gfa.cmp(&b.1.gfa))
 }
 
+/// `total / count`, or zero when nothing was counted.
+fn mean(total: &Cell<u64>, count: &Cell<u64>) -> f64 {
+    match count.get() {
+        0 => 0.0,
+        n => total.get() as f64 / n as f64,
+    }
+}
+
 /// The MAAN-style distributed federation directory.  See the module docs
 /// for the storage and charge model.
 #[derive(Debug)]
@@ -110,6 +121,11 @@ pub struct MaanDirectory {
     /// Routed (rank-1) lookups served and the messages they cost.
     routes: Cell<u64>,
     route_hops: Cell<u64>,
+    /// Routes actually walked (cursor opens, revalidations, rank-1 queries;
+    /// cache replays walk nothing) and their closest-preceding-finger hops,
+    /// the arc walk excluded.
+    finger_routes: Cell<u64>,
+    finger_hops: Cell<u64>,
     /// Replication factor `k ≥ 1`: each entry keeps `k − 1` successor
     /// copies, (re)created lazily by [`FederationDirectory::stabilize`].
     replication: usize,
@@ -153,6 +169,8 @@ impl MaanDirectory {
             queries: Cell::new(0),
             routes: Cell::new(0),
             route_hops: Cell::new(0),
+            finger_routes: Cell::new(0),
+            finger_hops: Cell::new(0),
             replication: 1,
             copies: [Vec::new(), Vec::new()],
             down: vec![false; n],
@@ -224,12 +242,16 @@ impl MaanDirectory {
     /// quantity the paper models as `O(log n)`.
     #[must_use]
     pub fn average_route_messages(&self) -> f64 {
-        let routes = self.routes.get();
-        if routes == 0 {
-            0.0
-        } else {
-            self.route_hops.get() as f64 / routes as f64
-        }
+        mean(&self.route_hops, &self.routes)
+    }
+
+    /// Average closest-preceding-finger hops of one route the overlay
+    /// actually walked, without the walk to the first populated arc — the
+    /// pure routing cost of the paper's `O(log n)` model.  Zero when no
+    /// route was walked.
+    #[must_use]
+    pub fn average_finger_hops(&self) -> f64 {
+        mean(&self.finger_hops, &self.finger_routes)
     }
 
     /// A deterministic `n`-quote population whose prices and speeds stride
@@ -275,6 +297,8 @@ impl MaanDirectory {
     fn route_to_rank1(&self, origin: usize, order: RankOrder) -> u64 {
         let start = keys::range_start_key(order);
         let hops = self.route_hops_from(origin, start);
+        self.finger_routes.set(self.finger_routes.get() + 1);
+        self.finger_hops.set(self.finger_hops.get() + hops);
         let walk = self.flat[order.index()]
             .first()
             .map_or(0, |head| (head.arc - self.overlay.walk_arc_of(start)) as u64);
@@ -283,7 +307,7 @@ impl MaanDirectory {
 
     /// Messages to advance a range walk from rank `r - 1` to rank `r`
     /// (`r ≥ 2`): one cursor-advance (result delivery) message — the cost
-    /// the modelled backends charge — **plus one message per successor hop**
+    /// the ideal backend charges — **plus one message per successor hop**
     /// when the walk crosses node boundaries (including empty intermediate
     /// arcs), which is how a distributed range walk exceeds the modelled
     /// `+1` per rank.  Past-the-end advances probe the end-of-range marker
@@ -1077,6 +1101,30 @@ mod tests {
         assert_eq!(dir.routes.get(), 1, "advances are not routed lookups");
         assert_eq!(dir.average_route_messages(), head.messages as f64);
         assert!(dir.queries_served() >= 2);
+    }
+
+    #[test]
+    fn finger_hops_count_walked_routes_only() {
+        let dir = paper_maan(8);
+        assert_eq!(dir.average_finger_hops(), 0.0);
+        // A rank-1 query walks one route: its finger hops are the route
+        // charge minus the arc walk to the first populated arc.
+        let head = dir.query_ranked(2, RankOrder::Cheapest, 1);
+        assert_eq!(dir.finger_routes.get(), 1);
+        let fingers = dir.finger_hops.get();
+        assert!(fingers >= 1 && fingers <= head.messages, "{fingers} vs {}", head.messages);
+        // Advances and cache replays walk nothing.
+        let _ = dir.query_ranked(2, RankOrder::Cheapest, 2);
+        dir.note_replayed_query(2, RankOrder::Cheapest, 1, head.messages);
+        assert_eq!(dir.finger_routes.get(), 1);
+        assert_eq!(dir.routes.get(), 2, "a replay still counts as a routed lookup");
+        // A cursor open walks the same route from the same origin.
+        let mut cursor = dir.open_cursor(2, RankOrder::Cheapest);
+        assert_eq!(dir.finger_routes.get(), 2);
+        assert_eq!(dir.finger_hops.get(), 2 * fingers);
+        let _ = dir.cursor_next(&mut cursor);
+        assert_eq!(dir.finger_routes.get(), 2, "yielding the head reuses the open's route");
+        assert_eq!(dir.average_finger_hops(), fingers as f64);
     }
 
     #[test]

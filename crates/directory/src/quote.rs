@@ -90,8 +90,8 @@ pub struct TracedQuote {
 pub trait FederationDirectory {
     /// Publishes (or republishes) a quote, returning the **publish-side
     /// message cost**: the routed overlay messages the operation took.  The
-    /// modelled backends (`Ideal`, `Chord`) keep the quote store central and
-    /// charge `0`; the MAAN backend routes one put per attribute key (plus
+    /// ideal backend keeps the quote store central and charges `0`; the
+    /// MAAN backend routes one put per attribute key (plus
     /// routed removes for relocated stale entries on a republish).  The
     /// federation accounts these as a separate *publish* traffic class.
     /// A GFA republishing overwrites its previous quote.

@@ -176,13 +176,6 @@ proptest! {
         drive(DirectoryBackend::Ideal, &ops);
     }
 
-    /// Chord backend: same property, with *measured* route hops replayed
-    /// instead of the modelled `⌈log₂ n⌉`.
-    #[test]
-    fn chord_cursor_path_matches_query_per_rank(ops in proptest::collection::vec(op(), 1..60)) {
-        drive(DirectoryBackend::Chord, &ops);
-    }
-
     /// MAAN backend: the cursor/cache fast path is bit-identical to the
     /// query-per-rank oracle even though advances carry boundary-crossing
     /// charges and mutations splice the distributed walk index.

@@ -5,7 +5,7 @@
 //! instead of rebuilding it.  Random interleavings of writes (`subscribe`,
 //! `update_price`, `unsubscribe`) and membership operations (graceful
 //! departure, crash, join, stabilization, reactive repair) are driven
-//! against MAAN (k ∈ {1, 3}) and Chord, and after **every** operation:
+//! against MAAN (k ∈ {1, 3}), and after **every** operation:
 //!
 //! * (a) the ring order and every node's fingers — departed nodes'
 //!   included — equal those of a from-scratch overlay with the same live
@@ -16,9 +16,7 @@
 //!   crashed, not yet evicted node (which answer `None`).  Right after a
 //!   stabilization round no crashed node is left, so nothing may fault.
 
-use grid_directory::{
-    AnyDirectory, ChordOverlay, DirectoryBackend, FederationDirectory, Quote, RankOrder,
-};
+use grid_directory::{FederationDirectory, IdealDirectory, MaanDirectory, Quote, RankOrder};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
@@ -66,8 +64,7 @@ fn quote(gfa: usize, mips: f64, price: f64) -> Quote {
     }
 }
 
-fn populated(backend: DirectoryBackend, k: usize) -> AnyDirectory {
-    let mut dir = backend.build(GFAS, 0xCAFE);
+fn populated<D: FederationDirectory>(mut dir: D, k: usize) -> D {
     dir.set_replication(k);
     for gfa in 0..GFAS {
         let _ = dir.subscribe(quote(
@@ -79,16 +76,8 @@ fn populated(backend: DirectoryBackend, k: usize) -> AnyDirectory {
     dir
 }
 
-fn overlay(dir: &AnyDirectory) -> &ChordOverlay {
-    match dir {
-        AnyDirectory::Chord(d) => d.overlay(),
-        AnyDirectory::Maan(d) => d.overlay(),
-        AnyDirectory::Ideal(_) => unreachable!("the ideal backend has no overlay"),
-    }
-}
-
 /// Applies `op` to `dir`.
-fn apply(dir: &mut AnyDirectory, op: Op) {
+fn apply(dir: &mut impl FederationDirectory, op: Op) {
     match op {
         Op::Subscribe { gfa, mips, price } => {
             let _ = dir.subscribe(quote(gfa, mips, price));
@@ -114,9 +103,9 @@ fn apply(dir: &mut AnyDirectory, op: Op) {
     }
 }
 
-fn drive(backend: DirectoryBackend, k: usize, ops: &[Op]) {
-    let mut dir = populated(backend, k);
-    let mut ideal = populated(DirectoryBackend::Ideal, k);
+fn drive(k: usize, ops: &[Op]) {
+    let mut dir = populated(MaanDirectory::new(GFAS, 0xCAFE), k);
+    let mut ideal = populated(IdealDirectory::new(), k);
     for (step, op) in ops.iter().copied().enumerate() {
         // Like a GFA, a departed node does not publish until it rejoins
         // (the ideal store has no membership, so the overlay decides).
@@ -124,24 +113,21 @@ fn drive(backend: DirectoryBackend, k: usize, ops: &[Op]) {
             apply(&mut dir, op);
             apply(&mut ideal, op);
         }
-        let ring = overlay(&dir);
+        let ring = dir.overlay();
         prop_assert!(
             *ring == ring.rebuilt(),
-            "{:?} k={} step {} ({:?}): patched routing state differs from a rebuild",
-            backend,
+            "k={} step {} ({:?}): patched routing state differs from a rebuild",
             k,
             step,
             op
         );
-        if let AnyDirectory::Maan(maan) = &dir {
-            prop_assert!(
-                maan.walk_index_matches_stores(),
-                "k={} step {} ({:?}): spliced walk index differs from a rebuild",
-                k,
-                step,
-                op
-            );
-        }
+        prop_assert!(
+            dir.walk_index_matches_stores(),
+            "k={} step {} ({:?}): spliced walk index differs from a rebuild",
+            k,
+            step,
+            op
+        );
         prop_assert_eq!(dir.len(), ideal.len(), "step {}", step);
         for order in RankOrder::ALL {
             for r in 1..=GFAS + 1 {
@@ -150,8 +136,7 @@ fn drive(backend: DirectoryBackend, k: usize, ops: &[Op]) {
                 if dir.take_fault() {
                     prop_assert!(
                         !matches!(op, Op::Stabilize),
-                        "{:?} k={} step {}: {:?} rank {} faulted right after stabilization",
-                        backend,
+                        "k={} step {}: {:?} rank {} faulted right after stabilization",
                         k,
                         step,
                         order,
@@ -162,8 +147,7 @@ fn drive(backend: DirectoryBackend, k: usize, ops: &[Op]) {
                     prop_assert_eq!(
                         got.quote,
                         want.quote,
-                        "{:?} k={} step {} ({:?}): {:?} rank {} diverged from the ideal store",
-                        backend,
+                        "k={} step {} ({:?}): {:?} rank {} diverged from the ideal store",
                         k,
                         step,
                         op,
@@ -183,19 +167,13 @@ proptest! {
     /// ranks all match their from-scratch references under churn.
     #[test]
     fn maan_k1_incremental_maintenance_matches_rebuild(ops in proptest::collection::vec(op(), 1..60)) {
-        drive(DirectoryBackend::Maan, 1, &ops);
+        drive(1, &ops);
     }
 
     /// Replicated MAAN (k = 3): the same, with replica detours in play.
     #[test]
     fn maan_k3_incremental_maintenance_matches_rebuild(ops in proptest::collection::vec(op(), 1..60)) {
-        drive(DirectoryBackend::Maan, 3, &ops);
+        drive(3, &ops);
     }
 
-    /// Chord: the patched ring and fingers match a rebuild, and ranks
-    /// resolve like the ideal store.
-    #[test]
-    fn chord_incremental_maintenance_matches_rebuild(ops in proptest::collection::vec(op(), 1..60)) {
-        drive(DirectoryBackend::Chord, 1, &ops);
-    }
 }

@@ -1,12 +1,12 @@
 //! Experiment 5 binary: message complexity as the federation scales from 10
-//! to 50 clusters (regenerates Figures 10 and 11), run against one or all
+//! to 50 clusters (regenerates Figures 10 and 11), run against one or both
 //! directory backends, plus the per-job directory-message panels and the
 //! backend comparison table that validate the paper's `O(log n)` query-cost
-//! assumption with measured Chord hops and the MAAN backend's genuinely
+//! assumption with the MAAN backend's measured finger hops and genuinely
 //! distributed range walks (publish traffic included).
 //!
 //! Usage: `exp5_scalability [--quick] [--smoke]
-//!         [--backend ideal|chord|maan|all] [--seed N] [--out DIR]
+//!         [--backend ideal|maan|all] [--seed N] [--out DIR]
 //!         [--jobs N] [--stream-smoke] [--stream-jobs N]`
 //!
 //! `--jobs N` caps the sweep's worker pool (default: all cores).  Sweep
@@ -70,12 +70,9 @@ fn parse_args() -> Args {
                     .expect("seed must be an integer");
             }
             "--backend" => {
-                let which = argv.next().expect("--backend needs ideal|chord|maan|all");
+                let which = argv.next().expect("--backend needs ideal|maan|all");
                 args.backends = match which.as_str() {
-                    // "both" predates the MAAN backend; keep it as an alias
-                    // for the full set so existing invocations still sweep
-                    // everything.
-                    "all" | "both" => DirectoryBackend::ALL.to_vec(),
+                    "all" => DirectoryBackend::ALL.to_vec(),
                     one => vec![one.parse().unwrap_or_else(|e: String| panic!("{e}"))],
                 };
             }

@@ -101,7 +101,7 @@ fn main() {
         table.write_csv(&out.join(name)).expect("write exp4 figure");
     }
 
-    eprintln!("[5/7] experiment 5: system size 10–50, all three directory backends");
+    eprintln!("[5/7] experiment 5: system size 10–50, both directory backends");
     let (sizes, exp5_profiles): (Vec<usize>, Vec<PopulationProfile>) = if quick {
         (
             vec![10, 20, 30],
@@ -142,20 +142,14 @@ fn main() {
         .write_csv(&out.join("directory_backend_comparison.csv"))
         .expect("write backend comparison");
 
-    eprintln!("[6/7] experiment 6: churn tolerance, both overlay backends");
-    let churn_sweeps: Vec<exp6::ChurnSweep> =
-        [grid_federation_core::DirectoryBackend::Chord, grid_federation_core::DirectoryBackend::Maan]
-            .iter()
-            .map(|&b| exp6::run_sweep(&options, &exp6::DEFAULT_LEVELS, &exp6::DEFAULT_KS, b, jobs))
-            .collect();
-    for sweep in &churn_sweeps {
-        exp6::assert_acceptance(sweep);
-    }
-    for (name, csv) in exp6::render_all_csvs(&churn_sweeps) {
-        fs::write(out.join(format!("{name}.csv")), csv).expect("write exp6 table");
+    eprintln!("[6/7] experiment 6: churn tolerance, MAAN overlay");
+    let churn_sweep = exp6::run_sweep(&options, &exp6::DEFAULT_LEVELS, &exp6::DEFAULT_KS, jobs);
+    exp6::assert_acceptance(&churn_sweep);
+    for (name, table) in exp6::tables(&churn_sweep) {
+        table.write_csv(&out.join(format!("{name}.csv"))).expect("write exp6 table");
     }
 
-    eprintln!("[7/7] experiment 7: unreliable network, all three backends");
+    eprintln!("[7/7] experiment 7: unreliable network, both backends");
     let fault_sweeps: Vec<exp7::UnreliableSweep> = grid_federation_core::DirectoryBackend::ALL
         .iter()
         .map(|&b| exp7::run_sweep(&options, &exp7::DEFAULT_FAULTS, b, jobs))
@@ -163,18 +157,9 @@ fn main() {
     for sweep in &fault_sweeps {
         exp7::assert_acceptance(sweep);
     }
-    let repair_comparisons: Vec<exp7::RepairComparison> =
-        [grid_federation_core::DirectoryBackend::Chord, grid_federation_core::DirectoryBackend::Maan]
-            .iter()
-            .map(|&b| exp7::run_repair_comparison(&options, b, jobs))
-            .collect();
-    for backend in exp7::assert_repair_acceptance(&repair_comparisons) {
-        eprintln!(
-            "    repair comparison not exercised on {}: its periodic run saw no faulted lookup",
-            backend.label()
-        );
-    }
-    for (name, csv) in exp7::render_all_csvs(&fault_sweeps, &repair_comparisons) {
+    let repair = exp7::run_repair_comparison(&options, jobs);
+    exp7::assert_repair_acceptance(&repair);
+    for (name, csv) in exp7::render_all_csvs(&fault_sweeps, Some(&repair)) {
         fs::write(out.join(format!("{name}.csv")), csv).expect("write exp7 table");
     }
 
@@ -191,8 +176,8 @@ fn main() {
         manifest.push_str(&format!("exp3/{} {}\n", profile.label(), report.digest));
     }
     manifest.push_str(&exp5::digest_manifest(&backend_sweeps));
-    manifest.push_str(&exp6::digest_manifest(&churn_sweeps));
-    manifest.push_str(&exp7::digest_manifest(&fault_sweeps, &repair_comparisons));
+    manifest.push_str(&exp6::digest_manifest(&churn_sweep));
+    manifest.push_str(&exp7::digest_manifest(&fault_sweeps, Some(&repair)));
     fs::write(out.join("MANIFEST_digests.txt"), &manifest).expect("write digest manifest");
 
     // The cross-experiment percentile summary: p50/p90/p99 of every

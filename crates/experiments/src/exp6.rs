@@ -5,8 +5,8 @@
 //! The paper's directory is evaluated on a static ring; this experiment
 //! subjects the Table 1 federation to a seeded stochastic failure process
 //! (exponential uptime/downtime, a tunable fraction of departures being
-//! ungraceful crashes) and sweeps churn level × k ∈ {1, 2, 3} on each
-//! overlay backend.  Reported per point:
+//! ungraceful crashes) and sweeps churn level × k ∈ {1, 2, 3} on the MAAN
+//! overlay (the ideal backend has no ring to degrade).  Reported per point:
 //!
 //! * **lookup success rate** — the fraction of ranking lookups the overlay
 //!   could still answer (detours to live replicas count as answered);
@@ -15,7 +15,7 @@
 //! * **stabilization traffic** — the publish-class messages the periodic
 //!   repair rounds spend re-replicating and evicting ghosts;
 //! * **latency degradation** — average job response time relative to the
-//!   zero-churn baseline run of the same backend.
+//!   zero-churn baseline run.
 //!
 //! A churn-free baseline runs alongside every sweep; its digest is folded
 //! into the manifest with the churned runs, so the zero-churn differential
@@ -72,17 +72,15 @@ pub const DEFAULT_LEVELS: [ChurnLevel; 3] = [
 /// The replication factors the acceptance criterion sweeps.
 pub const DEFAULT_KS: [usize; 3] = [1, 2, 3];
 
-/// The sweep over churn levels and replication factors for one backend,
-/// plus the churn-free baseline the degradation columns are relative to.
+/// The sweep over churn levels and replication factors, plus the
+/// churn-free baseline the degradation columns are relative to.
 #[derive(Debug, Clone)]
 pub struct ChurnSweep {
-    /// The directory backend every run of this sweep used.
-    pub backend: DirectoryBackend,
     /// Churn levels, in table-row order.
     pub levels: Vec<ChurnLevel>,
     /// Replication factors, in table-column order.
     pub ks: Vec<usize>,
-    /// The zero-churn run of the same workload and backend.
+    /// The zero-churn run of the same workload.
     pub baseline: FederationReport,
     /// `reports[level_index][k_index]`.
     pub reports: Vec<Vec<FederationReport>>,
@@ -98,7 +96,7 @@ impl ChurnSweep {
     }
 }
 
-/// Runs the churn sweep for one backend across at most `jobs` worker
+/// Runs the churn sweep on the MAAN backend across at most `jobs` worker
 /// threads.  Point 0 is the churn-free baseline; every point's failure
 /// chains derive from the master seed and the GFA index alone, so the
 /// sweep is bitwise-identical for any `jobs` value.
@@ -107,7 +105,6 @@ pub fn run_sweep(
     options: &WorkloadOptions,
     levels: &[ChurnLevel],
     ks: &[usize],
-    backend: DirectoryBackend,
     jobs: usize,
 ) -> ChurnSweep {
     let churns: Vec<Option<ChurnConfig>> = std::iter::once(None)
@@ -124,7 +121,7 @@ pub fn run_sweep(
                 mode: SchedulingMode::Economy,
                 seed: options.seed,
                 utilization_horizon: Some(options.duration),
-                directory: backend,
+                directory: DirectoryBackend::Maan,
                 churn: churns[i].clone(),
                 ..FederationConfig::default()
             },
@@ -139,7 +136,6 @@ pub fn run_sweep(
         .map(|_| ks.iter().map(|_| flat.next().expect("one report per point")).collect())
         .collect();
     ChurnSweep {
-        backend,
         levels: levels.to_vec(),
         ks: ks.to_vec(),
         baseline,
@@ -147,10 +143,10 @@ pub fn run_sweep(
     }
 }
 
-/// Runs the default grid on one backend.
+/// Runs the default grid.
 #[must_use]
-pub fn run(options: &WorkloadOptions, backend: DirectoryBackend) -> ChurnSweep {
-    run_sweep(options, &DEFAULT_LEVELS, &DEFAULT_KS, backend, parallel::default_jobs())
+pub fn run(options: &WorkloadOptions) -> ChurnSweep {
+    run_sweep(options, &DEFAULT_LEVELS, &DEFAULT_KS, parallel::default_jobs())
 }
 
 /// The lookup-success gate the knee ramp probes (the k = 3 acceptance
@@ -168,8 +164,6 @@ pub const KNEE_REPLICATION: usize = 3;
 /// absorbs before the acceptance criterion would fail.
 #[derive(Debug, Clone)]
 pub struct KneeSweep {
-    /// The directory backend every run of this ramp used.
-    pub backend: DirectoryBackend,
     /// `(intensity, report)` per ramp step in ramp order, where intensity
     /// is the multiple of the moderate churn rate.
     pub points: Vec<(f64, FederationReport)>,
@@ -187,15 +181,12 @@ fn knee_config(options: &WorkloadOptions, intensity: f64) -> ChurnConfig {
     }
 }
 
-/// Runs the availability-knee ramp for one backend, at most `max_steps`
-/// doublings.  The ramp is inherently sequential (each step only runs if
-/// the gate survived the previous one), so there is no `jobs` knob.
+/// Runs the availability-knee ramp on the MAAN backend, at most
+/// `max_steps` doublings.  The ramp is inherently sequential (each step
+/// only runs if the gate survived the previous one), so there is no `jobs`
+/// knob.
 #[must_use]
-pub fn run_knee_with_backend(
-    options: &WorkloadOptions,
-    backend: DirectoryBackend,
-    max_steps: usize,
-) -> KneeSweep {
+pub fn run_knee(options: &WorkloadOptions, max_steps: usize) -> KneeSweep {
     let mut points = Vec::new();
     let mut knee = None;
     let mut intensity = 1.0;
@@ -208,7 +199,7 @@ pub fn run_knee_with_backend(
                 mode: SchedulingMode::Economy,
                 seed: options.seed,
                 utilization_horizon: Some(options.duration),
-                directory: backend,
+                directory: DirectoryBackend::Maan,
                 churn: Some(knee_config(options, intensity)),
                 ..FederationConfig::default()
             },
@@ -221,7 +212,7 @@ pub fn run_knee_with_backend(
         }
         intensity *= 2.0;
     }
-    KneeSweep { backend, points, knee }
+    KneeSweep { points, knee }
 }
 
 /// The knee ramp as a table: one row per step, the breaking step flagged.
@@ -229,8 +220,7 @@ pub fn run_knee_with_backend(
 pub fn figure_knee(sweep: &KneeSweep) -> DataTable {
     let mut table = DataTable::new(
         &format!(
-            "Availability knee ({} backend, k={KNEE_REPLICATION}): churn intensity ramp until the {:.0}% lookup-success gate breaks{}",
-            sweep.backend.label(),
+            "Availability knee (maan backend, k={KNEE_REPLICATION}): churn intensity ramp until the {:.0}% lookup-success gate breaks{}",
             KNEE_THRESHOLD * 100.0,
             match sweep.knee {
                 Some(knee) => format!(" — knee at {knee}x moderate churn"),
@@ -313,10 +303,7 @@ pub fn figure_availability(sweep: &ChurnSweep) -> DataTable {
     churn_table(
         sweep,
         Metric::Availability,
-        &format!(
-            "Churn tolerance ({} backend): ranking-lookup success rate (%) vs. churn level and k",
-            sweep.backend.label()
-        ),
+        "Churn tolerance (maan backend): ranking-lookup success rate (%) vs. churn level and k",
     )
 }
 
@@ -326,10 +313,7 @@ pub fn figure_retries(sweep: &ChurnSweep) -> DataTable {
     churn_table(
         sweep,
         Metric::Retries,
-        &format!(
-            "Churn degradation ({} backend): directory retries + local fallbacks vs. churn level and k",
-            sweep.backend.label()
-        ),
+        "Churn degradation (maan backend): directory retries + local fallbacks vs. churn level and k",
     )
 }
 
@@ -340,10 +324,7 @@ pub fn figure_stabilization(sweep: &ChurnSweep) -> DataTable {
     churn_table(
         sweep,
         Metric::Stabilization,
-        &format!(
-            "Self-healing cost ({} backend): stabilization messages vs. churn level and k",
-            sweep.backend.label()
-        ),
+        "Self-healing cost (maan backend): stabilization messages vs. churn level and k",
     )
 }
 
@@ -354,44 +335,34 @@ pub fn figure_latency(sweep: &ChurnSweep) -> DataTable {
     churn_table(
         sweep,
         Metric::Latency,
-        &format!(
-            "Latency degradation ({} backend): avg response time / zero-churn baseline vs. churn level and k",
-            sweep.backend.label()
-        ),
+        "Latency degradation (maan backend): avg response time / zero-churn baseline vs. churn level and k",
     )
 }
 
-/// Renders every CSV a set of churn sweeps produces, as `(name, csv)`
-/// pairs in a stable order.
+/// Every table a churn sweep produces, as `(file stem, table)` pairs in a
+/// stable order.
 #[must_use]
-pub fn render_all_csvs(sweeps: &[ChurnSweep]) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for sweep in sweeps {
-        let b = sweep.backend.label();
-        out.push((format!("churn_availability_{b}"), figure_availability(sweep).to_csv()));
-        out.push((format!("churn_retries_{b}"), figure_retries(sweep).to_csv()));
-        out.push((format!("churn_stabilization_{b}"), figure_stabilization(sweep).to_csv()));
-        out.push((format!("churn_latency_{b}"), figure_latency(sweep).to_csv()));
-    }
-    out
+pub fn tables(sweep: &ChurnSweep) -> [(&'static str, DataTable); 4] {
+    [
+        ("churn_availability_maan", figure_availability(sweep)),
+        ("churn_retries_maan", figure_retries(sweep)),
+        ("churn_stabilization_maan", figure_stabilization(sweep)),
+        ("churn_latency_maan", figure_latency(sweep)),
+    ]
 }
 
-/// Renders the audit-ledger digest lines of a set of churn sweeps in a
-/// stable order: the zero-churn baseline first, then one line per
-/// (level, k) run — the format `run_all` appends to `MANIFEST_digests.txt`.
+/// Renders the audit-ledger digest lines of a churn sweep in a stable
+/// order: the zero-churn baseline first, then one line per (level, k) run —
+/// the format `run_all` appends to `MANIFEST_digests.txt`.
 #[must_use]
-pub fn digest_manifest(sweeps: &[ChurnSweep]) -> String {
-    let mut out = String::new();
-    for sweep in sweeps {
-        let b = sweep.backend.label();
-        out.push_str(&format!("exp6/{b}/baseline {}\n", sweep.baseline.digest));
-        for (li, level) in sweep.levels.iter().enumerate() {
-            for (ki, k) in sweep.ks.iter().enumerate() {
-                out.push_str(&format!(
-                    "exp6/{b}/{}/k{k} {}\n",
-                    level.label, sweep.reports[li][ki].digest
-                ));
-            }
+pub fn digest_manifest(sweep: &ChurnSweep) -> String {
+    let mut out = format!("exp6/maan/baseline {}\n", sweep.baseline.digest);
+    for (li, level) in sweep.levels.iter().enumerate() {
+        for (ki, k) in sweep.ks.iter().enumerate() {
+            out.push_str(&format!(
+                "exp6/maan/{}/k{k} {}\n",
+                level.label, sweep.reports[li][ki].digest
+            ));
         }
     }
     out
@@ -411,27 +382,13 @@ fn churn_events(report: &FederationReport) -> u64 {
 /// # Panics
 /// Panics when a criterion fails — CI runs this as a blocking step.
 pub fn assert_acceptance(sweep: &ChurnSweep) {
-    assert_eq!(
-        churn_events(&sweep.baseline),
-        0,
-        "{}: the baseline must be churn-free",
-        sweep.backend.label()
-    );
+    assert_eq!(churn_events(&sweep.baseline), 0, "maan: the baseline must be churn-free");
     for (li, level) in sweep.levels.iter().enumerate() {
         for (ki, k) in sweep.ks.iter().enumerate() {
             let report = &sweep.reports[li][ki];
-            assert!(
-                churn_events(report) > 0,
-                "{}/{}: the churn process must fire",
-                sweep.backend.label(),
-                level.label
-            );
-            assert!(
-                report.bank.is_balanced(),
-                "{}/{}/k{k}: Grid Dollars leaked under churn",
-                sweep.backend.label(),
-                level.label
-            );
+            let l = level.label;
+            assert!(churn_events(report) > 0, "maan/{l}: the churn process must fire");
+            assert!(report.bank.is_balanced(), "maan/{l}/k{k}: Grid Dollars leaked under churn");
         }
     }
     // The headline robustness claim: k = 3 keeps moderate churn above 99%
@@ -440,8 +397,7 @@ pub fn assert_acceptance(sweep: &ChurnSweep) {
         let rate = report.lookup_success_rate();
         assert!(
             rate >= 0.99,
-            "{}: lookup success {rate:.4} < 0.99 under moderate churn with k=3",
-            sweep.backend.label()
+            "maan: lookup success {rate:.4} < 0.99 under moderate churn with k=3"
         );
     }
 }
@@ -450,19 +406,13 @@ pub fn assert_acceptance(sweep: &ChurnSweep) {
 mod tests {
     use super::*;
 
-    fn smoke_sweep(backend: DirectoryBackend) -> ChurnSweep {
-        run_sweep(
-            &WorkloadOptions::quick(),
-            &[DEFAULT_LEVELS[1]],
-            &[1, 3],
-            backend,
-            parallel::default_jobs(),
-        )
+    fn smoke_sweep() -> ChurnSweep {
+        run_sweep(&WorkloadOptions::quick(), &[DEFAULT_LEVELS[1]], &[1, 3], parallel::default_jobs())
     }
 
     #[test]
     fn sweep_shape_lookup_and_acceptance() {
-        let sweep = smoke_sweep(DirectoryBackend::Maan);
+        let sweep = smoke_sweep();
         assert_eq!(sweep.reports.len(), 1);
         assert_eq!(sweep.reports[0].len(), 2);
         assert!(sweep.report_for("moderate", 3).is_some());
@@ -473,7 +423,7 @@ mod tests {
 
     #[test]
     fn replication_recovers_availability_lost_to_churn() {
-        let sweep = smoke_sweep(DirectoryBackend::Maan);
+        let sweep = smoke_sweep();
         let k1 = sweep.report_for("moderate", 1).unwrap();
         let k3 = sweep.report_for("moderate", 3).unwrap();
         assert!(
@@ -488,26 +438,21 @@ mod tests {
 
     #[test]
     fn tables_have_one_row_per_level_and_manifest_is_stable() {
-        let sweep = smoke_sweep(DirectoryBackend::Chord);
-        for table in [
-            figure_availability(&sweep),
-            figure_retries(&sweep),
-            figure_stabilization(&sweep),
-            figure_latency(&sweep),
-        ] {
+        let sweep = smoke_sweep();
+        for (_, table) in tables(&sweep) {
             assert_eq!(table.len(), 1);
             assert_eq!(table.columns.len(), 3);
         }
-        let manifest = digest_manifest(std::slice::from_ref(&sweep));
+        let manifest = digest_manifest(&sweep);
         // Baseline + 1 level × 2 ks = 3 lines.
         assert_eq!(manifest.lines().count(), 3);
-        assert!(manifest.starts_with("exp6/chord/baseline "), "got {manifest:?}");
-        assert_eq!(manifest, digest_manifest(std::slice::from_ref(&sweep)));
+        assert!(manifest.starts_with("exp6/maan/baseline "), "got {manifest:?}");
+        assert_eq!(manifest, digest_manifest(&sweep));
     }
 
     #[test]
     fn knee_ramp_doubles_until_the_gate_breaks() {
-        let sweep = run_knee_with_backend(&WorkloadOptions::quick(), DirectoryBackend::Maan, 8);
+        let sweep = run_knee(&WorkloadOptions::quick(), 8);
         for (i, (intensity, _)) in sweep.points.iter().enumerate() {
             assert_eq!(*intensity, (1u64 << i) as f64, "intensities must double");
         }
@@ -524,12 +469,10 @@ mod tests {
     fn sweep_is_parallel_deterministic() {
         let options = WorkloadOptions::quick();
         let levels = [DEFAULT_LEVELS[1]];
-        let seq = run_sweep(&options, &levels, &[1, 3], DirectoryBackend::Maan, 1);
-        let par = run_sweep(&options, &levels, &[1, 3], DirectoryBackend::Maan, 4);
-        assert_eq!(
-            digest_manifest(std::slice::from_ref(&seq)),
-            digest_manifest(std::slice::from_ref(&par))
-        );
-        assert_eq!(render_all_csvs(std::slice::from_ref(&seq)), render_all_csvs(std::slice::from_ref(&par)));
+        let seq = run_sweep(&options, &levels, &[1, 3], 1);
+        let par = run_sweep(&options, &levels, &[1, 3], 4);
+        assert_eq!(digest_manifest(&seq), digest_manifest(&par));
+        let csvs = |sweep: &ChurnSweep| tables(sweep).map(|(name, table)| (name, table.to_csv()));
+        assert_eq!(csvs(&seq), csvs(&par));
     }
 }

@@ -11,8 +11,8 @@
 //!   lossless run at every fault level, every negotiation eventually
 //!   completes, and the retransmit/duplicate traffic is visible in the
 //!   ledgers — exactly-once *effect* over at-most-once delivery.
-//! * **Repair-mode comparison** — both overlay backends run under moderate
-//!   churn (k = 1, so crashed stores actually fault lookups) *and* moderate
+//! * **Repair-mode comparison** — the MAAN overlay runs under moderate churn
+//!   (k = 1, so crashed stores actually fault lookups) *and* moderate
 //!   network faults, once with periodic-only stabilization and once with
 //!   reactive lookup-time repair.  The table reports the messages-vs-latency
 //!   tradeoff: reactive repair must measurably cut the mean wait a faulted
@@ -141,12 +141,10 @@ pub fn run_sweep(
     }
 }
 
-/// One repair-mode comparison: the same churned, lossy federation run with
-/// periodic-only stabilization and with reactive lookup-time repair.
+/// One repair-mode comparison: the same churned, lossy MAAN federation run
+/// with periodic-only stabilization and with reactive lookup-time repair.
 #[derive(Debug, Clone)]
 pub struct RepairComparison {
-    /// The overlay backend both runs used.
-    pub backend: DirectoryBackend,
     /// The periodic-only run ([`RepairMode::Periodic`]).
     pub periodic: FederationReport,
     /// The reactive lookup-time repair run ([`RepairMode::Reactive`]).
@@ -177,15 +175,11 @@ pub fn mean_fault_wait(report: &FederationReport) -> f64 {
     }
 }
 
-/// Runs the repair-mode comparison for one overlay backend: moderate churn
-/// with k = 1 (no replicas, so a crashed store faults its lookups) plus
-/// moderate network faults, across at most `jobs` worker threads.
+/// Runs the repair-mode comparison on the MAAN overlay: moderate churn with
+/// k = 1 (no replicas, so a crashed store faults its lookups) plus moderate
+/// network faults, across at most `jobs` worker threads.
 #[must_use]
-pub fn run_repair_comparison(
-    options: &WorkloadOptions,
-    backend: DirectoryBackend,
-    jobs: usize,
-) -> RepairComparison {
+pub fn run_repair_comparison(options: &WorkloadOptions, jobs: usize) -> RepairComparison {
     let modes = [RepairMode::Periodic, RepairMode::Reactive];
     let point = |i: usize| {
         let mut churn = exp6::DEFAULT_LEVELS[1].to_config(options, 1);
@@ -198,7 +192,7 @@ pub fn run_repair_comparison(
                 mode: SchedulingMode::Economy,
                 seed: options.seed,
                 utilization_horizon: Some(options.duration),
-                directory: backend,
+                directory: DirectoryBackend::Maan,
                 churn: Some(churn),
                 network: Some(DEFAULT_FAULTS[1].config),
                 ..FederationConfig::default()
@@ -210,11 +204,7 @@ pub fn run_repair_comparison(
         .into_iter();
     let periodic = flat.next().expect("the periodic run is point 0");
     let reactive = flat.next().expect("the reactive run is point 1");
-    RepairComparison {
-        backend,
-        periodic,
-        reactive,
-    }
+    RepairComparison { periodic, reactive }
 }
 
 /// Fault-layer traffic per fault level: what the retransmission protocol
@@ -255,9 +245,9 @@ pub fn figure_fault_traffic(sweep: &UnreliableSweep) -> DataTable {
 }
 
 /// The repair-mode tradeoff table: mean faulted-lookup wait vs. repair
-/// traffic, one row per (backend, mode).
+/// traffic, one row per mode.
 #[must_use]
-pub fn figure_repair_tradeoff(comparisons: &[RepairComparison]) -> DataTable {
+pub fn figure_repair_tradeoff(comparison: &RepairComparison) -> DataTable {
     let mut table = DataTable::new(
         "Reactive vs. periodic ring repair (moderate churn k=1 + moderate faults): mean faulted-lookup wait vs. repair traffic",
         &[
@@ -270,25 +260,23 @@ pub fn figure_repair_tradeoff(comparisons: &[RepairComparison]) -> DataTable {
             "Lookup success %",
         ],
     );
-    for cmp in comparisons {
-        for (mode, report) in [
-            (RepairMode::Periodic, &cmp.periodic),
-            (RepairMode::Reactive, &cmp.reactive),
-        ] {
-            let count = |c| report.metrics.counter(c);
-            table.push_row(vec![
-                cmp.backend.label().to_string(),
-                mode.label().to_string(),
-                format!("{}", count(Counter::LookupFaults)),
-                f2(mean_fault_wait(report)),
-                format!("{}", count(Counter::ReactiveRepairs)),
-                format!(
-                    "{}",
-                    count(Counter::StabilizationMessages) + count(Counter::ReactiveRepairMessages)
-                ),
-                f2(report.lookup_success_rate() * 100.0),
-            ]);
-        }
+    for (mode, report) in [
+        (RepairMode::Periodic, &comparison.periodic),
+        (RepairMode::Reactive, &comparison.reactive),
+    ] {
+        let count = |c| report.metrics.counter(c);
+        table.push_row(vec![
+            DirectoryBackend::Maan.label().to_string(),
+            mode.label().to_string(),
+            format!("{}", count(Counter::LookupFaults)),
+            f2(mean_fault_wait(report)),
+            format!("{}", count(Counter::ReactiveRepairs)),
+            format!(
+                "{}",
+                count(Counter::StabilizationMessages) + count(Counter::ReactiveRepairMessages)
+            ),
+            f2(report.lookup_success_rate() * 100.0),
+        ]);
     }
     table
 }
@@ -298,7 +286,7 @@ pub fn figure_repair_tradeoff(comparisons: &[RepairComparison]) -> DataTable {
 #[must_use]
 pub fn render_all_csvs(
     sweeps: &[UnreliableSweep],
-    comparisons: &[RepairComparison],
+    repair: Option<&RepairComparison>,
 ) -> Vec<(String, String)> {
     let mut out = Vec::new();
     for sweep in sweeps {
@@ -307,10 +295,10 @@ pub fn render_all_csvs(
             figure_fault_traffic(sweep).to_csv(),
         ));
     }
-    if !comparisons.is_empty() {
+    if let Some(comparison) = repair {
         out.push((
             "network_repair_tradeoff".to_string(),
-            figure_repair_tradeoff(comparisons).to_csv(),
+            figure_repair_tradeoff(comparison).to_csv(),
         ));
     }
     out
@@ -319,10 +307,7 @@ pub fn render_all_csvs(
 /// Renders the audit-ledger digest lines of the experiment in a stable
 /// order — the format `run_all` appends to `MANIFEST_digests.txt`.
 #[must_use]
-pub fn digest_manifest(
-    sweeps: &[UnreliableSweep],
-    comparisons: &[RepairComparison],
-) -> String {
+pub fn digest_manifest(sweeps: &[UnreliableSweep], repair: Option<&RepairComparison>) -> String {
     let mut out = String::new();
     for sweep in sweeps {
         let b = sweep.backend.label();
@@ -331,10 +316,9 @@ pub fn digest_manifest(
             out.push_str(&format!("exp7/{b}/{} {}\n", level.label, report.digest));
         }
     }
-    for cmp in comparisons {
-        let b = cmp.backend.label();
-        out.push_str(&format!("exp7/repair/{b}/periodic {}\n", cmp.periodic.digest));
-        out.push_str(&format!("exp7/repair/{b}/reactive {}\n", cmp.reactive.digest));
+    if let Some(cmp) = repair {
+        out.push_str(&format!("exp7/repair/maan/periodic {}\n", cmp.periodic.digest));
+        out.push_str(&format!("exp7/repair/maan/reactive {}\n", cmp.reactive.digest));
     }
     out
 }
@@ -386,52 +370,37 @@ pub fn assert_acceptance(sweep: &UnreliableSweep) {
     }
 }
 
-/// The repair-mode acceptance gate over a set of overlay comparisons:
-/// reactive repair must fire and must measurably reduce the mean
-/// faulted-lookup wait relative to periodic-only stabilization on the same
-/// seed.
-///
-/// A comparison whose periodic run saw no faulted lookup has nothing to
-/// measure (full-scale Chord is one: its lookups all find a live store).
-/// Its backend is returned as *not exercised* instead of failing the gate,
-/// but at least one comparison must be exercised.
+/// The repair-mode acceptance gate: reactive repair must fire and must
+/// measurably reduce the mean faulted-lookup wait relative to periodic-only
+/// stabilization on the same seed.
 ///
 /// # Panics
-/// Panics when no comparison saw a faulted lookup, when reactive repair
-/// never fires or fails to beat the periodic mean wait on an exercised
-/// backend, when a periodic run repairs reactively, or when any run leaks
-/// Grid Dollars.
-pub fn assert_repair_acceptance(comparisons: &[RepairComparison]) -> Vec<DirectoryBackend> {
-    let mut not_exercised = Vec::new();
-    for cmp in comparisons {
-        let b = cmp.backend.label();
-        assert!(cmp.periodic.bank.is_balanced(), "{b}: periodic run leaked");
-        assert!(cmp.reactive.bank.is_balanced(), "{b}: reactive run leaked");
-        assert_eq!(
-            cmp.periodic.metrics.counter(Counter::ReactiveRepairs), 0,
-            "{b}: periodic-only stabilization must never repair reactively"
-        );
-        if cmp.periodic.metrics.counter(Counter::LookupFaults) == 0 {
-            not_exercised.push(cmp.backend);
-            continue;
-        }
-        assert!(
-            cmp.reactive.metrics.counter(Counter::ReactiveRepairs) > 0,
-            "{b}: reactive mode must execute lookup-time repairs"
-        );
-        let periodic_wait = mean_fault_wait(&cmp.periodic);
-        let reactive_wait = mean_fault_wait(&cmp.reactive);
-        assert!(
-            reactive_wait < periodic_wait,
-            "{b}: reactive repair must reduce the mean faulted-lookup wait \
-             ({reactive_wait:.2}s vs. {periodic_wait:.2}s periodic)"
-        );
-    }
-    assert!(
-        not_exercised.len() < comparisons.len(),
-        "the repair comparison needs faulted lookups to measure on at least one overlay backend"
+/// Panics when the periodic run saw no faulted lookup (there is nothing to
+/// measure), when reactive repair never fires or fails to beat the periodic
+/// mean wait, when the periodic run repairs reactively, or when either run
+/// leaks Grid Dollars.
+pub fn assert_repair_acceptance(cmp: &RepairComparison) {
+    assert!(cmp.periodic.bank.is_balanced(), "maan: periodic run leaked");
+    assert!(cmp.reactive.bank.is_balanced(), "maan: reactive run leaked");
+    assert_eq!(
+        cmp.periodic.metrics.counter(Counter::ReactiveRepairs), 0,
+        "maan: periodic-only stabilization must never repair reactively"
     );
-    not_exercised
+    assert!(
+        cmp.periodic.metrics.counter(Counter::LookupFaults) > 0,
+        "maan: the repair comparison needs faulted lookups to measure"
+    );
+    assert!(
+        cmp.reactive.metrics.counter(Counter::ReactiveRepairs) > 0,
+        "maan: reactive mode must execute lookup-time repairs"
+    );
+    let periodic_wait = mean_fault_wait(&cmp.periodic);
+    let reactive_wait = mean_fault_wait(&cmp.reactive);
+    assert!(
+        reactive_wait < periodic_wait,
+        "maan: reactive repair must reduce the mean faulted-lookup wait \
+         ({reactive_wait:.2}s vs. {periodic_wait:.2}s periodic)"
+    );
 }
 
 #[cfg(test)]
@@ -441,11 +410,7 @@ mod tests {
     #[test]
     fn fault_sweep_upholds_acceptance_on_every_backend() {
         let options = WorkloadOptions::quick();
-        for backend in [
-            DirectoryBackend::Ideal,
-            DirectoryBackend::Chord,
-            DirectoryBackend::Maan,
-        ] {
+        for backend in DirectoryBackend::ALL {
             let sweep = run_sweep(&options, &[DEFAULT_FAULTS[1]], backend, parallel::default_jobs());
             assert_acceptance(&sweep);
             let table = figure_fault_traffic(&sweep);
@@ -456,46 +421,23 @@ mod tests {
 
     #[test]
     fn reactive_repair_beats_periodic_on_the_overlays() {
-        let options = WorkloadOptions::quick();
-        let comparisons: Vec<RepairComparison> =
-            [DirectoryBackend::Chord, DirectoryBackend::Maan]
-                .iter()
-                .map(|&b| run_repair_comparison(&options, b, 2))
-                .collect();
-        assert!(
-            assert_repair_acceptance(&comparisons).is_empty(),
-            "both overlays fault at quick scale"
-        );
-        let table = figure_repair_tradeoff(&comparisons);
-        assert_eq!(table.len(), 4, "two backends × two modes");
+        let comparison = run_repair_comparison(&WorkloadOptions::quick(), 2);
+        assert_repair_acceptance(&comparison);
+        let table = figure_repair_tradeoff(&comparison);
+        assert_eq!(table.len(), 2, "one row per repair mode");
     }
 
-    /// A comparison with nothing to measure: both modes replaced by a
-    /// churn-free run, so neither sees a faulted lookup.
-    fn fault_free_comparison(backend: DirectoryBackend) -> RepairComparison {
-        let lossless = run_sweep(&WorkloadOptions::quick(), &[], backend, 1).lossless;
-        RepairComparison {
-            backend,
+    #[test]
+    #[should_panic(expected = "the repair comparison needs faulted lookups to measure")]
+    fn repair_gate_needs_one_exercised_backend() {
+        // Both modes replaced by a churn-free run, so neither sees a faulted
+        // lookup.
+        let lossless = run_sweep(&WorkloadOptions::quick(), &[], DirectoryBackend::Maan, 1).lossless;
+        assert_eq!(lossless.metrics.counter(Counter::LookupFaults), 0);
+        assert_repair_acceptance(&RepairComparison {
             periodic: lossless.clone(),
             reactive: lossless,
-        }
-    }
-
-    #[test]
-    fn repair_gate_reports_fault_free_backends_as_not_exercised() {
-        let quiet = fault_free_comparison(DirectoryBackend::Chord);
-        assert_eq!(quiet.periodic.metrics.counter(Counter::LookupFaults), 0);
-        let faulting = run_repair_comparison(&WorkloadOptions::quick(), DirectoryBackend::Maan, 2);
-        assert_eq!(
-            assert_repair_acceptance(&[quiet, faulting]),
-            vec![DirectoryBackend::Chord]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "needs faulted lookups to measure on at least one overlay backend")]
-    fn repair_gate_needs_one_exercised_backend() {
-        let _ = assert_repair_acceptance(&[fault_free_comparison(DirectoryBackend::Maan)]);
+        });
     }
 
     #[test]
@@ -504,14 +446,14 @@ mod tests {
         let levels = [DEFAULT_FAULTS[0]];
         let seq = run_sweep(&options, &levels, DirectoryBackend::Maan, 1);
         let par = run_sweep(&options, &levels, DirectoryBackend::Maan, 4);
-        let seq_manifest = digest_manifest(std::slice::from_ref(&seq), &[]);
-        assert_eq!(seq_manifest, digest_manifest(std::slice::from_ref(&par), &[]));
+        let seq_manifest = digest_manifest(std::slice::from_ref(&seq), None);
+        assert_eq!(seq_manifest, digest_manifest(std::slice::from_ref(&par), None));
         // Lossless baseline + one level = 2 lines.
         assert_eq!(seq_manifest.lines().count(), 2);
         assert!(seq_manifest.starts_with("exp7/maan/lossless "));
         assert_eq!(
-            render_all_csvs(std::slice::from_ref(&seq), &[]),
-            render_all_csvs(std::slice::from_ref(&par), &[])
+            render_all_csvs(std::slice::from_ref(&seq), None),
+            render_all_csvs(std::slice::from_ref(&par), None)
         );
     }
 }

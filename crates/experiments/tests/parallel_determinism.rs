@@ -50,7 +50,7 @@ fn adversarial_claim_schedules_produce_identical_runs() {
     let options = WorkloadOptions::quick();
     let sizes = [8usize, 16];
     let profile = PopulationProfile::new(50);
-    let backend = DirectoryBackend::Chord;
+    let backend = DirectoryBackend::Maan;
 
     let reference = exp5::run_sweep(&options, &sizes, &[profile], backend, 1);
 

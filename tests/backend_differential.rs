@@ -1,6 +1,6 @@
-//! Differential test between the directory backends on the calibrated paper
-//! workload: for the same seed and workload, the `Ideal`, `Chord` and
-//! `Maan` backends must produce **identical** job outcomes
+//! Differential test between the two directory backends on the calibrated
+//! paper workload: for the same seed and workload, the `Ideal` and `Maan`
+//! backends must produce **identical** job outcomes
 //! (accepted/dropped, completion times, GridBank balances) and differ only
 //! in directory/publish message counts and the simulated lookup latency
 //! those messages account.
@@ -47,85 +47,83 @@ fn backends_differ_only_in_directory_traffic() {
     assert!(ideal.directory_cache.hits > 0, "ideal: cache never hit");
     assert!(ideal.directory_cache.misses > 0, "ideal: cache never missed");
 
-    for backend in [DirectoryBackend::Chord, DirectoryBackend::Maan] {
-        let other = run_with(backend);
-        assert_eq!(other.backend, backend);
+    let maan = run_with(DirectoryBackend::Maan);
+    assert_eq!(maan.backend, DirectoryBackend::Maan);
 
-        // Digest-first: the audit ledger's outcome chains commit to every
-        // job record and Grid-Dollar transfer, so one u64 comparison states
-        // the whole conformance claim; the field-by-field oracle below is
-        // kept because its failures localise a divergence.
+    // Digest-first: the audit ledger's outcome chains commit to every
+    // job record and Grid-Dollar transfer, so one u64 comparison states
+    // the whole conformance claim; the field-by-field oracle below is
+    // kept because its failures localise a divergence.
+    assert_eq!(
+        ideal.digest.outcomes, maan.digest.outcomes,
+        "MAAN: outcome digest diverged from the ideal backend"
+    );
+
+    // Job outcomes are bitwise-identical: same records in the same
+    // order, modulo the directory_messages field.
+    assert_eq!(ideal.jobs.len(), maan.jobs.len());
+    for (a, b) in ideal.jobs.iter().zip(&maan.jobs) {
+        assert_eq!(a.id, b.id);
+        assert_eq!(a.outcome, b.outcome, "MAAN: job {} outcome diverged", a.id);
         assert_eq!(
-            ideal.digest.outcomes, other.digest.outcomes,
-            "{backend:?}: outcome digest diverged from the ideal backend"
+            a.messages, b.messages,
+            "MAAN: job {} negotiation traffic diverged",
+            a.id
         );
-
-        // Job outcomes are bitwise-identical: same records in the same
-        // order, modulo the directory_messages field.
-        assert_eq!(ideal.jobs.len(), other.jobs.len());
-        for (a, b) in ideal.jobs.iter().zip(&other.jobs) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.outcome, b.outcome, "{backend:?}: job {} outcome diverged", a.id);
-            assert_eq!(
-                a.messages, b.messages,
-                "{backend:?}: job {} negotiation traffic diverged",
-                a.id
-            );
-            assert_eq!(a.strategy, b.strategy);
-            assert_eq!(a.submit, b.submit);
-            assert_eq!(a.budget, b.budget);
-            assert_eq!(a.deadline, b.deadline);
-        }
-        assert_eq!(ideal.sim_end, other.sim_end);
-
-        // Per-resource statistics and GridBank balances agree exactly.
-        for (ra, rb) in ideal.resources.iter().zip(&other.resources) {
-            assert_eq!(ra.accepted, rb.accepted, "{backend:?}");
-            assert_eq!(ra.rejected, rb.rejected);
-            assert_eq!(ra.processed_locally, rb.processed_locally);
-            assert_eq!(ra.migrated, rb.migrated);
-            assert_eq!(ra.remote_jobs_processed, rb.remote_jobs_processed);
-            assert_eq!(ra.utilization, rb.utilization);
-            assert!((ra.incentive - rb.incentive).abs() < 1e-12);
-        }
-        assert!(ideal.bank.is_balanced() && other.bank.is_balanced());
-
-        // Negotiation traffic is identical at every granularity…
-        assert_eq!(ideal.messages.total_messages(), other.messages.total_messages());
-        assert_eq!(ideal.messages.per_job(), other.messages.per_job());
-        assert_eq!(ideal.messages.per_gfa_summary(), other.messages.per_gfa_summary());
-
-        // …while directory (and, for MAAN, publish) traffic is where the
-        // backends are allowed — and expected — to differ: both issued the
-        // same queries; the ideal backend charged the ⌈log₂ 8⌉ = 3 model
-        // per routed lookup, the overlay backends charged measured hops
-        // (under MAAN the advances also carry boundary crossings over the
-        // distributed rank data).
-        assert_eq!(ideal.directory_queries, other.directory_queries, "{backend:?}");
-        assert!(ideal.directory_queries > 0);
-        assert!(other.directory_avg_route_messages >= 1.0);
-        assert!(other.messages.directory_messages() > 0);
-        // (No assert that the totals *differ*: nothing forbids the measured
-        // hop total from coinciding with the model for some seed — the
-        // invariant is that directory/publish traffic is the only place
-        // backends may diverge.)
-        assert!(other.messages.directory_seconds() > 0.0);
-        // The GFAs' quote caches are really on the query path: some probes
-        // are served from the cache and some stream through a cursor.
-        assert!(other.directory_cache.hits > 0, "{backend:?}: cache never hit");
-        assert!(other.directory_cache.misses > 0, "{backend:?}: cache never missed");
-        if backend == DirectoryBackend::Maan {
-            // 8 resources × ≥ 2 routed puts each: the publish class is live.
-            assert!(
-                other.messages.publish_messages() >= 16,
-                "MAAN must charge its initial publishes (got {})",
-                other.messages.publish_messages()
-            );
-            assert!(other.messages.publish_seconds() > 0.0);
-        } else {
-            assert_eq!(other.messages.publish_messages(), 0);
-        }
+        assert_eq!(a.strategy, b.strategy);
+        assert_eq!(a.submit, b.submit);
+        assert_eq!(a.budget, b.budget);
+        assert_eq!(a.deadline, b.deadline);
     }
+    assert_eq!(ideal.sim_end, maan.sim_end);
+
+    // Per-resource statistics and GridBank balances agree exactly.
+    for (ra, rb) in ideal.resources.iter().zip(&maan.resources) {
+        assert_eq!(ra.accepted, rb.accepted, "MAAN");
+        assert_eq!(ra.rejected, rb.rejected);
+        assert_eq!(ra.processed_locally, rb.processed_locally);
+        assert_eq!(ra.migrated, rb.migrated);
+        assert_eq!(ra.remote_jobs_processed, rb.remote_jobs_processed);
+        assert_eq!(ra.utilization, rb.utilization);
+        assert!((ra.incentive - rb.incentive).abs() < 1e-12);
+    }
+    assert!(ideal.bank.is_balanced() && maan.bank.is_balanced());
+
+    // Negotiation traffic is identical at every granularity…
+    assert_eq!(ideal.messages.total_messages(), maan.messages.total_messages());
+    assert_eq!(ideal.messages.per_job(), maan.messages.per_job());
+    assert_eq!(ideal.messages.per_gfa_summary(), maan.messages.per_gfa_summary());
+
+    // …while directory (and, for MAAN, publish) traffic is where the
+    // backends are allowed — and expected — to differ: both issued the
+    // same queries; the ideal backend charged the ⌈log₂ 8⌉ = 3 model
+    // per routed lookup, MAAN charged measured hops (its advances also
+    // carry boundary crossings over the distributed rank data).
+    assert_eq!(ideal.directory_queries, maan.directory_queries, "MAAN");
+    assert!(ideal.directory_queries > 0);
+    assert!(maan.directory_avg_route_messages >= 1.0);
+    // The finger hops are the routing part of a route's charge, without the
+    // arc walk; the ideal backend routes nothing.
+    assert_eq!(ideal.directory_avg_finger_hops, 0.0);
+    assert!(maan.directory_avg_finger_hops >= 1.0);
+    assert!(maan.directory_avg_finger_hops <= maan.directory_avg_route_messages);
+    assert!(maan.messages.directory_messages() > 0);
+    // (No assert that the totals *differ*: nothing forbids the measured
+    // hop total from coinciding with the model for some seed — the
+    // invariant is that directory/publish traffic is the only place
+    // backends may diverge.)
+    assert!(maan.messages.directory_seconds() > 0.0);
+    // The GFAs' quote caches are really on the query path: some probes
+    // are served from the cache and some stream through a cursor.
+    assert!(maan.directory_cache.hits > 0, "MAAN: cache never hit");
+    assert!(maan.directory_cache.misses > 0, "MAAN: cache never missed");
+    // 8 resources × ≥ 2 routed puts each: the publish class is live.
+    assert!(
+        maan.messages.publish_messages() >= 16,
+        "MAAN must charge its initial publishes (got {})",
+        maan.messages.publish_messages()
+    );
+    assert!(maan.messages.publish_seconds() > 0.0);
 }
 
 #[test]
@@ -152,29 +150,25 @@ fn departures_are_outcome_identical_across_backends() {
         )
     };
     let ideal = run(DirectoryBackend::Ideal);
-    for backend in [DirectoryBackend::Chord, DirectoryBackend::Maan] {
-        let other = run(backend);
-        assert_eq!(
-            ideal.digest.outcomes, other.digest.outcomes,
-            "{backend:?}: outcome digest diverged under mid-run mutations"
-        );
-        assert_eq!(ideal.jobs.len(), other.jobs.len());
-        for (a, b) in ideal.jobs.iter().zip(&other.jobs) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.outcome, b.outcome, "{backend:?}");
-        }
-        assert_eq!(ideal.messages.total_messages(), other.messages.total_messages());
-        assert!(ideal.bank.is_balanced() && other.bank.is_balanced());
-        if backend == DirectoryBackend::Maan {
-            // The departure's routed removes and the repricing's routed move
-            // land in the publish class on top of the initial subscribes.
-            assert!(
-                other.messages.publish_messages() > 16,
-                "mid-run mutations must add publish traffic (got {})",
-                other.messages.publish_messages()
-            );
-        }
+    let maan = run(DirectoryBackend::Maan);
+    assert_eq!(
+        ideal.digest.outcomes, maan.digest.outcomes,
+        "MAAN: outcome digest diverged under mid-run mutations"
+    );
+    assert_eq!(ideal.jobs.len(), maan.jobs.len());
+    for (a, b) in ideal.jobs.iter().zip(&maan.jobs) {
+        assert_eq!(a.id, b.id);
+        assert_eq!(a.outcome, b.outcome, "MAAN");
     }
+    assert_eq!(ideal.messages.total_messages(), maan.messages.total_messages());
+    assert!(ideal.bank.is_balanced() && maan.bank.is_balanced());
+    // The departure's routed removes and the repricing's routed move land
+    // in the publish class on top of the initial subscribes.
+    assert!(
+        maan.messages.publish_messages() > 16,
+        "mid-run mutations must add publish traffic (got {})",
+        maan.messages.publish_messages()
+    );
     // The departed resource executed strictly less remote work than in the
     // undisturbed run of `backends_differ_only_in_directory_traffic`.
     let undisturbed = run_with(DirectoryBackend::Ideal);
@@ -187,7 +181,7 @@ fn departures_are_outcome_identical_across_backends() {
 /// The per-job tallies in the job records, the message ledger and the
 /// metrics registry are three views of one charge stream, so they must
 /// agree exactly — on every backend, with and without scripted repricings,
-/// churn (k = 2, overlay backends only) and moderate network faults.
+/// churn (k = 2, MAAN only) and moderate network faults.
 #[test]
 fn job_records_ledger_and_registry_agree() {
     let options = WorkloadOptions::quick();
