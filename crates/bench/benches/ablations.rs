@@ -1,20 +1,17 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
+//! Ablation benchmarks for the simulator's design choices:
 //!
 //! * `ablation_backfilling` — FCFS vs. EASY backfilling local schedulers,
 //! * `ablation_directory` — idealised `⌈log₂ n⌉` directory cost vs. measured
 //!   Chord overlay hops,
 //! * `ablation_charging` — per-CPU-second (literal Eq. 4) vs. per-1000-MI
-//!   charging,
-//! * `ablation_baselines` — Grid-Federation negotiation vs. broadcast
-//!   superscheduling (S-I) vs. partial-view flock on the same workload.
+//!   charging.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use grid_baselines::{run_broadcast, run_flock, BroadcastConfig, FlockConfig};
 use grid_bench::tiny_options;
 use grid_directory::{ChordOverlay, FederationDirectory, IdealDirectory, Quote, RankOrder};
-use grid_experiments::workloads::{paper_workloads, replicated_workloads};
+use grid_experiments::workloads::paper_workloads;
 use grid_federation_core::federation::{
     run_federation, FederationConfig, LrmsKind, SchedulingMode,
 };
@@ -105,47 +102,10 @@ fn ablation_charging(c: &mut Criterion) {
     group.finish();
 }
 
-fn ablation_baselines(c: &mut Criterion) {
-    let options = tiny_options();
-    let size = 16usize;
-    let setup = replicated_workloads(size, PopulationProfile::recommended(), &options);
-    // The baselines need the QoS constraints the federation fabricates.
-    let mut qos_workloads = setup.workloads.clone();
-    for (i, jobs) in qos_workloads.iter_mut().enumerate() {
-        ChargingPolicy::PerKiloMi.fabricate_qos_all(jobs, &setup.resources[i]);
-    }
-    let mut group = c.benchmark_group("ablation_baselines");
-    group.sample_size(10);
-    group.bench_function("grid_federation_negotiation", |b| {
-        b.iter(|| {
-            let report = run_federation(
-                setup.resources.clone(),
-                setup.workloads.clone(),
-                FederationConfig::with_mode(SchedulingMode::Economy),
-            );
-            black_box(report.messages.total_messages())
-        })
-    });
-    group.bench_function("broadcast_sender_initiated", |b| {
-        b.iter(|| {
-            let out = run_broadcast(&setup.resources, &qos_workloads, &BroadcastConfig::default());
-            black_box(out.total_messages)
-        })
-    });
-    group.bench_function("condor_flock_partial_view", |b| {
-        b.iter(|| {
-            let out = run_flock(&setup.resources, &qos_workloads, &FlockConfig::default());
-            black_box(out.total_messages)
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     ablation_backfilling,
     ablation_directory,
-    ablation_charging,
-    ablation_baselines
+    ablation_charging
 );
 criterion_main!(benches);

@@ -357,12 +357,13 @@ fn main() {
     });
     let workload_jobs_per_sec = workload_jobs as f64 / workload_secs;
 
-    // Streaming path: drain a scaled synthetic stream through a counting
-    // consumer without ever materialising the `Vec<Job>`.  Peak working
-    // memory is the stream's three scalar calibration arrays (20 B/job)
-    // instead of `size_of::<Job>()` per job, which is what lets the
-    // million-job smoke (`exp5_scalability --stream-smoke`) run flat.
-    let stream_jobs = if args.smoke { 100_000usize } else { 1_000_000 };
+    // Streaming path: drain a million-job synthetic stream through a
+    // counting consumer without ever materialising the `Vec<Job>`.  Peak
+    // working memory is the stream's three scalar calibration arrays
+    // (20 B/job) instead of `size_of::<Job>()` per job, which is what lets
+    // the drain run flat.  Smoke and full runs drain the same count, the
+    // one `BENCH_perf.json` records, so the gate compares like with like.
+    let stream_jobs = 1_000_000usize;
     eprintln!("    streaming generation ({stream_jobs} jobs, no materialisation)…");
     let stream_cfg = scaled_stream_config(0, stream_jobs, &workload_options);
     let stream_secs = best_of(workload_reps, || {

@@ -2,15 +2,14 @@
 //!
 //! The actual benchmarks live in `benches/`:
 //!
-//! * `ablations` — design-choice ablations called out in DESIGN.md
-//!   (LRMS policy, directory implementation, charging policy, baseline
-//!   superschedulers),
+//! * `ablations` — design-choice ablations (LRMS policy, directory
+//!   implementation, charging policy),
 //! * `micro` — microbenchmarks of the substrates (event queue, LRMS,
 //!   directory, workload generator).
 //!
 //! Benchmarks use the reduced [`tiny_options`] workload so a full
-//! `cargo bench` pass stays short; whole experiments are timed by the
-//! experiment binaries and `bench_perf`, not here.
+//! `cargo bench` pass stays short; whole federation runs are timed by
+//! `bench_perf` and `perfbench`, not here.
 
 use grid_directory::{AnyDirectory, DirectoryBackend, FederationDirectory, Quote};
 use grid_experiments::workloads::WorkloadOptions;

@@ -5,7 +5,7 @@
 //! the original Parallel Workloads Archive traces: the number of jobs
 //! submitted during the simulated two days ("Total Job" column of Table 2)
 //! and the *offered load* implied by the reported utilization / rejection
-//! figures.  See `DESIGN.md` §1 for the substitution argument.
+//! figures.  The `grid-workload` crate docs give the substitution argument.
 
 use crate::resource::ResourceSpec;
 

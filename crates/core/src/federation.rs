@@ -107,20 +107,6 @@ impl RepairMode {
     }
 }
 
-impl std::str::FromStr for RepairMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "periodic" => Ok(RepairMode::Periodic),
-            "reactive" => Ok(RepairMode::Reactive),
-            other => Err(format!(
-                "unknown repair mode '{other}' (expected 'periodic' or 'reactive')"
-            )),
-        }
-    }
-}
-
 impl std::fmt::Display for RepairMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
@@ -1062,11 +1048,11 @@ mod tests {
     #[test]
     fn repair_mode_labels_roundtrip() {
         assert_eq!(RepairMode::default(), RepairMode::Periodic);
-        for mode in [RepairMode::Periodic, RepairMode::Reactive] {
-            assert_eq!(mode.label().parse::<RepairMode>().unwrap(), mode);
+        let modes = [RepairMode::Periodic, RepairMode::Reactive];
+        for mode in modes {
             assert_eq!(format!("{mode}"), mode.label());
         }
-        assert!("eager".parse::<RepairMode>().is_err());
+        assert_eq!(modes.map(RepairMode::label), ["periodic", "reactive"]);
     }
 
     #[test]

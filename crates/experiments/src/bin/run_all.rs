@@ -7,15 +7,23 @@
 //! grid.  `--jobs N` caps the worker pool of the Experiment 5–7 sweeps
 //! (default: all cores); the emitted CSVs are bitwise-identical for every
 //! `--jobs` value.
+//!
+//! Besides the CSVs, the run writes Experiment 1's metrics registry
+//! (`exp1_metrics.json`) and span trace in Chrome Trace Format
+//! (`exp1_trace.json`), and the digest manifest `MANIFEST_digests.txt`.
+//! Every acceptance gate of Experiments 6 and 7 is asserted on the way.
 
+use std::cell::RefCell;
 use std::fs;
 use std::path::PathBuf;
+use std::rc::Rc;
 
 use grid_experiments::exp5::Stat;
 use grid_experiments::obs::percentile_summary;
 use grid_experiments::summary::HeadlineClaims;
 use grid_experiments::workloads::WorkloadOptions;
-use grid_experiments::{exp1, exp2, exp3, exp4, exp5, exp6, exp7};
+use grid_experiments::{exp1, exp2, exp3, exp4, exp5, exp6, exp7, tables};
+use grid_federation_core::SpanCollector;
 use grid_workload::PopulationProfile;
 
 fn parse_args() -> (WorkloadOptions, PathBuf, bool, usize) {
@@ -58,11 +66,26 @@ fn main() {
     let (options, out, quick, jobs) = parse_args();
     fs::create_dir_all(&out).expect("failed to create output directory");
 
+    eprintln!("[0/7] static tables 1 and 4");
+    tables::table1()
+        .write_csv(&out.join("table1_resources.csv"))
+        .expect("write table1");
+    tables::table4()
+        .write_csv(&out.join("table4_superschedulers.csv"))
+        .expect("write table4");
+
     eprintln!("[1/7] experiment 1: independent resources");
-    let e1 = exp1::run(&options);
+    // The span collector is armed on this run only; digests are identical
+    // with it armed or absent.
+    let tracer = Rc::new(RefCell::new(SpanCollector::new()));
+    let e1 = exp1::run_traced(&options, Rc::clone(&tracer));
     exp1::table2(&e1)
         .write_csv(&out.join("table2_independent.csv"))
         .expect("write table2");
+    fs::write(out.join("exp1_metrics.json"), e1.report.metrics.to_json())
+        .expect("write exp1 metrics");
+    fs::write(out.join("exp1_trace.json"), tracer.borrow().to_chrome_trace())
+        .expect("write exp1 trace");
 
     eprintln!("[2/7] experiment 2: federation without economy");
     let e2 = exp2::run(&options);
@@ -148,6 +171,17 @@ fn main() {
     for (name, table) in exp6::tables(&churn_sweep) {
         table.write_csv(&out.join(format!("{name}.csv"))).expect("write exp6 table");
     }
+    let knee = exp6::run_knee(&options);
+    match knee.knee {
+        Some(at) => eprintln!("      availability knee: k=3 gate breaks at {at}x moderate churn"),
+        None => eprintln!(
+            "      availability knee: gate survived {} doublings of moderate churn",
+            exp6::KNEE_MAX_STEPS
+        ),
+    }
+    exp6::figure_knee(&knee)
+        .write_csv(&out.join("churn_knee_maan.csv"))
+        .expect("write churn knee");
 
     eprintln!("[7/7] experiment 7: unreliable network, both backends");
     let fault_sweeps: Vec<exp7::UnreliableSweep> = grid_federation_core::DirectoryBackend::ALL

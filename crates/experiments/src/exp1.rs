@@ -11,7 +11,7 @@ use std::rc::Rc;
 use grid_federation_core::federation::{
     run_federation, FederationBuilder, FederationConfig, SchedulingMode,
 };
-use grid_federation_core::{FederationReport, ProfileTable, SpanCollector};
+use grid_federation_core::{FederationReport, SpanCollector};
 use grid_workload::PopulationProfile;
 
 use crate::report::{f2, DataTable};
@@ -43,27 +43,21 @@ pub fn run(options: &WorkloadOptions) -> Experiment1Result {
     Experiment1Result { report }
 }
 
-/// Runs Experiment 1 with observability sinks armed: the same run as
-/// [`run`] — digests are bit-identical, the obs-inertness tests pin that —
-/// but spans land in `tracer` and wall-clock handler timings in
-/// `profiler` when supplied.
+/// Runs Experiment 1 with a span collector armed: the same run as [`run`]
+/// — digests are bit-identical, the obs-inertness tests pin that — but
+/// every handler's spans land in `tracer`.
 #[must_use]
-pub fn run_with_observers(
+pub fn run_traced(
     options: &WorkloadOptions,
-    tracer: Option<Rc<RefCell<SpanCollector>>>,
-    profiler: Option<Rc<RefCell<ProfileTable>>>,
+    tracer: Rc<RefCell<SpanCollector>>,
 ) -> Experiment1Result {
     let setup = paper_workloads(PopulationProfile::recommended(), options);
-    let mut builder = FederationBuilder::new(setup.resources)
+    let report = FederationBuilder::new(setup.resources)
         .workloads(setup.workloads)
-        .config(config(options));
-    if let Some(tracer) = tracer {
-        builder = builder.tracer(tracer);
-    }
-    if let Some(profiler) = profiler {
-        builder = builder.profiler(profiler);
-    }
-    Experiment1Result { report: builder.run() }
+        .config(config(options))
+        .tracer(tracer)
+        .run();
+    Experiment1Result { report }
 }
 
 /// Renders Table 2: per-resource utilization, job counts and
@@ -120,8 +114,7 @@ mod tests {
         assert!(ctc.acceptance_rate() > 70.0, "CTC acceptance {}", ctc.acceptance_rate());
         // Even the reduced quick trace produces some rejections somewhere in
         // the system (the full-scale Table 2 shape — SDSC Blue and SDSC SP2
-        // as the rejection hotspots — is recorded in EXPERIMENTS.md and
-        // regenerated by the exp1_independent binary).
+        // as the rejection hotspots — is regenerated by `run_all`).
         let rates: Vec<f64> = result
             .report
             .resources

@@ -6,13 +6,8 @@
 //! speed.  The comparison against Experiment 1 (Fig. 2) is the paper's
 //! argument that federated sharing raises utilization and acceptance.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use grid_federation_core::federation::{
-    run_federation, FederationBuilder, FederationConfig, SchedulingMode,
-};
-use grid_federation_core::{FederationReport, ProfileTable, SpanCollector};
+use grid_federation_core::federation::{run_federation, FederationConfig, SchedulingMode};
+use grid_federation_core::FederationReport;
 use grid_workload::PopulationProfile;
 
 use crate::report::{f2, DataTable};
@@ -51,43 +46,6 @@ pub fn run(options: &WorkloadOptions) -> Experiment2Result {
     Experiment2Result {
         independent,
         federated,
-    }
-}
-
-/// Runs Experiment 2 with observability sinks armed on the *federated* run
-/// (the control run stays unarmed — it carries no federation traffic worth
-/// tracing).  Digests are bit-identical to [`run`]'s.
-#[must_use]
-pub fn run_with_observers(
-    options: &WorkloadOptions,
-    tracer: Option<Rc<RefCell<SpanCollector>>>,
-    profiler: Option<Rc<RefCell<ProfileTable>>>,
-) -> Experiment2Result {
-    let profile = PopulationProfile::recommended();
-    let make_config = |mode| FederationConfig {
-        mode,
-        seed: options.seed,
-        utilization_horizon: Some(options.duration),
-        ..FederationConfig::default()
-    };
-    let setup = paper_workloads(profile, options);
-    let independent = run_federation(
-        setup.resources.clone(),
-        setup.workloads.clone(),
-        make_config(SchedulingMode::Independent),
-    );
-    let mut builder = FederationBuilder::new(setup.resources)
-        .workloads(setup.workloads)
-        .config(make_config(SchedulingMode::FederationNoEconomy));
-    if let Some(tracer) = tracer {
-        builder = builder.tracer(tracer);
-    }
-    if let Some(profiler) = profiler {
-        builder = builder.profiler(profiler);
-    }
-    Experiment2Result {
-        independent,
-        federated: builder.run(),
     }
 }
 

@@ -325,13 +325,14 @@ mod tests {
     fn users_pay_more_but_wait_less_under_oft() {
         // Fig. 7/8: OFT users see shorter average response times but spend
         // more of their budget than OFC users (under the per-1000-MI charging
-        // policy the paper's magnitudes imply — see DESIGN.md).
+        // policy the paper's magnitudes imply).
         let sweep = small_sweep();
         let ofc = sweep.report_for(0).unwrap();
         let oft = sweep.report_for(100).unwrap();
         // On the reduced quick trace the fast resources are small, so an
         // all-OFT population can queue on them; allow a generous margin and
-        // leave the paper-scale response-time comparison to EXPERIMENTS.md.
+        // leave the paper-scale response-time comparison to full-scale
+        // `run_all`.
         let resp_ofc = ofc.federation_avg_response_time(true);
         let resp_oft = oft.federation_avg_response_time(true);
         assert!(

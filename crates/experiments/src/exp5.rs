@@ -149,20 +149,6 @@ pub fn default_profiles() -> Vec<PopulationProfile> {
         .collect()
 }
 
-/// Runs the paper's configuration: [`DEFAULT_SIZES`] with
-/// [`default_profiles`] on the ideal backend (pass a custom grid through
-/// [`run_sweep`] for the full Experiment 3 profile set).
-#[must_use]
-pub fn run(options: &WorkloadOptions) -> ScalabilitySweep {
-    run_sweep(
-        options,
-        &DEFAULT_SIZES,
-        &default_profiles(),
-        DirectoryBackend::Ideal,
-        parallel::default_jobs(),
-    )
-}
-
 /// Which message series a panel summarises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Series {

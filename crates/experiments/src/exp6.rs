@@ -143,12 +143,6 @@ pub fn run_sweep(
     }
 }
 
-/// Runs the default grid.
-#[must_use]
-pub fn run(options: &WorkloadOptions) -> ChurnSweep {
-    run_sweep(options, &DEFAULT_LEVELS, &DEFAULT_KS, parallel::default_jobs())
-}
-
 /// The lookup-success gate the knee ramp probes (the k = 3 acceptance
 /// criterion of [`assert_acceptance`]).
 pub const KNEE_THRESHOLD: f64 = 0.99;
@@ -156,10 +150,13 @@ pub const KNEE_THRESHOLD: f64 = 0.99;
 /// The replication factor the knee ramp pins (the gate is stated for k = 3).
 pub const KNEE_REPLICATION: usize = 3;
 
-/// The availability-knee ramp (the `--knee` mode): starting from the
-/// moderate churn level with replication pinned at k = 3, each step doubles
-/// the churn intensity (halves the mean uptime) until the ≥ 99 %
-/// lookup-success gate breaks — the knee is the first intensity past the
+/// Doublings of the moderate churn rate the knee ramp tries before giving
+/// up on breaking the lookup-success gate.
+pub const KNEE_MAX_STEPS: usize = 8;
+
+/// The availability-knee ramp: starting from the moderate churn level with
+/// replication pinned at k = 3, each step doubles the churn intensity
+/// (halves the mean uptime) until the ≥ 99 % lookup-success gate breaks — the knee is the first intensity past the
 /// gate, i.e. how much more churn than "moderate" the self-healing overlay
 /// absorbs before the acceptance criterion would fail.
 #[derive(Debug, Clone)]
@@ -182,15 +179,15 @@ fn knee_config(options: &WorkloadOptions, intensity: f64) -> ChurnConfig {
 }
 
 /// Runs the availability-knee ramp on the MAAN backend, at most
-/// `max_steps` doublings.  The ramp is inherently sequential (each step
-/// only runs if the gate survived the previous one), so there is no `jobs`
-/// knob.
+/// [`KNEE_MAX_STEPS`] doublings.  The ramp is inherently sequential (each
+/// step only runs if the gate survived the previous one), so there is no
+/// `jobs` knob.
 #[must_use]
-pub fn run_knee(options: &WorkloadOptions, max_steps: usize) -> KneeSweep {
+pub fn run_knee(options: &WorkloadOptions) -> KneeSweep {
     let mut points = Vec::new();
     let mut knee = None;
     let mut intensity = 1.0;
-    for _ in 0..max_steps {
+    for _ in 0..KNEE_MAX_STEPS {
         let setup = paper_workloads(PopulationProfile::new(50), options);
         let report = run_federation(
             setup.resources,
@@ -376,8 +373,8 @@ fn churn_events(report: &FederationReport) -> u64 {
         .sum()
 }
 
-/// The acceptance criteria the smoke run (and the full run) must uphold;
-/// called by the `exp6_churn` binary after every sweep.
+/// The acceptance criteria every churn sweep must uphold; `run_all` calls
+/// it after the sweep, at `--quick` and at full scale.
 ///
 /// # Panics
 /// Panics when a criterion fails — CI runs this as a blocking step.
@@ -452,11 +449,11 @@ mod tests {
 
     #[test]
     fn knee_ramp_doubles_until_the_gate_breaks() {
-        let sweep = run_knee(&WorkloadOptions::quick(), 8);
+        let sweep = run_knee(&WorkloadOptions::quick());
         for (i, (intensity, _)) in sweep.points.iter().enumerate() {
             assert_eq!(*intensity, (1u64 << i) as f64, "intensities must double");
         }
-        let knee = sweep.knee.expect("k=3 must break within 8 doublings of moderate churn");
+        let knee = sweep.knee.expect("k=3 must break within the ramp's doublings of moderate churn");
         let (last_intensity, last) = sweep.points.last().expect("ramp ran");
         assert_eq!(*last_intensity, knee, "the ramp stops at the knee");
         assert!(last.lookup_success_rate() < KNEE_THRESHOLD);

@@ -323,9 +323,8 @@ pub fn digest_manifest(sweeps: &[UnreliableSweep], repair: Option<&RepairCompari
     out
 }
 
-/// The fault-differential acceptance gate; called by the `exp7_unreliable`
-/// binary (and `run_all`) after every sweep — CI runs it as a blocking
-/// step.
+/// The fault-differential acceptance gate; `run_all` calls it after every
+/// sweep — CI runs it as a blocking step.
 ///
 /// # Panics
 /// Panics when a criterion fails: outcome digest not pinned to the

@@ -13,19 +13,19 @@
 //! | [`exp5`] | Fig. 10–11 (message complexity vs. system size 10–50) |
 //! | [`exp6`] | beyond the paper: churn tolerance (lookup availability, retry and stabilization traffic, latency degradation vs. churn rate × replication factor) |
 //! | [`exp7`] | beyond the paper: unreliable network (loss/jitter/duplication fault sweep with the outcome digest pinned to the lossless run; reactive vs. periodic ring repair) |
-//! | [`summary`] | the headline claims checked in `EXPERIMENTS.md` |
+//! | [`tables`] | Table 1 (resource configuration) and Table 4 (superscheduler comparison) |
+//! | [`summary`] | the headline claims `run_all` prints and records in `summary.md` |
 //!
 //! Shared infrastructure: [`workloads`] builds the calibrated synthetic
 //! traces for the Table 1 resources (and replicated federations for
 //! Experiment 5); [`report`] provides the [`report::DataTable`] type every
 //! figure is rendered into (ASCII for the terminal, CSV for plotting);
-//! [`obs`] renders the p50/p90/p99 percentile panels every binary prints
-//! and drives the `--metrics-out` / `--trace-out` artifact flags;
+//! [`obs`] renders the p50/p90/p99 percentile summary of the headline runs;
 //! [`parallel`] fans independent sweep points across a bounded worker pool
 //! (`--jobs N`) with a deterministic, run-ordered merge.
 //!
-//! The `exp*` binaries in `src/bin/` drive these modules from the command
-//! line; `run_all` regenerates every artefact in one go and writes them under
+//! The `run_all` binary in `src/bin/` drives these modules from the command
+//! line: it regenerates every artefact in one go and writes them under
 //! `results/`.
 
 #![deny(missing_docs)]
@@ -42,6 +42,7 @@ pub mod obs;
 pub mod parallel;
 pub mod report;
 pub mod summary;
+pub mod tables;
 pub mod workloads;
 
 pub use report::DataTable;

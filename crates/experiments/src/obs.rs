@@ -1,42 +1,13 @@
-//! Observability plumbing shared by the experiment binaries: the
-//! p50/p90/p99 percentile panels rendered on every report, and the
-//! `--metrics-out` / `--trace-out` artifact flags of the exp1/exp2 drivers.
+//! Observability rendering for `run_all`: the p50/p90/p99 percentile
+//! summary of every headline report.
 //!
-//! Everything here is read-only over a finished [`FederationReport`]: the
-//! metrics registry is always recording (it is part of the report), while
-//! the span collector is armed per run through
-//! `FederationBuilder::tracer` and only ever adds an export surface —
-//! `RunDigest`s are bit-identical with sinks armed or absent.
+//! Everything here is read-only over finished [`FederationReport`]s: the
+//! metrics registry is always recording (it is part of the report), so the
+//! summary adds a CSV without perturbing any `RunDigest`.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
-
-use grid_federation_core::{FederationReport, HistId, SpanCollector};
+use grid_federation_core::{FederationReport, HistId};
 
 use crate::report::DataTable;
-
-/// Renders one report's percentile panel: a p50/p90/p99 row per run-scope
-/// distribution (job wait, slowdown, negotiation messages, lookup latency,
-/// queue depth).
-#[must_use]
-pub fn percentile_panel(label: &str, report: &FederationReport) -> DataTable {
-    let mut table = DataTable::new(
-        &format!("Percentile panel — {label}"),
-        &["Distribution", "Samples", "p50", "p90", "p99"],
-    );
-    for hist in HistId::ALL {
-        let q = report.metrics.quantiles(hist);
-        table.push_row(vec![
-            hist.id().to_string(),
-            q.count.to_string(),
-            f3(q.p50),
-            f3(q.p90),
-            f3(q.p99),
-        ]);
-    }
-    table
-}
 
 /// Renders the cross-experiment percentile summary: one row per
 /// (run, distribution) pair, suitable for a single CSV covering every
@@ -69,75 +40,6 @@ fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// Output targets of the `--metrics-out` / `--trace-out` flags.
-#[derive(Debug, Clone, Default)]
-pub struct ObsArgs {
-    /// Where to write the metrics-registry JSON artifact, if requested.
-    pub metrics_out: Option<PathBuf>,
-    /// Where to write the Chrome Trace Format artifact, if requested.
-    pub trace_out: Option<PathBuf>,
-}
-
-impl ObsArgs {
-    /// Consumes `arg` (taking its value from `args`) if it is an
-    /// observability flag; returns `false` so the caller can keep matching
-    /// otherwise.
-    ///
-    /// # Panics
-    /// Panics when the flag is present without a path value.
-    pub fn try_parse(&mut self, arg: &str, args: &mut impl Iterator<Item = String>) -> bool {
-        match arg {
-            "--metrics-out" => {
-                self.metrics_out =
-                    Some(PathBuf::from(args.next().expect("--metrics-out needs a path")));
-                true
-            }
-            "--trace-out" => {
-                self.trace_out =
-                    Some(PathBuf::from(args.next().expect("--trace-out needs a path")));
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// True when a trace artifact was requested, i.e. the run must arm a
-    /// [`SpanCollector`].
-    #[must_use]
-    pub fn wants_trace(&self) -> bool {
-        self.trace_out.is_some()
-    }
-
-    /// Writes the requested artifacts: the report's metrics registry as
-    /// JSON, and the collector's buffered spans as Chrome Trace Format.
-    ///
-    /// # Errors
-    /// Returns any I/O error from creating directories or writing files.
-    pub fn write(
-        &self,
-        report: &FederationReport,
-        collector: Option<&SpanCollector>,
-    ) -> io::Result<Vec<PathBuf>> {
-        let mut written = Vec::new();
-        if let Some(path) = &self.metrics_out {
-            write_artifact(path, &report.metrics.to_json())?;
-            written.push(path.clone());
-        }
-        if let (Some(path), Some(collector)) = (&self.trace_out, collector) {
-            write_artifact(path, &collector.to_chrome_trace())?;
-            written.push(path.clone());
-        }
-        Ok(written)
-    }
-}
-
-fn write_artifact(path: &Path, content: &str) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::write(path, content)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,24 +47,14 @@ mod tests {
     use crate::workloads::WorkloadOptions;
 
     #[test]
-    fn percentile_panel_covers_every_distribution() {
+    fn percentile_summary_covers_every_distribution() {
         let result = exp1::run(&WorkloadOptions::quick());
-        let panel = percentile_panel("exp1 quick", &result.report);
-        assert_eq!(panel.len(), HistId::COUNT);
+        let summary = percentile_summary(&[("exp1 quick", &result.report)]);
+        assert_eq!(summary.len(), HistId::COUNT);
         // The independent run records waits and queue depths even without
         // federation traffic.
-        let wait = &panel.rows[0];
-        assert_eq!(wait[0], "job_wait_seconds");
-        assert!(wait[1].parse::<u64>().unwrap() > 0);
-    }
-
-    #[test]
-    fn obs_args_parse_and_ignore_unrelated_flags() {
-        let mut obs = ObsArgs::default();
-        let mut rest = vec!["m.json".to_string()].into_iter();
-        assert!(obs.try_parse("--metrics-out", &mut rest));
-        assert!(!obs.try_parse("--quick", &mut std::iter::empty()));
-        assert_eq!(obs.metrics_out.as_deref(), Some(Path::new("m.json")));
-        assert!(!obs.wants_trace());
+        let wait = &summary.rows[0];
+        assert_eq!(wait[..2], ["exp1 quick", "job_wait_seconds"]);
+        assert!(wait[2].parse::<u64>().unwrap() > 0);
     }
 }

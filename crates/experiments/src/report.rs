@@ -55,7 +55,7 @@ impl DataTable {
         self.rows.is_empty()
     }
 
-    /// Renders the table as aligned ASCII (what the `exp*` binaries print).
+    /// Renders the table as aligned ASCII for the terminal.
     #[must_use]
     pub fn to_ascii(&self) -> String {
         let mut widths: Vec<usize> = self.columns.iter().map(String::len).collect();

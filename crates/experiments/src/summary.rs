@@ -1,7 +1,7 @@
 //! Headline-claim extraction: the quantities the paper's abstract and
 //! conclusion highlight, gathered from the experiment results so that
-//! `EXPERIMENTS.md` (and the integration tests) can compare paper vs.
-//! measured values directly.
+//! `run_all` (and the integration tests) can compare paper vs. measured
+//! values directly.
 
 use crate::exp2::Experiment2Result;
 use crate::exp3::ProfileSweep;
@@ -66,7 +66,7 @@ impl HeadlineClaims {
             && self.total_messages_all_oft > self.total_messages_all_ofc
     }
 
-    /// Renders a paper-vs-measured table for `EXPERIMENTS.md`.
+    /// Renders the paper-vs-measured table `run_all` prints and writes.
     #[must_use]
     pub fn to_table(&self) -> DataTable {
         let mut t = DataTable::new(

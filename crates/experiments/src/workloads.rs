@@ -1,8 +1,8 @@
 //! Workload construction for the experiments.
 //!
 //! Builds, for each resource of the paper's Table 1, a calibrated synthetic
-//! two-day trace (see `grid-workload::synthetic` and DESIGN.md for the
-//! substitution argument), fabricates QoS constraints and applies a
+//! two-day trace (the `grid-workload` crate docs give the substitution
+//! argument), fabricates QoS constraints and applies a
 //! population profile.  Experiment 5 replicates the eight base resources to
 //! reach federations of 10–50 clusters, exactly as the paper does.
 
@@ -132,10 +132,10 @@ pub fn replicated_workloads(
 }
 
 /// The synthetic configuration of paper resource `index % 8`, scaled to
-/// exactly `total_jobs` jobs — the entry point of the million-job streaming
-/// smoke mode (`exp5_scalability --stream-smoke`, `bench_perf`), which
-/// drains `scaled_stream_config(..).stream()` without ever materialising
-/// the workload.
+/// exactly `total_jobs` jobs — the entry point of `bench_perf`'s
+/// million-job streaming drain, which consumes
+/// `scaled_stream_config(..).stream()` without ever materialising the
+/// workload.
 #[must_use]
 pub fn scaled_stream_config(
     index: usize,

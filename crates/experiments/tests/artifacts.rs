@@ -71,15 +71,15 @@ fn committed_trace_artifact_is_valid_chrome_trace() {
 #[test]
 fn committed_artifacts_are_bitwise_reproducible() {
     let tracer = Rc::new(RefCell::new(SpanCollector::new()));
-    let result =
-        exp1::run_with_observers(&WorkloadOptions::quick(), Some(Rc::clone(&tracer)), None);
+    let result = exp1::run_traced(&WorkloadOptions::quick(), Rc::clone(&tracer));
     let (metrics_path, committed_metrics) = artifact("exp1_quick_metrics.json");
     assert_eq!(
         result.report.metrics.to_json(),
         committed_metrics,
-        "stale {}: regenerate with `cargo run --release --bin exp1_independent -- \
-         --quick --metrics-out artifacts/exp1_quick_metrics.json \
-         --trace-out artifacts/exp1_quick_trace.json`",
+        "stale {}: regenerate with `cargo run --release --bin run_all -- --quick \
+         --out results-quick`, then copy results-quick/exp1_metrics.json and \
+         results-quick/exp1_trace.json to artifacts/exp1_quick_metrics.json and \
+         artifacts/exp1_quick_trace.json",
         metrics_path.display()
     );
     let (trace_path, committed_trace) = artifact("exp1_quick_trace.json");

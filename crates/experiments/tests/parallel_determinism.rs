@@ -22,7 +22,7 @@ fn assert_sweeps_identical(reference: &[exp5::ScalabilitySweep], other: &[exp5::
 
 #[test]
 fn parallel_sweep_runs_are_bitwise_identical_to_sequential() {
-    // The CI smoke configuration: small enough to run on every push,
+    // A small grid: cheap enough to run on every push,
     // complete enough to cover all backends and the whole sweep path.
     let options = WorkloadOptions::quick();
     let sizes = [8usize, 16];

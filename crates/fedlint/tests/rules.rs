@@ -38,7 +38,7 @@ fn hash_iteration_fires_on_fixture() {
 #[test]
 fn hash_iteration_is_scoped_to_sim_crates() {
     let src = include_str!("fixtures/hash_iteration.rs");
-    assert_eq!(lines("crates/baselines/src/fixture.rs", src, Rule::HashIteration), vec![]);
+    assert_eq!(lines("crates/experiments/src/fixture.rs", src, Rule::HashIteration), vec![]);
 }
 
 #[test]

@@ -92,7 +92,7 @@ impl Counter {
         Counter::JobsRejected,
     ];
 
-    /// Stable snake_case id used in `--metrics-out` artifacts.
+    /// Stable snake_case id used in the metrics JSON artifact.
     #[must_use]
     pub fn id(self) -> &'static str {
         match self {
@@ -141,7 +141,7 @@ impl FSum {
     pub const ALL: [FSum; FSum::COUNT] =
         [FSum::FaultWaitSeconds, FSum::JitterSeconds, FSum::BackoffSeconds];
 
-    /// Stable snake_case id used in `--metrics-out` artifacts.
+    /// Stable snake_case id used in the metrics JSON artifact.
     #[must_use]
     pub fn id(self) -> &'static str {
         match self {
@@ -180,7 +180,7 @@ impl HistId {
         HistId::QueueDepth,
     ];
 
-    /// Stable snake_case id used in `--metrics-out` artifacts.
+    /// Stable snake_case id used in the metrics JSON artifact.
     #[must_use]
     pub fn id(self) -> &'static str {
         match self {
@@ -474,7 +474,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// Serialises the registry as the `--metrics-out` JSON artifact:
+    /// Serialises the registry as the metrics JSON artifact:
     /// run-scope counters/accumulators, per-histogram percentile blocks,
     /// and the per-GFA counter table.  Key order is the declaration order
     /// of the id enums, so the artifact is byte-deterministic.

@@ -100,7 +100,7 @@ pub struct Job {
     pub processors: u32,
     /// Total job length in million instructions (`l_{i,j,k}`).
     pub length_mi: f64,
-    /// Communication overhead `α_{i,j,k}`, in seconds (see DESIGN.md §2).
+    /// Communication overhead `α_{i,j,k}`, in seconds.
     pub comm_overhead: f64,
     /// QoS constraints; present once the economy layer has fabricated them.
     pub qos: Qos,

@@ -3,8 +3,8 @@
 //! The paper drives its simulations with two days of real traces from the
 //! Parallel Workloads Archive (CTC SP2, KTH SP2, LANL CM5, LANL Origin,
 //! NASA iPSC, SDSC Par96, SDSC Blue and SDSC SP2).  Those traces cannot be
-//! redistributed here, so this crate provides both halves of the substitution
-//! documented in `DESIGN.md`:
+//! redistributed here, so this crate provides both halves of the
+//! substitution:
 //!
 //! 1. a full **Standard Workload Format (SWF)** parser/writer ([`swf`]), so
 //!    that anyone holding the original archive files can replay them

@@ -2,8 +2,8 @@
 //! a reduced workload and print how incentive, acceptance and message counts
 //! change as the share of time-optimising (OFT) users grows.
 //!
-//! This is Experiment 3/4 of the paper in miniature; use the
-//! `exp3_economy` / `exp4_messages` binaries for the full-scale version.
+//! This is Experiment 3/4 of the paper in miniature; `run_all` runs the
+//! full-scale version.
 //!
 //! Run with: `cargo run --release --example economy_sweep`
 

@@ -1,14 +1,10 @@
 //! Scalability study: how does the Grid-Federation's message complexity grow
-//! with the number of clusters, and how does it compare with the broadcast
-//! superscheduler baseline (the NASA superscheduler of the paper's related
-//! work)?
+//! with the number of clusters?
 //!
-//! This is a reduced version of Experiment 5 plus the `ablation_baselines`
-//! comparison; use the `exp5_scalability` binary for the full sweep.
+//! This is a reduced version of Experiment 5; `run_all` runs the full sweep.
 //!
 //! Run with: `cargo run --release --example scalability`
 
-use grid_baselines::{run_broadcast, BroadcastConfig};
 use grid_experiments::workloads::{replicated_workloads, WorkloadOptions};
 use grid_federation_core::federation::{run_federation, FederationConfig, SchedulingMode};
 use grid_workload::PopulationProfile;
@@ -18,8 +14,8 @@ fn main() {
     let profile = PopulationProfile::recommended();
 
     println!(
-        "{:>6} {:>10} {:>16} {:>16} {:>18}",
-        "size", "jobs", "fed msgs/job", "fed msgs total", "broadcast msgs"
+        "{:>6} {:>10} {:>16} {:>16}",
+        "size", "jobs", "fed msgs/job", "fed msgs total"
     );
     for size in [8usize, 16, 24, 32] {
         let setup = replicated_workloads(size, profile, &options);
@@ -27,31 +23,22 @@ fn main() {
 
         // Grid-Federation (directory + one-to-one negotiation).
         let report = run_federation(
-            setup.resources.clone(),
-            setup.workloads.clone(),
+            setup.resources,
+            setup.workloads,
             FederationConfig::with_mode(SchedulingMode::Economy),
         );
         let (_, per_job, _) = report.messages.per_job_summary();
 
-        // Broadcast superscheduler baseline on the identical workload.
-        let broadcast = run_broadcast(
-            &setup.resources,
-            &setup.workloads,
-            &BroadcastConfig::default(),
-        );
-
         println!(
-            "{:>6} {:>10} {:>16.2} {:>16} {:>18}",
+            "{:>6} {:>10} {:>16.2} {:>16}",
             size,
             total_jobs,
             per_job,
-            report.messages.total_messages(),
-            broadcast.total_messages
+            report.messages.total_messages()
         );
     }
     println!(
-        "\nThe federation's per-job message count grows slowly (the directory absorbs the\n\
-         lookup cost), while the broadcast baseline pays O(n) messages for every migration —\n\
-         the scalability argument of the paper's related-work comparison."
+        "\nThe federation's per-job message count grows slowly: the directory absorbs the\n\
+         lookup cost and each negotiation is one-to-one, the paper's scalability argument."
     );
 }

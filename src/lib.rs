@@ -4,8 +4,7 @@
 //! single dependency, so downstream users can write
 //! `grid_federation::core::run_federation(..)` instead of depending on each
 //! member crate individually.  See the workspace `README.md` for the
-//! architecture overview and `DESIGN.md` / `EXPERIMENTS.md` for the
-//! paper-reproduction details.
+//! architecture overview and the paper-reproduction details.
 //!
 //! | Module | Workspace crate |
 //! |---|---|
@@ -15,13 +14,11 @@
 //! | [`cluster`] | `grid-cluster` — resources, cost model, LRMS policies |
 //! | [`directory`] | `grid-directory` — shared federation directory |
 //! | [`core`] | `grid-federation-core` — GFAs, economy, DBC scheduling |
-//! | [`baselines`] | `grid-baselines` — broadcast / flock comparators |
-//! | [`experiments`] | `grid-experiments` — the paper's experiments 1–5 |
+//! | [`experiments`] | `grid-experiments` — the paper's experiments 1–7 |
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub use grid_baselines as baselines;
 pub use grid_cluster as cluster;
 pub use grid_des as des;
 pub use grid_directory as directory;

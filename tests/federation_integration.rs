@@ -1,9 +1,7 @@
 //! Cross-crate integration tests exercising the public API end to end:
-//! SWF traces → jobs → federation runs → reports, scheduling-mode and
-//! LRMS-policy comparisons, and the related-work baselines on identical
-//! workloads.
+//! SWF traces → jobs → federation runs → reports, and scheduling-mode and
+//! LRMS-policy comparisons on identical workloads.
 
-use grid_baselines::{run_broadcast, run_flock, BroadcastConfig, FlockConfig, MigrationPolicy};
 use grid_cluster::{paper_resources, ResourceSpec};
 use grid_federation_core::federation::{
     run_federation, FederationConfig, LrmsKind, SchedulingMode,
@@ -172,40 +170,6 @@ fn charging_policy_changes_magnitude_but_not_allocation_direction() {
     assert!(per_kilo_mi.bank.is_balanced());
     let diff = (per_second.mean_acceptance_rate() - per_kilo_mi.mean_acceptance_rate()).abs();
     assert!(diff < 10.0, "acceptance rates diverged by {diff}");
-}
-
-#[test]
-fn baselines_run_on_the_same_workload_as_the_federation() {
-    let (resources, workloads) = small_setup();
-    // Fabricate QoS exactly as the federation would, so the comparison is fair.
-    let mut workloads_with_qos = workloads.clone();
-    for (i, jobs) in workloads_with_qos.iter_mut().enumerate() {
-        ChargingPolicy::PerKiloMi.fabricate_qos_all(jobs, &resources[i]);
-    }
-
-    let broadcast = run_broadcast(
-        &resources,
-        &workloads_with_qos,
-        &BroadcastConfig {
-            policy: MigrationPolicy::SenderInitiated,
-            ..BroadcastConfig::default()
-        },
-    );
-    let flock = run_flock(&resources, &workloads_with_qos, &FlockConfig::default());
-    let federation = run_federation(
-        resources,
-        workloads,
-        FederationConfig::with_mode(SchedulingMode::Economy),
-    );
-
-    // All three mechanisms accept a meaningful share of the workload.
-    assert!(broadcast.total_accepted > 0);
-    assert!(flock.total_accepted > 0);
-    assert!(federation.mean_acceptance_rate() > 50.0);
-    // The broadcast baseline must not accept more jobs than physically
-    // migrated + processed locally (sanity of the shared driver).
-    let b0 = &broadcast.resources[0];
-    assert_eq!(b0.accepted, b0.processed_locally + b0.migrated);
 }
 
 #[test]

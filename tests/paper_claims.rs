@@ -85,8 +85,8 @@ fn economy_claims_hold_directionally() {
 
     // At the recommended 70/30 mix the incentive is spread over at least as
     // many owners as under the all-OFC population (at full scale *every*
-    // owner earns incentive — see EXPERIMENTS.md; the reduced quick trace can
-    // leave one small resource idle).
+    // owner earns incentive; the reduced quick trace can leave one small
+    // resource idle).
     let earning = |report: &grid_federation_core::FederationReport| {
         report.resources.iter().filter(|r| r.incentive > 0.0).count()
     };
