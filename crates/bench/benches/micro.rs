@@ -29,10 +29,10 @@ fn wide_event(i: usize, n: usize) -> Event<WidePayload> {
 }
 
 /// Compares the two future-event-list layouts on an identical schedule: the
-/// index-based 4-ary heap (sift moves 24-byte keys) vs. the retained
-/// `BinaryHeap<Event>` baseline (sift memmoves the whole payload).  This
-/// measurement decides the engine's layout; see `bench_perf` for the tracked
-/// numbers.
+/// index-based 4-ary heap (sift moves 24-byte keys; these scattered times
+/// mostly miss its FIFO lane) vs. the retained `BinaryHeap<Event>` baseline
+/// (sift memmoves the whole payload).  This measurement decides the
+/// engine's layout; see `bench_perf` for the tracked numbers.
 fn event_queue_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("des_event_queue");
     for n in [1_000usize, 10_000, 100_000] {
@@ -61,6 +61,72 @@ fn event_queue_throughput(c: &mut Criterion) {
                 }
                 black_box(acc)
             })
+        });
+    }
+    group.finish();
+}
+
+/// One-way latency of every protocol message in the leg-shaped hold model.
+const LEG_LATENCY: f64 = 0.05;
+
+/// Hold steps per queued event in the leg-shaped hold model.
+const HOLD_STEPS_PER_EVENT: usize = 4;
+
+/// A timer `1..=1000` s after `now`, scattered like the job finishes and
+/// arrivals a federation keeps pending.
+fn scattered_timer(now: f64, i: usize) -> Event<WidePayload> {
+    Event {
+        time: SimTime::new(now + 1.0 + ((i * 7919) % 1000) as f64),
+        kind: grid_des::EventKind::Timer,
+        ..wide_event(i, 1)
+    }
+}
+
+/// What a delivered event schedules next: nine times in ten a protocol
+/// message one fixed latency out (a negotiation leg), otherwise a
+/// scattered timer.
+fn leg_event(now: f64, i: usize) -> Event<WidePayload> {
+    if i % 10 == 0 {
+        scattered_timer(now, i)
+    } else {
+        Event {
+            time: SimTime::new(now + LEG_LATENCY),
+            ..wide_event(i, 1)
+        }
+    }
+}
+
+/// The hold model on `$queue`: `$n` scattered timers pending, then
+/// `HOLD_STEPS_PER_EVENT * $n` steps that each pop the earliest event and
+/// push what it schedules (see [`leg_event`]).
+macro_rules! hold_legs {
+    ($queue:expr, $n:expr) => {{
+        let mut q = $queue;
+        for i in 0..$n {
+            q.push(scattered_timer(0.0, i));
+        }
+        let mut acc = 0u64;
+        for i in 0..$n * HOLD_STEPS_PER_EVENT {
+            let ev = q.pop().expect("the hold model keeps the queue populated");
+            acc = acc.wrapping_add(ev.payload[0]);
+            q.push(leg_event(ev.time.as_secs(), i));
+        }
+        black_box(acc)
+    }};
+}
+
+/// Compares the two layouts on the shape of a negotiation-heavy run:
+/// constant-latency messages, which the engine's queue keeps in its FIFO
+/// lane, among scattered timers, which go to its heap.  This measurement
+/// keeps the lane decision measured like the layout decision above.
+fn event_queue_negotiation_legs(c: &mut Criterion) {
+    let mut group = c.benchmark_group("des_event_queue_legs");
+    for n in [1_000usize, 10_000] {
+        group.bench_with_input(BenchmarkId::new("dary_heap_with_lane", n), &n, |b, &n| {
+            b.iter(|| hold_legs!(EventQueue::<WidePayload>::with_capacity(n), n))
+        });
+        group.bench_with_input(BenchmarkId::new("binary_heap_baseline", n), &n, |b, &n| {
+            b.iter(|| hold_legs!(BinaryHeapEventQueue::<WidePayload>::with_capacity(n), n))
         });
     }
     group.finish();
@@ -310,6 +376,7 @@ fn workload_generation(c: &mut Criterion) {
 criterion_group!(
     benches,
     event_queue_throughput,
+    event_queue_negotiation_legs,
     simulation_dispatch,
     lrms_operations,
     directory_operations,

@@ -4,10 +4,11 @@
 //! results as `BENCH_perf.json` (the first entry in the repo's perf
 //! trajectory; CI uploads a fresh smoke measurement per push):
 //!
-//! * **event queue**: delivered events/sec through the index-based 4-ary
-//!   heap vs. the retained `BinaryHeap<Event>` layout, using the real
-//!   federation message enum as payload — this measurement, not guesswork,
-//!   justified the layout choice;
+//! * **event queue**: delivered events/sec through the engine's queue (the
+//!   index-based 4-ary heap plus its FIFO lane for in-order messages) vs.
+//!   the retained `BinaryHeap<Event>` layout, using the real federation
+//!   message enum as payload — this measurement, not guesswork, justified
+//!   the layout choice;
 //! * **engine dispatch**: events/sec through `Simulation::run` end to end;
 //! * **admission-control estimator**: ns/quote of the incremental
 //!   availability profile vs. the retained replay oracle on a loaded
@@ -92,7 +93,8 @@ fn queue_event(i: usize, n: usize) -> Event<FedMessage> {
     }
 }
 
-/// Push/pop throughput of the index-based 4-ary heap (events/sec).
+/// Push/pop throughput of the engine's queue (events/sec): the index-based
+/// 4-ary heap, with the messages that arrive in order in its FIFO lane.
 fn bench_dary_queue(n: usize) -> f64 {
     let secs = best_of(3, || {
         let mut q: EventQueue<FedMessage> = EventQueue::with_capacity(n);
@@ -387,7 +389,7 @@ fn main() {
     let fcfs_speedup = fcfs_rep / fcfs_inc;
     let easy_speedup = easy_rep / easy_inc;
     eprintln!(
-        "event queue: 4-ary index heap {:.0} ev/s vs BinaryHeap {:.0} ev/s ({:.2}x)",
+        "event queue: 4-ary index heap + FIFO lane {:.0} ev/s vs BinaryHeap {:.0} ev/s ({:.2}x)",
         dary_eps,
         binary_eps,
         dary_eps / binary_eps

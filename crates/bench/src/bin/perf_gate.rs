@@ -141,7 +141,7 @@ struct Gate {
 
 const GATES: [Gate; 8] = [
     Gate {
-        label: "event queue (4-ary heap events/s)",
+        label: "event queue (4-ary heap + FIFO lane events/s)",
         anchor: None,
         key: "dary_index_heap_events_per_sec",
         direction: Direction::HigherIsBetter,

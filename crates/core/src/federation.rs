@@ -12,7 +12,8 @@ use std::rc::Rc;
 
 use grid_cluster::ResourceSpec;
 use grid_des::{
-    DedupWindow, LinkFaults, NetworkFaultConfig, RunOutcome, SimRng, Simulation, TransmissionPlan,
+    DedupWindow, LinkFaults, NetworkFaultConfig, RunOutcome, SimRng, SimStats, Simulation,
+    TransmissionPlan,
 };
 use grid_des::{FlowRecord, SpanRecord};
 use grid_directory::{AnyDirectory, CacheStats, DirectoryBackend, FederationDirectory, Quote};
@@ -873,6 +874,7 @@ impl FederationBuilder {
             "a federation run must drain all events"
         );
         let sim_end = sim.now().as_secs();
+        let engine = sim.stats().clone();
         // The GFAs hold clones of the shared state; drop the simulation (and
         // with it the entities) before unwrapping.
         drop(sim);
@@ -884,6 +886,7 @@ impl FederationBuilder {
             &resources,
             state,
             sim_end,
+            engine,
             config.utilization_horizon,
             config.directory,
         )
@@ -894,6 +897,7 @@ fn assemble_report(
     resources: &[ResourceSpec],
     state: SharedState,
     sim_end: f64,
+    engine: SimStats,
     utilization_horizon: Option<f64>,
     backend: DirectoryBackend,
 ) -> FederationReport {
@@ -969,6 +973,7 @@ fn assemble_report(
         messages: ledger,
         bank,
         sim_end,
+        engine,
         backend,
         directory_queries,
         directory_avg_route_messages,
@@ -1203,6 +1208,33 @@ mod tests {
         // The O(1) differential: identical runs fold to identical digests.
         assert_eq!(a.digest, b.digest);
         assert!(a.digest.entries > 0);
+    }
+
+    #[test]
+    fn every_remote_protocol_message_takes_the_queue_lane() {
+        // On a lossless transport every protocol message travels the one
+        // configured latency, so each arrives in order at the queue's FIFO
+        // lane, and no timer enters it: a routing change that sends either
+        // through the wrong container shows up here as a count, not only
+        // as a slower run.
+        let workloads = vec![
+            (0..12)
+                .map(|i| {
+                    let strategy = if i % 2 == 0 { Strategy::Oft } else { Strategy::Ofc };
+                    job(0, i, (i / 3) as f64 * 20.0, 24, 400.0, strategy)
+                })
+                .collect::<Vec<_>>(),
+            (0..6)
+                .map(|i| job(1, i, i as f64 * 35.0, 16, 300.0, Strategy::Ofc))
+                .collect::<Vec<_>>(),
+        ];
+        let report = run_federation(two_resources(), workloads, FederationConfig::default());
+        assert_eq!(report.backend, DirectoryBackend::Ideal);
+        let engine = &report.engine;
+        assert!(report.resources.iter().any(|r| r.migrated > 0), "the run must negotiate remotely");
+        assert!(engine.messages_delivered > 0);
+        assert_eq!(engine.lane_pushes, engine.messages_delivered);
+        assert_eq!(engine.events_delivered, engine.messages_delivered + engine.timers_delivered);
     }
 
     #[test]

@@ -56,8 +56,8 @@ use crate::metrics::{ExecutionOutcome, JobRecord};
 
 /// One locally submitted job on its way from arrival to its [`JobRecord`]:
 /// the job itself plus the per-job tallies the record reports.  It moves,
-/// never copied, through [`PendingJob`], [`AwaitingRemote`] or
-/// [`ExecutingJob`] until the job concludes.
+/// never copied, through [`PendingJob`] and [`AwaitingRemote`] (both boxed in
+/// the GFA's [`OwnJobs`] table) or [`ExecutingJob`] until the job concludes.
 #[derive(Debug, Clone)]
 struct Ticket {
     job: Job,
@@ -92,7 +92,10 @@ impl Ticket {
     }
 }
 
-/// A job this GFA is still trying to place (it is the origin).
+/// A job this GFA is still trying to place (it is the origin).  Boxed once
+/// on arrival: each negotiation leg takes the box out of [`OwnJobs`] and,
+/// after a refusal, puts it back, so the reply handler owns the job while
+/// the DBC loop resumes and a leg moves a pointer, not the job.
 #[derive(Debug, Clone)]
 struct PendingJob {
     ticket: Ticket,
@@ -120,6 +123,92 @@ struct PendingJob {
 struct AwaitingRemote {
     ticket: Ticket,
     service_time: f64,
+}
+
+/// Where one of this GFA's own jobs stands between arrival and conclusion,
+/// while it is not on the local LRMS.
+#[derive(Debug)]
+enum OwnJob {
+    /// Still being placed: a negotiation is in flight or a faulted lookup's
+    /// retry is parked.
+    Pending(Box<PendingJob>),
+    /// Dispatched to a remote executor.
+    Awaiting(Box<AwaitingRemote>),
+}
+
+/// Marks a sequence number with no entry in [`OwnJobs`].
+const VACANT: u32 = u32::MAX;
+
+/// This GFA's own jobs in flight, keyed by [`JobId`].
+///
+/// Every job a GFA places originates there (the federation builder asserts
+/// each trace's origin), so `JobId::seq` alone picks the entry: `slot_of`
+/// maps a sequence number straight to a slot of a small slab that holds
+/// only the jobs in flight, and freed slots are reused.  A negotiation leg
+/// therefore takes its job out and puts it back in O(1), without a tree
+/// walk.  Nothing iterates the table, so it needs no key order.
+///
+/// Entries are boxed, so a slot is two words.  Most jobs in flight are
+/// awaiting a remote completion, and the allocator hands a concluded job's
+/// box to whichever GFA places a job next: the federation's memory follows
+/// its peak of jobs in flight, not the sum of every GFA's own peak.
+#[derive(Debug)]
+struct OwnJobs {
+    origin: usize,
+    /// `slot_of[seq]`: the slot holding job `seq`, or [`VACANT`].  Sized
+    /// from the trace's largest sequence number, which may skip values.
+    slot_of: Vec<u32>,
+    slots: Vec<Option<OwnJob>>,
+    free: Vec<u32>,
+}
+
+impl OwnJobs {
+    /// An empty table sized for `trace`, the jobs `origin` submits.
+    fn new(origin: usize, trace: &[Job]) -> Self {
+        let seqs = trace.iter().map(|job| job.id.seq + 1).max().unwrap_or(0);
+        OwnJobs {
+            origin,
+            slot_of: vec![VACANT; seqs],
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Stores `id`'s entry.
+    ///
+    /// # Panics
+    /// Panics if `id` is not a job of this table's trace.
+    fn insert(&mut self, id: JobId, job: OwnJob) {
+        assert_eq!(id.origin, self.origin, "job {id} is not an own job");
+        debug_assert_eq!(self.slot_of[id.seq], VACANT, "job {id} is already in flight");
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(job);
+                slot
+            }
+            None => {
+                // At most one slot per job of the trace, and `slot_of`
+                // already holds one `u32` per job, so this can never panic.
+                // fedlint: allow(hot-path-unwrap)
+                let slot = u32::try_from(self.slots.len()).expect("fewer jobs than u32::MAX");
+                self.slots.push(Some(job));
+                slot
+            }
+        };
+        self.slot_of[id.seq] = slot;
+    }
+
+    /// Removes and returns `id`'s entry, or `None` if it has none.
+    fn take(&mut self, id: JobId) -> Option<OwnJob> {
+        if id.origin != self.origin {
+            return None;
+        }
+        let index = self.slot_of.get_mut(id.seq)?;
+        let slot = std::mem::replace(index, VACANT);
+        let job = self.slots.get_mut(slot as usize)?.take();
+        self.free.push(slot);
+        job
+    }
 }
 
 /// A job reserved/executing on this GFA's own LRMS.
@@ -160,8 +249,7 @@ pub struct Gfa {
     /// directory; invalidated automatically when the directory mutates.
     quote_cache: QuoteCache,
     shared: Rc<RefCell<SharedState>>,
-    pending: BTreeMap<JobId, PendingJob>,
-    awaiting_remote: BTreeMap<JobId, AwaitingRemote>,
+    own_jobs: OwnJobs,
     executing: BTreeMap<JobId, ExecutingJob>,
     /// Reusable buffer for LRMS start notifications, so the steady-state
     /// event loop performs no per-event allocation.
@@ -193,6 +281,7 @@ impl Gfa {
             LrmsKind::EasyBackfilling => Box::new(EasyBackfilling::new(spec.processors)),
         };
         let churn = config.churn.as_ref();
+        let own_jobs = OwnJobs::new(index, &local_jobs);
         Gfa {
             index,
             name,
@@ -209,8 +298,7 @@ impl Gfa {
             repair: churn.map_or(RepairMode::Periodic, |c| c.repair),
             quote_cache: QuoteCache::new(),
             shared,
-            pending: BTreeMap::new(),
-            awaiting_remote: BTreeMap::new(),
+            own_jobs,
             executing: BTreeMap::new(),
             scratch: Vec::new(),
         }
@@ -381,14 +469,14 @@ impl Gfa {
                 // no-economy mode the local resource is always the first
                 // candidate (the paper processes locally whenever possible);
                 // in economy mode the ranking alone decides.
-                let pending = PendingJob {
+                let pending = Box::new(PendingJob {
                     ticket,
                     next_rank: 1,
                     cursor: None,
                     retries: 0,
                     negotiation_start: 0.0,
                     candidate_service: 0.0,
-                };
+                });
                 self.try_candidates(pending, ctx);
             }
         }
@@ -467,7 +555,11 @@ impl Gfa {
 
     /// Runs the DBC candidate loop until a negotiation is launched, the job
     /// is accepted locally, or the quotes are exhausted (rejection).
-    fn try_candidates(&mut self, mut pending: PendingJob, ctx: &mut Context<'_, FedMessage>) {
+    fn try_candidates(
+        &mut self,
+        mut pending: Box<PendingJob>,
+        ctx: &mut Context<'_, FedMessage>,
+    ) {
         let now = ctx.now().as_secs();
         let directory_len = self.shared.borrow().directory.len();
         let strategy = pending.ticket.job.qos.strategy;
@@ -612,7 +704,7 @@ impl Gfa {
                 },
                 ctx,
             );
-            self.pending.insert(job_id, pending);
+            self.own_jobs.insert(job_id, OwnJob::Pending(pending));
             return;
         }
     }
@@ -723,7 +815,7 @@ impl Gfa {
         candidate: usize,
         ctx: &mut Context<'_, FedMessage>,
     ) {
-        let Some(mut pending) = self.pending.remove(&job) else {
+        let Some(OwnJob::Pending(mut pending)) = self.own_jobs.take(job) else {
             panic!("negotiate reply for unknown pending job {job}");
         };
         pending.ticket.messages += 1;
@@ -766,12 +858,12 @@ impl Gfa {
                     });
                 }
             }
-            self.awaiting_remote.insert(
+            self.own_jobs.insert(
                 job,
-                AwaitingRemote {
+                OwnJob::Awaiting(Box::new(AwaitingRemote {
                     ticket: pending.ticket,
                     service_time: service,
-                },
+                })),
             );
         } else {
             self.try_candidates(pending, ctx);
@@ -892,7 +984,7 @@ impl Gfa {
         seq: u64,
         now: SimTime,
     ) {
-        let Some(mut awaiting) = self.awaiting_remote.remove(&job) else {
+        let Some(OwnJob::Awaiting(mut awaiting)) = self.own_jobs.take(job) else {
             panic!("completion message for unknown job {job}");
         };
         awaiting.ticket.messages += 1;
@@ -928,7 +1020,11 @@ impl Gfa {
     /// usually evicted the crashed store and repaired its replicas — and
     /// once the retry budget is exhausted, treat the directory as
     /// unreachable and fall back to local-only scheduling.
-    fn defer_after_fault(&mut self, mut pending: PendingJob, ctx: &mut Context<'_, FedMessage>) {
+    fn defer_after_fault(
+        &mut self,
+        mut pending: Box<PendingJob>,
+        ctx: &mut Context<'_, FedMessage>,
+    ) {
         self.shared
             .borrow_mut()
             .metrics
@@ -975,7 +1071,7 @@ impl Gfa {
                 SimTime::new(ctx.now().as_secs() + delay),
                 FedMessage::DirectoryRetry { job },
             );
-            self.pending.insert(job, pending);
+            self.own_jobs.insert(job, OwnJob::Pending(pending));
             return;
         }
         // Retry budget exhausted: schedule as if the federation were
@@ -1005,7 +1101,9 @@ impl Gfa {
 
     /// Resumes a job's DBC loop after its backoff delay elapsed.
     fn on_directory_retry(&mut self, job: JobId, ctx: &mut Context<'_, FedMessage>) {
-        if let Some(pending) = self.pending.remove(&job) {
+        // Only a parked pending job schedules this retry, and nothing else
+        // takes it out of the table meanwhile.
+        if let Some(OwnJob::Pending(pending)) = self.own_jobs.take(job) {
             self.try_candidates(pending, ctx);
         }
     }
@@ -1210,5 +1308,119 @@ impl Entity<FedMessage> for Gfa {
         let stats = self.quote_cache.stats();
         shared.metrics.add(self.index, Counter::CacheHits, stats.hits);
         shared.metrics.add(self.index, Counter::CacheMisses, stats.misses);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use grid_workload::UserId;
+
+    fn job(origin: usize, seq: usize) -> Job {
+        Job::from_runtime(
+            JobId { origin, seq },
+            UserId { origin, local: 0 },
+            0.0,
+            1,
+            100.0,
+            500.0,
+            0.10,
+        )
+    }
+
+    fn ticket(origin: usize, seq: usize) -> Ticket {
+        Ticket {
+            job: job(origin, seq),
+            messages: 0,
+            directory_messages: 0,
+            expected_local_response: 0.0,
+            expected_local_cost: 0.0,
+        }
+    }
+
+    fn pending(origin: usize, seq: usize) -> OwnJob {
+        OwnJob::Pending(Box::new(PendingJob {
+            ticket: ticket(origin, seq),
+            next_rank: 1,
+            cursor: None,
+            retries: 0,
+            negotiation_start: 0.0,
+            candidate_service: 0.0,
+        }))
+    }
+
+    fn awaiting(origin: usize, seq: usize) -> OwnJob {
+        OwnJob::Awaiting(Box::new(AwaitingRemote {
+            ticket: ticket(origin, seq),
+            service_time: 1.0,
+        }))
+    }
+
+    /// The id of a taken entry and whether it was pending.
+    fn taken(entry: Option<OwnJob>) -> Option<(JobId, bool)> {
+        entry.map(|entry| match entry {
+            OwnJob::Pending(p) => (p.ticket.job.id, true),
+            OwnJob::Awaiting(a) => (a.ticket.job.id, false),
+        })
+    }
+
+    fn table(origin: usize, seqs: &[usize]) -> OwnJobs {
+        let trace: Vec<Job> = seqs.iter().map(|&seq| job(origin, seq)).collect();
+        OwnJobs::new(origin, &trace)
+    }
+
+    #[test]
+    fn own_jobs_insert_take_and_reuse_slots() {
+        let id = |seq| JobId { origin: 2, seq };
+        let mut own = table(2, &[0, 1, 2]);
+        own.insert(id(0), pending(2, 0));
+        own.insert(id(1), awaiting(2, 1));
+        assert_eq!(own.slots.len(), 2);
+        assert_eq!(taken(own.take(id(0))), Some((id(0), true)));
+        assert_eq!(taken(own.take(id(0))), None, "a taken entry is gone");
+        // The freed slot is reused instead of growing the slab.
+        own.insert(id(2), pending(2, 2));
+        assert_eq!(own.slots.len(), 2);
+        // A leg puts its job back under the same id, in either state.
+        own.insert(id(0), awaiting(2, 0));
+        assert_eq!(own.slots.len(), 3);
+        assert_eq!(taken(own.take(id(1))), Some((id(1), false)));
+        assert_eq!(taken(own.take(id(2))), Some((id(2), true)));
+        assert_eq!(taken(own.take(id(0))), Some((id(0), false)));
+        assert_eq!(own.free.len(), own.slots.len(), "every slot is free again");
+    }
+
+    #[test]
+    fn own_jobs_index_a_sparse_trace_by_its_largest_seq() {
+        // A replayed trace can skip records, so sequence numbers have gaps.
+        let id = |seq| JobId { origin: 0, seq };
+        let mut own = table(0, &[3, 7, 4]);
+        assert_eq!(own.slot_of.len(), 8);
+        own.insert(id(7), pending(0, 7));
+        own.insert(id(3), awaiting(0, 3));
+        assert_eq!(taken(own.take(id(5))), None, "a gap in the trace is a miss");
+        assert_eq!(taken(own.take(id(7))), Some((id(7), true)));
+        assert_eq!(taken(own.take(id(3))), Some((id(3), false)));
+        assert!(table(0, &[]).slot_of.is_empty());
+    }
+
+    #[test]
+    fn own_jobs_miss_on_unknown_ids() {
+        let mut own = table(1, &[0, 1]);
+        own.insert(JobId { origin: 1, seq: 1 }, pending(1, 1));
+        // Past the trace, another origin's job with a stored seq, and an
+        // in-range seq that was never stored.
+        assert_eq!(taken(own.take(JobId { origin: 1, seq: 99 })), None);
+        assert_eq!(taken(own.take(JobId { origin: 0, seq: 1 })), None);
+        assert_eq!(taken(own.take(JobId { origin: 1, seq: 0 })), None);
+        assert!(own.take(JobId { origin: 1, seq: 1 }).is_some(), "misses leave entries intact");
+        assert!(table(1, &[]).take(JobId { origin: 1, seq: 0 }).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "is not an own job")]
+    fn own_jobs_refuse_another_origins_job() {
+        let mut own = table(1, &[0]);
+        own.insert(JobId { origin: 0, seq: 0 }, pending(0, 0));
     }
 }

@@ -7,6 +7,7 @@
 //! (Fig. 3), user response time and budget spent with and without rejected
 //! jobs (Fig. 7–8), and message counts (Fig. 9–11).
 
+use grid_des::SimStats;
 use grid_directory::{CacheStats, DirectoryBackend};
 use grid_obs::{Counter, MetricsRegistry};
 use grid_workload::{JobId, Strategy};
@@ -177,6 +178,10 @@ pub struct FederationReport {
     pub bank: GridBank,
     /// Final simulation time.
     pub sim_end: f64,
+    /// The engine's counters for the run (events delivered, messages,
+    /// timers, pushes to the queue's FIFO lane).  Engine bookkeeping, not model state: it
+    /// is not folded into [`FederationReport::digest`].
+    pub engine: SimStats,
     /// Which directory backend served the run's ranking queries.
     pub backend: DirectoryBackend,
     /// Total ranking queries the directory served during the run.
@@ -425,6 +430,7 @@ mod tests {
             messages: MessageLedger::new(2),
             bank: GridBank::new(2),
             sim_end: 10_000.0,
+            engine: SimStats::default(),
             backend: DirectoryBackend::Ideal,
             directory_queries: 0,
             directory_avg_route_messages: 0.0,
@@ -498,6 +504,7 @@ mod tests {
             messages: MessageLedger::new(0),
             bank: GridBank::new(0),
             sim_end: 0.0,
+            engine: SimStats::default(),
             backend: DirectoryBackend::Maan,
             directory_queries: 0,
             directory_avg_route_messages: 0.0,

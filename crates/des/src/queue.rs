@@ -8,27 +8,36 @@
 //! Payloads live in a slab indexed by slot; the ordering works on small
 //! fixed-size keys (`time`, `seq`, slot index), so it moves 24-byte keys
 //! regardless of how wide the model's message enum is.  Pending keys sit in
-//! one of two containers under that one total order:
+//! one of three containers under that one total order:
 //!
 //! * a **sealed run**: once every entity's `on_start` has run,
 //!   [`EventQueue::seal`] sorts the pending keys once (latest first, so the
 //!   earliest pops off the end).  A federation schedules every job arrival
 //!   up front, so this run holds the bulk of a trace's timers and costs
 //!   nothing per delivery beyond a `Vec::pop`;
-//! * an **index-based 4-ary min-heap** for everything pushed after the seal
-//!   — in a federation, the negotiation round-trips in flight.  The 4-ary
-//!   layout halves the tree depth relative to a binary heap.
+//! * a **FIFO lane** for messages that arrive in order.  A push of an
+//!   [`EventKind::Message`] whose key is not earlier than the lane's tail
+//!   is appended to the lane.  A model whose messages all travel one fixed
+//!   latency sends each at `now + latency`, and neither `now` nor `seq`
+//!   ever decreases, so in a federation every negotiation leg takes the
+//!   lane and costs a `VecDeque` push and pop instead of two sifts;
+//! * an **index-based 4-ary min-heap** for everything else: timers (a job's
+//!   finish can lie far ahead, and one in the lane would send every later
+//!   message past it to the heap until it popped) and messages that would
+//!   be out of order in the lane, such as a fault layer's delayed
+//!   duplicates.  The 4-ary layout halves the tree depth relative to a
+//!   binary heap.
 //!
-//! [`EventQueue::pop`] takes the earlier of the run's head and the heap's
-//! root, so sealing never changes delivery order.  The pre-overhaul
+//! [`EventQueue::pop`] takes the earliest of the three heads, so neither
+//! sealing nor the lane ever changes delivery order.  The pre-overhaul
 //! `BinaryHeap<Event<M>>` layout is retained as [`BinaryHeapEventQueue`] so
 //! the micro benches (and `bench_perf`) keep measuring the choice instead of
 //! assuming it, and the differential tests compare against it.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
-use crate::event::Event;
+use crate::event::{Event, EventKind};
 use crate::time::SimTime;
 
 /// Arity of the index heap: 4 keeps the tree shallow while children still
@@ -61,11 +70,22 @@ pub struct EventQueue<M> {
     /// Keys sealed by [`Self::seal`], sorted latest first: the earliest
     /// sealed key is `run.last()`.
     run: Vec<Key>,
+    /// In-order messages, earliest at the front (see the module docs).
+    lane: VecDeque<Key>,
     heap: Vec<Key>,
     slots: Vec<Option<Event<M>>>,
     free: Vec<u32>,
     next_seq: u64,
     scheduled_total: u64,
+    lane_pushed: u64,
+}
+
+/// The container holding the earliest pending key.
+#[derive(Clone, Copy)]
+enum Head {
+    Run,
+    Lane,
+    Heap,
 }
 
 impl<M> Default for EventQueue<M> {
@@ -88,23 +108,38 @@ impl<M> EventQueue<M> {
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             run: Vec::new(),
+            lane: VecDeque::new(),
             heap: Vec::with_capacity(cap),
             slots: Vec::with_capacity(cap),
             free: Vec::new(),
             next_seq: 0,
             scheduled_total: 0,
+            lane_pushed: 0,
         }
     }
 
+    // `#[inline]` keeps this inlined into the callers' scheduling paths, as
+    // it was while it only sifted: left out of line, as the compiler leaves
+    // its grown body, it made a timer-only dispatch loop about 20 % slower.
     /// Schedules an event.  The event's `seq` field is overwritten with the
-    /// next sequence number so callers never need to manage it.
+    /// next sequence number so callers never need to manage it.  A message
+    /// no earlier than the lane's tail is appended to the lane; everything
+    /// else is sifted into the heap.
     ///
     /// # Panics
     /// Panics if more than `u32::MAX` events are pending simultaneously.
+    #[inline]
     pub fn push(&mut self, mut event: Event<M>) {
         event.seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
+        // The new key's `seq` exceeds every pending one, so it sorts after
+        // the lane's tail exactly when its time is not earlier.
+        let in_order_message = event.kind == EventKind::Message
+            && self
+                .lane
+                .back()
+                .map_or(true, |tail| event.time.as_secs() >= tail.time.as_secs());
         let key = Key {
             time: event.time,
             seq: event.seq,
@@ -124,13 +159,18 @@ impl<M> EventQueue<M> {
                 }
             },
         };
-        self.heap.push(key);
-        self.sift_up(self.heap.len() - 1);
+        if in_order_message {
+            self.lane.push_back(key);
+            self.lane_pushed += 1;
+        } else {
+            self.heap.push(key);
+            self.sift_up(self.heap.len() - 1);
+        }
     }
 
     /// Moves every pending key into the sealed run, sorted once by
-    /// `(time, seq)`.  Events pushed afterwards go to the heap, and
-    /// [`Self::pop`] merges the two, so sealing never changes delivery
+    /// `(time, seq)`.  Events pushed afterwards go to the lane or the heap,
+    /// and [`Self::pop`] merges all three, so sealing never changes delivery
     /// order; it only takes a batch scheduled up front (the simulation
     /// seals once every entity's `on_start` has run) out of the heap that
     /// later pushes sift through.  The payloads stay in the slab, whose
@@ -138,36 +178,44 @@ impl<M> EventQueue<M> {
     pub fn seal(&mut self) {
         let mut keys = std::mem::take(&mut self.heap);
         keys.append(&mut self.run);
+        keys.extend(self.lane.drain(..));
         keys.sort_unstable_by_key(|k| Reverse((k.time, k.seq)));
         self.run = keys;
     }
 
-    /// Whether the earliest pending key is the sealed run's head rather
-    /// than the heap's root (`false` on an empty run).
+    /// The container holding the earliest pending key, if any.  An empty
+    /// lane (a timer-only model, say) costs one length test on top of the
+    /// run/heap comparison.
     #[inline]
-    fn run_leads(&self) -> bool {
-        match (self.run.last(), self.heap.first()) {
-            (Some(head), Some(root)) => head.earlier_than(root),
-            (head, _) => head.is_some(),
+    fn head(&self) -> Option<Head> {
+        let (best, head) = match (self.run.last(), self.heap.first()) {
+            (Some(r), Some(h)) if h.earlier_than(r) => (h, Head::Heap),
+            (Some(r), _) => (r, Head::Run),
+            (None, Some(h)) => (h, Head::Heap),
+            (None, None) => return self.lane.front().map(|_| Head::Lane),
+        };
+        match self.lane.front() {
+            Some(l) if l.earlier_than(best) => Some(Head::Lane),
+            _ => Some(head),
         }
     }
 
     /// The earliest pending key, in whichever container holds it.
     #[inline]
     fn earliest(&self) -> Option<&Key> {
-        if self.run_leads() {
-            self.run.last()
-        } else {
-            self.heap.first()
+        match self.head()? {
+            Head::Run => self.run.last(),
+            Head::Lane => self.lane.front(),
+            Head::Heap => self.heap.first(),
         }
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<Event<M>> {
-        let key = if self.run_leads() {
-            self.run.pop()?
-        } else {
-            self.pop_heap()?
+        let key = match self.head()? {
+            Head::Run => self.run.pop()?,
+            Head::Lane => self.lane.pop_front()?,
+            Head::Heap => self.pop_heap()?,
         };
         let slot = &mut self.slots[key.slot as usize];
         debug_assert!(slot.is_some(), "a pending key references a filled slot");
@@ -212,13 +260,13 @@ impl<M> EventQueue<M> {
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.run.len() + self.heap.len()
+        self.run.len() + self.lane.len() + self.heap.len()
     }
 
     /// Whether the queue is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.run.is_empty() && self.heap.is_empty()
+        self.run.is_empty() && self.lane.is_empty() && self.heap.is_empty()
     }
 
     /// Total number of events ever scheduled through this queue.
@@ -227,19 +275,27 @@ impl<M> EventQueue<M> {
         self.scheduled_total
     }
 
+    /// Total number of events ever appended to the FIFO lane (the rest went
+    /// to the heap or, pushed before [`Self::seal`], into the run).
+    #[must_use]
+    pub fn lane_pushed(&self) -> u64 {
+        self.lane_pushed
+    }
+
     /// Corrupting test double: rewrites the earliest pending event's
     /// timestamp to `new_time` **without** restoring the queue's order,
     /// emulating a scheduler bug that delivers an event from the past.
     /// Reaches the earliest event in whichever container holds it (the
-    /// sealed run or the heap).  Returns `false` on an empty queue.  Only
-    /// exists so the invariant tests can prove the engine's
+    /// sealed run, the lane or the heap).  Returns `false` on an empty
+    /// queue.  Only exists so the invariant tests can prove the engine's
     /// time-monotonicity check fires; never compiled into normal builds.
     #[cfg(feature = "invariants")]
     pub fn corrupt_earliest_time(&mut self, new_time: SimTime) -> bool {
-        let key = if self.run_leads() {
-            self.run.last_mut()
-        } else {
-            self.heap.first_mut()
+        let key = match self.head() {
+            Some(Head::Run) => self.run.last_mut(),
+            Some(Head::Lane) => self.lane.front_mut(),
+            Some(Head::Heap) => self.heap.first_mut(),
+            None => None,
         };
         let Some(key) = key else {
             return false;
@@ -254,6 +310,7 @@ impl<M> EventQueue<M> {
     /// Drops every pending event, e.g. when a run is aborted at its horizon.
     pub fn clear(&mut self) {
         self.run.clear();
+        self.lane.clear();
         self.heap.clear();
         self.slots.clear();
         self.free.clear();
@@ -362,6 +419,7 @@ impl<M> BinaryHeapEventQueue<M> {
     }
 
     /// Schedules an event, assigning the next sequence number.
+    #[inline]
     pub fn push(&mut self, mut event: Event<M>) {
         event.seq = self.next_seq;
         self.next_seq += 1;
@@ -525,12 +583,57 @@ mod tests {
         assert_eq!(q.peek_time(), None);
     }
 
+    fn timer(t: f64, payload: u32) -> Event<u32> {
+        Event {
+            kind: EventKind::Timer,
+            ..event(t, payload)
+        }
+    }
+
+    #[test]
+    fn in_order_messages_take_the_lane_and_merge_with_run_and_heap() {
+        let mut q = EventQueue::new();
+        q.push(timer(4.0, 0));
+        q.seal();
+        // In-order messages (a tie with the tail included) take the lane;
+        // timers and a message earlier than the lane's tail take the heap.
+        q.push(event(2.0, 1));
+        q.push(event(3.0, 2));
+        q.push(event(3.0, 3));
+        q.push(timer(3.5, 4));
+        q.push(event(2.5, 5));
+        q.push(event(4.0, 6));
+        q.push(timer(1.0, 7));
+        assert_eq!(q.len(), 8);
+        assert_eq!(q.peek_time(), Some(SimTime::new(1.0)));
+        assert_eq!(q.pop_at_or_before(SimTime::new(2.0)).unwrap().payload, 7);
+        assert_eq!(q.pop_at_or_before(SimTime::new(2.0)).unwrap().payload, 1);
+        assert!(q.pop_at_or_before(SimTime::new(2.4)).is_none());
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
+        // The run's t=4 was pushed before the lane's t=4, so it leads.
+        assert_eq!(order, vec![5, 2, 3, 4, 0, 6]);
+        assert_eq!(q.lane_pushed(), 4);
+        // A drained lane takes any message again; sealing and clearing
+        // cover it.
+        q.push(event(1.0, 8));
+        q.push(event(9.0, 9));
+        q.seal();
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop().unwrap().payload, 8);
+        assert_eq!(q.lane_pushed(), 6);
+        q.push(event(9.0, 10));
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+    }
+
     #[test]
     fn dary_and_binary_heap_layouts_deliver_identical_orderings() {
         // The layout decision must never change delivery order: feed the
         // same pseudo-random schedule to both queues (interleaving pushes
-        // and pops to exercise slot recycling, and sealing once midway) and
-        // require identical output.
+        // and pops to exercise slot recycling, mixing lane-bound messages
+        // with timers, and sealing once midway) and require identical
+        // output.
         let mut dary = EventQueue::new();
         let mut binary = BinaryHeapEventQueue::new();
         let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -539,8 +642,9 @@ mod tests {
         for i in 0..500u32 {
             state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
             let t = f64::from((state >> 33) as u32 % 97);
-            dary.push(event(t, i));
-            binary.push(event(t, i));
+            let e = if state % 5 == 0 { timer(t, i) } else { event(t, i) };
+            dary.push(e.clone());
+            binary.push(e);
             if i == 200 {
                 // Seal what is pending so the rest of the schedule merges
                 // the sealed run with the heap.

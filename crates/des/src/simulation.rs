@@ -296,6 +296,7 @@ impl<M: std::fmt::Debug> Simulation<M> {
         };
 
         self.stats.events_scheduled = self.queue.scheduled_total();
+        self.stats.lane_pushes = self.queue.lane_pushed();
         self.stats.events_dropped_at_stop = self.queue.len() as u64;
         self.stats.end_time = self.clock;
 

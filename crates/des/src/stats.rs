@@ -17,6 +17,10 @@ pub struct SimStats {
     /// Messages between two *different* entities (a subset of
     /// `events_delivered`).
     pub messages_delivered: u64,
+    /// Events the future-event list appended to its FIFO lane of in-order
+    /// messages instead of sifting them through its heap (see
+    /// [`crate::EventQueue`]).
+    pub lane_pushes: u64,
     /// Self-timers delivered.
     pub timers_delivered: u64,
     /// Events that were still pending when the simulation stopped (horizon

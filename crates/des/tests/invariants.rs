@@ -46,6 +46,38 @@ fn reordered_event_trips_the_monotonicity_assert() {
     sim.run();
 }
 
+/// An entity whose timer sends a message, so the only pending event
+/// afterwards sits in the queue's FIFO lane: a corruption that missed the
+/// lane would find nothing to rewind.
+struct Messenger;
+
+impl Entity<u32> for Messenger {
+    fn name(&self) -> &str {
+        "messenger"
+    }
+
+    fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+        ctx.timer_at(SimTime::new(10.0), 1);
+    }
+
+    fn on_event(&mut self, event: Event<u32>, ctx: &mut Context<'_, u32>) {
+        if event.payload == 1 {
+            ctx.send(ctx.self_id(), 10.0, 2);
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "event from the past")]
+fn reordered_lane_event_trips_the_monotonicity_assert() {
+    let mut sim: Simulation<u32> = Simulation::new(7);
+    sim.add_entity(Box::new(Messenger));
+    sim.run_to(SimTime::new(15.0));
+    // The t=20 message, the lane's head, is the only pending event.
+    assert!(sim.corrupt_earliest_event_time(SimTime::new(5.0)));
+    sim.run();
+}
+
 #[test]
 fn corrupting_an_empty_queue_reports_false() {
     let mut queue: EventQueue<u32> = EventQueue::new();

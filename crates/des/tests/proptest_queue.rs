@@ -4,7 +4,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use grid_des::{
-    BinaryHeapEventQueue, Context, Entity, EntityId, Event, EventQueue, SimRng, SimTime, Simulation,
+    BinaryHeapEventQueue, Context, Entity, EntityId, Event, EventKind, EventQueue, SimRng, SimTime,
+    Simulation,
 };
 use proptest::prelude::*;
 
@@ -14,19 +15,27 @@ fn make_event(t: f64, payload: u32) -> Event<u32> {
         seq: 0,
         src: EntityId::new(0),
         dst: EntityId::new(0),
-        kind: grid_des::EventKind::Message,
+        kind: EventKind::Message,
         payload,
     }
 }
 
 proptest! {
     /// The queue always pops events in non-decreasing time order, and events
-    /// with identical timestamps come out in insertion (FIFO) order.
+    /// with identical timestamps come out in insertion (FIFO) order —
+    /// whether a push took the FIFO lane (a message no earlier than the
+    /// lane's tail) or the heap (a timer, or an out-of-order message).
     #[test]
-    fn queue_is_time_ordered_and_stable(times in proptest::collection::vec(0u32..50, 1..200)) {
+    fn queue_is_time_ordered_and_stable(
+        pushes in proptest::collection::vec((0u32..50, any::<bool>()), 1..200),
+    ) {
         let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.push(make_event(f64::from(*t), i as u32));
+        for (i, (t, is_timer)) in pushes.iter().enumerate() {
+            let mut event = make_event(f64::from(*t), i as u32);
+            if *is_timer {
+                event.kind = EventKind::Timer;
+            }
+            q.push(event);
         }
         let mut last_time = SimTime::ZERO;
         let mut last_payload_at_time: Option<(SimTime, u32)> = None;
@@ -42,6 +51,10 @@ proptest! {
             last_time = ev.time;
         }
         prop_assert!(q.is_empty());
+        // The first message finds the lane empty; no timer enters it.
+        let messages = pushes.iter().filter(|(_, is_timer)| !is_timer).count() as u64;
+        prop_assert_eq!(q.lane_pushed() > 0, messages > 0);
+        prop_assert!(q.lane_pushed() <= messages);
     }
 
     /// SimTime ordering is consistent with the underlying f64 ordering.
@@ -190,5 +203,127 @@ proptest! {
             }
         }
         prop_assert_eq!(&*delivered.borrow(), &expected);
+    }
+}
+
+/// The one latency every [`LaneMixer`] message travels unless it is
+/// delayed, like a federation's fixed link latency.
+const LATENCY: u32 = 2;
+
+/// What one scripted follow-up schedules, `delay` seconds from now.
+#[derive(Debug, Clone, Copy)]
+enum Followup {
+    /// A message sent after [`LATENCY`]: arrives in order, takes the lane.
+    Send,
+    /// A message sent after `LATENCY + extra`, like a fault layer's delayed
+    /// duplicate: later messages overtake it, so those go to the heap.
+    Delayed(u32),
+    /// A self-timer at an absolute time: always the heap.
+    Timer(u32),
+}
+
+impl Followup {
+    fn from_draw(draw: u32) -> Self {
+        match draw % 8 {
+            0..=4 => Followup::Send,
+            5 => Followup::Delayed(1 + draw / 8 % 4),
+            _ => Followup::Timer(draw / 8 % 6),
+        }
+    }
+
+    fn delay(self) -> u32 {
+        match self {
+            Followup::Send => LATENCY,
+            Followup::Delayed(extra) => LATENCY + extra,
+            Followup::Timer(delay) => delay,
+        }
+    }
+}
+
+/// [`SealMixer`] with messages: its sealed start-up batch is followed by
+/// a scripted mix of constant-latency sends, delayed sends and timers, so
+/// deliveries draw on all three of the queue's containers with many
+/// timestamps tied across them.  Records every delivered `(time, seq)`.
+struct LaneMixer {
+    batch: Vec<u32>,
+    followups: Vec<Followup>,
+    next: usize,
+    delivered: Rc<RefCell<Vec<(u64, u64)>>>,
+}
+
+impl Entity<u32> for LaneMixer {
+    fn name(&self) -> &str {
+        "lane-mixer"
+    }
+    fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+        for t in &self.batch {
+            ctx.timer_at(SimTime::new(f64::from(*t)), 0);
+        }
+    }
+    fn on_event(&mut self, event: Event<u32>, ctx: &mut Context<'_, u32>) {
+        self.delivered
+            .borrow_mut()
+            .push((event.time.as_secs().to_bits(), event.seq));
+        for _ in 0..FOLLOWUPS_PER_EVENT {
+            let Some(followup) = self.followups.get(self.next).copied() else {
+                break;
+            };
+            self.next += 1;
+            let delay = f64::from(followup.delay());
+            match followup {
+                Followup::Send | Followup::Delayed(_) => ctx.send(ctx.self_id(), delay, 0),
+                Followup::Timer(_) => ctx.timer_at(ctx.now().after(delay), 0),
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// A simulation whose deliveries mix the sealed run, the FIFO lane and
+    /// the heap delivers exactly the `(time, seq)` sequence the plain
+    /// binary-heap queue delivers for the same schedule.
+    #[test]
+    fn run_lane_and_heap_match_the_binary_heap_order(
+        batch in proptest::collection::vec(0u32..20, 1..40),
+        draws in proptest::collection::vec(0u32..64, 0..160),
+    ) {
+        let followups: Vec<Followup> = draws.iter().map(|d| Followup::from_draw(*d)).collect();
+        let delivered = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulation::new(1);
+        sim.add_entity(Box::new(LaneMixer {
+            batch: batch.clone(),
+            followups: followups.clone(),
+            next: 0,
+            delivered: Rc::clone(&delivered),
+        }));
+        sim.run();
+
+        let mut reference = BinaryHeapEventQueue::new();
+        for t in &batch {
+            reference.push(make_event(f64::from(*t), 0));
+        }
+        let mut next = 0;
+        let mut expected = Vec::new();
+        while let Some(ev) = reference.pop() {
+            expected.push((ev.time.as_secs().to_bits(), ev.seq));
+            for _ in 0..FOLLOWUPS_PER_EVENT {
+                if let Some(followup) = followups.get(next) {
+                    reference.push(make_event(ev.time.as_secs() + f64::from(followup.delay()), 0));
+                    next += 1;
+                }
+            }
+        }
+        prop_assert_eq!(&*delivered.borrow(), &expected);
+        // Every in-order send took the lane; only the delayed sends and
+        // the messages they held back can have gone to the heap.
+        let sends = followups[..next]
+            .iter()
+            .filter(|f| !matches!(f, Followup::Timer(_)))
+            .count() as u64;
+        prop_assert!(sim.stats().lane_pushes <= sends);
+        if !followups[..next].iter().any(|f| matches!(f, Followup::Delayed(_))) {
+            prop_assert_eq!(sim.stats().lane_pushes, sends);
+        }
     }
 }
