@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use grid_cluster::{ClusterJob, EasyBackfilling, LocalScheduler, SpaceSharedFcfs};
+use grid_cluster::{ClusterJob, EasyBackfilling, LocalScheduler, SpaceSharedFcfs, StartedJob};
 use grid_des::{BinaryHeapEventQueue, Context, Entity, EntityId, Event, EventQueue, SimTime, Simulation};
 use grid_bench::{populated_directory, population_quote};
 use grid_directory::{
@@ -182,7 +182,7 @@ fn lrms_operations(c: &mut Criterion) {
                 running.extend(started);
             }
             // Drain every completion in finish order with a monotone clock.
-            running.sort_by(|a: &grid_cluster::StartedJob, b| a.finish.total_cmp(&b.finish));
+            running.sort_by(|a: &StartedJob, b| a.finish.total_cmp(&b.finish));
             let mut now = 1_000.0f64;
             let mut idx = 0;
             while idx < running.len() {
@@ -226,6 +226,17 @@ fn lrms_operations(c: &mut Criterion) {
             black_box(deep.estimate_completion_replay(1 + i % 128, 500.0 + f64::from(i % 13), 0.0))
         })
     });
+    // The admission-control accept cycle on a steady 128-job queue: submit
+    // one job, finish the earliest running one on time, quote.  Against the
+    // replay oracle on the same states.
+    group.bench_function("accept_cycle_queue_128_incremental", |b| {
+        let mut cycle = AcceptCycle::new();
+        b.iter(|| black_box(cycle.step(SpaceSharedFcfs::estimate_completion)))
+    });
+    group.bench_function("accept_cycle_queue_128_replay_oracle", |b| {
+        let mut cycle = AcceptCycle::new();
+        b.iter(|| black_box(cycle.step(SpaceSharedFcfs::estimate_completion_replay)))
+    });
     group.bench_function("easy_backfilling_mixed_queue", |b| {
         b.iter(|| {
             let mut s = EasyBackfilling::new(128);
@@ -243,6 +254,63 @@ fn lrms_operations(c: &mut Criterion) {
         })
     });
     group.finish();
+}
+
+/// A 128-PE FCFS cluster of 4-PE jobs, 32 running and 128 queued: each
+/// on-time finish starts exactly one queued job, so the queue stays at 128.
+struct AcceptCycle {
+    lrms: SpaceSharedFcfs,
+    running: Vec<StartedJob>,
+    now: f64,
+    seq: usize,
+}
+
+impl AcceptCycle {
+    const QUEUED: usize = 128;
+
+    fn new() -> Self {
+        let mut cycle = AcceptCycle {
+            lrms: SpaceSharedFcfs::new(128),
+            running: Vec::new(),
+            now: 0.0,
+            seq: 0,
+        };
+        for _ in 0..32 + Self::QUEUED {
+            cycle.submit();
+        }
+        cycle
+    }
+
+    fn submit(&mut self) {
+        let job = ClusterJob {
+            id: JobId {
+                origin: 0,
+                seq: self.seq,
+            },
+            processors: 4,
+            service_time: 100.0 + (self.seq * 37 % 97) as f64,
+        };
+        self.seq += 1;
+        self.lrms.submit_into(job, self.now, &mut self.running);
+    }
+
+    /// One accept cycle, quoting with `quote`.
+    fn step(&mut self, quote: impl Fn(&SpaceSharedFcfs, u32, f64, f64) -> f64) -> f64 {
+        self.submit();
+        let (idx, next) = self
+            .running
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.finish.total_cmp(&b.1.finish))
+            .map(|(idx, job)| (idx, *job))
+            .expect("the cluster is never idle");
+        self.running.swap_remove(idx);
+        self.now = next.finish;
+        self.lrms
+            .on_finished_into(next.id, self.now, &mut self.running);
+        debug_assert_eq!(self.lrms.queued_count(), Self::QUEUED);
+        quote(&self.lrms, 1 + (self.seq % 128) as u32, 500.0, self.now)
+    }
 }
 
 fn directory_operations(c: &mut Criterion) {

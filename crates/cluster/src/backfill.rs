@@ -28,7 +28,9 @@ pub struct EasyBackfilling {
     busy_acc: f64,
     last_change: f64,
     completed_jobs: u64,
-    /// Bumped on every state change; stamps the quote cache.
+    /// Bumped on every state change, since backfilling may start a job
+    /// ahead of the queue, which the profile's FCFS replay does not follow;
+    /// stamps the quote cache.
     epoch: u64,
     quote_cache: RefCell<QuoteCache>,
 }

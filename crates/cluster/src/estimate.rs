@@ -8,20 +8,31 @@
 //! O((R+Q)·log(R+Q)) per call.
 //!
 //! This module replaces that with a persistent **availability profile**: one
-//! replay per scheduler state change builds a sorted step function
-//! `(time, cumulative free processors)` describing when capacity becomes
-//! available once the current queue has been dispatched.  A quote for
-//! `(processors, service_time)` is then a binary search over the steps —
-//! O(log R) with zero allocation — and the profile is invalidated only when
-//! the scheduler's epoch advances (a `submit`/`on_finished` mutated state).
+//! replay builds a sorted step function `(time, cumulative free
+//! processors)` describing when capacity becomes available once the current
+//! queue has been dispatched.  A quote for `(processors, service_time)` is
+//! then a binary search over the steps — O(log R) with zero allocation —
+//! and the profile is rebuilt only when the scheduler's epoch advances (a
+//! state change the profile could not follow) or the quote falls outside
+//! the profile's window.
 //!
-//! A finish the profile predicted does not invalidate it.  The replay
-//! assumes every running job releases its processors exactly at its
-//! recorded finish and the queue then starts in FCFS order; a job finishing
-//! at exactly (bitwise) that time, inside the profile's window, is that
-//! prediction coming true, so the step function is still exact.  FCFS then
-//! keeps the profile and only moves its window
-//! ([`QuoteCache::keep_across_finish`]); any other finish bumps the epoch.
+//! FCFS follows its own state changes without a replay:
+//!
+//! * **Submits.**  The replay would start a new job of `p` PEs at the first
+//!   step with at least `p` free, or at `now` if later — after the queue,
+//!   or at once when it starts — and hold the PEs for its service time `s`.
+//!   [`QuoteCache::keep_across_submit`] lowers the step function by `p` on
+//!   `[start, start + s)` in place, O(steps) with no heap.
+//! * **On-time finishes.**  The replay assumes every running job releases
+//!   its processors exactly at its recorded finish and the queue then starts
+//!   in FCFS order; a job finishing at exactly (bitwise) that time, inside
+//!   the profile's window, is that prediction coming true, so the step
+//!   function is still exact and only its window moves
+//!   ([`QuoteCache::keep_across_finish`]).
+//!
+//! Any other finish, a state change outside the window, and every state
+//! change of the EASY scheduler (whose backfilling may start a job ahead of
+//! the queue) bump the epoch instead.
 //!
 //! The original replay estimator is retained as [`replay_estimate`]: it is
 //! the differential oracle the property tests compare against and the
@@ -65,7 +76,7 @@ impl Ord for FinishEvent {
 pub(crate) struct QuoteCache {
     /// Scheduler epoch the profile was built at.
     epoch: u64,
-    /// Query time the profile was built at.
+    /// Time the profile was built or last followed a state change at.
     base: f64,
     /// Largest query time the profile answers exactly (the earliest running
     /// finish while jobs are queued; +inf when the queue is empty because
@@ -101,7 +112,7 @@ impl QuoteCache {
         now: f64,
     ) -> f64 {
         debug_assert!(processors >= 1 && processors <= total);
-        if !self.built || self.epoch != epoch || now < self.base || now > self.valid_until {
+        if self.stale(epoch, now) {
             self.rebuild(total, busy, running, queue, epoch, now);
         }
         self.threshold(processors).max(now) + service_time
@@ -125,21 +136,80 @@ impl QuoteCache {
         running: &[StartedJob],
         queue_empty: bool,
     ) -> bool {
-        if !self.built
-            || self.epoch != epoch
-            || finish.to_bits() != now.to_bits()
-            || now < self.base
-            || now > self.valid_until
-        {
+        if finish.to_bits() != now.to_bits() || self.stale(epoch, now) {
             return false;
         }
-        let min_finish = running
-            .iter()
-            .map(|r| r.finish)
-            .fold(f64::INFINITY, f64::min);
-        self.base = now;
-        self.valid_until = window_end(min_finish, queue_empty, now);
+        self.move_window(now, running, queue_empty);
         true
+    }
+
+    /// Keeps the profile across an FCFS submit at `now` by applying `job` to
+    /// the step function in place.  The replay would start the job at
+    /// `t' = max(threshold(p), now)` — after the queue, or at once when it
+    /// started — and hold its `p` PEs until `t' + s`; so the new profile is
+    /// the old one from `t'` on, lowered by `p` on `[t', t' + s)`.  The
+    /// caller has already queued or started the job; `running` and
+    /// `queue_empty` describe the state after it.
+    ///
+    /// Returns `false`, leaving the cache untouched, unless the profile is
+    /// current (built at `epoch`) and `now` lies in its window; the caller
+    /// then bumps its epoch.
+    pub(crate) fn keep_across_submit(
+        &mut self,
+        epoch: u64,
+        now: f64,
+        job: &ClusterJob,
+        running: &[StartedJob],
+        queue_empty: bool,
+    ) -> bool {
+        if self.stale(epoch, now) {
+            return false;
+        }
+        let start_idx = self.steps.partition_point(|&(_, f)| f < job.processors);
+        let start = self.steps[start_idx].0.max(now);
+        let end = start + job.service_time;
+        self.steps.drain(..start_idx);
+        // The steps not later than `end` are the finishes the replay pops
+        // before the job's own (a tie pops in either order, which leaves the
+        // step function the same).  A step time before `start` can only be
+        // before `now`, and every reader clamps step times against `now`, so
+        // no step needs rewriting.
+        let mut released = 0;
+        let mut free = 0;
+        for step in self.steps.iter_mut().take_while(|s| s.0 <= end) {
+            free = step.1;
+            step.1 -= job.processors;
+            released += 1;
+        }
+        self.steps.insert(released, (end, free));
+        self.move_window(now, running, queue_empty);
+        true
+    }
+
+    /// Whether the profile cannot answer exactly at `now`: none is built,
+    /// it is not current (built at `epoch`), or `now` lies outside its
+    /// window.
+    fn stale(&self, epoch: u64, now: f64) -> bool {
+        !self.built || self.epoch != epoch || now < self.base || now > self.valid_until
+    }
+
+    /// Re-anchors the window at `now` for the state the steps now describe.
+    /// With a non-empty queue the replayed start times depend on `now` only
+    /// while no running job finishes in between, so the window ends at the
+    /// earliest running finish; with an empty queue every threshold is
+    /// re-clamped against `now`, so the profile holds for the rest of the
+    /// epoch.
+    fn move_window(&mut self, now: f64, running: &[StartedJob], queue_empty: bool) {
+        self.base = now;
+        self.valid_until = if queue_empty {
+            f64::INFINITY
+        } else {
+            running
+                .iter()
+                .map(|r| r.finish)
+                .fold(f64::INFINITY, f64::min)
+                .max(now)
+        };
     }
 
     /// One FCFS replay of the current state, recorded as availability steps.
@@ -154,14 +224,12 @@ impl QuoteCache {
     ) {
         self.steps.clear();
         self.scratch.clear();
-        let mut min_finish = f64::INFINITY;
-        for r in running {
-            min_finish = min_finish.min(r.finish);
-            self.scratch.push(Reverse(FinishEvent {
+        self.scratch.extend(running.iter().map(|r| {
+            Reverse(FinishEvent {
                 time: r.finish,
                 processors: r.processors,
-            }));
-        }
+            })
+        }));
         let mut free = total - busy;
         let mut t = now;
         for q in queue {
@@ -193,9 +261,8 @@ impl QuoteCache {
         }
         debug_assert_eq!(free, total, "all processors free once everything finished");
         self.epoch = epoch;
-        self.base = now;
         self.built = true;
-        self.valid_until = window_end(min_finish, queue.is_empty(), now);
+        self.move_window(now, running, queue.is_empty());
         #[cfg(test)]
         {
             self.rebuilds += 1;
@@ -208,21 +275,6 @@ impl QuoteCache {
         let idx = self.steps.partition_point(|&(_, f)| f < processors);
         debug_assert!(idx < self.steps.len(), "capacity check happens before the quote");
         self.steps[idx].0
-    }
-}
-
-/// End of the window in which a profile replayed at `now` answers exactly,
-/// given the earliest running finish.  With a non-empty queue the replayed
-/// start times depend on `now` only while no running job finishes in
-/// between; with an empty queue every threshold is re-clamped against
-/// `now`, so the profile holds for the rest of the epoch.
-fn window_end(min_finish: f64, queue_empty: bool, now: f64) -> f64 {
-    if queue_empty {
-        f64::INFINITY
-    } else if min_finish > now {
-        min_finish
-    } else {
-        now
     }
 }
 

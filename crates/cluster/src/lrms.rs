@@ -20,9 +20,9 @@
 //! steady-state event loop never allocates; [`LocalScheduler::submit`] and
 //! [`LocalScheduler::on_finished`] are collecting conveniences for tests and
 //! one-off callers.  `estimate_completion` answers from an epoch-stamped
-//! availability profile (see [`crate::estimate`]) that is invalidated only
-//! when scheduler state changes, making a quote O(log R) instead of a full
-//! O((R+Q)·log(R+Q)) replay.
+//! availability profile (see [`crate::estimate`]) that FCFS carries across
+//! its submits and on-time finishes, making a quote O(log R) instead of a
+//! full O((R+Q)·log(R+Q)) replay.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -136,8 +136,10 @@ pub struct SpaceSharedFcfs {
     busy_acc: f64,
     last_change: f64,
     completed_jobs: u64,
-    /// Bumped on every state change the quote profile did not predict (see
-    /// [`crate::estimate`]); stamps the quote cache.
+    /// Bumped on every state change the quote profile could not follow in
+    /// place (see [`crate::estimate`]): a finish off its recorded time, or
+    /// any change while no current profile covers `now`.  Stamps the quote
+    /// cache.
     epoch: u64,
     quote_cache: RefCell<QuoteCache>,
 }
@@ -259,9 +261,20 @@ impl LocalScheduler for SpaceSharedFcfs {
             "service time must be finite and non-negative"
         );
         self.advance_accounting(now);
-        self.epoch += 1;
         self.queue.push_back(job);
         self.try_start_queued(now, started);
+        // FCFS starts the job where the profile's replay would, so the
+        // profile takes the job in place.
+        let kept = self.quote_cache.get_mut().keep_across_submit(
+            self.epoch,
+            now,
+            &job,
+            &self.running,
+            self.queue.is_empty(),
+        );
+        if !kept {
+            self.epoch += 1;
+        }
     }
 
     fn on_finished_into(&mut self, id: JobId, now: f64, started: &mut Vec<StartedJob>) {
@@ -525,14 +538,55 @@ mod tests {
 
     #[test]
     fn a_stale_profile_is_not_kept_across_an_on_time_finish() {
+        // Submits before any quote: there is no profile to keep, so the
+        // first quote after the on-time finish builds one.
         let mut s = loaded();
+        s.on_finished(jid(0), 100.0);
+        assert_quotes_exact(&s, 100.0);
+        assert_eq!(rebuilds(&s), 1);
+        // An early finish leaves the profile a state behind; job 0's
+        // on-time finish that follows, inside the old window, must not
+        // revive it.
+        let mut s = SpaceSharedFcfs::new(16);
+        s.submit(job(0, 8, 100.0), 0.0);
+        s.submit(job(1, 4, 200.0), 0.0);
+        s.submit(job(2, 12, 30.0), 0.0);
         assert_quotes_exact(&s, 25.0);
-        // A submit after the last quote leaves the profile a state behind;
-        // the on-time finish that follows must not revive it.
-        s.submit(job(3, 2, 5.0), 30.0);
+        s.on_finished(jid(1), 50.0);
         s.on_finished(jid(0), 100.0);
         assert_quotes_exact(&s, 100.0);
         assert_eq!(rebuilds(&s), 2);
+    }
+
+    #[test]
+    fn submits_between_quotes_keep_the_quote_profile() {
+        let mut s = SpaceSharedFcfs::new(16);
+        s.submit(job(0, 12, 100.0), 0.0);
+        assert_quotes_exact(&s, 5.0);
+        // Queued behind job 0: the profile lowers by 8 PEs on [100, 150).
+        assert!(s.submit(job(1, 8, 50.0), 10.0).is_empty());
+        assert_quotes_exact(&s, 10.0);
+        assert_quotes_exact(&s, 40.0);
+        let started = s.on_finished(jid(0), 100.0);
+        assert_eq!(started[0].id, jid(1));
+        assert_quotes_exact(&s, 100.0);
+        // Starts now, next to job 1.
+        let started = s.submit(job(2, 6, 30.0), 120.0);
+        assert_eq!(started[0].start, 120.0);
+        assert_quotes_exact(&s, 120.0);
+        // Two submits with no quote between them: a zero-length job queued
+        // behind the two running ones, then a job queued behind it.
+        assert!(s.submit(job(3, 4, 0.0), 130.0).is_empty());
+        assert!(s.submit(job(4, 16, 10.0), 130.0).is_empty());
+        assert_quotes_exact(&s, 130.0);
+        s.on_finished(jid(1), 150.0);
+        s.on_finished(jid(2), 150.0);
+        s.on_finished(jid(3), 150.0);
+        assert_quotes_exact(&s, 150.0);
+        s.on_finished(jid(4), 160.0);
+        assert_quotes_exact(&s, 160.0);
+        assert_quotes_exact(&s, 500.0);
+        assert_eq!(rebuilds(&s), 1);
     }
 
     #[test]

@@ -4,6 +4,12 @@
 //! to the retained naive replay oracle, for every probe shape and at every
 //! query time (including quotes issued between state changes, where the
 //! epoch-stamped profile is answered from cache).
+//!
+//! Two input shapes drive them: continuous times, and a tie-heavy coarse
+//! grid (multiples of 10 s, zero included) on which equal finishes, equal
+//! starts and zero-length jobs are common and runs of submits see no quote
+//! in between.  The case count is the shim default, so
+//! `PROPTEST_CASES=4096` buys a deeper run.
 
 use grid_cluster::{ClusterJob, EasyBackfilling, LocalScheduler, SpaceSharedFcfs, StartedJob};
 use grid_workload::JobId;
@@ -37,6 +43,10 @@ struct Step {
     quote_gap: f64,
     probe_procs_fraction: f64,
     probe_service: f64,
+    /// Skips every quote of this step, so the submit (and the finishes
+    /// before it) reach the scheduler with no quote since the last state
+    /// change.
+    quiet: bool,
 }
 
 fn step() -> impl Strategy<Value = Step> {
@@ -56,6 +66,40 @@ fn step() -> impl Strategy<Value = Step> {
                 quote_gap,
                 probe_procs_fraction,
                 probe_service,
+                quiet: false,
+            },
+        )
+}
+
+/// Steps on a coarse grid: times in multiples of 10 s (zero included) and
+/// sizes in eighths of the cluster, so finishes, starts and sizes tie.
+fn tie_heavy_step() -> impl Strategy<Value = Step> {
+    (
+        0u32..6,
+        0u32..10, // up to 9/8: oversized probes occur
+        0u32..30,
+        0u32..4,
+        0u32..11,
+        0u32..20,
+        proptest::bool::ANY,
+    )
+        .prop_map(
+            |(
+                arrival_gap,
+                procs_eighths,
+                service,
+                quote_gap,
+                probe_procs_eighths,
+                probe_service,
+                quiet,
+            )| Step {
+                arrival_gap: f64::from(arrival_gap) * 10.0,
+                procs_fraction: f64::from(procs_eighths) / 8.0,
+                service: f64::from(service) * 10.0,
+                quote_gap: f64::from(quote_gap) * 10.0,
+                probe_procs_fraction: f64::from(probe_procs_eighths) / 8.0,
+                probe_service: f64::from(probe_service) * 10.0,
+                quiet,
             },
         )
 }
@@ -97,8 +141,10 @@ fn differential_drive<S: ReplayOracle>(scheduler: &mut S, total: u32, steps: &[S
             scratch.clear();
             scheduler.on_finished_into(next.id, next.finish, &mut scratch);
             running.extend(scratch.iter().copied());
-            let probe = procs_for(total, input.probe_procs_fraction);
-            check(scheduler, probe, input.probe_service, next.finish);
+            if !input.quiet {
+                let probe = procs_for(total, input.probe_procs_fraction);
+                check(scheduler, probe, input.probe_service, next.finish);
+            }
         }
         now = arrival;
         let procs = procs_for(total, input.procs_fraction).min(total);
@@ -113,6 +159,9 @@ fn differential_drive<S: ReplayOracle>(scheduler: &mut S, total: u32, steps: &[S
             &mut scratch,
         );
         running.extend(scratch.iter().copied());
+        if input.quiet {
+            continue;
+        }
 
         // Quote burst right at the state change…
         let probe = procs_for(total, input.probe_procs_fraction);
@@ -129,7 +178,7 @@ fn differential_drive<S: ReplayOracle>(scheduler: &mut S, total: u32, steps: &[S
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::default())]
 
     /// FCFS: incremental estimates are bit-identical to the replay oracle
     /// across random workloads and probe shapes.
@@ -149,6 +198,29 @@ proptest! {
     #[test]
     fn easy_incremental_estimator_matches_replay_oracle(
         steps in proptest::collection::vec(step(), 1..50),
+        procs_pow in 3u32..9,
+    ) {
+        let total = 1u32 << procs_pow;
+        let mut scheduler = EasyBackfilling::new(total);
+        differential_drive(&mut scheduler, total, &steps);
+    }
+
+    /// FCFS on the tie-heavy grid, where the profile takes most submits in
+    /// place: still bit-identical to the replay oracle.
+    #[test]
+    fn fcfs_estimator_matches_replay_oracle_on_a_tie_heavy_grid(
+        steps in proptest::collection::vec(tie_heavy_step(), 1..50),
+        procs_pow in 3u32..9,
+    ) {
+        let total = 1u32 << procs_pow;
+        let mut scheduler = SpaceSharedFcfs::new(total);
+        differential_drive(&mut scheduler, total, &steps);
+    }
+
+    /// EASY backfilling on the tie-heavy grid.
+    #[test]
+    fn easy_estimator_matches_replay_oracle_on_a_tie_heavy_grid(
+        steps in proptest::collection::vec(tie_heavy_step(), 1..50),
         procs_pow in 3u32..9,
     ) {
         let total = 1u32 << procs_pow;
