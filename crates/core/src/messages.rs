@@ -23,8 +23,10 @@ use grid_workload::{Job, JobId};
 /// Message and timer payloads exchanged between federation entities.
 ///
 /// Every variant stays small (no inline [`Job`]), so an `Event<FedMessage>`
-/// is at most 112 bytes and each negotiation leg moves little through the
-/// event queue.
+/// is at most 112 bytes.  The event queue's FIFO lane carries each
+/// negotiation leg whole, moving those bytes in on the send and out on the
+/// delivery, so `events_carrying_federation_messages_stay_within_112_bytes`
+/// guards the lane's per-leg cost.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FedMessage {
     /// Self-timer: one of this GFA's local users submits a job.  Boxed so

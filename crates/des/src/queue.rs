@@ -5,28 +5,32 @@
 //! every simulation run fully deterministic — a property the Grid-Federation
 //! experiments rely on (identical seeds must reproduce identical figures).
 //!
-//! Payloads live in a slab indexed by slot; the ordering works on small
-//! fixed-size keys (`time`, `seq`, slot index), so it moves 24-byte keys
-//! regardless of how wide the model's message enum is.  Pending keys sit in
-//! one of three containers under that one total order:
+//! Pending events sit in one of three containers under that one total
+//! order:
 //!
-//! * a **sealed run**: once every entity's `on_start` has run,
-//!   [`EventQueue::seal`] sorts the pending keys once (latest first, so the
-//!   earliest pops off the end).  A federation schedules every job arrival
-//!   up front, so this run holds the bulk of a trace's timers and costs
-//!   nothing per delivery beyond a `Vec::pop`;
 //! * a **FIFO lane** for messages that arrive in order.  A push of an
 //!   [`EventKind::Message`] whose key is not earlier than the lane's tail
-//!   is appended to the lane.  A model whose messages all travel one fixed
-//!   latency sends each at `now + latency`, and neither `now` nor `seq`
-//!   ever decreases, so in a federation every negotiation leg takes the
-//!   lane and costs a `VecDeque` push and pop instead of two sifts;
+//!   is appended to the lane, whole.  A model whose messages all travel one
+//!   fixed latency sends each at `now + latency`, and neither `now` nor
+//!   `seq` ever decreases, so in a federation every negotiation leg takes
+//!   the lane and costs one `VecDeque` push and pop of the event itself;
+//! * a **sealed run**: once every entity's `on_start` has run,
+//!   [`EventQueue::seal`] sorts the pending heap keys once (latest first, so
+//!   the earliest pops off the end).  A federation schedules every job
+//!   arrival up front, so this run holds the bulk of a trace's timers and
+//!   costs nothing per delivery beyond a `Vec::pop`;
 //! * an **index-based 4-ary min-heap** for everything else: timers (a job's
 //!   finish can lie far ahead, and one in the lane would send every later
 //!   message past it to the heap until it popped) and messages that would
 //!   be out of order in the lane, such as a fault layer's delayed
 //!   duplicates.  The 4-ary layout halves the tree depth relative to a
 //!   binary heap.
+//!
+//! The run and the heap order small fixed-size keys (`time`, `seq`, slot
+//! index) while their payloads live in a slab indexed by slot, so a sift
+//! moves 24-byte keys regardless of how wide the model's message enum is.
+//! Lane events never enter the slab: they are never sifted, so carrying
+//! them inline saves the slot write and read-back on every leg.
 //!
 //! [`EventQueue::pop`] takes the earliest of the three heads, so neither
 //! sealing nor the lane ever changes delivery order.  The pre-overhaul
@@ -53,15 +57,21 @@ struct Key {
     slot: u32,
 }
 
+/// Whether `(a, a_seq)` is strictly before `(b, b_seq)`.  Compares the raw
+/// seconds inline — `SimTime` construction rules out NaN, so `<` and `==`
+/// on the `f64`s agree with `SimTime`'s `Ord` — keeping the per-sift
+/// comparison free of calls.
+#[inline]
+fn before(a: SimTime, a_seq: u64, b: SimTime, b_seq: u64) -> bool {
+    let (a, b) = (a.as_secs(), b.as_secs());
+    a < b || (a == b && a_seq < b_seq)
+}
+
 impl Key {
-    /// Strictly before `other` in `(time, seq)` order.  Compares the raw
-    /// seconds inline — `SimTime` construction rules out NaN, so `<` and
-    /// `==` on the `f64`s agree with `SimTime`'s `Ord` — keeping the
-    /// per-sift comparison free of calls.
+    /// Strictly before `other` in `(time, seq)` order.
     #[inline]
     fn earlier_than(&self, other: &Key) -> bool {
-        let (a, b) = (self.time.as_secs(), other.time.as_secs());
-        a < b || (a == b && self.seq < other.seq)
+        before(self.time, self.seq, other.time, other.seq)
     }
 }
 
@@ -70,9 +80,11 @@ pub struct EventQueue<M> {
     /// Keys sealed by [`Self::seal`], sorted latest first: the earliest
     /// sealed key is `run.last()`.
     run: Vec<Key>,
-    /// In-order messages, earliest at the front (see the module docs).
-    lane: VecDeque<Key>,
+    /// In-order messages, held whole, earliest at the front (see the module
+    /// docs).
+    lane: VecDeque<Event<M>>,
     heap: Vec<Key>,
+    /// Payloads of the run's and the heap's keys.
     slots: Vec<Option<Event<M>>>,
     free: Vec<u32>,
     next_seq: u64,
@@ -124,22 +136,28 @@ impl<M> EventQueue<M> {
     /// Schedules an event.  The event's `seq` field is overwritten with the
     /// next sequence number so callers never need to manage it.  A message
     /// no earlier than the lane's tail is appended to the lane; everything
-    /// else is sifted into the heap.
+    /// else is stored in the slab and its key sifted into the heap.
     ///
     /// # Panics
-    /// Panics if more than `u32::MAX` events are pending simultaneously.
+    /// Panics if more than `u32::MAX` heap and run events are pending
+    /// simultaneously (lane events take no slab slot).
     #[inline]
     pub fn push(&mut self, mut event: Event<M>) {
         event.seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
-        // The new key's `seq` exceeds every pending one, so it sorts after
-        // the lane's tail exactly when its time is not earlier.
-        let in_order_message = event.kind == EventKind::Message
+        // The new event's `seq` exceeds every pending one, so it sorts
+        // after the lane's tail exactly when its time is not earlier.
+        if event.kind == EventKind::Message
             && self
                 .lane
                 .back()
-                .map_or(true, |tail| event.time.as_secs() >= tail.time.as_secs());
+                .map_or(true, |tail| event.time.as_secs() >= tail.time.as_secs())
+        {
+            self.lane.push_back(event);
+            self.lane_pushed += 1;
+            return;
+        }
         let key = Key {
             time: event.time,
             seq: event.seq,
@@ -159,31 +177,26 @@ impl<M> EventQueue<M> {
                 }
             },
         };
-        if in_order_message {
-            self.lane.push_back(key);
-            self.lane_pushed += 1;
-        } else {
-            self.heap.push(key);
-            self.sift_up(self.heap.len() - 1);
-        }
+        self.heap.push(key);
+        self.sift_up(self.heap.len() - 1);
     }
 
-    /// Moves every pending key into the sealed run, sorted once by
+    /// Moves every pending heap key into the sealed run, sorted once by
     /// `(time, seq)`.  Events pushed afterwards go to the lane or the heap,
     /// and [`Self::pop`] merges all three, so sealing never changes delivery
     /// order; it only takes a batch scheduled up front (the simulation
     /// seals once every entity's `on_start` has run) out of the heap that
-    /// later pushes sift through.  The payloads stay in the slab, whose
-    /// slots later pushes reuse as the run drains.
+    /// later pushes sift through.  The lane is already in order and stays
+    /// where it is.  The run's payloads stay in the slab, whose slots later
+    /// pushes reuse as the run drains.
     pub fn seal(&mut self) {
         let mut keys = std::mem::take(&mut self.heap);
         keys.append(&mut self.run);
-        keys.extend(self.lane.drain(..));
         keys.sort_unstable_by_key(|k| Reverse((k.time, k.seq)));
         self.run = keys;
     }
 
-    /// The container holding the earliest pending key, if any.  An empty
+    /// The container holding the earliest pending event, if any.  An empty
     /// lane (a timer-only model, say) costs one length test on top of the
     /// run/heap comparison.
     #[inline]
@@ -195,26 +208,29 @@ impl<M> EventQueue<M> {
             (None, None) => return self.lane.front().map(|_| Head::Lane),
         };
         match self.lane.front() {
-            Some(l) if l.earlier_than(best) => Some(Head::Lane),
+            Some(l) if before(l.time, l.seq, best.time, best.seq) => Some(Head::Lane),
             _ => Some(head),
         }
     }
 
-    /// The earliest pending key, in whichever container holds it.
+    /// The earliest pending event's timestamp, in whichever container holds
+    /// it.
     #[inline]
-    fn earliest(&self) -> Option<&Key> {
+    fn earliest_time(&self) -> Option<SimTime> {
         match self.head()? {
-            Head::Run => self.run.last(),
-            Head::Lane => self.lane.front(),
-            Head::Heap => self.heap.first(),
+            Head::Run => self.run.last().map(|k| k.time),
+            Head::Lane => self.lane.front().map(|e| e.time),
+            Head::Heap => self.heap.first().map(|k| k.time),
         }
     }
 
-    /// Removes and returns the earliest event, if any.
+    /// Removes and returns the earliest event, if any.  A lane event comes
+    /// straight off the lane; a run or heap event is taken out of its slab
+    /// slot, which is freed for reuse.
     pub fn pop(&mut self) -> Option<Event<M>> {
         let key = match self.head()? {
+            Head::Lane => return self.lane.pop_front(),
             Head::Run => self.run.pop()?,
-            Head::Lane => self.lane.pop_front()?,
             Head::Heap => self.pop_heap()?,
         };
         let slot = &mut self.slots[key.slot as usize];
@@ -245,7 +261,7 @@ impl<M> EventQueue<M> {
     /// primitive the simulation loop uses instead of a separate
     /// peek-then-pop.
     pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<Event<M>> {
-        if self.earliest()?.time > limit {
+        if self.earliest_time()? > limit {
             return None;
         }
         self.pop()
@@ -254,7 +270,7 @@ impl<M> EventQueue<M> {
     /// Returns the timestamp of the earliest pending event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.earliest().map(|k| k.time)
+        self.earliest_time()
     }
 
     /// Number of pending events.
@@ -292,8 +308,13 @@ impl<M> EventQueue<M> {
     #[cfg(feature = "invariants")]
     pub fn corrupt_earliest_time(&mut self, new_time: SimTime) -> bool {
         let key = match self.head() {
+            Some(Head::Lane) => {
+                if let Some(event) = self.lane.front_mut() {
+                    event.time = new_time;
+                }
+                return true;
+            }
             Some(Head::Run) => self.run.last_mut(),
-            Some(Head::Lane) => self.lane.front_mut(),
             Some(Head::Heap) => self.heap.first_mut(),
             None => None,
         };
@@ -625,6 +646,38 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn in_order_messages_never_enter_the_slab() {
+        let mut q = EventQueue::new();
+        // A stream of in-order messages, popped as it goes and sealed
+        // with some still pending, as `on_start` sends leave them.
+        for i in 0..100u32 {
+            q.push(event(f64::from(i / 3), i));
+            if i % 2 == 1 {
+                assert!(q.pop().is_some());
+            }
+            if i == 40 {
+                q.seal();
+            }
+        }
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
+        assert_eq!(order, (50..100).collect::<Vec<_>>());
+        assert_eq!(q.lane_pushed(), 100);
+        assert!(q.slots.is_empty());
+        assert!(q.free.is_empty());
+        // A timer takes a slab slot, and so does a message earlier than
+        // the lane's tail.
+        q.push(event(50.0, 100));
+        q.push(timer(60.0, 101));
+        assert_eq!(q.slots.len(), 1);
+        q.push(event(40.0, 102));
+        assert_eq!(q.slots.len(), 2);
+        assert_eq!(q.lane_pushed(), 101);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
+        assert_eq!(order, vec![102, 100, 101]);
+        assert_eq!(q.free.len(), 2);
     }
 
     #[test]

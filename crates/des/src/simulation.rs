@@ -217,8 +217,9 @@ impl<M: std::fmt::Debug> Simulation<M> {
             if self.stats.events_delivered >= self.max_events {
                 break RunOutcome::EventLimit;
             }
-            // Single heap traversal: pop directly (bounded by the horizon
-            // when one is set) instead of a peek followed by a pop.
+            // One pop merges the queue's three heads (sealed run, FIFO
+            // lane, heap) directly, bounded by the horizon when one is
+            // set, instead of a peek followed by a pop.
             let event = match horizon {
                 None => match self.queue.pop() {
                     Some(event) => event,

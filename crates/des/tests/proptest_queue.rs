@@ -110,7 +110,7 @@ impl Entity<u32> for MonotoneChecker {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::default())]
     /// The simulation clock never moves backwards regardless of how timers
     /// are scheduled.
     #[test]
@@ -168,7 +168,7 @@ impl Entity<u32> for SealMixer {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::default())]
     /// A simulation whose start-up batch is sealed into a sorted run and
     /// whose later events go to the heap delivers exactly the `(time, seq)`
     /// sequence the plain binary-heap queue delivers for the same schedule.
@@ -279,7 +279,7 @@ impl Entity<u32> for LaneMixer {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::default())]
     /// A simulation whose deliveries mix the sealed run, the FIFO lane and
     /// the heap delivers exactly the `(time, seq)` sequence the plain
     /// binary-heap queue delivers for the same schedule.
@@ -325,5 +325,113 @@ proptest! {
         if !followups[..next].iter().any(|f| matches!(f, Followup::Delayed(_))) {
             prop_assert_eq!(sim.stats().lane_pushes, sends);
         }
+    }
+}
+
+/// One step of a script driving an [`EventQueue`] directly.
+#[derive(Debug, Clone, Copy)]
+enum QueueOp {
+    /// A message [`LATENCY`] after the last pop: in order, takes the lane.
+    Send,
+    /// A message `LATENCY + extra` after the last pop: later sends overtake
+    /// it, so those go to the heap.
+    Delayed(u32),
+    /// A timer `delay` after the last pop: always the heap (or, sealed,
+    /// the run).
+    Timer(u32),
+    /// `pop`.
+    Pop,
+    /// `pop_at_or_before(last pop + window)`.
+    PopWithin(u32),
+    /// `seal`, with whatever the lane and the heap hold at the time.
+    Seal,
+}
+
+impl QueueOp {
+    fn from_draw(draw: u32) -> Self {
+        let arg = draw / 16 % 5;
+        match draw % 16 {
+            0..=4 => QueueOp::Send,
+            5 => QueueOp::Delayed(1 + arg),
+            6..=8 => QueueOp::Timer(arg),
+            9..=11 => QueueOp::Pop,
+            12..=14 => QueueOp::PopWithin(arg),
+            _ => QueueOp::Seal,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+    /// Driven directly by a random script of pushes, pops, bounded pops and
+    /// seals, the engine's queue returns exactly the `(time, seq, payload)`
+    /// sequence the plain binary-heap queue returns.  Every push carries a
+    /// unique payload, so an event delivered from the wrong container or
+    /// the wrong slab slot shows up even when its key is right.
+    #[test]
+    fn direct_queue_ops_match_the_binary_heap_including_payloads(
+        draws in proptest::collection::vec(0u32..80, 0..300),
+    ) {
+        let mut queue = EventQueue::new();
+        let mut reference = BinaryHeapEventQueue::new();
+        let mut now = 0u32;
+        let mut payload = 0u32;
+        let mut sends = 0u64;
+        let mut push = |queue: &mut EventQueue<u32>,
+                        reference: &mut BinaryHeapEventQueue<u32>,
+                        at: u32,
+                        kind: EventKind| {
+            let mut event = make_event(f64::from(at), payload);
+            event.kind = kind;
+            payload += 1;
+            queue.push(event.clone());
+            reference.push(event);
+        };
+        let key = |e: Event<u32>| (e.time.as_secs().to_bits(), e.seq, e.payload);
+        for draw in draws {
+            let (got, expected) = match QueueOp::from_draw(draw) {
+                QueueOp::Send => {
+                    sends += 1;
+                    push(&mut queue, &mut reference, now + LATENCY, EventKind::Message);
+                    continue;
+                }
+                QueueOp::Delayed(extra) => {
+                    sends += 1;
+                    push(&mut queue, &mut reference, now + LATENCY + extra, EventKind::Message);
+                    continue;
+                }
+                QueueOp::Timer(delay) => {
+                    push(&mut queue, &mut reference, now + delay, EventKind::Timer);
+                    continue;
+                }
+                QueueOp::Seal => {
+                    queue.seal();
+                    continue;
+                }
+                QueueOp::Pop => {
+                    let expected = reference.pop();
+                    (queue.pop(), expected)
+                }
+                QueueOp::PopWithin(window) => {
+                    let limit = SimTime::new(f64::from(now + window));
+                    let expected = match reference.peek_time() {
+                        Some(t) if t <= limit => reference.pop(),
+                        _ => None,
+                    };
+                    (queue.pop_at_or_before(limit), expected)
+                }
+            };
+            if let Some(e) = &expected {
+                now = e.time.as_secs() as u32;
+            }
+            prop_assert_eq!(got.map(key), expected.map(key));
+            prop_assert_eq!(queue.len(), reference.len());
+            prop_assert_eq!(queue.peek_time(), reference.peek_time());
+        }
+        while let Some(expected) = reference.pop() {
+            prop_assert_eq!(queue.pop().map(key), Some(key(expected)));
+        }
+        prop_assert!(queue.is_empty());
+        prop_assert!(queue.lane_pushed() <= sends);
     }
 }
