@@ -137,9 +137,6 @@ struct Ticker {
     remaining: u32,
 }
 impl Entity<u32> for Ticker {
-    fn name(&self) -> &str {
-        "ticker"
-    }
     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
         ctx.timer(1.0, 0);
     }
@@ -155,8 +152,8 @@ fn simulation_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("des_dispatch");
     group.bench_function("100k_timer_events", |b| {
         b.iter(|| {
-            let mut sim = Simulation::new(1);
-            sim.add_entity(Box::new(Ticker { remaining: 100_000 }));
+            let mut sim = Simulation::new(1, ());
+            sim.add_entity(Ticker { remaining: 100_000 });
             sim.run();
             black_box(sim.stats().events_delivered)
         })

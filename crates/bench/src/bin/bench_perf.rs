@@ -139,9 +139,6 @@ struct Ticker {
     remaining: u64,
 }
 impl Entity<u32> for Ticker {
-    fn name(&self) -> &str {
-        "ticker"
-    }
     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
         ctx.timer(1.0, 0);
     }
@@ -155,8 +152,8 @@ impl Entity<u32> for Ticker {
 
 fn bench_dispatch(events: u64) -> f64 {
     let secs = best_of(3, || {
-        let mut sim = Simulation::new(1);
-        sim.add_entity(Box::new(Ticker { remaining: events }));
+        let mut sim = Simulation::new(1, ());
+        sim.add_entity(Ticker { remaining: events });
         let (secs, delivered) = timed(|| {
             sim.run();
             sim.stats().events_delivered

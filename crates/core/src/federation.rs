@@ -344,7 +344,8 @@ impl NetState {
     }
 }
 
-/// Federation-wide shared state accessible to every GFA during the run.
+/// Federation-wide state: the simulation owns it and lends it to each GFA
+/// handler in turn as `ctx.shared`.
 #[derive(Debug)]
 pub struct SharedState {
     /// The shared federation directory holding every quote, in whichever
@@ -356,10 +357,6 @@ pub struct SharedState {
     pub ledger: MessageLedger,
     /// Per-job records, pushed by origin GFAs as jobs conclude.
     pub jobs: Vec<JobRecord>,
-    /// Per-resource end-of-run snapshots (utilization), indexed by resource.
-    pub resource_snapshots: Vec<Option<ResourceSnapshot>>,
-    /// Number of remote jobs each resource executed.
-    pub remote_processed: Vec<usize>,
     /// Hash-chained audit ledger folding every outcome, charge and bank
     /// mutation (see [`crate::audit`]).
     pub audit: AuditLedger,
@@ -499,14 +496,14 @@ impl SharedState {
     /// Forwards a completed span to the armed trace sink, if any.
     pub fn emit_span(&self, record: SpanRecord) {
         if let Some(tracer) = &self.tracer {
-            grid_des::TraceSink::span(&mut *tracer.borrow_mut(), record);
+            tracer.borrow_mut().span(record);
         }
     }
 
     /// Forwards one endpoint of a cross-GFA flow to the armed trace sink.
     pub fn emit_flow(&self, record: FlowRecord) {
         if let Some(tracer) = &self.tracer {
-            grid_des::TraceSink::flow(&mut *tracer.borrow_mut(), record);
+            tracer.borrow_mut().flow(record);
         }
     }
 
@@ -545,15 +542,6 @@ impl SharedState {
             .clone();
         self.push_job_record(record);
     }
-}
-
-/// End-of-run per-resource snapshot captured by each GFA.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResourceSnapshot {
-    /// Busy processor-seconds accumulated by the LRMS.
-    pub busy_processor_seconds: f64,
-    /// Average utilization over the whole run.
-    pub utilization: f64,
 }
 
 /// Configuration knobs of a federation run.
@@ -811,22 +799,19 @@ impl FederationBuilder {
         }
 
         let total_jobs: usize = workloads.iter().map(Vec::len).sum();
-        let shared = Rc::new(RefCell::new(SharedState {
+        let shared = SharedState {
             directory,
             bank: GridBank::new(n),
             ledger,
             jobs: Vec::with_capacity(total_jobs),
-            resource_snapshots: vec![None; n],
-            remote_processed: vec![0; n],
             audit,
             net,
             metrics: MetricsRegistry::new(n),
             tracer,
             #[cfg(feature = "invariants")]
             invariants: crate::invariants::InvariantSentry::new(),
-        }));
-
-        let mut sim: Simulation<FedMessage> = Simulation::new(config.seed);
+        };
+        let mut sim = Simulation::new(config.seed, shared);
         if let Some(table) = profiler {
             sim.set_profiler(Box::new(HandlerProfiler::new(table, FedMessage::label)));
         }
@@ -861,9 +846,8 @@ impl FederationBuilder {
                 std::mem::take(&mut workloads[i]),
                 schedule,
                 &config,
-                Rc::clone(&shared),
             );
-            let id = sim.add_entity(Box::new(gfa));
+            let id = sim.add_entity(gfa);
             assert_eq!(id.index(), i, "GFA entity ids must equal resource indices");
         }
 
@@ -875,15 +859,10 @@ impl FederationBuilder {
         );
         let sim_end = sim.now().as_secs();
         let engine = sim.stats().clone();
-        // The GFAs hold clones of the shared state; drop the simulation (and
-        // with it the entities) before unwrapping.
-        drop(sim);
-
-        let state = Rc::try_unwrap(shared)
-            .unwrap_or_else(|_| panic!("GFAs must not outlive the simulation"))
-            .into_inner();
+        let (gfas, state) = sim.into_parts();
         assemble_report(
             &resources,
+            &gfas,
             state,
             sim_end,
             engine,
@@ -895,6 +874,7 @@ impl FederationBuilder {
 
 fn assemble_report(
     resources: &[ResourceSpec],
+    gfas: &[Gfa],
     state: SharedState,
     sim_end: f64,
     engine: SimStats,
@@ -906,12 +886,15 @@ fn assemble_report(
         bank,
         ledger,
         jobs,
-        resource_snapshots,
-        remote_processed,
         audit,
-        metrics: registry,
+        metrics: mut registry,
         ..
     } = state;
+    for (i, gfa) in gfas.iter().enumerate() {
+        let cache = gfa.quote_cache.stats();
+        registry.add(i, Counter::CacheHits, cache.hits);
+        registry.add(i, Counter::CacheMisses, cache.misses);
+    }
     let directory_cache = CacheStats {
         hits: registry.counter(Counter::CacheHits),
         misses: registry.counter(Counter::CacheMisses),
@@ -922,27 +905,24 @@ fn assemble_report(
 
     let mut metrics: Vec<ResourceMetrics> = resources
         .iter()
+        .zip(gfas)
         .enumerate()
-        .map(|(i, spec)| {
-            let snapshot = resource_snapshots[i].unwrap_or(ResourceSnapshot {
-                busy_processor_seconds: 0.0,
-                utilization: 0.0,
-            });
+        .map(|(i, (spec, gfa))| {
+            let busy_processor_seconds = gfa.lrms.busy_processor_seconds(sim_end);
             let horizon = utilization_horizon.unwrap_or(sim_end).max(f64::EPSILON);
-            let utilization = (snapshot.busy_processor_seconds
-                / (f64::from(spec.processors) * horizon))
-                .min(1.0);
+            let utilization =
+                (busy_processor_seconds / (f64::from(spec.processors) * horizon)).min(1.0);
             ResourceMetrics {
                 name: spec.name.clone(),
                 processors: spec.processors,
                 utilization,
-                busy_processor_seconds: snapshot.busy_processor_seconds,
+                busy_processor_seconds,
                 total_local_jobs: 0,
                 accepted: 0,
                 rejected: 0,
                 processed_locally: 0,
                 migrated: 0,
-                remote_jobs_processed: remote_processed[i],
+                remote_jobs_processed: gfa.remote_jobs_processed,
                 incentive: bank.earnings(i),
             }
         })

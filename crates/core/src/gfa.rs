@@ -34,9 +34,7 @@
 //! coordination property the paper's one-to-one negotiation scheme is
 //! designed to provide.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use grid_cluster::{
     completion_time, service_time, ClusterJob, EasyBackfilling, LocalScheduler, ResourceSpec,
@@ -53,6 +51,10 @@ use crate::federation::{
 };
 use crate::messages::{FedMessage, MessageType};
 use crate::metrics::{ExecutionOutcome, JobRecord};
+
+/// The engine context every GFA handler runs in: it lends the federation's
+/// [`SharedState`] as `ctx.shared`.
+type Ctx<'a> = Context<'a, FedMessage, SharedState>;
 
 /// One locally submitted job on its way from arrival to its [`JobRecord`]:
 /// the job itself plus the per-job tallies the record reports.  It moves,
@@ -225,12 +227,11 @@ struct ExecutingJob {
 /// The Grid Federation Agent entity.
 pub struct Gfa {
     index: usize,
-    name: String,
     spec: ResourceSpec,
     mode: SchedulingMode,
     charging: ChargingPolicy,
     latency: f64,
-    lrms: Box<dyn LocalScheduler>,
+    pub(crate) lrms: Box<dyn LocalScheduler>,
     local_jobs: Vec<Job>,
     schedule: GfaSchedule,
     /// Set once the departure timer fired: the quote is withdrawn and no new
@@ -247,8 +248,9 @@ pub struct Gfa {
     repair: RepairMode,
     /// Epoch-keyed memo of quotes this GFA already streamed from the
     /// directory; invalidated automatically when the directory mutates.
-    quote_cache: QuoteCache,
-    shared: Rc<RefCell<SharedState>>,
+    pub(crate) quote_cache: QuoteCache,
+    /// Remote jobs (another GFA's) this GFA's LRMS has executed.
+    pub(crate) remote_jobs_processed: usize,
     own_jobs: OwnJobs,
     executing: BTreeMap<JobId, ExecutingJob>,
     /// Reusable buffer for LRMS start notifications, so the steady-state
@@ -263,9 +265,7 @@ impl Gfa {
     /// user population (QoS already fabricated); `schedule` holds the
     /// scripted and churn-drawn directory actions; `config` supplies the
     /// scheduling mode, charging policy, latency, local scheduler and the
-    /// churn config's retry and repair policies; `shared` is the
-    /// federation-wide shared state (directory, bank, ledger, collected
-    /// records).
+    /// churn config's retry and repair policies.
     #[must_use]
     pub fn new(
         index: usize,
@@ -273,9 +273,7 @@ impl Gfa {
         local_jobs: Vec<Job>,
         schedule: GfaSchedule,
         config: &FederationConfig,
-        shared: Rc<RefCell<SharedState>>,
     ) -> Self {
-        let name = format!("gfa-{index}-{}", spec.name);
         let lrms: Box<dyn LocalScheduler> = match config.lrms {
             LrmsKind::SpaceSharedFcfs => Box::new(SpaceSharedFcfs::new(spec.processors)),
             LrmsKind::EasyBackfilling => Box::new(EasyBackfilling::new(spec.processors)),
@@ -284,7 +282,6 @@ impl Gfa {
         let own_jobs = OwnJobs::new(index, &local_jobs);
         Gfa {
             index,
-            name,
             spec,
             mode: config.mode,
             charging: config.charging,
@@ -297,7 +294,7 @@ impl Gfa {
             retry: churn.map_or_else(RetryPolicy::default, |c| c.retry),
             repair: churn.map_or(RepairMode::Periodic, |c| c.repair),
             quote_cache: QuoteCache::new(),
-            shared,
+            remote_jobs_processed: 0,
             own_jobs,
             executing: BTreeMap::new(),
             scratch: Vec::new(),
@@ -347,16 +344,15 @@ impl Gfa {
         ledger_origin: usize,
         ledger_counterpart: usize,
         build: impl Fn(u64) -> FedMessage,
-        ctx: &mut Context<'_, FedMessage>,
+        ctx: &mut Ctx<'_>,
     ) -> u64 {
         debug_assert_ne!(to, self.index, "protocol sends are strictly remote");
         let delay = self.message_delay(to);
         let mut seq = 0;
         let mut duplicate_delay = None;
         {
-            let mut shared = self.shared.borrow_mut();
-            shared.charge_message(ty, ledger_origin, ledger_counterpart);
-            let state = &mut *shared;
+            let state = &mut *ctx.shared;
+            state.charge_message(ty, ledger_origin, ledger_counterpart);
             let planned = state.net.as_mut().map(|net| {
                 let seq = net.next_seq(self.index, to);
                 let plan = net.plan(self.index, to);
@@ -413,7 +409,7 @@ impl Gfa {
     /// protocol handler effectively idempotent; un-enveloped payloads
     /// (self-timers, reliable-transport messages with `seq == 0`) always
     /// pass.
-    fn admit_envelope(&mut self, event: &Event<FedMessage>) -> bool {
+    fn admit_envelope(&self, event: &Event<FedMessage>, state: &mut SharedState) -> bool {
         let Some(seq) = event.payload.envelope_seq() else {
             return true;
         };
@@ -421,8 +417,6 @@ impl Gfa {
             return true;
         }
         let src = event.src.index();
-        let mut shared = self.shared.borrow_mut();
-        let state = &mut *shared;
         let Some(net) = state.net.as_mut() else {
             return true;
         };
@@ -436,7 +430,7 @@ impl Gfa {
 
     /// Registers newly started LRMS jobs: remembers their start times and
     /// schedules their completion timers.
-    fn handle_started(&mut self, started: &[StartedJob], ctx: &mut Context<'_, FedMessage>) {
+    fn handle_started(&mut self, started: &[StartedJob], ctx: &mut Ctx<'_>) {
         for s in started {
             if let Some(entry) = self.executing.get_mut(&s.id) {
                 entry.start = Some(s.start);
@@ -449,7 +443,7 @@ impl Gfa {
     }
 
     /// Handles a job arriving from the local user population.
-    fn on_job_arrival(&mut self, job: Job, ctx: &mut Context<'_, FedMessage>) {
+    fn on_job_arrival(&mut self, job: Job, ctx: &mut Ctx<'_>) {
         let ticket = Ticket {
             expected_local_response: completion_time(&job, &self.spec, &self.spec),
             expected_local_cost: self.charging.charge(&job, &self.spec),
@@ -457,10 +451,7 @@ impl Gfa {
             messages: 0,
             directory_messages: 0,
         };
-        self.shared
-            .borrow_mut()
-            .metrics
-            .observe(HistId::QueueDepth, self.lrms.queued_count() as f64);
+        ctx.shared.metrics.observe(HistId::QueueDepth, self.lrms.queued_count() as f64);
 
         match self.mode {
             SchedulingMode::Independent => self.schedule_independent(ticket, ctx),
@@ -484,7 +475,7 @@ impl Gfa {
 
     /// Experiment 1 behaviour: accept iff the local LRMS can finish the job
     /// before its deadline; no federation, no messages.
-    fn schedule_independent(&mut self, ticket: Ticket, ctx: &mut Context<'_, FedMessage>) {
+    fn schedule_independent(&mut self, ticket: Ticket, ctx: &mut Ctx<'_>) {
         let now = ctx.now().as_secs();
         let job = &ticket.job;
         let service = completion_time(job, &self.spec, &self.spec);
@@ -498,7 +489,7 @@ impl Gfa {
             let cost = self.charging.charge(job, &self.spec);
             self.accept_locally(ticket, service, cost, ctx);
         } else {
-            self.record_rejection(ticket);
+            self.record_rejection(ticket, ctx.shared);
         }
     }
 
@@ -524,17 +515,14 @@ impl Gfa {
         r: usize,
         cursor: &mut Option<RankCursor>,
         now: f64,
+        shared: &mut SharedState,
     ) -> (TracedQuote, bool) {
-        let (traced, fault) = {
-            let shared = self.shared.borrow();
-            let traced = self
-                .quote_cache
-                .probe(&shared.directory, self.index, order, r, cursor);
-            (traced, shared.directory.take_fault())
-        };
+        let traced = self
+            .quote_cache
+            .probe(&shared.directory, self.index, order, r, cursor);
+        let fault = shared.directory.take_fault();
         if traced.messages > 0 {
             let seconds = traced.messages as f64 * self.latency;
-            let mut shared = self.shared.borrow_mut();
             shared.charge_directory(self.index, traced.messages, seconds);
             if shared.trace_armed() {
                 // Lookups are accounted out-of-band (they never delay the
@@ -558,10 +546,10 @@ impl Gfa {
     fn try_candidates(
         &mut self,
         mut pending: Box<PendingJob>,
-        ctx: &mut Context<'_, FedMessage>,
+        ctx: &mut Ctx<'_>,
     ) {
         let now = ctx.now().as_secs();
-        let directory_len = self.shared.borrow().directory.len();
+        let directory_len = ctx.shared.directory.len();
         let strategy = pending.ticket.job.qos.strategy;
         let absolute_deadline = pending.ticket.job.absolute_deadline();
 
@@ -580,8 +568,13 @@ impl Gfa {
                     if r > directory_len {
                         None
                     } else {
-                        let (traced, fault) =
-                            self.probe_directory(RankOrder::Fastest, r, &mut pending.cursor, now);
+                        let (traced, fault) = self.probe_directory(
+                            RankOrder::Fastest,
+                            r,
+                            &mut pending.cursor,
+                            now,
+                            ctx.shared,
+                        );
                         pending.ticket.directory_messages +=
                             u32::try_from(traced.messages).unwrap_or(u32::MAX);
                         if fault {
@@ -601,7 +594,8 @@ impl Gfa {
                     } else {
                         RankOrder::Cheapest
                     };
-                    let (traced, fault) = self.probe_directory(order, r, &mut pending.cursor, now);
+                    let (traced, fault) =
+                        self.probe_directory(order, r, &mut pending.cursor, now, ctx.shared);
                     pending.ticket.directory_messages +=
                         u32::try_from(traced.messages).unwrap_or(u32::MAX);
                     if fault {
@@ -615,7 +609,7 @@ impl Gfa {
 
             let Some(quote) = candidate else {
                 // Quotes exhausted: the job is dropped.
-                self.record_rejection(pending.ticket);
+                self.record_rejection(pending.ticket, ctx.shared);
                 return;
             };
 
@@ -653,7 +647,7 @@ impl Gfa {
                 // still count as two (local) messages, per the paper's
                 // per-job message model.
                 {
-                    let mut shared = self.shared.borrow_mut();
+                    let shared = &mut *ctx.shared;
                     shared.charge_message(MessageType::Negotiate, self.index, self.index);
                     shared.charge_message(MessageType::Reply, self.index, self.index);
                     if shared.trace_armed() {
@@ -715,7 +709,7 @@ impl Gfa {
         ticket: Ticket,
         service: f64,
         cost: f64,
-        ctx: &mut Context<'_, FedMessage>,
+        ctx: &mut Ctx<'_>,
     ) {
         let now = ctx.now().as_secs();
         let cluster_job = ClusterJob {
@@ -738,14 +732,11 @@ impl Gfa {
         self.lrms.submit_into(cluster_job, now, &mut started);
         self.handle_started(&started, ctx);
         self.scratch = started;
-        self.shared
-            .borrow_mut()
-            .conclude_job(cluster_job.id, messages, directory_messages);
+        ctx.shared.conclude_job(cluster_job.id, messages, directory_messages);
     }
 
     /// Records a rejected job.
-    fn record_rejection(&self, ticket: Ticket) {
-        let mut shared = self.shared.borrow_mut();
+    fn record_rejection(&self, ticket: Ticket, shared: &mut SharedState) {
         shared.conclude_job(ticket.job.id, ticket.messages, ticket.directory_messages);
         shared.push_job_record(ticket.record(self.index, ExecutionOutcome::Rejected));
     }
@@ -759,7 +750,7 @@ impl Gfa {
         cost: f64,
         absolute_deadline: f64,
         attempt: u32,
-        ctx: &mut Context<'_, FedMessage>,
+        ctx: &mut Ctx<'_>,
     ) {
         let now = ctx.now().as_secs();
         let fits = job.processors <= self.spec.processors;
@@ -813,27 +804,24 @@ impl Gfa {
         job: JobId,
         accept: bool,
         candidate: usize,
-        ctx: &mut Context<'_, FedMessage>,
+        ctx: &mut Ctx<'_>,
     ) {
         let Some(OwnJob::Pending(mut pending)) = self.own_jobs.take(job) else {
             panic!("negotiate reply for unknown pending job {job}");
         };
         pending.ticket.messages += 1;
-        {
-            let shared = self.shared.borrow();
-            if shared.trace_armed() {
-                shared.emit_span(SpanRecord {
-                    gfa: self.index,
-                    track: SpanTrack::Negotiation,
-                    name: "negotiation",
-                    start: SimTime::new(pending.negotiation_start),
-                    end: SimTime::new(ctx.now().as_secs()),
-                    detail: format!(
-                        "{job} gfa-{candidate} {}",
-                        if accept { "accepted" } else { "refused" }
-                    ),
-                });
-            }
+        if ctx.shared.trace_armed() {
+            ctx.shared.emit_span(SpanRecord {
+                gfa: self.index,
+                track: SpanTrack::Negotiation,
+                name: "negotiation",
+                start: SimTime::new(pending.negotiation_start),
+                end: SimTime::new(ctx.now().as_secs()),
+                detail: format!(
+                    "{job} gfa-{candidate} {}",
+                    if accept { "accepted" } else { "refused" }
+                ),
+            });
         }
         if accept {
             let service = pending.candidate_service;
@@ -846,17 +834,14 @@ impl Gfa {
                 |seq| FedMessage::JobDispatch { job, seq },
                 ctx,
             );
-            {
-                let shared = self.shared.borrow();
-                if shared.trace_armed() {
-                    shared.emit_flow(FlowRecord {
-                        id: Self::flow_id(seq, self.index, candidate, job, false),
-                        gfa: self.index,
-                        track: SpanTrack::Negotiation,
-                        time: ctx.now(),
-                        start: true,
-                    });
-                }
+            if ctx.shared.trace_armed() {
+                ctx.shared.emit_flow(FlowRecord {
+                    id: Self::flow_id(seq, self.index, candidate, job, false),
+                    gfa: self.index,
+                    track: SpanTrack::Negotiation,
+                    time: ctx.now(),
+                    start: true,
+                });
             }
             self.own_jobs.insert(
                 job,
@@ -871,28 +856,27 @@ impl Gfa {
     }
 
     /// Handles the arrival of an actual job we previously accepted.
-    fn on_job_dispatch(&mut self, job: JobId, seq: u64, now: SimTime) {
+    fn on_job_dispatch(&self, job: JobId, seq: u64, ctx: &mut Ctx<'_>) {
         assert!(
             self.executing.contains_key(&job),
-            "job {job} dispatched to {} without a prior reservation",
-            self.name
+            "job {job} dispatched to gfa-{} without a prior reservation",
+            self.index
         );
-        let shared = self.shared.borrow();
-        if shared.trace_armed() {
+        if ctx.shared.trace_armed() {
             // Consuming endpoint of the dispatch flow; the id composes the
             // same link + envelope sequence the producing side used.
-            shared.emit_flow(FlowRecord {
+            ctx.shared.emit_flow(FlowRecord {
                 id: Self::flow_id(seq, job.origin, self.index, job, false),
                 gfa: self.index,
                 track: SpanTrack::Execution,
-                time: now,
+                time: ctx.now(),
                 start: false,
             });
         }
     }
 
     /// Handles the completion of a job running on the local LRMS.
-    fn on_local_job_finished(&mut self, job: JobId, ctx: &mut Context<'_, FedMessage>) {
+    fn on_local_job_finished(&mut self, job: JobId, ctx: &mut Ctx<'_>) {
         let now = ctx.now().as_secs();
         let mut started = std::mem::take(&mut self.scratch);
         started.clear();
@@ -904,12 +888,12 @@ impl Gfa {
             .remove(&job)
             .unwrap_or_else(|| panic!("finished job {job} has no executing entry"));
 
+        if entry.origin != self.index {
+            self.remote_jobs_processed += 1;
+        }
         {
-            let mut shared = self.shared.borrow_mut();
+            let shared = &mut *ctx.shared;
             shared.pay(entry.origin, self.index, entry.cost);
-            if entry.origin != self.index {
-                shared.remote_processed[self.index] += 1;
-            }
             shared
                 .metrics
                 .observe(HistId::QueueDepth, self.lrms.queued_count() as f64);
@@ -942,7 +926,7 @@ impl Gfa {
                     cost: entry.cost,
                 },
             );
-            self.shared.borrow_mut().push_job_record(record);
+            ctx.shared.push_job_record(record);
         } else {
             let executed_on = self.index;
             let cost = entry.cost;
@@ -960,9 +944,8 @@ impl Gfa {
                 },
                 ctx,
             );
-            let shared = self.shared.borrow();
-            if shared.trace_armed() {
-                shared.emit_flow(FlowRecord {
+            if ctx.shared.trace_armed() {
+                ctx.shared.emit_flow(FlowRecord {
                     id: Self::flow_id(seq, self.index, entry.origin, job, true),
                     gfa: self.index,
                     track: SpanTrack::Execution,
@@ -982,26 +965,24 @@ impl Gfa {
         finish: f64,
         cost: f64,
         seq: u64,
-        now: SimTime,
+        ctx: &mut Ctx<'_>,
     ) {
         let Some(OwnJob::Awaiting(mut awaiting)) = self.own_jobs.take(job) else {
             panic!("completion message for unknown job {job}");
         };
         awaiting.ticket.messages += 1;
-        {
-            let shared = self.shared.borrow();
-            if shared.trace_armed() {
-                shared.emit_flow(FlowRecord {
-                    id: Self::flow_id(seq, executed_on, self.index, job, true),
-                    gfa: self.index,
-                    track: SpanTrack::Lifecycle,
-                    time: now,
-                    start: false,
-                });
-            }
+        let now = ctx.now();
+        let shared = &mut *ctx.shared;
+        if shared.trace_armed() {
+            shared.emit_flow(FlowRecord {
+                id: Self::flow_id(seq, executed_on, self.index, job, true),
+                gfa: self.index,
+                track: SpanTrack::Lifecycle,
+                time: now,
+                start: false,
+            });
         }
         let ticket = &awaiting.ticket;
-        let mut shared = self.shared.borrow_mut();
         shared.conclude_job(job, ticket.messages, ticket.directory_messages);
         shared.push_job_record(ticket.record(
             self.index,
@@ -1023,12 +1004,9 @@ impl Gfa {
     fn defer_after_fault(
         &mut self,
         mut pending: Box<PendingJob>,
-        ctx: &mut Context<'_, FedMessage>,
+        ctx: &mut Ctx<'_>,
     ) {
-        self.shared
-            .borrow_mut()
-            .metrics
-            .inc(self.index, Counter::LookupFaults);
+        ctx.shared.metrics.inc(self.index, Counter::LookupFaults);
         if self.repair == RepairMode::Reactive {
             // Reactive ring repair: evict the crashed store this lookup hit
             // right now (a targeted repair, charged as publish traffic) and
@@ -1038,7 +1016,7 @@ impl Gfa {
             // bounded by the number of crashed nodes; when there is nothing
             // left to evict the job falls through to the backoff path.
             let repaired = {
-                let mut shared = self.shared.borrow_mut();
+                let shared = &mut *ctx.shared;
                 let messages = shared.directory.repair_faulted();
                 if messages > 0 {
                     shared.metrics.inc(self.index, Counter::ReactiveRepairs);
@@ -1059,13 +1037,9 @@ impl Gfa {
         if pending.retries < self.retry.max_retries {
             pending.retries += 1;
             let delay = self.retry.backoff_delay(pending.retries);
-            {
-                let mut shared = self.shared.borrow_mut();
-                shared.metrics.inc(self.index, Counter::FaultRetries);
-                shared
-                    .metrics
-                    .add_f(self.index, FSum::FaultWaitSeconds, delay);
-            }
+            let metrics = &mut ctx.shared.metrics;
+            metrics.inc(self.index, Counter::FaultRetries);
+            metrics.add_f(self.index, FSum::FaultWaitSeconds, delay);
             let job = pending.ticket.job.id;
             ctx.timer_at(
                 SimTime::new(ctx.now().as_secs() + delay),
@@ -1077,10 +1051,7 @@ impl Gfa {
         // Retry budget exhausted: schedule as if the federation were
         // unreachable (Experiment-1 behaviour), keeping the message
         // counters the job accumulated while the directory was still up.
-        self.shared
-            .borrow_mut()
-            .metrics
-            .inc(self.index, Counter::LocalFallbacks);
+        ctx.shared.metrics.inc(self.index, Counter::LocalFallbacks);
         let ticket = pending.ticket;
         let job = &ticket.job;
         let now = ctx.now().as_secs();
@@ -1095,12 +1066,12 @@ impl Gfa {
             let cost = self.charging.charge(job, &self.spec);
             self.accept_locally(ticket, service, cost, ctx);
         } else {
-            self.record_rejection(ticket);
+            self.record_rejection(ticket, ctx.shared);
         }
     }
 
     /// Resumes a job's DBC loop after its backoff delay elapsed.
-    fn on_directory_retry(&mut self, job: JobId, ctx: &mut Context<'_, FedMessage>) {
+    fn on_directory_retry(&mut self, job: JobId, ctx: &mut Ctx<'_>) {
         // Only a parked pending job schedules this retry, and nothing else
         // takes it out of the table meanwhile.
         if let Some(OwnJob::Pending(pending)) = self.own_jobs.take(job) {
@@ -1113,10 +1084,9 @@ impl Gfa {
     /// withdrawn, stored attribute entries are handed off to their new
     /// owners (routed removes and moves, charged as publish traffic) — and
     /// no new work is admitted.
-    fn on_depart(&mut self) {
+    fn on_depart(&mut self, shared: &mut SharedState) {
         self.departed = true;
         self.retired = true;
-        let mut shared = self.shared.borrow_mut();
         let messages = shared.directory.node_depart(self.index, true);
         shared.charge_publish(self.index, messages, self.latency);
     }
@@ -1126,12 +1096,11 @@ impl Gfa {
     /// drop the node's stored entries cold and cost nothing — the overlay
     /// only finds out when lookups start faulting, and stabilization later
     /// evicts the dead node.
-    fn on_churn_depart(&mut self, graceful: bool, _ctx: &mut Context<'_, FedMessage>) {
+    fn on_churn_depart(&mut self, graceful: bool, shared: &mut SharedState) {
         if self.departed {
             return;
         }
         self.departed = true;
-        let mut shared = self.shared.borrow_mut();
         if graceful {
             shared.metrics.inc(self.index, Counter::GracefulLeaves);
         } else {
@@ -1145,12 +1114,11 @@ impl Gfa {
     /// routed join plus any entry reconciliation) and republishes its quote
     /// at the current access price.  Scripted departures are permanent, so
     /// a retired GFA ignores the event.
-    fn on_churn_join(&mut self, _ctx: &mut Context<'_, FedMessage>) {
+    fn on_churn_join(&mut self, shared: &mut SharedState) {
         if self.retired || !self.departed {
             return;
         }
         self.departed = false;
-        let mut shared = self.shared.borrow_mut();
         shared.metrics.inc(self.index, Counter::Rejoins);
         let join = shared.directory.node_join(self.index);
         let publish = shared.directory.subscribe(Quote::from_spec(self.index, &self.spec));
@@ -1162,8 +1130,7 @@ impl Gfa {
     /// owners, and attribute-entry replicas repaired up to the configured
     /// factor.  The round's overlay messages are charged to this GFA's
     /// publish class (it is this round's round-robin driver).
-    fn on_stabilize(&mut self, _ctx: &mut Context<'_, FedMessage>) {
-        let mut shared = self.shared.borrow_mut();
+    fn on_stabilize(&self, shared: &mut SharedState) {
         let messages = shared.directory.stabilize();
         shared.metrics.inc(self.index, Counter::StabilizationRounds);
         shared.metrics.add(self.index, Counter::StabilizationMessages, messages);
@@ -1174,23 +1141,18 @@ impl Gfa {
     /// the directory's `update_price` primitive — under a distributed
     /// backend a routed *move* of the price entry, charged as publish
     /// traffic — and charges the new price for subsequently accepted jobs.
-    fn on_reprice(&mut self, price: f64) {
+    fn on_reprice(&mut self, price: f64, shared: &mut SharedState) {
         if self.departed {
             return;
         }
         self.spec.price = price;
-        let mut shared = self.shared.borrow_mut();
         let messages = shared.directory.update_price(self.index, price);
         shared.charge_publish(self.index, messages, self.latency);
     }
 }
 
-impl Entity<FedMessage> for Gfa {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn on_start(&mut self, ctx: &mut Context<'_, FedMessage>) {
+impl Entity<FedMessage, SharedState> for Gfa {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let jobs = std::mem::take(&mut self.local_jobs);
         for job in jobs {
             ctx.timer_at(SimTime::new(job.submit), FedMessage::JobArrival(Box::new(job)));
@@ -1216,12 +1178,12 @@ impl Entity<FedMessage> for Gfa {
         }
     }
 
-    fn on_event(&mut self, event: Event<FedMessage>, ctx: &mut Context<'_, FedMessage>) {
+    fn on_event(&mut self, event: Event<FedMessage>, ctx: &mut Ctx<'_>) {
         // Duplicated deliveries are filtered here, before their payload can
         // take any semantic effect; the end-of-event invariants sweep still
         // runs so at-most-once-effect violations would be caught at the
         // exact event that caused them.
-        if self.admit_envelope(&event) {
+        if self.admit_envelope(&event, ctx.shared) {
             match event.payload {
                 FedMessage::JobArrival(job) => self.on_job_arrival(*job, ctx),
                 FedMessage::Negotiate {
@@ -1252,20 +1214,20 @@ impl Entity<FedMessage> for Gfa {
                     attempt: _,
                     seq: _,
                 } => self.on_negotiate_reply(job, accept, candidate, ctx),
-                FedMessage::JobDispatch { job, seq } => self.on_job_dispatch(job, seq, ctx.now()),
+                FedMessage::JobDispatch { job, seq } => self.on_job_dispatch(job, seq, ctx),
                 FedMessage::JobCompletion {
                     job,
                     executed_on,
                     finish,
                     cost,
                     seq,
-                } => self.on_job_completion(job, executed_on, finish, cost, seq, ctx.now()),
+                } => self.on_job_completion(job, executed_on, finish, cost, seq, ctx),
                 FedMessage::LocalJobFinished { job } => self.on_local_job_finished(job, ctx),
-                FedMessage::Depart => self.on_depart(),
-                FedMessage::Reprice { price } => self.on_reprice(price),
-                FedMessage::ChurnDepart { graceful } => self.on_churn_depart(graceful, ctx),
-                FedMessage::ChurnJoin => self.on_churn_join(ctx),
-                FedMessage::Stabilize => self.on_stabilize(ctx),
+                FedMessage::Depart => self.on_depart(ctx.shared),
+                FedMessage::Reprice { price } => self.on_reprice(price, ctx.shared),
+                FedMessage::ChurnDepart { graceful } => self.on_churn_depart(graceful, ctx.shared),
+                FedMessage::ChurnJoin => self.on_churn_join(ctx.shared),
+                FedMessage::Stabilize => self.on_stabilize(ctx.shared),
                 FedMessage::DirectoryRetry { job } => self.on_directory_retry(job, ctx),
             }
         }
@@ -1275,6 +1237,7 @@ impl Entity<FedMessage> for Gfa {
         // effects, dedup-window monotonicity) over the shared state.
         #[cfg(feature = "invariants")]
         {
+            let now = ctx.now().as_secs();
             let crate::federation::SharedState {
                 ref directory,
                 ref bank,
@@ -1284,30 +1247,10 @@ impl Entity<FedMessage> for Gfa {
                 ref net,
                 ref mut invariants,
                 ..
-            } = *self.shared.borrow_mut();
+            } = *ctx.shared;
             let dedup_base = net.as_ref().map(crate::federation::NetState::dedup_base_sum);
-            invariants.check(
-                ctx.now().as_secs(),
-                bank,
-                ledger,
-                directory,
-                audit,
-                jobs,
-                dedup_base,
-            );
+            invariants.check(now, bank, ledger, directory, audit, jobs, dedup_base);
         }
-    }
-
-    fn on_finish(&mut self, ctx: &mut Context<'_, FedMessage>) {
-        let now = ctx.now().as_secs();
-        let mut shared = self.shared.borrow_mut();
-        shared.resource_snapshots[self.index] = Some(crate::federation::ResourceSnapshot {
-            busy_processor_seconds: self.lrms.busy_processor_seconds(now),
-            utilization: self.lrms.utilization(now),
-        });
-        let stats = self.quote_cache.stats();
-        shared.metrics.add(self.index, Counter::CacheHits, stats.hits);
-        shared.metrics.add(self.index, Counter::CacheMisses, stats.misses);
     }
 }
 

@@ -279,8 +279,6 @@ fn shared_with_one_job() -> SharedState {
         bank: GridBank::new(2),
         ledger: MessageLedger::new(2),
         jobs: Vec::new(),
-        resource_snapshots: vec![None; 2],
-        remote_processed: vec![0; 2],
         audit: AuditLedger::new(2),
         net: None,
         metrics: MetricsRegistry::new(2),

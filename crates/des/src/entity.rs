@@ -37,40 +37,35 @@ impl fmt::Display for EntityId {
 /// A simulated actor: a cluster, a GFA, a user population, a directory node…
 ///
 /// Entities never hold references to one another; all interaction goes
-/// through timestamped events scheduled via [`Context`].  This mirrors the
-/// message-passing structure of the real distributed system and keeps the
-/// model free of aliasing issues.
-pub trait Entity<M> {
-    /// Human-readable name used in traces and panics.
-    fn name(&self) -> &str;
-
+/// through timestamped events scheduled via [`Context`], plus the one
+/// shared state `S` the simulation owns and lends to each handler in turn
+/// ([`Context::shared`]).  This mirrors the message-passing structure of
+/// the real distributed system and keeps the model free of aliasing issues.
+pub trait Entity<M, S = ()> {
     /// Called once before the first event is delivered.  Entities typically
     /// schedule their initial timers or first job arrivals here.
-    fn on_start(&mut self, ctx: &mut Context<'_, M>) {
+    fn on_start(&mut self, ctx: &mut Context<'_, M, S>) {
         let _ = ctx;
     }
 
     /// Called for every event addressed to this entity.
-    fn on_event(&mut self, event: Event<M>, ctx: &mut Context<'_, M>);
-
-    /// Called once after the simulation stops (horizon reached, queue empty
-    /// or explicit stop).  Useful for flushing final metrics.
-    fn on_finish(&mut self, ctx: &mut Context<'_, M>) {
-        let _ = ctx;
-    }
+    fn on_event(&mut self, event: Event<M>, ctx: &mut Context<'_, M, S>);
 }
 
 /// Handle passed to entities, giving them access to the clock, the event
-/// queue and a deterministic random stream.
-pub struct Context<'a, M> {
+/// queue, a deterministic random stream and the simulation's shared state.
+pub struct Context<'a, M, S = ()> {
     pub(crate) now: SimTime,
     pub(crate) self_id: EntityId,
     pub(crate) queue: &'a mut EventQueue<M>,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) stop_requested: &'a mut bool,
+    /// The state every entity shares (a federation's directory, bank and
+    /// ledgers), lent for the duration of one handler call.
+    pub shared: &'a mut S,
 }
 
-impl<'a, M> Context<'a, M> {
+impl<'a, M, S> Context<'a, M, S> {
     /// Current simulation time.
     #[must_use]
     pub fn now(&self) -> SimTime {
@@ -171,6 +166,7 @@ mod tests {
             queue: &mut queue,
             rng: &mut rng,
             stop_requested: &mut stop,
+            shared: &mut (),
         };
         assert_eq!(ctx.now(), SimTime::new(10.0));
         assert_eq!(ctx.self_id(), EntityId::new(0));
@@ -210,6 +206,7 @@ mod tests {
             queue: &mut queue,
             rng: &mut rng,
             stop_requested: &mut stop,
+            shared: &mut (),
         };
         ctx.send_at(EntityId::new(1), SimTime::new(5.0), 1);
     }

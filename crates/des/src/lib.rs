@@ -7,12 +7,13 @@
 //! * a global simulation clock measured in *simulation seconds* ([`SimTime`]),
 //! * a priority event queue with **deterministic** tie-breaking
 //!   ([`queue::EventQueue`]),
-//! * addressable [`Entity`] objects (GFAs, clusters, user populations, …) that
-//!   exchange timestamped messages through a [`Context`] handle,
+//! * addressable [`Entity`] values (GFAs, clusters, user populations, …) that
+//!   exchange timestamped messages through a [`Context`] handle, which also
+//!   lends them the one state they share ([`Context::shared`]),
 //! * per-simulation seeded random number streams so every run is exactly
 //!   reproducible,
-//! * lightweight engine statistics ([`stats::SimStats`]) and an optional event
-//!   trace for debugging.
+//! * lightweight engine statistics ([`stats::SimStats`]) and an optional
+//!   handler profiler ([`EventProfiler`]).
 //!
 //! The engine is single-threaded by design: reproducing the paper's figures
 //! requires bitwise-identical event ordering across runs.  Parallelism in this
@@ -28,37 +29,34 @@
 //! #[derive(Debug, Clone, PartialEq)]
 //! enum Msg { Ping(u32), Pong(u32) }
 //!
-//! struct Pinger { peer: EntityId, received: u32 }
-//! struct Ponger;
+//! // A model with several kinds of actor registers them as one enum.
+//! enum Node { Pinger { peer: EntityId, received: u32 }, Ponger }
 //!
-//! impl Entity<Msg> for Pinger {
-//!     fn name(&self) -> &str { "pinger" }
+//! impl Entity<Msg> for Node {
 //!     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-//!         ctx.send(self.peer, 1.0, Msg::Ping(0));
-//!     }
-//!     fn on_event(&mut self, ev: Event<Msg>, ctx: &mut Context<'_, Msg>) {
-//!         if let Msg::Pong(n) = ev.payload {
-//!             self.received = n;
-//!             if n < 3 { ctx.send(self.peer, 1.0, Msg::Ping(n)); }
+//!         if let Node::Pinger { peer, .. } = self {
+//!             ctx.send(*peer, 1.0, Msg::Ping(0));
 //!         }
 //!     }
-//! }
-//! impl Entity<Msg> for Ponger {
-//!     fn name(&self) -> &str { "ponger" }
 //!     fn on_event(&mut self, ev: Event<Msg>, ctx: &mut Context<'_, Msg>) {
-//!         if let Msg::Ping(n) = ev.payload {
-//!             ctx.send(ev.src, 0.5, Msg::Pong(n + 1));
+//!         match (self, ev.payload) {
+//!             (Node::Pinger { peer, received }, Msg::Pong(n)) => {
+//!                 *received = n;
+//!                 if n < 3 { ctx.send(*peer, 1.0, Msg::Ping(n)); }
+//!             }
+//!             (Node::Ponger, Msg::Ping(n)) => ctx.send(ev.src, 0.5, Msg::Pong(n + 1)),
+//!             _ => {}
 //!         }
 //!     }
 //! }
 //!
-//! let mut sim = Simulation::new(42);
-//! let ponger = sim.add_entity(Box::new(Ponger));
-//! let pinger = sim.add_entity(Box::new(Pinger { peer: ponger, received: 0 }));
+//! let mut sim = Simulation::new(42, ());
+//! let ponger = sim.add_entity(Node::Ponger);
+//! let pinger = sim.add_entity(Node::Pinger { peer: ponger, received: 0 });
 //! sim.run();
 //! assert!(sim.now() > SimTime::ZERO);
 //! assert_eq!(sim.stats().events_delivered, 6);
-//! let _ = pinger;
+//! assert!(matches!(sim.entities()[pinger.index()], Node::Pinger { received: 3, .. }));
 //! ```
 //!
 //! [GridSim]: https://doi.org/10.1002/cpe.710
@@ -84,4 +82,4 @@ pub use rng::SimRng;
 pub use simulation::{RunOutcome, Simulation};
 pub use stats::SimStats;
 pub use time::SimTime;
-pub use trace::{EventProfiler, FlowRecord, SpanRecord, SpanTrack, TraceRecord, TraceSink};
+pub use trace::{EventProfiler, FlowRecord, SpanRecord, SpanTrack};

@@ -6,7 +6,7 @@ use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::stats::SimStats;
 use crate::time::SimTime;
-use crate::trace::{truncate_label, EventProfiler, TraceRecord, TraceSink};
+use crate::trace::EventProfiler;
 
 /// Why a [`Simulation::run`] call returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,19 +24,20 @@ pub enum RunOutcome {
 
 /// A single deterministic discrete-event simulation run.
 ///
-/// The type parameter `M` is the model's message/payload type.
-pub struct Simulation<M> {
-    entities: Vec<Option<Box<dyn Entity<M>>>>,
-    names: Vec<String>,
+/// `M` is the model's message/payload type, `E` its entity type (a model
+/// with several kinds of actor uses one enum) and `S` the state every
+/// entity shares.  The simulation owns the entities and the shared state by
+/// value, lends `&mut S` to each handler through [`Context::shared`] and
+/// hands both back from [`Simulation::into_parts`].
+pub struct Simulation<M, E, S = ()> {
+    entities: Vec<E>,
+    shared: S,
     queue: EventQueue<M>,
     clock: SimTime,
     stats: SimStats,
     rng: SimRng,
     horizon: Option<SimTime>,
     max_events: u64,
-    /// Installed trace sink, if any.  Kept optional so the per-event
-    /// `format!("{:?}", payload)` label is only paid when someone records.
-    trace: Option<Box<dyn TraceSink>>,
     /// Installed handler profiler, if any.  The disabled path is a single
     /// `Option` discriminant test per event — measured by the dispatch
     /// perf gate, which is exactly the hot path this sits on.
@@ -44,20 +45,19 @@ pub struct Simulation<M> {
     started: bool,
 }
 
-impl<M: std::fmt::Debug> Simulation<M> {
-    /// Creates a simulation with the given master seed.
+impl<M, E: Entity<M, S>, S> Simulation<M, E, S> {
+    /// Creates a simulation with the given master seed, owning `shared`.
     #[must_use]
-    pub fn new(seed: u64) -> Self {
+    pub fn new(seed: u64, shared: S) -> Self {
         Simulation {
             entities: Vec::new(),
-            names: Vec::new(),
+            shared,
             queue: EventQueue::new(),
             clock: SimTime::ZERO,
             stats: SimStats::default(),
             rng: SimRng::derive(seed, u64::MAX),
             horizon: None,
             max_events: u64::MAX,
-            trace: None,
             profiler: None,
             started: false,
         }
@@ -75,11 +75,6 @@ impl<M: std::fmt::Debug> Simulation<M> {
         self.max_events = limit;
     }
 
-    /// Installs a trace sink that receives every delivered event.
-    pub fn set_trace(&mut self, sink: Box<dyn TraceSink>) {
-        self.trace = Some(sink);
-    }
-
     /// Installs a handler profiler whose `enter`/`exit` bracket every
     /// `Entity::on_event` invocation.  The profiler sees only the event
     /// payload (by reference) and cannot touch sim state.
@@ -91,30 +86,26 @@ impl<M: std::fmt::Debug> Simulation<M> {
     ///
     /// # Panics
     /// Panics if called after the simulation has started.
-    pub fn add_entity(&mut self, entity: Box<dyn Entity<M>>) -> EntityId {
+    pub fn add_entity(&mut self, entity: E) -> EntityId {
         assert!(
             !self.started,
             "entities must be registered before the simulation starts"
         );
-        let id = EntityId::new(self.entities.len());
-        self.names.push(entity.name().to_string());
-        self.entities.push(Some(entity));
-        id
+        self.entities.push(entity);
+        EntityId::new(self.entities.len() - 1)
     }
 
-    /// Number of registered entities.
+    /// The registered entities, indexed by [`EntityId::index`].
     #[must_use]
-    pub fn entity_count(&self) -> usize {
-        self.entities.len()
+    pub fn entities(&self) -> &[E] {
+        &self.entities
     }
 
-    /// The name an entity registered with.
-    ///
-    /// # Panics
-    /// Panics if the id is unknown.
+    /// Ends the simulation, handing back the entities (in registration
+    /// order) and the shared state.
     #[must_use]
-    pub fn entity_name(&self, id: EntityId) -> &str {
-        &self.names[id.index()]
+    pub fn into_parts(self) -> (Vec<E>, S) {
+        (self.entities, self.shared)
     }
 
     /// Current simulation time.
@@ -136,29 +127,6 @@ impl<M: std::fmt::Debug> Simulation<M> {
     #[cfg(feature = "invariants")]
     pub fn corrupt_earliest_event_time(&mut self, new_time: SimTime) -> bool {
         self.queue.corrupt_earliest_time(new_time)
-    }
-
-    /// Immutable access to a registered entity, downcast by the caller.
-    ///
-    /// Returns `None` while that entity is being invoked (i.e. from within
-    /// its own `on_event`) — model code normally only calls this after the
-    /// run has finished to collect results.
-    #[must_use]
-    pub fn entity(&self, id: EntityId) -> Option<&dyn Entity<M>> {
-        self.entities
-            .get(id.index())
-            .and_then(|slot| slot.as_deref())
-    }
-
-    /// Removes an entity from the simulation after a run, returning ownership
-    /// to the caller so results can be extracted without borrowing games.
-    ///
-    /// # Panics
-    /// Panics if the id is unknown or the entity was already taken.
-    pub fn take_entity(&mut self, id: EntityId) -> Box<dyn Entity<M>> {
-        self.entities[id.index()]
-            .take()
-            .expect("entity already taken or currently executing")
     }
 
     /// Runs until the event list drains, the horizon or event limit is hit,
@@ -189,19 +157,16 @@ impl<M: std::fmt::Debug> Simulation<M> {
         if !self.started {
             self.started = true;
             // Deliver on_start in registration order for determinism.
-            for idx in 0..self.entities.len() {
-                let mut entity = self.entities[idx]
-                    .take()
-                    .expect("entity missing during start-up");
+            for (idx, entity) in self.entities.iter_mut().enumerate() {
                 let mut ctx = Context {
                     now: self.clock,
                     self_id: EntityId::new(idx),
                     queue: &mut self.queue,
                     rng: &mut self.rng,
                     stop_requested: &mut stop_requested,
+                    shared: &mut self.shared,
                 };
                 entity.on_start(&mut ctx);
-                self.entities[idx] = Some(entity);
             }
             // Everything scheduled up front (a federation's job arrivals)
             // is sorted once into the queue's sealed run, so the heap that
@@ -260,30 +225,17 @@ impl<M: std::fmt::Debug> Simulation<M> {
                 EventKind::Message => {}
             }
 
-            if let Some(trace) = self.trace.as_deref_mut() {
-                // The debug-format label is only rendered when a sink is
-                // actually installed; untraced runs never pay for it.
-                let label = truncate_label(format!("{:?}", event.payload), 96);
-                trace.record(TraceRecord {
-                    time: event.time,
-                    seq: event.seq,
-                    src: event.src,
-                    dst: event.dst,
-                    kind: event.kind,
-                    label,
-                });
-            }
-
             let dst = event.dst.index();
-            let mut entity = self.entities[dst]
-                .take()
-                .unwrap_or_else(|| panic!("event addressed to unknown entity E{dst}"));
+            let Some(entity) = self.entities.get_mut(dst) else {
+                panic!("event addressed to unknown entity E{dst}");
+            };
             let mut ctx = Context {
                 now: self.clock,
                 self_id: event.dst,
                 queue: &mut self.queue,
                 rng: &mut self.rng,
                 stop_requested: &mut stop_requested,
+                shared: &mut self.shared,
             };
             match self.profiler.as_deref_mut() {
                 None => entity.on_event(event, &mut ctx),
@@ -293,29 +245,12 @@ impl<M: std::fmt::Debug> Simulation<M> {
                     profiler.exit();
                 }
             }
-            self.entities[dst] = Some(entity);
         };
 
         self.stats.events_scheduled = self.queue.scheduled_total();
         self.stats.lane_pushes = self.queue.lane_pushed();
         self.stats.events_dropped_at_stop = self.queue.len() as u64;
         self.stats.end_time = self.clock;
-
-        // Deliver on_finish exactly once, after the final outcome is known.
-        let mut finish_stop = false;
-        for idx in 0..self.entities.len() {
-            if let Some(mut entity) = self.entities[idx].take() {
-                let mut ctx = Context {
-                    now: self.clock,
-                    self_id: EntityId::new(idx),
-                    queue: &mut self.queue,
-                    rng: &mut self.rng,
-                    stop_requested: &mut finish_stop,
-                };
-                entity.on_finish(&mut ctx);
-                self.entities[idx] = Some(entity);
-            }
-        }
 
         outcome
     }
@@ -337,13 +272,15 @@ mod tests {
         period: f64,
         remaining: u32,
         fired: u32,
-        finished: bool,
+    }
+
+    impl Clocker {
+        fn new(period: f64, remaining: u32) -> Self {
+            Clocker { period, remaining, fired: 0 }
+        }
     }
 
     impl Entity<Msg> for Clocker {
-        fn name(&self) -> &str {
-            "clocker"
-        }
         fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
             if self.remaining > 0 {
                 ctx.timer(self.period, Msg::Tick);
@@ -356,72 +293,61 @@ mod tests {
                 ctx.timer(self.period, Msg::Tick);
             }
         }
-        fn on_finish(&mut self, _ctx: &mut Context<'_, Msg>) {
-            self.finished = true;
-        }
     }
 
-    struct Forwarder {
-        next: Option<EntityId>,
-        seen: Vec<u64>,
+    /// The local entity enum of the tests that mix behaviours: a forwarder
+    /// passes each payload on to `next`, a kickoff sends the first one, a
+    /// clocker ticks alongside.
+    enum Node {
+        Forwarder { next: Option<EntityId>, seen: Vec<u64> },
+        Kickoff { target: EntityId },
+        Clocker(Clocker),
     }
 
-    impl Entity<Msg> for Forwarder {
-        fn name(&self) -> &str {
-            "forwarder"
+    impl Entity<Msg> for Node {
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            match self {
+                Node::Forwarder { .. } => {}
+                Node::Kickoff { target } => ctx.send(*target, 0.0, Msg::Payload(0)),
+                Node::Clocker(clocker) => clocker.on_start(ctx),
+            }
         }
         fn on_event(&mut self, event: Event<Msg>, ctx: &mut Context<'_, Msg>) {
-            if let Msg::Payload(v) = event.payload {
-                self.seen.push(v);
-                if let Some(next) = self.next {
-                    ctx.send(next, 1.0, Msg::Payload(v + 1));
+            match self {
+                Node::Forwarder { next, seen } => {
+                    if let Msg::Payload(v) = event.payload {
+                        seen.push(v);
+                        if let Some(next) = *next {
+                            ctx.send(next, 1.0, Msg::Payload(v + 1));
+                        }
+                    }
                 }
+                Node::Kickoff { .. } => {}
+                Node::Clocker(clocker) => clocker.on_event(event, ctx),
             }
         }
     }
 
-    struct Kickoff {
-        target: EntityId,
-    }
-    impl Entity<Msg> for Kickoff {
-        fn name(&self) -> &str {
-            "kickoff"
-        }
-        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-            ctx.send(self.target, 0.0, Msg::Payload(0));
-        }
-        fn on_event(&mut self, _event: Event<Msg>, _ctx: &mut Context<'_, Msg>) {}
+    fn forwarder(next: Option<EntityId>) -> Node {
+        Node::Forwarder { next, seen: vec![] }
     }
 
     #[test]
     fn periodic_timer_runs_to_exhaustion() {
-        let mut sim = Simulation::new(1);
-        let id = sim.add_entity(Box::new(Clocker {
-            period: 2.0,
-            remaining: 5,
-            fired: 0,
-            finished: false,
-        }));
+        let mut sim = Simulation::new(1, ());
+        sim.add_entity(Clocker::new(2.0, 5));
         let outcome = sim.run();
         assert_eq!(outcome, RunOutcome::Exhausted);
         assert_eq!(sim.now(), SimTime::new(10.0));
         assert_eq!(sim.stats().timers_delivered, 5);
-        assert_eq!(sim.entity_name(id), "clocker");
-        let entity = sim.take_entity(id);
-        // Downcasting is not provided by the engine; the model keeps its own
-        // handles.  Here we just confirm the entity survived the run.
-        assert_eq!(entity.name(), "clocker");
+        let clocker = &sim.entities()[0];
+        assert_eq!((clocker.fired, clocker.remaining), (5, 0));
     }
 
     #[test]
     fn horizon_stops_delivery() {
-        let mut sim = Simulation::new(1);
-        sim.add_entity(Box::new(Clocker {
-            period: 2.0,
-            remaining: 100,
-            fired: 0,
-            finished: false,
-        }));
+        let mut sim = Simulation::new(1, ());
+        sim.add_entity(Clocker::new(2.0, 100));
         sim.set_horizon(SimTime::new(9.0));
         let outcome = sim.run();
         assert_eq!(outcome, RunOutcome::HorizonReached);
@@ -432,13 +358,8 @@ mod tests {
 
     #[test]
     fn event_limit_is_a_safety_valve() {
-        let mut sim = Simulation::new(1);
-        sim.add_entity(Box::new(Clocker {
-            period: 1.0,
-            remaining: 1_000_000,
-            fired: 0,
-            finished: false,
-        }));
+        let mut sim = Simulation::new(1, ());
+        sim.add_entity(Clocker::new(1.0, 1_000_000));
         sim.set_max_events(10);
         assert_eq!(sim.run(), RunOutcome::EventLimit);
         assert_eq!(sim.stats().events_delivered, 10);
@@ -446,29 +367,33 @@ mod tests {
 
     #[test]
     fn chain_of_messages_is_delivered_in_order() {
-        let mut sim = Simulation::new(7);
-        let c = sim.add_entity(Box::new(Forwarder { next: None, seen: vec![] }));
-        let b = sim.add_entity(Box::new(Forwarder { next: Some(c), seen: vec![] }));
-        let a = sim.add_entity(Box::new(Forwarder { next: Some(b), seen: vec![] }));
-        sim.add_entity(Box::new(Kickoff { target: a }));
+        let mut sim = Simulation::new(7, ());
+        let c = sim.add_entity(forwarder(None));
+        let b = sim.add_entity(forwarder(Some(c)));
+        let a = sim.add_entity(forwarder(Some(b)));
+        sim.add_entity(Node::Kickoff { target: a });
         assert_eq!(sim.run(), RunOutcome::Exhausted);
         assert_eq!(sim.stats().messages_delivered, 3);
         assert_eq!(sim.now(), SimTime::new(2.0));
+        let seen: Vec<&[u64]> = sim
+            .entities()
+            .iter()
+            .filter_map(|node| match node {
+                Node::Forwarder { seen, .. } => Some(seen.as_slice()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(seen, [&[2][..], &[1], &[0]]);
     }
 
     #[test]
     fn deterministic_across_runs() {
         fn run_once() -> (u64, f64) {
-            let mut sim = Simulation::new(99);
-            let c = sim.add_entity(Box::new(Forwarder { next: None, seen: vec![] }));
-            let b = sim.add_entity(Box::new(Forwarder { next: Some(c), seen: vec![] }));
-            sim.add_entity(Box::new(Kickoff { target: b }));
-            sim.add_entity(Box::new(Clocker {
-                period: 0.7,
-                remaining: 20,
-                fired: 0,
-                finished: false,
-            }));
+            let mut sim = Simulation::new(99, ());
+            let c = sim.add_entity(forwarder(None));
+            let b = sim.add_entity(forwarder(Some(c)));
+            sim.add_entity(Node::Kickoff { target: b });
+            sim.add_entity(Node::Clocker(Clocker::new(0.7, 20)));
             sim.run();
             (sim.stats().events_delivered, sim.now().as_secs())
         }
@@ -478,10 +403,38 @@ mod tests {
     #[test]
     #[should_panic(expected = "before the simulation starts")]
     fn adding_entity_after_start_panics() {
-        let mut sim: Simulation<Msg> = Simulation::new(1);
-        sim.add_entity(Box::new(Kickoff { target: EntityId::new(0) }));
+        let mut sim = Simulation::new(1, ());
+        sim.add_entity(Node::Kickoff { target: EntityId::new(0) });
         sim.run();
-        sim.add_entity(Box::new(Kickoff { target: EntityId::new(0) }));
+        sim.add_entity(Node::Kickoff { target: EntityId::new(0) });
+    }
+
+    #[test]
+    fn shared_state_is_lent_to_every_handler_and_handed_back() {
+        /// Bumps the shared counter once at start-up and once per tick.
+        struct Bumper(Clocker);
+        impl Entity<Msg, u64> for Bumper {
+            fn on_start(&mut self, ctx: &mut Context<'_, Msg, u64>) {
+                *ctx.shared += 1;
+                ctx.timer(self.0.period, Msg::Tick);
+            }
+            fn on_event(&mut self, _event: Event<Msg>, ctx: &mut Context<'_, Msg, u64>) {
+                *ctx.shared += 1;
+                self.0.fired += 1;
+                self.0.remaining -= 1;
+                if self.0.remaining > 0 {
+                    ctx.timer(self.0.period, Msg::Tick);
+                }
+            }
+        }
+        let mut sim = Simulation::new(3, 0u64);
+        sim.add_entity(Bumper(Clocker::new(1.0, 3)));
+        sim.add_entity(Bumper(Clocker::new(2.0, 4)));
+        assert_eq!(sim.run(), RunOutcome::Exhausted);
+        let (entities, total) = sim.into_parts();
+        let fired: Vec<u32> = entities.iter().map(|b| b.0.fired).collect();
+        assert_eq!(fired, [3, 4]);
+        assert_eq!(total, 2 + 3 + 4);
     }
 
     #[test]
@@ -504,28 +457,10 @@ mod tests {
             }
         }
         let entered = Rc::new(RefCell::new(0u64));
-        let mut sim = Simulation::new(5);
-        sim.add_entity(Box::new(Clocker {
-            period: 1.0,
-            remaining: 4,
-            fired: 0,
-            finished: false,
-        }));
+        let mut sim = Simulation::new(5, ());
+        sim.add_entity(Clocker::new(1.0, 4));
         sim.set_profiler(Box::new(CountingProfiler { entered: Rc::clone(&entered), open: false }));
         assert_eq!(sim.run(), RunOutcome::Exhausted);
         assert_eq!(*entered.borrow(), sim.stats().events_delivered);
-    }
-
-    #[test]
-    fn trace_captures_event_ordering() {
-        use crate::trace::VecTrace;
-        // Indirect check: install a VecTrace, run, then confirm counters via
-        // stats (the sink itself is consumed by the simulation).
-        let mut sim = Simulation::new(3);
-        let c = sim.add_entity(Box::new(Forwarder { next: None, seen: vec![] }));
-        sim.add_entity(Box::new(Kickoff { target: c }));
-        sim.set_trace(Box::new(VecTrace::new()));
-        sim.run();
-        assert_eq!(sim.stats().messages_delivered, 1);
     }
 }

@@ -1,16 +1,10 @@
-//! Optional event tracing and the observability hook interfaces.
+//! The observability record types and the handler-profiler hook.
 //!
-//! A [`TraceSink`] receives one [`TraceRecord`] per delivered event.  The
-//! default simulation uses [`NullTrace`] (zero overhead); tests and debugging
-//! sessions can install [`VecTrace`] or a custom sink to inspect the exact
-//! event ordering of a run.
-//!
-//! The sink is *span-aware*: beyond the per-event [`record`], models can
-//! push causal [`SpanRecord`]s (a named interval on one entity's track) and
-//! [`FlowRecord`]s (directed cross-entity arrows, e.g. a dispatch linked by
-//! its envelope sequence number) through the same trait.  Both have no-op
-//! defaults so event-only sinks keep working unchanged; the span-collecting
-//! implementation lives in `grid-obs`.
+//! Models describe what happened causally with [`SpanRecord`]s (a named
+//! interval on one entity's track) and [`FlowRecord`]s (directed
+//! cross-entity arrows, e.g. a dispatch linked by its envelope sequence
+//! number); the span collector that buffers and exports them lives in
+//! `grid-obs`.
 //!
 //! [`EventProfiler`] is the self-profiling hook: the engine brackets every
 //! handler invocation with [`enter`](EventProfiler::enter) /
@@ -18,11 +12,7 @@
 //! deliberately carries no clock — `grid-des` itself stays free of
 //! wall-clock reads; a profiler implementation takes its own timestamps and
 //! keeps them strictly outside sim state.
-//!
-//! [`record`]: TraceSink::record
 
-use crate::entity::EntityId;
-use crate::event::EventKind;
 use crate::time::SimTime;
 
 /// The conceptual track a span or flow belongs to, rendered as one timeline
@@ -108,161 +98,4 @@ pub trait EventProfiler<M> {
     fn enter(&mut self, payload: &M);
     /// Called immediately after the handler returns.
     fn exit(&mut self);
-}
-
-/// A single delivered-event record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceRecord {
-    /// Delivery time.
-    pub time: SimTime,
-    /// Sequence number assigned by the event queue.
-    pub seq: u64,
-    /// Sender entity.
-    pub src: EntityId,
-    /// Receiver entity.
-    pub dst: EntityId,
-    /// Message or timer.
-    pub kind: EventKind,
-    /// Short human-readable description of the payload (produced by the
-    /// model's `Debug` impl, truncated).
-    pub label: String,
-}
-
-/// Receives trace records while the simulation runs.
-pub trait TraceSink {
-    /// Called once per delivered event.
-    fn record(&mut self, record: TraceRecord);
-
-    /// Receives a completed causal span.  Default: ignored, so event-only
-    /// sinks need not care about spans.
-    fn span(&mut self, record: SpanRecord) {
-        let _ = record;
-    }
-
-    /// Receives one endpoint of a cross-entity flow.  Default: ignored.
-    fn flow(&mut self, record: FlowRecord) {
-        let _ = record;
-    }
-}
-
-/// Discards all records (the default).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullTrace;
-
-impl TraceSink for NullTrace {
-    fn record(&mut self, _record: TraceRecord) {}
-}
-
-/// Stores all records in memory for later inspection.
-#[derive(Debug, Default)]
-pub struct VecTrace {
-    records: Vec<TraceRecord>,
-}
-
-impl VecTrace {
-    /// Creates an empty in-memory trace.
-    #[must_use]
-    pub fn new() -> Self {
-        VecTrace { records: Vec::new() }
-    }
-
-    /// The records captured so far.
-    #[must_use]
-    pub fn records(&self) -> &[TraceRecord] {
-        &self.records
-    }
-
-    /// Consumes the trace and returns the records.
-    #[must_use]
-    pub fn into_records(self) -> Vec<TraceRecord> {
-        self.records
-    }
-}
-
-impl TraceSink for VecTrace {
-    fn record(&mut self, record: TraceRecord) {
-        self.records.push(record);
-    }
-}
-
-/// Truncates a debug label to a bounded length so traces of large payloads
-/// (whole jobs) stay readable.
-#[must_use]
-pub fn truncate_label(mut label: String, max_len: usize) -> String {
-    if label.len() > max_len {
-        // Avoid splitting a UTF-8 code point.
-        let mut cut = max_len;
-        while !label.is_char_boundary(cut) {
-            cut -= 1;
-        }
-        label.truncate(cut);
-        label.push('…');
-    }
-    label
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn rec(t: f64) -> TraceRecord {
-        TraceRecord {
-            time: SimTime::new(t),
-            seq: 0,
-            src: EntityId::new(0),
-            dst: EntityId::new(1),
-            kind: EventKind::Message,
-            label: "x".into(),
-        }
-    }
-
-    #[test]
-    fn vec_trace_collects() {
-        let mut t = VecTrace::new();
-        t.record(rec(1.0));
-        t.record(rec(2.0));
-        assert_eq!(t.records().len(), 2);
-        assert_eq!(t.into_records().len(), 2);
-    }
-
-    #[test]
-    fn null_trace_is_silent() {
-        let mut t = NullTrace;
-        t.record(rec(1.0)); // must not panic, does nothing
-    }
-
-    #[test]
-    fn span_and_flow_default_to_no_ops() {
-        // Event-only sinks compile and run unchanged against the span-aware
-        // trait: the default methods swallow spans and flows.
-        let mut t = VecTrace::new();
-        t.span(SpanRecord {
-            gfa: 0,
-            track: SpanTrack::Lifecycle,
-            name: "job",
-            start: SimTime::new(1.0),
-            end: SimTime::new(2.0),
-            detail: String::new(),
-        });
-        t.flow(FlowRecord {
-            id: 7,
-            gfa: 0,
-            track: SpanTrack::Negotiation,
-            time: SimTime::new(1.5),
-            start: true,
-        });
-        assert!(t.records().is_empty());
-        assert_eq!(SpanTrack::Execution.tid(), 3);
-        assert_eq!(SpanTrack::Directory.label(), "directory");
-    }
-
-    #[test]
-    fn truncation_respects_char_boundaries() {
-        let s = "αβγδεζηθ".to_string(); // 2 bytes per char
-        let out = truncate_label(s, 5);
-        assert!(out.ends_with('…'));
-        assert!(out.chars().count() <= 4);
-        let short = truncate_label("ab".into(), 5);
-        assert_eq!(short, "ab");
-    }
 }

@@ -9,10 +9,6 @@ use grid_des::{Context, Entity, Event, EventQueue, SimTime, Simulation};
 struct Ticker;
 
 impl Entity<u32> for Ticker {
-    fn name(&self) -> &str {
-        "ticker"
-    }
-
     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
         ctx.timer_at(SimTime::new(10.0), 1);
         ctx.timer_at(SimTime::new(20.0), 2);
@@ -24,8 +20,8 @@ impl Entity<u32> for Ticker {
 
 #[test]
 fn intact_run_delivers_in_order() {
-    let mut sim: Simulation<u32> = Simulation::new(7);
-    sim.add_entity(Box::new(Ticker));
+    let mut sim = Simulation::new(7, ());
+    sim.add_entity(Ticker);
     sim.run();
     assert_eq!(sim.now(), SimTime::new(30.0));
     assert_eq!(sim.stats().events_delivered, 3);
@@ -34,8 +30,8 @@ fn intact_run_delivers_in_order() {
 #[test]
 #[should_panic(expected = "event from the past")]
 fn reordered_event_trips_the_monotonicity_assert() {
-    let mut sim: Simulation<u32> = Simulation::new(7);
-    sim.add_entity(Box::new(Ticker));
+    let mut sim = Simulation::new(7, ());
+    sim.add_entity(Ticker);
     // Deliver the t=10 event, so the clock sits at 10 with t=20/t=30
     // pending...
     sim.run_to(SimTime::new(15.0));
@@ -52,10 +48,6 @@ fn reordered_event_trips_the_monotonicity_assert() {
 struct Messenger;
 
 impl Entity<u32> for Messenger {
-    fn name(&self) -> &str {
-        "messenger"
-    }
-
     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
         ctx.timer_at(SimTime::new(10.0), 1);
     }
@@ -70,8 +62,8 @@ impl Entity<u32> for Messenger {
 #[test]
 #[should_panic(expected = "event from the past")]
 fn reordered_lane_event_trips_the_monotonicity_assert() {
-    let mut sim: Simulation<u32> = Simulation::new(7);
-    sim.add_entity(Box::new(Messenger));
+    let mut sim = Simulation::new(7, ());
+    sim.add_entity(Messenger);
     sim.run_to(SimTime::new(15.0));
     // The t=20 message, the lane's head, is the only pending event.
     assert!(sim.corrupt_earliest_event_time(SimTime::new(5.0)));

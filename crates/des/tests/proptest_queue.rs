@@ -1,8 +1,5 @@
 //! Property-based tests for the discrete-event engine invariants.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use grid_des::{
     BinaryHeapEventQueue, Context, Entity, EntityId, Event, EventKind, EventQueue, SimRng, SimTime,
     Simulation,
@@ -88,9 +85,6 @@ struct MonotoneChecker {
 }
 
 impl Entity<u32> for MonotoneChecker {
-    fn name(&self) -> &str {
-        "monotone-checker"
-    }
     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
         for (i, d) in self.to_schedule.iter().enumerate() {
             ctx.timer(*d, i as u32);
@@ -115,12 +109,12 @@ proptest! {
     /// are scheduled.
     #[test]
     fn clock_never_goes_backwards(delays in proptest::collection::vec(0.0f64..500.0, 1..64), seed in any::<u64>()) {
-        let mut sim = Simulation::new(seed);
-        sim.add_entity(Box::new(MonotoneChecker {
+        let mut sim = Simulation::new(seed, ());
+        sim.add_entity(MonotoneChecker {
             to_schedule: delays,
             last_seen: 0.0,
             violations: 0,
-        }));
+        });
         sim.set_max_events(10_000);
         sim.run();
         // The checker records violations internally; the engine also
@@ -142,22 +136,17 @@ struct SealMixer {
     batch: Vec<u32>,
     followups: Vec<u32>,
     next: usize,
-    delivered: Rc<RefCell<Vec<(u64, u64)>>>,
+    delivered: Vec<(u64, u64)>,
 }
 
 impl Entity<u32> for SealMixer {
-    fn name(&self) -> &str {
-        "seal-mixer"
-    }
     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
         for t in &self.batch {
             ctx.timer_at(SimTime::new(f64::from(*t)), 0);
         }
     }
     fn on_event(&mut self, event: Event<u32>, ctx: &mut Context<'_, u32>) {
-        self.delivered
-            .borrow_mut()
-            .push((event.time.as_secs().to_bits(), event.seq));
+        self.delivered.push((event.time.as_secs().to_bits(), event.seq));
         for _ in 0..FOLLOWUPS_PER_EVENT {
             if let Some(delay) = self.followups.get(self.next) {
                 ctx.timer(f64::from(*delay), 0);
@@ -177,14 +166,13 @@ proptest! {
         batch in proptest::collection::vec(0u32..20, 0..80),
         followups in proptest::collection::vec(0u32..6, 0..120),
     ) {
-        let delivered = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Simulation::new(1);
-        sim.add_entity(Box::new(SealMixer {
+        let mut sim = Simulation::new(1, ());
+        sim.add_entity(SealMixer {
             batch: batch.clone(),
             followups: followups.clone(),
             next: 0,
-            delivered: Rc::clone(&delivered),
-        }));
+            delivered: Vec::new(),
+        });
         sim.run();
 
         let mut reference = BinaryHeapEventQueue::new();
@@ -202,7 +190,7 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(&*delivered.borrow(), &expected);
+        prop_assert_eq!(&sim.entities()[0].delivered, &expected);
     }
 }
 
@@ -248,22 +236,17 @@ struct LaneMixer {
     batch: Vec<u32>,
     followups: Vec<Followup>,
     next: usize,
-    delivered: Rc<RefCell<Vec<(u64, u64)>>>,
+    delivered: Vec<(u64, u64)>,
 }
 
 impl Entity<u32> for LaneMixer {
-    fn name(&self) -> &str {
-        "lane-mixer"
-    }
     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
         for t in &self.batch {
             ctx.timer_at(SimTime::new(f64::from(*t)), 0);
         }
     }
     fn on_event(&mut self, event: Event<u32>, ctx: &mut Context<'_, u32>) {
-        self.delivered
-            .borrow_mut()
-            .push((event.time.as_secs().to_bits(), event.seq));
+        self.delivered.push((event.time.as_secs().to_bits(), event.seq));
         for _ in 0..FOLLOWUPS_PER_EVENT {
             let Some(followup) = self.followups.get(self.next).copied() else {
                 break;
@@ -289,14 +272,13 @@ proptest! {
         draws in proptest::collection::vec(0u32..64, 0..160),
     ) {
         let followups: Vec<Followup> = draws.iter().map(|d| Followup::from_draw(*d)).collect();
-        let delivered = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Simulation::new(1);
-        sim.add_entity(Box::new(LaneMixer {
+        let mut sim = Simulation::new(1, ());
+        sim.add_entity(LaneMixer {
             batch: batch.clone(),
             followups: followups.clone(),
             next: 0,
-            delivered: Rc::clone(&delivered),
-        }));
+            delivered: Vec::new(),
+        });
         sim.run();
 
         let mut reference = BinaryHeapEventQueue::new();
@@ -314,7 +296,7 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(&*delivered.borrow(), &expected);
+        prop_assert_eq!(&sim.entities()[0].delivered, &expected);
         // Every in-order send took the lane; only the delayed sends and
         // the messages they held back can have gone to the heap.
         let sends = followups[..next]

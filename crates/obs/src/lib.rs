@@ -10,10 +10,11 @@
 //!   cache/churn/network tallies of earlier PRs now live here) and the
 //!   percentile panels (p50/p90/p99 job wait, slowdown, lookup latency,
 //!   queue depth) fall out of every run for free.
-//! * [`trace`] — a span-aware sink implementing the `grid-des`
-//!   [`TraceSink`](grid_des::TraceSink) extension: causal job-lifecycle
-//!   spans (submit → probe → negotiation → dispatch → completion) linked
-//!   across GFAs by envelope sequence numbers, exported in Chrome Trace
+//! * [`trace`] — a collector for the `grid-des`
+//!   [`SpanRecord`](grid_des::SpanRecord)s and
+//!   [`FlowRecord`](grid_des::FlowRecord)s the model emits: causal
+//!   job-lifecycle spans (submit → probe → negotiation → dispatch →
+//!   completion) linked across GFAs by envelope sequence numbers, exported in Chrome Trace
 //!   Format for Perfetto / `chrome://tracing`.
 //! * [`profile`] — an [`EventProfiler`](grid_des::EventProfiler) measuring
 //!   wall-clock per-event-type handler time.  This module is the **only**

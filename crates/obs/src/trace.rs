@@ -1,7 +1,6 @@
 //! Causal span collection and Chrome Trace Format export.
 //!
-//! [`SpanCollector`] is the span-aware [`TraceSink`] implementation: the
-//! federation model pushes completed [`SpanRecord`]s (job lifecycle,
+//! [`SpanCollector`] is the federation's trace sink: the model pushes completed [`SpanRecord`]s (job lifecycle,
 //! negotiation round-trips, directory probes, execution intervals) and
 //! [`FlowRecord`]s (cross-GFA dispatch/completion arrows keyed by envelope
 //! sequence number), and the collector renders them as a Chrome Trace
@@ -17,7 +16,7 @@
 
 use std::fmt::Write as _;
 
-use grid_des::{FlowRecord, SpanRecord, SpanTrack, TraceRecord, TraceSink};
+use grid_des::{FlowRecord, SpanRecord, SpanTrack};
 
 use crate::json::esc;
 
@@ -164,15 +163,9 @@ impl SpanCollector {
         out.push_str("\n]\n}\n");
         out
     }
-}
 
-impl TraceSink for SpanCollector {
-    fn record(&mut self, _record: TraceRecord) {
-        // Raw engine events are not collected: the causal spans carry the
-        // model-level story, and per-event records would dwarf them.
-    }
-
-    fn span(&mut self, record: SpanRecord) {
+    /// Buffers a completed causal span.
+    pub fn span(&mut self, record: SpanRecord) {
         let start = record.start.as_secs() * US_PER_SEC;
         let end = record.end.as_secs() * US_PER_SEC;
         self.events.push(ChromeEvent {
@@ -187,7 +180,8 @@ impl TraceSink for SpanCollector {
         });
     }
 
-    fn flow(&mut self, record: FlowRecord) {
+    /// Buffers one endpoint of a cross-entity flow.
+    pub fn flow(&mut self, record: FlowRecord) {
         self.events.push(ChromeEvent {
             pid: record.gfa as u64,
             tid: record.track.tid(),
@@ -273,6 +267,8 @@ mod tests {
             .map(|e| e.get("id").and_then(Json::as_f64).unwrap())
             .collect();
         assert_eq!(ids, vec![9.0, 9.0]);
+        assert_eq!(SpanTrack::Execution.tid(), 3);
+        assert_eq!(SpanTrack::Directory.label(), "directory");
     }
 
     #[test]

@@ -10,17 +10,19 @@ use std::collections::BTreeMap;
 use grid_experiments::exp6::DEFAULT_LEVELS;
 use grid_experiments::workloads::{paper_workloads, WorkloadOptions};
 use grid_federation_core::federation::{run_federation, FederationConfig, SchedulingMode};
-use grid_federation_core::{Counter, DirectoryBackend, FederationReport, NetworkFaultConfig};
+use grid_federation_core::{
+    Counter, DirectoryBackend, ExecutionOutcome, FederationReport, NetworkFaultConfig,
+};
 use grid_workload::PopulationProfile;
 
-fn run_with(backend: DirectoryBackend) -> FederationReport {
+fn run_with(backend: DirectoryBackend, mode: SchedulingMode) -> FederationReport {
     let options = WorkloadOptions::quick();
     let setup = paper_workloads(PopulationProfile::new(50), &options);
     run_federation(
         setup.resources,
         setup.workloads,
         FederationConfig {
-            mode: SchedulingMode::Economy,
+            mode,
             seed: options.seed,
             utilization_horizon: Some(options.duration),
             directory: backend,
@@ -31,7 +33,7 @@ fn run_with(backend: DirectoryBackend) -> FederationReport {
 
 #[test]
 fn backends_differ_only_in_directory_traffic() {
-    let ideal = run_with(DirectoryBackend::Ideal);
+    let ideal = run_with(DirectoryBackend::Ideal, SchedulingMode::Economy);
     assert_eq!(ideal.backend, DirectoryBackend::Ideal);
     assert!(!ideal.jobs.is_empty());
     assert!(
@@ -47,7 +49,7 @@ fn backends_differ_only_in_directory_traffic() {
     assert!(ideal.directory_cache.hits > 0, "ideal: cache never hit");
     assert!(ideal.directory_cache.misses > 0, "ideal: cache never missed");
 
-    let maan = run_with(DirectoryBackend::Maan);
+    let maan = run_with(DirectoryBackend::Maan, SchedulingMode::Economy);
     assert_eq!(maan.backend, DirectoryBackend::Maan);
 
     // Digest-first: the audit ledger's outcome chains commit to every
@@ -171,7 +173,7 @@ fn departures_are_outcome_identical_across_backends() {
     );
     // The departed resource executed strictly less remote work than in the
     // undisturbed run of `backends_differ_only_in_directory_traffic`.
-    let undisturbed = run_with(DirectoryBackend::Ideal);
+    let undisturbed = run_with(DirectoryBackend::Ideal, SchedulingMode::Economy);
     assert!(
         ideal.resources[4].remote_jobs_processed <= undisturbed.resources[4].remote_jobs_processed,
         "a departed resource cannot attract more remote work"
@@ -244,6 +246,50 @@ fn job_records_ledger_and_registry_agree() {
                     "{case}: directory class"
                 );
             }
+        }
+    }
+}
+
+/// The per-resource totals the report collects from the GFAs at the end of
+/// the run equal what the job records say: each resource's remote-job count
+/// and busy processor-seconds are recomputed from the completed records
+/// executed there, and every migrated job is some resource's remote job.
+#[test]
+fn report_totals_match_the_job_records() {
+    for backend in DirectoryBackend::ALL {
+        for mode in [
+            SchedulingMode::Economy,
+            SchedulingMode::FederationNoEconomy,
+            SchedulingMode::Independent,
+        ] {
+            let report = run_with(backend, mode);
+            let case = format!("{backend:?} {mode:?}");
+            for (i, resource) in report.resources.iter().enumerate() {
+                let mut remote = 0;
+                let mut busy = 0.0;
+                for job in &report.jobs {
+                    if let ExecutionOutcome::Completed { executed_on, start, finish, .. } =
+                        job.outcome
+                    {
+                        if executed_on == i {
+                            remote += usize::from(job.origin != i);
+                            busy += f64::from(job.processors) * (finish - start);
+                        }
+                    }
+                }
+                assert_eq!(resource.remote_jobs_processed, remote, "{case}: resource {i}");
+                let tolerance = 1e-9 * busy.abs().max(1.0);
+                assert!(
+                    (resource.busy_processor_seconds - busy).abs() <= tolerance,
+                    "{case}: resource {i} busy {} != {busy}",
+                    resource.busy_processor_seconds
+                );
+            }
+            let migrated: usize = report.resources.iter().map(|r| r.migrated).sum();
+            let remote: usize = report.resources.iter().map(|r| r.remote_jobs_processed).sum();
+            assert_eq!(migrated, remote, "{case}: migrated jobs are remote jobs");
+            // Only the federated modes migrate, so the check is not vacuous.
+            assert_eq!(remote > 0, mode != SchedulingMode::Independent, "{case}: {remote}");
         }
     }
 }
