@@ -341,7 +341,7 @@ mod tests {
         let mut s = EasyBackfilling::new(10);
         s.submit(job(0, 5, 100.0), 0.0);
         s.on_finished(jid(0), 100.0);
-        assert!((s.utilization(100.0) - 0.5).abs() < 1e-9);
+        assert!((s.busy_processor_seconds(100.0) - 500.0).abs() < 1e-9);
     }
 
     #[test]

@@ -114,15 +114,6 @@ pub trait LocalScheduler {
     /// Busy processor-seconds accumulated up to `now` (the numerator of the
     /// utilization figure reported in Tables 2 and 3).
     fn busy_processor_seconds(&self, now: f64) -> f64;
-
-    /// Average utilization over `[0, now]`: busy processor-seconds divided by
-    /// total processor-seconds.  Returns 0 at time 0.
-    fn utilization(&self, now: f64) -> f64 {
-        if now <= 0.0 {
-            return 0.0;
-        }
-        self.busy_processor_seconds(now) / (f64::from(self.total_processors()) * now)
-    }
 }
 
 /// The space-shared FCFS local scheduler.
@@ -169,12 +160,6 @@ impl SpaceSharedFcfs {
     #[must_use]
     pub fn completed_jobs(&self) -> u64 {
         self.completed_jobs
-    }
-
-    /// The currently running jobs (primarily for tests and debugging).
-    #[must_use]
-    pub fn running_jobs(&self) -> &[StartedJob] {
-        &self.running
     }
 
     /// The original full-replay estimator, retained as the differential
@@ -596,17 +581,16 @@ mod tests {
         // At t=100 the job finishes: 5 procs × 100 s = 500 proc·s busy.
         s.on_finished(jid(0), 100.0);
         assert!((s.busy_processor_seconds(100.0) - 500.0).abs() < 1e-9);
-        assert!((s.utilization(100.0) - 0.5).abs() < 1e-9);
-        // Idle afterwards: utilization decays.
-        assert!((s.utilization(200.0) - 0.25).abs() < 1e-9);
-        assert_eq!(s.utilization(0.0), 0.0);
+        // Idle afterwards: the busy total stays put.
+        assert!((s.busy_processor_seconds(200.0) - 500.0).abs() < 1e-9);
     }
 
     #[test]
     fn utilization_counts_partial_intervals_of_running_jobs() {
         let mut s = SpaceSharedFcfs::new(4);
         s.submit(job(0, 4, 1_000.0), 0.0);
-        assert!((s.utilization(500.0) - 1.0).abs() < 1e-9);
+        // Half-way through, all 4 processors were busy for 500 s.
+        assert!((s.busy_processor_seconds(500.0) - 2_000.0).abs() < 1e-9);
     }
 
     #[test]

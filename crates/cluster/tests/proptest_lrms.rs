@@ -108,7 +108,7 @@ proptest! {
         let busy = fcfs.busy_processor_seconds(makespan);
         prop_assert!((busy - total_work).abs() <= 1e-6 * total_work.max(1.0),
             "FCFS busy {} != submitted work {}", busy, total_work);
-        prop_assert!(fcfs.utilization(makespan) <= 1.0 + 1e-9);
+        prop_assert!(busy <= f64::from(total_procs) * makespan * (1.0 + 1e-9));
 
         let mut easy = EasyBackfilling::new(total_procs);
         let (completed_e, makespan_e) = drive(&mut easy, total_procs, &inputs);

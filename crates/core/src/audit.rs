@@ -149,12 +149,6 @@ impl AuditLedger {
         }
     }
 
-    /// Number of GFAs the ledger audits.
-    #[must_use]
-    pub fn gfa_count(&self) -> usize {
-        self.outcomes.len()
-    }
-
     /// Total number of records folded so far, across all chains.
     #[must_use]
     pub fn entries(&self) -> u64 {

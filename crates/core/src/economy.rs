@@ -92,17 +92,6 @@ pub fn apply_commodity_pricing(resources: &mut [ResourceSpec], access_price: f64
     }
 }
 
-/// A single transfer recorded by the [`GridBank`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Transfer {
-    /// Resource index whose local user paid.
-    pub payer_origin: usize,
-    /// Resource index whose owner was paid.
-    pub payee_owner: usize,
-    /// Amount in Grid Dollars.
-    pub amount: f64,
-}
-
 /// The federation's credit-management service.
 ///
 /// The paper assumes a GridBank service through which participants exchange
@@ -113,7 +102,6 @@ pub struct Transfer {
 pub struct GridBank {
     owner_earnings: Vec<f64>,
     user_spending: Vec<f64>,
-    transfers: u64,
 }
 
 impl GridBank {
@@ -123,7 +111,6 @@ impl GridBank {
         GridBank {
             owner_earnings: vec![0.0; n],
             user_spending: vec![0.0; n],
-            transfers: 0,
         }
     }
 
@@ -140,7 +127,6 @@ impl GridBank {
         );
         self.user_spending[payer_origin] += amount;
         self.owner_earnings[payee_owner] += amount;
-        self.transfers += 1;
     }
 
     /// Total incentive earned by the owner of resource `owner` so far.
@@ -155,12 +141,6 @@ impl GridBank {
         self.user_spending[origin]
     }
 
-    /// Earnings of every owner (indexed by resource).
-    #[must_use]
-    pub fn all_earnings(&self) -> &[f64] {
-        &self.owner_earnings
-    }
-
     /// Spending of every origin's users (indexed by resource).
     #[must_use]
     pub fn all_spending(&self) -> &[f64] {
@@ -171,12 +151,6 @@ impl GridBank {
     #[must_use]
     pub fn total_volume(&self) -> f64 {
         self.owner_earnings.iter().sum()
-    }
-
-    /// Number of recorded transfers.
-    #[must_use]
-    pub fn transfer_count(&self) -> u64 {
-        self.transfers
     }
 
     /// Corrupting test double: credits `amount` Grid Dollars to `owner`
@@ -243,8 +217,6 @@ mod tests {
         assert_eq!(bank.spending(0), 100.0);
         assert_eq!(bank.spending(1), 25.0);
         assert_eq!(bank.total_volume(), 175.0);
-        assert_eq!(bank.transfer_count(), 3);
-        assert_eq!(bank.all_earnings().len(), 4);
         assert_eq!(bank.all_spending().iter().sum::<f64>(), 175.0);
     }
 

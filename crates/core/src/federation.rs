@@ -17,15 +17,15 @@ use grid_des::{
 };
 use grid_des::{FlowRecord, SpanRecord};
 use grid_directory::{AnyDirectory, CacheStats, DirectoryBackend, FederationDirectory, Quote};
-use grid_obs::{Counter, HandlerProfiler, HistId, MetricsRegistry, ProfileTable, SpanCollector};
+use grid_obs::{Counter, HandlerProfiler, MetricsRegistry, ProfileTable, SpanCollector};
 use grid_workload::Job;
 
+use crate::accounting::Charge;
 use crate::audit::AuditLedger;
 use crate::economy::{ChargingPolicy, GridBank};
 use crate::gfa::Gfa;
-use crate::messages::{FedMessage, MessageLedger, MessageType};
+use crate::messages::{FedMessage, MessageLedger};
 use crate::metrics::{FederationReport, JobRecord, ResourceMetrics};
-use grid_workload::JobId;
 
 /// Which resource-sharing environment to simulate (the paper's three
 /// experiment families).
@@ -282,12 +282,6 @@ impl NetState {
         }
     }
 
-    /// The fault parameters this layer draws from.
-    #[must_use]
-    pub fn config(&self) -> NetworkFaultConfig {
-        self.cfg
-    }
-
     /// Allocates the next envelope sequence number of the `src → dst` link
     /// (1-based; 0 is reserved for the reliable transport).
     pub fn next_seq(&mut self, src: usize, dst: usize) -> u64 {
@@ -331,17 +325,6 @@ impl NetState {
     pub fn dedup_base_sum(&self) -> u64 {
         self.dedup.iter().map(DedupWindow::base).sum()
     }
-
-    /// Corrupting test double: rewinds every receiver dedup window to its
-    /// initial state, so previously admitted envelopes would be admitted
-    /// again.  Only exists so the invariant tests can prove the
-    /// dedup-monotonicity check fires.
-    #[cfg(feature = "invariants")]
-    pub fn corrupt_dedup_rewind(&mut self) {
-        for w in &mut self.dedup {
-            w.corrupt_rewind();
-        }
-    }
 }
 
 /// Federation-wide state: the simulation owns it and lends it to each GFA
@@ -355,7 +338,7 @@ pub struct SharedState {
     pub bank: GridBank,
     /// Message accounting.
     pub ledger: MessageLedger,
-    /// Per-job records, pushed by origin GFAs as jobs conclude.
+    /// Per-job records, in the order the jobs' outcomes were recorded.
     pub jobs: Vec<JobRecord>,
     /// Hash-chained audit ledger folding every outcome, charge and bank
     /// mutation (see [`crate::audit`]).
@@ -363,6 +346,9 @@ pub struct SharedState {
     /// The unreliable-network fault layer, or `None` on the reliable
     /// transport (including inactive fault configs).
     pub net: Option<NetState>,
+    /// One-way network latency (seconds) each directory and publish
+    /// message is charged (see [`FederationConfig::latency`]).
+    pub latency: f64,
     /// The single accounting surface for every observability counter,
     /// sum and histogram of the run: churn/self-healing telemetry,
     /// unreliable-network telemetry, quote-cache hit/miss tallies and the
@@ -380,119 +366,6 @@ pub struct SharedState {
 }
 
 impl SharedState {
-    /// Records one negotiation-protocol message in the ledger *and* folds it
-    /// into the audit chain.  All charge paths go through these helpers so
-    /// the two ledgers cannot drift.
-    pub fn charge_message(&mut self, ty: MessageType, origin: usize, counterpart: usize) {
-        self.ledger.record(ty, origin, counterpart);
-        self.audit.record_message(ty, origin, counterpart);
-    }
-
-    /// Records a routed directory-query charge in both ledgers.  Under the
-    /// fault layer, per-hop drops on the lookup path cost extra routed
-    /// messages, charged as a second directory record so the lossless
-    /// charges stay untouched in the chain.
-    pub fn charge_directory(&mut self, gfa: usize, messages: u64, seconds: f64) {
-        self.ledger.record_directory(gfa, messages, seconds);
-        self.audit.record_directory(gfa, messages);
-        self.metrics.observe(HistId::DirectoryLookupLatency, seconds);
-        if messages > 0 {
-            if let Some(net) = &mut self.net {
-                let extra = net.query_extra(gfa, messages);
-                if extra > 0 {
-                    self.metrics.add(gfa, Counter::NetDirectoryRetransmissions, extra);
-                    let per_hop = seconds / messages as f64;
-                    self.ledger
-                        .record_directory(gfa, extra, per_hop * extra as f64);
-                    self.audit.record_directory(gfa, extra);
-                }
-            }
-        }
-    }
-
-    /// Records the publish-side message cost of a directory mutation in
-    /// both ledgers (`messages × latency` of simulated network time, like
-    /// query-side traffic), plus the fault layer's per-hop retransmissions
-    /// when active.  Free mutations (the centrally-stored backends, or
-    /// no-ops) record nothing.
-    pub fn charge_publish(&mut self, gfa: usize, messages: u64, latency: f64) {
-        if messages == 0 {
-            return;
-        }
-        let seconds = messages as f64 * latency;
-        self.ledger.record_publish(gfa, messages, seconds);
-        self.audit.record_publish(gfa, messages);
-        if let Some(net) = &mut self.net {
-            let extra = net.publish_extra(gfa, messages);
-            if extra > 0 {
-                self.metrics.add(gfa, Counter::NetPublishRetransmissions, extra);
-                let per_hop = seconds / messages as f64;
-                self.ledger.record_publish(gfa, extra, per_hop * extra as f64);
-                self.audit.record_publish(gfa, extra);
-            }
-        }
-    }
-
-    /// Finalises a job's per-job message totals in both ledgers.
-    pub fn conclude_job(&mut self, job: JobId, messages: u32, directory_messages: u32) {
-        self.ledger.finish_job(job, messages, directory_messages);
-        self.audit.record_job_messages(job, messages, directory_messages);
-    }
-
-    /// Transfers Grid Dollars through the bank and folds the transfer into
-    /// the payer's outcome chain.
-    pub fn pay(&mut self, payer_origin: usize, payee_owner: usize, amount: f64) {
-        self.bank.pay(payer_origin, payee_owner, amount);
-        self.audit.record_payment(payer_origin, payee_owner, amount);
-    }
-
-    /// Appends a finished job record, folding it into the origin's outcome
-    /// chain first, and records its wait/slowdown/negotiation observations
-    /// plus its lifecycle span.  All observability here happens *after* the
-    /// audit fold, on quantities already decided, so it cannot perturb the
-    /// chain.
-    pub fn push_job_record(&mut self, record: JobRecord) {
-        self.audit.record_outcome(&record);
-        self.metrics
-            .observe(HistId::NegotiationMessages, f64::from(record.messages));
-        match record.outcome {
-            crate::metrics::ExecutionOutcome::Completed { start, finish, .. } => {
-                self.metrics.inc(record.origin, Counter::JobsCompleted);
-                self.metrics
-                    .observe(HistId::JobWait, (start - record.submit).max(0.0));
-                let service = finish - start;
-                if service > 0.0 {
-                    self.metrics
-                        .observe(HistId::JobSlowdown, (finish - record.submit) / service);
-                }
-                if self.tracer.is_some() {
-                    self.emit_span(SpanRecord {
-                        gfa: record.origin,
-                        track: grid_des::SpanTrack::Lifecycle,
-                        name: "job",
-                        start: grid_des::SimTime::new(record.submit),
-                        end: grid_des::SimTime::new(finish),
-                        detail: format!("{} completed", record.id),
-                    });
-                }
-            }
-            crate::metrics::ExecutionOutcome::Rejected => {
-                self.metrics.inc(record.origin, Counter::JobsRejected);
-                if self.tracer.is_some() {
-                    self.emit_span(SpanRecord {
-                        gfa: record.origin,
-                        track: grid_des::SpanTrack::Lifecycle,
-                        name: "job",
-                        start: grid_des::SimTime::new(record.submit),
-                        end: grid_des::SimTime::new(record.submit),
-                        detail: format!("{} rejected", record.id),
-                    });
-                }
-            }
-        }
-        self.jobs.push(record);
-    }
-
     /// Forwards a completed span to the armed trace sink, if any.
     pub fn emit_span(&self, record: SpanRecord) {
         if let Some(tracer) = &self.tracer {
@@ -512,35 +385,6 @@ impl SharedState {
     #[must_use]
     pub fn trace_armed(&self) -> bool {
         self.tracer.is_some()
-    }
-
-    /// Corrupting test double: replays the conclusion of the last finished
-    /// job as if a duplicated completion message had slipped past the dedup
-    /// window — the job is concluded a second time and its record pushed
-    /// again.  Only exists so the invariant tests can prove the
-    /// at-most-once-effect checks fire.
-    ///
-    /// # Panics
-    /// Panics if no job has concluded yet.
-    #[cfg(feature = "invariants")]
-    pub fn corrupt_replay_message(&mut self) {
-        let &(job, messages) = self
-            .ledger
-            .per_job()
-            .last()
-            .expect("replaying a message requires a concluded job");
-        let directory = self
-            .ledger
-            .per_job_directory()
-            .last()
-            .map_or(0, |&(_, d)| d);
-        self.conclude_job(job, messages, directory);
-        let record = self
-            .jobs
-            .last()
-            .expect("a concluded job has a record")
-            .clone();
-        self.push_job_record(record);
     }
 }
 
@@ -782,35 +626,32 @@ impl FederationBuilder {
             .network
             .filter(NetworkFaultConfig::is_active)
             .map(|cfg| NetState::new(n, config.seed, cfg));
-        let mut ledger = MessageLedger::new(n);
-        let mut audit = AuditLedger::new(n);
-        for (i, spec) in resources.iter().enumerate() {
-            // The initial publish: under a distributed backend the quote is
-            // routed to the nodes owning its attribute keys, and that
-            // traffic is accounted in the ledger's publish class.  This is
-            // pre-run setup (the simulation has not started), so the fault
-            // layer does not apply — the network can only fault messages
-            // sent while the clock is running.
-            let publish = directory.subscribe(Quote::from_spec(i, spec));
-            if publish > 0 {
-                ledger.record_publish(i, publish, publish as f64 * config.latency);
-                audit.record_publish(i, publish);
-            }
-        }
-
         let total_jobs: usize = workloads.iter().map(Vec::len).sum();
-        let shared = SharedState {
+        let mut shared = SharedState {
             directory,
             bank: GridBank::new(n),
-            ledger,
+            ledger: MessageLedger::new(n),
             jobs: Vec::with_capacity(total_jobs),
-            audit,
-            net,
+            audit: AuditLedger::new(n),
+            net: None,
+            latency: config.latency,
             metrics: MetricsRegistry::new(n),
             tracer,
             #[cfg(feature = "invariants")]
             invariants: crate::invariants::InvariantSentry::new(),
         };
+        for (i, spec) in resources.iter().enumerate() {
+            // The initial publish: under a distributed backend the quote is
+            // routed to the nodes owning its attribute keys, and that
+            // traffic is accounted in the ledger's publish class.  This is
+            // pre-run setup (the simulation has not started), so it is
+            // recorded before the fault layer is installed — the network
+            // can only fault messages sent while the clock is running.
+            let publish = shared.directory.subscribe(Quote::from_spec(i, spec));
+            shared.record(Charge::Publish(i, publish));
+        }
+        shared.net = net;
+
         let mut sim = Simulation::new(config.seed, shared);
         if let Some(table) = profiler {
             sim.set_profiler(Box::new(HandlerProfiler::new(table, FedMessage::label)));
@@ -1234,7 +1075,7 @@ mod tests {
         // Negotiation accounting is unchanged by the new traffic class.
         assert_eq!(rec.messages, 2);
         assert_eq!(report.messages.total_messages(), 2);
-        assert_eq!(report.messages.per_job_directory_summary(), (1, 1.0, 1));
+        assert_eq!(report.per_job_summary(|j| j.directory_messages), (1, 1.0, 1));
     }
 
     #[test]

@@ -45,6 +45,7 @@ use grid_directory::{FederationDirectory, Quote, QuoteCache, RankCursor, RankOrd
 use grid_obs::{Counter, FSum, HistId};
 use grid_workload::{Job, JobId, Strategy};
 
+use crate::accounting::Charge;
 use crate::economy::ChargingPolicy;
 use crate::federation::{
     FederationConfig, GfaSchedule, LrmsKind, RepairMode, RetryPolicy, SchedulingMode, SharedState,
@@ -74,6 +75,11 @@ struct Ticket {
 }
 
 impl Ticket {
+    /// The job's conclusion: its final per-job message totals.
+    fn concluded(&self) -> Charge {
+        Charge::Concluded(self.job.id, self.messages, self.directory_messages)
+    }
+
     /// The job's final record at `origin`.
     fn record(&self, origin: usize, outcome: ExecutionOutcome) -> JobRecord {
         let job = &self.job;
@@ -352,7 +358,7 @@ impl Gfa {
         let mut duplicate_delay = None;
         {
             let state = &mut *ctx.shared;
-            state.charge_message(ty, ledger_origin, ledger_counterpart);
+            state.record(Charge::Message(ty, ledger_origin, ledger_counterpart));
             let planned = state.net.as_mut().map(|net| {
                 let seq = net.next_seq(self.index, to);
                 let plan = net.plan(self.index, to);
@@ -371,11 +377,11 @@ impl Gfa {
                     .metrics
                     .add_f(self.index, FSum::JitterSeconds, plan.jitter_seconds);
                 for _ in 0..plan.retransmissions {
-                    state.charge_message(ty, ledger_origin, ledger_counterpart);
+                    state.record(Charge::Message(ty, ledger_origin, ledger_counterpart));
                 }
                 if plan.duplicate {
                     state.metrics.inc(self.index, Counter::NetDuplicates);
-                    state.charge_message(ty, ledger_origin, ledger_counterpart);
+                    state.record(Charge::Message(ty, ledger_origin, ledger_counterpart));
                     duplicate_delay = Some(plan.duplicate_delay);
                 }
             }
@@ -522,12 +528,12 @@ impl Gfa {
             .probe(&shared.directory, self.index, order, r, cursor);
         let fault = shared.directory.take_fault();
         if traced.messages > 0 {
-            let seconds = traced.messages as f64 * self.latency;
-            shared.charge_directory(self.index, traced.messages, seconds);
+            shared.record(Charge::Directory(self.index, traced.messages));
             if shared.trace_armed() {
                 // Lookups are accounted out-of-band (they never delay the
                 // negotiation timeline), so the span renders the simulated
                 // hops × latency interval the charge represents.
+                let seconds = traced.messages as f64 * self.latency;
                 shared.emit_span(SpanRecord {
                     gfa: self.index,
                     track: SpanTrack::Directory,
@@ -648,8 +654,8 @@ impl Gfa {
                 // per-job message model.
                 {
                     let shared = &mut *ctx.shared;
-                    shared.charge_message(MessageType::Negotiate, self.index, self.index);
-                    shared.charge_message(MessageType::Reply, self.index, self.index);
+                    shared.record(Charge::Message(MessageType::Negotiate, self.index, self.index));
+                    shared.record(Charge::Message(MessageType::Reply, self.index, self.index));
                     if shared.trace_armed() {
                         // Self-negotiation resolves within the event: a
                         // zero-duration round-trip on the negotiation track.
@@ -717,7 +723,7 @@ impl Gfa {
             processors: ticket.job.processors,
             service_time: service,
         };
-        let (messages, directory_messages) = (ticket.messages, ticket.directory_messages);
+        let concluded = ticket.concluded();
         self.executing.insert(
             cluster_job.id,
             ExecutingJob {
@@ -732,13 +738,13 @@ impl Gfa {
         self.lrms.submit_into(cluster_job, now, &mut started);
         self.handle_started(&started, ctx);
         self.scratch = started;
-        ctx.shared.conclude_job(cluster_job.id, messages, directory_messages);
+        ctx.shared.record(concluded);
     }
 
     /// Records a rejected job.
     fn record_rejection(&self, ticket: Ticket, shared: &mut SharedState) {
-        shared.conclude_job(ticket.job.id, ticket.messages, ticket.directory_messages);
-        shared.push_job_record(ticket.record(self.index, ExecutionOutcome::Rejected));
+        shared.record(ticket.concluded());
+        shared.record(Charge::Outcome(ticket.record(self.index, ExecutionOutcome::Rejected)));
     }
 
     /// Handles an incoming admission-control enquiry from another GFA: can
@@ -893,7 +899,7 @@ impl Gfa {
         }
         {
             let shared = &mut *ctx.shared;
-            shared.pay(entry.origin, self.index, entry.cost);
+            shared.record(Charge::Payment(entry.origin, self.index, entry.cost));
             shared
                 .metrics
                 .observe(HistId::QueueDepth, self.lrms.queued_count() as f64);
@@ -926,7 +932,7 @@ impl Gfa {
                     cost: entry.cost,
                 },
             );
-            ctx.shared.push_job_record(record);
+            ctx.shared.record(Charge::Outcome(record));
         } else {
             let executed_on = self.index;
             let cost = entry.cost;
@@ -983,8 +989,8 @@ impl Gfa {
             });
         }
         let ticket = &awaiting.ticket;
-        shared.conclude_job(job, ticket.messages, ticket.directory_messages);
-        shared.push_job_record(ticket.record(
+        shared.record(ticket.concluded());
+        shared.record(Charge::Outcome(ticket.record(
             self.index,
             ExecutionOutcome::Completed {
                 executed_on,
@@ -992,7 +998,7 @@ impl Gfa {
                 finish,
                 cost,
             },
-        ));
+        )));
     }
 
     /// A ranking probe faulted (see [`Gfa::probe_directory`]).  Graceful
@@ -1023,7 +1029,7 @@ impl Gfa {
                     shared
                         .metrics
                         .add(self.index, Counter::ReactiveRepairMessages, messages);
-                    shared.charge_publish(self.index, messages, self.latency);
+                    shared.record(Charge::Publish(self.index, messages));
                     true
                 } else {
                     false
@@ -1088,7 +1094,7 @@ impl Gfa {
         self.departed = true;
         self.retired = true;
         let messages = shared.directory.node_depart(self.index, true);
-        shared.charge_publish(self.index, messages, self.latency);
+        shared.record(Charge::Publish(self.index, messages));
     }
 
     /// Handles a churn-drawn departure.  Graceful leaves behave like the
@@ -1107,7 +1113,7 @@ impl Gfa {
             shared.metrics.inc(self.index, Counter::Crashes);
         }
         let messages = shared.directory.node_depart(self.index, graceful);
-        shared.charge_publish(self.index, messages, self.latency);
+        shared.record(Charge::Publish(self.index, messages));
     }
 
     /// Handles a churn-drawn rejoin: the GFA re-enters the overlay (a
@@ -1122,7 +1128,7 @@ impl Gfa {
         shared.metrics.inc(self.index, Counter::Rejoins);
         let join = shared.directory.node_join(self.index);
         let publish = shared.directory.subscribe(Quote::from_spec(self.index, &self.spec));
-        shared.charge_publish(self.index, join + publish, self.latency);
+        shared.record(Charge::Publish(self.index, join + publish));
     }
 
     /// Drives one periodic stabilization round of the overlay: crashed
@@ -1134,7 +1140,7 @@ impl Gfa {
         let messages = shared.directory.stabilize();
         shared.metrics.inc(self.index, Counter::StabilizationRounds);
         shared.metrics.add(self.index, Counter::StabilizationMessages, messages);
-        shared.charge_publish(self.index, messages, self.latency);
+        shared.record(Charge::Publish(self.index, messages));
     }
 
     /// Handles a scripted re-pricing: republishes the access price through
@@ -1147,7 +1153,7 @@ impl Gfa {
         }
         self.spec.price = price;
         let messages = shared.directory.update_price(self.index, price);
-        shared.charge_publish(self.index, messages, self.latency);
+        shared.record(Charge::Publish(self.index, messages));
     }
 }
 

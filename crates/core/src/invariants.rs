@@ -31,8 +31,11 @@
 //!    per-job message totals finalised) and no job record is emitted twice.
 //!    This is what the unreliable transport's receiver-side dedup windows
 //!    guarantee: a duplicated completion delivery that slipped past them
-//!    would double-conclude its job (and double-charge the origin) and trip
-//!    this check at the exact event that caused it.
+//!    would double-conclude its job (and double-charge the origin).  The
+//!    conclusion half is checked at the write itself: the accounting fold
+//!    calls [`InvariantSentry::note_concluded`] for every
+//!    `Charge::Concluded`, so the duplicate charge panics where it is
+//!    recorded; the record half is checked by the per-event sweep.
 //! 10. **Dedup-window monotonicity** — the receiver dedup windows of the
 //!     network fault layer only slide forward (their base-sequence sum never
 //!     decreases); a rewound window would re-admit envelopes it already
@@ -52,7 +55,7 @@
 //! `AnyDirectory::corrupt_serve_departed`,
 //! `AnyDirectory::corrupt_finger`,
 //! `SharedState::corrupt_replay_message`,
-//! `NetState::corrupt_dedup_rewind`, the event-time corruptor in
+//! `DedupWindow::corrupt_rewind`, the event-time corruptor in
 //! `grid-des` — exist so the test suite can prove each check actually
 //! fires.
 
@@ -86,11 +89,8 @@ pub struct InvariantSentry {
     /// Dedup-window base sum of the network fault layer at the previous
     /// check (0 while the reliable transport is in use).
     last_dedup_base: u64,
-    /// Jobs already seen concluded in the ledger's per-job totals; the scan
-    /// is incremental (the list is append-only), so each check is O(new).
+    /// Jobs already concluded, as noted by the accounting fold.
     seen_concluded: BTreeSet<JobId>,
-    /// Per-job ledger entries scanned so far.
-    scanned_concluded: usize,
     /// Job ids already seen in the emitted record stream.
     seen_records: BTreeSet<JobId>,
     /// Job records scanned so far.
@@ -110,6 +110,18 @@ impl InvariantSentry {
     #[must_use]
     pub fn checks(&self) -> u64 {
         self.checks
+    }
+
+    /// Notes that `job` concluded (its per-job message totals were charged).
+    ///
+    /// # Panics
+    /// Panics if `job` already concluded.
+    pub fn note_concluded(&mut self, job: JobId) {
+        assert!(
+            self.seen_concluded.insert(job),
+            "job {job} concluded twice: a duplicated delivery slipped past \
+             the dedup window and double-finalised its per-job message totals"
+        );
     }
 
     /// Asserts every invariant against the shared state as of `now`,
@@ -208,15 +220,6 @@ impl InvariantSentry {
         );
         self.last_audit_entries = audit_entries;
 
-        for &(job, _) in &ledger.per_job()[self.scanned_concluded..] {
-            assert!(
-                self.seen_concluded.insert(job),
-                "job {job} concluded twice at t={now}: a duplicated delivery \
-                 slipped past the dedup window and double-finalised its \
-                 per-job message totals"
-            );
-        }
-        self.scanned_concluded = ledger.per_job().len();
         for record in &jobs[self.scanned_records..] {
             assert!(
                 self.seen_records.insert(record.id),

@@ -4,6 +4,10 @@
 //! economy-driven super-scheduling system that couples autonomous clusters
 //! into a *Grid-Federation*.
 //!
+//! * [`accounting`] — the one accounting write path: every message,
+//!   directory and publish charge, job conclusion, payment and job outcome
+//!   is a [`Charge`] folded by [`SharedState::record`] into the message
+//!   ledger, the audit chains, the GridBank and the job records at once.
 //! * [`economy`] — the commodity-market pricing function (Eq. 5–6) and the
 //!   GridBank credit service that accumulates resource-owner incentives.
 //! * [`messages`] — the negotiate / reply / job-submission / job-completion
@@ -61,6 +65,7 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod accounting;
 pub mod audit;
 pub mod economy;
 pub mod federation;
@@ -70,6 +75,7 @@ pub mod invariants;
 pub mod messages;
 pub mod metrics;
 
+pub use accounting::Charge;
 pub use audit::{AuditLedger, RunDigest};
 pub use economy::{apply_commodity_pricing, quote_price, ChargingPolicy, GridBank, PAPER_ACCESS_PRICE};
 pub use federation::{
@@ -78,10 +84,7 @@ pub use federation::{
 };
 pub use grid_des::{Jitter, NetworkFaultConfig};
 pub use grid_directory::{CacheStats, DirectoryBackend};
-pub use grid_obs::{
-    Counter, FSum, HistId, MetricsRegistry, PercentileSummary, ProfileTable, Quantiles,
-    SpanCollector,
-};
+pub use grid_obs::{Counter, FSum, HistId, MetricsRegistry, ProfileTable, Quantiles, SpanCollector};
 pub use gfa::Gfa;
 #[cfg(feature = "invariants")]
 pub use invariants::InvariantSentry;

@@ -17,6 +17,11 @@
 //! through a per-job [`grid_directory::RankCursor`] backed by a per-GFA
 //! quote cache, charging exactly what the query-per-rank oracle charges
 //! (asserted bit-identical by the differential tests).
+//!
+//! The ledger keeps per-GFA and federation-wide totals only.  A job's own
+//! totals live on its [`crate::metrics::JobRecord`], and
+//! [`crate::metrics::FederationReport::per_job_summary`] summarises them;
+//! every write arrives through [`crate::federation::SharedState::record`].
 
 use grid_workload::{Job, JobId};
 
@@ -224,8 +229,8 @@ impl GfaMessageCounters {
 /// For every accountable message exchanged between the origin GFA `k` and a
 /// candidate/executing GFA `m`:
 ///
-/// * the per-job counter of the job is incremented once (a message is one
-///   message, no matter how many parties look at it),
+/// * the federation total is incremented once (a message is one message,
+///   no matter how many parties look at it),
 /// * GFA `k` records one **local** message,
 /// * GFA `m` (if different from `k`) records one **remote** message.
 ///
@@ -236,8 +241,6 @@ impl GfaMessageCounters {
 #[derive(Debug, Clone, Default)]
 pub struct MessageLedger {
     per_gfa: Vec<GfaMessageCounters>,
-    per_job_messages: Vec<(JobId, u32)>,
-    per_job_directory: Vec<(JobId, u32)>,
     total: u64,
     directory_total: u64,
     directory_seconds: f64,
@@ -251,8 +254,6 @@ impl MessageLedger {
     pub fn new(n: usize) -> Self {
         MessageLedger {
             per_gfa: vec![GfaMessageCounters::default(); n],
-            per_job_messages: Vec::new(),
-            per_job_directory: Vec::new(),
             total: 0,
             directory_total: 0,
             directory_seconds: 0.0,
@@ -320,37 +321,10 @@ impl MessageLedger {
         self.publish_seconds += seconds;
     }
 
-    /// Records the final per-job message counts once the job's scheduling
-    /// concluded (accepted somewhere or dropped): `messages` negotiation
-    /// messages and `directory_messages` directory messages.
-    pub fn finish_job(&mut self, job: JobId, messages: u32, directory_messages: u32) {
-        self.per_job_messages.push((job, messages));
-        self.per_job_directory.push((job, directory_messages));
-    }
-
     /// Counters of one GFA.
     #[must_use]
     pub fn gfa(&self, idx: usize) -> &GfaMessageCounters {
         &self.per_gfa[idx]
-    }
-
-    /// Counters of all GFAs.
-    #[must_use]
-    pub fn all_gfas(&self) -> &[GfaMessageCounters] {
-        &self.per_gfa
-    }
-
-    /// Per-job negotiation message counts, in completion order.
-    #[must_use]
-    pub fn per_job(&self) -> &[(JobId, u32)] {
-        &self.per_job_messages
-    }
-
-    /// Per-job directory message counts, in completion order (parallel to
-    /// [`Self::per_job`]).
-    #[must_use]
-    pub fn per_job_directory(&self) -> &[(JobId, u32)] {
-        &self.per_job_directory
     }
 
     /// Total number of accountable negotiation messages exchanged in the
@@ -391,30 +365,6 @@ impl MessageLedger {
         self.publish_seconds
     }
 
-    fn summary(entries: &[(JobId, u32)]) -> (u32, f64, u32) {
-        if entries.is_empty() {
-            return (0, 0.0, 0);
-        }
-        let min = entries.iter().map(|(_, m)| *m).min().unwrap_or(0);
-        let max = entries.iter().map(|(_, m)| *m).max().unwrap_or(0);
-        let sum: u64 = entries.iter().map(|(_, m)| u64::from(*m)).sum();
-        (min, sum as f64 / entries.len() as f64, max)
-    }
-
-    /// (min, mean, max) negotiation messages per job, or zeros if no job
-    /// finished.
-    #[must_use]
-    pub fn per_job_summary(&self) -> (u32, f64, u32) {
-        Self::summary(&self.per_job_messages)
-    }
-
-    /// (min, mean, max) directory messages per job, or zeros if no job
-    /// finished.
-    #[must_use]
-    pub fn per_job_directory_summary(&self) -> (u32, f64, u32) {
-        Self::summary(&self.per_job_directory)
-    }
-
     /// (min, mean, max) of per-GFA total (local + remote) message counts.
     #[must_use]
     pub fn per_gfa_summary(&self) -> (u64, f64, u64) {
@@ -433,10 +383,6 @@ impl MessageLedger {
 mod tests {
     use super::*;
 
-    fn jid(origin: usize, seq: usize) -> JobId {
-        JobId { origin, seq }
-    }
-
     #[test]
     fn remote_messages_count_at_both_sides() {
         let mut ledger = MessageLedger::new(3);
@@ -446,7 +392,6 @@ mod tests {
         // Accepted: dispatch + completion.
         ledger.record(MessageType::JobSubmission, 0, 2);
         ledger.record(MessageType::JobCompletion, 0, 2);
-        ledger.finish_job(jid(0, 0), 4, 0);
 
         assert_eq!(ledger.gfa(0).local, 4);
         assert_eq!(ledger.gfa(0).remote, 0);
@@ -454,7 +399,6 @@ mod tests {
         assert_eq!(ledger.gfa(2).local, 0);
         assert_eq!(ledger.gfa(1).total(), 0);
         assert_eq!(ledger.total_messages(), 4);
-        assert_eq!(ledger.per_job_summary(), (4, 4.0, 4));
         assert_eq!(ledger.per_gfa_summary(), (0, 8.0 / 3.0, 4));
     }
 
@@ -463,25 +407,23 @@ mod tests {
         let mut ledger = MessageLedger::new(2);
         ledger.record(MessageType::Negotiate, 1, 1);
         ledger.record(MessageType::Reply, 1, 1);
-        ledger.finish_job(jid(1, 0), 2, 0);
         assert_eq!(ledger.gfa(1).local, 2);
         assert_eq!(ledger.gfa(1).remote, 0);
         assert_eq!(ledger.total_messages(), 2);
     }
 
     #[test]
-    fn per_job_and_per_gfa_summaries() {
-        let mut ledger = MessageLedger::new(2);
-        ledger.finish_job(jid(0, 0), 2, 3);
-        ledger.finish_job(jid(0, 1), 6, 5);
-        ledger.finish_job(jid(1, 0), 4, 4);
-        let (min, mean, max) = ledger.per_job_summary();
-        assert_eq!((min, max), (2, 6));
-        assert!((mean - 4.0).abs() < 1e-12);
-        // Empty ledger edge cases.
-        let empty = MessageLedger::new(0);
-        assert_eq!(empty.per_gfa_summary(), (0, 0.0, 0));
-        assert_eq!(MessageLedger::new(1).per_job_summary(), (0, 0.0, 0));
+    fn per_gfa_summary_is_min_mean_max() {
+        let mut ledger = MessageLedger::new(3);
+        ledger.record(MessageType::Negotiate, 0, 1);
+        ledger.record(MessageType::Reply, 0, 1);
+        ledger.record(MessageType::Negotiate, 2, 2);
+        // GFA 0 and 1 each see two messages, GFA 2 one.
+        let (min, mean, max) = ledger.per_gfa_summary();
+        assert_eq!((min, max), (1, 2));
+        assert!((mean - 5.0 / 3.0).abs() < 1e-12);
+        // Empty ledger edge case.
+        assert_eq!(MessageLedger::new(0).per_gfa_summary(), (0, 0.0, 0));
     }
 
     #[test]
@@ -515,8 +457,6 @@ mod tests {
         ledger.record(MessageType::Reply, 0, 1);
         ledger.record_directory(0, 3, 0.15);
         ledger.record_directory(1, 5, 0.25);
-        ledger.finish_job(jid(0, 0), 2, 3);
-        ledger.finish_job(jid(1, 0), 0, 5);
 
         // Negotiation counters are untouched by directory traffic.
         assert_eq!(ledger.total_messages(), 2);
@@ -525,12 +465,7 @@ mod tests {
         assert_eq!(ledger.gfa(1).directory, 5);
         assert_eq!(ledger.directory_messages(), 8);
         assert!((ledger.directory_seconds() - 0.40).abs() < 1e-12);
-        // Per-job views are parallel and separately summarised.
-        assert_eq!(ledger.per_job().len(), ledger.per_job_directory().len());
-        assert_eq!(ledger.per_job_directory_summary(), (3, 4.0, 5));
-        assert_eq!(ledger.per_job_summary(), (0, 1.0, 2));
         // Empty ledger edge case.
-        assert_eq!(MessageLedger::new(1).per_job_directory_summary(), (0, 0.0, 0));
         assert_eq!(MessageLedger::new(1).directory_messages(), 0);
     }
 

@@ -293,16 +293,15 @@ impl FederationReport {
         })
     }
 
-    /// Average directory messages per ranking query (routed lookups and
-    /// cursor advances combined).  See
-    /// [`Self::directory_avg_route_messages`] for the pure routing cost.
+    /// (min, mean, max) of a per-job message count over the job records —
+    /// `|j| j.messages` (Fig. 10) or `|j| j.directory_messages` — or zeros
+    /// without jobs.  The mean is the exact integer sum over the job count.
     #[must_use]
-    pub fn avg_directory_messages_per_query(&self) -> f64 {
-        if self.directory_queries == 0 {
-            0.0
-        } else {
-            self.messages.directory_messages() as f64 / self.directory_queries as f64
-        }
+    pub fn per_job_summary(&self, count: impl Fn(&JobRecord) -> u32) -> (u32, f64, u32) {
+        let counts = || self.jobs.iter().map(&count);
+        let sum: u64 = counts().map(u64::from).sum();
+        let mean = if self.jobs.is_empty() { 0.0 } else { sum as f64 / self.jobs.len() as f64 };
+        (counts().min().unwrap_or(0), mean, counts().max().unwrap_or(0))
     }
 
     /// Average publish-side directory messages per GFA.
@@ -494,6 +493,9 @@ mod tests {
         // QoS satisfaction: job at origin 1 finished after its deadline and
         // over budget → 2 of 3 accepted jobs satisfied.
         assert!((rep.qos_satisfaction_rate() - 2.0 / 3.0).abs() < 1e-12);
+        // Per-job message summaries over the four records.
+        assert_eq!(rep.per_job_summary(|j| j.messages), (4, 5.0, 8));
+        assert_eq!(rep.per_job_summary(|j| j.directory_messages), (2, 3.0, 6));
     }
 
     #[test]
@@ -521,6 +523,7 @@ mod tests {
         assert_eq!(rep.federation_avg_budget_spent(false), 0.0);
         assert_eq!(rep.mean_utilization_percent(), 0.0);
         assert_eq!(rep.avg_budget_spent(3, false), 0.0);
+        assert_eq!(rep.per_job_summary(|j| j.messages), (0, 0.0, 0));
     }
 
     #[test]

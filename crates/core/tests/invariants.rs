@@ -11,7 +11,7 @@ use grid_cluster::ResourceSpec;
 use grid_des::DedupWindow;
 use grid_directory::{AnyDirectory, FederationDirectory, Quote};
 use grid_federation_core::{
-    run_federation, AuditLedger, ChurnConfig, Counter, DirectoryBackend, ExecutionOutcome,
+    run_federation, AuditLedger, Charge, ChurnConfig, Counter, DirectoryBackend, ExecutionOutcome,
     FederationConfig, GridBank, InvariantSentry, JobRecord, MessageLedger, MessageType,
     MetricsRegistry, SchedulingMode, SharedState,
 };
@@ -281,13 +281,14 @@ fn shared_with_one_job() -> SharedState {
         jobs: Vec::new(),
         audit: AuditLedger::new(2),
         net: None,
+        latency: 0.05,
         metrics: MetricsRegistry::new(2),
         tracer: None,
         invariants: InvariantSentry::new(),
     };
     let id = JobId { origin: 0, seq: 0 };
-    shared.conclude_job(id, 4, 2);
-    shared.push_job_record(JobRecord {
+    shared.record(Charge::Concluded(id, 4, 2));
+    shared.record(Charge::Outcome(JobRecord {
         id,
         origin: 0,
         strategy: Strategy::Ofc,
@@ -300,7 +301,7 @@ fn shared_with_one_job() -> SharedState {
         messages: 4,
         directory_messages: 2,
         outcome: ExecutionOutcome::Rejected,
-    });
+    }));
     shared
 }
 
@@ -308,28 +309,11 @@ fn shared_with_one_job() -> SharedState {
 #[should_panic(expected = "concluded twice")]
 fn replayed_delivery_fires_at_most_once_conclude() {
     let mut shared = shared_with_one_job();
-    let mut sentry = InvariantSentry::new();
-    sentry.check(
-        0.0,
-        &shared.bank,
-        &shared.ledger,
-        &shared.directory,
-        &shared.audit,
-        &shared.jobs,
-        None,
-    );
     // The corrupting double replays the last concluded job, exactly as a
-    // duplicated completion delivery slipping past the dedup window would.
+    // duplicated completion delivery slipping past the dedup window would;
+    // the accounting fold's at-most-once check panics at the duplicate
+    // charge itself, before any per-event sweep.
     shared.corrupt_replay_message();
-    sentry.check(
-        1.0,
-        &shared.bank,
-        &shared.ledger,
-        &shared.directory,
-        &shared.audit,
-        &shared.jobs,
-        None,
-    );
 }
 
 #[test]
@@ -337,8 +321,8 @@ fn replayed_delivery_fires_at_most_once_conclude() {
 fn duplicated_record_fires_at_most_once_record() {
     let shared = shared_with_one_job();
     let mut sentry = InvariantSentry::new();
-    // Same record id twice in the record stream, with the per-job ledger
-    // totals untouched: only the record-side scan can catch this one.
+    // Same record id twice in the record stream, with no second conclusion
+    // charged: only the record-side scan can catch this one.
     let mut jobs = shared.jobs.clone();
     jobs.push(jobs[0].clone());
     sentry.check(

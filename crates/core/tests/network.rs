@@ -6,7 +6,7 @@
 //! dedup keep every job outcome and balance **bit-identical** to the
 //! lossless run, with the retransmit traffic visible in the ledgers.
 
-use grid_cluster::ResourceSpec;
+use grid_cluster::{replicated_resources, ResourceSpec};
 use grid_federation_core::{
     run_federation, Counter, DirectoryBackend, FederationConfig, FederationReport, Jitter,
     NetworkFaultConfig, SchedulingMode,
@@ -91,6 +91,24 @@ fn inactive_network_config_is_digest_identical_to_none() {
         );
         assert_eq!(baseline.metrics, inactive.metrics, "{backend:?}");
     }
+}
+
+/// The initial quote publish is pre-run setup, so a lossy network leaves a
+/// job-free MAAN run's publish traffic and digest exactly as on the
+/// reliable transport.
+#[test]
+fn setup_publish_is_never_faulted() {
+    let run_setup = |network| {
+        let resources = replicated_resources(16).into_iter().map(|r| r.spec).collect();
+        let directory = DirectoryBackend::Maan;
+        run_federation(resources, vec![Vec::new(); 16], FederationConfig { directory, network, ..FederationConfig::default() })
+    };
+    let reliable = run_setup(None);
+    let lossy = run_setup(Some(NetworkFaultConfig { drop: 0.5, ..NetworkFaultConfig::default() }));
+    assert!(reliable.messages.publish_messages() > 0, "MAAN routes its initial publish");
+    assert_eq!(lossy.messages.publish_messages(), reliable.messages.publish_messages());
+    assert_eq!(lossy.metrics.counter(Counter::NetPublishRetransmissions), 0);
+    assert_eq!(lossy.digest, reliable.digest);
 }
 
 /// The headline claim: under moderate faults (2% loss, exponential jitter,

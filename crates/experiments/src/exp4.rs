@@ -111,12 +111,7 @@ mod tests {
         let s = sweep();
         for report in &s.reports {
             let per_gfa_local: u64 = (0..8).map(|i| report.messages.gfa(i).local).sum();
-            let per_job: u64 = report
-                .messages
-                .per_job()
-                .iter()
-                .map(|(_, m)| u64::from(*m))
-                .sum();
+            let per_job: u64 = report.jobs.iter().map(|j| u64::from(j.messages)).sum();
             // Every accountable message is attributed to exactly one origin
             // (locally) and to exactly one job.
             assert_eq!(per_gfa_local, report.messages.total_messages());

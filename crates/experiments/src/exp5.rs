@@ -164,9 +164,9 @@ fn extract_series(report: &FederationReport, series: Series, stat: Stat) -> f64 
     match series {
         Series::JobNegotiation | Series::JobDirectory => {
             let (min, avg, max) = if series == Series::JobNegotiation {
-                report.messages.per_job_summary()
+                report.per_job_summary(|j| j.messages)
             } else {
-                report.messages.per_job_directory_summary()
+                report.per_job_summary(|j| j.directory_messages)
             };
             match stat {
                 Stat::Min => f64::from(min),
@@ -455,7 +455,7 @@ mod tests {
             assert_eq!(ja.messages, jb.messages, "job {} negotiation traffic diverged", ja.id);
         }
         assert_eq!(a.messages.total_messages(), b.messages.total_messages());
-        assert_eq!(a.messages.per_job_summary(), b.messages.per_job_summary());
+        assert_eq!(a.per_job_summary(|j| j.messages), b.per_job_summary(|j| j.messages));
         for i in 0..a.resources.len() {
             assert!((a.bank.earnings(i) - b.bank.earnings(i)).abs() < 1e-9);
             assert_eq!(a.resources[i].accepted, b.resources[i].accepted);

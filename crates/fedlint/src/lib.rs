@@ -19,6 +19,7 @@
 //! | `unbounded-retry` | sim crates | a retry/retransmit counter incremented with no bounded policy in sight |
 //! | `adhoc-print` | sim crates | `println!`/`eprintln!`/`dbg!` outside the obs layer and test code |
 //! | `bare-allow` | whole workspace | an allow escape whose comment does not name the invariant it waives |
+//! | `single-charge-path` | sim crates but `accounting.rs` | writing the message ledger, audit chains, bank or job records outside the accounting fold |
 //!
 //! The *sim crates* — `grid-des`, `grid-cluster`, `grid-federation-core`,
 //! `grid-directory` — are the ones whose behaviour feeds the rendered paper
@@ -80,11 +81,13 @@ pub enum Rule {
     /// A `fedlint: allow(...)` escape whose surrounding comment never names
     /// the invariant it waives.  Cannot itself be allow-listed.
     BareAllow,
+    /// A sim-crate write to an accounting store outside the accounting fold.
+    SingleChargePath,
 }
 
 impl Rule {
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 10] = [
+    pub const ALL: [Rule; 11] = [
         Rule::HashIteration,
         Rule::WallClock,
         Rule::FloatSort,
@@ -95,6 +98,7 @@ impl Rule {
         Rule::UnboundedRetry,
         Rule::AdhocPrint,
         Rule::BareAllow,
+        Rule::SingleChargePath,
     ];
 
     /// The kebab-case id used in reports and `fedlint: allow(...)` escapes.
@@ -111,6 +115,7 @@ impl Rule {
             Rule::UnboundedRetry => "unbounded-retry",
             Rule::AdhocPrint => "adhoc-print",
             Rule::BareAllow => "bare-allow",
+            Rule::SingleChargePath => "single-charge-path",
         }
     }
 
@@ -158,6 +163,7 @@ impl Rule {
             Rule::BareAllow => {
                 "an allow escape is a waived invariant; its comment block must say why the invariant holds here, and the waiver itself cannot be waived"
             }
+            Rule::SingleChargePath => "the ledger, audit chains, bank and job records are views of one charge stream; record a Charge through SharedState::record so they cannot drift apart",
         }
     }
 
@@ -178,6 +184,7 @@ impl Rule {
             Rule::UnboundedRetry => &["bound", "cap", "budget", "finite", "max"],
             Rule::AdhocPrint => &["diagnostic", "metric", "registry", "obs", "report"],
             Rule::BareAllow => &[],
+            Rule::SingleChargePath => &["charge", "fold", "accounting", "drift"],
         }
     }
 }
@@ -609,6 +616,10 @@ const WALL_CLOCK_TOKENS: [&str; 3] = ["Instant::now", "SystemTime", "thread::spa
 /// `println!`.
 const ADHOC_PRINT_MACROS: [&str; 3] = ["println!", "eprintln!", "dbg!"];
 
+/// Writes to the ledger, audit chains, bank and job records, which only
+/// `crates/core/src/accounting.rs` may make.
+const ACCOUNTING_WRITES: [&str; 4] = [".ledger.record", ".audit.record", ".bank.pay(", ".jobs.push("];
+
 /// Item keywords that `undocumented-pub` recognises after `pub `.
 const PUB_ITEM_KEYWORDS: [&str; 11] = [
     "fn", "struct", "enum", "trait", "mod", "const", "static", "type", "union", "async", "unsafe",
@@ -821,6 +832,19 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<Finding> {
                     message: format!(
                         "`{mac}` in a sim crate — route run telemetry through the grid-obs metrics registry or trace sinks instead of ad-hoc output"
                     ),
+                });
+            }
+        }
+
+        // --- hygiene: single-charge-path -----------------------------------
+        let fold = rel_path == "crates/core/src/accounting.rs";
+        if class.sim && !in_test && !fold && !suppressed(Rule::SingleChargePath) {
+            if let Some(write) = ACCOUNTING_WRITES.iter().find(|w| code.contains(*w)) {
+                findings.push(Finding {
+                    file: rel_path.to_string(),
+                    line: line_no,
+                    rule: Rule::SingleChargePath,
+                    message: format!("`{write}` bypasses the fold — record a `Charge` through `SharedState::record`"),
                 });
             }
         }

@@ -38,7 +38,7 @@ fn main() -> ExitCode {
         }
         Some("rules") => {
             for rule in Rule::ALL {
-                println!("{:<17} {}", rule.id(), rule.rationale());
+                println!("{:<18} {}", rule.id(), rule.rationale());
             }
             ExitCode::SUCCESS
         }

@@ -255,3 +255,14 @@ fn workspace_scans_clean() {
             .join("\n")
     );
 }
+
+#[test]
+fn single_charge_path_fires_on_fixture() {
+    let src = include_str!("fixtures/single_charge_path.rs");
+    let path = "crates/core/src/fixture.rs";
+    assert_eq!(lines(path, src, Rule::SingleChargePath), vec![3, 4, 5, 6]);
+    assert_eq!(other_rules(path, src, Rule::SingleChargePath), vec![]);
+    // The fold itself and non-sim crates may write the stores.
+    assert_eq!(lines("crates/core/src/accounting.rs", src, Rule::SingleChargePath), vec![]);
+    assert_eq!(lines("crates/experiments/src/fixture.rs", src, Rule::SingleChargePath), vec![]);
+}

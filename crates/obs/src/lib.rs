@@ -35,6 +35,6 @@ pub mod metrics;
 pub mod profile;
 pub mod trace;
 
-pub use metrics::{Counter, FSum, HistId, Histogram, MetricsRegistry, PercentileSummary, Quantiles};
+pub use metrics::{Counter, FSum, HistId, Histogram, MetricsRegistry, Quantiles};
 pub use profile::{HandlerProfiler, ProfileEntry, ProfileTable};
 pub use trace::SpanCollector;

@@ -343,22 +343,6 @@ impl Quantiles {
     }
 }
 
-/// The percentile panel surfaced on `FederationReport`: one [`Quantiles`]
-/// row per run-scope histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PercentileSummary {
-    /// Job wait (seconds to execution start).
-    pub wait: Quantiles,
-    /// Job slowdown (response time / service time).
-    pub slowdown: Quantiles,
-    /// Negotiation + directory messages per concluded job.
-    pub negotiation_messages: Quantiles,
-    /// Directory lookup latency (simulated seconds).
-    pub lookup_latency: Quantiles,
-    /// LRMS queue depth at event boundaries.
-    pub queue_depth: Quantiles,
-}
-
 /// One scope's counters and accumulators (the run scope and each GFA hold
 /// one of these; histograms are run-scope only).
 #[derive(Debug, Clone, PartialEq)]
@@ -460,18 +444,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn quantiles(&self, hist: HistId) -> Quantiles {
         Quantiles::of(self.hist(hist))
-    }
-
-    /// The full percentile panel.
-    #[must_use]
-    pub fn percentiles(&self) -> PercentileSummary {
-        PercentileSummary {
-            wait: self.quantiles(HistId::JobWait),
-            slowdown: self.quantiles(HistId::JobSlowdown),
-            negotiation_messages: self.quantiles(HistId::NegotiationMessages),
-            lookup_latency: self.quantiles(HistId::DirectoryLookupLatency),
-            queue_depth: self.quantiles(HistId::QueueDepth),
-        }
     }
 
     /// Serialises the registry as the metrics JSON artifact:

@@ -27,7 +27,7 @@ fn main() {
             setup.workloads,
             FederationConfig::with_mode(SchedulingMode::Economy),
         );
-        let (_, per_job, _) = report.messages.per_job_summary();
+        let (_, per_job, _) = report.per_job_summary(|j| j.messages);
 
         println!(
             "{:>6} {:>10} {:>16.2} {:>16}",

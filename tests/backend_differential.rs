@@ -5,8 +5,6 @@
 //! in directory/publish message counts and the simulated lookup latency
 //! those messages account.
 
-use std::collections::BTreeMap;
-
 use grid_experiments::exp6::DEFAULT_LEVELS;
 use grid_experiments::workloads::{paper_workloads, WorkloadOptions};
 use grid_federation_core::federation::{run_federation, FederationConfig, SchedulingMode};
@@ -91,9 +89,9 @@ fn backends_differ_only_in_directory_traffic() {
     }
     assert!(ideal.bank.is_balanced() && maan.bank.is_balanced());
 
-    // Negotiation traffic is identical at every granularity…
+    // Negotiation traffic is identical at every granularity (per job in
+    // the record loop above)…
     assert_eq!(ideal.messages.total_messages(), maan.messages.total_messages());
-    assert_eq!(ideal.messages.per_job(), maan.messages.per_job());
     assert_eq!(ideal.messages.per_gfa_summary(), maan.messages.per_gfa_summary());
 
     // …while directory (and, for MAAN, publish) traffic is where the
@@ -180,10 +178,11 @@ fn departures_are_outcome_identical_across_backends() {
     );
 }
 
-/// The per-job tallies in the job records, the message ledger and the
-/// metrics registry are three views of one charge stream, so they must
-/// agree exactly — on every backend, with and without scripted repricings,
-/// churn (k = 2, MAAN only) and moderate network faults.
+/// The per-job tallies in the job records, the message ledger's class
+/// totals and the metrics registry's fault counters are views of one charge
+/// stream, so they must agree exactly — on every backend, with and without
+/// scripted repricings, churn (k = 2, MAAN only) and moderate network
+/// faults.
 #[test]
 fn job_records_ledger_and_registry_agree() {
     let options = WorkloadOptions::quick();
@@ -218,16 +217,6 @@ fn job_records_ledger_and_registry_agree() {
                 );
                 let case = format!("{backend:?} reprice={reprice} churn={churn} faults={faults}");
                 let ledger = &report.messages;
-                let negotiation: BTreeMap<_, _> = ledger.per_job().iter().copied().collect();
-                let directory: BTreeMap<_, _> =
-                    ledger.per_job_directory().iter().copied().collect();
-                assert_eq!(negotiation.len(), report.jobs.len(), "{case}: one entry per job");
-                assert_eq!(directory.len(), report.jobs.len(), "{case}");
-                for job in &report.jobs {
-                    let id = job.id;
-                    assert_eq!(negotiation[&id], job.messages, "{case}: job {id}");
-                    assert_eq!(directory[&id], job.directory_messages, "{case}: job {id}");
-                }
                 let count = |c| report.metrics.counter(c);
                 assert_eq!(count(Counter::NetEnveloped) > 0, faults, "{case}: fault layer");
                 let departures = count(Counter::Crashes) + count(Counter::GracefulLeaves);

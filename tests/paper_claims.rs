@@ -159,7 +159,7 @@ fn message_complexity_grows_slowly_with_system_size() {
             .iter()
             .enumerate()
             .map(|(si, _)| {
-                let (_, avg, _) = sweep.reports[si][pi].messages.per_job_summary();
+                let (_, avg, _) = sweep.reports[si][pi].per_job_summary(|j| j.messages);
                 avg
             })
             .collect();

@@ -157,15 +157,9 @@ proptest! {
         let per_origin_local: u64 = (0..economy.resources.len())
             .map(|i| economy.messages.gfa(i).local)
             .sum();
-        let per_job_total: u64 = economy
-            .messages
-            .per_job()
-            .iter()
-            .map(|(_, m)| u64::from(*m))
-            .sum();
+        let per_job_total: u64 = economy.jobs.iter().map(|j| u64::from(j.messages)).sum();
         prop_assert_eq!(per_origin_local, economy.messages.total_messages());
         prop_assert_eq!(per_job_total, economy.messages.total_messages());
-        prop_assert_eq!(economy.messages.per_job().len(), total_jobs);
 
         // Utilizations are proper fractions.
         for r in economy.resources.iter().chain(independent.resources.iter()) {
