@@ -42,19 +42,6 @@ impl ResourceSpec {
         }
     }
 
-    /// Aggregate compute capacity in MIPS (processors × per-processor speed).
-    #[must_use]
-    pub fn total_mips(&self) -> f64 {
-        f64::from(self.processors) * self.mips
-    }
-
-    /// Price per *delivered* MIPS — the metric a cost-optimising user
-    /// implicitly ranks resources by when all prices follow Eq. 6.
-    #[must_use]
-    pub fn price_per_mips(&self) -> f64 {
-        self.price / self.mips
-    }
-
     /// Returns a copy with a different name, used when replicating the
     /// Table 1 resources to build the larger federations of Experiment 5.
     #[must_use]
@@ -84,8 +71,7 @@ mod tests {
     #[test]
     fn construction_and_derived_quantities() {
         let r = ResourceSpec::new("CTC SP2", 512, 850.0, 2.0, 4.84);
-        assert_eq!(r.total_mips(), 512.0 * 850.0);
-        assert!((r.price_per_mips() - 4.84 / 850.0).abs() < 1e-12);
+        assert_eq!((r.processors, r.mips, r.bandwidth, r.price), (512, 850.0, 2.0, 4.84));
         assert!(format!("{r}").contains("CTC SP2"));
     }
 

@@ -13,7 +13,8 @@ use crate::trace::EventProfiler;
 pub enum RunOutcome {
     /// The future-event list drained completely.
     Exhausted,
-    /// The configured horizon was reached with events still pending.
+    /// The [`Simulation::run_to`] horizon was reached with events still
+    /// pending.
     HorizonReached,
     /// An entity called [`Context::stop`].
     Stopped,
@@ -36,7 +37,6 @@ pub struct Simulation<M, E, S = ()> {
     clock: SimTime,
     stats: SimStats,
     rng: SimRng,
-    horizon: Option<SimTime>,
     max_events: u64,
     /// Installed handler profiler, if any.  The disabled path is a single
     /// `Option` discriminant test per event — measured by the dispatch
@@ -56,18 +56,10 @@ impl<M, E: Entity<M, S>, S> Simulation<M, E, S> {
             clock: SimTime::ZERO,
             stats: SimStats::default(),
             rng: SimRng::derive(seed, u64::MAX),
-            horizon: None,
             max_events: u64::MAX,
             profiler: None,
             started: false,
         }
-    }
-
-    /// Sets a horizon: events with a timestamp strictly greater than `t` are
-    /// never delivered and `run` returns [`RunOutcome::HorizonReached`] when
-    /// the first such event is encountered.
-    pub fn set_horizon(&mut self, t: SimTime) {
-        self.horizon = Some(t);
     }
 
     /// Caps the total number of delivered events (default: unlimited).
@@ -129,29 +121,20 @@ impl<M, E: Entity<M, S>, S> Simulation<M, E, S> {
         self.queue.corrupt_earliest_time(new_time)
     }
 
-    /// Runs until the event list drains, the horizon or event limit is hit,
-    /// or an entity stops the simulation.
+    /// Runs until the event list drains, the event limit is hit, or an
+    /// entity stops the simulation.
     pub fn run(&mut self) -> RunOutcome {
         self.run_until(None)
     }
 
-    /// Runs up to the given time (inclusive); equivalent to setting a horizon
-    /// for this call only.
+    /// Runs up to the given time (inclusive): events with a timestamp
+    /// strictly greater than `until` stay queued, and the call returns
+    /// [`RunOutcome::HorizonReached`] when the first such event is next.
     pub fn run_to(&mut self, until: SimTime) -> RunOutcome {
         self.run_until(Some(until))
     }
 
-    fn effective_horizon(&self, until: Option<SimTime>) -> Option<SimTime> {
-        match (self.horizon, until) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
-        }
-    }
-
-    fn run_until(&mut self, until: Option<SimTime>) -> RunOutcome {
-        let horizon = self.effective_horizon(until);
+    fn run_until(&mut self, horizon: Option<SimTime>) -> RunOutcome {
         let mut stop_requested = false;
 
         if !self.started {
@@ -348,8 +331,7 @@ mod tests {
     fn horizon_stops_delivery() {
         let mut sim = Simulation::new(1, ());
         sim.add_entity(Clocker::new(2.0, 100));
-        sim.set_horizon(SimTime::new(9.0));
-        let outcome = sim.run();
+        let outcome = sim.run_to(SimTime::new(9.0));
         assert_eq!(outcome, RunOutcome::HorizonReached);
         assert_eq!(sim.now(), SimTime::new(9.0));
         assert_eq!(sim.stats().timers_delivered, 4); // t = 2,4,6,8

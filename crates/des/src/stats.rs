@@ -158,12 +158,6 @@ impl RunningStats {
             self.m2 / (self.count - 1) as f64
         }
     }
-
-    /// Sample standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 }
 
 #[cfg(test)]

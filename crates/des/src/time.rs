@@ -40,12 +40,6 @@ impl SimTime {
         SimTime(secs)
     }
 
-    /// Creates a `SimTime` from whole seconds.
-    #[must_use]
-    pub fn from_secs(secs: u64) -> Self {
-        SimTime(secs as f64)
-    }
-
     /// Returns the raw number of seconds.
     #[inline]
     #[must_use]
@@ -177,7 +171,6 @@ mod tests {
     fn construction_and_accessors() {
         let t = SimTime::new(12.5);
         assert_eq!(t.as_secs(), 12.5);
-        assert_eq!(SimTime::from_secs(3).as_secs(), 3.0);
         assert_eq!(SimTime::ZERO.as_secs(), 0.0);
         assert_eq!(SimTime::DAY.as_secs(), 86_400.0);
         assert_eq!(SimTime::HOUR.as_secs(), 3_600.0);

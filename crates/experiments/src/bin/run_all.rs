@@ -4,8 +4,8 @@
 //! Usage: `run_all [--quick] [--out DIR] [--seed N] [--jobs N]`
 //!
 //! `--quick` uses 1/8 of the paper's job counts and a reduced Experiment 5
-//! grid.  `--jobs N` caps the worker pool of the Experiment 5–7 sweeps
-//! (default: all cores); the emitted CSVs are bitwise-identical for every
+//! grid.  `--jobs N` caps the worker pool every experiment's runs share
+//! (default: all cores); every output file is bitwise-identical for every
 //! `--jobs` value.
 //!
 //! Besides the CSVs, the run writes Experiment 1's metrics registry
@@ -20,6 +20,7 @@ use std::rc::Rc;
 
 use grid_experiments::exp5::Stat;
 use grid_experiments::obs::percentile_summary;
+use grid_experiments::scenario::digest_manifest;
 use grid_experiments::summary::HeadlineClaims;
 use grid_experiments::workloads::WorkloadOptions;
 use grid_experiments::{exp1, exp2, exp3, exp4, exp5, exp6, exp7, tables};
@@ -88,7 +89,7 @@ fn main() {
         .expect("write exp1 trace");
 
     eprintln!("[2/7] experiment 2: federation without economy");
-    let e2 = exp2::run(&options);
+    let e2 = exp2::run(&options, jobs);
     exp2::table3(&e2)
         .write_csv(&out.join("table3_federation.csv"))
         .expect("write table3");
@@ -100,18 +101,8 @@ fn main() {
         .expect("write fig2b");
 
     eprintln!("[3/7] experiment 3: economy, 11 population profiles");
-    let sweep = exp3::run(&options);
-    for (name, table) in [
-        ("fig3a_incentive.csv", exp3::figure3a(&sweep)),
-        ("fig3b_remote_jobs.csv", exp3::figure3b(&sweep)),
-        ("fig4_utilization.csv", exp3::figure4(&sweep)),
-        ("fig5_job_processing.csv", exp3::figure5(&sweep)),
-        ("fig6_rejected.csv", exp3::figure6(&sweep)),
-        ("fig7a_response_excl.csv", exp3::figure7a(&sweep)),
-        ("fig7b_budget_excl.csv", exp3::figure7b(&sweep)),
-        ("fig8a_response_incl.csv", exp3::figure8a(&sweep)),
-        ("fig8b_budget_incl.csv", exp3::figure8b(&sweep)),
-    ] {
+    let sweep = exp3::run_sweep(&options, &PopulationProfile::paper_sweep(), jobs);
+    for (name, table) in exp3::tables(&sweep) {
         table.write_csv(&out.join(name)).expect("write exp3 figure");
     }
 
@@ -193,7 +184,7 @@ fn main() {
     }
     let repair = exp7::run_repair_comparison(&options, jobs);
     exp7::assert_repair_acceptance(&repair);
-    for (name, csv) in exp7::render_all_csvs(&fault_sweeps, Some(&repair)) {
+    for (name, csv) in exp7::render_all_csvs(&fault_sweeps, &repair) {
         fs::write(out.join(format!("{name}.csv")), csv).expect("write exp7 table");
     }
 
@@ -202,33 +193,21 @@ fn main() {
     // Re-running with the same options must reproduce this file byte for
     // byte (CI asserts exactly that against the committed copy), which
     // replaces diffing the 30+ CSVs above as the determinism check.
-    let mut manifest = String::new();
-    manifest.push_str(&format!("exp1/independent {}\n", e1.report.digest));
-    manifest.push_str(&format!("exp2/independent {}\n", e2.independent.digest));
-    manifest.push_str(&format!("exp2/federated {}\n", e2.federated.digest));
-    for (profile, report) in sweep.profiles.iter().zip(&sweep.reports) {
-        manifest.push_str(&format!("exp3/{} {}\n", profile.label(), report.digest));
-    }
-    manifest.push_str(&exp5::digest_manifest(&backend_sweeps));
-    manifest.push_str(&exp6::digest_manifest(&churn_sweep));
-    manifest.push_str(&exp7::digest_manifest(&fault_sweeps, Some(&repair)));
+    let headline = || std::iter::once(&e1).chain([&e2.independent, &e2.federated]).chain(&sweep.runs);
+    let manifest = digest_manifest(
+        headline()
+            .chain(backend_sweeps.iter().flat_map(|s| &s.runs))
+            .chain(&churn_sweep.runs)
+            .chain(fault_sweeps.iter().flat_map(|s| &s.runs))
+            .chain([&repair.periodic, &repair.reactive]),
+    );
     fs::write(out.join("MANIFEST_digests.txt"), &manifest).expect("write digest manifest");
 
     // The cross-experiment percentile summary: p50/p90/p99 of every
     // run-scope distribution for each headline report.  Read-only over the
     // registries the runs above already produced — it adds a CSV without
     // perturbing any digest in the manifest.
-    let mut panels: Vec<(String, &grid_federation_core::FederationReport)> = vec![
-        ("exp1/independent".to_string(), &e1.report),
-        ("exp2/independent".to_string(), &e2.independent),
-        ("exp2/federated".to_string(), &e2.federated),
-    ];
-    for (profile, report) in sweep.profiles.iter().zip(&sweep.reports) {
-        panels.push((format!("exp3/{}", profile.label()), report));
-    }
-    let panel_refs: Vec<(&str, &grid_federation_core::FederationReport)> =
-        panels.iter().map(|(label, report)| (label.as_str(), *report)).collect();
-    percentile_summary(&panel_refs)
+    percentile_summary(headline())
         .write_csv(&out.join("percentile_summary.csv"))
         .expect("write percentile summary");
 

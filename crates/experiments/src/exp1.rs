@@ -8,62 +8,52 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use grid_federation_core::federation::{
-    run_federation, FederationBuilder, FederationConfig, SchedulingMode,
-};
-use grid_federation_core::{FederationReport, SpanCollector};
+use grid_federation_core::federation::{FederationBuilder, SchedulingMode};
+use grid_federation_core::SpanCollector;
 use grid_workload::PopulationProfile;
 
 use crate::report::{f2, DataTable};
-use crate::workloads::{paper_workloads, WorkloadOptions};
+use crate::scenario::{Run, Scenario, Workload};
+use crate::workloads::WorkloadOptions;
 
-/// Result of Experiment 1.
-#[derive(Debug, Clone)]
-pub struct Experiment1Result {
-    /// The full federation report of the independent-resources run.
-    pub report: FederationReport,
-}
-
-fn config(options: &WorkloadOptions) -> FederationConfig {
-    FederationConfig {
-        mode: SchedulingMode::Independent,
-        seed: options.seed,
-        utilization_horizon: Some(options.duration),
-        ..FederationConfig::default()
-    }
+/// The independent-resources run on the paper's eight resources.  The
+/// population profile is irrelevant without the economy; the paper's
+/// recommended mix is used so the same workload can be reused elsewhere.
+#[must_use]
+pub fn scenario(options: &WorkloadOptions) -> Scenario {
+    Scenario::new(
+        "exp1/independent",
+        Workload::Paper(PopulationProfile::recommended()),
+        SchedulingMode::Independent,
+        options,
+    )
 }
 
 /// Runs Experiment 1 on the paper's eight resources.
 #[must_use]
-pub fn run(options: &WorkloadOptions) -> Experiment1Result {
-    // The population profile is irrelevant without the economy; the paper's
-    // recommended mix is used so the same workload can be reused elsewhere.
-    let setup = paper_workloads(PopulationProfile::recommended(), options);
-    let report = run_federation(setup.resources, setup.workloads, config(options));
-    Experiment1Result { report }
+pub fn run(options: &WorkloadOptions) -> Run {
+    Run::of(&scenario(options), options)
 }
 
 /// Runs Experiment 1 with a span collector armed: the same run as [`run`]
 /// — digests are bit-identical, the obs-inertness tests pin that — but
 /// every handler's spans land in `tracer`.
 #[must_use]
-pub fn run_traced(
-    options: &WorkloadOptions,
-    tracer: Rc<RefCell<SpanCollector>>,
-) -> Experiment1Result {
-    let setup = paper_workloads(PopulationProfile::recommended(), options);
+pub fn run_traced(options: &WorkloadOptions, tracer: Rc<RefCell<SpanCollector>>) -> Run {
+    let scenario = scenario(options);
+    let setup = scenario.workload.build(options);
     let report = FederationBuilder::new(setup.resources)
         .workloads(setup.workloads)
-        .config(config(options))
+        .config(scenario.config.clone())
         .tracer(tracer)
         .run();
-    Experiment1Result { report }
+    Run { scenario, report }
 }
 
 /// Renders Table 2: per-resource utilization, job counts and
 /// acceptance/rejection rates without federation.
 #[must_use]
-pub fn table2(result: &Experiment1Result) -> DataTable {
+pub fn table2(result: &Run) -> DataTable {
     let mut table = DataTable::new(
         "Table 2: Workload Processing Statistics (Without Federation)",
         &[

@@ -6,47 +6,41 @@
 //! speed.  The comparison against Experiment 1 (Fig. 2) is the paper's
 //! argument that federated sharing raises utilization and acceptance.
 
-use grid_federation_core::federation::{run_federation, FederationConfig, SchedulingMode};
-use grid_federation_core::FederationReport;
+use grid_federation_core::federation::SchedulingMode;
 use grid_workload::PopulationProfile;
 
 use crate::report::{f2, DataTable};
-use crate::workloads::{paper_workloads, WorkloadOptions};
+use crate::scenario::{self, Run, Scenario, Workload};
+use crate::workloads::WorkloadOptions;
 
 /// Result of Experiment 2 (plus the Experiment 1 control for Fig. 2a).
 #[derive(Debug, Clone)]
 pub struct Experiment2Result {
     /// The independent-resources control run.
-    pub independent: FederationReport,
+    pub independent: Run,
     /// The federation-without-economy run.
-    pub federated: FederationReport,
+    pub federated: Run,
 }
 
-/// Runs Experiment 2 (and the Experiment 1 control on the same workload).
+/// The Experiment 1 control and the federation without economy, on the
+/// same workload.
 #[must_use]
-pub fn run(options: &WorkloadOptions) -> Experiment2Result {
-    let profile = PopulationProfile::recommended();
-    let make_config = |mode| FederationConfig {
-        mode,
-        seed: options.seed,
-        utilization_horizon: Some(options.duration),
-        ..FederationConfig::default()
-    };
-    let setup = paper_workloads(profile, options);
-    let independent = run_federation(
-        setup.resources.clone(),
-        setup.workloads.clone(),
-        make_config(SchedulingMode::Independent),
-    );
-    let federated = run_federation(
-        setup.resources,
-        setup.workloads,
-        make_config(SchedulingMode::FederationNoEconomy),
-    );
-    Experiment2Result {
-        independent,
-        federated,
-    }
+pub fn scenarios(options: &WorkloadOptions) -> Vec<Scenario> {
+    let workload = Workload::Paper(PopulationProfile::recommended());
+    vec![
+        Scenario::new("exp2/independent", workload, SchedulingMode::Independent, options),
+        Scenario::new("exp2/federated", workload, SchedulingMode::FederationNoEconomy, options),
+    ]
+}
+
+/// Runs Experiment 2 (and the Experiment 1 control on the same workload)
+/// across at most `jobs` worker threads.
+#[must_use]
+pub fn run(options: &WorkloadOptions, jobs: usize) -> Experiment2Result {
+    let [independent, federated]: [Run; 2] = scenario::run(&scenarios(options), options, jobs)
+        .try_into()
+        .expect("Experiment 2 is two runs");
+    Experiment2Result { independent, federated }
 }
 
 /// Renders Table 3: workload processing statistics with federation.
@@ -66,7 +60,7 @@ pub fn table3(result: &Experiment2Result) -> DataTable {
             "No. of Remote Jobs Processed",
         ],
     );
-    for (i, r) in result.federated.resources.iter().enumerate() {
+    for (i, r) in result.federated.report.resources.iter().enumerate() {
         table.push_row(vec![
             (i + 1).to_string(),
             r.name.clone(),
@@ -92,9 +86,10 @@ pub fn figure2a(result: &Experiment2Result) -> DataTable {
     );
     for (ind, fed) in result
         .independent
+        .report
         .resources
         .iter()
-        .zip(&result.federated.resources)
+        .zip(&result.federated.report.resources)
     {
         table.push_row(vec![
             fed.name.clone(),
@@ -119,7 +114,7 @@ pub fn figure2b(result: &Experiment2Result) -> DataTable {
             "Remote jobs processed",
         ],
     );
-    for r in &result.federated.resources {
+    for r in &result.federated.report.resources {
         table.push_row(vec![
             r.name.clone(),
             r.total_local_jobs.to_string(),
@@ -137,26 +132,25 @@ mod tests {
 
     #[test]
     fn federation_improves_acceptance_and_utilization() {
-        let result = run(&WorkloadOptions::quick());
-        let without = result.independent.mean_acceptance_rate();
-        let with = result.federated.mean_acceptance_rate();
+        let result = run(&WorkloadOptions::quick(), 2);
+        let (independent, federated) = (&result.independent.report, &result.federated.report);
+        let without = independent.mean_acceptance_rate();
+        let with = federated.mean_acceptance_rate();
         assert!(
             with >= without,
             "federation should not lower acceptance ({with:.2} vs {without:.2})"
         );
         // The paper's central claim for Experiment 2: load sharing happens.
-        let migrated: usize = result.federated.resources.iter().map(|r| r.migrated).sum();
+        let migrated: usize = federated.resources.iter().map(|r| r.migrated).sum();
         assert!(migrated > 0, "some jobs should migrate in the federation");
-        let remote: usize = result
-            .federated
+        let remote: usize = federated
             .resources
             .iter()
             .map(|r| r.remote_jobs_processed)
             .sum();
         assert_eq!(migrated, remote, "every migrated job is someone's remote job");
         // Accepted jobs respect their deadline guarantees.
-        assert!(result
-            .federated
+        assert!(federated
             .jobs
             .iter()
             .filter(|j| j.was_accepted())
@@ -165,7 +159,7 @@ mod tests {
 
     #[test]
     fn tables_and_figures_have_eight_rows() {
-        let result = run(&WorkloadOptions::quick());
+        let result = run(&WorkloadOptions::quick(), 2);
         assert_eq!(table3(&result).len(), 8);
         assert_eq!(figure2a(&result).len(), 8);
         assert_eq!(figure2b(&result).len(), 8);

@@ -2,88 +2,74 @@
 //!
 //! The full Grid-Federation with the commodity-market economy is run under
 //! eleven population profiles (OFT share 0 %, 10 %, …, 100 %).  Each profile
-//! is an independent simulation; the sweep fans the runs out across threads
-//! (one run per thread), keeping every individual run single-threaded and
-//! deterministic.
+//! is an independent simulation, so the sweep is a list of scenarios that
+//! the shared runner fans across the worker pool, keeping every individual
+//! run single-threaded and deterministic.
 
-use std::thread;
-
-use grid_federation_core::federation::{run_federation, FederationConfig, SchedulingMode};
+use grid_federation_core::federation::SchedulingMode;
 use grid_federation_core::FederationReport;
 use grid_workload::PopulationProfile;
 
 use crate::report::{f2, sci, DataTable};
-use crate::workloads::{paper_workloads, WorkloadOptions};
+use crate::scenario::{self, Run, Scenario, Workload};
+use crate::workloads::WorkloadOptions;
 
-/// The result of sweeping the population profiles.
+/// The result of sweeping the population profiles: one run per profile, in
+/// sweep order.
 #[derive(Debug, Clone)]
 pub struct ProfileSweep {
-    /// The profiles, in sweep order.
-    pub profiles: Vec<PopulationProfile>,
-    /// One federation report per profile.
-    pub reports: Vec<FederationReport>,
-    /// Names of the resources (shared by all runs).
-    pub resource_names: Vec<String>,
+    /// One run per profile.
+    pub runs: Vec<Run>,
 }
 
 impl ProfileSweep {
     /// The report for a given OFT percentage, if it was part of the sweep.
     #[must_use]
     pub fn report_for(&self, oft_percent: u32) -> Option<&FederationReport> {
-        self.profiles
+        self.runs
             .iter()
-            .position(|p| p.oft_percent == oft_percent)
-            .map(|i| &self.reports[i])
+            .find(|run| run.scenario.workload.profile().oft_percent == oft_percent)
+            .map(|run| &run.report)
+    }
+
+    /// Names of the resources (shared by all runs).
+    pub(crate) fn resource_names(&self) -> impl Iterator<Item = &str> {
+        self.runs
+            .iter()
+            .take(1)
+            .flat_map(|run| run.report.resources.iter().map(|m| m.name.as_str()))
+    }
+
+    /// The profile labels, in sweep order.
+    pub(crate) fn profile_labels(&self) -> impl Iterator<Item = String> + '_ {
+        self.runs.iter().map(|run| run.scenario.workload.profile().label())
     }
 }
 
-/// Runs the economy federation for every profile in `profiles`.
+/// The economy federation of the paper's eight resources under every
+/// profile in `profiles`.
 #[must_use]
-pub fn run_sweep(options: &WorkloadOptions, profiles: &[PopulationProfile]) -> ProfileSweep {
-    let reports: Vec<FederationReport> = thread::scope(|scope| {
-        let handles: Vec<_> = profiles
-            .iter()
-            .map(|profile| {
-                let profile = *profile;
-                scope.spawn(move || {
-                    let setup = paper_workloads(profile, options);
-                    run_federation(
-                        setup.resources,
-                        setup.workloads,
-                        FederationConfig {
-                            mode: SchedulingMode::Economy,
-                            seed: options.seed,
-                            utilization_horizon: Some(options.duration),
-                            ..FederationConfig::default()
-                        },
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("profile run must not panic"))
-            .collect()
-    });
-    let resource_names = reports
-        .first()
-        .map(|r| r.resources.iter().map(|m| m.name.clone()).collect())
-        .unwrap_or_default();
+pub fn scenarios(options: &WorkloadOptions, profiles: &[PopulationProfile]) -> Vec<Scenario> {
+    profiles
+        .iter()
+        .map(|&profile| {
+            let label = format!("exp3/{}", profile.label());
+            Scenario::new(label, Workload::Paper(profile), SchedulingMode::Economy, options)
+        })
+        .collect()
+}
+
+/// Runs the economy federation for every profile in `profiles` across at
+/// most `jobs` worker threads.
+#[must_use]
+pub fn run_sweep(
+    options: &WorkloadOptions,
+    profiles: &[PopulationProfile],
+    jobs: usize,
+) -> ProfileSweep {
     ProfileSweep {
-        profiles: profiles.to_vec(),
-        reports,
-        resource_names,
+        runs: scenario::run(&scenarios(options, profiles), options, jobs),
     }
-}
-
-/// Runs the paper's full eleven-profile sweep.
-#[must_use]
-pub fn run(options: &WorkloadOptions) -> ProfileSweep {
-    run_sweep(options, &PopulationProfile::paper_sweep())
-}
-
-fn profile_columns(sweep: &ProfileSweep) -> Vec<String> {
-    sweep.profiles.iter().map(PopulationProfile::label).collect()
 }
 
 /// Builds a wide table with one row per resource and one column per profile,
@@ -93,13 +79,13 @@ where
     F: Fn(&FederationReport, usize) -> String,
 {
     let mut columns = vec!["Resource".to_string()];
-    columns.extend(profile_columns(sweep));
+    columns.extend(sweep.profile_labels());
     let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
     let mut table = DataTable::new(title, &column_refs);
-    for (res_idx, name) in sweep.resource_names.iter().enumerate() {
-        let mut row = vec![name.clone()];
-        for report in &sweep.reports {
-            row.push(value(report, res_idx));
+    for (res_idx, name) in sweep.resource_names().enumerate() {
+        let mut row = vec![name.to_string()];
+        for run in &sweep.runs {
+            row.push(value(&run.report, res_idx));
         }
         table.push_row(row);
     }
@@ -116,8 +102,8 @@ pub fn figure3a(sweep: &ProfileSweep) -> DataTable {
         |report, i| sci(report.resources[i].incentive),
     );
     let mut total_row = vec!["TOTAL".to_string()];
-    for report in &sweep.reports {
-        total_row.push(sci(report.total_incentive()));
+    for run in &sweep.runs {
+        total_row.push(sci(run.report.total_incentive()));
     }
     table.push_row(total_row);
     table
@@ -157,12 +143,12 @@ pub fn figure5(sweep: &ProfileSweep) -> DataTable {
             "Remote jobs processed",
         ],
     );
-    for (res_idx, name) in sweep.resource_names.iter().enumerate() {
-        for (profile, report) in sweep.profiles.iter().zip(&sweep.reports) {
-            let m = &report.resources[res_idx];
+    for (res_idx, name) in sweep.resource_names().enumerate() {
+        for (profile, run) in sweep.profile_labels().zip(&sweep.runs) {
+            let m = &run.report.resources[res_idx];
             table.push_row(vec![
-                name.clone(),
-                profile.label(),
+                name.to_string(),
+                profile,
                 m.processed_locally.to_string(),
                 m.migrated.to_string(),
                 m.remote_jobs_processed.to_string(),
@@ -225,6 +211,23 @@ pub fn figure8b(sweep: &ProfileSweep) -> DataTable {
     )
 }
 
+/// Every figure of the experiment, as `(file name, table)` pairs in a
+/// stable order.
+#[must_use]
+pub fn tables(sweep: &ProfileSweep) -> [(&'static str, DataTable); 9] {
+    [
+        ("fig3a_incentive.csv", figure3a(sweep)),
+        ("fig3b_remote_jobs.csv", figure3b(sweep)),
+        ("fig4_utilization.csv", figure4(sweep)),
+        ("fig5_job_processing.csv", figure5(sweep)),
+        ("fig6_rejected.csv", figure6(sweep)),
+        ("fig7a_response_excl.csv", figure7a(sweep)),
+        ("fig7b_budget_excl.csv", figure7b(sweep)),
+        ("fig8a_response_incl.csv", figure8a(sweep)),
+        ("fig8b_budget_incl.csv", figure8b(sweep)),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,14 +240,15 @@ mod tests {
                 PopulationProfile::new(50),
                 PopulationProfile::new(100),
             ],
+            2,
         )
     }
 
     #[test]
     fn sweep_produces_one_report_per_profile() {
         let sweep = small_sweep();
-        assert_eq!(sweep.reports.len(), 3);
-        assert_eq!(sweep.resource_names.len(), 8);
+        assert_eq!(sweep.runs.len(), 3);
+        assert_eq!(sweep.resource_names().count(), 8);
         assert!(sweep.report_for(50).is_some());
         assert!(sweep.report_for(40).is_none());
     }

@@ -6,7 +6,6 @@
 
 use crate::exp3::ProfileSweep;
 use crate::report::DataTable;
-use grid_workload::PopulationProfile;
 
 /// Fig. 9(a): remote messages received at each GFA, per population profile.
 #[must_use]
@@ -27,10 +26,10 @@ pub fn figure9c(sweep: &ProfileSweep) -> DataTable {
         "Figure 9(c): Total messages vs. user population profile",
         &["Profile", "Total messages"],
     );
-    for (profile, report) in sweep.profiles.iter().zip(&sweep.reports) {
+    for (profile, run) in sweep.profile_labels().zip(&sweep.runs) {
         table.push_row(vec![
-            profile.label(),
-            report.messages.total_messages().to_string(),
+            profile,
+            run.report.messages.total_messages().to_string(),
         ]);
     }
     table
@@ -41,13 +40,13 @@ where
     F: Fn(&grid_federation_core::GfaMessageCounters) -> u64,
 {
     let mut columns = vec!["Resource".to_string()];
-    columns.extend(sweep.profiles.iter().map(PopulationProfile::label));
+    columns.extend(sweep.profile_labels());
     let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
     let mut table = DataTable::new(title, &column_refs);
-    for (res_idx, name) in sweep.resource_names.iter().enumerate() {
-        let mut row = vec![name.clone()];
-        for report in &sweep.reports {
-            row.push(extract(report.messages.gfa(res_idx)).to_string());
+    for (res_idx, name) in sweep.resource_names().enumerate() {
+        let mut row = vec![name.to_string()];
+        for run in &sweep.runs {
+            row.push(extract(run.report.messages.gfa(res_idx)).to_string());
         }
         table.push_row(row);
     }
@@ -65,6 +64,7 @@ mod tests {
         run_sweep(
             &WorkloadOptions::quick(),
             &[PopulationProfile::new(0), PopulationProfile::new(100)],
+            2,
         )
     }
 
@@ -109,7 +109,7 @@ mod tests {
     #[test]
     fn ledger_totals_are_consistent() {
         let s = sweep();
-        for report in &s.reports {
+        for report in s.runs.iter().map(|run| &run.report) {
             let per_gfa_local: u64 = (0..8).map(|i| report.messages.gfa(i).local).sum();
             let per_job: u64 = report.jobs.iter().map(|j| u64::from(j.messages)).sum();
             // Every accountable message is attributed to exactly one origin

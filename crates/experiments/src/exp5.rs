@@ -16,13 +16,13 @@
 //! quotes, so their job outcomes are bitwise-identical and only the
 //! directory/publish traffic differs.
 
-use grid_federation_core::federation::{run_federation, FederationConfig, SchedulingMode};
+use grid_federation_core::federation::SchedulingMode;
 use grid_federation_core::{DirectoryBackend, FederationReport};
 use grid_workload::PopulationProfile;
 
-use crate::parallel;
 use crate::report::{f2, DataTable};
-use crate::workloads::{replicated_workloads, WorkloadOptions};
+use crate::scenario::{self, Run, Scenario, Workload};
+use crate::workloads::WorkloadOptions;
 
 /// Which summary statistic a panel shows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +48,11 @@ impl Stat {
             Stat::Max => "max",
         }
     }
+
+    /// The panel letter in Fig. 10/11.
+    fn panel(self) -> &'static str {
+        ["a", "b", "c"][self as usize]
+    }
 }
 
 /// The sweep over system sizes and population profiles.
@@ -59,56 +64,43 @@ pub struct ScalabilitySweep {
     pub sizes: Vec<usize>,
     /// Population profiles evaluated at every size.
     pub profiles: Vec<PopulationProfile>,
-    /// `reports[size_index][profile_index]`.
-    pub reports: Vec<Vec<FederationReport>>,
+    /// One run per (size, profile) point, size-major.
+    pub runs: Vec<Run>,
 }
 
 impl ScalabilitySweep {
-    /// The report for a given size and OFT percentage.
+    /// The runs at size index `si`, one per profile.
     #[must_use]
-    pub fn report_for(&self, size: usize, oft_percent: u32) -> Option<&FederationReport> {
-        let si = self.sizes.iter().position(|s| *s == size)?;
-        let pi = self
-            .profiles
-            .iter()
-            .position(|p| p.oft_percent == oft_percent)?;
-        Some(&self.reports[si][pi])
+    pub fn row(&self, si: usize) -> &[Run] {
+        let width = self.profiles.len();
+        &self.runs[si * width..(si + 1) * width]
     }
 }
 
-/// Runs one point of the sweep: the economy federation of `size`
-/// replicated Table 1 clusters under `profile`, served by `backend`.
-///
-/// Every seed the run needs derives from `options.seed` and the
-/// per-resource indices, never from which worker runs the point or when.
+/// The economy federation of every size of replicated Table 1 clusters
+/// under every profile, served by `backend`: size-major, profile-minor.
 #[must_use]
-pub fn run_point(
+pub fn scenarios(
     options: &WorkloadOptions,
-    size: usize,
-    profile: PopulationProfile,
+    sizes: &[usize],
+    profiles: &[PopulationProfile],
     backend: DirectoryBackend,
-) -> FederationReport {
-    let setup = replicated_workloads(size, profile, options);
-    run_federation(
-        setup.resources,
-        setup.workloads,
-        FederationConfig {
-            mode: SchedulingMode::Economy,
-            seed: options.seed,
-            utilization_horizon: Some(options.duration),
-            directory: backend,
-            ..FederationConfig::default()
-        },
-    )
+) -> Vec<Scenario> {
+    sizes
+        .iter()
+        .flat_map(|&size| {
+            profiles.iter().map(move |&profile| {
+                let label = format!("exp5/{}/size{size}/{}", backend.label(), profile.label());
+                Scenario::new(label, Workload::Replicated(size, profile), SchedulingMode::Economy, options)
+                    .with(|config| config.directory = backend)
+            })
+        })
+        .collect()
 }
 
 /// Runs the scalability sweep against one directory backend across at most
-/// `jobs` worker threads ([`parallel::default_jobs`] sizes the pool to the
-/// machine).
-///
-/// Points run size-major, profile-minor through [`run_point`] and are
-/// merged in that order, so the sweep's output is bitwise-identical for any
-/// `jobs` value (asserted by `tests/parallel_determinism.rs`).
+/// `jobs` worker threads ([`crate::parallel::default_jobs`] sizes the pool
+/// to the machine).
 #[must_use]
 pub fn run_sweep(
     options: &WorkloadOptions,
@@ -117,22 +109,11 @@ pub fn run_sweep(
     backend: DirectoryBackend,
     jobs: usize,
 ) -> ScalabilitySweep {
-    let count = sizes.len() * profiles.len();
-    let schedule = parallel::ClaimSchedule::identity(count);
-    let mut flat = parallel::run_indexed_with_schedule(count, jobs, &schedule, |i| {
-        let per_size = profiles.len();
-        run_point(options, sizes[i / per_size], profiles[i % per_size], backend)
-    })
-    .into_iter();
-    let reports: Vec<Vec<FederationReport>> = sizes
-        .iter()
-        .map(|_| profiles.iter().map(|_| flat.next().expect("one report per point")).collect())
-        .collect();
     ScalabilitySweep {
         backend,
         sizes: sizes.to_vec(),
         profiles: profiles.to_vec(),
-        reports,
+        runs: scenario::run(&scenarios(options, sizes, profiles, backend), options, jobs),
     }
 }
 
@@ -192,9 +173,7 @@ fn panel(sweep: &ScalabilitySweep, series: Series, stat: Stat, title: &str) -> D
     let mut table = DataTable::new(title, &column_refs);
     for (si, size) in sweep.sizes.iter().enumerate() {
         let mut row = vec![size.to_string()];
-        for pi in 0..sweep.profiles.len() {
-            row.push(f2(extract_series(&sweep.reports[si][pi], series, stat)));
-        }
+        row.extend(sweep.row(si).iter().map(|run| f2(extract_series(&run.report, series, stat))));
         table.push_row(row);
     }
     table
@@ -203,39 +182,15 @@ fn panel(sweep: &ScalabilitySweep, series: Series, stat: Stat, title: &str) -> D
 /// Fig. 10 panels: min/average/max messages **per job** vs. system size.
 #[must_use]
 pub fn figure10(sweep: &ScalabilitySweep, stat: Stat) -> DataTable {
-    panel(
-        sweep,
-        Series::JobNegotiation,
-        stat,
-        &format!(
-            "Figure 10 ({}): {} messages per job vs. system size",
-            match stat {
-                Stat::Min => "a",
-                Stat::Avg => "b",
-                Stat::Max => "c",
-            },
-            stat.label()
-        ),
-    )
+    let title = format!("Figure 10 ({}): {} messages per job vs. system size", stat.panel(), stat.label());
+    panel(sweep, Series::JobNegotiation, stat, &title)
 }
 
 /// Fig. 11 panels: min/average/max messages **per GFA** vs. system size.
 #[must_use]
 pub fn figure11(sweep: &ScalabilitySweep, stat: Stat) -> DataTable {
-    panel(
-        sweep,
-        Series::GfaNegotiation,
-        stat,
-        &format!(
-            "Figure 11 ({}): {} messages per GFA vs. system size",
-            match stat {
-                Stat::Min => "a",
-                Stat::Avg => "b",
-                Stat::Max => "c",
-            },
-            stat.label()
-        ),
-    )
+    let title = format!("Figure 11 ({}): {} messages per GFA vs. system size", stat.panel(), stat.label());
+    panel(sweep, Series::GfaNegotiation, stat, &title)
 }
 
 /// The new directory panel: min/average/max **directory** messages per job
@@ -309,7 +264,8 @@ pub fn backend_directory_comparison(sweeps: &[ScalabilitySweep]) -> DataTable {
             // Each column averages one per-run figure over the sweep's
             // profiles.
             let mean = |figure: fn(&FederationReport) -> f64| {
-                sweep.reports[si].iter().map(figure).sum::<f64>() / sweep.profiles.len() as f64
+                sweep.row(si).iter().map(|run| figure(&run.report)).sum::<f64>()
+                    / sweep.profiles.len() as f64
             };
             row.push(f2(mean(|r| r.directory_avg_route_messages)));
             row.push(f2(mean(|r| extract_series(r, Series::JobDirectory, Stat::Avg))));
@@ -334,34 +290,6 @@ pub fn backend_directory_comparison(sweeps: &[ScalabilitySweep]) -> DataTable {
     table
 }
 
-/// Renders the audit-ledger digest lines of a set of sweeps in a stable
-/// order: one line per (backend, size, profile) run, each carrying the
-/// run's [`grid_federation_core::RunDigest`] (outcome digest, full digest,
-/// entry count).
-///
-/// Two sweep executions are behaviourally identical iff their manifests are
-/// byte-identical — this is the O(runs) replacement for diffing the ~30
-/// rendered CSVs, and the format `run_all` writes to
-/// `MANIFEST_digests.txt` (which CI re-derives and compares on every push).
-#[must_use]
-pub fn digest_manifest(sweeps: &[ScalabilitySweep]) -> String {
-    let mut out = String::new();
-    for sweep in sweeps {
-        for (si, size) in sweep.sizes.iter().enumerate() {
-            for (pi, profile) in sweep.profiles.iter().enumerate() {
-                out.push_str(&format!(
-                    "exp5/{}/size{}/{} {}\n",
-                    sweep.backend.label(),
-                    size,
-                    profile.label(),
-                    sweep.reports[si][pi].digest
-                ));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,28 +300,27 @@ mod tests {
             &[10, 20],
             &[PopulationProfile::new(0), PopulationProfile::new(100)],
             DirectoryBackend::Ideal,
-            parallel::default_jobs(),
+            2,
         )
     }
 
     #[test]
     fn sweep_shape_and_lookup() {
         let sweep = small_sweep();
-        assert_eq!(sweep.reports.len(), 2);
-        assert_eq!(sweep.reports[0].len(), 2);
-        assert!(sweep.report_for(10, 0).is_some());
-        assert!(sweep.report_for(30, 0).is_none());
-        assert!(sweep.report_for(10, 40).is_none());
+        assert_eq!(sweep.runs.len(), 4);
+        assert_eq!(sweep.row(1).len(), 2);
+        let point = &sweep.row(1)[0].scenario;
+        assert_eq!(point.workload, Workload::Replicated(20, PopulationProfile::new(0)));
         // The size-20 federation indeed has 20 resources.
-        assert_eq!(sweep.report_for(20, 0).unwrap().resources.len(), 20);
+        assert_eq!(sweep.row(1)[0].report.resources.len(), 20);
     }
 
     #[test]
     fn average_messages_per_job_grow_with_system_size() {
         let sweep = small_sweep();
-        for oft in [0u32, 100] {
-            let small = extract_series(sweep.report_for(10, oft).unwrap(), Series::JobNegotiation, Stat::Avg);
-            let large = extract_series(sweep.report_for(20, oft).unwrap(), Series::JobNegotiation, Stat::Avg);
+        for (pi, oft) in [0u32, 100].into_iter().enumerate() {
+            let small = extract_series(&sweep.row(0)[pi].report, Series::JobNegotiation, Stat::Avg);
+            let large = extract_series(&sweep.row(1)[pi].report, Series::JobNegotiation, Stat::Avg);
             assert!(
                 large >= small * 0.8,
                 "per-job messages should not collapse as the system grows (OFT {oft}%: {small:.2} -> {large:.2})"
@@ -406,8 +333,8 @@ mod tests {
     fn oft_needs_more_messages_per_job_than_ofc() {
         // The paper: OFC scheduling requires fewer messages than OFT.
         let sweep = small_sweep();
-        let ofc = extract_series(sweep.report_for(10, 0).unwrap(), Series::JobNegotiation, Stat::Avg);
-        let oft = extract_series(sweep.report_for(10, 100).unwrap(), Series::JobNegotiation, Stat::Avg);
+        let ofc = extract_series(&sweep.row(0)[0].report, Series::JobNegotiation, Stat::Avg);
+        let oft = extract_series(&sweep.row(0)[1].report, Series::JobNegotiation, Stat::Avg);
         assert!(
             oft > ofc,
             "per-job messages under OFT ({oft:.2}) should exceed OFC ({ofc:.2})"
@@ -437,10 +364,9 @@ mod tests {
         let options = WorkloadOptions::quick();
         let sizes = [10usize];
         let profiles = [PopulationProfile::new(50)];
-        let jobs = parallel::default_jobs();
-        let ideal = run_sweep(&options, &sizes, &profiles, DirectoryBackend::Ideal, jobs);
-        let maan = run_sweep(&options, &sizes, &profiles, DirectoryBackend::Maan, jobs);
-        let (a, b) = (&ideal.reports[0][0], &maan.reports[0][0]);
+        let ideal = run_sweep(&options, &sizes, &profiles, DirectoryBackend::Ideal, 1);
+        let maan = run_sweep(&options, &sizes, &profiles, DirectoryBackend::Maan, 1);
+        let (a, b) = (&ideal.runs[0].report, &maan.runs[0].report);
         // Digest-first: the audit ledger's outcome chains commit to every
         // job record and bank transfer, so this one comparison subsumes the
         // field-by-field oracle below.
@@ -474,14 +400,14 @@ mod tests {
     #[test]
     fn digest_manifest_covers_every_run_in_stable_order() {
         let sweep = small_sweep();
-        let manifest = digest_manifest(std::slice::from_ref(&sweep));
+        let manifest = scenario::digest_manifest(&sweep.runs);
         // 2 sizes × 2 profiles = 4 lines, in (size, profile) order.
         assert_eq!(manifest.lines().count(), 4);
         let first = manifest.lines().next().unwrap();
         assert!(first.starts_with("exp5/ideal/size10/OFC100/OFT0 "), "got {first:?}");
         // Each line carries the three-field digest display.
         assert!(manifest.lines().all(|l| l.split(' ').count() == 4));
-        assert_eq!(manifest, digest_manifest(std::slice::from_ref(&sweep)));
+        assert_eq!(manifest, scenario::digest_manifest(&sweep.runs));
     }
 
     #[test]
@@ -494,14 +420,8 @@ mod tests {
         let options = WorkloadOptions::quick();
         let profiles = [PopulationProfile::new(50)];
         let sizes = [10usize, 40];
-        let sweep = run_sweep(
-            &options,
-            &sizes,
-            &profiles,
-            DirectoryBackend::Maan,
-            parallel::default_jobs(),
-        );
-        let hops: Vec<f64> = sweep.reports.iter().map(|row| row[0].directory_avg_finger_hops).collect();
+        let sweep = run_sweep(&options, &sizes, &profiles, DirectoryBackend::Maan, 2);
+        let hops: Vec<f64> = sweep.runs.iter().map(|run| run.report.directory_avg_finger_hops).collect();
         for (&n, &h) in sizes.iter().zip(&hops) {
             let model = (n as f64).log2().ceil();
             assert!(
@@ -525,7 +445,7 @@ mod tests {
         let profiles = [PopulationProfile::new(50)];
         let sweeps: Vec<ScalabilitySweep> = DirectoryBackend::ALL
             .iter()
-            .map(|&b| run_sweep(&options, &[10, 20], &profiles, b, parallel::default_jobs()))
+            .map(|&b| run_sweep(&options, &[10, 20], &profiles, b, 2))
             .collect();
         let table = backend_directory_comparison(&sweeps);
         assert_eq!(table.len(), 2);

@@ -21,13 +21,13 @@
 //! into the manifest with the churned runs, so the zero-churn differential
 //! (`ChurnConfig` inert ⇒ static-ring digests) stays pinned in CI.
 
-use grid_federation_core::federation::{run_federation, FederationConfig, SchedulingMode};
+use grid_federation_core::federation::SchedulingMode;
 use grid_federation_core::{ChurnConfig, Counter, DirectoryBackend, FederationReport};
 use grid_workload::PopulationProfile;
 
-use crate::parallel;
 use crate::report::{f2, DataTable};
-use crate::workloads::{paper_workloads, WorkloadOptions};
+use crate::scenario::{self, Run, Scenario, Workload};
+use crate::workloads::WorkloadOptions;
 
 /// One churn intensity, parameterised as fractions of the trace duration so
 /// quick and full runs see comparable failure densities.
@@ -80,26 +80,59 @@ pub struct ChurnSweep {
     pub levels: Vec<ChurnLevel>,
     /// Replication factors, in table-column order.
     pub ks: Vec<usize>,
-    /// The zero-churn run of the same workload.
-    pub baseline: FederationReport,
-    /// `reports[level_index][k_index]`.
-    pub reports: Vec<Vec<FederationReport>>,
+    /// The zero-churn run of the same workload, then one run per
+    /// (level, k) point, level-major.
+    pub runs: Vec<Run>,
 }
 
 impl ChurnSweep {
-    /// The report for a given level label and replication factor.
+    /// The zero-churn run.
     #[must_use]
-    pub fn report_for(&self, label: &str, k: usize) -> Option<&FederationReport> {
-        let li = self.levels.iter().position(|l| l.label == label)?;
-        let ki = self.ks.iter().position(|x| *x == k)?;
-        Some(&self.reports[li][ki])
+    pub fn baseline(&self) -> &FederationReport {
+        &self.runs[0].report
+    }
+
+    /// The churned runs at level index `li`, one per replication factor.
+    #[must_use]
+    pub fn row(&self, li: usize) -> &[Run] {
+        let width = self.ks.len();
+        &self.runs[1 + li * width..1 + (li + 1) * width]
     }
 }
 
+/// The federation Experiments 6 and 7 perturb: the economy federation of
+/// the paper's eight resources (OFT share 50 %), served by `backend`.
+pub(crate) fn robustness_scenario(
+    label: String,
+    options: &WorkloadOptions,
+    backend: DirectoryBackend,
+) -> Scenario {
+    Scenario::new(label, Workload::Paper(PopulationProfile::new(50)), SchedulingMode::Economy, options)
+        .with(|config| config.directory = backend)
+}
+
+/// [`robustness_scenario`] on the MAAN overlay, under `churn`.
+fn maan_scenario(label: String, options: &WorkloadOptions, churn: Option<ChurnConfig>) -> Scenario {
+    robustness_scenario(label, options, DirectoryBackend::Maan).with(|config| config.churn = churn)
+}
+
+/// The churn-free baseline, then every (level, k) point, level-major.
+/// Every point's failure chains derive from the master seed and the GFA
+/// index alone.
+#[must_use]
+pub fn scenarios(options: &WorkloadOptions, levels: &[ChurnLevel], ks: &[usize]) -> Vec<Scenario> {
+    let baseline = maan_scenario("exp6/maan/baseline".to_string(), options, None);
+    let churned = levels.iter().flat_map(|level| {
+        ks.iter().map(move |&k| {
+            let label = format!("exp6/maan/{}/k{k}", level.label);
+            maan_scenario(label, options, Some(level.to_config(options, k)))
+        })
+    });
+    std::iter::once(baseline).chain(churned).collect()
+}
+
 /// Runs the churn sweep on the MAAN backend across at most `jobs` worker
-/// threads.  Point 0 is the churn-free baseline; every point's failure
-/// chains derive from the master seed and the GFA index alone, so the
-/// sweep is bitwise-identical for any `jobs` value.
+/// threads.
 #[must_use]
 pub fn run_sweep(
     options: &WorkloadOptions,
@@ -107,39 +140,10 @@ pub fn run_sweep(
     ks: &[usize],
     jobs: usize,
 ) -> ChurnSweep {
-    let churns: Vec<Option<ChurnConfig>> = std::iter::once(None)
-        .chain(levels.iter().flat_map(|level| {
-            ks.iter().map(move |&k| Some(level.to_config(options, k)))
-        }))
-        .collect();
-    let point = |i: usize| {
-        let setup = paper_workloads(PopulationProfile::new(50), options);
-        run_federation(
-            setup.resources,
-            setup.workloads,
-            FederationConfig {
-                mode: SchedulingMode::Economy,
-                seed: options.seed,
-                utilization_horizon: Some(options.duration),
-                directory: DirectoryBackend::Maan,
-                churn: churns[i].clone(),
-                ..FederationConfig::default()
-            },
-        )
-    };
-    let schedule = parallel::ClaimSchedule::identity(churns.len());
-    let mut flat = parallel::run_indexed_with_schedule(churns.len(), jobs, &schedule, point)
-        .into_iter();
-    let baseline = flat.next().expect("the baseline run is point 0");
-    let reports: Vec<Vec<FederationReport>> = levels
-        .iter()
-        .map(|_| ks.iter().map(|_| flat.next().expect("one report per point")).collect())
-        .collect();
     ChurnSweep {
         levels: levels.to_vec(),
         ks: ks.to_vec(),
-        baseline,
-        reports,
+        runs: scenario::run(&scenarios(options, levels, ks), options, jobs),
     }
 }
 
@@ -188,19 +192,8 @@ pub fn run_knee(options: &WorkloadOptions) -> KneeSweep {
     let mut knee = None;
     let mut intensity = 1.0;
     for _ in 0..KNEE_MAX_STEPS {
-        let setup = paper_workloads(PopulationProfile::new(50), options);
-        let report = run_federation(
-            setup.resources,
-            setup.workloads,
-            FederationConfig {
-                mode: SchedulingMode::Economy,
-                seed: options.seed,
-                utilization_horizon: Some(options.duration),
-                directory: DirectoryBackend::Maan,
-                churn: Some(knee_config(options, intensity)),
-                ..FederationConfig::default()
-            },
-        );
+        let label = format!("exp6/maan/knee/x{intensity}");
+        let report = maan_scenario(label, options, Some(knee_config(options, intensity))).run(options);
         let rate = report.lookup_success_rate();
         points.push((intensity, report));
         if rate < KNEE_THRESHOLD {
@@ -286,9 +279,7 @@ fn churn_table(sweep: &ChurnSweep, metric: Metric, title: &str) -> DataTable {
     let mut table = DataTable::new(title, &column_refs);
     for (li, level) in sweep.levels.iter().enumerate() {
         let mut row = vec![level.label.to_string()];
-        for ki in 0..sweep.ks.len() {
-            row.push(extract_metric(&sweep.reports[li][ki], &sweep.baseline, metric));
-        }
+        row.extend(sweep.row(li).iter().map(|run| extract_metric(&run.report, sweep.baseline(), metric)));
         table.push_row(row);
     }
     table
@@ -348,23 +339,6 @@ pub fn tables(sweep: &ChurnSweep) -> [(&'static str, DataTable); 4] {
     ]
 }
 
-/// Renders the audit-ledger digest lines of a churn sweep in a stable
-/// order: the zero-churn baseline first, then one line per (level, k) run —
-/// the format `run_all` appends to `MANIFEST_digests.txt`.
-#[must_use]
-pub fn digest_manifest(sweep: &ChurnSweep) -> String {
-    let mut out = format!("exp6/maan/baseline {}\n", sweep.baseline.digest);
-    for (li, level) in sweep.levels.iter().enumerate() {
-        for (ki, k) in sweep.ks.iter().enumerate() {
-            out.push_str(&format!(
-                "exp6/maan/{}/k{k} {}\n",
-                level.label, sweep.reports[li][ki].digest
-            ));
-        }
-    }
-    out
-}
-
 /// Churn events (departures plus rejoins) a run delivered.
 fn churn_events(report: &FederationReport) -> u64 {
     [Counter::GracefulLeaves, Counter::Crashes, Counter::Rejoins]
@@ -379,23 +353,23 @@ fn churn_events(report: &FederationReport) -> u64 {
 /// # Panics
 /// Panics when a criterion fails — CI runs this as a blocking step.
 pub fn assert_acceptance(sweep: &ChurnSweep) {
-    assert_eq!(churn_events(&sweep.baseline), 0, "maan: the baseline must be churn-free");
+    assert_eq!(churn_events(sweep.baseline()), 0, "maan: the baseline must be churn-free");
     for (li, level) in sweep.levels.iter().enumerate() {
-        for (ki, k) in sweep.ks.iter().enumerate() {
-            let report = &sweep.reports[li][ki];
+        for (k, run) in sweep.ks.iter().zip(sweep.row(li)) {
+            let report = &run.report;
             let l = level.label;
             assert!(churn_events(report) > 0, "maan/{l}: the churn process must fire");
             assert!(report.bank.is_balanced(), "maan/{l}/k{k}: Grid Dollars leaked under churn");
+            // The headline robustness claim: k = 3 keeps moderate churn
+            // above 99% lookup availability.
+            if l == "moderate" && *k == 3 {
+                let rate = report.lookup_success_rate();
+                assert!(
+                    rate >= 0.99,
+                    "maan: lookup success {rate:.4} < 0.99 under moderate churn with k=3"
+                );
+            }
         }
-    }
-    // The headline robustness claim: k = 3 keeps moderate churn above 99%
-    // lookup availability.
-    if let Some(report) = sweep.report_for("moderate", 3) {
-        let rate = report.lookup_success_rate();
-        assert!(
-            rate >= 0.99,
-            "maan: lookup success {rate:.4} < 0.99 under moderate churn with k=3"
-        );
     }
 }
 
@@ -404,25 +378,24 @@ mod tests {
     use super::*;
 
     fn smoke_sweep() -> ChurnSweep {
-        run_sweep(&WorkloadOptions::quick(), &[DEFAULT_LEVELS[1]], &[1, 3], parallel::default_jobs())
+        run_sweep(&WorkloadOptions::quick(), &[DEFAULT_LEVELS[1]], &[1, 3], 2)
     }
 
     #[test]
     fn sweep_shape_lookup_and_acceptance() {
         let sweep = smoke_sweep();
-        assert_eq!(sweep.reports.len(), 1);
-        assert_eq!(sweep.reports[0].len(), 2);
-        assert!(sweep.report_for("moderate", 3).is_some());
-        assert!(sweep.report_for("moderate", 2).is_none());
-        assert!(sweep.report_for("light", 1).is_none());
+        assert_eq!(sweep.runs.len(), 3);
+        assert_eq!(sweep.row(0).len(), 2);
+        let replication = |run: &Run| run.scenario.config.churn.as_ref().map(|c| c.replication);
+        assert_eq!(replication(&sweep.runs[0]), None);
+        assert_eq!(sweep.row(0).iter().map(replication).collect::<Vec<_>>(), [Some(1), Some(3)]);
         assert_acceptance(&sweep);
     }
 
     #[test]
     fn replication_recovers_availability_lost_to_churn() {
         let sweep = smoke_sweep();
-        let k1 = sweep.report_for("moderate", 1).unwrap();
-        let k3 = sweep.report_for("moderate", 3).unwrap();
+        let (k1, k3) = (&sweep.row(0)[0].report, &sweep.row(0)[1].report);
         assert!(
             k3.lookup_success_rate() >= k1.lookup_success_rate(),
             "more replicas must not answer fewer lookups"
@@ -440,11 +413,12 @@ mod tests {
             assert_eq!(table.len(), 1);
             assert_eq!(table.columns.len(), 3);
         }
-        let manifest = digest_manifest(&sweep);
+        let manifest = scenario::digest_manifest(&sweep.runs);
         // Baseline + 1 level × 2 ks = 3 lines.
         assert_eq!(manifest.lines().count(), 3);
         assert!(manifest.starts_with("exp6/maan/baseline "), "got {manifest:?}");
-        assert_eq!(manifest, digest_manifest(&sweep));
+        assert!(manifest.lines().nth(2).unwrap().starts_with("exp6/maan/moderate/k3 "));
+        assert_eq!(manifest, scenario::digest_manifest(&sweep.runs));
     }
 
     #[test]
@@ -460,16 +434,5 @@ mod tests {
         let table = figure_knee(&sweep);
         assert_eq!(table.len(), sweep.points.len());
         assert!(table.title.contains("knee at"), "got {:?}", table.title);
-    }
-
-    #[test]
-    fn sweep_is_parallel_deterministic() {
-        let options = WorkloadOptions::quick();
-        let levels = [DEFAULT_LEVELS[1]];
-        let seq = run_sweep(&options, &levels, &[1, 3], 1);
-        let par = run_sweep(&options, &levels, &[1, 3], 4);
-        assert_eq!(digest_manifest(&seq), digest_manifest(&par));
-        let csvs = |sweep: &ChurnSweep| tables(sweep).map(|(name, table)| (name, table.to_csv()));
-        assert_eq!(csvs(&seq), csvs(&par));
     }
 }

@@ -23,16 +23,14 @@
 //! into the digest manifest, so the reliable-transport differential
 //! (`network: None` ≡ inactive config) stays pinned in CI.
 
-use grid_federation_core::federation::{run_federation, FederationConfig, SchedulingMode};
 use grid_federation_core::{
     Counter, DirectoryBackend, FSum, FederationReport, Jitter, NetworkFaultConfig, RepairMode,
 };
-use grid_workload::PopulationProfile;
 
 use crate::exp6;
-use crate::parallel;
 use crate::report::{f2, DataTable};
-use crate::workloads::{paper_workloads, WorkloadOptions};
+use crate::scenario::{self, Run, Scenario};
+use crate::workloads::WorkloadOptions;
 
 /// One fault intensity of the sweep.
 #[derive(Debug, Clone, Copy)]
@@ -83,23 +81,51 @@ pub const DEFAULT_FAULTS: [FaultLevel; 3] = [
 ];
 
 /// The fault sweep for one backend: the lossless run the differential is
-/// against, plus one report per fault level.
+/// against, plus one run per fault level.
 #[derive(Debug, Clone)]
 pub struct UnreliableSweep {
     /// The directory backend every run of this sweep used.
     pub backend: DirectoryBackend,
     /// Fault levels, in table-row order.
     pub levels: Vec<FaultLevel>,
-    /// The lossless (`network: None`) run of the same workload and backend.
-    pub lossless: FederationReport,
-    /// One report per fault level, same order as `levels`.
-    pub reports: Vec<FederationReport>,
+    /// The lossless (`network: None`) run of the same workload and backend,
+    /// then one run per fault level, same order as `levels`.
+    pub runs: Vec<Run>,
+}
+
+impl UnreliableSweep {
+    /// The lossless run.
+    #[must_use]
+    pub fn lossless(&self) -> &FederationReport {
+        &self.runs[0].report
+    }
+
+    /// `(level, report)` per fault level, in table-row order.
+    pub fn faulted(&self) -> impl Iterator<Item = (&FaultLevel, &FederationReport)> {
+        self.levels.iter().zip(self.runs[1..].iter().map(|run| &run.report))
+    }
+}
+
+/// The lossless baseline, then one run per fault level, all served by
+/// `backend`.  The fault streams derive from the master seed and the link
+/// endpoints alone.
+#[must_use]
+pub fn scenarios(
+    options: &WorkloadOptions,
+    levels: &[FaultLevel],
+    backend: DirectoryBackend,
+) -> Vec<Scenario> {
+    let b = backend.label();
+    let lossless = exp6::robustness_scenario(format!("exp7/{b}/lossless"), options, backend);
+    let faulted = levels.iter().map(|level| {
+        exp6::robustness_scenario(format!("exp7/{b}/{}", level.label), options, backend)
+            .with(|config| config.network = Some(level.config))
+    });
+    std::iter::once(lossless).chain(faulted).collect()
 }
 
 /// Runs the fault sweep for one backend across at most `jobs` worker
-/// threads.  Point 0 is the lossless baseline; the fault streams derive
-/// from the master seed and the link endpoints alone, so the sweep is
-/// bitwise-identical for any `jobs` value.
+/// threads.
 #[must_use]
 pub fn run_sweep(
     options: &WorkloadOptions,
@@ -107,37 +133,10 @@ pub fn run_sweep(
     backend: DirectoryBackend,
     jobs: usize,
 ) -> UnreliableSweep {
-    let nets: Vec<Option<NetworkFaultConfig>> = std::iter::once(None)
-        .chain(levels.iter().map(|level| Some(level.config)))
-        .collect();
-    let point = |i: usize| {
-        let setup = paper_workloads(PopulationProfile::new(50), options);
-        run_federation(
-            setup.resources,
-            setup.workloads,
-            FederationConfig {
-                mode: SchedulingMode::Economy,
-                seed: options.seed,
-                utilization_horizon: Some(options.duration),
-                directory: backend,
-                network: nets[i],
-                ..FederationConfig::default()
-            },
-        )
-    };
-    let schedule = parallel::ClaimSchedule::identity(nets.len());
-    let mut flat = parallel::run_indexed_with_schedule(nets.len(), jobs, &schedule, point)
-        .into_iter();
-    let lossless = flat.next().expect("the lossless run is point 0");
-    let reports: Vec<FederationReport> = levels
-        .iter()
-        .map(|_| flat.next().expect("one report per fault level"))
-        .collect();
     UnreliableSweep {
         backend,
         levels: levels.to_vec(),
-        lossless,
-        reports,
+        runs: scenario::run(&scenarios(options, levels, backend), options, jobs),
     }
 }
 
@@ -146,9 +145,9 @@ pub fn run_sweep(
 #[derive(Debug, Clone)]
 pub struct RepairComparison {
     /// The periodic-only run ([`RepairMode::Periodic`]).
-    pub periodic: FederationReport,
+    pub periodic: Run,
     /// The reactive lookup-time repair run ([`RepairMode::Reactive`]).
-    pub reactive: FederationReport,
+    pub reactive: Run,
 }
 
 /// Every counter the unreliable-network layer records, in the traffic
@@ -175,35 +174,31 @@ pub fn mean_fault_wait(report: &FederationReport) -> f64 {
     }
 }
 
-/// Runs the repair-mode comparison on the MAAN overlay: moderate churn with
+/// The repair-mode comparison on the MAAN overlay: moderate churn with
 /// k = 1 (no replicas, so a crashed store faults its lookups) plus moderate
-/// network faults, across at most `jobs` worker threads.
+/// network faults, periodic-only then reactive.
+#[must_use]
+pub fn repair_scenarios(options: &WorkloadOptions) -> Vec<Scenario> {
+    [RepairMode::Periodic, RepairMode::Reactive]
+        .iter()
+        .map(|&mode| {
+            let label = format!("exp7/repair/maan/{}", mode.label());
+            exp6::robustness_scenario(label, options, DirectoryBackend::Maan).with(|config| {
+                let mut churn = exp6::DEFAULT_LEVELS[1].to_config(options, 1);
+                churn.repair = mode;
+                config.churn = Some(churn);
+                config.network = Some(DEFAULT_FAULTS[1].config);
+            })
+        })
+        .collect()
+}
+
+/// Runs the repair-mode comparison across at most `jobs` worker threads.
 #[must_use]
 pub fn run_repair_comparison(options: &WorkloadOptions, jobs: usize) -> RepairComparison {
-    let modes = [RepairMode::Periodic, RepairMode::Reactive];
-    let point = |i: usize| {
-        let mut churn = exp6::DEFAULT_LEVELS[1].to_config(options, 1);
-        churn.repair = modes[i];
-        let setup = paper_workloads(PopulationProfile::new(50), options);
-        run_federation(
-            setup.resources,
-            setup.workloads,
-            FederationConfig {
-                mode: SchedulingMode::Economy,
-                seed: options.seed,
-                utilization_horizon: Some(options.duration),
-                directory: DirectoryBackend::Maan,
-                churn: Some(churn),
-                network: Some(DEFAULT_FAULTS[1].config),
-                ..FederationConfig::default()
-            },
-        )
-    };
-    let schedule = parallel::ClaimSchedule::identity(modes.len());
-    let mut flat = parallel::run_indexed_with_schedule(modes.len(), jobs, &schedule, point)
-        .into_iter();
-    let periodic = flat.next().expect("the periodic run is point 0");
-    let reactive = flat.next().expect("the reactive run is point 1");
+    let [periodic, reactive]: [Run; 2] = scenario::run(&repair_scenarios(options), options, jobs)
+        .try_into()
+        .expect("the repair comparison is two runs");
     RepairComparison { periodic, reactive }
 }
 
@@ -228,12 +223,12 @@ pub fn figure_fault_traffic(sweep: &UnreliableSweep) -> DataTable {
             "Outcomes pinned",
         ],
     );
-    for (level, report) in sweep.levels.iter().zip(&sweep.reports) {
+    for (level, report) in sweep.faulted() {
         let mut row = vec![level.label.to_string()];
         row.extend(NET_COUNTERS.map(|c| format!("{}", report.metrics.counter(c))));
         row.extend([
             f2(report.metrics.fsum(FSum::BackoffSeconds)),
-            if report.digest.outcomes == sweep.lossless.digest.outcomes {
+            if report.digest.outcomes == sweep.lossless().digest.outcomes {
                 "yes".to_string()
             } else {
                 "NO".to_string()
@@ -261,8 +256,8 @@ pub fn figure_repair_tradeoff(comparison: &RepairComparison) -> DataTable {
         ],
     );
     for (mode, report) in [
-        (RepairMode::Periodic, &comparison.periodic),
-        (RepairMode::Reactive, &comparison.reactive),
+        (RepairMode::Periodic, &comparison.periodic.report),
+        (RepairMode::Reactive, &comparison.reactive.report),
     ] {
         let count = |c| report.metrics.counter(c);
         table.push_row(vec![
@@ -286,7 +281,7 @@ pub fn figure_repair_tradeoff(comparison: &RepairComparison) -> DataTable {
 #[must_use]
 pub fn render_all_csvs(
     sweeps: &[UnreliableSweep],
-    repair: Option<&RepairComparison>,
+    repair: &RepairComparison,
 ) -> Vec<(String, String)> {
     let mut out = Vec::new();
     for sweep in sweeps {
@@ -295,31 +290,10 @@ pub fn render_all_csvs(
             figure_fault_traffic(sweep).to_csv(),
         ));
     }
-    if let Some(comparison) = repair {
-        out.push((
-            "network_repair_tradeoff".to_string(),
-            figure_repair_tradeoff(comparison).to_csv(),
-        ));
-    }
-    out
-}
-
-/// Renders the audit-ledger digest lines of the experiment in a stable
-/// order — the format `run_all` appends to `MANIFEST_digests.txt`.
-#[must_use]
-pub fn digest_manifest(sweeps: &[UnreliableSweep], repair: Option<&RepairComparison>) -> String {
-    let mut out = String::new();
-    for sweep in sweeps {
-        let b = sweep.backend.label();
-        out.push_str(&format!("exp7/{b}/lossless {}\n", sweep.lossless.digest));
-        for (level, report) in sweep.levels.iter().zip(&sweep.reports) {
-            out.push_str(&format!("exp7/{b}/{} {}\n", level.label, report.digest));
-        }
-    }
-    if let Some(cmp) = repair {
-        out.push_str(&format!("exp7/repair/maan/periodic {}\n", cmp.periodic.digest));
-        out.push_str(&format!("exp7/repair/maan/reactive {}\n", cmp.reactive.digest));
-    }
+    out.push((
+        "network_repair_tradeoff".to_string(),
+        figure_repair_tradeoff(repair).to_csv(),
+    ));
     out
 }
 
@@ -332,18 +306,19 @@ pub fn digest_manifest(sweeps: &[UnreliableSweep], repair: Option<&RepairCompari
 /// or fault traffic that is invisible in the ledgers.
 pub fn assert_acceptance(sweep: &UnreliableSweep) {
     let b = sweep.backend.label();
+    let lossless = sweep.lossless();
     assert!(
-        NET_COUNTERS.iter().all(|&c| sweep.lossless.metrics.counter(c) == 0),
+        NET_COUNTERS.iter().all(|&c| lossless.metrics.counter(c) == 0),
         "{b}: the lossless baseline must report no fault traffic"
     );
-    for (level, report) in sweep.levels.iter().zip(&sweep.reports) {
+    for (level, report) in sweep.faulted() {
         let l = level.label;
         assert_eq!(
-            sweep.lossless.digest.outcomes, report.digest.outcomes,
+            lossless.digest.outcomes, report.digest.outcomes,
             "{b}/{l}: job outcomes and balances must be bit-identical to the lossless run"
         );
         assert_eq!(
-            sweep.lossless.jobs.len(),
+            lossless.jobs.len(),
             report.jobs.len(),
             "{b}/{l}: every negotiation must eventually complete"
         );
@@ -358,7 +333,7 @@ pub fn assert_acceptance(sweep: &UnreliableSweep) {
             "{b}/{l}: ≥1% loss over this workload must force retransmissions"
         );
         assert!(
-            report.messages.total_messages() > sweep.lossless.messages.total_messages(),
+            report.messages.total_messages() > lossless.messages.total_messages(),
             "{b}/{l}: retransmit traffic must be visible in the ledgers"
         );
         assert_eq!(
@@ -379,22 +354,23 @@ pub fn assert_acceptance(sweep: &UnreliableSweep) {
 /// mean wait, when the periodic run repairs reactively, or when either run
 /// leaks Grid Dollars.
 pub fn assert_repair_acceptance(cmp: &RepairComparison) {
-    assert!(cmp.periodic.bank.is_balanced(), "maan: periodic run leaked");
-    assert!(cmp.reactive.bank.is_balanced(), "maan: reactive run leaked");
+    let (periodic, reactive) = (&cmp.periodic.report, &cmp.reactive.report);
+    assert!(periodic.bank.is_balanced(), "maan: periodic run leaked");
+    assert!(reactive.bank.is_balanced(), "maan: reactive run leaked");
     assert_eq!(
-        cmp.periodic.metrics.counter(Counter::ReactiveRepairs), 0,
+        periodic.metrics.counter(Counter::ReactiveRepairs), 0,
         "maan: periodic-only stabilization must never repair reactively"
     );
     assert!(
-        cmp.periodic.metrics.counter(Counter::LookupFaults) > 0,
+        periodic.metrics.counter(Counter::LookupFaults) > 0,
         "maan: the repair comparison needs faulted lookups to measure"
     );
     assert!(
-        cmp.reactive.metrics.counter(Counter::ReactiveRepairs) > 0,
+        reactive.metrics.counter(Counter::ReactiveRepairs) > 0,
         "maan: reactive mode must execute lookup-time repairs"
     );
-    let periodic_wait = mean_fault_wait(&cmp.periodic);
-    let reactive_wait = mean_fault_wait(&cmp.reactive);
+    let periodic_wait = mean_fault_wait(periodic);
+    let reactive_wait = mean_fault_wait(reactive);
     assert!(
         reactive_wait < periodic_wait,
         "maan: reactive repair must reduce the mean faulted-lookup wait \
@@ -410,7 +386,7 @@ mod tests {
     fn fault_sweep_upholds_acceptance_on_every_backend() {
         let options = WorkloadOptions::quick();
         for backend in DirectoryBackend::ALL {
-            let sweep = run_sweep(&options, &[DEFAULT_FAULTS[1]], backend, parallel::default_jobs());
+            let sweep = run_sweep(&options, &[DEFAULT_FAULTS[1]], backend, 2);
             assert_acceptance(&sweep);
             let table = figure_fault_traffic(&sweep);
             assert_eq!(table.len(), 1);
@@ -431,28 +407,11 @@ mod tests {
     fn repair_gate_needs_one_exercised_backend() {
         // Both modes replaced by a churn-free run, so neither sees a faulted
         // lookup.
-        let lossless = run_sweep(&WorkloadOptions::quick(), &[], DirectoryBackend::Maan, 1).lossless;
-        assert_eq!(lossless.metrics.counter(Counter::LookupFaults), 0);
+        let lossless = run_sweep(&WorkloadOptions::quick(), &[], DirectoryBackend::Maan, 1).runs.remove(0);
+        assert_eq!(lossless.report.metrics.counter(Counter::LookupFaults), 0);
         assert_repair_acceptance(&RepairComparison {
             periodic: lossless.clone(),
             reactive: lossless,
         });
-    }
-
-    #[test]
-    fn sweep_is_parallel_deterministic_and_manifest_stable() {
-        let options = WorkloadOptions::quick();
-        let levels = [DEFAULT_FAULTS[0]];
-        let seq = run_sweep(&options, &levels, DirectoryBackend::Maan, 1);
-        let par = run_sweep(&options, &levels, DirectoryBackend::Maan, 4);
-        let seq_manifest = digest_manifest(std::slice::from_ref(&seq), None);
-        assert_eq!(seq_manifest, digest_manifest(std::slice::from_ref(&par), None));
-        // Lossless baseline + one level = 2 lines.
-        assert_eq!(seq_manifest.lines().count(), 2);
-        assert!(seq_manifest.starts_with("exp7/maan/lossless "));
-        assert_eq!(
-            render_all_csvs(std::slice::from_ref(&seq), None),
-            render_all_csvs(std::slice::from_ref(&par), None)
-        );
     }
 }

@@ -15,14 +15,15 @@
 //! | [`exp7`] | beyond the paper: unreliable network (loss/jitter/duplication fault sweep with the outcome digest pinned to the lossless run; reactive vs. periodic ring repair) |
 //! | [`tables`] | Table 1 (resource configuration) and Table 4 (superscheduler comparison) |
 //! | [`summary`] | the headline claims `run_all` prints and records in `summary.md` |
+//! | [`scenario`] | one federation run of any experiment, the shared runner and the digest manifest |
 //!
 //! Shared infrastructure: [`workloads`] builds the calibrated synthetic
 //! traces for the Table 1 resources (and replicated federations for
 //! Experiment 5); [`report`] provides the [`report::DataTable`] type every
 //! figure is rendered into (ASCII for the terminal, CSV for plotting);
 //! [`obs`] renders the p50/p90/p99 percentile summary of the headline runs;
-//! [`parallel`] fans independent sweep points across a bounded worker pool
-//! (`--jobs N`) with a deterministic, run-ordered merge.
+//! [`parallel`] is the bounded worker pool (`--jobs N`) with a
+//! deterministic, run-ordered merge that [`scenario::run`] fans runs across.
 //!
 //! The `run_all` binary in `src/bin/` drives these modules from the command
 //! line: it regenerates every artefact in one go and writes them under
@@ -41,6 +42,7 @@ pub mod exp7;
 pub mod obs;
 pub mod parallel;
 pub mod report;
+pub mod scenario;
 pub mod summary;
 pub mod tables;
 pub mod workloads;

@@ -1,28 +1,30 @@
 //! Observability rendering for `run_all`: the p50/p90/p99 percentile
 //! summary of every headline report.
 //!
-//! Everything here is read-only over finished [`FederationReport`]s: the
+//! Everything here is read-only over finished runs' reports: the
 //! metrics registry is always recording (it is part of the report), so the
 //! summary adds a CSV without perturbing any `RunDigest`.
 
-use grid_federation_core::{FederationReport, HistId};
+use grid_federation_core::HistId;
 
 use crate::report::DataTable;
+use crate::scenario::Run;
 
 /// Renders the cross-experiment percentile summary: one row per
-/// (run, distribution) pair, suitable for a single CSV covering every
-/// headline report of a `run_all` invocation.
+/// (run, distribution) pair, labelled with the run's manifest label,
+/// suitable for a single CSV covering every headline report of a `run_all`
+/// invocation.
 #[must_use]
-pub fn percentile_summary(entries: &[(&str, &FederationReport)]) -> DataTable {
+pub fn percentile_summary<'a>(runs: impl IntoIterator<Item = &'a Run>) -> DataTable {
     let mut table = DataTable::new(
         "Percentile summary — all experiments",
         &["Run", "Distribution", "Samples", "p50", "p90", "p99"],
     );
-    for (label, report) in entries {
+    for run in runs {
         for hist in HistId::ALL {
-            let q = report.metrics.quantiles(hist);
+            let q = run.report.metrics.quantiles(hist);
             table.push_row(vec![
-                (*label).to_string(),
+                run.scenario.label.clone(),
                 hist.id().to_string(),
                 q.count.to_string(),
                 f3(q.p50),
@@ -49,12 +51,12 @@ mod tests {
     #[test]
     fn percentile_summary_covers_every_distribution() {
         let result = exp1::run(&WorkloadOptions::quick());
-        let summary = percentile_summary(&[("exp1 quick", &result.report)]);
+        let summary = percentile_summary([&result]);
         assert_eq!(summary.len(), HistId::COUNT);
         // The independent run records waits and queue depths even without
         // federation traffic.
         let wait = &summary.rows[0];
-        assert_eq!(wait[..2], ["exp1 quick", "job_wait_seconds"]);
+        assert_eq!(wait[..2], ["exp1/independent", "job_wait_seconds"]);
         assert!(wait[2].parse::<u64>().unwrap() > 0);
     }
 }

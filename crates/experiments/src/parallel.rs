@@ -1,13 +1,13 @@
-//! Deterministic parallel execution of independent sweep points.
+//! Deterministic parallel execution of independent runs.
 //!
-//! Parameter sweeps (the grids of Experiments 5–7, and `run_all`, which
-//! runs them all) consist of fully independent simulation runs: each run
-//! derives every seed it needs from its own parameters, never from
-//! execution order.  This module fans those runs across a bounded worker
-//! pool (`--jobs N`) built on `std::thread::scope` — no external crates —
-//! and merges the results **in deterministic run order**, so the output of
-//! a parallel sweep is bitwise-identical to the sequential one (asserted by
-//! regression tests).
+//! Every experiment's scenario list ([`crate::scenario`]) consists of fully
+//! independent simulation runs: each run derives every seed it needs from
+//! its own parameters, never from execution order.  This module fans those
+//! runs across a bounded worker pool (`--jobs N`) built on
+//! `std::thread::scope` — no external crates, and the only OS threads the
+//! experiments start — and merges the results **in deterministic run
+//! order**, so the output of a parallel sweep is bitwise-identical to the
+//! sequential one (asserted by regression tests).
 //!
 //! Work distribution uses a shared atomic cursor: workers claim the next
 //! unclaimed index, so stragglers never serialise the tail of the sweep.
@@ -16,14 +16,15 @@
 //! is not.
 //!
 //! There is one pool, [`run_indexed_with_schedule`], and one claim-order
-//! type, [`ClaimSchedule`].  Production sweeps pass
+//! type, [`ClaimSchedule`].  Production runs ([`crate::scenario::run`]) pass
 //! [`ClaimSchedule::identity`] (ascending indices, no stalls); the
 //! **schedule-permutation harness** drives the very same pool through
 //! adversarial claim orders — reversed, strided, seeded shuffles, with
 //! OS-yield stalls injected mid-sweep — that the `fetch_add` cursor would
 //! only reach under pathological thread scheduling.  The merged output must
 //! stay identical under every schedule; `tests/parallel_determinism.rs`
-//! extends the check to whole exp5 sweeps.
+//! extends the check to a mixed scenario list of Experiments 3, 5, 6 and 7,
+//! comparing the digest manifest and every rendered CSV.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;

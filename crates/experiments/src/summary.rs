@@ -45,8 +45,8 @@ impl HeadlineClaims {
             .report_for(100)
             .expect("sweep must include the all-OFT profile");
         HeadlineClaims {
-            acceptance_without_federation: exp2.independent.mean_acceptance_rate(),
-            acceptance_with_federation: exp2.federated.mean_acceptance_rate(),
+            acceptance_without_federation: exp2.independent.report.mean_acceptance_rate(),
+            acceptance_with_federation: exp2.federated.report.mean_acceptance_rate(),
             total_incentive_all_ofc: ofc.total_incentive(),
             total_incentive_all_oft: oft.total_incentive(),
             total_messages_all_ofc: ofc.messages.total_messages(),
@@ -128,10 +128,11 @@ mod tests {
     #[test]
     fn headline_claims_hold_directionally_on_the_quick_workload() {
         let options = WorkloadOptions::quick();
-        let exp2_result = exp2::run(&options);
+        let exp2_result = exp2::run(&options, 2);
         let sweep = run_sweep(
             &options,
             &[PopulationProfile::new(0), PopulationProfile::new(100)],
+            2,
         );
         let claims = HeadlineClaims::extract(&exp2_result, &sweep);
         assert!(

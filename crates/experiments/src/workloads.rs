@@ -56,8 +56,6 @@ pub struct ExperimentSetup {
     pub resources: Vec<ResourceSpec>,
     /// The local workload of each resource, strategies already assigned.
     pub workloads: Vec<Vec<Job>>,
-    /// The population profile the workloads were built with.
-    pub profile: PopulationProfile,
 }
 
 impl ExperimentSetup {
@@ -109,7 +107,6 @@ fn build_setup(
     ExperimentSetup {
         resources: specs,
         workloads,
-        profile,
     }
 }
 

@@ -1,72 +1,132 @@
-//! Regression tests for the acceptance criterion that parallel sweeps are
-//! **bitwise-deterministic**: running the Experiment 5 sweep sequentially
-//! (`jobs = 1`), through the worker pool (`jobs = 4`), and through every
-//! adversarial claim-order permutation must produce identical runs.
+//! Regression tests for the acceptance criterion that parallel runs are
+//! **bitwise-deterministic**: one mixed scenario list — points of
+//! Experiments 3, 5, 6 and 7 — run sequentially (`jobs = 1`), through the
+//! worker pool (`jobs = 4`), and through every adversarial claim-order
+//! permutation must produce identical runs.
 //!
-//! Identity is asserted on the digest manifests: every run's hash-chained
-//! [`grid_federation_core::RunDigest`] commits to the full job/bank/message
-//! history, so comparing them is the O(runs) equivalent of diffing every
-//! rendered CSV.
+//! Identity is asserted twice: on the digest manifest, whose hash-chained
+//! [`grid_federation_core::RunDigest`] per run commits to the full
+//! job/bank/message history, and on every CSV the experiments' tables
+//! render from the runs.
 
-use grid_experiments::exp5;
+use grid_experiments::exp5::Stat;
 use grid_experiments::parallel::{run_indexed_with_schedule, ClaimSchedule};
+use grid_experiments::scenario::{self, Run, Scenario};
 use grid_experiments::workloads::WorkloadOptions;
+use grid_experiments::{exp3, exp4, exp5, exp6, exp7};
 use grid_federation_core::DirectoryBackend;
 use grid_workload::PopulationProfile;
 
-fn assert_sweeps_identical(reference: &[exp5::ScalabilitySweep], other: &[exp5::ScalabilitySweep], what: &str) {
-    let manifest_r = exp5::digest_manifest(reference);
-    assert!(!manifest_r.is_empty(), "manifests must cover the runs");
-    assert_eq!(manifest_r, exp5::digest_manifest(other), "digest manifest differs: {what}");
+// A small grid: cheap enough to run on every push, complete enough to mix
+// every experiment's scenario shape and both robustness panels of exp7.
+const PROFILES: [u32; 2] = [0, 100];
+const SIZES: [usize; 2] = [8, 16];
+const KS: [usize; 2] = [1, 3];
+
+fn profiles() -> Vec<PopulationProfile> {
+    PROFILES.map(PopulationProfile::new).to_vec()
+}
+
+/// The mixed scenario list, experiment by experiment.
+fn scenarios(options: &WorkloadOptions) -> Vec<Scenario> {
+    [
+        exp3::scenarios(options, &profiles()),
+        exp5::scenarios(options, &SIZES, &profiles()[1..], DirectoryBackend::Maan),
+        exp6::scenarios(options, &exp6::DEFAULT_LEVELS[1..2], &KS),
+        exp7::scenarios(options, &exp7::DEFAULT_FAULTS[..1], DirectoryBackend::Maan),
+        exp7::repair_scenarios(options),
+    ]
+    .concat()
+}
+
+/// Every CSV the experiments render from `runs`, the runs of
+/// [`scenarios`] in order.
+fn csvs(runs: &[Run]) -> Vec<String> {
+    let mut rest = runs.iter().cloned();
+    let mut next = |n: usize| rest.by_ref().take(n).collect::<Vec<Run>>();
+    let profile_sweep = exp3::ProfileSweep {
+        runs: next(PROFILES.len()),
+    };
+    let scalability = exp5::ScalabilitySweep {
+        backend: DirectoryBackend::Maan,
+        sizes: SIZES.to_vec(),
+        profiles: profiles()[1..].to_vec(),
+        runs: next(SIZES.len()),
+    };
+    let churn = exp6::ChurnSweep {
+        levels: exp6::DEFAULT_LEVELS[1..2].to_vec(),
+        ks: KS.to_vec(),
+        runs: next(1 + KS.len()),
+    };
+    let faults = exp7::UnreliableSweep {
+        backend: DirectoryBackend::Maan,
+        levels: exp7::DEFAULT_FAULTS[..1].to_vec(),
+        runs: next(2),
+    };
+    let [periodic, reactive]: [Run; 2] = next(2).try_into().expect("two repair runs");
+    assert!(next(1).is_empty(), "every run is pivoted into a table");
+
+    let mut out: Vec<String> = exp3::tables(&profile_sweep)
+        .iter()
+        .map(|(_, t)| t.to_csv())
+        .collect();
+    out.push(exp4::figure9c(&profile_sweep).to_csv());
+    for stat in Stat::ALL {
+        out.push(exp5::figure10(&scalability, stat).to_csv());
+        out.push(exp5::figure_directory(&scalability, stat).to_csv());
+    }
+    out.extend(exp6::tables(&churn).iter().map(|(_, t)| t.to_csv()));
+    let repair = exp7::RepairComparison { periodic, reactive };
+    out.extend(
+        exp7::render_all_csvs(&[faults], &repair)
+            .into_iter()
+            .map(|(_, csv)| csv),
+    );
+    out
+}
+
+fn assert_runs_identical(reference: &[Run], other: &[Run], what: &str) {
+    let manifest = scenario::digest_manifest(reference);
+    assert_eq!(
+        manifest.lines().count(),
+        reference.len(),
+        "one manifest line per run"
+    );
+    assert_eq!(
+        manifest,
+        scenario::digest_manifest(other),
+        "digest manifest differs: {what}"
+    );
+    assert_eq!(csvs(reference), csvs(other), "rendered CSVs differ: {what}");
 }
 
 #[test]
 fn parallel_sweep_runs_are_bitwise_identical_to_sequential() {
-    // A small grid: cheap enough to run on every push,
-    // complete enough to cover all backends and the whole sweep path.
     let options = WorkloadOptions::quick();
-    let sizes = [8usize, 16];
-    let profiles = [PopulationProfile::new(50)];
-
-    let run = |jobs: usize| -> Vec<exp5::ScalabilitySweep> {
-        DirectoryBackend::ALL
-            .iter()
-            .map(|&backend| exp5::run_sweep(&options, &sizes, &profiles, backend, jobs))
-            .collect()
-    };
-
-    let sequential = run(1);
-    let parallel = run(4);
-    assert_sweeps_identical(&sequential, &parallel, "sequential vs parallel");
+    let scenarios = scenarios(&options);
+    let sequential = scenario::run(&scenarios, &options, 1);
+    let parallel = scenario::run(&scenarios, &options, 4);
+    assert_runs_identical(&sequential, &parallel, "sequential vs parallel");
 }
 
-/// The schedule-permutation harness: the production worker pool claims
-/// exp5's points in adversarial orders (reversed, strided, seeded shuffles,
+/// The schedule-permutation harness: the production worker pool claims the
+/// mixed list in adversarial orders (reversed, strided, seeded shuffles,
 /// with OS-yield stalls injected) that ascending claims would only reach
 /// under pathological thread scheduling, and the merged runs must remain
-/// digest-identical to the sequential sweep under every one of them.
+/// identical to the sequential ones under every one of them.
 #[test]
 fn adversarial_claim_schedules_produce_identical_runs() {
     let options = WorkloadOptions::quick();
-    let sizes = [8usize, 16];
-    let profile = PopulationProfile::new(50);
-    let backend = DirectoryBackend::Maan;
+    let scenarios = scenarios(&options);
+    let reference = scenario::run(&scenarios, &options, 1);
 
-    let reference = exp5::run_sweep(&options, &sizes, &[profile], backend, 1);
-
-    for schedule in ClaimSchedule::adversarial_suite(sizes.len()) {
-        let reports = run_indexed_with_schedule(sizes.len(), 4, &schedule, |i| {
-            exp5::run_point(&options, sizes[i], profile, backend)
+    for schedule in ClaimSchedule::adversarial_suite(scenarios.len()) {
+        let runs = run_indexed_with_schedule(scenarios.len(), 4, &schedule, |i| {
+            Run::of(&scenarios[i], &options)
         });
-        let sweep = exp5::ScalabilitySweep {
-            backend,
-            sizes: sizes.to_vec(),
-            profiles: vec![profile],
-            reports: reports.into_iter().map(|report| vec![report]).collect(),
-        };
-        assert_sweeps_identical(
-            std::slice::from_ref(&reference),
-            std::slice::from_ref(&sweep),
+        assert_runs_identical(
+            &reference,
+            &runs,
             &format!("claim schedule {}", schedule.label()),
         );
     }

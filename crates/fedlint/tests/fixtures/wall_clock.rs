@@ -8,6 +8,7 @@ pub fn stamp() -> u128 {
     let wall = std::time::SystemTime::now();
     let _ = wall;
     std::thread::spawn(|| ());
+    std::thread::scope(|_| ());
     // fedlint: allow(wall-clock) — wall-clock timing is the probe itself
     let _t1 = Instant::now();
     t0.elapsed().as_nanos()

@@ -45,11 +45,29 @@ fn hash_iteration_is_scoped_to_sim_crates() {
 fn wall_clock_fires_on_fixture() {
     let src = include_str!("fixtures/wall_clock.rs");
     let path = "crates/experiments/src/fixture.rs";
-    // `Instant::now`, `SystemTime`, `thread::spawn`; the second
-    // `Instant::now` is allowlisted, and the plain `Instant` import is not
-    // a clock read.
-    assert_eq!(lines(path, src, Rule::WallClock), vec![7, 8, 10]);
+    // `Instant::now`, `SystemTime`, `thread::spawn`, `thread::scope`; the
+    // second `Instant::now` is allowlisted, and the plain `Instant` import
+    // is not a clock read.
+    assert_eq!(lines(path, src, Rule::WallClock), vec![7, 8, 10, 11]);
     assert_eq!(other_rules(path, src, Rule::WallClock), vec![]);
+}
+
+#[test]
+fn wall_clock_catches_an_ad_hoc_scoped_pool() {
+    let src = include_str!("fixtures/scoped_pool.rs");
+    // An experiment fanning runs over its own `thread::scope` pool instead
+    // of the one in `parallel.rs`, where the same code is allowed.
+    assert_eq!(lines("crates/experiments/src/exp3.rs", src, Rule::WallClock), vec![7]);
+    assert_eq!(lines("crates/experiments/src/parallel.rs", src, Rule::WallClock), vec![]);
+}
+
+#[test]
+fn wall_clock_exempts_only_the_obs_profiler() {
+    let src = include_str!("fixtures/obs_clock.rs");
+    // The self-profiler may read the host clock; the rest of the obs crate
+    // (the registry, the tracer) may not.
+    assert_eq!(lines("crates/obs/src/profile.rs", src, Rule::WallClock), vec![]);
+    assert_eq!(lines("crates/obs/src/metrics.rs", src, Rule::WallClock), vec![6]);
 }
 
 #[test]

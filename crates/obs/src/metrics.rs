@@ -422,12 +422,6 @@ impl MetricsRegistry {
         self.run.counters[counter as usize]
     }
 
-    /// GFA-scope value of `counter` (0 for an out-of-range GFA).
-    #[must_use]
-    pub fn gfa_counter(&self, gfa: usize, counter: Counter) -> u64 {
-        self.per_gfa.get(gfa).map_or(0, |s| s.counters[counter as usize])
-    }
-
     /// Run-scope value of `fsum`.
     #[must_use]
     pub fn fsum(&self, fsum: FSum) -> f64 {
@@ -571,7 +565,7 @@ mod tests {
         reg.add(2, Counter::CacheHits, 2);
         reg.add_f(1, FSum::JitterSeconds, 0.5);
         reg.add_f(2, FSum::JitterSeconds, 0.25);
-        let per_gfa: u64 = (0..3).map(|g| reg.gfa_counter(g, Counter::CacheHits)).sum();
+        let per_gfa: u64 = reg.per_gfa.iter().map(|s| s.counters[Counter::CacheHits as usize]).sum();
         assert_eq!(per_gfa, reg.counter(Counter::CacheHits));
         assert_eq!(reg.counter(Counter::CacheHits), 7);
         assert!((reg.fsum(FSum::JitterSeconds) - 0.75).abs() < 1e-12);

@@ -408,12 +408,6 @@ impl SyntheticWorkload {
             .sum();
         work / capacity
     }
-
-    /// Maximum processors requested by any job (always ≤ the resource size).
-    #[must_use]
-    pub fn max_requested_processors(&self) -> u32 {
-        self.jobs.iter().map(|j| j.processors).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -446,7 +440,6 @@ mod tests {
     fn processors_respect_bounds() {
         let w = config().generate();
         assert!(w.jobs().iter().all(|j| j.processors >= 1 && j.processors <= 128));
-        assert!(w.max_requested_processors() <= 128);
         // With a 25 % serial fraction we expect a healthy number of 1-proc jobs.
         let serial = w.jobs().iter().filter(|j| j.processors == 1).count();
         assert!(serial > 40, "expected some serial jobs, got {serial}");

@@ -7,8 +7,8 @@
 //!
 //! Run with: `cargo run --release --example economy_sweep`
 
-use grid_experiments::exp3;
 use grid_experiments::workloads::WorkloadOptions;
+use grid_experiments::{exp3, parallel};
 use grid_workload::PopulationProfile;
 
 fn main() {
@@ -22,16 +22,17 @@ fn main() {
         "running {} federation simulations (quick workload)…",
         profiles.len()
     );
-    let sweep = exp3::run_sweep(&options, &profiles);
+    let sweep = exp3::run_sweep(&options, &profiles, parallel::default_jobs());
 
     println!(
         "\n{:<12} {:>14} {:>12} {:>12} {:>14} {:>12}",
         "profile", "incentive(G$)", "accepted(%)", "messages", "avg resp (s)", "avg cost"
     );
-    for (profile, report) in sweep.profiles.iter().zip(&sweep.reports) {
+    for run in &sweep.runs {
+        let report = &run.report;
         println!(
             "{:<12} {:>14.3e} {:>12.2} {:>12} {:>14.1} {:>12.1}",
-            profile.label(),
+            run.scenario.workload.profile().label(),
             report.total_incentive(),
             report.mean_acceptance_rate(),
             report.messages.total_messages(),

@@ -26,23 +26,23 @@ fn options() -> WorkloadOptions {
 
 #[test]
 fn federation_raises_acceptance_and_utilization() {
-    let result = exp2::run(&options());
-    let without = result.independent.mean_acceptance_rate();
-    let with = result.federated.mean_acceptance_rate();
+    let result = exp2::run(&options(), 2);
+    let (independent, federated) = (&result.independent.report, &result.federated.report);
+    let without = independent.mean_acceptance_rate();
+    let with = federated.mean_acceptance_rate();
     assert!(
         with > without,
         "federation should raise mean acceptance ({without:.2} % -> {with:.2} %)"
     );
-    let util_without = result.independent.mean_utilization_percent();
-    let util_with = result.federated.mean_utilization_percent();
+    let util_without = independent.mean_utilization_percent();
+    let util_with = federated.mean_utilization_percent();
     assert!(
         util_with > util_without,
         "federation should raise mean utilization ({util_without:.2} % -> {util_with:.2} %)"
     );
     // Load sharing: every migrated job is processed remotely somewhere.
-    let migrated: usize = result.federated.resources.iter().map(|r| r.migrated).sum();
-    let remote: usize = result
-        .federated
+    let migrated: usize = federated.resources.iter().map(|r| r.migrated).sum();
+    let remote: usize = federated
         .resources
         .iter()
         .map(|r| r.remote_jobs_processed)
@@ -56,7 +56,7 @@ fn table2_and_table3_regenerate_with_paper_shapes() {
     let e1 = exp1::run(&options());
     let t2 = exp1::table2(&e1);
     assert_eq!(t2.len(), 8);
-    let e2 = exp2::run(&options());
+    let e2 = exp2::run(&options(), 2);
     let t3 = exp2::table3(&e2);
     assert_eq!(t3.len(), 8);
     assert_eq!(exp2::figure2a(&e2).len(), 8);
@@ -68,7 +68,7 @@ fn table2_and_table3_regenerate_with_paper_shapes() {
 
 #[test]
 fn economy_claims_hold_directionally() {
-    let e2 = exp2::run(&options());
+    let e2 = exp2::run(&options(), 2);
     let sweep = exp3::run_sweep(
         &options(),
         &[
@@ -76,6 +76,7 @@ fn economy_claims_hold_directionally() {
             PopulationProfile::new(30),
             PopulationProfile::new(100),
         ],
+        2,
     );
     let claims = HeadlineClaims::extract(&e2, &sweep);
     assert!(
@@ -104,20 +105,20 @@ fn economy_claims_hold_directionally() {
     // Message figures are consistent with the ledger.
     let fig9c = exp4::figure9c(&sweep);
     assert_eq!(fig9c.len(), 3);
-    for (profile, report) in sweep.profiles.iter().zip(&sweep.reports) {
+    for run in &sweep.runs {
         let row = fig9c
             .rows
             .iter()
-            .find(|r| r[0] == profile.label())
+            .find(|r| r[0] == run.scenario.workload.profile().label())
             .expect("profile row present");
-        assert_eq!(row[1], report.messages.total_messages().to_string());
+        assert_eq!(row[1], run.report.messages.total_messages().to_string());
     }
 }
 
 #[test]
 fn qos_constraints_are_respected_by_accepted_jobs() {
-    let sweep = exp3::run_sweep(&options(), &[PopulationProfile::new(50)]);
-    let report = &sweep.reports[0];
+    let sweep = exp3::run_sweep(&options(), &[PopulationProfile::new(50)], 1);
+    let report = &sweep.runs[0].report;
     for job in report.jobs.iter().filter(|j| j.was_accepted()) {
         let response = job.response_time().unwrap();
         assert!(
@@ -151,7 +152,7 @@ fn message_complexity_grows_slowly_with_system_size() {
         &[10, 20, 40],
         &[PopulationProfile::new(0), PopulationProfile::new(100)],
         DirectoryBackend::Ideal,
-        grid_experiments::parallel::default_jobs(),
+        2,
     );
     for (pi, profile) in sweep.profiles.iter().enumerate() {
         let per_job: Vec<f64> = sweep
@@ -159,7 +160,7 @@ fn message_complexity_grows_slowly_with_system_size() {
             .iter()
             .enumerate()
             .map(|(si, _)| {
-                let (_, avg, _) = sweep.reports[si][pi].per_job_summary(|j| j.messages);
+                let (_, avg, _) = sweep.row(si)[pi].report.per_job_summary(|j| j.messages);
                 avg
             })
             .collect();
