@@ -1,64 +1,65 @@
-//! `bench_perf` — the repo's tracked performance baseline.
+//! `bench_perf` — the repo's tracked micro-benchmark baseline.
 //!
-//! Measures the three hot paths the perf overhaul targets and emits the
-//! results as `BENCH_perf.json` (the first entry in the repo's perf
-//! trajectory; CI uploads a fresh smoke measurement per push):
+//! Times the simulator's hot kernels and writes them as `BENCH_perf.json`;
+//! `perf_gate` compares the medians of several such files against the
+//! committed one:
 //!
-//! * **event queue**: delivered events/sec through the engine's queue (the
-//!   index-based 4-ary heap plus its FIFO lane for in-order messages) vs.
-//!   the retained `BinaryHeap<Event>` layout, using the real federation
-//!   message enum as payload — this measurement, not guesswork, justified
-//!   the layout choice;
+//! * **event queue**: events/s through the engine's queue in a hold model
+//!   shaped like a negotiation-heavy run — every delivered event schedules
+//!   the next, nine in ten a message one fixed latency out (a negotiation
+//!   leg, which the queue keeps in its FIFO lane) and one in ten a timer
+//!   scattered over the next 1,000 s (its heap).  The federation message
+//!   enum is the payload.  The retained `BinaryHeap<Event>` layout runs the
+//!   same schedule as an ungated comparison;
 //! * **engine dispatch**: events/sec through `Simulation::run` end to end;
 //! * **admission-control estimator**: ns/quote of the incremental
 //!   availability profile vs. the retained replay oracle on a loaded
-//!   128-job queue, for both LRMS policies (answers are asserted
-//!   bit-identical while measuring);
+//!   128-job queue, for both LRMS policies, and ns per FCFS *accept cycle*
+//!   (submit, on-time finish, quote) on a steady 128-job queue — the cycle
+//!   keeps the quote profile across the submit and the finish instead of
+//!   rebuilding it.  Every answer is asserted bit-identical to the replay
+//!   oracle's;
 //! * **directory ranking**: ns/rank of the streaming cursor (routed open
 //!   vs. O(1) advance) against the query-per-rank oracle at n = 50, on both
 //!   backends (ideal and the distributed MAAN range index) — quotes are
 //!   asserted identical while measuring;
 //! * **workload generation**: jobs/sec of building a replicated Experiment-5
-//!   federation's synthetic traces (gated by `perf_gate` alongside engine
-//!   dispatch), plus the streaming path: jobs/sec of draining a million-job
-//!   synthetic stream without materialising a `Vec<Job>`, with the
-//!   peak-memory proxy (bytes the stream holds vs. the eager allocation).
+//!   federation's synthetic traces, plus the streaming path: jobs/sec of
+//!   draining a million-job synthetic stream without materialising a
+//!   `Vec<Job>`, with the peak-memory proxy (bytes the stream holds vs. the
+//!   eager allocation).
 //!
-//! Usage: `bench_perf [--smoke] [--out PATH]`
+//! Every timing is in *reference-host* seconds: just before it, the binary
+//! times a fixed kernel that shares no code with the simulator (sorting
+//! 2^18 xorshift `u64`s, best of three — the probe `perfbench` scales its
+//! runs by) and scales the wall time to a host on which that kernel takes
+//! 5 ms.  A neighbour that slows the whole host slows the probe as well.
 //!
-//! `--smoke` shrinks iteration counts for CI; `--out` defaults to
-//! `BENCH_perf.json` in the working directory.
+//! Usage: `bench_perf [--out PATH]` (default `BENCH_perf.json` in the
+//! working directory).
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
-use grid_cluster::{ClusterJob, EasyBackfilling, LocalScheduler, SpaceSharedFcfs};
-use grid_des::{BinaryHeapEventQueue, Context, Entity, EntityId, Event, EventKind, EventQueue, SimTime, Simulation};
 use grid_bench::populated_directory;
+use grid_cluster::{ClusterJob, EasyBackfilling, LocalScheduler, SpaceSharedFcfs, StartedJob};
+use grid_des::{BinaryHeapEventQueue, Context, Entity, EntityId, Event, EventKind, EventQueue, SimTime, Simulation};
 use grid_directory::{FederationDirectory, RankOrder};
 use grid_experiments::workloads::{replicated_workloads, scaled_stream_config, WorkloadOptions};
 use grid_federation_core::{DirectoryBackend, FedMessage};
 use grid_workload::{JobId, PopulationProfile};
 
-struct Args {
-    smoke: bool,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        out: "BENCH_perf.json".to_string(),
-    };
+fn parse_args() -> String {
+    let mut out = "BENCH_perf.json".to_string();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--out" => args.out = argv.next().expect("--out needs a path"),
+            "--out" => out = argv.next().expect("--out needs a path"),
             other => panic!("unknown argument: {other}"),
         }
     }
-    args
+    out
 }
 
 /// Times `f`, returning (seconds, result).
@@ -68,70 +69,110 @@ fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
     (start.elapsed().as_secs_f64(), result)
 }
 
-/// Best-of-`reps` timing to damp scheduler noise.
+/// Time the probe kernel takes on a quiet reference host, seconds.
+const REFERENCE_PROBE_SECS: f64 = 0.005;
+
+/// Reference seconds per wall second on this host right now: the probe
+/// kernel's reference time over its best-of-three time here.
+fn host_speed() -> f64 {
+    let kernel = (0..3)
+        .map(|_| {
+            timed(|| {
+                let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+                let mut v: Vec<u64> = (0..1 << 18)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x
+                    })
+                    .collect();
+                v.sort_unstable();
+                black_box(v[v.len() / 2])
+            })
+            .0
+        })
+        .fold(f64::INFINITY, f64::min);
+    REFERENCE_PROBE_SECS / kernel
+}
+
+/// Best-of-`reps` time of `f` (which returns its own wall seconds), in
+/// reference-host seconds by the probe taken just before it.
 fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
-    (0..reps).map(|_| f()).fold(f64::INFINITY, f64::min)
+    let speed = host_speed();
+    (0..reps).map(|_| f()).fold(f64::INFINITY, f64::min) * speed
 }
 
-fn payload(i: usize) -> FedMessage {
-    // `LocalJobFinished` is the most common event in a loaded run; the enum
-    // is sized by its widest variant either way, so sift-time memmove cost
-    // is representative of the real federation model.
-    FedMessage::LocalJobFinished {
-        job: JobId { origin: i % 8, seq: i },
-    }
-}
-
-fn queue_event(i: usize, n: usize) -> Event<FedMessage> {
+fn queue_event(time: f64, kind: EventKind, i: usize) -> Event<FedMessage> {
     Event {
-        time: SimTime::new(((i * 7919) % n) as f64),
+        time: SimTime::new(time),
         seq: 0,
         src: EntityId::new(0),
         dst: EntityId::new(0),
-        kind: EventKind::Message,
-        payload: payload(i),
+        kind,
+        // The enum is sized by its widest variant whichever one this is, so
+        // the moves cost what the federation's do.
+        payload: FedMessage::LocalJobFinished {
+            job: JobId { origin: i % 8, seq: i },
+        },
     }
 }
 
-/// Push/pop throughput of the engine's queue (events/sec): the index-based
-/// 4-ary heap, with the messages that arrive in order in its FIFO lane.
-fn bench_dary_queue(n: usize) -> f64 {
-    let secs = best_of(3, || {
-        let mut q: EventQueue<FedMessage> = EventQueue::with_capacity(n);
-        let (secs, delivered) = timed(|| {
-            for i in 0..n {
-                q.push(queue_event(i, n));
-            }
-            let mut delivered = 0usize;
-            while q.pop().is_some() {
-                delivered += 1;
-            }
-            delivered
-        });
-        assert_eq!(delivered, n);
-        secs
-    });
-    n as f64 / secs
+/// One-way latency of every message in the hold model.
+const LEG_LATENCY: f64 = 0.05;
+
+/// A timer `1..=1000` s after `now`, scattered like the job finishes and
+/// arrivals a federation keeps pending.
+fn scattered_timer(now: f64, i: usize) -> Event<FedMessage> {
+    queue_event(now + 1.0 + ((i * 7919) % 1000) as f64, EventKind::Timer, i)
 }
 
-/// Push/pop throughput of the retained `BinaryHeap<Event>` layout.
-fn bench_binary_heap_queue(n: usize) -> f64 {
-    let secs = best_of(3, || {
-        let mut q: BinaryHeapEventQueue<FedMessage> = BinaryHeapEventQueue::with_capacity(n);
-        let (secs, delivered) = timed(|| {
-            for i in 0..n {
-                q.push(queue_event(i, n));
-            }
-            let mut delivered = 0usize;
-            while q.pop().is_some() {
-                delivered += 1;
-            }
-            delivered
-        });
-        assert_eq!(delivered, n);
-        secs
-    });
-    n as f64 / secs
+/// What the `i`-th delivered event schedules: nine times in ten a message
+/// one fixed latency out (a negotiation leg), otherwise a scattered timer.
+fn leg_event(now: f64, i: usize) -> Event<FedMessage> {
+    if i % 10 == 0 {
+        scattered_timer(now, i)
+    } else {
+        queue_event(now + LEG_LATENCY, EventKind::Message, i)
+    }
+}
+
+/// Timers pending throughout the hold model.
+const HOLD_PENDING: usize = 10_000;
+
+/// Delivered events per hold-model pass.
+const HOLD_STEPS: usize = 200_000;
+
+/// The hold model on `q`: [`HOLD_PENDING`] scattered timers pending, then
+/// `steps` steps that each pop the earliest event and push what it
+/// schedules (see [`leg_event`]).  Returns the seconds the steps took.
+fn hold_legs<Q>(
+    q: &mut Q,
+    steps: usize,
+    push: impl Fn(&mut Q, Event<FedMessage>),
+    pop: impl Fn(&mut Q) -> Option<Event<FedMessage>>,
+) -> f64 {
+    for i in 0..HOLD_PENDING {
+        push(q, scattered_timer(0.0, i));
+    }
+    timed(|| {
+        for i in 0..steps {
+            let ev = pop(q).expect("the hold model keeps the queue populated");
+            push(q, leg_event(ev.time.as_secs(), i));
+        }
+    })
+    .0
+}
+
+/// Events/s of [`HOLD_STEPS`] steps of the hold model on the queues `new`
+/// builds.
+fn bench_hold_legs<Q>(
+    new: impl Fn() -> Q,
+    push: impl Fn(&mut Q, Event<FedMessage>) + Copy,
+    pop: impl Fn(&mut Q) -> Option<Event<FedMessage>> + Copy,
+) -> f64 {
+    let secs = best_of(3, || hold_legs(&mut new(), HOLD_STEPS, push, pop));
+    HOLD_STEPS as f64 / secs
 }
 
 /// Self-ticking entity measuring raw engine dispatch overhead.
@@ -189,14 +230,15 @@ fn bench_estimator<S: LocalScheduler>(
     quotes: usize,
     oracle: impl Fn(&S, u32, f64, f64) -> f64,
 ) -> (f64, f64) {
-    let probe = |i: usize| -> (u32, f64) {
-        (1 + (i % 128) as u32, 50.0 + (i % 61) as f64 * 7.0)
-    };
+    // Varying probe shapes, drawn before the clock starts, so each quote
+    // answers a distinct question from one profile, as the DBC loop does.
+    let probes: Vec<(u32, f64)> = (0..quotes)
+        .map(|i| (1 + (i % 128) as u32, 50.0 + (i % 61) as f64 * 7.0))
+        .collect();
     let mut incremental = vec![0.0f64; quotes];
     let inc_secs = best_of(3, || {
         let (secs, _) = timed(|| {
-            for (i, slot) in incremental.iter_mut().enumerate() {
-                let (procs, service) = probe(i);
+            for (slot, &(procs, service)) in incremental.iter_mut().zip(&probes) {
                 *slot = scheduler.estimate_completion(procs, service, 10.0);
             }
         });
@@ -206,8 +248,7 @@ fn bench_estimator<S: LocalScheduler>(
     let replay_quotes = (quotes / 8).max(64).min(quotes);
     let rep_secs = best_of(2, || {
         let (secs, _) = timed(|| {
-            for (i, fast) in incremental.iter().enumerate().take(replay_quotes) {
-                let (procs, service) = probe(i);
+            for (i, (fast, &(procs, service))) in incremental.iter().zip(&probes).enumerate().take(replay_quotes) {
                 let slow = oracle(scheduler, procs, service, 10.0);
                 assert_eq!(
                     slow.to_bits(),
@@ -222,6 +263,88 @@ fn bench_estimator<S: LocalScheduler>(
         inc_secs / quotes as f64 * 1e9,
         rep_secs / replay_quotes as f64 * 1e9,
     )
+}
+
+/// A 128-PE FCFS cluster of 4-PE jobs, 32 running and 128 queued: each
+/// on-time finish starts exactly one queued job, so the queue stays at 128.
+struct AcceptCycle {
+    lrms: SpaceSharedFcfs,
+    running: Vec<StartedJob>,
+    now: f64,
+    seq: usize,
+}
+
+impl AcceptCycle {
+    const QUEUED: usize = 128;
+
+    fn new() -> Self {
+        let mut cycle = AcceptCycle {
+            lrms: SpaceSharedFcfs::new(128),
+            running: Vec::new(),
+            now: 0.0,
+            seq: 0,
+        };
+        for _ in 0..32 + Self::QUEUED {
+            cycle.submit();
+        }
+        cycle
+    }
+
+    fn submit(&mut self) {
+        let job = ClusterJob {
+            id: JobId {
+                origin: 0,
+                seq: self.seq,
+            },
+            processors: 4,
+            service_time: 100.0 + (self.seq * 37 % 97) as f64,
+        };
+        self.seq += 1;
+        self.lrms.submit_into(job, self.now, &mut self.running);
+    }
+
+    /// One accept cycle: submit a job, finish the earliest running one on
+    /// time, then quote with `quote`.
+    fn step(&mut self, quote: impl Fn(&SpaceSharedFcfs, u32, f64, f64) -> f64) -> f64 {
+        self.submit();
+        let (idx, next) = self
+            .running
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.finish.total_cmp(&b.1.finish))
+            .map(|(idx, job)| (idx, *job))
+            .expect("the cluster is never idle");
+        self.running.swap_remove(idx);
+        self.now = next.finish;
+        self.lrms.on_finished_into(next.id, self.now, &mut self.running);
+        quote(&self.lrms, 1 + (self.seq % 128) as u32, 500.0, self.now)
+    }
+}
+
+/// ns per [`AcceptCycle::step`] over `cycles` steps, asserting every quote
+/// bit-identical to the replay oracle's on the same states.
+fn bench_accept_cycle(cycles: usize) -> f64 {
+    let mut quotes = vec![0.0f64; cycles];
+    let secs = best_of(3, || {
+        let mut cycle = AcceptCycle::new();
+        let (secs, _) = timed(|| {
+            for slot in &mut quotes {
+                *slot = cycle.step(SpaceSharedFcfs::estimate_completion);
+            }
+        });
+        assert_eq!(cycle.lrms.queued_count(), AcceptCycle::QUEUED);
+        secs
+    });
+    let mut oracle = AcceptCycle::new();
+    for (i, fast) in quotes.iter().enumerate() {
+        let slow = oracle.step(SpaceSharedFcfs::estimate_completion_replay);
+        assert_eq!(
+            slow.to_bits(),
+            fast.to_bits(),
+            "accept cycle {i} diverged from the replay oracle"
+        );
+    }
+    secs / cycles as f64 * 1e9
 }
 
 /// The system size the directory acceptance criterion is stated at.
@@ -255,7 +378,7 @@ fn measure_ranks<F: FnMut(usize) -> usize>(iters: usize, mut op: F) -> f64 {
             }
             acc
         });
-        std::hint::black_box(acc);
+        black_box(acc);
         secs
     })
 }
@@ -315,27 +438,28 @@ fn json_num(x: f64) -> String {
 }
 
 fn main() {
-    let args = parse_args();
-    let (queue_events, dispatch_events, quotes, ranks) = if args.smoke {
-        (20_000usize, 20_000u64, 2_000usize, 50_000usize)
-    } else {
-        (100_000, 200_000, 20_000, 500_000)
-    };
+    let out = parse_args();
+    let (dispatch_events, quotes, accept_cycles, ranks) = (200_000u64, 20_000usize, 20_000usize, 500_000usize);
 
-    eprintln!("[1/5] event queue layouts ({queue_events} events, FedMessage payload)…");
-    let dary_eps = bench_dary_queue(queue_events);
-    let binary_eps = bench_binary_heap_queue(queue_events);
+    eprintln!("[1/5] event queue layouts ({HOLD_STEPS} hold steps over {HOLD_PENDING} pending timers, FedMessage payload)…");
+    let dary_eps = bench_hold_legs(|| EventQueue::with_capacity(HOLD_PENDING), EventQueue::push, EventQueue::pop);
+    let binary_eps = bench_hold_legs(
+        || BinaryHeapEventQueue::with_capacity(HOLD_PENDING),
+        BinaryHeapEventQueue::push,
+        BinaryHeapEventQueue::pop,
+    );
 
     eprintln!("[2/5] engine dispatch ({dispatch_events} timer events)…");
     let dispatch_eps = bench_dispatch(dispatch_events);
 
-    eprintln!("[3/5] admission-control estimator ({quotes} quotes, 128-job queue)…");
+    eprintln!("[3/5] admission-control estimator ({quotes} quotes and {accept_cycles} accept cycles, 128-job queue)…");
     let fcfs = loaded(SpaceSharedFcfs::new(128));
     let (fcfs_inc, fcfs_rep) =
         bench_estimator(&fcfs, quotes, |s, p, t, now| s.estimate_completion_replay(p, t, now));
     let easy = loaded(EasyBackfilling::new(128));
     let (easy_inc, easy_rep) =
         bench_estimator(&easy, quotes, |s, p, t, now| s.estimate_completion_replay(p, t, now));
+    let accept_cycle_ns = bench_accept_cycle(accept_cycles);
 
     eprintln!("[4/5] directory ranking ({ranks} ranks, n = {DIRECTORY_N}, both backends)…");
     let dir_ideal = bench_directory(DirectoryBackend::Ideal, DIRECTORY_N, ranks);
@@ -345,13 +469,12 @@ fn main() {
     let workload_size = 20usize;
     let workload_profile = PopulationProfile::new(50);
     let workload_options = WorkloadOptions::quick();
-    let workload_reps = if args.smoke { 2 } else { 5 };
     let mut workload_jobs = 0usize;
-    let workload_secs = best_of(workload_reps, || {
+    let workload_secs = best_of(5, || {
         let (secs, setup) =
             timed(|| replicated_workloads(workload_size, workload_profile, &workload_options));
         workload_jobs = setup.total_jobs();
-        std::hint::black_box(&setup);
+        black_box(&setup);
         secs
     });
     let workload_jobs_per_sec = workload_jobs as f64 / workload_secs;
@@ -360,12 +483,11 @@ fn main() {
     // counting consumer without ever materialising the `Vec<Job>`.  Peak
     // working memory is the stream's three scalar calibration arrays
     // (20 B/job) instead of `size_of::<Job>()` per job, which is what lets
-    // the drain run flat.  Smoke and full runs drain the same count, the
-    // one `BENCH_perf.json` records, so the gate compares like with like.
+    // the drain run flat.
     let stream_jobs = 1_000_000usize;
     eprintln!("    streaming generation ({stream_jobs} jobs, no materialisation)…");
     let stream_cfg = scaled_stream_config(0, stream_jobs, &workload_options);
-    let stream_secs = best_of(workload_reps, || {
+    let stream_secs = best_of(5, || {
         let (secs, drained) = timed(|| {
             let mut drained = 0usize;
             let mut bits = 0u64;
@@ -373,7 +495,7 @@ fn main() {
                 bits ^= job.submit.to_bits();
                 drained += 1;
             }
-            std::hint::black_box(bits);
+            black_box(bits);
             drained
         });
         assert_eq!(drained, stream_jobs, "the stream must yield every requested job");
@@ -393,8 +515,9 @@ fn main() {
     );
     eprintln!("dispatch: {dispatch_eps:.0} ev/s");
     eprintln!(
-        "estimator: FCFS {fcfs_inc:.0} ns/quote vs replay {fcfs_rep:.0} ns/quote ({fcfs_speedup:.1}x); \
-         EASY {easy_inc:.0} ns/quote vs replay {easy_rep:.0} ns/quote ({easy_speedup:.1}x)"
+        "estimator: FCFS {fcfs_inc:.1} ns/quote vs replay {fcfs_rep:.0} ns/quote ({fcfs_speedup:.1}x); \
+         EASY {easy_inc:.1} ns/quote vs replay {easy_rep:.0} ns/quote ({easy_speedup:.1}x); \
+         FCFS accept cycle {accept_cycle_ns:.1} ns"
     );
     let backends = [("ideal", &dir_ideal), ("maan", &dir_maan)];
     for (label, perf) in backends {
@@ -409,7 +532,7 @@ fn main() {
         );
     }
     eprintln!(
-        "workload generation: {workload_jobs} jobs (n = {workload_size}) in {workload_secs:.3}s \
+        "workload generation: {workload_jobs} jobs (n = {workload_size}) in {workload_secs:.4}s \
          = {workload_jobs_per_sec:.0} jobs/s"
     );
     eprintln!(
@@ -418,11 +541,11 @@ fn main() {
         eager_peak_bytes as f64 / stream_peak_bytes as f64
     );
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema\": 1,");
-    let _ = writeln!(json, "  \"smoke\": {},", args.smoke);
+    let _ = writeln!(json, "  \"schema\": 2,");
     let _ = writeln!(json, "  \"event_queue\": {{");
     let _ = writeln!(json, "    \"payload\": \"FedMessage\",");
-    let _ = writeln!(json, "    \"events\": {queue_events},");
+    let _ = writeln!(json, "    \"pending\": {HOLD_PENDING},");
+    let _ = writeln!(json, "    \"events\": {HOLD_STEPS},");
     let _ = writeln!(json, "    \"dary_index_heap_events_per_sec\": {},", json_num(dary_eps));
     let _ = writeln!(json, "    \"binary_heap_events_per_sec\": {},", json_num(binary_eps));
     let _ = writeln!(json, "    \"dary_vs_binary_speedup\": {}", json_num(dary_eps / binary_eps));
@@ -439,7 +562,9 @@ fn main() {
     let _ = writeln!(json, "    \"fcfs_speedup\": {},", json_num(fcfs_speedup));
     let _ = writeln!(json, "    \"easy_incremental_ns_per_quote\": {},", json_num(easy_inc));
     let _ = writeln!(json, "    \"easy_replay_ns_per_quote\": {},", json_num(easy_rep));
-    let _ = writeln!(json, "    \"easy_speedup\": {}", json_num(easy_speedup));
+    let _ = writeln!(json, "    \"easy_speedup\": {},", json_num(easy_speedup));
+    let _ = writeln!(json, "    \"accept_cycles\": {accept_cycles},");
+    let _ = writeln!(json, "    \"fcfs_accept_cycle_ns\": {}", json_num(accept_cycle_ns));
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"directory\": {{");
     let _ = writeln!(json, "    \"n\": {DIRECTORY_N},");
@@ -469,6 +594,29 @@ fn main() {
     let _ = writeln!(json, "  }}");
     json.push_str("}\n");
 
-    std::fs::write(&args.out, json).expect("failed to write the benchmark JSON");
-    eprintln!("wrote {}", args.out);
+    std::fs::write(&out, json).expect("failed to write the benchmark JSON");
+    eprintln!("wrote {out}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_hold_model_sends_nine_legs_in_ten_to_the_lane() {
+        let mut q = EventQueue::with_capacity(HOLD_PENDING);
+        hold_legs(&mut q, 1_000, EventQueue::push, EventQueue::pop);
+        assert_eq!(q.lane_pushed(), 900);
+        assert_eq!(q.len(), HOLD_PENDING);
+    }
+
+    #[test]
+    fn the_accept_cycle_keeps_its_queue_and_matches_the_replay_oracle() {
+        let (mut fast, mut slow) = (AcceptCycle::new(), AcceptCycle::new());
+        for i in 0..200 {
+            let quote = fast.step(SpaceSharedFcfs::estimate_completion);
+            assert_eq!(quote.to_bits(), slow.step(SpaceSharedFcfs::estimate_completion_replay).to_bits(), "cycle {i}");
+            assert_eq!(fast.lrms.queued_count(), AcceptCycle::QUEUED);
+        }
+    }
 }

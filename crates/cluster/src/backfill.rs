@@ -5,8 +5,8 @@
 //! policies would change the admission-control picture.  This module provides
 //! the classic EASY backfilling variant — queued jobs may jump ahead of the
 //! FCFS head as long as they do not delay the head's earliest possible start
-//! — so the ablation benchmarks can quantify exactly how much the choice of
-//! LRMS policy matters for the federation-level results.
+//! — so the federation-level results of the two LRMS policies can be
+//! compared on identical workloads (`tests/federation_integration.rs`).
 
 use std::cell::RefCell;
 use std::cmp::Reverse;

@@ -14,9 +14,9 @@
 //! * [`lrms`] — the space-shared FCFS local scheduler (queue, allocation,
 //!   completion-time estimation for admission control, utilization
 //!   accounting),
-//! * [`backfill`] — an EASY-backfilling variant used by the ablation
-//!   benchmarks (not part of the paper's configuration, but a natural
-//!   extension the paper's future-work section gestures at).
+//! * [`backfill`] — an EASY-backfilling variant (not part of the paper's
+//!   configuration, but a natural extension the paper's future-work section
+//!   gestures at).
 //!
 //! The LRMS types are deliberately *passive* state machines: they are driven
 //! by whoever owns the clock (the GFA entities inside `grid-federation-core`,

@@ -24,8 +24,8 @@ pub const PAPER_ACCESS_PRICE: f64 = 5.3;
 /// incentive and budget figures (total incentive ≈ 2×10⁹ Grid Dollars,
 /// average budget ≈ 9×10⁵ per job over the 2-day trace) only come out with
 /// the per-1000-MI convention.  Both are implemented; the economy experiments
-/// default to [`ChargingPolicy::PerKiloMi`] and the `ablation_charging` bench
-/// compares them.
+/// default to [`ChargingPolicy::PerKiloMi`], and
+/// `tests/federation_integration.rs` compares them on one workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChargingPolicy {
     /// `B(J, R_m) = c_m · l / (µ_m · p)` — Grid Dollars per CPU-second

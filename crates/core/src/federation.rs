@@ -45,7 +45,7 @@ pub enum SchedulingMode {
 pub enum LrmsKind {
     /// Space-shared FCFS, as in the paper (GridSim `SpaceShared`).
     SpaceSharedFcfs,
-    /// EASY backfilling, used by the ablation benchmarks.
+    /// EASY backfilling, an extension beyond the paper's configuration.
     EasyBackfilling,
 }
 
@@ -460,16 +460,6 @@ impl FederationConfig {
     pub fn with_mode(mode: SchedulingMode) -> Self {
         FederationConfig {
             mode,
-            ..FederationConfig::default()
-        }
-    }
-
-    /// Convenience constructor for a given directory backend with all other
-    /// defaults (economy mode).
-    #[must_use]
-    pub fn with_backend(directory: DirectoryBackend) -> Self {
-        FederationConfig {
-            directory,
             ..FederationConfig::default()
         }
     }
@@ -891,7 +881,8 @@ mod tests {
         assert!(rec.was_accepted());
         // OFC: resource 0 is the cheapest, and it is the origin → local run.
         assert!(!rec.was_migrated());
-        assert!(rec.qos_satisfied());
+        assert!(rec.response_time().unwrap() <= rec.deadline + 1e-6);
+        assert!(rec.cost_paid().unwrap() <= rec.budget + 1e-6);
         assert_eq!(rec.messages, 2); // self negotiate + reply
         assert_eq!(report.resources[0].processed_locally, 1);
         assert_eq!(report.resources[0].accepted, 1);
@@ -985,8 +976,10 @@ mod tests {
         );
         assert!(fed.resources[0].migrated > 0);
         assert_eq!(fed.resources[1].remote_jobs_processed, fed.resources[0].migrated);
-        // Deadlines of accepted jobs are honoured.
-        assert!(fed.jobs.iter().filter(|j| j.was_accepted()).all(|j| j.qos_satisfied()));
+        // Deadlines and budgets of accepted jobs are honoured.
+        assert!(fed.jobs.iter().filter(|j| j.was_accepted()).all(|j| {
+            j.response_time().unwrap() <= j.deadline + 1e-6 && j.cost_paid().unwrap() <= j.budget + 1e-6
+        }));
     }
 
     #[test]
@@ -1096,7 +1089,8 @@ mod tests {
         let with_scripts = |backend| FederationConfig {
             departures: vec![(1, 500.0)],
             repricings: vec![(0, 200.0, 1.5)],
-            ..FederationConfig::with_backend(backend)
+            directory: backend,
+            ..FederationConfig::default()
         };
         let ideal = run_federation(resources.clone(), make(), with_scripts(DirectoryBackend::Ideal));
         let maan = run_federation(resources, make(), with_scripts(DirectoryBackend::Maan));
@@ -1140,7 +1134,8 @@ mod tests {
         for backend in DirectoryBackend::ALL {
             let config = FederationConfig {
                 departures: vec![(1, 50.0)],
-                ..FederationConfig::with_backend(backend)
+                directory: backend,
+                ..FederationConfig::default()
             };
             let report = run_federation(resources.clone(), make(), config);
             let rec = &report.jobs[0];
@@ -1185,7 +1180,8 @@ mod tests {
         for backend in DirectoryBackend::ALL {
             let config = FederationConfig {
                 repricings: vec![(1, 50.0, 0.5)],
-                ..FederationConfig::with_backend(backend)
+                directory: backend,
+                ..FederationConfig::default()
             };
             let report = run_federation(resources.clone(), make(), config);
             let rec = &report.jobs[0];

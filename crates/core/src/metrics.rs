@@ -100,18 +100,6 @@ impl JobRecord {
     pub fn was_accepted(&self) -> bool {
         matches!(self.outcome, ExecutionOutcome::Completed { .. })
     }
-
-    /// The paper's QoS-satisfaction predicate: completed within both budget
-    /// and deadline.
-    #[must_use]
-    pub fn qos_satisfied(&self) -> bool {
-        match self.outcome {
-            ExecutionOutcome::Completed { finish, cost, .. } => {
-                finish <= self.submit + self.deadline + 1e-6 && cost <= self.budget + 1e-6
-            }
-            ExecutionOutcome::Rejected => false,
-        }
-    }
 }
 
 /// Per-resource statistics, as reported in Tables 2 and 3.
@@ -327,16 +315,6 @@ impl FederationReport {
             served as f64 / total as f64
         }
     }
-
-    /// Fraction of accepted jobs whose QoS (budget **and** deadline) was met.
-    #[must_use]
-    pub fn qos_satisfaction_rate(&self) -> f64 {
-        let accepted: Vec<&JobRecord> = self.jobs.iter().filter(|j| j.was_accepted()).collect();
-        if accepted.is_empty() {
-            return 0.0;
-        }
-        accepted.iter().filter(|j| j.qos_satisfied()).count() as f64 / accepted.len() as f64
-    }
 }
 
 /// Mean of `observed` over `jobs`, summed in job order; a job without an
@@ -447,16 +425,11 @@ mod tests {
         assert_eq!(ok.cost_paid(), Some(30.0));
         assert!(ok.was_migrated());
         assert!(ok.was_accepted());
-        assert!(ok.qos_satisfied());
-        let late = completed_record(0, 0, 0.0, 5_000.0, 30.0);
-        assert!(!late.qos_satisfied());
-        assert!(!late.was_migrated());
-        let pricey = completed_record(0, 1, 0.0, 400.0, 400.0);
-        assert!(!pricey.qos_satisfied());
+        let local = completed_record(0, 0, 0.0, 5_000.0, 30.0);
+        assert!(!local.was_migrated());
         let rej = rejected_record(0);
         assert_eq!(rej.response_time(), None);
         assert!(!rej.was_accepted());
-        assert!(!rej.qos_satisfied());
     }
 
     #[test]
@@ -490,9 +463,6 @@ mod tests {
         // Federation-wide.
         assert!((rep.federation_avg_response_time(false) - (400.0 + 800.0 + 2_000.0) / 3.0).abs() < 1e-9);
         assert!((rep.federation_avg_budget_spent(true) - (30.0 + 70.0 + 60.0 + 120.0) / 4.0).abs() < 1e-9);
-        // QoS satisfaction: job at origin 1 finished after its deadline and
-        // over budget → 2 of 3 accepted jobs satisfied.
-        assert!((rep.qos_satisfaction_rate() - 2.0 / 3.0).abs() < 1e-12);
         // Per-job message summaries over the four records.
         assert_eq!(rep.per_job_summary(|j| j.messages), (4, 5.0, 8));
         assert_eq!(rep.per_job_summary(|j| j.directory_messages), (2, 3.0, 6));
@@ -518,7 +488,6 @@ mod tests {
         assert_eq!(rep.mean_acceptance_rate(), 0.0);
         assert_eq!(rep.total_incentive(), 0.0);
         assert_eq!(rep.avg_response_time(0, true), 0.0);
-        assert_eq!(rep.qos_satisfaction_rate(), 0.0);
         assert_eq!(rep.federation_avg_response_time(true), 0.0);
         assert_eq!(rep.federation_avg_budget_spent(false), 0.0);
         assert_eq!(rep.mean_utilization_percent(), 0.0);

@@ -91,20 +91,6 @@ impl<'a, M, S> Context<'a, M, S> {
         self.schedule(dst, self.now.after(delay), EventKind::Message, payload);
     }
 
-    /// Sends a message delivered at an absolute time `at` (must not be in the
-    /// past).
-    ///
-    /// # Panics
-    /// Panics if `at` is earlier than the current time.
-    pub fn send_at(&mut self, dst: EntityId, at: SimTime, payload: M) {
-        assert!(
-            at >= self.now,
-            "cannot schedule an event in the past ({at} < {})",
-            self.now
-        );
-        self.schedule(dst, at, EventKind::Message, payload);
-    }
-
     /// Schedules a timer on the calling entity itself, firing after `delay`
     /// seconds.
     pub fn timer(&mut self, delay: f64, payload: M) {
@@ -171,15 +157,14 @@ mod tests {
         assert_eq!(ctx.now(), SimTime::new(10.0));
         assert_eq!(ctx.self_id(), EntityId::new(0));
         ctx.send(EntityId::new(1), 5.0, 7);
-        ctx.send_at(EntityId::new(2), SimTime::new(12.0), 8);
         ctx.timer(1.0, 9);
         ctx.timer_at(SimTime::new(30.0), 10);
         let _ = ctx.rng().uniform();
         ctx.stop();
         assert!(stop);
-        assert_eq!(queue.len(), 4);
-        // Events must come out ordered by time: timer(11.0), send_at(12.0),
-        // send(15.0), timer_at(30.0).
+        assert_eq!(queue.len(), 3);
+        // Events must come out ordered by time: timer(11.0), send(15.0),
+        // timer_at(30.0).
         let order: Vec<(f64, u32, EventKind)> = std::iter::from_fn(|| queue.pop())
             .map(|e| (e.time.as_secs(), e.payload, e.kind))
             .collect();
@@ -187,7 +172,6 @@ mod tests {
             order,
             vec![
                 (11.0, 9, EventKind::Timer),
-                (12.0, 8, EventKind::Message),
                 (15.0, 7, EventKind::Message),
                 (30.0, 10, EventKind::Timer),
             ]
@@ -208,6 +192,6 @@ mod tests {
             stop_requested: &mut stop,
             shared: &mut (),
         };
-        ctx.send_at(EntityId::new(1), SimTime::new(5.0), 1);
+        ctx.timer_at(SimTime::new(5.0), 1);
     }
 }

@@ -45,13 +45,6 @@ impl<M> Event<M> {
     pub fn is_timer(&self) -> bool {
         self.kind == EventKind::Timer
     }
-
-    /// Returns `true` if this event models a message between two *different*
-    /// entities.
-    #[must_use]
-    pub fn is_remote_message(&self) -> bool {
-        self.kind == EventKind::Message && self.src != self.dst
-    }
 }
 
 #[cfg(test)]
@@ -73,12 +66,5 @@ mod tests {
     fn timer_classification() {
         assert!(ev(EventKind::Timer, 0, 0).is_timer());
         assert!(!ev(EventKind::Message, 0, 0).is_timer());
-    }
-
-    #[test]
-    fn remote_message_classification() {
-        assert!(ev(EventKind::Message, 0, 1).is_remote_message());
-        assert!(!ev(EventKind::Message, 2, 2).is_remote_message());
-        assert!(!ev(EventKind::Timer, 0, 1).is_remote_message());
     }
 }

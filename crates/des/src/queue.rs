@@ -35,8 +35,8 @@
 //! [`EventQueue::pop`] takes the earliest of the three heads, so neither
 //! sealing nor the lane ever changes delivery order.  The pre-overhaul
 //! `BinaryHeap<Event<M>>` layout is retained as [`BinaryHeapEventQueue`] so
-//! the micro benches (and `bench_perf`) keep measuring the choice instead of
-//! assuming it, and the differential tests compare against it.
+//! `bench_perf` keeps measuring the choice instead of assuming it, and the
+//! differential tests compare against it.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};

@@ -92,15 +92,6 @@ impl SimRng {
         };
         -mean * u.ln()
     }
-
-    /// Chooses an index in `[0, n)` uniformly at random.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn choose_index(&mut self, n: usize) -> usize {
-        assert!(n > 0, "cannot choose from an empty range");
-        self.inner.gen_range(0..n)
-    }
 }
 
 impl RngCore for SimRng {
@@ -172,7 +163,6 @@ mod tests {
             assert_eq!(a.uniform_int(3, 1_000), b.uniform_int(3, 1_000));
             assert_eq!(a.bernoulli(0.37), b.bernoulli(0.37));
             assert_eq!(a.exponential(4.0).to_bits(), b.exponential(4.0).to_bits());
-            assert_eq!(a.choose_index(17), b.choose_index(17));
         }
     }
 
@@ -250,14 +240,6 @@ mod tests {
         assert!((0..100).all(|_| r.bernoulli(1.0)));
         // Out-of-range probabilities are clamped rather than panicking.
         assert!((0..100).all(|_| r.bernoulli(2.0)));
-    }
-
-    #[test]
-    fn choose_index_in_range() {
-        let mut r = SimRng::from_seed(5);
-        for _ in 0..100 {
-            assert!(r.choose_index(7) < 7);
-        }
     }
 
     #[test]

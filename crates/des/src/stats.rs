@@ -30,19 +30,6 @@ pub struct SimStats {
     pub end_time: SimTime,
 }
 
-impl SimStats {
-    /// Fraction of delivered events that were inter-entity messages.
-    ///
-    /// Returns 0 when nothing was delivered.
-    #[must_use]
-    pub fn message_fraction(&self) -> f64 {
-        if self.events_delivered == 0 {
-            0.0
-        } else {
-            self.messages_delivered as f64 / self.events_delivered as f64
-        }
-    }
-}
 
 /// Streaming summary statistics (count / mean / min / max / variance) used by
 /// several crates to summarise per-job and per-GFA observations without
@@ -163,15 +150,6 @@ impl RunningStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn message_fraction() {
-        let mut s = SimStats::default();
-        assert_eq!(s.message_fraction(), 0.0);
-        s.events_delivered = 10;
-        s.messages_delivered = 4;
-        assert!((s.message_fraction() - 0.4).abs() < 1e-12);
-    }
 
     #[test]
     fn running_stats_basic() {

@@ -20,12 +20,6 @@ impl SimTime {
     /// The beginning of the simulation.
     pub const ZERO: SimTime = SimTime(0.0);
 
-    /// One simulated hour, convenient for workload construction.
-    pub const HOUR: SimTime = SimTime(3_600.0);
-
-    /// One simulated day (86 400 s).
-    pub const DAY: SimTime = SimTime(86_400.0);
-
     /// Creates a new `SimTime` from seconds.
     ///
     /// # Panics
@@ -172,8 +166,6 @@ mod tests {
         let t = SimTime::new(12.5);
         assert_eq!(t.as_secs(), 12.5);
         assert_eq!(SimTime::ZERO.as_secs(), 0.0);
-        assert_eq!(SimTime::DAY.as_secs(), 86_400.0);
-        assert_eq!(SimTime::HOUR.as_secs(), 3_600.0);
     }
 
     #[test]

@@ -347,7 +347,7 @@ impl ChordOverlay {
     }
 
     /// Average hops over a deterministic sample of `samples` random lookups,
-    /// used by tests and the directory ablation bench.
+    /// used by tests.
     #[must_use]
     pub fn average_lookup_hops(&self, samples: usize, seed: u64) -> f64 {
         if samples == 0 {

@@ -60,15 +60,6 @@ pub fn speed_key(mips: f64) -> u64 {
     HALF_RING + (HALF_RING - 1 - scale_to_half_ring(mips, MIPS_DOMAIN_MAX))
 }
 
-/// The ring key a quote publishes its `order` attribute under.
-#[must_use]
-pub fn attribute_key(order: RankOrder, price: f64, mips: f64) -> u64 {
-    match order {
-        RankOrder::Cheapest => price_key(price),
-        RankOrder::Fastest => speed_key(mips),
-    }
-}
-
 /// Where a range walk of `order` starts: the smallest key of the attribute's
 /// partition.  A rank query routes here first, then walks successor
 /// sub-ranges in key order.
@@ -117,8 +108,8 @@ mod tests {
         assert!(price_key(f64::MAX) < speed_key(f64::MAX));
         assert_eq!(range_start_key(RankOrder::Cheapest), 0);
         assert_eq!(range_start_key(RankOrder::Fastest), HALF_RING);
-        assert!(attribute_key(RankOrder::Cheapest, 3.0, 500.0) >= range_start_key(RankOrder::Cheapest));
-        assert!(attribute_key(RankOrder::Fastest, 3.0, 500.0) >= range_start_key(RankOrder::Fastest));
+        assert!(price_key(3.0) >= range_start_key(RankOrder::Cheapest));
+        assert!(speed_key(500.0) >= range_start_key(RankOrder::Fastest));
     }
 
     #[test]

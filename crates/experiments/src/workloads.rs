@@ -35,7 +35,7 @@ impl Default for WorkloadOptions {
 }
 
 impl WorkloadOptions {
-    /// A reduced configuration for fast unit tests and Criterion benches:
+    /// A reduced configuration for fast unit tests and `bench_perf`:
     /// a quarter of the paper's job counts over half a simulated day, which
     /// keeps each resource's offered load (and therefore the qualitative
     /// behaviour) close to the full configuration.

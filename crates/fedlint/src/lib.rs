@@ -10,7 +10,7 @@
 //! | rule | scope | what it catches |
 //! |------|-------|-----------------|
 //! | `hash-iteration` | sim crates | iterating `HashMap`/`HashSet` (nondeterministic order) |
-//! | `wall-clock` | all but bench/shims/`parallel.rs`/the obs profiler | `Instant::now`, `SystemTime`, `thread::spawn`, `thread::scope` |
+//! | `wall-clock` | all but `bench_perf`/shims/`parallel.rs`/the obs profiler | `Instant::now`, `SystemTime`, `thread::spawn`, `thread::scope` |
 //! | `float-sort` | sim crates | sort/min/max comparators using `partial_cmp` without `total_cmp` |
 //! | `charge-drop` | whole workspace | dropping the `u64` message cost of `subscribe`/`unsubscribe`/`update_price` |
 //! | `undocumented-pub` | sim crates | `pub` items without a doc comment |
@@ -139,7 +139,7 @@ impl Rule {
                 "hash iteration order is nondeterministic; sim state must use BTreeMap/BTreeSet or sort"
             }
             Rule::WallClock => {
-                "wall-clock time and ad-hoc threads make runs irreproducible; only the parallel sweep driver and benches may use them"
+                "wall-clock time and ad-hoc threads make runs irreproducible; only the parallel sweep driver, the obs profiler and bench_perf may use them"
             }
             Rule::FloatSort => {
                 "partial_cmp comparators panic or misorder on NaN; float orderings must go through total_cmp"
@@ -225,7 +225,8 @@ struct FileClass {
     /// Determinism + hygiene rules apply (grid-des / grid-cluster /
     /// grid-federation-core / grid-directory).
     sim: bool,
-    /// Exempt from `wall-clock` (benches, vendored shims, the sweep driver).
+    /// Exempt from `wall-clock` (`bench_perf`, the obs profiler, the sweep
+    /// driver).
     wall_clock_exempt: bool,
     /// On the PR 3 hot-path list (`hot-path-unwrap` applies).
     hot_path: bool,
@@ -265,10 +266,10 @@ fn classify(rel: &str) -> Option<FileClass> {
     let sim = SIM_CRATE_PREFIXES.iter().any(|p| rel.starts_with(p));
     Some(FileClass {
         sim,
-        // The obs self-profiler is the one sanctioned `Instant::now` site:
-        // wall-clock readings there live strictly outside simulation state,
-        // so they cannot perturb a run.
-        wall_clock_exempt: rel.starts_with("crates/bench/")
+        // The obs self-profiler and the micro-benchmark are the sanctioned
+        // `Instant::now` sites: wall-clock readings there live strictly
+        // outside simulation state, so they cannot perturb a run.
+        wall_clock_exempt: rel == "crates/bench/src/bin/bench_perf.rs"
             || rel == "crates/obs/src/profile.rs"
             || rel == "crates/experiments/src/parallel.rs",
         hot_path: HOT_PATH_FILES.contains(&rel),
@@ -701,7 +702,7 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<Finding> {
                         line: line_no,
                         rule: Rule::WallClock,
                         message: format!(
-                            "`{tok}` outside `grid_experiments::parallel`/bench crates breaks reproducibility — use the simulation clock, or the `parallel` pool for threads"
+                            "`{tok}` outside `grid_experiments::parallel`/`bench_perf` breaks reproducibility — use the simulation clock, or the `parallel` pool for threads"
                         ),
                     });
                     break;

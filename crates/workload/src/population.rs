@@ -6,7 +6,7 @@
 //! property of the **user**, not of the individual job: every job submitted
 //! by an OFT user is scheduled with the OFT policy.
 
-use crate::job::{Job, Strategy, UserId};
+use crate::job::{Job, Strategy};
 use rand::seq::SliceRandom;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -112,16 +112,6 @@ impl UserPopulation {
         self.strategies.iter().filter(|s| **s == Strategy::Oft).count()
     }
 
-    /// The strategy of a local user.
-    ///
-    /// # Panics
-    /// Panics if the user does not belong to this population.
-    #[must_use]
-    pub fn strategy_of(&self, user: UserId) -> Strategy {
-        assert_eq!(user.origin, self.origin, "user {user} does not belong to resource {}", self.origin);
-        self.strategies[user.local]
-    }
-
     /// Assigns the population's strategy to a single job in place — the
     /// per-job primitive behind both [`UserPopulation::apply`] and the
     /// streaming [`crate::source::JobSource::populated`] adapter.  Jobs
@@ -144,7 +134,7 @@ impl UserPopulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{JobId, Qos};
+    use crate::job::{JobId, Qos, UserId};
 
     #[test]
     fn profile_sweep_and_labels() {
@@ -177,17 +167,10 @@ mod tests {
     fn population_is_deterministic() {
         let a = UserPopulation::new(1, 50, PopulationProfile::new(40), 7);
         let b = UserPopulation::new(1, 50, PopulationProfile::new(40), 7);
-        for i in 0..50 {
-            let u = UserId { origin: 1, local: i };
-            assert_eq!(a.strategy_of(u), b.strategy_of(u));
-        }
+        assert_eq!(a.strategies, b.strategies);
         // Different seed should (almost surely) produce a different assignment.
         let c = UserPopulation::new(1, 50, PopulationProfile::new(40), 8);
-        let same = (0..50).all(|i| {
-            let u = UserId { origin: 1, local: i };
-            a.strategy_of(u) == c.strategy_of(u)
-        });
-        assert!(!same, "different seeds should shuffle users differently");
+        assert_ne!(a.strategies, c.strategies, "different seeds should shuffle users differently");
     }
 
     #[test]
@@ -216,12 +199,5 @@ mod tests {
         pop.apply(&mut jobs);
         assert_eq!(jobs[0].qos.strategy, Strategy::Oft);
         assert_eq!(jobs[1].qos.strategy, Strategy::Ofc);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not belong")]
-    fn strategy_of_foreign_user_panics() {
-        let pop = UserPopulation::new(0, 10, PopulationProfile::new(50), 1);
-        let _ = pop.strategy_of(UserId { origin: 3, local: 0 });
     }
 }

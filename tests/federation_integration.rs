@@ -1,12 +1,17 @@
 //! Cross-crate integration tests exercising the public API end to end:
-//! SWF traces → jobs → federation runs → reports, and scheduling-mode and
-//! LRMS-policy comparisons on identical workloads.
+//! SWF traces → jobs → federation runs → reports, scheduling-mode and
+//! LRMS-policy comparisons on identical workloads, and the pinned work
+//! counts of three small federations.
 
 use grid_cluster::{paper_resources, ResourceSpec};
+use grid_experiments::exp6::DEFAULT_LEVELS;
+use grid_experiments::workloads::{replicated_workloads, WorkloadOptions};
 use grid_federation_core::federation::{
     run_federation, FederationConfig, LrmsKind, SchedulingMode,
 };
-use grid_federation_core::ChargingPolicy;
+use grid_federation_core::{
+    ChargingPolicy, Counter, DirectoryBackend, FederationReport, NetworkFaultConfig,
+};
 use grid_workload::{
     Job, JobId, PopulationProfile, Strategy, SwfTrace, SyntheticWorkloadConfig, UserId,
     UserPopulation,
@@ -232,4 +237,69 @@ fn oft_and_ofc_pick_the_expected_poles_on_idle_clusters() {
             grid_federation_core::ExecutionOutcome::Rejected => panic!("job was rejected"),
         }
     }
+}
+
+/// Runs a 12-cluster replicated federation at 1/20 of the paper's job
+/// counts on `config`'s backend and scripts.
+fn small_federation(config: FederationConfig) -> FederationReport {
+    let options = WorkloadOptions {
+        job_scale: 0.05,
+        seed: 1,
+        ..WorkloadOptions::default()
+    };
+    let setup = replicated_workloads(12, PopulationProfile::new(50), &options);
+    run_federation(
+        setup.resources,
+        setup.workloads,
+        FederationConfig {
+            seed: 1,
+            utilization_horizon: Some(options.duration),
+            ..config
+        },
+    )
+}
+
+/// What a run did, independent of the host that ran it: events delivered,
+/// events that took the queue's FIFO lane, directory queries,
+/// retransmissions, and quote-cache hits and misses.  None of these enters
+/// the run digest, so a change that doubles the events or sends the
+/// negotiation legs to the heap shows here first.
+fn work_counts(report: &FederationReport) -> [u64; 6] {
+    [
+        report.engine.events_delivered,
+        report.engine.lane_pushes,
+        report.directory_queries,
+        report.metrics.counter(Counter::NetRetransmissions),
+        report.metrics.counter(Counter::CacheHits),
+        report.metrics.counter(Counter::CacheMisses),
+    ]
+}
+
+#[test]
+fn ideal_fanout_work_counts_are_pinned() {
+    let report = small_federation(FederationConfig::default());
+    assert_eq!(work_counts(&report), [1272, 842, 312, 0, 249, 63]);
+}
+
+#[test]
+fn maan_reprice_work_counts_are_pinned() {
+    let report = small_federation(FederationConfig {
+        directory: DirectoryBackend::Maan,
+        repricings: (0..12).map(|gfa| (gfa, 3_600.0 * (1 + gfa) as f64, 1.0 + 0.1 * gfa as f64)).collect(),
+        ..FederationConfig::default()
+    });
+    assert_eq!(work_counts(&report), [1334, 892, 344, 0, 211, 133]);
+}
+
+#[test]
+fn maan_churn_faults_work_counts_are_pinned() {
+    let options = WorkloadOptions::default();
+    let heavy = DEFAULT_LEVELS.iter().find(|level| level.label == "heavy").unwrap();
+    let report = small_federation(FederationConfig {
+        directory: DirectoryBackend::Maan,
+        churn: Some(heavy.to_config(&options, 3)),
+        network: Some(NetworkFaultConfig::moderate()),
+        ..FederationConfig::default()
+    });
+    assert_eq!(work_counts(&report), [1397, 837, 282, 22, 25, 257]);
 }
