@@ -198,6 +198,7 @@ fn main() {
         headline()
             .chain(backend_sweeps.iter().flat_map(|s| &s.runs))
             .chain(&churn_sweep.runs)
+            .chain(knee.points.iter().map(|(_, run)| run))
             .chain(fault_sweeps.iter().flat_map(|s| &s.runs))
             .chain([&repair.periodic, &repair.reactive]),
     );

@@ -165,9 +165,10 @@ pub const KNEE_MAX_STEPS: usize = 8;
 /// absorbs before the acceptance criterion would fail.
 #[derive(Debug, Clone)]
 pub struct KneeSweep {
-    /// `(intensity, report)` per ramp step in ramp order, where intensity
-    /// is the multiple of the moderate churn rate.
-    pub points: Vec<(f64, FederationReport)>,
+    /// `(intensity, run)` per ramp step in ramp order, where intensity is
+    /// the multiple of the moderate churn rate and the run is labelled
+    /// `exp6/maan/knee/x<intensity>`.
+    pub points: Vec<(f64, Run)>,
     /// The first intensity whose lookup success fell below
     /// [`KNEE_THRESHOLD`], or `None` if the ramp ended before the gate
     /// broke.
@@ -193,9 +194,9 @@ pub fn run_knee(options: &WorkloadOptions) -> KneeSweep {
     let mut intensity = 1.0;
     for _ in 0..KNEE_MAX_STEPS {
         let label = format!("exp6/maan/knee/x{intensity}");
-        let report = maan_scenario(label, options, Some(knee_config(options, intensity))).run(options);
-        let rate = report.lookup_success_rate();
-        points.push((intensity, report));
+        let run = Run::of(&maan_scenario(label, options, Some(knee_config(options, intensity))), options);
+        let rate = run.report.lookup_success_rate();
+        points.push((intensity, run));
         if rate < KNEE_THRESHOLD {
             knee = Some(intensity);
             break;
@@ -224,7 +225,7 @@ pub fn figure_knee(sweep: &KneeSweep) -> DataTable {
             "Gate",
         ],
     );
-    for (intensity, report) in &sweep.points {
+    for (intensity, Run { report, .. }) in &sweep.points {
         let rate = report.lookup_success_rate();
         table.push_row(vec![
             format!("{intensity}"),
@@ -430,7 +431,11 @@ mod tests {
         let knee = sweep.knee.expect("k=3 must break within the ramp's doublings of moderate churn");
         let (last_intensity, last) = sweep.points.last().expect("ramp ran");
         assert_eq!(*last_intensity, knee, "the ramp stops at the knee");
-        assert!(last.lookup_success_rate() < KNEE_THRESHOLD);
+        assert!(last.report.lookup_success_rate() < KNEE_THRESHOLD);
+        let manifest = scenario::digest_manifest(sweep.points.iter().map(|(_, run)| run));
+        for (line, (intensity, _)) in manifest.lines().zip(&sweep.points) {
+            assert!(line.starts_with(&format!("exp6/maan/knee/x{intensity} ")), "got {line:?}");
+        }
         let table = figure_knee(&sweep);
         assert_eq!(table.len(), sweep.points.len());
         assert!(table.title.contains("knee at"), "got {:?}", table.title);
