@@ -22,7 +22,10 @@
 //! * **directory ranking**: ns/rank of the streaming cursor (routed open
 //!   vs. O(1) advance) against the query-per-rank oracle at n = 50, on both
 //!   backends (ideal and the distributed MAAN range index) — quotes are
-//!   asserted identical while measuring;
+//!   asserted identical while measuring — and µs per ring membership change
+//!   on MAAN: a graceful departure plus the rejoin (and re-publish) of the
+//!   same GFA on a populated n = 200 ring, the overlay and walk-index
+//!   maintenance a churned run pays per node cycle;
 //! * **workload generation**: jobs/sec of building a replicated Experiment-5
 //!   federation's synthetic traces, plus the streaming path: jobs/sec of
 //!   draining a million-job synthetic stream without materialising a
@@ -42,10 +45,10 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-use grid_bench::populated_directory;
+use grid_bench::{bench_quote, populated_directory};
 use grid_cluster::{ClusterJob, EasyBackfilling, LocalScheduler, SpaceSharedFcfs, StartedJob};
 use grid_des::{BinaryHeapEventQueue, Context, Entity, EntityId, Event, EventKind, EventQueue, SimTime, Simulation};
-use grid_directory::{FederationDirectory, RankOrder};
+use grid_directory::{AnyDirectory, FederationDirectory, MaanDirectory, RankOrder};
 use grid_experiments::workloads::{replicated_workloads, scaled_stream_config, WorkloadOptions};
 use grid_federation_core::{DirectoryBackend, FedMessage};
 use grid_workload::{JobId, PopulationProfile};
@@ -429,6 +432,35 @@ fn bench_directory(backend: DirectoryBackend, n: usize, iters: usize) -> Directo
     }
 }
 
+/// The ring size the membership row is measured at: the whole-run churn
+/// workload's federation size.
+const MEMBERSHIP_N: usize = 200;
+
+/// µs per graceful `node_depart` + `node_join` pair (plus the rejoined
+/// GFA's re-publish) on a populated MAAN ring of `n`, cycling through the
+/// GFAs.  Checks along the way that the patched overlay equals a rebuild
+/// and that every quote is back after each pair.
+fn bench_membership(n: usize, pairs: usize) -> f64 {
+    let AnyDirectory::Maan(mut dir) = populated_directory(DirectoryBackend::Maan, n) else {
+        unreachable!("the MAAN backend builds a MAAN directory")
+    };
+    let cycle = |dir: &mut MaanDirectory| {
+        let mut messages = 0u64;
+        for i in 0..pairs {
+            let gfa = (i * 7) % n;
+            messages += dir.node_depart(gfa, true);
+            messages += dir.node_join(gfa);
+            messages += dir.subscribe(bench_quote(gfa, n));
+        }
+        messages
+    };
+    let _ = cycle(&mut dir);
+    assert!(*dir.overlay() == dir.overlay().rebuilt(), "patched ring differs from a rebuild");
+    assert_eq!(dir.len(), n, "every departed GFA rejoined and re-published");
+    let secs = best_of(3, || timed(|| black_box(cycle(&mut dir))).0);
+    secs / pairs as f64 * 1e6
+}
+
 fn json_num(x: f64) -> String {
     if x.is_finite() {
         format!("{x:.2}")
@@ -440,6 +472,7 @@ fn json_num(x: f64) -> String {
 fn main() {
     let out = parse_args();
     let (dispatch_events, quotes, accept_cycles, ranks) = (200_000u64, 20_000usize, 20_000usize, 500_000usize);
+    let membership_pairs = 2_000usize;
 
     eprintln!("[1/5] event queue layouts ({HOLD_STEPS} hold steps over {HOLD_PENDING} pending timers, FedMessage payload)…");
     let dary_eps = bench_hold_legs(|| EventQueue::with_capacity(HOLD_PENDING), EventQueue::push, EventQueue::pop);
@@ -461,9 +494,13 @@ fn main() {
         bench_estimator(&easy, quotes, |s, p, t, now| s.estimate_completion_replay(p, t, now));
     let accept_cycle_ns = bench_accept_cycle(accept_cycles);
 
-    eprintln!("[4/5] directory ranking ({ranks} ranks, n = {DIRECTORY_N}, both backends)…");
+    eprintln!(
+        "[4/5] directory ranking ({ranks} ranks, n = {DIRECTORY_N}, both backends) and MAAN membership \
+         ({membership_pairs} depart/join pairs, n = {MEMBERSHIP_N})…"
+    );
     let dir_ideal = bench_directory(DirectoryBackend::Ideal, DIRECTORY_N, ranks);
     let dir_maan = bench_directory(DirectoryBackend::Maan, DIRECTORY_N, ranks);
+    let membership_us = bench_membership(MEMBERSHIP_N, membership_pairs);
 
     eprintln!("[5/5] workload generation (replicated exp5 federation)…");
     let workload_size = 20usize;
@@ -519,8 +556,8 @@ fn main() {
          EASY {easy_inc:.1} ns/quote vs replay {easy_rep:.0} ns/quote ({easy_speedup:.1}x); \
          FCFS accept cycle {accept_cycle_ns:.1} ns"
     );
-    let backends = [("ideal", &dir_ideal), ("maan", &dir_maan)];
-    for (label, perf) in backends {
+    let backends = [("ideal", &dir_ideal, None), ("maan", &dir_maan, Some(membership_us))];
+    for (label, perf, _) in backends {
         eprintln!(
             "directory[{label}]: fresh routed query {:.1} ns vs cursor open {:.1} ns, \
              advance {:.1} ns ({:.1}x cheaper than a fresh query), legacy rank-r {:.1} ns",
@@ -531,6 +568,7 @@ fn main() {
             perf.legacy_rank_ns,
         );
     }
+    eprintln!("directory[maan]: depart + rejoin {membership_us:.2} µs at n = {MEMBERSHIP_N}");
     eprintln!(
         "workload generation: {workload_jobs} jobs (n = {workload_size}) in {workload_secs:.4}s \
          = {workload_jobs_per_sec:.0} jobs/s"
@@ -569,8 +607,12 @@ fn main() {
     let _ = writeln!(json, "  \"directory\": {{");
     let _ = writeln!(json, "    \"n\": {DIRECTORY_N},");
     let _ = writeln!(json, "    \"ranks\": {ranks},");
-    for (i, (label, perf)) in backends.iter().enumerate() {
+    for (i, (label, perf, membership_us)) in backends.iter().enumerate() {
         let _ = writeln!(json, "    \"{label}\": {{");
+        if let Some(us) = membership_us {
+            let _ = writeln!(json, "      \"membership_n\": {MEMBERSHIP_N},");
+            let _ = writeln!(json, "      \"membership_us\": {},", json_num(*us));
+        }
         let _ = writeln!(json, "      \"fresh_query_ns\": {},", json_num(perf.fresh_query_ns));
         let _ = writeln!(json, "      \"open_ns\": {},", json_num(perf.open_ns));
         let _ = writeln!(json, "      \"advance_ns\": {},", json_num(perf.advance_ns));
@@ -618,5 +660,11 @@ mod tests {
             assert_eq!(quote.to_bits(), slow.step(SpaceSharedFcfs::estimate_completion_replay).to_bits(), "cycle {i}");
             assert_eq!(fast.lrms.queued_count(), AcceptCycle::QUEUED);
         }
+    }
+
+    #[test]
+    fn the_membership_cycle_keeps_the_ring_patched_and_populated() {
+        // `bench_membership` asserts both after a warm-up cycle.
+        assert!(bench_membership(20, 40) > 0.0);
     }
 }

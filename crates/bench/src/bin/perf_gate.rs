@@ -14,6 +14,9 @@
 //!   ideal and the distributed MAAN range index) — lower is better, gated
 //!   so the cursor path cannot silently decay back into query-per-rank
 //!   costs;
+//! * **MAAN membership µs per depart + rejoin** (`directory.maan.
+//!   membership_us`, n = 200) — lower is better, so a ring membership
+//!   change cannot decay back into a scan of every node's every finger;
 //! * **engine dispatch events/s** (`dispatch.events_per_sec`) — higher is
 //!   better;
 //! * **workload generation and streaming jobs/s** (`workload.jobs_per_sec`,
@@ -108,7 +111,7 @@ struct Gate {
     direction: Direction,
 }
 
-const GATES: [Gate; 9] = [
+const GATES: [Gate; 10] = [
     Gate {
         label: "event queue (4-ary heap + FIFO lane events/s)",
         path: &["event_queue", "dary_index_heap_events_per_sec"],
@@ -137,6 +140,11 @@ const GATES: [Gate; 9] = [
     Gate {
         label: "directory maan cursor advance (ns/rank)",
         path: &["directory", "maan", "advance_ns"],
+        direction: Direction::LowerIsBetter,
+    },
+    Gate {
+        label: "directory maan membership (us per depart + rejoin)",
+        path: &["directory", "maan", "membership_us"],
         direction: Direction::LowerIsBetter,
     },
     Gate {
@@ -229,7 +237,7 @@ mod tests {
   },
   "directory": {
     "ideal": { "advance_ns": 2.00, "fresh_query_ns": 14.00 },
-    "maan": { "advance_ns": 3.00, "fresh_query_ns": 70.00 }
+    "maan": { "advance_ns": 3.00, "fresh_query_ns": 70.00, "membership_us": 10.00 }
   },
   "dispatch": { "events": 200000, "events_per_sec": 30000000.00 },
   "workload": {
@@ -331,6 +339,14 @@ mod tests {
         let failures = gate(&[&current]);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("maan"));
+    }
+
+    #[test]
+    fn directory_membership_regression_fails() {
+        let current = tweaked("\"membership_us\": 10.00", "\"membership_us\": 40.00");
+        let failures = gate(&[&current]);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("membership"));
     }
 
     #[test]

@@ -14,15 +14,21 @@ use grid_directory::{AnyDirectory, DirectoryBackend, FederationDirectory, Quote}
 pub fn populated_directory(backend: DirectoryBackend, n: usize) -> AnyDirectory {
     let mut dir = backend.build(n, 0xD1CE);
     for gfa in 0..n {
-        let _ = dir.subscribe(Quote {
-            gfa,
-            processors: 128,
-            mips: 400.0 + 9.0 * ((gfa * 13) % n) as f64,
-            bandwidth: 1.0 + (gfa % 4) as f64,
-            price: 1.0 + 0.07 * ((gfa * 7) % n) as f64,
-        });
+        let _ = dir.subscribe(bench_quote(gfa, n));
     }
     dir
+}
+
+/// The quote GFA `gfa` publishes in [`populated_directory`] of size `n`.
+#[must_use]
+pub fn bench_quote(gfa: usize, n: usize) -> Quote {
+    Quote {
+        gfa,
+        processors: 128,
+        mips: 400.0 + 9.0 * ((gfa * 13) % n) as f64,
+        bandwidth: 1.0 + (gfa % 4) as f64,
+        price: 1.0 + 0.07 * ((gfa * 7) % n) as f64,
+    }
 }
 
 #[cfg(test)]

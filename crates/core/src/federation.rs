@@ -237,9 +237,29 @@ const NET_QUERY_SALT: u64 = 0x0BAD_11E7_D1EC_5EED;
 /// Decorrelates per-GFA publish-path fault draws from both families above.
 const NET_PUBLISH_SALT: u64 = 0x0BAD_11E7_9B11_5EED;
 
-/// Runtime state of the unreliable-network fault layer: one seeded fault
-/// stream per directed GFA link, per-link send sequence counters, and the
-/// receiver-side [`DedupWindow`]s that make protocol handlers idempotent.
+/// The per-link state of one directed GFA link `src → dst`, packed into
+/// one 64-byte cache line: the link's seeded fault stream (40 bytes), the
+/// sender's next-sequence counter (8) and the receiver's [`DedupWindow`]
+/// for that link (16).  Every enveloped message reads and writes all three,
+/// so one line per link replaces three lines in three `n²`-sized arrays.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Link {
+    /// The link's fault stream: drops, jitter and duplications.
+    faults: LinkFaults,
+    /// Last sequence number sent on the link (the first envelope gets 1).
+    send_seq: u64,
+    /// Receiver-side dedup window, held at `dst`.
+    dedup: DedupWindow,
+}
+
+const _: () = assert!(std::mem::size_of::<Link>() == 64, "one cache line per directed link");
+
+/// Runtime state of the unreliable-network fault layer: one `Link`
+/// record per directed GFA link — its seeded fault stream, its send
+/// sequence counter and the receiver-side [`DedupWindow`] that makes
+/// protocol handlers idempotent — plus the per-GFA fault streams of the
+/// charge-modelled directory paths.
 ///
 /// Only materialised when [`FederationConfig::network`] holds an *active*
 /// fault config — an inactive config takes the same code path as `None`,
@@ -249,12 +269,8 @@ const NET_PUBLISH_SALT: u64 = 0x0BAD_11E7_9B11_5EED;
 pub struct NetState {
     cfg: NetworkFaultConfig,
     n: usize,
-    /// Directed protocol-link fault streams, indexed `src * n + dst`.
-    links: Vec<LinkFaults>,
-    /// Next-sequence counters per directed link (first envelope gets 1).
-    send_seq: Vec<u64>,
-    /// Receiver-side dedup windows per directed link, held at the receiver.
-    dedup: Vec<DedupWindow>,
+    /// Directed protocol links, indexed `src * n + dst`.
+    links: Vec<Link>,
     /// Per-GFA fault streams of the charge-modelled directory-query path.
     query_faults: Vec<LinkFaults>,
     /// Per-GFA fault streams of the charge-modelled publish path.
@@ -269,10 +285,12 @@ impl NetState {
             cfg,
             n,
             links: (0..n * n)
-                .map(|id| LinkFaults::new(seed, NET_LINK_SALT, id as u64))
+                .map(|id| Link {
+                    faults: LinkFaults::new(seed, NET_LINK_SALT, id as u64),
+                    send_seq: 0,
+                    dedup: DedupWindow::default(),
+                })
                 .collect(),
-            send_seq: vec![0; n * n],
-            dedup: vec![DedupWindow::default(); n * n],
             query_faults: (0..n)
                 .map(|id| LinkFaults::new(seed, NET_QUERY_SALT, id as u64))
                 .collect(),
@@ -285,7 +303,7 @@ impl NetState {
     /// Allocates the next envelope sequence number of the `src → dst` link
     /// (1-based; 0 is reserved for the reliable transport).
     pub fn next_seq(&mut self, src: usize, dst: usize) -> u64 {
-        let counter = &mut self.send_seq[src * self.n + dst];
+        let counter = &mut self.links[src * self.n + dst].send_seq;
         *counter += 1;
         *counter
     }
@@ -294,13 +312,13 @@ impl NetState {
     /// retransmissions, delivery jitter and the duplication decision.
     pub fn plan(&mut self, src: usize, dst: usize) -> TransmissionPlan {
         let cfg = self.cfg;
-        self.links[src * self.n + dst].plan(&cfg)
+        self.links[src * self.n + dst].faults.plan(&cfg)
     }
 
     /// Receiver-side dedup: admits envelope `seq` arriving at `dst` from
     /// `src` at most once.
     pub fn admit(&mut self, src: usize, dst: usize, seq: u64) -> bool {
-        self.dedup[src * self.n + dst].admit(seq)
+        self.links[src * self.n + dst].dedup.admit(seq)
     }
 
     /// Extra routed messages the query path of `gfa` pays for per-hop drops
@@ -323,7 +341,7 @@ impl NetState {
     /// which is exactly what the invariants sentry checks.
     #[must_use]
     pub fn dedup_base_sum(&self) -> u64 {
-        self.dedup.iter().map(DedupWindow::base).sum()
+        self.links.iter().map(|link| link.dedup.base()).sum()
     }
 }
 

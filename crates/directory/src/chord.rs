@@ -8,8 +8,17 @@
 //! ring's ownership sub-ranges (*walk arcs*) that range walks step through.
 //! [`MaanDirectory`](crate::maan::MaanDirectory) stores its quotes on this
 //! ring and routes every lookup through it, so the `O(log n)` query cost is
-//! measured rather than modelled.  Membership changes patch the ring order
-//! and the finger tables in place.
+//! measured rather than modelled.
+//!
+//! Membership changes patch the ring order and the finger tables in place
+//! instead of rebuilding them.  A join or departure moves ownership of one
+//! ring range, `(pred.id, id]`, so only the fingers whose targets
+//! `base + 2^j` fall in that range can change.  Because the targets'
+//! offsets from `base` are the powers of two, those fingers form at most
+//! two contiguous runs of `j`, read off the leading zeros of the range's
+//! offsets from `base` (`finger_runs`).  A membership change therefore
+//! visits each node once and touches only the few fingers that move:
+//! `O(n)` work, not the `O(64·n)` of a scan over every finger slot.
 
 /// SplitMix64 hash used to place nodes and keys on the ring.
 fn hash64(mut x: u64) -> u64 {
@@ -60,6 +69,28 @@ fn finger_target(id: u64, j: usize) -> u64 {
     id.wrapping_add(1u64.wrapping_shl(j as u32))
 }
 
+/// The finger indices `j` of the node at `base` whose targets
+/// `finger_target(base, j)` lie in the ring interval `(from, to]`, as two
+/// runs (either may be empty).
+///
+/// Relative to `base` the targets sit at offsets `2^j`, and the interval
+/// becomes `(a, b]` with `a = from − base`, `b = to − base` (wrapping).
+/// The number of powers of two `≤ x` is `64 − x.leading_zeros()`, which is
+/// also the first `j` with `2^j > x`; call it `bits(x)`.  If `a < b` the
+/// interval does not contain `base` and the run is `bits(a)..bits(b)`.  If
+/// `a > b` it wraps through `base` and holds the small offsets
+/// `0..bits(b)` and the large ones `bits(a)..64`.  `a == b` is the whole
+/// ring, as in [`in_interval`].
+fn finger_runs(base: u64, from: u64, to: u64) -> [std::ops::Range<usize>; 2] {
+    let bits = |x: u64| 64 - x.leading_zeros() as usize;
+    let (a, b) = (from.wrapping_sub(base), to.wrapping_sub(base));
+    match a.cmp(&b) {
+        std::cmp::Ordering::Less => [bits(a)..bits(b), 0..0],
+        std::cmp::Ordering::Greater => [0..bits(b), bits(a)..64],
+        std::cmp::Ordering::Equal => [0..64, 0..0],
+    }
+}
+
 /// One overlay node: its ring identifier and finger table.  A node's index
 /// in the overlay's node vector is the index of the GFA it represents.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,6 +118,9 @@ pub struct ChordOverlay {
     /// The live nodes' indices (their GFAs) sorted by ring id, for
     /// successor lookups.
     ring_order: Vec<usize>,
+    /// `ring_ids[i]` = the ring id of `ring_order[i]`, kept in step with it
+    /// so the ring's binary searches read one dense array.
+    ring_ids: Vec<u64>,
 }
 
 impl ChordOverlay {
@@ -113,6 +147,7 @@ impl ChordOverlay {
         let mut overlay = ChordOverlay {
             nodes,
             ring_order: Vec::new(),
+            ring_ids: Vec::new(),
         };
         overlay.rebuild_routing();
         overlay
@@ -131,6 +166,7 @@ impl ChordOverlay {
             ring_order.windows(2).all(|w| self.nodes[w[0]].id < self.nodes[w[1]].id),
             "ring identifiers are distinct"
         );
+        self.ring_ids = ring_order.iter().map(|&i| self.nodes[i].id).collect();
         self.ring_order = ring_order;
         for i in 0..self.nodes.len() {
             let id = self.nodes[i].id;
@@ -187,7 +223,23 @@ impl ChordOverlay {
     /// spliced in, if it is not live).
     fn ring_position(&self, gfa: usize) -> usize {
         let id = self.nodes[gfa].id;
-        self.ring_order.partition_point(|&i| self.nodes[i].id < id)
+        self.ring_ids.partition_point(|&x| x < id)
+    }
+
+    /// Repoints every finger — departed nodes' included — whose target
+    /// falls in `(from, to]` and that points at `old` to `new`: the patch of
+    /// one membership change, which moves ownership of exactly that range.
+    /// Visits only the finger runs of [`finger_runs`], a handful per node.
+    fn repoint_fingers(&mut self, from: u64, to: u64, old: usize, new: usize) {
+        for node in &mut self.nodes {
+            for run in finger_runs(node.id, from, to) {
+                for finger in &mut node.fingers[run] {
+                    if *finger == old {
+                        *finger = new;
+                    }
+                }
+            }
+        }
     }
 
     /// Removes GFA `gfa`'s node from the live ring.  Returns whether the
@@ -198,22 +250,21 @@ impl ChordOverlay {
     /// The routing state is patched, not rebuilt: the node is spliced out
     /// of the ring order, and every finger that pointed at it — departed
     /// nodes' fingers included — now points at its live successor, the new
-    /// owner of every key it owned.
+    /// owner of every key it owned.  Those fingers are exactly the ones
+    /// whose targets fall in `(pred.id, id]`, so only their runs are
+    /// visited: `O(n)` per removal.
     pub fn remove_node(&mut self, gfa: usize) -> bool {
         if !self.is_alive(gfa) || self.ring_order.len() <= 1 {
             return false;
         }
         self.nodes[gfa].alive = false;
         let pos = self.ring_position(gfa);
+        let len = self.ring_order.len();
+        let pred_id = self.ring_ids[(pos + len - 1) % len];
         self.ring_order.remove(pos);
+        let id = self.ring_ids.remove(pos);
         let heir = self.ring_order[pos % self.ring_order.len()];
-        for node in &mut self.nodes {
-            for finger in &mut node.fingers {
-                if *finger == gfa {
-                    *finger = heir;
-                }
-            }
-        }
+        self.repoint_fingers(pred_id, id, gfa, heir);
         true
     }
 
@@ -223,26 +274,21 @@ impl ChordOverlay {
     /// The routing state is patched, not rebuilt: the node is spliced into
     /// the ring order at its sorted position, and every finger whose target
     /// `id + 2^j` falls in the range it takes over, `(pred.id, id]`, moves
-    /// from its successor to it — departed nodes' fingers included.
+    /// from its successor to it — departed nodes' fingers included.  Only
+    /// those fingers' runs are visited: `O(n)` per insertion.
     pub fn insert_node(&mut self, gfa: usize) -> bool {
         if gfa >= self.nodes.len() || self.nodes[gfa].alive {
             return false;
         }
         self.nodes[gfa].alive = true;
         let pos = self.ring_position(gfa);
-        self.ring_order.insert(pos, gfa);
-        let len = self.ring_order.len();
-        let pred_id = self.nodes[self.ring_order[(pos + len - 1) % len]].id;
-        let succ = self.ring_order[(pos + 1) % len];
         let id = self.nodes[gfa].id;
-        for node in &mut self.nodes {
-            let base = node.id;
-            for (j, finger) in node.fingers.iter_mut().enumerate() {
-                if *finger == succ && in_interval(finger_target(base, j), pred_id, id) {
-                    *finger = gfa;
-                }
-            }
-        }
+        self.ring_order.insert(pos, gfa);
+        self.ring_ids.insert(pos, id);
+        let len = self.ring_order.len();
+        let pred_id = self.ring_ids[(pos + len - 1) % len];
+        let succ = self.ring_order[(pos + 1) % len];
+        self.repoint_fingers(pred_id, id, succ, gfa);
         true
     }
 
@@ -271,13 +317,7 @@ impl ChordOverlay {
     /// The GFA index owning `key` (its successor on the live ring).
     #[must_use]
     pub fn owner_of(&self, key: u64) -> usize {
-        match self
-            .ring_order
-            .binary_search_by(|&i| self.nodes[i].id.cmp(&key))
-        {
-            Ok(pos) => self.ring_order[pos],
-            Err(pos) => self.ring_order[pos % self.ring_order.len()],
-        }
+        self.walk_arc_owner(self.walk_arc_of(key))
     }
 
     /// Routes from the node representing `from_gfa` towards `key` using
@@ -337,30 +377,21 @@ impl ChordOverlay {
     /// [`Self::walk_arcs`]).
     #[must_use]
     pub fn walk_arc_of(&self, key: u64) -> usize {
-        self.ring_order.partition_point(|&i| self.nodes[i].id < key)
+        self.ring_ids.partition_point(|&id| id < key)
+    }
+
+    /// Whether `key` lies in walk arc `arc`, i.e. `walk_arc_of(key) == arc`,
+    /// by two bounds compares instead of a binary search.
+    #[must_use]
+    pub fn arc_contains(&self, arc: usize, key: u64) -> bool {
+        (arc == 0 || self.ring_ids[arc - 1] < key)
+            && self.ring_ids.get(arc).map_or(true, |&id| key <= id)
     }
 
     /// The GFA owning walk arc `arc`.
     #[must_use]
     pub fn walk_arc_owner(&self, arc: usize) -> usize {
         self.ring_order[arc % self.ring_order.len()]
-    }
-
-    /// Average hops over a deterministic sample of `samples` random lookups,
-    /// used by tests.
-    #[must_use]
-    pub fn average_lookup_hops(&self, samples: usize, seed: u64) -> f64 {
-        if samples == 0 {
-            return 0.0;
-        }
-        let mut total = 0u64;
-        for s in 0..samples {
-            let key = hash64(seed ^ (s as u64).wrapping_mul(0x9E37_79B9));
-            let from = (hash64(seed.wrapping_add(s as u64)) % self.nodes.len() as u64) as usize;
-            let (_, hops) = self.lookup(from, key);
-            total += u64::from(hops);
-        }
-        total as f64 / samples as f64
     }
 }
 
@@ -378,6 +409,19 @@ pub(crate) fn ceil_log2(n: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Average hops over a deterministic sample of `samples` random
+    /// lookups on `overlay`.
+    fn average_lookup_hops(overlay: &ChordOverlay, samples: usize, seed: u64) -> f64 {
+        let mut total = 0u64;
+        for s in 0..samples {
+            let key = hash64(seed ^ (s as u64).wrapping_mul(0x9E37_79B9));
+            let from = (hash64(seed.wrapping_add(s as u64)) % overlay.len() as u64) as usize;
+            let (_, hops) = overlay.lookup(from, key);
+            total += u64::from(hops);
+        }
+        total as f64 / samples as f64
+    }
 
     #[test]
     fn ring_interval_logic() {
@@ -413,6 +457,84 @@ mod tests {
         // node itself precedes the key (one full wrap).
         assert!(in_open_interval(42, 7, 7));
         assert!(!in_open_interval(7, 7, 7));
+    }
+
+    #[test]
+    fn finger_runs_match_the_brute_force_interval_test() {
+        let bases = [0u64, 1, 2, 7, 1 << 40, u64::MAX / 2, u64::MAX - 1, u64::MAX];
+        let mut intervals = vec![
+            (0u64, u64::MAX),
+            (u64::MAX, 0),
+            (u64::MAX - 1, 1),
+            (u64::MAX, u64::MAX),
+            (0, 0),
+            (5, 5),
+            (5, 6),
+            (u64::MAX - 1, u64::MAX),
+            (1 << 63, (1 << 63) + 1),
+            (1000, 1 << 50),
+            (1 << 50, 1000),
+        ];
+        for &base in &bases {
+            for (from, to) in [
+                // `base` inside the interval, at either end and just past it.
+                (base.wrapping_sub(1), base),
+                (base, base.wrapping_add(1)),
+                (base.wrapping_sub(10), base.wrapping_add(10)),
+                (base.wrapping_sub(1 << 30), base.wrapping_add(1 << 20)),
+                // `base` outside, with the interval starting at a target.
+                (base.wrapping_add(1 << 7), base.wrapping_add(1 << 9)),
+                (base.wrapping_add((1 << 7) - 1), base.wrapping_add(1 << 7)),
+            ] {
+                intervals.push((from, to));
+            }
+        }
+        for &base in &bases {
+            for &(from, to) in &intervals {
+                let mut visited = [false; ChordOverlay::ID_BITS];
+                for run in finger_runs(base, from, to) {
+                    for j in run {
+                        assert!(!visited[j], "base {base} ({from}, {to}]: finger {j} in both runs");
+                        visited[j] = true;
+                    }
+                }
+                for (j, &hit) in visited.iter().enumerate() {
+                    assert_eq!(
+                        hit,
+                        in_interval(finger_target(base, j), from, to),
+                        "base {base} ({from}, {to}]: finger {j}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn arc_contains_agrees_with_walk_arc_of() {
+        for n in [1usize, 2, 5, 16] {
+            let mut overlay = ChordOverlay::new(n, 77);
+            if n > 2 {
+                // A departed node's id is a probe key like any other.
+                assert!(overlay.remove_node(1));
+            }
+            let mut keys = vec![0u64, 1, u64::MAX - 1, u64::MAX];
+            for node in &overlay.nodes {
+                keys.extend([node.id, node.id.wrapping_add(1), node.id.wrapping_sub(1)]);
+            }
+            for &key in &keys {
+                let arc_of_key = overlay.walk_arc_of(key);
+                for arc in 0..overlay.walk_arcs() {
+                    assert_eq!(
+                        overlay.arc_contains(arc, key),
+                        arc_of_key == arc,
+                        "n={n}: key {key} vs arc {arc} (walk_arc_of = {arc_of_key})"
+                    );
+                }
+            }
+            // The wrap arc holds the top of the ring unless a node sits at
+            // `u64::MAX`.
+            assert!(overlay.arc_contains(overlay.walk_arcs() - 1, u64::MAX));
+        }
     }
 
     #[test]
@@ -468,7 +590,7 @@ mod tests {
         for &n in &[8usize, 16, 32, 64, 128] {
             let overlay = ChordOverlay::new(n, 7);
             let bound = 2.0 * (n as f64).log2() + 4.0;
-            let avg = overlay.average_lookup_hops(500, 123);
+            let avg = average_lookup_hops(&overlay, 500, 123);
             assert!(
                 avg <= bound,
                 "n = {n}: average hops {avg} exceeds 2·log2(n)+4 = {bound}"
@@ -479,8 +601,8 @@ mod tests {
 
     #[test]
     fn bigger_rings_need_more_hops_on_average() {
-        let small = ChordOverlay::new(8, 5).average_lookup_hops(800, 9);
-        let large = ChordOverlay::new(256, 5).average_lookup_hops(800, 9);
+        let small = average_lookup_hops(&ChordOverlay::new(8, 5), 800, 9);
+        let large = average_lookup_hops(&ChordOverlay::new(256, 5), 800, 9);
         assert!(
             large > small,
             "expected more hops on the larger ring ({large} vs {small})"

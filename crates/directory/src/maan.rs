@@ -546,7 +546,7 @@ impl MaanDirectory {
             let node = self.overlay.walk_arc_owner(arc);
             self.nodes[node].entries[dim]
                 .iter()
-                .filter(move |&&(key, _)| self.overlay.walk_arc_of(key) == arc)
+                .filter(move |&&(key, _)| self.overlay.arc_contains(arc, key))
                 .map(move |&(key, quote)| FlatEntry { key, arc, quote })
         })
     }

@@ -161,7 +161,7 @@ fn drive(k: usize, ops: &[Op]) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::default())]
 
     /// Unreplicated MAAN: patched routing, spliced walk index and resolved
     /// ranks all match their from-scratch references under churn.
