@@ -20,9 +20,9 @@
 //! steady-state event loop never allocates; [`LocalScheduler::submit`] and
 //! [`LocalScheduler::on_finished`] are collecting conveniences for tests and
 //! one-off callers.  `estimate_completion` answers from an epoch-stamped
-//! availability profile (see [`crate::estimate`]) that FCFS carries across
-//! its submits and on-time finishes, making a quote O(log R) instead of a
-//! full O((R+Q)·log(R+Q)) replay.
+//! availability profile (see the crate's `estimate` module) that FCFS
+//! carries across its submits and on-time finishes, making a quote
+//! O(log R) instead of a full O((R+Q)·log(R+Q)) replay.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

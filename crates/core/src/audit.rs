@@ -26,7 +26,7 @@
 //!
 //! Each chain also maintains a *witness* — a mix of its digest and entry
 //! count — recomputed on every fold.  Out-of-band mutation of a digest (the
-//! tamper case, modelled by the feature-gated [`AuditLedger::corrupt_chain`]
+//! tamper case, modelled by the feature-gated `AuditLedger::corrupt_chain`
 //! double) leaves the witness stale, which the `invariants` sentry detects.
 
 use grid_workload::JobId;
@@ -167,7 +167,9 @@ impl AuditLedger {
     /// chain by [`AuditLedger::record_job_messages`] instead, which keeps
     /// the outcome chains bit-identical across directory backends.
     pub fn record_outcome(&mut self, rec: &JobRecord) {
-        let mut fields = vec![
+        // The common fields, then the outcome: a completion's five fields
+        // or a rejection's one `0`, which the array's zero tail supplies.
+        let mut fields = [
             rec.id.origin as u64,
             rec.id.seq as u64,
             rec.strategy as u64,
@@ -177,23 +179,31 @@ impl AuditLedger {
             rec.budget.to_bits(),
             rec.expected_local_response.to_bits(),
             rec.expected_local_cost.to_bits(),
+            0,
+            0,
+            0,
+            0,
+            0,
         ];
-        match rec.outcome {
+        let len = match rec.outcome {
             ExecutionOutcome::Completed {
                 executed_on,
                 start,
                 finish,
                 cost,
-            } => fields.extend([
-                1,
-                executed_on as u64,
-                start.to_bits(),
-                finish.to_bits(),
-                cost.to_bits(),
-            ]),
-            ExecutionOutcome::Rejected => fields.push(0),
-        }
-        self.outcomes[rec.origin].fold(TAG_OUTCOME, &fields);
+            } => {
+                fields[9..].copy_from_slice(&[
+                    1,
+                    executed_on as u64,
+                    start.to_bits(),
+                    finish.to_bits(),
+                    cost.to_bits(),
+                ]);
+                14
+            }
+            ExecutionOutcome::Rejected => 10,
+        };
+        self.outcomes[rec.origin].fold(TAG_OUTCOME, &fields[..len]);
     }
 
     /// Folds a Grid-Dollar transfer into the paying GFA's outcome chain.

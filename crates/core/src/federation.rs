@@ -609,11 +609,17 @@ impl FederationBuilder {
             config.charging.fabricate_qos_all(jobs, &resources[i]);
         }
 
-        for (gfa, _) in &config.departures {
-            assert!(*gfa < n, "departure refers to unknown GFA {gfa}");
+        // One pass over each scripted list, keeping configuration order: a
+        // GFA's script numbers its timers in that order.
+        let mut schedules = vec![GfaSchedule::default(); n];
+        for &(gfa, at) in &config.departures {
+            assert!(gfa < n, "departure refers to unknown GFA {gfa}");
+            let departure = &mut schedules[gfa].departure;
+            *departure = Some(departure.map_or(at, |earliest| earliest.min(at)));
         }
-        for (gfa, _, _) in &config.repricings {
-            assert!(*gfa < n, "repricing refers to unknown GFA {gfa}");
+        for &(gfa, at, price) in &config.repricings {
+            assert!(gfa < n, "repricing refers to unknown GFA {gfa}");
+            schedules[gfa].repricings.push((at, price));
         }
 
         // Decorrelate the overlay's ring placement from the workload seed.
@@ -664,31 +670,13 @@ impl FederationBuilder {
         if let Some(table) = profiler {
             sim.set_profiler(Box::new(HandlerProfiler::new(table, FedMessage::label)));
         }
-        for (i, spec) in resources.iter().enumerate() {
-            let (churn_departures, churn_joins, stabilizations) = if churn_active {
+        for (i, (spec, mut schedule)) in resources.iter().zip(schedules).enumerate() {
+            if churn_active {
                 let churn = config.churn.as_ref().expect("churn_active implies a config");
-                let (departs, joins) = churn_chain(churn, config.seed, i);
-                (departs, joins, stabilization_ticks(churn, i, n))
-            } else {
-                (Vec::new(), Vec::new(), Vec::new())
-            };
-            let schedule = GfaSchedule {
-                departure: config
-                    .departures
-                    .iter()
-                    .filter(|(gfa, _)| *gfa == i)
-                    .map(|(_, at)| *at)
-                    .reduce(f64::min),
-                repricings: config
-                    .repricings
-                    .iter()
-                    .filter(|(gfa, _, _)| *gfa == i)
-                    .map(|(_, at, price)| (*at, *price))
-                    .collect(),
-                churn_departures,
-                churn_joins,
-                stabilizations,
-            };
+                (schedule.churn_departures, schedule.churn_joins) =
+                    churn_chain(churn, config.seed, i);
+                schedule.stabilizations = stabilization_ticks(churn, i, n);
+            }
             let gfa = Gfa::new(
                 i,
                 spec.clone(),

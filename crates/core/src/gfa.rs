@@ -52,6 +52,7 @@ use crate::federation::{
 };
 use crate::messages::{FedMessage, MessageType};
 use crate::metrics::{ExecutionOutcome, JobRecord};
+use crate::script::Script;
 
 /// The engine context every GFA handler runs in: it lends the federation's
 /// [`SharedState`] as `ctx.shared`.
@@ -238,8 +239,9 @@ pub struct Gfa {
     charging: ChargingPolicy,
     latency: f64,
     pub(crate) lrms: Box<dyn LocalScheduler>,
-    local_jobs: Vec<Job>,
-    schedule: GfaSchedule,
+    /// The local users' job arrivals and the scripted and churn-drawn
+    /// directory actions, streamed into the event queue one at a time.
+    script: Script,
     /// Set once the departure timer fired: the quote is withdrawn and no new
     /// work is admitted.
     departed: bool,
@@ -293,8 +295,7 @@ impl Gfa {
             charging: config.charging,
             latency: config.latency,
             lrms,
-            local_jobs,
-            schedule,
+            script: Script::new(local_jobs, schedule),
             departed: false,
             retired: false,
             retry: churn.map_or_else(RetryPolicy::default, |c| c.retry),
@@ -1159,39 +1160,23 @@ impl Gfa {
 
 impl Entity<FedMessage, SharedState> for Gfa {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let jobs = std::mem::take(&mut self.local_jobs);
-        for job in jobs {
-            ctx.timer_at(SimTime::new(job.submit), FedMessage::JobArrival(Box::new(job)));
-        }
-        if let Some(at) = self.schedule.departure {
-            ctx.timer_at(SimTime::new(at), FedMessage::Depart);
-        }
-        let repricings = std::mem::take(&mut self.schedule.repricings);
-        for (at, price) in repricings {
-            ctx.timer_at(SimTime::new(at), FedMessage::Reprice { price });
-        }
-        let churn_departures = std::mem::take(&mut self.schedule.churn_departures);
-        for (at, graceful) in churn_departures {
-            ctx.timer_at(SimTime::new(at), FedMessage::ChurnDepart { graceful });
-        }
-        let churn_joins = std::mem::take(&mut self.schedule.churn_joins);
-        for at in churn_joins {
-            ctx.timer_at(SimTime::new(at), FedMessage::ChurnJoin);
-        }
-        let stabilizations = std::mem::take(&mut self.schedule.stabilizations);
-        for at in stabilizations {
-            ctx.timer_at(SimTime::new(at), FedMessage::Stabilize);
-        }
+        self.script.start(ctx);
     }
 
     fn on_event(&mut self, event: Event<FedMessage>, ctx: &mut Ctx<'_>) {
+        // A scripted timer schedules its successor before it is handled.
+        let arrival = self.script.on_delivery(&event.payload, ctx);
         // Duplicated deliveries are filtered here, before their payload can
         // take any semantic effect; the end-of-event invariants sweep still
         // runs so at-most-once-effect violations would be caught at the
         // exact event that caused them.
         if self.admit_envelope(&event, ctx.shared) {
             match event.payload {
-                FedMessage::JobArrival(job) => self.on_job_arrival(*job, ctx),
+                FedMessage::JobArrival => {
+                    if let Some(job) = arrival {
+                        self.on_job_arrival(job, ctx);
+                    }
+                }
                 FedMessage::Negotiate {
                     job,
                     origin,

@@ -74,6 +74,7 @@ pub mod gfa;
 pub mod invariants;
 pub mod messages;
 pub mod metrics;
+mod script;
 
 pub use accounting::Charge;
 pub use audit::{AuditLedger, RunDigest};

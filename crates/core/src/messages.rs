@@ -23,20 +23,22 @@
 //! [`crate::metrics::FederationReport::per_job_summary`] summarises them;
 //! every write arrives through [`crate::federation::SharedState::record`].
 
-use grid_workload::{Job, JobId};
+use grid_workload::JobId;
 
 /// Message and timer payloads exchanged between federation entities.
 ///
-/// Every variant stays small (no inline [`Job`]), so an `Event<FedMessage>`
-/// is at most 112 bytes.  The event queue's FIFO lane carries each
-/// negotiation leg whole, moving those bytes in on the send and out on the
-/// delivery, so `events_carrying_federation_messages_stay_within_112_bytes`
-/// guards the lane's per-leg cost.
+/// Every variant stays small (no inline [`grid_workload::Job`]), so an
+/// `Event<FedMessage>` is at most 112 bytes.  The event queue's FIFO lane
+/// carries each negotiation leg whole, moving those bytes in on the send and
+/// out on the delivery, so
+/// `events_carrying_federation_messages_stay_within_112_bytes` guards the
+/// lane's per-leg cost.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FedMessage {
-    /// Self-timer: one of this GFA's local users submits a job.  Boxed so
-    /// the job's memory is released once it arrives.
-    JobArrival(Box<Job>),
+    /// Self-timer: the next of this GFA's local users' jobs is submitted.
+    /// The job waits in the GFA's script until then, so the timer carries
+    /// none.
+    JobArrival,
     /// Admission-control enquiry sent to a candidate GFA: "can you finish
     /// this job before its deadline?"
     Negotiate {
@@ -155,7 +157,7 @@ impl FedMessage {
     #[must_use]
     pub fn label(&self) -> &'static str {
         match self {
-            FedMessage::JobArrival(_) => "job_arrival",
+            FedMessage::JobArrival => "job_arrival",
             FedMessage::Negotiate { .. } => "negotiate",
             FedMessage::NegotiateReply { .. } => "negotiate_reply",
             FedMessage::JobDispatch { .. } => "job_dispatch",

@@ -102,12 +102,40 @@ impl<'a, M, S> Context<'a, M, S> {
     /// # Panics
     /// Panics if `at` is earlier than the current time.
     pub fn timer_at(&mut self, at: SimTime, payload: M) {
-        assert!(
-            at >= self.now,
-            "cannot schedule a timer in the past ({at} < {})",
-            self.now
-        );
+        self.assert_not_past(at);
         self.schedule(self.self_id, at, EventKind::Timer, payload);
+    }
+
+    /// Reserves `count` consecutive sequence numbers and returns the first.
+    ///
+    /// An entity that knows its future timers up front reserves one number
+    /// per timer here, in the order it would have scheduled them, and
+    /// schedules each later with [`Self::timer_at_reserved`].  Each timer
+    /// then fires under the `(time, seq)` key an eager schedule would have
+    /// given it, so delivery order is unchanged while the queue holds only
+    /// the timers scheduled so far.
+    pub fn reserve_seqs(&mut self, count: u64) -> u64 {
+        self.queue.reserve(count)
+    }
+
+    /// Schedules a timer on the calling entity at absolute time `at`, under
+    /// `seq`, a number from [`Self::reserve_seqs`].  It must be scheduled
+    /// before any event with a later `(time, seq)` key is delivered (an
+    /// entity streaming a time-sorted script schedules each timer's
+    /// successor when the timer fires), and each number at most once.
+    ///
+    /// # Panics
+    /// Panics if `at` is earlier than the current time.
+    pub fn timer_at_reserved(&mut self, at: SimTime, seq: u64, payload: M) {
+        self.assert_not_past(at);
+        self.queue.push_reserved(Event {
+            time: at,
+            seq,
+            src: self.self_id,
+            dst: self.self_id,
+            kind: EventKind::Timer,
+            payload,
+        });
     }
 
     /// Requests the simulation to stop after the current event completes.
@@ -115,6 +143,14 @@ impl<'a, M, S> Context<'a, M, S> {
     /// [`crate::SimStats::events_dropped_at_stop`]).
     pub fn stop(&mut self) {
         *self.stop_requested = true;
+    }
+
+    fn assert_not_past(&self, at: SimTime) {
+        assert!(
+            at >= self.now,
+            "cannot schedule a timer in the past ({at} < {})",
+            self.now
+        );
     }
 
     fn schedule(&mut self, dst: EntityId, at: SimTime, kind: EventKind, payload: M) {
@@ -176,6 +212,24 @@ mod tests {
                 (30.0, 10, EventKind::Timer),
             ]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "in the past")]
+    fn reserved_timer_in_the_past_panics() {
+        let mut queue: EventQueue<u32> = EventQueue::new();
+        let mut rng = SimRng::from_seed(0);
+        let mut stop = false;
+        let mut ctx = Context {
+            now: SimTime::new(10.0),
+            self_id: EntityId::new(0),
+            queue: &mut queue,
+            rng: &mut rng,
+            stop_requested: &mut stop,
+            shared: &mut (),
+        };
+        let seq = ctx.reserve_seqs(1);
+        ctx.timer_at_reserved(SimTime::new(5.0), seq, 1);
     }
 
     #[test]

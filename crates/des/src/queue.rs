@@ -5,8 +5,7 @@
 //! every simulation run fully deterministic — a property the Grid-Federation
 //! experiments rely on (identical seeds must reproduce identical figures).
 //!
-//! Pending events sit in one of three containers under that one total
-//! order:
+//! Pending events sit in one of two containers under that one total order:
 //!
 //! * a **FIFO lane** for messages that arrive in order.  A push of an
 //!   [`EventKind::Message`] whose key is not earlier than the lane's tail
@@ -14,31 +13,32 @@
 //!   fixed latency sends each at `now + latency`, and neither `now` nor
 //!   `seq` ever decreases, so in a federation every negotiation leg takes
 //!   the lane and costs one `VecDeque` push and pop of the event itself;
-//! * a **sealed run**: once every entity's `on_start` has run,
-//!   [`EventQueue::seal`] sorts the pending heap keys once (latest first, so
-//!   the earliest pops off the end).  A federation schedules every job
-//!   arrival up front, so this run holds the bulk of a trace's timers and
-//!   costs nothing per delivery beyond a `Vec::pop`;
 //! * an **index-based 4-ary min-heap** for everything else: timers (a job's
 //!   finish can lie far ahead, and one in the lane would send every later
-//!   message past it to the heap until it popped) and messages that would
-//!   be out of order in the lane, such as a fault layer's delayed
-//!   duplicates.  The 4-ary layout halves the tree depth relative to a
-//!   binary heap.
+//!   message past it to the heap until it popped), messages that would be
+//!   out of order in the lane, such as a fault layer's delayed duplicates,
+//!   and events pushed under a reserved sequence number.  The 4-ary layout
+//!   halves the tree depth relative to a binary heap.
 //!
-//! The run and the heap order small fixed-size keys (`time`, `seq`, slot
-//! index) while their payloads live in a slab indexed by slot, so a sift
-//! moves 24-byte keys regardless of how wide the model's message enum is.
-//! Lane events never enter the slab: they are never sifted, so carrying
-//! them inline saves the slot write and read-back on every leg.
+//! The heap orders small fixed-size keys (`time`, `seq`, slot index) while
+//! their payloads live in a slab indexed by slot, so a sift moves 24-byte
+//! keys regardless of how wide the model's message enum is.  Lane events
+//! never enter the slab: they are never sifted, so carrying them inline
+//! saves the slot write and read-back on every leg.
 //!
-//! [`EventQueue::pop`] takes the earliest of the three heads, so neither
-//! sealing nor the lane ever changes delivery order.  The pre-overhaul
-//! `BinaryHeap<Event<M>>` layout is retained as [`BinaryHeapEventQueue`] so
-//! `bench_perf` keeps measuring the choice instead of assuming it, and the
-//! differential tests compare against it.
+//! A model that knows its future timers up front need not push them all at
+//! once.  [`EventQueue::reserve`] hands out a block of sequence numbers, and
+//! [`EventQueue::push_reserved`] schedules an event under one of them later:
+//! it gets the key an eager push would have given it, so streaming a script
+//! this way keeps the queue small and the delivery order unchanged.
+//!
+//! [`EventQueue::pop`] takes the earlier of the two heads, so the lane never
+//! changes delivery order.  The pre-overhaul `BinaryHeap<Event<M>>` layout
+//! is retained as [`BinaryHeapEventQueue`] so `bench_perf` keeps measuring
+//! the choice instead of assuming it, and the differential tests compare
+//! against it.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::event::{Event, EventKind};
@@ -77,14 +77,11 @@ impl Key {
 
 /// Future-event list with deterministic ordering.
 pub struct EventQueue<M> {
-    /// Keys sealed by [`Self::seal`], sorted latest first: the earliest
-    /// sealed key is `run.last()`.
-    run: Vec<Key>,
     /// In-order messages, held whole, earliest at the front (see the module
     /// docs).
     lane: VecDeque<Event<M>>,
     heap: Vec<Key>,
-    /// Payloads of the run's and the heap's keys.
+    /// Payloads of the heap's keys.
     slots: Vec<Option<Event<M>>>,
     free: Vec<u32>,
     next_seq: u64,
@@ -95,7 +92,6 @@ pub struct EventQueue<M> {
 /// The container holding the earliest pending key.
 #[derive(Clone, Copy)]
 enum Head {
-    Run,
     Lane,
     Heap,
 }
@@ -119,7 +115,6 @@ impl<M> EventQueue<M> {
     #[must_use]
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            run: Vec::new(),
             lane: VecDeque::new(),
             heap: Vec::with_capacity(cap),
             slots: Vec::with_capacity(cap),
@@ -139,8 +134,8 @@ impl<M> EventQueue<M> {
     /// else is stored in the slab and its key sifted into the heap.
     ///
     /// # Panics
-    /// Panics if more than `u32::MAX` heap and run events are pending
-    /// simultaneously (lane events take no slab slot).
+    /// Panics if more than `u32::MAX` heap events are pending simultaneously
+    /// (lane events take no slab slot).
     #[inline]
     pub fn push(&mut self, mut event: Event<M>) {
         event.seq = self.next_seq;
@@ -158,6 +153,45 @@ impl<M> EventQueue<M> {
             self.lane_pushed += 1;
             return;
         }
+        self.push_heap(event);
+    }
+
+    /// Reserves `count` consecutive sequence numbers for events scheduled
+    /// later with [`Self::push_reserved`] and returns the first.  Pushes
+    /// made in between take the numbers after the block.
+    pub fn reserve(&mut self, count: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += count;
+        first
+    }
+
+    /// Schedules an event under the sequence number its `seq` field already
+    /// holds, one handed out by [`Self::reserve`]: the event gets the
+    /// `(time, seq)` key it would have had if it had been pushed when the
+    /// number was reserved.  Such an event always takes the heap, since the
+    /// lane only ever takes keys later than every pending one.
+    ///
+    /// The caller must push it before the queue delivers any event whose
+    /// key is later, and push each reserved number at most once; the
+    /// delivery order then equals that of the eager push.
+    ///
+    /// # Panics
+    /// Panics if more than `u32::MAX` heap events are pending
+    /// simultaneously.
+    #[inline]
+    pub fn push_reserved(&mut self, event: Event<M>) {
+        debug_assert!(
+            event.seq < self.next_seq,
+            "sequence number {} was never reserved",
+            event.seq
+        );
+        self.scheduled_total += 1;
+        self.push_heap(event);
+    }
+
+    /// Stores `event` in the slab and sifts its key into the heap.
+    #[inline]
+    fn push_heap(&mut self, event: Event<M>) {
         let key = Key {
             time: event.time,
             seq: event.seq,
@@ -181,35 +215,14 @@ impl<M> EventQueue<M> {
         self.sift_up(self.heap.len() - 1);
     }
 
-    /// Moves every pending heap key into the sealed run, sorted once by
-    /// `(time, seq)`.  Events pushed afterwards go to the lane or the heap,
-    /// and [`Self::pop`] merges all three, so sealing never changes delivery
-    /// order; it only takes a batch scheduled up front (the simulation
-    /// seals once every entity's `on_start` has run) out of the heap that
-    /// later pushes sift through.  The lane is already in order and stays
-    /// where it is.  The run's payloads stay in the slab, whose slots later
-    /// pushes reuse as the run drains.
-    pub fn seal(&mut self) {
-        let mut keys = std::mem::take(&mut self.heap);
-        keys.append(&mut self.run);
-        keys.sort_unstable_by_key(|k| Reverse((k.time, k.seq)));
-        self.run = keys;
-    }
-
-    /// The container holding the earliest pending event, if any.  An empty
-    /// lane (a timer-only model, say) costs one length test on top of the
-    /// run/heap comparison.
+    /// The container holding the earliest pending event, if any.
     #[inline]
     fn head(&self) -> Option<Head> {
-        let (best, head) = match (self.run.last(), self.heap.first()) {
-            (Some(r), Some(h)) if h.earlier_than(r) => (h, Head::Heap),
-            (Some(r), _) => (r, Head::Run),
-            (None, Some(h)) => (h, Head::Heap),
-            (None, None) => return self.lane.front().map(|_| Head::Lane),
-        };
-        match self.lane.front() {
-            Some(l) if before(l.time, l.seq, best.time, best.seq) => Some(Head::Lane),
-            _ => Some(head),
+        match (self.lane.front(), self.heap.first()) {
+            (Some(l), Some(h)) if before(h.time, h.seq, l.time, l.seq) => Some(Head::Heap),
+            (Some(_), _) => Some(Head::Lane),
+            (None, Some(_)) => Some(Head::Heap),
+            (None, None) => None,
         }
     }
 
@@ -218,19 +231,17 @@ impl<M> EventQueue<M> {
     #[inline]
     fn earliest_time(&self) -> Option<SimTime> {
         match self.head()? {
-            Head::Run => self.run.last().map(|k| k.time),
             Head::Lane => self.lane.front().map(|e| e.time),
             Head::Heap => self.heap.first().map(|k| k.time),
         }
     }
 
     /// Removes and returns the earliest event, if any.  A lane event comes
-    /// straight off the lane; a run or heap event is taken out of its slab
-    /// slot, which is freed for reuse.
+    /// straight off the lane; a heap event is taken out of its slab slot,
+    /// which is freed for reuse.
     pub fn pop(&mut self) -> Option<Event<M>> {
         let key = match self.head()? {
             Head::Lane => return self.lane.pop_front(),
-            Head::Run => self.run.pop()?,
             Head::Heap => self.pop_heap()?,
         };
         let slot = &mut self.slots[key.slot as usize];
@@ -276,35 +287,44 @@ impl<M> EventQueue<M> {
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.run.len() + self.lane.len() + self.heap.len()
+        self.lane.len() + self.heap.len()
     }
 
     /// Whether the queue is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.run.is_empty() && self.lane.is_empty() && self.heap.is_empty()
+        self.lane.is_empty() && self.heap.is_empty()
     }
 
-    /// Total number of events ever scheduled through this queue.
+    /// Total number of events ever pushed into this queue.  A reserved
+    /// sequence number counts once its event is pushed.
     #[must_use]
     pub fn scheduled_total(&self) -> u64 {
         self.scheduled_total
     }
 
     /// Total number of events ever appended to the FIFO lane (the rest went
-    /// to the heap or, pushed before [`Self::seal`], into the run).
+    /// to the heap).
     #[must_use]
     pub fn lane_pushed(&self) -> u64 {
         self.lane_pushed
+    }
+
+    /// Most heap events pending at once since the queue was created or
+    /// last cleared: the slab's length, since freed slots are reused before
+    /// it grows.
+    #[must_use]
+    pub fn slab_high_water(&self) -> usize {
+        self.slots.len()
     }
 
     /// Corrupting test double: rewrites the earliest pending event's
     /// timestamp to `new_time` **without** restoring the queue's order,
     /// emulating a scheduler bug that delivers an event from the past.
     /// Reaches the earliest event in whichever container holds it (the
-    /// sealed run, the lane or the heap).  Returns `false` on an empty
-    /// queue.  Only exists so the invariant tests can prove the engine's
-    /// time-monotonicity check fires; never compiled into normal builds.
+    /// lane or the heap).  Returns `false` on an empty queue.  Only exists
+    /// so the invariant tests can prove the engine's time-monotonicity
+    /// check fires; never compiled into normal builds.
     #[cfg(feature = "invariants")]
     pub fn corrupt_earliest_time(&mut self, new_time: SimTime) -> bool {
         let key = match self.head() {
@@ -314,7 +334,6 @@ impl<M> EventQueue<M> {
                 }
                 return true;
             }
-            Some(Head::Run) => self.run.last_mut(),
             Some(Head::Heap) => self.heap.first_mut(),
             None => None,
         };
@@ -330,7 +349,6 @@ impl<M> EventQueue<M> {
 
     /// Drops every pending event, e.g. when a run is aborted at its horizon.
     pub fn clear(&mut self) {
-        self.run.clear();
         self.lane.clear();
         self.heap.clear();
         self.slots.clear();
@@ -566,42 +584,53 @@ mod tests {
         assert_eq!(q.scheduled_total(), 400);
     }
 
-    #[test]
-    fn sealed_run_and_heap_merge_in_time_then_seq_order() {
-        let mut q = EventQueue::new();
-        q.push(event(5.0, 0));
-        q.push(event(1.0, 1));
-        q.push(event(3.0, 2));
-        q.seal();
-        assert_eq!(q.len(), 3);
-        // Pushed after the seal: an earlier time, a tie with the run's t=3
-        // (later seq, so after it) and a tie with its t=5.
-        q.push(event(2.0, 3));
-        q.push(event(3.0, 4));
-        q.push(event(5.0, 5));
-        assert_eq!(q.len(), 6);
-        assert_eq!(q.peek_time(), Some(SimTime::new(1.0)));
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
-        assert_eq!(order, vec![1, 3, 2, 4, 0, 5]);
-        assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 6);
+    /// `event`, under the reserved sequence number `seq`.
+    fn reserved(seq: u64, event: Event<u32>) -> Event<u32> {
+        Event { seq, ..event }
     }
 
     #[test]
-    fn pop_at_or_before_and_clear_cover_the_sealed_run() {
+    fn reserved_seqs_keep_the_key_of_an_eager_push() {
         let mut q = EventQueue::new();
-        q.push(event(4.0, 0));
-        q.seal();
+        // Seqs 0..3 are reserved for t = 5, 1, 3; pushes made meanwhile
+        // take seqs 3.. and tie with them at t = 3 and t = 5.
+        let first = q.reserve(3);
+        assert_eq!(first, 0);
+        q.push(event(2.0, 3));
+        q.push_reserved(reserved(first + 1, timer(1.0, 1)));
+        q.push(event(3.0, 4));
+        q.push_reserved(reserved(first + 2, timer(3.0, 2)));
+        q.push(timer(5.0, 5));
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.peek_time(), Some(SimTime::new(1.0)));
+        assert_eq!(q.pop().unwrap().payload, 1);
+        assert_eq!(q.pop().unwrap().payload, 3);
+        // Pushed late, t = 5 under seq 0 still leads the t = 5 under seq 5.
+        q.push_reserved(reserved(first, timer(5.0, 0)));
+        let order: Vec<(u64, u32)> =
+            std::iter::from_fn(|| q.pop()).map(|e| (e.seq, e.payload)).collect();
+        assert_eq!(order, vec![(2, 2), (4, 4), (0, 0), (5, 5)]);
+        assert!(q.is_empty());
+        assert_eq!(q.scheduled_total(), 6);
+        assert_eq!(q.reserve(1), 6);
+    }
+
+    #[test]
+    fn pop_at_or_before_and_clear_cover_reserved_pushes() {
+        let mut q = EventQueue::new();
+        let first = q.reserve(2);
+        q.push_reserved(reserved(first, timer(4.0, 0)));
         q.push(event(6.0, 1));
         assert!(q.pop_at_or_before(SimTime::new(3.0)).is_none());
         assert_eq!(q.pop_at_or_before(SimTime::new(4.0)).unwrap().payload, 0);
         assert!(q.pop_at_or_before(SimTime::new(5.0)).is_none());
-        q.push(event(7.0, 2));
-        q.seal();
+        q.push_reserved(reserved(first + 1, timer(7.0, 2)));
         assert_eq!(q.len(), 2);
+        assert_eq!(q.slab_high_water(), 1);
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
+        assert_eq!(q.slab_high_water(), 0);
     }
 
     fn timer(t: f64, payload: u32) -> Event<u32> {
@@ -612,18 +641,19 @@ mod tests {
     }
 
     #[test]
-    fn in_order_messages_take_the_lane_and_merge_with_run_and_heap() {
+    fn in_order_messages_take_the_lane_and_merge_with_the_heap() {
         let mut q = EventQueue::new();
-        q.push(timer(4.0, 0));
-        q.seal();
+        let first = q.reserve(1);
         // In-order messages (a tie with the tail included) take the lane;
-        // timers and a message earlier than the lane's tail take the heap.
+        // timers, a reserved push and a message earlier than the lane's
+        // tail take the heap.
         q.push(event(2.0, 1));
         q.push(event(3.0, 2));
         q.push(event(3.0, 3));
         q.push(timer(3.5, 4));
         q.push(event(2.5, 5));
         q.push(event(4.0, 6));
+        q.push_reserved(reserved(first, event(4.0, 0)));
         q.push(timer(1.0, 7));
         assert_eq!(q.len(), 8);
         assert_eq!(q.peek_time(), Some(SimTime::new(1.0)));
@@ -631,14 +661,12 @@ mod tests {
         assert_eq!(q.pop_at_or_before(SimTime::new(2.0)).unwrap().payload, 1);
         assert!(q.pop_at_or_before(SimTime::new(2.4)).is_none());
         let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
-        // The run's t=4 was pushed before the lane's t=4, so it leads.
+        // The reserved t=4 holds seq 0, so it leads the lane's t=4.
         assert_eq!(order, vec![5, 2, 3, 4, 0, 6]);
         assert_eq!(q.lane_pushed(), 4);
-        // A drained lane takes any message again; sealing and clearing
-        // cover it.
+        // A drained lane takes any message again; clearing covers it.
         q.push(event(1.0, 8));
         q.push(event(9.0, 9));
-        q.seal();
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop().unwrap().payload, 8);
         assert_eq!(q.lane_pushed(), 6);
@@ -651,15 +679,16 @@ mod tests {
     #[test]
     fn in_order_messages_never_enter_the_slab() {
         let mut q = EventQueue::new();
-        // A stream of in-order messages, popped as it goes and sealed
-        // with some still pending, as `on_start` sends leave them.
+        // A stream of in-order messages, popped as it goes, with a block of
+        // sequence numbers reserved midway as `on_start` reserves them.
+        let mut first = 0;
         for i in 0..100u32 {
             q.push(event(f64::from(i / 3), i));
             if i % 2 == 1 {
                 assert!(q.pop().is_some());
             }
             if i == 40 {
-                q.seal();
+                first = q.reserve(1);
             }
         }
         let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
@@ -667,26 +696,26 @@ mod tests {
         assert_eq!(q.lane_pushed(), 100);
         assert!(q.slots.is_empty());
         assert!(q.free.is_empty());
-        // A timer takes a slab slot, and so does a message earlier than
-        // the lane's tail.
+        // A timer takes a slab slot, and so do a message earlier than the
+        // lane's tail and a reserved push.
         q.push(event(50.0, 100));
         q.push(timer(60.0, 101));
-        assert_eq!(q.slots.len(), 1);
+        assert_eq!(q.slab_high_water(), 1);
         q.push(event(40.0, 102));
-        assert_eq!(q.slots.len(), 2);
+        q.push_reserved(reserved(first, event(50.0, 103)));
+        assert_eq!(q.slab_high_water(), 3);
         assert_eq!(q.lane_pushed(), 101);
         let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
-        assert_eq!(order, vec![102, 100, 101]);
-        assert_eq!(q.free.len(), 2);
+        assert_eq!(order, vec![102, 103, 100, 101]);
+        assert_eq!(q.free.len(), 3);
     }
 
     #[test]
     fn dary_and_binary_heap_layouts_deliver_identical_orderings() {
         // The layout decision must never change delivery order: feed the
         // same pseudo-random schedule to both queues (interleaving pushes
-        // and pops to exercise slot recycling, mixing lane-bound messages
-        // with timers, and sealing once midway) and require identical
-        // output.
+        // and pops to exercise slot recycling, and mixing lane-bound
+        // messages with timers) and require identical output.
         let mut dary = EventQueue::new();
         let mut binary = BinaryHeapEventQueue::new();
         let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -698,11 +727,6 @@ mod tests {
             let e = if state % 5 == 0 { timer(t, i) } else { event(t, i) };
             dary.push(e.clone());
             binary.push(e);
-            if i == 200 {
-                // Seal what is pending so the rest of the schedule merges
-                // the sealed run with the heap.
-                dary.seal();
-            }
             if state % 3 == 0 {
                 out_dary.push(dary.pop().map(|e| (e.time, e.seq, e.payload)));
                 out_binary.push(binary.pop().map(|e| (e.time, e.seq, e.payload)));

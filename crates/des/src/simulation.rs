@@ -151,11 +151,6 @@ impl<M, E: Entity<M, S>, S> Simulation<M, E, S> {
                 };
                 entity.on_start(&mut ctx);
             }
-            // Everything scheduled up front (a federation's job arrivals)
-            // is sorted once into the queue's sealed run, so the heap that
-            // every later message sifts through holds only the events in
-            // flight.  Delivery order is unchanged.
-            self.queue.seal();
         }
 
         let outcome = loop {
@@ -165,9 +160,9 @@ impl<M, E: Entity<M, S>, S> Simulation<M, E, S> {
             if self.stats.events_delivered >= self.max_events {
                 break RunOutcome::EventLimit;
             }
-            // One pop merges the queue's three heads (sealed run, FIFO
-            // lane, heap) directly, bounded by the horizon when one is
-            // set, instead of a peek followed by a pop.
+            // One pop merges the queue's two heads (FIFO lane, heap)
+            // directly, bounded by the horizon when one is set, instead of
+            // a peek followed by a pop.
             let event = match horizon {
                 None => match self.queue.pop() {
                     Some(event) => event,
@@ -233,6 +228,7 @@ impl<M, E: Entity<M, S>, S> Simulation<M, E, S> {
         self.stats.events_scheduled = self.queue.scheduled_total();
         self.stats.lane_pushes = self.queue.lane_pushed();
         self.stats.events_dropped_at_stop = self.queue.len() as u64;
+        self.stats.slab_high_water = self.queue.slab_high_water() as u64;
         self.stats.end_time = self.clock;
 
         outcome
@@ -323,6 +319,8 @@ mod tests {
         assert_eq!(outcome, RunOutcome::Exhausted);
         assert_eq!(sim.now(), SimTime::new(10.0));
         assert_eq!(sim.stats().timers_delivered, 5);
+        // One timer pending at a time: the slab never needs a second slot.
+        assert_eq!(sim.stats().slab_high_water, 1);
         let clocker = &sim.entities()[0];
         assert_eq!((clocker.fired, clocker.remaining), (5, 0));
     }

@@ -11,8 +11,10 @@ use crate::time::SimTime;
 pub struct SimStats {
     /// Events delivered to entities via `on_event`.
     pub events_delivered: u64,
-    /// Events scheduled (including those still pending or discarded at the
-    /// horizon).
+    /// Events pushed into the future-event list (including those still
+    /// pending or discarded at the horizon).  A timer an entity reserved a
+    /// sequence number for ([`crate::Context::reserve_seqs`]) counts once
+    /// it is scheduled, not when its number is reserved.
     pub events_scheduled: u64,
     /// Messages between two *different* entities (a subset of
     /// `events_delivered`).
@@ -24,8 +26,15 @@ pub struct SimStats {
     /// Self-timers delivered.
     pub timers_delivered: u64,
     /// Events that were still pending when the simulation stopped (horizon
-    /// reached or explicit stop).
+    /// reached or explicit stop).  Timers an entity had reserved sequence
+    /// numbers for but not yet scheduled are not pending events and are not
+    /// counted.
     pub events_dropped_at_stop: u64,
+    /// Most events the future-event list's slab held at once: timers,
+    /// reserved pushes and out-of-order messages pending together (lane
+    /// events take no slot).  A model that scheduled its whole script up
+    /// front would show it here.
+    pub slab_high_water: u64,
     /// Final simulation clock value.
     pub end_time: SimTime,
 }

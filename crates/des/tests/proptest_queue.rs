@@ -125,27 +125,62 @@ proptest! {
 }
 
 /// Follow-up timers one delivery may schedule, so the heap grows while the
-/// sealed run drains.
+/// script streams.
 const FOLLOWUPS_PER_EVENT: usize = 2;
 
-/// An entity whose start-up batch lands in the queue's sealed run and whose
-/// follow-up timers, pushed during the run, land in the heap.  Small integer
-/// times and delays make equal timestamps split between the two containers
-/// common.  Records every delivered `(time, seq)`.
-struct SealMixer {
+/// Payload of a scripted timer; follow-ups carry 0.
+const SCRIPTED: u32 = 1;
+
+/// A start-up batch of timers streamed the way a federation's GFAs stream
+/// their scripts: `on_start` reserves one sequence number per timer, in
+/// batch order, and schedules only the earliest; each scripted delivery
+/// schedules its successor.
+struct Script {
+    /// Not yet scheduled `(time, seq)`, the next one last.
+    rest: Vec<(u32, u64)>,
+}
+
+impl Script {
+    fn start(batch: &[u32], ctx: &mut Context<'_, u32>) -> Self {
+        let first = ctx.reserve_seqs(batch.len() as u64);
+        let mut rest: Vec<(u32, u64)> =
+            batch.iter().zip(first..).map(|(t, seq)| (*t, seq)).collect();
+        rest.sort_unstable_by(|a, b| b.cmp(a));
+        let mut script = Script { rest };
+        script.advance(ctx);
+        script
+    }
+
+    fn advance(&mut self, ctx: &mut Context<'_, u32>) {
+        if let Some((t, seq)) = self.rest.pop() {
+            ctx.timer_at_reserved(SimTime::new(f64::from(t)), seq, SCRIPTED);
+        }
+    }
+}
+
+/// An entity whose start-up batch is a streamed [`Script`] and whose
+/// follow-up timers, pushed during the run, take fresh sequence numbers.
+/// Small integer times and delays make a scripted timer tie with
+/// follow-ups scheduled long after its number was reserved.  Records every
+/// delivered `(time, seq)`.
+struct ScriptMixer {
     batch: Vec<u32>,
+    script: Option<Script>,
     followups: Vec<u32>,
     next: usize,
     delivered: Vec<(u64, u64)>,
 }
 
-impl Entity<u32> for SealMixer {
+impl Entity<u32> for ScriptMixer {
     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
-        for t in &self.batch {
-            ctx.timer_at(SimTime::new(f64::from(*t)), 0);
-        }
+        self.script = Some(Script::start(&self.batch, ctx));
     }
     fn on_event(&mut self, event: Event<u32>, ctx: &mut Context<'_, u32>) {
+        if event.payload == SCRIPTED {
+            if let Some(script) = self.script.as_mut() {
+                script.advance(ctx);
+            }
+        }
         self.delivered.push((event.time.as_secs().to_bits(), event.seq));
         for _ in 0..FOLLOWUPS_PER_EVENT {
             if let Some(delay) = self.followups.get(self.next) {
@@ -158,17 +193,19 @@ impl Entity<u32> for SealMixer {
 
 proptest! {
     #![proptest_config(ProptestConfig::default())]
-    /// A simulation whose start-up batch is sealed into a sorted run and
-    /// whose later events go to the heap delivers exactly the `(time, seq)`
-    /// sequence the plain binary-heap queue delivers for the same schedule.
+    /// A simulation that streams its start-up batch under reserved sequence
+    /// numbers, next to follow-up timers pushed during the run, delivers
+    /// exactly the `(time, seq)` sequence the plain binary-heap queue
+    /// delivers when the whole batch is pushed up front.
     #[test]
-    fn sealed_run_plus_heap_matches_the_binary_heap_order(
+    fn reserved_script_streamed_lazily_matches_the_binary_heap_order(
         batch in proptest::collection::vec(0u32..20, 0..80),
         followups in proptest::collection::vec(0u32..6, 0..120),
     ) {
         let mut sim = Simulation::new(1, ());
-        sim.add_entity(SealMixer {
+        sim.add_entity(ScriptMixer {
             batch: batch.clone(),
+            script: None,
             followups: followups.clone(),
             next: 0,
             delivered: Vec::new(),
@@ -191,6 +228,10 @@ proptest! {
             }
         }
         prop_assert_eq!(&sim.entities()[0].delivered, &expected);
+        // At most one scripted timer is pending at a time, so the slab
+        // never needs more slots than the follow-ups plus one.
+        prop_assert!(sim.stats().slab_high_water <= next as u64 + 1);
+        prop_assert_eq!(sim.stats().events_scheduled, (batch.len() + next) as u64);
     }
 }
 
@@ -228,12 +269,14 @@ impl Followup {
     }
 }
 
-/// [`SealMixer`] with messages: its sealed start-up batch is followed by
-/// a scripted mix of constant-latency sends, delayed sends and timers, so
-/// deliveries draw on all three of the queue's containers with many
-/// timestamps tied across them.  Records every delivered `(time, seq)`.
+/// [`ScriptMixer`] with messages: its start-up batch, streamed as a run of
+/// reserved sequence numbers, is followed by a scripted mix of
+/// constant-latency sends, delayed sends and timers, so deliveries draw on
+/// the lane and the heap, reserved keys included, with many timestamps tied
+/// across them.  Records every delivered `(time, seq)`.
 struct LaneMixer {
     batch: Vec<u32>,
+    script: Option<Script>,
     followups: Vec<Followup>,
     next: usize,
     delivered: Vec<(u64, u64)>,
@@ -241,11 +284,14 @@ struct LaneMixer {
 
 impl Entity<u32> for LaneMixer {
     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
-        for t in &self.batch {
-            ctx.timer_at(SimTime::new(f64::from(*t)), 0);
-        }
+        self.script = Some(Script::start(&self.batch, ctx));
     }
     fn on_event(&mut self, event: Event<u32>, ctx: &mut Context<'_, u32>) {
+        if event.payload == SCRIPTED {
+            if let Some(script) = self.script.as_mut() {
+                script.advance(ctx);
+            }
+        }
         self.delivered.push((event.time.as_secs().to_bits(), event.seq));
         for _ in 0..FOLLOWUPS_PER_EVENT {
             let Some(followup) = self.followups.get(self.next).copied() else {
@@ -263,9 +309,10 @@ impl Entity<u32> for LaneMixer {
 
 proptest! {
     #![proptest_config(ProptestConfig::default())]
-    /// A simulation whose deliveries mix the sealed run, the FIFO lane and
-    /// the heap delivers exactly the `(time, seq)` sequence the plain
-    /// binary-heap queue delivers for the same schedule.
+    /// A simulation whose deliveries mix a streamed run of reserved
+    /// sequence numbers, the FIFO lane and the heap delivers exactly the
+    /// `(time, seq)` sequence the plain binary-heap queue delivers for the
+    /// same schedule with the run pushed up front.
     #[test]
     fn run_lane_and_heap_match_the_binary_heap_order(
         batch in proptest::collection::vec(0u32..20, 1..40),
@@ -275,6 +322,7 @@ proptest! {
         let mut sim = Simulation::new(1, ());
         sim.add_entity(LaneMixer {
             batch: batch.clone(),
+            script: None,
             followups: followups.clone(),
             next: 0,
             delivered: Vec::new(),
@@ -318,15 +366,15 @@ enum QueueOp {
     /// A message `LATENCY + extra` after the last pop: later sends overtake
     /// it, so those go to the heap.
     Delayed(u32),
-    /// A timer `delay` after the last pop: always the heap (or, sealed,
-    /// the run).
+    /// A timer `delay` after the last pop: always the heap.
     Timer(u32),
     /// `pop`.
     Pop,
     /// `pop_at_or_before(last pop + window)`.
     PopWithin(u32),
-    /// `seal`, with whatever the lane and the heap hold at the time.
-    Seal,
+    /// `reserve` a block of this many timers, pushed one at a time in
+    /// `(time, seq)` order: each when its predecessor pops.
+    Reserve(u32),
 }
 
 impl QueueOp {
@@ -338,56 +386,115 @@ impl QueueOp {
             6..=8 => QueueOp::Timer(arg),
             9..=11 => QueueOp::Pop,
             12..=14 => QueueOp::PopWithin(arg),
-            _ => QueueOp::Seal,
+            _ => QueueOp::Reserve(1 + arg),
         }
+    }
+}
+
+/// A unique-payload event at `at`.
+fn fresh(payload: &mut u32, at: u32, kind: EventKind) -> Event<u32> {
+    let mut event = make_event(f64::from(at), *payload);
+    event.kind = kind;
+    *payload += 1;
+    event
+}
+
+/// Pushes `event` into both queues.
+fn push_both(
+    queue: &mut EventQueue<u32>,
+    reference: &mut BinaryHeapEventQueue<u32>,
+    event: Event<u32>,
+) {
+    queue.push(event.clone());
+    reference.push(event);
+}
+
+/// The reserved blocks of a direct queue script: each block's events not
+/// yet pushed, the next one last, and which block the pushed head with a
+/// given payload belongs to.
+#[derive(Default)]
+struct Blocks {
+    rest: Vec<Vec<Event<u32>>>,
+    head_of: std::collections::BTreeMap<u32, usize>,
+}
+
+impl Blocks {
+    /// Pushes the next event of `block`, if any.
+    fn push_next(&mut self, block: usize, queue: &mut EventQueue<u32>) {
+        if let Some(event) = self.rest[block].pop() {
+            self.head_of.insert(event.payload, block);
+            queue.push_reserved(event);
+        }
+    }
+
+    /// After `popped` left the queue: pushes its block's successor.
+    fn popped(&mut self, popped: Option<&Event<u32>>, queue: &mut EventQueue<u32>) {
+        if let Some(block) = popped.and_then(|e| self.head_of.remove(&e.payload)) {
+            self.push_next(block, queue);
+        }
+    }
+
+    /// Reserved events not pushed yet.
+    fn unpushed(&self) -> usize {
+        self.rest.iter().map(Vec::len).sum()
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::default())]
     /// Driven directly by a random script of pushes, pops, bounded pops and
-    /// seals, the engine's queue returns exactly the `(time, seq, payload)`
-    /// sequence the plain binary-heap queue returns.  Every push carries a
-    /// unique payload, so an event delivered from the wrong container or
-    /// the wrong slab slot shows up even when its key is right.
+    /// reserved blocks, the engine's queue returns exactly the `(time, seq,
+    /// payload)` sequence the plain binary-heap queue returns when every
+    /// reserved block is pushed up front.  Every event carries a unique
+    /// payload, so an event delivered from the wrong container or the wrong
+    /// slab slot shows up even when its key is right.
     #[test]
     fn direct_queue_ops_match_the_binary_heap_including_payloads(
         draws in proptest::collection::vec(0u32..80, 0..300),
+        offsets in proptest::collection::vec(0u32..8, 1..40),
     ) {
         let mut queue = EventQueue::new();
         let mut reference = BinaryHeapEventQueue::new();
+        let mut blocks = Blocks::default();
+        let mut offset = offsets.iter().cycle();
         let mut now = 0u32;
         let mut payload = 0u32;
         let mut sends = 0u64;
-        let mut push = |queue: &mut EventQueue<u32>,
-                        reference: &mut BinaryHeapEventQueue<u32>,
-                        at: u32,
-                        kind: EventKind| {
-            let mut event = make_event(f64::from(at), payload);
-            event.kind = kind;
-            payload += 1;
-            queue.push(event.clone());
-            reference.push(event);
-        };
         let key = |e: Event<u32>| (e.time.as_secs().to_bits(), e.seq, e.payload);
         for draw in draws {
             let (got, expected) = match QueueOp::from_draw(draw) {
                 QueueOp::Send => {
                     sends += 1;
-                    push(&mut queue, &mut reference, now + LATENCY, EventKind::Message);
+                    let event = fresh(&mut payload, now + LATENCY, EventKind::Message);
+                    push_both(&mut queue, &mut reference, event);
                     continue;
                 }
                 QueueOp::Delayed(extra) => {
                     sends += 1;
-                    push(&mut queue, &mut reference, now + LATENCY + extra, EventKind::Message);
+                    let event = fresh(&mut payload, now + LATENCY + extra, EventKind::Message);
+                    push_both(&mut queue, &mut reference, event);
                     continue;
                 }
                 QueueOp::Timer(delay) => {
-                    push(&mut queue, &mut reference, now + delay, EventKind::Timer);
+                    let event = fresh(&mut payload, now + delay, EventKind::Timer);
+                    push_both(&mut queue, &mut reference, event);
                     continue;
                 }
-                QueueOp::Seal => {
-                    queue.seal();
+                QueueOp::Reserve(size) => {
+                    // The reference pushes the block eagerly and so assigns
+                    // it the very numbers `reserve` hands out.
+                    let first = queue.reserve(u64::from(size));
+                    let mut block: Vec<Event<u32>> = (first..first + u64::from(size))
+                        .map(|seq| {
+                            let at = now + offset.next().copied().unwrap_or(0);
+                            let event = fresh(&mut payload, at, EventKind::Timer);
+                            reference.push(event.clone());
+                            Event { seq, ..event }
+                        })
+                        .collect();
+                    block.sort_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
+                    blocks.rest.push(block);
+                    blocks.push_next(blocks.rest.len() - 1, &mut queue);
                     continue;
                 }
                 QueueOp::Pop => {
@@ -403,17 +510,21 @@ proptest! {
                     (queue.pop_at_or_before(limit), expected)
                 }
             };
+            blocks.popped(got.as_ref(), &mut queue);
             if let Some(e) = &expected {
                 now = e.time.as_secs() as u32;
             }
             prop_assert_eq!(got.map(key), expected.map(key));
-            prop_assert_eq!(queue.len(), reference.len());
+            prop_assert_eq!(queue.len() + blocks.unpushed(), reference.len());
             prop_assert_eq!(queue.peek_time(), reference.peek_time());
         }
         while let Some(expected) = reference.pop() {
-            prop_assert_eq!(queue.pop().map(key), Some(key(expected)));
+            let got = queue.pop();
+            blocks.popped(got.as_ref(), &mut queue);
+            prop_assert_eq!(got.map(key), Some(key(expected)));
         }
         prop_assert!(queue.is_empty());
+        prop_assert_eq!(blocks.unpushed(), 0);
         prop_assert!(queue.lane_pushed() <= sends);
     }
 }

@@ -278,7 +278,7 @@ pub mod bool {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Acceptable size arguments for [`vec`].
+    /// Acceptable size arguments for [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -321,7 +321,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -260,14 +260,16 @@ fn small_federation(config: FederationConfig) -> FederationReport {
 }
 
 /// What a run did, independent of the host that ran it: events delivered,
-/// events that took the queue's FIFO lane, directory queries,
-/// retransmissions, and quote-cache hits and misses.  None of these enters
-/// the run digest, so a change that doubles the events or sends the
-/// negotiation legs to the heap shows here first.
-fn work_counts(report: &FederationReport) -> [u64; 6] {
+/// events that took the queue's FIFO lane, the most events the queue's slab
+/// held at once, directory queries, retransmissions, and quote-cache hits
+/// and misses.  None of these enters the run digest, so a change that
+/// doubles the events, sends the negotiation legs to the heap or schedules
+/// a GFA's script up front shows here first.
+fn work_counts(report: &FederationReport) -> [u64; 7] {
     [
         report.engine.events_delivered,
         report.engine.lane_pushes,
+        report.engine.slab_high_water,
         report.directory_queries,
         report.metrics.counter(Counter::NetRetransmissions),
         report.metrics.counter(Counter::CacheHits),
@@ -278,7 +280,7 @@ fn work_counts(report: &FederationReport) -> [u64; 6] {
 #[test]
 fn ideal_fanout_work_counts_are_pinned() {
     let report = small_federation(FederationConfig::default());
-    assert_eq!(work_counts(&report), [1272, 842, 312, 0, 249, 63]);
+    assert_eq!(work_counts(&report), [1272, 842, 60, 312, 0, 249, 63]);
 }
 
 #[test]
@@ -288,7 +290,7 @@ fn maan_reprice_work_counts_are_pinned() {
         repricings: (0..12).map(|gfa| (gfa, 3_600.0 * (1 + gfa) as f64, 1.0 + 0.1 * gfa as f64)).collect(),
         ..FederationConfig::default()
     });
-    assert_eq!(work_counts(&report), [1334, 892, 344, 0, 211, 133]);
+    assert_eq!(work_counts(&report), [1334, 892, 56, 344, 0, 211, 133]);
 }
 
 #[test]
@@ -301,5 +303,5 @@ fn maan_churn_faults_work_counts_are_pinned() {
         network: Some(NetworkFaultConfig::moderate()),
         ..FederationConfig::default()
     });
-    assert_eq!(work_counts(&report), [1397, 837, 282, 22, 25, 257]);
+    assert_eq!(work_counts(&report), [1397, 837, 76, 282, 22, 25, 257]);
 }
