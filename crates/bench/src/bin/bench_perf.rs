@@ -545,7 +545,7 @@ fn main() {
     let fcfs_speedup = fcfs_rep / fcfs_inc;
     let easy_speedup = easy_rep / easy_inc;
     eprintln!(
-        "event queue: 4-ary index heap + FIFO lane {:.0} ev/s vs BinaryHeap {:.0} ev/s ({:.2}x)",
+        "event queue: EventQueue (FIFO lane + 4-ary heap of whole events) {:.0} ev/s vs BinaryHeap {:.0} ev/s ({:.2}x)",
         dary_eps,
         binary_eps,
         dary_eps / binary_eps

@@ -4,8 +4,9 @@
 //! `BENCH_perf.json` and fails (exit code 1) when a gated row regressed
 //! beyond the tolerance band:
 //!
-//! * **event-queue events/s** (`dary_index_heap_events_per_sec`, the
-//!   leg-shaped hold model) — higher is better;
+//! * **event-queue events/s** (`dary_index_heap_events_per_sec`: the
+//!   engine's `EventQueue`, a FIFO lane plus a 4-ary heap of whole events,
+//!   on the leg-shaped hold model) — higher is better;
 //! * **estimator ns/quote** (`fcfs_incremental_ns_per_quote`,
 //!   `easy_incremental_ns_per_quote`) and **ns per FCFS accept cycle**
 //!   (`fcfs_accept_cycle_ns`, the one row that keeps the quote profile
@@ -113,7 +114,7 @@ struct Gate {
 
 const GATES: [Gate; 10] = [
     Gate {
-        label: "event queue (4-ary heap + FIFO lane events/s)",
+        label: "event queue (EventQueue: FIFO lane + 4-ary heap of events, events/s)",
         path: &["event_queue", "dary_index_heap_events_per_sec"],
         direction: Direction::HigherIsBetter,
     },

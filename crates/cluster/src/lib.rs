@@ -9,8 +9,9 @@
 //!   access price `c_i`,
 //! * [`catalog`] — the eight resources of Table 1, together with the workload
 //!   calibration targets used by the synthetic traces,
-//! * [`cost`] — the analytic cost model of Eq. 1–4 and the budget/deadline
-//!   fabrication of Eq. 7–8,
+//! * [`cost`] — the execution-time model of Eq. 2–3 (pricing and the
+//!   budget/deadline rules of Eq. 4 and 7–8 live in the federation core's
+//!   charging policy),
 //! * [`lrms`] — the space-shared FCFS local scheduler (queue, allocation,
 //!   completion-time estimation for admission control, utilization
 //!   accounting),
@@ -36,8 +37,6 @@ pub mod resource;
 
 pub use backfill::EasyBackfilling;
 pub use catalog::{paper_resources, replicated_resources, PaperResource};
-pub use cost::{
-    completion_time, fabricate_qos, fabricate_qos_all, service_time, transfer_volume,
-};
+pub use cost::{completion_time, service_time};
 pub use lrms::{ClusterJob, LocalScheduler, SpaceSharedFcfs, StartedJob};
 pub use resource::ResourceSpec;

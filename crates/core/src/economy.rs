@@ -279,6 +279,32 @@ mod tests {
     }
 
     #[test]
+    fn budget_always_affords_the_origin_and_cheaper_resources() {
+        // A corollary the scheduler relies on: with Eq. 7 budgets under the
+        // literal Eq. 4, OFC users can always afford any resource whose
+        // price/MIPS ratio is at most twice the origin's.
+        use grid_workload::{JobId, Qos, Strategy, UserId};
+        let origin = ResourceSpec::new("LANL CM5", 1024, 700.0, 1.0, 3.98);
+        let mut jobs = vec![grid_workload::Job {
+            id: JobId { origin: 2, seq: 0 },
+            user: UserId { origin: 2, local: 0 },
+            submit: 0.0,
+            processors: 32,
+            // 1800 s of compute on the 700-MIPS origin.
+            length_mi: 1_800.0 * 700.0 * 32.0,
+            comm_overhead: 200.0,
+            qos: Qos { budget: 0.0, deadline: 0.0, strategy: Strategy::Ofc },
+        }];
+        let policy = ChargingPolicy::PerCpuSecond;
+        policy.fabricate_qos_all(&mut jobs, &origin);
+        let job = &jobs[0];
+        assert_eq!(job.qos.strategy, Strategy::Ofc, "fabrication keeps the strategy");
+        assert!(policy.charge(job, &origin) <= job.qos.budget);
+        let cheaper = ResourceSpec::new("LANL Origin", 2048, 630.0, 1.6, 3.59);
+        assert!(policy.charge(job, &cheaper) <= job.qos.budget);
+    }
+
+    #[test]
     fn qos_fabrication_follows_the_charging_policy() {
         use grid_workload::{JobId, UserId};
         let origin = ResourceSpec::new("CTC SP2", 512, 850.0, 2.0, 4.84);

@@ -937,6 +937,35 @@ mod tests {
     }
 
     #[test]
+    fn independent_mode_rejects_local_jobs_after_a_departure() {
+        // A departed GFA stops self-accepting under Experiment 1 too: its
+        // jobs arriving after the departure are rejected, while the one
+        // before it runs and the other GFA keeps accepting.
+        let workloads = vec![
+            vec![
+                job(0, 0, 0.0, 4, 100.0, Strategy::Ofc),
+                job(0, 1, 200.0, 4, 100.0, Strategy::Ofc),
+                job(0, 2, 300.0, 4, 100.0, Strategy::Oft),
+            ],
+            vec![job(1, 0, 200.0, 4, 100.0, Strategy::Ofc)],
+        ];
+        let config = FederationConfig {
+            departures: vec![(0, 150.0)],
+            ..FederationConfig::with_mode(SchedulingMode::Independent)
+        };
+        let report = run_federation(two_resources(), workloads, config);
+        let accepted = |origin, seq| {
+            let id = JobId { origin, seq };
+            report.jobs.iter().find(|j| j.id == id).map(JobRecord::was_accepted)
+        };
+        assert_eq!(accepted(0, 0), Some(true));
+        assert_eq!(accepted(0, 1), Some(false));
+        assert_eq!(accepted(0, 2), Some(false));
+        assert_eq!(accepted(1, 0), Some(true));
+        assert_eq!(report.messages.total_messages(), 0);
+    }
+
+    #[test]
     fn overloaded_origin_spills_into_the_federation() {
         // Resource 0 has only 4 processors; flood it with simultaneous jobs so
         // some must either migrate (federation) or be rejected (independent).

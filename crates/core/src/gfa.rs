@@ -314,20 +314,6 @@ impl Gfa {
         &self.spec
     }
 
-    fn entity_of(&self, gfa_index: usize) -> EntityId {
-        // The federation builder registers GFAs in resource order, so the
-        // entity id equals the resource index.
-        EntityId::new(gfa_index)
-    }
-
-    fn message_delay(&self, to: usize) -> f64 {
-        if to == self.index {
-            0.0
-        } else {
-            self.latency
-        }
-    }
-
     /// Sends one negotiation-protocol message to a *remote* GFA over the
     /// (possibly unreliable) transport.
     ///
@@ -344,17 +330,22 @@ impl Gfa {
     /// `max_retransmits` budget, after which the final attempt always goes
     /// through (see [`grid_des::NetworkFaultConfig`]), so every negotiation
     /// eventually completes.
+    ///
+    /// The ledger books each message against the job's origin and its
+    /// counterpart: enquiries and submissions leave the origin, replies and
+    /// completions return to it.
     fn send_protocol(
         &mut self,
         to: usize,
         ty: MessageType,
-        ledger_origin: usize,
-        ledger_counterpart: usize,
         build: impl Fn(u64) -> FedMessage,
         ctx: &mut Ctx<'_>,
     ) -> u64 {
         debug_assert_ne!(to, self.index, "protocol sends are strictly remote");
-        let delay = self.message_delay(to);
+        let (ledger_origin, ledger_counterpart) = match ty {
+            MessageType::Negotiate | MessageType::JobSubmission => (self.index, to),
+            MessageType::Reply | MessageType::JobCompletion => (to, self.index),
+        };
         let mut seq = 0;
         let mut duplicate_delay = None;
         {
@@ -387,11 +378,14 @@ impl Gfa {
                 }
             }
         }
-        ctx.send(self.entity_of(to), delay, build(seq));
+        // The federation builder registers GFAs in resource order, so the
+        // entity id equals the resource index.
+        let dst = EntityId::new(to);
+        ctx.send(dst, self.latency, build(seq));
         if let Some(extra) = duplicate_delay {
             // Same-timestamp events deliver in insertion order, so even a
             // zero-window duplicate arrives after the original.
-            ctx.send(self.entity_of(to), delay + extra, build(seq));
+            ctx.send(dst, self.latency + extra, build(seq));
         }
         seq
     }
@@ -483,16 +477,9 @@ impl Gfa {
     /// Experiment 1 behaviour: accept iff the local LRMS can finish the job
     /// before its deadline; no federation, no messages.
     fn schedule_independent(&mut self, ticket: Ticket, ctx: &mut Ctx<'_>) {
-        let now = ctx.now().as_secs();
         let job = &ticket.job;
         let service = completion_time(job, &self.spec, &self.spec);
-        let fits = job.processors <= self.spec.processors;
-        let estimate = if fits {
-            self.lrms.estimate_completion(job.processors, service, now)
-        } else {
-            f64::INFINITY
-        };
-        if fits && estimate <= job.absolute_deadline() + 1e-9 {
+        if self.admits(job.processors, service, job.absolute_deadline(), ctx.now().as_secs()) {
             let cost = self.charging.charge(job, &self.spec);
             self.accept_locally(ticket, service, cost, ctx);
         } else {
@@ -671,8 +658,7 @@ impl Gfa {
                     }
                 }
                 pending.ticket.messages += 2;
-                let estimate = self.lrms.estimate_completion(job.processors, service, now);
-                if !self.departed && estimate <= absolute_deadline + 1e-9 {
+                if self.admits(job.processors, service, absolute_deadline, now) {
                     self.accept_locally(pending.ticket, service, cost, ctx);
                     return;
                 }
@@ -691,8 +677,6 @@ impl Gfa {
             self.send_protocol(
                 quote.gfa,
                 MessageType::Negotiate,
-                self.index,
-                quote.gfa,
                 |seq| FedMessage::Negotiate {
                     job: job_id,
                     origin,
@@ -742,6 +726,16 @@ impl Gfa {
         ctx.shared.record(concluded);
     }
 
+    /// The one admission test, for this GFA's own jobs and remote enquiries
+    /// alike: whether it takes a job of `processors` PEs and `service`
+    /// seconds at `now` and the local LRMS finishes it by
+    /// `absolute_deadline`.  A departed GFA takes nothing.
+    fn admits(&self, processors: u32, service: f64, absolute_deadline: f64, now: f64) -> bool {
+        !self.departed
+            && processors <= self.spec.processors
+            && self.lrms.estimate_completion(processors, service, now) <= absolute_deadline + 1e-9
+    }
+
     /// Records a rejected job.
     fn record_rejection(&self, ticket: Ticket, shared: &mut SharedState) {
         shared.record(ticket.concluded());
@@ -760,16 +754,10 @@ impl Gfa {
         ctx: &mut Ctx<'_>,
     ) {
         let now = ctx.now().as_secs();
-        let fits = job.processors <= self.spec.processors;
-        let estimate = if fits {
-            self.lrms.estimate_completion(job.processors, job.service_time, now)
-        } else {
-            f64::INFINITY
-        };
         // A departed GFA refuses every new enquiry (its quote is already
         // withdrawn, but negotiations launched before the departure can still
         // be in flight).
-        let accept = !self.departed && fits && estimate <= absolute_deadline + 1e-9;
+        let accept = self.admits(job.processors, job.service_time, absolute_deadline, now);
         if accept {
             // Reserve immediately so the guarantee cannot be invalidated by a
             // concurrent negotiation with another GFA.
@@ -792,8 +780,6 @@ impl Gfa {
         self.send_protocol(
             origin,
             MessageType::Reply,
-            origin,
-            self.index,
             |seq| FedMessage::NegotiateReply {
                 job: job.id,
                 accept,
@@ -836,8 +822,6 @@ impl Gfa {
             let seq = self.send_protocol(
                 candidate,
                 MessageType::JobSubmission,
-                self.index,
-                candidate,
                 |seq| FedMessage::JobDispatch { job, seq },
                 ctx,
             );
@@ -940,8 +924,6 @@ impl Gfa {
             let seq = self.send_protocol(
                 entry.origin,
                 MessageType::JobCompletion,
-                entry.origin,
-                self.index,
                 |seq| FedMessage::JobCompletion {
                     job,
                     executed_on,
@@ -1059,22 +1041,7 @@ impl Gfa {
         // unreachable (Experiment-1 behaviour), keeping the message
         // counters the job accumulated while the directory was still up.
         ctx.shared.metrics.inc(self.index, Counter::LocalFallbacks);
-        let ticket = pending.ticket;
-        let job = &ticket.job;
-        let now = ctx.now().as_secs();
-        let service = completion_time(job, &self.spec, &self.spec);
-        let fits = !self.departed && job.processors <= self.spec.processors;
-        let estimate = if fits {
-            self.lrms.estimate_completion(job.processors, service, now)
-        } else {
-            f64::INFINITY
-        };
-        if fits && estimate <= job.absolute_deadline() + 1e-9 {
-            let cost = self.charging.charge(job, &self.spec);
-            self.accept_locally(ticket, service, cost, ctx);
-        } else {
-            self.record_rejection(ticket, ctx.shared);
-        }
+        self.schedule_independent(pending.ticket, ctx);
     }
 
     /// Resumes a job's DBC loop after its backoff delay elapsed.

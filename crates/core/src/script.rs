@@ -4,8 +4,8 @@
 //! *script*: its local users' job arrivals, its scripted departure and
 //! repricings, and the churn departures, rejoins and stabilization rounds
 //! drawn for it.  Pushed into the event queue up front, the script would
-//! hold a slab slot and a heap key per item, and a boxed job per arrival,
-//! for as long as the item waits.
+//! hold a heap entry per item, and a boxed job per arrival, for as long as
+//! the item waits.
 //!
 //! Instead `on_start` reserves one block of sequence numbers, one per item
 //! in the order an up-front schedule pushes them (arrivals in trace order,
@@ -243,7 +243,7 @@ mod tests {
         // Jobs arrive in (submit, trace position) order.
         assert_eq!(player.arrived, [3, 1, 4, 0, 2]);
         // The next arrival and the next other item, never more.
-        assert_eq!(sim.stats().slab_high_water, 2);
+        assert_eq!(sim.stats().heap_high_water, 2);
         assert_eq!(sim.stats().events_scheduled, 13);
     }
 }

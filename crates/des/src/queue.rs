@@ -13,18 +13,16 @@
 //!   fixed latency sends each at `now + latency`, and neither `now` nor
 //!   `seq` ever decreases, so in a federation every negotiation leg takes
 //!   the lane and costs one `VecDeque` push and pop of the event itself;
-//! * an **index-based 4-ary min-heap** for everything else: timers (a job's
-//!   finish can lie far ahead, and one in the lane would send every later
-//!   message past it to the heap until it popped), messages that would be
-//!   out of order in the lane, such as a fault layer's delayed duplicates,
-//!   and events pushed under a reserved sequence number.  The 4-ary layout
-//!   halves the tree depth relative to a binary heap.
+//! * a **4-ary min-heap** for everything else: timers (a job's finish can
+//!   lie far ahead, and one in the lane would send every later message past
+//!   it to the heap until it popped), messages that would be out of order in
+//!   the lane, such as a fault layer's delayed duplicates, and events pushed
+//!   under a reserved sequence number.  The 4-ary layout halves the tree
+//!   depth relative to a binary heap.
 //!
-//! The heap orders small fixed-size keys (`time`, `seq`, slot index) while
-//! their payloads live in a slab indexed by slot, so a sift moves 24-byte
-//! keys regardless of how wide the model's message enum is.  Lane events
-//! never enter the slab: they are never sifted, so carrying them inline
-//! saves the slot write and read-back on every leg.
+//! Since the lane takes every negotiation leg, the heap sees a few percent
+//! of a federation's pushes and holds a few thousand events at most, so it
+//! stores each event whole and sifts it on its own `(time, seq)`.
 //!
 //! A model that knows its future timers up front need not push them all at
 //! once.  [`EventQueue::reserve`] hands out a block of sequence numbers, and
@@ -44,52 +42,33 @@ use std::collections::{BinaryHeap, VecDeque};
 use crate::event::{Event, EventKind};
 use crate::time::SimTime;
 
-/// Arity of the index heap: 4 keeps the tree shallow while children still
-/// share a cache line's worth of keys.
+/// Arity of the heap: 4 halves a binary heap's depth, so a push sifts past
+/// half as many levels.
 const D: usize = 4;
 
-/// Compact queue entry: total order on `(time, seq)`, payload referenced by
-/// slab slot.
-#[derive(Debug, Clone, Copy)]
-struct Key {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-/// Whether `(a, a_seq)` is strictly before `(b, b_seq)`.  Compares the raw
-/// seconds inline — `SimTime` construction rules out NaN, so `<` and `==`
-/// on the `f64`s agree with `SimTime`'s `Ord` — keeping the per-sift
+/// Whether `a` is strictly before `b` in `(time, seq)` order.  Compares the
+/// raw seconds inline — `SimTime` construction rules out NaN, so `<` and
+/// `==` on the `f64`s agree with `SimTime`'s `Ord` — keeping the per-sift
 /// comparison free of calls.
 #[inline]
-fn before(a: SimTime, a_seq: u64, b: SimTime, b_seq: u64) -> bool {
-    let (a, b) = (a.as_secs(), b.as_secs());
-    a < b || (a == b && a_seq < b_seq)
-}
-
-impl Key {
-    /// Strictly before `other` in `(time, seq)` order.
-    #[inline]
-    fn earlier_than(&self, other: &Key) -> bool {
-        before(self.time, self.seq, other.time, other.seq)
-    }
+fn before<M>(a: &Event<M>, b: &Event<M>) -> bool {
+    let (at, bt) = (a.time.as_secs(), b.time.as_secs());
+    at < bt || (at == bt && a.seq < b.seq)
 }
 
 /// Future-event list with deterministic ordering.
 pub struct EventQueue<M> {
-    /// In-order messages, held whole, earliest at the front (see the module
-    /// docs).
+    /// In-order messages, earliest at the front (see the module docs).
     lane: VecDeque<Event<M>>,
-    heap: Vec<Key>,
-    /// Payloads of the heap's keys.
-    slots: Vec<Option<Event<M>>>,
-    free: Vec<u32>,
+    /// Every other pending event, as a 4-ary min-heap on `(time, seq)`.
+    heap: Vec<Event<M>>,
+    heap_high_water: usize,
     next_seq: u64,
     scheduled_total: u64,
     lane_pushed: u64,
 }
 
-/// The container holding the earliest pending key.
+/// The container holding the earliest pending event.
 #[derive(Clone, Copy)]
 enum Head {
     Lane,
@@ -109,16 +88,15 @@ impl<M> EventQueue<M> {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with pre-allocated capacity, useful when the
-    /// approximate number of in-flight events is known (e.g. one per queued
-    /// job).
+    /// Creates an empty queue with pre-allocated heap capacity, useful when
+    /// the approximate number of pending timers is known (e.g. one per
+    /// queued job).
     #[must_use]
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             lane: VecDeque::new(),
             heap: Vec::with_capacity(cap),
-            slots: Vec::with_capacity(cap),
-            free: Vec::new(),
+            heap_high_water: 0,
             next_seq: 0,
             scheduled_total: 0,
             lane_pushed: 0,
@@ -131,11 +109,7 @@ impl<M> EventQueue<M> {
     /// Schedules an event.  The event's `seq` field is overwritten with the
     /// next sequence number so callers never need to manage it.  A message
     /// no earlier than the lane's tail is appended to the lane; everything
-    /// else is stored in the slab and its key sifted into the heap.
-    ///
-    /// # Panics
-    /// Panics if more than `u32::MAX` heap events are pending simultaneously
-    /// (lane events take no slab slot).
+    /// else is sifted into the heap.
     #[inline]
     pub fn push(&mut self, mut event: Event<M>) {
         event.seq = self.next_seq;
@@ -174,10 +148,6 @@ impl<M> EventQueue<M> {
     /// The caller must push it before the queue delivers any event whose
     /// key is later, and push each reserved number at most once; the
     /// delivery order then equals that of the eager push.
-    ///
-    /// # Panics
-    /// Panics if more than `u32::MAX` heap events are pending
-    /// simultaneously.
     #[inline]
     pub fn push_reserved(&mut self, event: Event<M>) {
         debug_assert!(
@@ -189,29 +159,10 @@ impl<M> EventQueue<M> {
         self.push_heap(event);
     }
 
-    /// Stores `event` in the slab and sifts its key into the heap.
     #[inline]
     fn push_heap(&mut self, event: Event<M>) {
-        let key = Key {
-            time: event.time,
-            seq: event.seq,
-            slot: match self.free.pop() {
-                Some(slot) => {
-                    self.slots[slot as usize] = Some(event);
-                    slot
-                }
-                None => {
-                    // Documented capacity limit (see `# Panics`): the 4-byte
-                    // slot index is what keeps the keys compact.
-                    // fedlint: allow(hot-path-unwrap)
-                    let slot = u32::try_from(self.slots.len())
-                        .expect("more than u32::MAX pending events");
-                    self.slots.push(Some(event));
-                    slot
-                }
-            },
-        };
-        self.heap.push(key);
+        self.heap.push(event);
+        self.heap_high_water = self.heap_high_water.max(self.heap.len());
         self.sift_up(self.heap.len() - 1);
     }
 
@@ -219,51 +170,38 @@ impl<M> EventQueue<M> {
     #[inline]
     fn head(&self) -> Option<Head> {
         match (self.lane.front(), self.heap.first()) {
-            (Some(l), Some(h)) if before(h.time, h.seq, l.time, l.seq) => Some(Head::Heap),
+            (Some(l), Some(h)) if before(h, l) => Some(Head::Heap),
             (Some(_), _) => Some(Head::Lane),
             (None, Some(_)) => Some(Head::Heap),
             (None, None) => None,
         }
     }
 
-    /// The earliest pending event's timestamp, in whichever container holds
-    /// it.
+    /// The earliest pending event, in whichever container holds it.
     #[inline]
-    fn earliest_time(&self) -> Option<SimTime> {
+    fn earliest(&self) -> Option<&Event<M>> {
         match self.head()? {
-            Head::Lane => self.lane.front().map(|e| e.time),
-            Head::Heap => self.heap.first().map(|k| k.time),
+            Head::Lane => self.lane.front(),
+            Head::Heap => self.heap.first(),
         }
     }
 
-    /// Removes and returns the earliest event, if any.  A lane event comes
-    /// straight off the lane; a heap event is taken out of its slab slot,
-    /// which is freed for reuse.
+    /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<Event<M>> {
-        let key = match self.head()? {
-            Head::Lane => return self.lane.pop_front(),
-            Head::Heap => self.pop_heap()?,
-        };
-        let slot = &mut self.slots[key.slot as usize];
-        debug_assert!(slot.is_some(), "a pending key references a filled slot");
-        // Every pending key references a filled slot, so this `?` cannot
-        // bail — written `?`-style to keep panicking branches off the
-        // dispatch hot path.
-        let event = slot.take()?;
-        self.free.push(key.slot);
-        Some(event)
+        match self.head()? {
+            Head::Lane => self.lane.pop_front(),
+            Head::Heap => self.pop_heap(),
+        }
     }
 
-    /// Removes and returns the heap's root key, if any.
-    fn pop_heap(&mut self) -> Option<Key> {
-        let root = *self.heap.first()?;
-        // `first()` just returned, so the heap is non-empty and this `?`
-        // cannot bail.
+    /// Removes and returns the heap's root, if any.
+    fn pop_heap(&mut self) -> Option<Event<M>> {
         let last = self.heap.pop()?;
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.sift_down(0);
+        if self.heap.is_empty() {
+            return Some(last);
         }
+        let root = std::mem::replace(&mut self.heap[0], last);
+        self.sift_down(0);
         Some(root)
     }
 
@@ -272,7 +210,7 @@ impl<M> EventQueue<M> {
     /// primitive the simulation loop uses instead of a separate
     /// peek-then-pop.
     pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<Event<M>> {
-        if self.earliest_time()? > limit {
+        if self.earliest()?.time > limit {
             return None;
         }
         self.pop()
@@ -281,7 +219,7 @@ impl<M> EventQueue<M> {
     /// Returns the timestamp of the earliest pending event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.earliest_time()
+        self.earliest().map(|e| e.time)
     }
 
     /// Number of pending events.
@@ -311,11 +249,10 @@ impl<M> EventQueue<M> {
     }
 
     /// Most heap events pending at once since the queue was created or
-    /// last cleared: the slab's length, since freed slots are reused before
-    /// it grows.
+    /// last cleared (lane events never count).
     #[must_use]
-    pub fn slab_high_water(&self) -> usize {
-        self.slots.len()
+    pub fn heap_high_water(&self) -> usize {
+        self.heap_high_water
     }
 
     /// Corrupting test double: rewrites the earliest pending event's
@@ -327,23 +264,15 @@ impl<M> EventQueue<M> {
     /// check fires; never compiled into normal builds.
     #[cfg(feature = "invariants")]
     pub fn corrupt_earliest_time(&mut self, new_time: SimTime) -> bool {
-        let key = match self.head() {
-            Some(Head::Lane) => {
-                if let Some(event) = self.lane.front_mut() {
-                    event.time = new_time;
-                }
-                return true;
-            }
+        let earliest = match self.head() {
+            Some(Head::Lane) => self.lane.front_mut(),
             Some(Head::Heap) => self.heap.first_mut(),
             None => None,
         };
-        let Some(key) = key else {
+        let Some(event) = earliest else {
             return false;
         };
-        key.time = new_time;
-        if let Some(event) = self.slots[key.slot as usize].as_mut() {
-            event.time = new_time;
-        }
+        event.time = new_time;
         true
     }
 
@@ -351,14 +280,13 @@ impl<M> EventQueue<M> {
     pub fn clear(&mut self) {
         self.lane.clear();
         self.heap.clear();
-        self.slots.clear();
-        self.free.clear();
+        self.heap_high_water = 0;
     }
 
     fn sift_up(&mut self, mut idx: usize) {
         while idx > 0 {
             let parent = (idx - 1) / D;
-            if self.heap[idx].earlier_than(&self.heap[parent]) {
+            if before(&self.heap[idx], &self.heap[parent]) {
                 self.heap.swap(idx, parent);
                 idx = parent;
             } else {
@@ -377,11 +305,11 @@ impl<M> EventQueue<M> {
             let mut best = first_child;
             let last_child = (first_child + D).min(len);
             for child in first_child + 1..last_child {
-                if self.heap[child].earlier_than(&self.heap[best]) {
+                if before(&self.heap[child], &self.heap[best]) {
                     best = child;
                 }
             }
-            if self.heap[best].earlier_than(&self.heap[idx]) {
+            if before(&self.heap[best], &self.heap[idx]) {
                 self.heap.swap(idx, best);
                 idx = best;
             } else {
@@ -582,6 +510,9 @@ mod tests {
         }
         assert!(q.is_empty());
         assert_eq!(q.scheduled_total(), 400);
+        // Each round sends its four out-of-order messages to the heap, and
+        // its pops drain it again.
+        assert_eq!(q.heap_high_water(), 4);
     }
 
     /// `event`, under the reserved sequence number `seq`.
@@ -626,11 +557,11 @@ mod tests {
         assert!(q.pop_at_or_before(SimTime::new(5.0)).is_none());
         q.push_reserved(reserved(first + 1, timer(7.0, 2)));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.slab_high_water(), 1);
+        assert_eq!(q.heap_high_water(), 1);
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-        assert_eq!(q.slab_high_water(), 0);
+        assert_eq!(q.heap_high_water(), 0);
     }
 
     fn timer(t: f64, payload: u32) -> Event<u32> {
@@ -694,28 +625,30 @@ mod tests {
         let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
         assert_eq!(order, (50..100).collect::<Vec<_>>());
         assert_eq!(q.lane_pushed(), 100);
-        assert!(q.slots.is_empty());
-        assert!(q.free.is_empty());
-        // A timer takes a slab slot, and so do a message earlier than the
-        // lane's tail and a reserved push.
+        assert_eq!(q.heap_high_water(), 0);
+        // A timer takes the heap, and so do a message earlier than the
+        // lane's tail and a reserved push; an in-order message does not.
         q.push(event(50.0, 100));
+        assert_eq!(q.heap_high_water(), 0);
         q.push(timer(60.0, 101));
-        assert_eq!(q.slab_high_water(), 1);
+        assert_eq!(q.heap_high_water(), 1);
         q.push(event(40.0, 102));
+        assert_eq!(q.heap_high_water(), 2);
         q.push_reserved(reserved(first, event(50.0, 103)));
-        assert_eq!(q.slab_high_water(), 3);
+        assert_eq!(q.heap_high_water(), 3);
         assert_eq!(q.lane_pushed(), 101);
         let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
         assert_eq!(order, vec![102, 103, 100, 101]);
-        assert_eq!(q.free.len(), 3);
+        // Draining leaves the mark at its peak.
+        assert_eq!(q.heap_high_water(), 3);
     }
 
     #[test]
     fn dary_and_binary_heap_layouts_deliver_identical_orderings() {
         // The layout decision must never change delivery order: feed the
         // same pseudo-random schedule to both queues (interleaving pushes
-        // and pops to exercise slot recycling, and mixing lane-bound
-        // messages with timers) and require identical output.
+        // and pops, and mixing lane-bound messages with timers) and require
+        // identical output.
         let mut dary = EventQueue::new();
         let mut binary = BinaryHeapEventQueue::new();
         let mut state = 0x2545_F491_4F6C_DD1Du64;

@@ -228,7 +228,7 @@ impl<M, E: Entity<M, S>, S> Simulation<M, E, S> {
         self.stats.events_scheduled = self.queue.scheduled_total();
         self.stats.lane_pushes = self.queue.lane_pushed();
         self.stats.events_dropped_at_stop = self.queue.len() as u64;
-        self.stats.slab_high_water = self.queue.slab_high_water() as u64;
+        self.stats.heap_high_water = self.queue.heap_high_water() as u64;
         self.stats.end_time = self.clock;
 
         outcome
@@ -319,8 +319,8 @@ mod tests {
         assert_eq!(outcome, RunOutcome::Exhausted);
         assert_eq!(sim.now(), SimTime::new(10.0));
         assert_eq!(sim.stats().timers_delivered, 5);
-        // One timer pending at a time: the slab never needs a second slot.
-        assert_eq!(sim.stats().slab_high_water, 1);
+        // One timer pending at a time.
+        assert_eq!(sim.stats().heap_high_water, 1);
         let clocker = &sim.entities()[0];
         assert_eq!((clocker.fired, clocker.remaining), (5, 0));
     }

@@ -30,11 +30,11 @@ pub struct SimStats {
     /// numbers for but not yet scheduled are not pending events and are not
     /// counted.
     pub events_dropped_at_stop: u64,
-    /// Most events the future-event list's slab held at once: timers,
+    /// Most events the future-event list's heap held at once: timers,
     /// reserved pushes and out-of-order messages pending together (lane
-    /// events take no slot).  A model that scheduled its whole script up
+    /// events never count).  A model that scheduled its whole script up
     /// front would show it here.
-    pub slab_high_water: u64,
+    pub heap_high_water: u64,
     /// Final simulation clock value.
     pub end_time: SimTime,
 }

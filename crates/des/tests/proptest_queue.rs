@@ -228,9 +228,9 @@ proptest! {
             }
         }
         prop_assert_eq!(&sim.entities()[0].delivered, &expected);
-        // At most one scripted timer is pending at a time, so the slab
-        // never needs more slots than the follow-ups plus one.
-        prop_assert!(sim.stats().slab_high_water <= next as u64 + 1);
+        // At most one scripted timer is pending at a time, so the heap
+        // never holds more than the follow-ups plus one.
+        prop_assert!(sim.stats().heap_high_water <= next as u64 + 1);
         prop_assert_eq!(sim.stats().events_scheduled, (batch.len() + next) as u64);
     }
 }
@@ -446,8 +446,8 @@ proptest! {
     /// reserved blocks, the engine's queue returns exactly the `(time, seq,
     /// payload)` sequence the plain binary-heap queue returns when every
     /// reserved block is pushed up front.  Every event carries a unique
-    /// payload, so an event delivered from the wrong container or the wrong
-    /// slab slot shows up even when its key is right.
+    /// payload, so an event delivered from the wrong container shows up
+    /// even when its key is right.
     #[test]
     fn direct_queue_ops_match_the_binary_heap_including_payloads(
         draws in proptest::collection::vec(0u32..80, 0..300),

@@ -29,10 +29,9 @@
 //! Any finding can be suppressed with an allow comment:
 //!
 //! ```text
-//! // The queue never holds more than u32::MAX events, so the cast
-//! // cannot panic.  fedlint: allow(hot-path-unwrap)
-//! let slot = u32::try_from(self.slots.len())
-//!     .expect("more than u32::MAX pending events");
+//! // Capacity is prechecked above, so the replay can always free
+//! // enough PEs.  fedlint: allow(hot-path-unwrap)
+//! let Reverse(ev) = heap.pop().expect("not enough processors ever free");
 //! ```
 //!
 //! The escape covers its own line and the remainder of the statement it

@@ -260,7 +260,7 @@ fn small_federation(config: FederationConfig) -> FederationReport {
 }
 
 /// What a run did, independent of the host that ran it: events delivered,
-/// events that took the queue's FIFO lane, the most events the queue's slab
+/// events that took the queue's FIFO lane, the most events the queue's heap
 /// held at once, directory queries, retransmissions, and quote-cache hits
 /// and misses.  None of these enters the run digest, so a change that
 /// doubles the events, sends the negotiation legs to the heap or schedules
@@ -269,7 +269,7 @@ fn work_counts(report: &FederationReport) -> [u64; 7] {
     [
         report.engine.events_delivered,
         report.engine.lane_pushes,
-        report.engine.slab_high_water,
+        report.engine.heap_high_water,
         report.directory_queries,
         report.metrics.counter(Counter::NetRetransmissions),
         report.metrics.counter(Counter::CacheHits),
