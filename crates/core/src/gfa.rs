@@ -13,16 +13,21 @@
 //!
 //! 1. `r ← 1`.
 //! 2. Query the federation directory for the `r`-th cheapest (OFC) or `r`-th
-//!    fastest (OFT) quote.
-//! 3. Skip candidates that are statically infeasible: fewer processors than
-//!    the job needs, an unloaded execution time already past the deadline, or
-//!    (OFT only) a cost above the job's budget.  The paper lets the GFA make
-//!    these checks locally from the quote ("using R_i and c_i, a GFA can
-//!    determine the cost … and the time taken, assuming that cluster i has no
-//!    load"), so they cost no messages.
-//! 4. Send a *negotiate* message to the candidate asking for a guarantee that
-//!    the job finishes before its absolute deadline.  The candidate consults
-//!    its LRMS queue estimate and answers with a *reply*.
+//!    fastest (OFT) quote: the candidate stream, `next_candidate`.
+//! 3. Skip candidates that are statically infeasible.  The pure `screen`
+//!    rules a quote `TooSmall` (fewer processors than the job needs),
+//!    `TooSlow` (past the deadline even unloaded) or `TooDear` (economy
+//!    mode, OFT only: over budget), or makes an `Offer` of the job's service
+//!    time and cost there.  The paper lets the GFA make these checks locally
+//!    from the quote ("using R_i and c_i, a GFA can determine the cost … and
+//!    the time taken, assuming that cluster i has no load"), so they cost no
+//!    messages.  On the paper's Table 1 resources (speeds within 1.48×,
+//!    against Eq. 7–8's 2× slack) the deadline and budget screens never fail
+//!    a job at its arrival; they do on less alike clusters, such as the
+//!    `custom_federation` example's.
+//! 4. `negotiate`: send a *negotiate* message to the candidate asking for a
+//!    guarantee that the job finishes before its absolute deadline.  The
+//!    candidate consults its LRMS queue estimate and answers with a *reply*.
 //! 5. On acceptance the origin sends the *job-submission* message; on
 //!    completion the executor sends the *job-completion* message back.  On
 //!    refusal, `r ← r + 1` and the loop repeats; when the quotes are
@@ -41,7 +46,7 @@ use grid_cluster::{
     SpaceSharedFcfs, StartedJob,
 };
 use grid_des::{Context, Entity, EntityId, Event, FlowRecord, SimTime, SpanRecord, SpanTrack};
-use grid_directory::{FederationDirectory, Quote, QuoteCache, RankCursor, RankOrder, TracedQuote};
+use grid_directory::{FederationDirectory, Quote, QuoteCache, RankCursor, RankOrder};
 use grid_obs::{Counter, FSum, HistId};
 use grid_workload::{Job, JobId, Strategy};
 
@@ -60,8 +65,8 @@ type Ctx<'a> = Context<'a, FedMessage, SharedState>;
 
 /// One locally submitted job on its way from arrival to its [`JobRecord`]:
 /// the job itself plus the per-job tallies the record reports.  It moves,
-/// never copied, through [`PendingJob`] and [`AwaitingRemote`] (both boxed in
-/// the GFA's [`OwnJobs`] table) or [`ExecutingJob`] until the job concludes.
+/// never copied, inside its [`PendingJob`] (boxed in the GFA's [`OwnJobs`]
+/// table) or [`ExecutingJob`] until the job concludes.
 #[derive(Debug, Clone)]
 struct Ticket {
     job: Job,
@@ -101,10 +106,11 @@ impl Ticket {
     }
 }
 
-/// A job this GFA is still trying to place (it is the origin).  Boxed once
-/// on arrival: each negotiation leg takes the box out of [`OwnJobs`] and,
-/// after a refusal, puts it back, so the reply handler owns the job while
-/// the DBC loop resumes and a leg moves a pointer, not the job.
+/// A job this GFA is placing (it is the origin).  Boxed once on arrival:
+/// each negotiation leg takes the box out of [`OwnJobs`] and puts it back,
+/// after a refusal as pending and after a remote acceptance as awaiting, so
+/// the reply handler owns the job while the DBC loop resumes and a leg moves
+/// a pointer, not the job.
 #[derive(Debug, Clone)]
 struct PendingJob {
     ticket: Ticket,
@@ -122,16 +128,10 @@ struct PendingJob {
     /// When the current remote negotiation round-trip was launched (only
     /// meaningful while a reply is awaited; read by the negotiation span).
     negotiation_start: f64,
-    /// Service time on the candidate currently being negotiated with, so it
-    /// need not be recomputed when the reply arrives.
+    /// Service time on the candidate currently being negotiated with (or,
+    /// once dispatched, executing the job), so it need not be recomputed
+    /// when the reply or the completion arrives.
     candidate_service: f64,
-}
-
-/// A job dispatched to a remote executor, awaiting its completion message.
-#[derive(Debug, Clone)]
-struct AwaitingRemote {
-    ticket: Ticket,
-    service_time: f64,
 }
 
 /// Where one of this GFA's own jobs stands between arrival and conclusion,
@@ -141,8 +141,8 @@ enum OwnJob {
     /// Still being placed: a negotiation is in flight or a faulted lookup's
     /// retry is parked.
     Pending(Box<PendingJob>),
-    /// Dispatched to a remote executor.
-    Awaiting(Box<AwaitingRemote>),
+    /// Dispatched to a remote executor, awaiting its completion message.
+    Awaiting(Box<PendingJob>),
 }
 
 /// Marks a sequence number with no entry in [`OwnJobs`].
@@ -220,15 +220,117 @@ impl OwnJobs {
     }
 }
 
-/// A job reserved/executing on this GFA's own LRMS.
+/// A job reserved/executing on this GFA's own LRMS, with its `cost` here
+/// and its `start` once the LRMS started it.
 #[derive(Debug, Clone)]
-struct ExecutingJob {
-    origin: usize,
-    cost: f64,
-    start: Option<f64>,
-    /// Populated only when the origin is this GFA itself: the job's ticket,
-    /// turned into its record at completion.
-    ticket: Option<Ticket>,
+enum ExecutingJob {
+    /// One of this GFA's own jobs: its ticket turns into its record at
+    /// completion.
+    Own {
+        ticket: Ticket,
+        cost: f64,
+        start: Option<f64>,
+    },
+    /// Another GFA's job: completion is reported back to `origin`.
+    Remote {
+        origin: usize,
+        cost: f64,
+        start: Option<f64>,
+    },
+}
+
+/// Tolerance of the deadline and budget comparisons: a bound met to within
+/// this many seconds or Grid Dollars is met.
+const SLACK: f64 = 1e-9;
+
+/// What the candidate stream ([`next_candidate`]) yields next for one job:
+/// the quote at its next rank, the end of the ranking, or a faulted lookup
+/// (see [`Gfa::probe_directory`]) whose rank the next call retries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Candidate {
+    Quote(Quote),
+    Exhausted,
+    Faulted,
+}
+
+/// The DBC loop's candidate stream (step 2): the quote at `next_rank`
+/// (1-based), advancing `next_rank` past every rank it consumes.  Economy
+/// mode walks the directory cheapest-first for OFC, fastest-first for OFT.
+/// Without economy the paper runs jobs locally whenever possible: rank 1 is
+/// `local`, the origin's quote, then the directory fastest-first without it.
+/// `probe(order, r)` resolves the directory's `r`-th quote and whether the
+/// lookup faulted; ranks past `directory_len` are exhausted unprobed.
+fn next_candidate(
+    mode: SchedulingMode,
+    strategy: Strategy,
+    local: Quote,
+    next_rank: &mut usize,
+    directory_len: usize,
+    mut probe: impl FnMut(RankOrder, usize) -> (Option<Quote>, bool),
+) -> Candidate {
+    let no_economy = mode == SchedulingMode::FederationNoEconomy;
+    loop {
+        let rank = *next_rank;
+        let quote = if no_economy && rank == 1 {
+            local
+        } else {
+            let r = if no_economy { rank - 1 } else { rank };
+            if r > directory_len {
+                return Candidate::Exhausted;
+            }
+            let order = if no_economy || strategy == Strategy::Oft {
+                RankOrder::Fastest
+            } else {
+                RankOrder::Cheapest
+            };
+            match probe(order, r) {
+                (_, true) => return Candidate::Faulted,
+                (None, false) => return Candidate::Exhausted,
+                (Some(quote), false) => quote,
+            }
+        };
+        *next_rank += 1;
+        if !(no_economy && rank > 1 && quote.gfa == local.gfa) {
+            return Candidate::Quote(quote);
+        }
+    }
+}
+
+/// The static screen's verdict on a candidate: too few processors, past the
+/// deadline even unloaded, over an OFT user's budget, or an offer of the
+/// job's service time and cost there.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Verdict {
+    TooSmall,
+    TooSlow,
+    TooDear,
+    Offer { service: f64, cost: f64 },
+}
+
+/// The DBC loop's static screen (step 3) of `quote` for `job` at `now`,
+/// from the quote alone.  `origin_spec` scales the job's communication time
+/// and `charging` prices it.  `budget_bound` is set in economy mode, where
+/// an OFT job's budget bounds its candidates.
+fn screen(
+    job: &Job,
+    quote: &Quote,
+    origin_spec: &ResourceSpec,
+    charging: ChargingPolicy,
+    budget_bound: bool,
+    now: f64,
+) -> Verdict {
+    if quote.processors < job.processors {
+        return Verdict::TooSmall;
+    }
+    let service = service_time(job, quote.mips, quote.bandwidth, origin_spec);
+    if now + service > job.absolute_deadline() + SLACK {
+        return Verdict::TooSlow;
+    }
+    let cost = charging.charge_at(job, quote.mips, quote.price);
+    if budget_bound && job.qos.strategy == Strategy::Oft && cost > job.qos.budget + SLACK {
+        return Verdict::TooDear;
+    }
+    Verdict::Offer { service, cost }
 }
 
 /// The Grid Federation Agent entity.
@@ -358,16 +460,12 @@ impl Gfa {
             });
             if let Some((envelope, plan)) = planned {
                 seq = envelope;
-                state.metrics.inc(self.index, Counter::NetEnveloped);
-                state
-                    .metrics
-                    .add(self.index, Counter::NetRetransmissions, u64::from(plan.retransmissions));
-                state
-                    .metrics
-                    .add_f(self.index, FSum::BackoffSeconds, plan.backoff_seconds);
-                state
-                    .metrics
-                    .add_f(self.index, FSum::JitterSeconds, plan.jitter_seconds);
+                let metrics = &mut state.metrics;
+                metrics.inc(self.index, Counter::NetEnveloped);
+                let retransmissions = u64::from(plan.retransmissions);
+                metrics.add(self.index, Counter::NetRetransmissions, retransmissions);
+                metrics.add_f(self.index, FSum::BackoffSeconds, plan.backoff_seconds);
+                metrics.add_f(self.index, FSum::JitterSeconds, plan.jitter_seconds);
                 for _ in 0..plan.retransmissions {
                     state.record(Charge::Message(ty, ledger_origin, ledger_counterpart));
                 }
@@ -411,36 +509,48 @@ impl Gfa {
     /// (self-timers, reliable-transport messages with `seq == 0`) always
     /// pass.
     fn admit_envelope(&self, event: &Event<FedMessage>, state: &mut SharedState) -> bool {
-        let Some(seq) = event.payload.envelope_seq() else {
+        let (Some(seq @ 1..), Some(net)) = (event.payload.envelope_seq(), state.net.as_mut()) else {
             return true;
         };
-        if seq == 0 {
-            return true;
-        }
-        let src = event.src.index();
-        let Some(net) = state.net.as_mut() else {
-            return true;
-        };
-        if net.admit(src, self.index, seq) {
-            true
-        } else {
+        let admitted = net.admit(event.src.index(), self.index, seq);
+        if !admitted {
             state.metrics.inc(self.index, Counter::NetDedupDrops);
-            false
         }
+        admitted
     }
 
-    /// Registers newly started LRMS jobs: remembers their start times and
+    /// Applies one LRMS `update` (a submission or a completion) and
+    /// registers the jobs it started: remembers their start times and
     /// schedules their completion timers.
-    fn handle_started(&mut self, started: &[StartedJob], ctx: &mut Ctx<'_>) {
-        for s in started {
-            if let Some(entry) = self.executing.get_mut(&s.id) {
-                entry.start = Some(s.start);
+    fn update_lrms(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        update: impl FnOnce(&mut dyn LocalScheduler, &mut Vec<StartedJob>),
+    ) {
+        let mut started = std::mem::take(&mut self.scratch);
+        started.clear();
+        update(self.lrms.as_mut(), &mut started);
+        for s in &started {
+            if let Some(ExecutingJob::Own { start, .. } | ExecutingJob::Remote { start, .. }) =
+                self.executing.get_mut(&s.id)
+            {
+                *start = Some(s.start);
             }
             ctx.timer_at(
                 SimTime::new(s.finish.max(ctx.now().as_secs())),
                 FedMessage::LocalJobFinished { job: s.id },
             );
         }
+        self.scratch = started;
+    }
+
+    /// Reserves `job` on the local LRMS as `entry`: admission control
+    /// doubles as a reservation, so a guarantee just given cannot be
+    /// invalidated by a concurrent negotiation.
+    fn reserve(&mut self, job: ClusterJob, entry: ExecutingJob, ctx: &mut Ctx<'_>) {
+        let now = ctx.now().as_secs();
+        self.executing.insert(job.id, entry);
+        self.update_lrms(ctx, |lrms, started| lrms.submit_into(job, now, started));
     }
 
     /// Handles a job arriving from the local user population.
@@ -457,10 +567,6 @@ impl Gfa {
         match self.mode {
             SchedulingMode::Independent => self.schedule_independent(ticket, ctx),
             SchedulingMode::FederationNoEconomy | SchedulingMode::Economy => {
-                // Try candidates through the federation loop.  In the
-                // no-economy mode the local resource is always the first
-                // candidate (the paper processes locally whenever possible);
-                // in economy mode the ranking alone decides.
                 let pending = Box::new(PendingJob {
                     ticket,
                     next_rank: 1,
@@ -488,8 +594,8 @@ impl Gfa {
     }
 
     /// Resolves the `r`-th quote of `order` for one in-flight job,
-    /// accounting its directory messages (and the simulated network time
-    /// they represent, hops × latency) into the ledger.
+    /// accounting its directory messages into `job_messages` and (with the
+    /// simulated network time they represent, hops × latency) the ledger.
     ///
     /// The probe is served from this GFA's epoch-keyed quote cache when
     /// possible and otherwise streamed through the job's [`RankCursor`] —
@@ -508,12 +614,12 @@ impl Gfa {
         order: RankOrder,
         r: usize,
         cursor: &mut Option<RankCursor>,
+        job_messages: &mut u32,
         now: f64,
         shared: &mut SharedState,
-    ) -> (TracedQuote, bool) {
-        let traced = self
-            .quote_cache
-            .probe(&shared.directory, self.index, order, r, cursor);
+    ) -> (Option<Quote>, bool) {
+        let traced = self.quote_cache.probe(&shared.directory, self.index, order, r, cursor);
+        *job_messages += u32::try_from(traced.messages).unwrap_or(u32::MAX);
         let fault = shared.directory.take_fault();
         if traced.messages > 0 {
             shared.record(Charge::Directory(self.index, traced.messages));
@@ -532,197 +638,126 @@ impl Gfa {
                 });
             }
         }
-        (traced, fault)
+        (traced.quote, fault)
     }
 
     /// Runs the DBC candidate loop until a negotiation is launched, the job
-    /// is accepted locally, or the quotes are exhausted (rejection).
-    fn try_candidates(
-        &mut self,
-        mut pending: Box<PendingJob>,
-        ctx: &mut Ctx<'_>,
-    ) {
+    /// is accepted locally, or the quotes are exhausted (rejection): the
+    /// candidate stream feeds the static screen, and each offer is
+    /// negotiated.
+    fn try_candidates(&mut self, mut pending: Box<PendingJob>, ctx: &mut Ctx<'_>) {
         let now = ctx.now().as_secs();
         let directory_len = ctx.shared.directory.len();
-        let strategy = pending.ticket.job.qos.strategy;
-        let absolute_deadline = pending.ticket.job.absolute_deadline();
-
+        let local = Quote::from_spec(self.index, &self.spec);
+        let budget_bound = self.mode == SchedulingMode::Economy;
         loop {
-            // In the no-economy federation the local cluster is implicitly
-            // rank 0: always examined first, then the remaining resources in
-            // decreasing speed order.  Directory queries are traced: their
-            // message cost (modelled or measured, depending on the backend)
-            // is accounted per job and per GFA, separately from negotiation.
-            let candidate = if self.mode == SchedulingMode::FederationNoEconomy {
-                if pending.next_rank == 1 {
-                    // The local quote is known without touching the directory.
-                    Some(grid_directory::Quote::from_spec(self.index, &self.spec))
-                } else {
-                    let r = pending.next_rank - 1;
-                    if r > directory_len {
-                        None
-                    } else {
-                        let (traced, fault) = self.probe_directory(
-                            RankOrder::Fastest,
-                            r,
-                            &mut pending.cursor,
-                            now,
-                            ctx.shared,
-                        );
-                        pending.ticket.directory_messages +=
-                            u32::try_from(traced.messages).unwrap_or(u32::MAX);
-                        if fault {
-                            self.defer_after_fault(pending, ctx);
-                            return;
-                        }
-                        traced.quote
-                    }
-                }
-            } else {
-                let r = pending.next_rank;
-                if r > directory_len {
-                    None
-                } else {
-                    let order = if strategy == Strategy::Oft {
-                        RankOrder::Fastest
-                    } else {
-                        RankOrder::Cheapest
-                    };
-                    let (traced, fault) =
-                        self.probe_directory(order, r, &mut pending.cursor, now, ctx.shared);
-                    pending.ticket.directory_messages +=
-                        u32::try_from(traced.messages).unwrap_or(u32::MAX);
-                    if fault {
-                        self.defer_after_fault(pending, ctx);
-                        return;
-                    }
-                    traced.quote
-                }
-            };
-            pending.next_rank += 1;
-
-            let Some(quote) = candidate else {
-                // Quotes exhausted: the job is dropped.
-                self.record_rejection(pending.ticket, ctx.shared);
-                return;
-            };
-
-            // No-economy mode already examined the local resource at rank 0;
-            // skip it when it reappears in the speed ranking.
-            if self.mode == SchedulingMode::FederationNoEconomy
-                && pending.next_rank > 2
-                && quote.gfa == self.index
-            {
-                continue;
-            }
-
-            // Static feasibility checks from the quote (no messages).
-            let job = &pending.ticket.job;
-            if quote.processors < job.processors {
-                continue;
-            }
-            let service = service_time(job, quote.mips, quote.bandwidth, &self.spec);
-            let cost = self.charging.charge_at(job, quote.mips, quote.price);
-            if now + service > absolute_deadline + 1e-9 {
-                // Even an unloaded cluster of this speed cannot meet the
-                // deadline; the paper's GFA would not negotiate with it.
-                continue;
-            }
-            if self.mode == SchedulingMode::Economy
-                && strategy == Strategy::Oft
-                && cost > job.qos.budget + 1e-9
-            {
-                // OFT users never select resources they cannot afford.
-                continue;
-            }
-
-            if quote.gfa == self.index {
-                // Self-negotiation: the admission-control enquiry and answer
-                // still count as two (local) messages, per the paper's
-                // per-job message model.
-                {
-                    let shared = &mut *ctx.shared;
-                    shared.record(Charge::Message(MessageType::Negotiate, self.index, self.index));
-                    shared.record(Charge::Message(MessageType::Reply, self.index, self.index));
-                    if shared.trace_armed() {
-                        // Self-negotiation resolves within the event: a
-                        // zero-duration round-trip on the negotiation track.
-                        shared.emit_span(SpanRecord {
-                            gfa: self.index,
-                            track: SpanTrack::Negotiation,
-                            name: "negotiation",
-                            start: SimTime::new(now),
-                            end: SimTime::new(now),
-                            detail: format!("{} self", job.id),
-                        });
-                    }
-                }
-                pending.ticket.messages += 2;
-                if self.admits(job.processors, service, absolute_deadline, now) {
-                    self.accept_locally(pending.ticket, service, cost, ctx);
-                    return;
-                }
-                continue;
-            }
-
-            // Remote candidate: launch the admission-control negotiation and
-            // wait for the reply event.
-            let job_id = job.id;
-            let processors = job.processors;
-            pending.ticket.messages += 1;
-            pending.candidate_service = service;
-            pending.negotiation_start = now;
-            let attempt = u32::try_from(pending.next_rank - 1).unwrap_or(u32::MAX);
-            let origin = self.index;
-            self.send_protocol(
-                quote.gfa,
-                MessageType::Negotiate,
-                |seq| FedMessage::Negotiate {
-                    job: job_id,
-                    origin,
-                    processors,
-                    service_time: service,
-                    cost,
-                    absolute_deadline,
-                    attempt,
-                    seq,
-                },
-                ctx,
+            let p = &mut *pending;
+            let (cursor, messages) = (&mut p.cursor, &mut p.ticket.directory_messages);
+            let candidate = next_candidate(
+                self.mode,
+                p.ticket.job.qos.strategy,
+                local,
+                &mut p.next_rank,
+                directory_len,
+                |order, r| self.probe_directory(order, r, cursor, messages, now, ctx.shared),
             );
-            self.own_jobs.insert(job_id, OwnJob::Pending(pending));
-            return;
+            let quote = match candidate {
+                Candidate::Quote(quote) => quote,
+                Candidate::Exhausted => return self.record_rejection(pending.ticket, ctx.shared),
+                Candidate::Faulted => return self.defer_after_fault(pending, ctx),
+            };
+            let job = &p.ticket.job;
+            let verdict = screen(job, &quote, &self.spec, self.charging, budget_bound, now);
+            if let Verdict::Offer { service, cost } = verdict {
+                match self.negotiate(pending, quote.gfa, service, cost, ctx) {
+                    Some(refused) => pending = refused,
+                    None => return,
+                }
+            }
         }
     }
 
-    /// Accepts a job onto the local LRMS (the origin is this GFA itself).
-    fn accept_locally(
+    /// Negotiates a screened offer (step 4) with candidate `gfa`: books the
+    /// enquiry, then either answers it here or sends it and parks the job
+    /// until the reply.  Returns the job if this GFA, negotiating with
+    /// itself, refused it.
+    fn negotiate(
         &mut self,
-        ticket: Ticket,
+        mut pending: Box<PendingJob>,
+        gfa: usize,
         service: f64,
         cost: f64,
         ctx: &mut Ctx<'_>,
-    ) {
+    ) -> Option<Box<PendingJob>> {
         let now = ctx.now().as_secs();
-        let cluster_job = ClusterJob {
+        let job = &pending.ticket.job;
+        let (id, processors, absolute_deadline) = (job.id, job.processors, job.absolute_deadline());
+        if gfa == self.index {
+            // Self-negotiation: the admission-control enquiry and answer
+            // still count as two (local) messages, per the paper's per-job
+            // message model, and resolve within the event as a
+            // zero-duration round-trip on the negotiation track.
+            let shared = &mut *ctx.shared;
+            shared.record(Charge::Message(MessageType::Negotiate, self.index, self.index));
+            shared.record(Charge::Message(MessageType::Reply, self.index, self.index));
+            if shared.trace_armed() {
+                shared.emit_span(SpanRecord {
+                    gfa: self.index,
+                    track: SpanTrack::Negotiation,
+                    name: "negotiation",
+                    start: SimTime::new(now),
+                    end: SimTime::new(now),
+                    detail: format!("{id} self"),
+                });
+            }
+            pending.ticket.messages += 2;
+            if !self.admits(processors, service, absolute_deadline, now) {
+                return Some(pending);
+            }
+            self.accept_locally(pending.ticket, service, cost, ctx);
+            return None;
+        }
+        pending.ticket.messages += 1;
+        pending.candidate_service = service;
+        pending.negotiation_start = now;
+        let attempt = u32::try_from(pending.next_rank - 1).unwrap_or(u32::MAX);
+        let origin = self.index;
+        self.send_protocol(
+            gfa,
+            MessageType::Negotiate,
+            |seq| FedMessage::Negotiate {
+                job: id,
+                origin,
+                processors,
+                service_time: service,
+                cost,
+                absolute_deadline,
+                attempt,
+                seq,
+            },
+            ctx,
+        );
+        self.own_jobs.insert(id, OwnJob::Pending(pending));
+        None
+    }
+
+    /// Accepts a job onto the local LRMS (the origin is this GFA itself).
+    fn accept_locally(&mut self, ticket: Ticket, service: f64, cost: f64, ctx: &mut Ctx<'_>) {
+        let job = ClusterJob {
             id: ticket.job.id,
             processors: ticket.job.processors,
             service_time: service,
         };
         let concluded = ticket.concluded();
-        self.executing.insert(
-            cluster_job.id,
-            ExecutingJob {
-                origin: self.index,
+        self.reserve(
+            job,
+            ExecutingJob::Own {
+                ticket,
                 cost,
                 start: None,
-                ticket: Some(ticket),
             },
+            ctx,
         );
-        let mut started = std::mem::take(&mut self.scratch);
-        started.clear();
-        self.lrms.submit_into(cluster_job, now, &mut started);
-        self.handle_started(&started, ctx);
-        self.scratch = started;
         ctx.shared.record(concluded);
     }
 
@@ -733,7 +768,7 @@ impl Gfa {
     fn admits(&self, processors: u32, service: f64, absolute_deadline: f64, now: f64) -> bool {
         !self.departed
             && processors <= self.spec.processors
-            && self.lrms.estimate_completion(processors, service, now) <= absolute_deadline + 1e-9
+            && self.lrms.estimate_completion(processors, service, now) <= absolute_deadline + SLACK
     }
 
     /// Records a rejected job.
@@ -759,22 +794,12 @@ impl Gfa {
         // be in flight).
         let accept = self.admits(job.processors, job.service_time, absolute_deadline, now);
         if accept {
-            // Reserve immediately so the guarantee cannot be invalidated by a
-            // concurrent negotiation with another GFA.
-            self.executing.insert(
-                job.id,
-                ExecutingJob {
-                    origin,
-                    cost,
-                    start: None,
-                    ticket: None,
-                },
-            );
-            let mut started = std::mem::take(&mut self.scratch);
-            started.clear();
-            self.lrms.submit_into(job, now, &mut started);
-            self.handle_started(&started, ctx);
-            self.scratch = started;
+            let entry = ExecutingJob::Remote {
+                origin,
+                cost,
+                start: None,
+            };
+            self.reserve(job, entry, ctx);
         }
         let candidate = self.index;
         self.send_protocol(
@@ -817,7 +842,6 @@ impl Gfa {
             });
         }
         if accept {
-            let service = pending.candidate_service;
             pending.ticket.messages += 1;
             let seq = self.send_protocol(
                 candidate,
@@ -834,13 +858,7 @@ impl Gfa {
                     start: true,
                 });
             }
-            self.own_jobs.insert(
-                job,
-                OwnJob::Awaiting(Box::new(AwaitingRemote {
-                    ticket: pending.ticket,
-                    service_time: service,
-                })),
-            );
+            self.own_jobs.insert(job, OwnJob::Awaiting(pending));
         } else {
             self.try_candidates(pending, ctx);
         }
@@ -869,60 +887,47 @@ impl Gfa {
     /// Handles the completion of a job running on the local LRMS.
     fn on_local_job_finished(&mut self, job: JobId, ctx: &mut Ctx<'_>) {
         let now = ctx.now().as_secs();
-        let mut started = std::mem::take(&mut self.scratch);
-        started.clear();
-        self.lrms.on_finished_into(job, now, &mut started);
-        self.handle_started(&started, ctx);
-        self.scratch = started;
+        self.update_lrms(ctx, |lrms, started| lrms.on_finished_into(job, now, started));
         let entry = self
             .executing
             .remove(&job)
             .unwrap_or_else(|| panic!("finished job {job} has no executing entry"));
-
-        if entry.origin != self.index {
-            self.remote_jobs_processed += 1;
-        }
+        let (origin, cost, start) = match entry {
+            ExecutingJob::Own { cost, start, .. } => (self.index, cost, start),
+            ExecutingJob::Remote { origin, cost, start } => (origin, cost, start),
+        };
         {
             let shared = &mut *ctx.shared;
-            shared.record(Charge::Payment(entry.origin, self.index, entry.cost));
-            shared
-                .metrics
-                .observe(HistId::QueueDepth, self.lrms.queued_count() as f64);
+            shared.record(Charge::Payment(origin, self.index, cost));
+            shared.metrics.observe(HistId::QueueDepth, self.lrms.queued_count() as f64);
             if shared.trace_armed() {
                 shared.emit_span(SpanRecord {
                     gfa: self.index,
                     track: SpanTrack::Execution,
                     name: "execute",
-                    start: SimTime::new(entry.start.unwrap_or(now)),
+                    start: SimTime::new(start.unwrap_or(now)),
                     end: SimTime::new(now),
-                    detail: format!("{job} origin gfa-{}", entry.origin),
+                    detail: format!("{job} origin gfa-{origin}"),
                 });
             }
         }
 
-        if entry.origin == self.index {
-            // Every locally submitted job stores its ticket in
-            // `accept_locally` before it can finish, so this expect can
-            // never fire.
-            // fedlint: allow(hot-path-unwrap)
-            let ticket = entry
-                .ticket
-                .expect("locally originated jobs carry their ticket");
+        if let ExecutingJob::Own { ticket, .. } = entry {
             let record = ticket.record(
                 self.index,
                 ExecutionOutcome::Completed {
                     executed_on: self.index,
-                    start: entry.start.unwrap_or(ticket.job.submit),
+                    start: start.unwrap_or(ticket.job.submit),
                     finish: now,
-                    cost: entry.cost,
+                    cost,
                 },
             );
             ctx.shared.record(Charge::Outcome(record));
         } else {
+            self.remote_jobs_processed += 1;
             let executed_on = self.index;
-            let cost = entry.cost;
             let seq = self.send_protocol(
-                entry.origin,
+                origin,
                 MessageType::JobCompletion,
                 |seq| FedMessage::JobCompletion {
                     job,
@@ -935,7 +940,7 @@ impl Gfa {
             );
             if ctx.shared.trace_armed() {
                 ctx.shared.emit_flow(FlowRecord {
-                    id: Self::flow_id(seq, self.index, entry.origin, job, true),
+                    id: Self::flow_id(seq, self.index, origin, job, true),
                     gfa: self.index,
                     track: SpanTrack::Execution,
                     time: ctx.now(),
@@ -977,7 +982,7 @@ impl Gfa {
             self.index,
             ExecutionOutcome::Completed {
                 executed_on,
-                start: finish - awaiting.service_time,
+                start: finish - awaiting.candidate_service,
                 finish,
                 cost,
             },
@@ -1004,23 +1009,13 @@ impl Gfa {
             // least one dead ring position, so the repair→retry recursion is
             // bounded by the number of crashed nodes; when there is nothing
             // left to evict the job falls through to the backoff path.
-            let repaired = {
-                let shared = &mut *ctx.shared;
-                let messages = shared.directory.repair_faulted();
-                if messages > 0 {
-                    shared.metrics.inc(self.index, Counter::ReactiveRepairs);
-                    shared
-                        .metrics
-                        .add(self.index, Counter::ReactiveRepairMessages, messages);
-                    shared.record(Charge::Publish(self.index, messages));
-                    true
-                } else {
-                    false
-                }
-            };
-            if repaired {
-                self.try_candidates(pending, ctx);
-                return;
+            let shared = &mut *ctx.shared;
+            let messages = shared.directory.repair_faulted();
+            if messages > 0 {
+                shared.metrics.inc(self.index, Counter::ReactiveRepairs);
+                shared.metrics.add(self.index, Counter::ReactiveRepairMessages, messages);
+                shared.record(Charge::Publish(self.index, messages));
+                return self.try_candidates(pending, ctx);
             }
         }
         if pending.retries < self.retry.max_retries {
@@ -1075,11 +1070,8 @@ impl Gfa {
             return;
         }
         self.departed = true;
-        if graceful {
-            shared.metrics.inc(self.index, Counter::GracefulLeaves);
-        } else {
-            shared.metrics.inc(self.index, Counter::Crashes);
-        }
+        let counter = if graceful { Counter::GracefulLeaves } else { Counter::Crashes };
+        shared.metrics.inc(self.index, counter);
         let messages = shared.directory.node_depart(self.index, graceful);
         shared.record(Charge::Publish(self.index, messages));
     }
@@ -1216,6 +1208,7 @@ impl Entity<FedMessage, SharedState> for Gfa {
 mod tests {
     use super::*;
     use grid_workload::UserId;
+    use SchedulingMode::{Economy, FederationNoEconomy};
 
     fn job(origin: usize, seq: usize) -> Job {
         Job::from_runtime(
@@ -1239,22 +1232,23 @@ mod tests {
         }
     }
 
-    fn pending(origin: usize, seq: usize) -> OwnJob {
-        OwnJob::Pending(Box::new(PendingJob {
+    fn placing(origin: usize, seq: usize) -> Box<PendingJob> {
+        Box::new(PendingJob {
             ticket: ticket(origin, seq),
             next_rank: 1,
             cursor: None,
             retries: 0,
             negotiation_start: 0.0,
             candidate_service: 0.0,
-        }))
+        })
+    }
+
+    fn pending(origin: usize, seq: usize) -> OwnJob {
+        OwnJob::Pending(placing(origin, seq))
     }
 
     fn awaiting(origin: usize, seq: usize) -> OwnJob {
-        OwnJob::Awaiting(Box::new(AwaitingRemote {
-            ticket: ticket(origin, seq),
-            service_time: 1.0,
-        }))
+        OwnJob::Awaiting(placing(origin, seq))
     }
 
     /// The id of a taken entry and whether it was pending.
@@ -1323,5 +1317,212 @@ mod tests {
     fn own_jobs_refuse_another_origins_job() {
         let mut own = table(1, &[0]);
         own.insert(JobId { origin: 0, seq: 0 }, pending(0, 0));
+    }
+
+    /// The origin the screen tests run from: 500 MIPS, 1 Gb/s, 2 G$.
+    fn origin() -> ResourceSpec {
+        ResourceSpec::new("origin", 8, 500.0, 1.0, 2.0)
+    }
+
+    /// A 4-PE job submitted at 0 that runs 100 s on [`origin`] (90 s of
+    /// compute, 10 s of communication).
+    fn dbc_job(strategy: Strategy, deadline: f64, budget: f64) -> Job {
+        let mut job = Job::from_runtime(
+            JobId { origin: 0, seq: 0 },
+            UserId {
+                origin: 0,
+                local: 0,
+            },
+            0.0,
+            4,
+            100.0,
+            500.0,
+            0.10,
+        );
+        job.qos = grid_workload::Qos {
+            budget,
+            deadline,
+            strategy,
+        };
+        job
+    }
+
+    fn quote(gfa: usize, processors: u32, mips: f64, price: f64) -> Quote {
+        Quote {
+            gfa,
+            processors,
+            mips,
+            bandwidth: 1.0,
+            price,
+        }
+    }
+
+    /// Screens `job` per CPU-second on `quote` at `now`.
+    fn screen_on(job: &Job, quote: &Quote, budget_bound: bool, now: f64) -> Verdict {
+        screen(job, quote, &origin(), ChargingPolicy::PerCpuSecond, budget_bound, now)
+    }
+
+    /// Screens `job` on a copy of the origin at `now`, per CPU-second.
+    fn screen_at(job: &Job, budget_bound: bool, now: f64) -> Verdict {
+        screen_on(job, &quote(0, 8, 500.0, 2.0), budget_bound, now)
+    }
+
+    fn is_offer(verdict: Verdict) -> bool {
+        matches!(verdict, Verdict::Offer { .. })
+    }
+
+    #[test]
+    fn screen_offers_the_service_time_and_cost_on_the_quote() {
+        let job = dbc_job(Strategy::Oft, 100.0, 1_000.0);
+        let quote = quote(3, 4, 500.0, 2.0);
+        let offer = |charging| screen(&job, &quote, &origin(), charging, true, 0.0);
+        // 90 s of compute plus 10 s of communication; 2 G$ per CPU-second of
+        // compute, or per 1,000 MI of the job's 180,000.
+        let (service, cost) = (100.0, 180.0);
+        assert_eq!(offer(ChargingPolicy::PerCpuSecond), Verdict::Offer { service, cost });
+        let cost = 360.0;
+        assert_eq!(offer(ChargingPolicy::PerKiloMi), Verdict::Offer { service, cost });
+    }
+
+    #[test]
+    fn screen_passes_over_too_small_candidates_first() {
+        // Three processors short of four, and also too slow and too dear.
+        let job = dbc_job(Strategy::Oft, 100.0, 0.0);
+        for budget_bound in [false, true] {
+            let verdict = screen_on(&job, &quote(1, 3, 100.0, 50.0), budget_bound, 0.0);
+            assert_eq!(verdict, Verdict::TooSmall);
+        }
+    }
+
+    #[test]
+    fn screen_deadline_holds_to_within_the_slack() {
+        let job = dbc_job(Strategy::Ofc, 100.0, f64::INFINITY);
+        // The service time meets the deadline exactly at `now = 0`, and
+        // still at `now = SLACK`, where both sides equal 100 + SLACK.
+        assert!(is_offer(screen_at(&job, true, 0.0)));
+        assert!(is_offer(screen_at(&job, true, SLACK)));
+        assert_eq!(screen_at(&job, true, 2.0 * SLACK), Verdict::TooSlow);
+        // A slower candidate (190 s) misses the deadline even at `now = 0`,
+        // before its price is looked at.
+        let verdict = screen_on(&job, &quote(1, 8, 250.0, 50.0), true, 0.0);
+        assert_eq!(verdict, Verdict::TooSlow);
+    }
+
+    #[test]
+    fn screen_budget_holds_to_within_the_slack() {
+        // The job costs 180 G$; `(180 - SLACK) + SLACK` is exactly 180.
+        let at = |budget: f64| screen_at(&dbc_job(Strategy::Oft, 100.0, budget), true, 0.0);
+        assert!(is_offer(at(180.0)));
+        assert!(is_offer(at(180.0 - SLACK)));
+        assert_eq!(at(180.0 - 2.0 * SLACK), Verdict::TooDear);
+    }
+
+    #[test]
+    fn screen_is_too_dear_only_for_oft_in_economy_mode() {
+        for strategy in [Strategy::Ofc, Strategy::Oft] {
+            for budget_bound in [false, true] {
+                let verdict = screen_at(&dbc_job(strategy, 100.0, 1.0), budget_bound, 0.0);
+                if budget_bound && strategy == Strategy::Oft {
+                    assert_eq!(verdict, Verdict::TooDear);
+                } else {
+                    assert!(is_offer(verdict), "{strategy:?} {budget_bound}");
+                }
+            }
+        }
+    }
+
+    /// A scripted directory for the candidate stream: `ranked` answers both
+    /// orders, each rank in `faults` faults once, and `probes` logs every
+    /// probe.
+    struct Scripted {
+        ranked: Vec<Quote>,
+        faults: Vec<usize>,
+        probes: Vec<(RankOrder, usize)>,
+    }
+
+    impl Scripted {
+        fn new(ranked: &[Quote], faults: &[usize]) -> Self {
+            let (ranked, faults) = (ranked.to_vec(), faults.to_vec());
+            Scripted { ranked, faults, probes: Vec::new() }
+        }
+
+        /// The next candidate at `rank` for a job of GFA 1, whose own quote
+        /// is `quote(1, 8, 500.0, 2.0)`.
+        fn next(&mut self, mode: SchedulingMode, by: Strategy, rank: &mut usize) -> Candidate {
+            let local = quote(1, 8, 500.0, 2.0);
+            next_candidate(mode, by, local, rank, self.ranked.len(), |order, r| {
+                self.probes.push((order, r));
+                if let Some(at) = self.faults.iter().position(|&f| f == r) {
+                    self.faults.remove(at);
+                    return (None, true);
+                }
+                (self.ranked.get(r - 1).copied(), false)
+            })
+        }
+    }
+
+    #[test]
+    fn stream_yields_the_local_quote_first_without_economy() {
+        let ranked = [quote(0, 8, 900.0, 4.0), quote(1, 8, 500.0, 2.0)];
+        let (mut dir, mut rank) = (Scripted::new(&ranked, &[]), 1);
+        let first = dir.next(FederationNoEconomy, Strategy::Ofc, &mut rank);
+        assert_eq!(first, Candidate::Quote(quote(1, 8, 500.0, 2.0)));
+        assert_eq!((rank, dir.probes.len()), (2, 0), "rank 1 never touches the directory");
+        // Economy mode starts at the directory's first rank, in the
+        // strategy's order.
+        let orders = [(Strategy::Ofc, RankOrder::Cheapest), (Strategy::Oft, RankOrder::Fastest)];
+        for (strategy, order) in orders {
+            let (mut dir, mut rank) = (Scripted::new(&ranked, &[]), 1);
+            assert_eq!(dir.next(Economy, strategy, &mut rank), Candidate::Quote(ranked[0]));
+            assert_eq!((rank, dir.probes), (2, vec![(order, 1)]));
+        }
+    }
+
+    #[test]
+    fn stream_skips_the_own_quote_only_without_economy() {
+        // The origin (GFA 1) ranks first in the directory.
+        let ranked = [quote(1, 8, 500.0, 2.0), quote(0, 8, 400.0, 1.0)];
+        let (mut dir, mut rank) = (Scripted::new(&ranked, &[]), 2);
+        let next = dir.next(FederationNoEconomy, Strategy::Oft, &mut rank);
+        assert_eq!(next, Candidate::Quote(ranked[1]));
+        assert_eq!(rank, 4, "the skipped rank is consumed");
+        assert_eq!(dir.probes, [(RankOrder::Fastest, 1), (RankOrder::Fastest, 2)]);
+        // In economy mode the own quote is an ordinary candidate.
+        let mut rank = 1;
+        let next = dir.next(Economy, Strategy::Oft, &mut rank);
+        assert_eq!((next, rank), (Candidate::Quote(ranked[0]), 2));
+    }
+
+    #[test]
+    fn stream_retries_the_same_rank_after_a_fault() {
+        let ranked = [quote(0, 8, 900.0, 1.0), quote(2, 8, 800.0, 2.0)];
+        // Directory rank 2 is stream rank 2 with economy and 3 without.
+        for (mode, rank_of_2) in [(Economy, 2), (FederationNoEconomy, 3)] {
+            let (mut dir, mut rank) = (Scripted::new(&ranked, &[2]), rank_of_2);
+            assert_eq!(dir.next(mode, Strategy::Oft, &mut rank), Candidate::Faulted);
+            assert_eq!(rank, rank_of_2, "{mode:?} advanced past a fault");
+            assert_eq!(dir.next(mode, Strategy::Oft, &mut rank), Candidate::Quote(ranked[1]));
+            assert_eq!(rank, rank_of_2 + 1);
+            assert_eq!(dir.probes, [(RankOrder::Fastest, 2), (RankOrder::Fastest, 2)]);
+        }
+    }
+
+    #[test]
+    fn stream_is_exhausted_past_the_directory() {
+        let ranked = [quote(0, 8, 900.0, 1.0), quote(2, 8, 800.0, 2.0)];
+        for (mode, past) in [(Economy, 3), (FederationNoEconomy, 4)] {
+            let (mut dir, mut rank) = (Scripted::new(&ranked, &[]), past);
+            assert_eq!(dir.next(mode, Strategy::Ofc, &mut rank), Candidate::Exhausted);
+            assert_eq!(rank, past);
+            assert!(dir.probes.is_empty(), "{mode:?} probed past the directory");
+            // The last rank is still probed.
+            let mut rank = past - 1;
+            assert_eq!(dir.next(mode, Strategy::Ofc, &mut rank), Candidate::Quote(ranked[1]));
+        }
+        // A directory that answers no quote within its length is exhausted too.
+        let mut rank = 1;
+        let none = |_, _| (None, false);
+        let next = next_candidate(Economy, Strategy::Ofc, ranked[0], &mut rank, 2, none);
+        assert_eq!(next, Candidate::Exhausted);
     }
 }

@@ -116,6 +116,9 @@ impl UserPopulation {
     /// per-job primitive behind both [`UserPopulation::apply`] and the
     /// streaming [`crate::source::JobSource::populated`] adapter.  Jobs
     /// belonging to other origins are left untouched.
+    ///
+    /// # Panics
+    /// Panics if the job's `user.local` is not below [`UserPopulation::len`].
     pub fn assign(&self, job: &mut Job) {
         if job.user.origin == self.origin {
             job.qos.strategy = self.strategies[job.user.local];
@@ -124,6 +127,10 @@ impl UserPopulation {
 
     /// Applies the population's strategies to a slice of jobs in place.
     /// Jobs belonging to other origins are left untouched.
+    ///
+    /// # Panics
+    /// Panics if a job of this origin has a `user.local` not below
+    /// [`UserPopulation::len`].
     pub fn apply(&self, jobs: &mut [Job]) {
         for job in jobs.iter_mut() {
             self.assign(job);

@@ -41,8 +41,9 @@ fn main() {
             cfg.duration = 86_400.0;
             cfg.max_runtime = 0.25 * cfg.duration;
             cfg.seed = 3 + i as u64;
+            cfg.user_count = 12;
             let mut jobs = cfg.generate().into_jobs();
-            UserPopulation::new(i, 12, PopulationProfile::new(40), 9).apply(&mut jobs);
+            UserPopulation::new(i, cfg.user_count, PopulationProfile::new(40), 9).apply(&mut jobs);
             jobs
         })
         .collect();
