@@ -184,19 +184,19 @@ struct Ticker {
 }
 impl Entity<u32> for Ticker {
     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
-        ctx.timer(1.0, 0);
+        ctx.timer_at(ctx.now().after(1.0), 0);
     }
     fn on_event(&mut self, _event: Event<u32>, ctx: &mut Context<'_, u32>) {
         if self.remaining > 0 {
             self.remaining -= 1;
-            ctx.timer(1.0, 0);
+            ctx.timer_at(ctx.now().after(1.0), 0);
         }
     }
 }
 
 fn bench_dispatch(events: u64) -> f64 {
     let secs = best_of(3, || {
-        let mut sim = Simulation::new(1, ());
+        let mut sim = Simulation::new(());
         sim.add_entity(Ticker { remaining: events });
         let (secs, delivered) = timed(|| {
             sim.run();

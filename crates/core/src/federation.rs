@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use grid_cluster::ResourceSpec;
 use grid_des::{
-    DedupWindow, LinkFaults, NetworkFaultConfig, RunOutcome, SimRng, SimStats, Simulation,
+    DedupWindow, LinkFaults, NetworkFaultConfig, SimRng, SimStats, Simulation,
     TransmissionPlan,
 };
 use grid_des::{FlowRecord, SpanRecord};
@@ -553,25 +553,11 @@ impl FederationBuilder {
         self
     }
 
-    /// Sets the local workload (trace) of resource `index`.
+    /// Sets the local workloads (traces), one vector per resource.
     ///
     /// # Panics
-    /// Panics if `index` is out of range or a job's origin does not match.
-    #[must_use]
-    pub fn workload(mut self, index: usize, jobs: Vec<Job>) -> Self {
-        assert!(index < self.resources.len(), "unknown resource index {index}");
-        assert!(
-            jobs.iter().all(|j| j.id.origin == index),
-            "every job's origin must equal the resource index it is attached to"
-        );
-        self.workloads[index] = jobs;
-        self
-    }
-
-    /// Sets all workloads at once (must be one vector per resource).
-    ///
-    /// # Panics
-    /// Panics if the number of workloads differs from the number of resources.
+    /// Panics if the number of workloads differs from the number of
+    /// resources, or if a job's origin is not the index of its workload.
     #[must_use]
     pub fn workloads(mut self, workloads: Vec<Vec<Job>>) -> Self {
         assert_eq!(
@@ -666,7 +652,7 @@ impl FederationBuilder {
         }
         shared.net = net;
 
-        let mut sim = Simulation::new(config.seed, shared);
+        let mut sim = Simulation::new(shared);
         if let Some(table) = profiler {
             sim.set_profiler(Box::new(HandlerProfiler::new(table, FedMessage::label)));
         }
@@ -688,12 +674,7 @@ impl FederationBuilder {
             assert_eq!(id.index(), i, "GFA entity ids must equal resource indices");
         }
 
-        let outcome = sim.run();
-        assert_eq!(
-            outcome,
-            RunOutcome::Exhausted,
-            "a federation run must drain all events"
-        );
+        sim.run();
         let sim_end = sim.now().as_secs();
         let engine = sim.stats().clone();
         let (gfas, state) = sim.into_parts();
@@ -1249,7 +1230,7 @@ mod tests {
     #[should_panic(expected = "origin must equal the resource index")]
     fn mismatched_workload_origin_panics() {
         let _ = FederationBuilder::new(two_resources())
-            .workload(0, vec![job(1, 0, 0.0, 1, 10.0, Strategy::Ofc)]);
+            .workloads(vec![vec![job(1, 0, 0.0, 1, 10.0, Strategy::Ofc)], vec![]]);
     }
 
     #[test]

@@ -231,7 +231,7 @@ mod tests {
             .map(|e| (e.time, e.seq, e.payload))
             .collect();
 
-        let mut sim = Simulation::new(1, ());
+        let mut sim = Simulation::new(());
         sim.add_entity(Player {
             script: Script::new(jobs, schedule),
             delivered: Vec::new(),

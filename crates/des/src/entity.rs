@@ -4,7 +4,6 @@ use std::fmt;
 
 use crate::event::{Event, EventKind};
 use crate::queue::EventQueue;
-use crate::rng::SimRng;
 use crate::time::SimTime;
 
 /// Identifies an entity registered with a [`crate::Simulation`].
@@ -53,13 +52,11 @@ pub trait Entity<M, S = ()> {
 }
 
 /// Handle passed to entities, giving them access to the clock, the event
-/// queue, a deterministic random stream and the simulation's shared state.
+/// queue and the simulation's shared state.
 pub struct Context<'a, M, S = ()> {
     pub(crate) now: SimTime,
     pub(crate) self_id: EntityId,
     pub(crate) queue: &'a mut EventQueue<M>,
-    pub(crate) rng: &'a mut SimRng,
-    pub(crate) stop_requested: &'a mut bool,
     /// The state every entity shares (a federation's directory, bank and
     /// ledgers), lent for the duration of one handler call.
     pub shared: &'a mut S,
@@ -78,23 +75,12 @@ impl<'a, M, S> Context<'a, M, S> {
         self.self_id
     }
 
-    /// The simulation-wide deterministic random stream.
-    pub fn rng(&mut self) -> &mut SimRng {
-        self.rng
-    }
-
     /// Sends a message to `dst`, delivered `delay` seconds from now.
     ///
     /// # Panics
     /// Panics if `delay` is negative or not finite.
     pub fn send(&mut self, dst: EntityId, delay: f64, payload: M) {
         self.schedule(dst, self.now.after(delay), EventKind::Message, payload);
-    }
-
-    /// Schedules a timer on the calling entity itself, firing after `delay`
-    /// seconds.
-    pub fn timer(&mut self, delay: f64, payload: M) {
-        self.schedule(self.self_id, self.now.after(delay), EventKind::Timer, payload);
     }
 
     /// Schedules a timer on the calling entity at absolute time `at`.
@@ -138,11 +124,13 @@ impl<'a, M, S> Context<'a, M, S> {
         });
     }
 
-    /// Requests the simulation to stop after the current event completes.
-    /// Pending events are discarded (and counted in
-    /// [`crate::SimStats::events_dropped_at_stop`]).
-    pub fn stop(&mut self) {
-        *self.stop_requested = true;
+    /// Corrupting test double: rewinds the earliest pending event to
+    /// `new_time` (see [`EventQueue::corrupt_earliest_time`]), so its
+    /// delivery trips the engine's time-monotonicity assert if `new_time`
+    /// lies in the simulated past.  Returns `false` on an empty queue.
+    #[cfg(feature = "invariants")]
+    pub fn corrupt_earliest_event_time(&mut self, new_time: SimTime) -> bool {
+        self.queue.corrupt_earliest_time(new_time)
     }
 
     fn assert_not_past(&self, at: SimTime) {
@@ -180,26 +168,19 @@ mod tests {
     #[test]
     fn context_schedules_messages_and_timers() {
         let mut queue: EventQueue<u32> = EventQueue::new();
-        let mut rng = SimRng::from_seed(0);
-        let mut stop = false;
         let mut ctx = Context {
             now: SimTime::new(10.0),
             self_id: EntityId::new(0),
             queue: &mut queue,
-            rng: &mut rng,
-            stop_requested: &mut stop,
             shared: &mut (),
         };
         assert_eq!(ctx.now(), SimTime::new(10.0));
         assert_eq!(ctx.self_id(), EntityId::new(0));
         ctx.send(EntityId::new(1), 5.0, 7);
-        ctx.timer(1.0, 9);
+        ctx.timer_at(SimTime::new(11.0), 9);
         ctx.timer_at(SimTime::new(30.0), 10);
-        let _ = ctx.rng().uniform();
-        ctx.stop();
-        assert!(stop);
         assert_eq!(queue.len(), 3);
-        // Events must come out ordered by time: timer(11.0), send(15.0),
+        // Events must come out ordered by time: timer_at(11.0), send(15.0),
         // timer_at(30.0).
         let order: Vec<(f64, u32, EventKind)> = std::iter::from_fn(|| queue.pop())
             .map(|e| (e.time.as_secs(), e.payload, e.kind))
@@ -218,14 +199,10 @@ mod tests {
     #[should_panic(expected = "in the past")]
     fn reserved_timer_in_the_past_panics() {
         let mut queue: EventQueue<u32> = EventQueue::new();
-        let mut rng = SimRng::from_seed(0);
-        let mut stop = false;
         let mut ctx = Context {
             now: SimTime::new(10.0),
             self_id: EntityId::new(0),
             queue: &mut queue,
-            rng: &mut rng,
-            stop_requested: &mut stop,
             shared: &mut (),
         };
         let seq = ctx.reserve_seqs(1);
@@ -236,14 +213,10 @@ mod tests {
     #[should_panic(expected = "in the past")]
     fn scheduling_in_the_past_panics() {
         let mut queue: EventQueue<u32> = EventQueue::new();
-        let mut rng = SimRng::from_seed(0);
-        let mut stop = false;
         let mut ctx = Context {
             now: SimTime::new(10.0),
             self_id: EntityId::new(0),
             queue: &mut queue,
-            rng: &mut rng,
-            stop_requested: &mut stop,
             shared: &mut (),
         };
         ctx.timer_at(SimTime::new(5.0), 1);

@@ -38,33 +38,3 @@ pub struct Event<M> {
     /// Model-specific payload.
     pub payload: M,
 }
-
-impl<M> Event<M> {
-    /// Returns `true` if this event is a self-scheduled timer.
-    #[must_use]
-    pub fn is_timer(&self) -> bool {
-        self.kind == EventKind::Timer
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ev(kind: EventKind, src: usize, dst: usize) -> Event<u32> {
-        Event {
-            time: SimTime::new(1.0),
-            seq: 0,
-            src: EntityId::new(src),
-            dst: EntityId::new(dst),
-            kind,
-            payload: 7,
-        }
-    }
-
-    #[test]
-    fn timer_classification() {
-        assert!(ev(EventKind::Timer, 0, 0).is_timer());
-        assert!(!ev(EventKind::Message, 0, 0).is_timer());
-    }
-}

@@ -10,8 +10,8 @@
 //! * addressable [`Entity`] values (GFAs, clusters, user populations, …) that
 //!   exchange timestamped messages through a [`Context`] handle, which also
 //!   lends them the one state they share ([`Context::shared`]),
-//! * per-simulation seeded random number streams so every run is exactly
-//!   reproducible,
+//! * seeded random number streams ([`SimRng`]) a model derives from its own
+//!   master seed, so every run is exactly reproducible,
 //! * lightweight engine statistics ([`stats::SimStats`]) and an optional
 //!   handler profiler ([`EventProfiler`]).
 //!
@@ -50,7 +50,7 @@
 //!     }
 //! }
 //!
-//! let mut sim = Simulation::new(42, ());
+//! let mut sim = Simulation::new(());
 //! let ponger = sim.add_entity(Node::Ponger);
 //! let pinger = sim.add_entity(Node::Pinger { peer: ponger, received: 0 });
 //! sim.run();
@@ -79,7 +79,7 @@ pub use event::{Event, EventKind};
 pub use net::{DedupWindow, Jitter, LinkFaults, NetworkFaultConfig, TransmissionPlan};
 pub use queue::{BinaryHeapEventQueue, EventQueue};
 pub use rng::SimRng;
-pub use simulation::{RunOutcome, Simulation};
+pub use simulation::Simulation;
 pub use stats::SimStats;
 pub use time::SimTime;
 pub use trace::{EventProfiler, FlowRecord, SpanRecord, SpanTrack};

@@ -177,15 +177,6 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// The earliest pending event, in whichever container holds it.
-    #[inline]
-    fn earliest(&self) -> Option<&Event<M>> {
-        match self.head()? {
-            Head::Lane => self.lane.front(),
-            Head::Heap => self.heap.first(),
-        }
-    }
-
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<Event<M>> {
         match self.head()? {
@@ -205,21 +196,14 @@ impl<M> EventQueue<M> {
         Some(root)
     }
 
-    /// Removes and returns the earliest event if its timestamp is `<= limit`;
-    /// leaves the queue untouched otherwise.  This is the single-traversal
-    /// primitive the simulation loop uses instead of a separate
-    /// peek-then-pop.
-    pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<Event<M>> {
-        if self.earliest()?.time > limit {
-            return None;
-        }
-        self.pop()
-    }
-
     /// Returns the timestamp of the earliest pending event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.earliest().map(|e| e.time)
+        let earliest = match self.head()? {
+            Head::Lane => self.lane.front(),
+            Head::Heap => self.heap.first(),
+        };
+        earliest.map(|e| e.time)
     }
 
     /// Number of pending events.
@@ -248,8 +232,8 @@ impl<M> EventQueue<M> {
         self.lane_pushed
     }
 
-    /// Most heap events pending at once since the queue was created or
-    /// last cleared (lane events never count).
+    /// Most heap events pending at once since the queue was created (lane
+    /// events never count).
     #[must_use]
     pub fn heap_high_water(&self) -> usize {
         self.heap_high_water
@@ -274,13 +258,6 @@ impl<M> EventQueue<M> {
         };
         event.time = new_time;
         true
-    }
-
-    /// Drops every pending event, e.g. when a run is aborted at its horizon.
-    pub fn clear(&mut self) {
-        self.lane.clear();
-        self.heap.clear();
-        self.heap_high_water = 0;
     }
 
     fn sift_up(&mut self, mut idx: usize) {
@@ -464,9 +441,10 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::new(1.0)));
         assert_eq!(q.scheduled_total(), 2);
-        q.clear();
+        q.pop();
+        q.pop();
         assert!(q.is_empty());
-        // scheduled_total is cumulative and unaffected by clear().
+        // scheduled_total is cumulative and unaffected by pops.
         assert_eq!(q.scheduled_total(), 2);
     }
 
@@ -482,19 +460,6 @@ mod tests {
         assert_eq!(first.seq, 0);
         assert_eq!(second.seq, 1);
         assert_eq!(first.payload, 9);
-    }
-
-    #[test]
-    fn pop_at_or_before_respects_the_limit() {
-        let mut q = EventQueue::new();
-        q.push(event(5.0, 0));
-        q.push(event(10.0, 1));
-        assert!(q.pop_at_or_before(SimTime::new(4.0)).is_none());
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop_at_or_before(SimTime::new(5.0)).unwrap().payload, 0);
-        assert!(q.pop_at_or_before(SimTime::new(9.999)).is_none());
-        assert_eq!(q.pop_at_or_before(SimTime::new(10.0)).unwrap().payload, 1);
-        assert!(q.pop_at_or_before(SimTime::new(1e9)).is_none());
     }
 
     #[test]
@@ -546,24 +511,6 @@ mod tests {
         assert_eq!(q.reserve(1), 6);
     }
 
-    #[test]
-    fn pop_at_or_before_and_clear_cover_reserved_pushes() {
-        let mut q = EventQueue::new();
-        let first = q.reserve(2);
-        q.push_reserved(reserved(first, timer(4.0, 0)));
-        q.push(event(6.0, 1));
-        assert!(q.pop_at_or_before(SimTime::new(3.0)).is_none());
-        assert_eq!(q.pop_at_or_before(SimTime::new(4.0)).unwrap().payload, 0);
-        assert!(q.pop_at_or_before(SimTime::new(5.0)).is_none());
-        q.push_reserved(reserved(first + 1, timer(7.0, 2)));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.heap_high_water(), 1);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        assert_eq!(q.heap_high_water(), 0);
-    }
-
     fn timer(t: f64, payload: u32) -> Event<u32> {
         Event {
             kind: EventKind::Timer,
@@ -588,23 +535,19 @@ mod tests {
         q.push(timer(1.0, 7));
         assert_eq!(q.len(), 8);
         assert_eq!(q.peek_time(), Some(SimTime::new(1.0)));
-        assert_eq!(q.pop_at_or_before(SimTime::new(2.0)).unwrap().payload, 7);
-        assert_eq!(q.pop_at_or_before(SimTime::new(2.0)).unwrap().payload, 1);
-        assert!(q.pop_at_or_before(SimTime::new(2.4)).is_none());
+        assert_eq!(q.pop().unwrap().payload, 7);
+        assert_eq!(q.pop().unwrap().payload, 1);
+        assert_eq!(q.peek_time(), Some(SimTime::new(2.5)));
         let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
         // The reserved t=4 holds seq 0, so it leads the lane's t=4.
         assert_eq!(order, vec![5, 2, 3, 4, 0, 6]);
         assert_eq!(q.lane_pushed(), 4);
-        // A drained lane takes any message again; clearing covers it.
+        // A drained lane takes any message again.
         q.push(event(1.0, 8));
         q.push(event(9.0, 9));
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop().unwrap().payload, 8);
         assert_eq!(q.lane_pushed(), 6);
-        q.push(event(9.0, 10));
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

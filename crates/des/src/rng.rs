@@ -1,7 +1,8 @@
 //! Deterministic random number streams.
 //!
-//! Every simulation owns a master seed from which independent, reproducible
-//! sub-streams are derived (one per entity, one per workload generator, …).
+//! A model run has one master seed from which independent, reproducible
+//! sub-streams are derived (one per entity, one per workload generator, …);
+//! the engine itself draws no random numbers.
 //! Sub-streams are derived with SplitMix64 so that adding an entity never
 //! perturbs the random numbers observed by existing entities — this keeps
 //! experiment sweeps comparable across configurations.

@@ -3,25 +3,9 @@
 use crate::entity::{Context, Entity, EntityId};
 use crate::event::EventKind;
 use crate::queue::EventQueue;
-use crate::rng::SimRng;
 use crate::stats::SimStats;
 use crate::time::SimTime;
 use crate::trace::EventProfiler;
-
-/// Why a [`Simulation::run`] call returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The future-event list drained completely.
-    Exhausted,
-    /// The [`Simulation::run_to`] horizon was reached with events still
-    /// pending.
-    HorizonReached,
-    /// An entity called [`Context::stop`].
-    Stopped,
-    /// The configured maximum number of delivered events was reached
-    /// (safety valve against non-terminating models).
-    EventLimit,
-}
 
 /// A single deterministic discrete-event simulation run.
 ///
@@ -36,8 +20,6 @@ pub struct Simulation<M, E, S = ()> {
     queue: EventQueue<M>,
     clock: SimTime,
     stats: SimStats,
-    rng: SimRng,
-    max_events: u64,
     /// Installed handler profiler, if any.  The disabled path is a single
     /// `Option` discriminant test per event — measured by the dispatch
     /// perf gate, which is exactly the hot path this sits on.
@@ -46,25 +28,18 @@ pub struct Simulation<M, E, S = ()> {
 }
 
 impl<M, E: Entity<M, S>, S> Simulation<M, E, S> {
-    /// Creates a simulation with the given master seed, owning `shared`.
+    /// Creates a simulation owning `shared`.
     #[must_use]
-    pub fn new(seed: u64, shared: S) -> Self {
+    pub fn new(shared: S) -> Self {
         Simulation {
             entities: Vec::new(),
             shared,
             queue: EventQueue::new(),
             clock: SimTime::ZERO,
             stats: SimStats::default(),
-            rng: SimRng::derive(seed, u64::MAX),
-            max_events: u64::MAX,
             profiler: None,
             started: false,
         }
-    }
-
-    /// Caps the total number of delivered events (default: unlimited).
-    pub fn set_max_events(&mut self, limit: u64) {
-        self.max_events = limit;
     }
 
     /// Installs a handler profiler whose `enter`/`exit` bracket every
@@ -112,31 +87,11 @@ impl<M, E: Entity<M, S>, S> Simulation<M, E, S> {
         &self.stats
     }
 
-    /// Corrupting test double: rewinds the earliest pending event to
-    /// `new_time` (see [`EventQueue::corrupt_earliest_time`]), so the next
-    /// delivery trips the engine's time-monotonicity assert if `new_time`
-    /// lies in the simulated past.  Returns `false` on an empty queue.
-    #[cfg(feature = "invariants")]
-    pub fn corrupt_earliest_event_time(&mut self, new_time: SimTime) -> bool {
-        self.queue.corrupt_earliest_time(new_time)
-    }
-
-    /// Runs until the event list drains, the event limit is hit, or an
-    /// entity stops the simulation.
-    pub fn run(&mut self) -> RunOutcome {
-        self.run_until(None)
-    }
-
-    /// Runs up to the given time (inclusive): events with a timestamp
-    /// strictly greater than `until` stay queued, and the call returns
-    /// [`RunOutcome::HorizonReached`] when the first such event is next.
-    pub fn run_to(&mut self, until: SimTime) -> RunOutcome {
-        self.run_until(Some(until))
-    }
-
-    fn run_until(&mut self, horizon: Option<SimTime>) -> RunOutcome {
-        let mut stop_requested = false;
-
+    /// Runs until the future-event list drains: on the first call every
+    /// entity's `on_start`, in registration order, then every event in
+    /// `(time, seq)` order.  A model ends by scheduling nothing more, as a
+    /// federation does once every job has concluded.
+    pub fn run(&mut self) {
         if !self.started {
             self.started = true;
             // Deliver on_start in registration order for determinism.
@@ -145,38 +100,15 @@ impl<M, E: Entity<M, S>, S> Simulation<M, E, S> {
                     now: self.clock,
                     self_id: EntityId::new(idx),
                     queue: &mut self.queue,
-                    rng: &mut self.rng,
-                    stop_requested: &mut stop_requested,
                     shared: &mut self.shared,
                 };
                 entity.on_start(&mut ctx);
             }
         }
 
-        let outcome = loop {
-            if stop_requested {
-                break RunOutcome::Stopped;
-            }
-            if self.stats.events_delivered >= self.max_events {
-                break RunOutcome::EventLimit;
-            }
-            // One pop merges the queue's two heads (FIFO lane, heap)
-            // directly, bounded by the horizon when one is set, instead of
-            // a peek followed by a pop.
-            let event = match horizon {
-                None => match self.queue.pop() {
-                    Some(event) => event,
-                    None => break RunOutcome::Exhausted,
-                },
-                Some(h) => match self.queue.pop_at_or_before(h) {
-                    Some(event) => event,
-                    None if self.queue.is_empty() => break RunOutcome::Exhausted,
-                    None => {
-                        self.clock = h;
-                        break RunOutcome::HorizonReached;
-                    }
-                },
-            };
+        // One pop merges the queue's two heads (FIFO lane, heap) directly,
+        // instead of a peek followed by a pop.
+        while let Some(event) = self.queue.pop() {
             // Time monotonicity: a debug assertion normally, promoted to a
             // hard assert under the `invariants` feature so release-mode CI
             // test runs still catch a clock running backwards.
@@ -211,8 +143,6 @@ impl<M, E: Entity<M, S>, S> Simulation<M, E, S> {
                 now: self.clock,
                 self_id: event.dst,
                 queue: &mut self.queue,
-                rng: &mut self.rng,
-                stop_requested: &mut stop_requested,
                 shared: &mut self.shared,
             };
             match self.profiler.as_deref_mut() {
@@ -223,15 +153,12 @@ impl<M, E: Entity<M, S>, S> Simulation<M, E, S> {
                     profiler.exit();
                 }
             }
-        };
+        }
 
         self.stats.events_scheduled = self.queue.scheduled_total();
         self.stats.lane_pushes = self.queue.lane_pushed();
-        self.stats.events_dropped_at_stop = self.queue.len() as u64;
         self.stats.heap_high_water = self.queue.heap_high_water() as u64;
         self.stats.end_time = self.clock;
-
-        outcome
     }
 }
 
@@ -262,14 +189,14 @@ mod tests {
     impl Entity<Msg> for Clocker {
         fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
             if self.remaining > 0 {
-                ctx.timer(self.period, Msg::Tick);
+                ctx.timer_at(ctx.now().after(self.period), Msg::Tick);
             }
         }
         fn on_event(&mut self, _event: Event<Msg>, ctx: &mut Context<'_, Msg>) {
             self.fired += 1;
             self.remaining -= 1;
             if self.remaining > 0 {
-                ctx.timer(self.period, Msg::Tick);
+                ctx.timer_at(ctx.now().after(self.period), Msg::Tick);
             }
         }
     }
@@ -313,10 +240,9 @@ mod tests {
 
     #[test]
     fn periodic_timer_runs_to_exhaustion() {
-        let mut sim = Simulation::new(1, ());
+        let mut sim = Simulation::new(());
         sim.add_entity(Clocker::new(2.0, 5));
-        let outcome = sim.run();
-        assert_eq!(outcome, RunOutcome::Exhausted);
+        sim.run();
         assert_eq!(sim.now(), SimTime::new(10.0));
         assert_eq!(sim.stats().timers_delivered, 5);
         // One timer pending at a time.
@@ -326,33 +252,13 @@ mod tests {
     }
 
     #[test]
-    fn horizon_stops_delivery() {
-        let mut sim = Simulation::new(1, ());
-        sim.add_entity(Clocker::new(2.0, 100));
-        let outcome = sim.run_to(SimTime::new(9.0));
-        assert_eq!(outcome, RunOutcome::HorizonReached);
-        assert_eq!(sim.now(), SimTime::new(9.0));
-        assert_eq!(sim.stats().timers_delivered, 4); // t = 2,4,6,8
-        assert_eq!(sim.stats().events_dropped_at_stop, 1);
-    }
-
-    #[test]
-    fn event_limit_is_a_safety_valve() {
-        let mut sim = Simulation::new(1, ());
-        sim.add_entity(Clocker::new(1.0, 1_000_000));
-        sim.set_max_events(10);
-        assert_eq!(sim.run(), RunOutcome::EventLimit);
-        assert_eq!(sim.stats().events_delivered, 10);
-    }
-
-    #[test]
     fn chain_of_messages_is_delivered_in_order() {
-        let mut sim = Simulation::new(7, ());
+        let mut sim = Simulation::new(());
         let c = sim.add_entity(forwarder(None));
         let b = sim.add_entity(forwarder(Some(c)));
         let a = sim.add_entity(forwarder(Some(b)));
         sim.add_entity(Node::Kickoff { target: a });
-        assert_eq!(sim.run(), RunOutcome::Exhausted);
+        sim.run();
         assert_eq!(sim.stats().messages_delivered, 3);
         assert_eq!(sim.now(), SimTime::new(2.0));
         let seen: Vec<&[u64]> = sim
@@ -369,7 +275,7 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         fn run_once() -> (u64, f64) {
-            let mut sim = Simulation::new(99, ());
+            let mut sim = Simulation::new(());
             let c = sim.add_entity(forwarder(None));
             let b = sim.add_entity(forwarder(Some(c)));
             sim.add_entity(Node::Kickoff { target: b });
@@ -383,7 +289,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "before the simulation starts")]
     fn adding_entity_after_start_panics() {
-        let mut sim = Simulation::new(1, ());
+        let mut sim = Simulation::new(());
         sim.add_entity(Node::Kickoff { target: EntityId::new(0) });
         sim.run();
         sim.add_entity(Node::Kickoff { target: EntityId::new(0) });
@@ -396,21 +302,21 @@ mod tests {
         impl Entity<Msg, u64> for Bumper {
             fn on_start(&mut self, ctx: &mut Context<'_, Msg, u64>) {
                 *ctx.shared += 1;
-                ctx.timer(self.0.period, Msg::Tick);
+                ctx.timer_at(ctx.now().after(self.0.period), Msg::Tick);
             }
             fn on_event(&mut self, _event: Event<Msg>, ctx: &mut Context<'_, Msg, u64>) {
                 *ctx.shared += 1;
                 self.0.fired += 1;
                 self.0.remaining -= 1;
                 if self.0.remaining > 0 {
-                    ctx.timer(self.0.period, Msg::Tick);
+                    ctx.timer_at(ctx.now().after(self.0.period), Msg::Tick);
                 }
             }
         }
-        let mut sim = Simulation::new(3, 0u64);
+        let mut sim = Simulation::new(0u64);
         sim.add_entity(Bumper(Clocker::new(1.0, 3)));
         sim.add_entity(Bumper(Clocker::new(2.0, 4)));
-        assert_eq!(sim.run(), RunOutcome::Exhausted);
+        sim.run();
         let (entities, total) = sim.into_parts();
         let fired: Vec<u32> = entities.iter().map(|b| b.0.fired).collect();
         assert_eq!(fired, [3, 4]);
@@ -437,10 +343,10 @@ mod tests {
             }
         }
         let entered = Rc::new(RefCell::new(0u64));
-        let mut sim = Simulation::new(5, ());
+        let mut sim = Simulation::new(());
         sim.add_entity(Clocker::new(1.0, 4));
         sim.set_profiler(Box::new(CountingProfiler { entered: Rc::clone(&entered), open: false }));
-        assert_eq!(sim.run(), RunOutcome::Exhausted);
+        sim.run();
         assert_eq!(*entered.borrow(), sim.stats().events_delivered);
     }
 }

@@ -11,10 +11,10 @@ use crate::time::SimTime;
 pub struct SimStats {
     /// Events delivered to entities via `on_event`.
     pub events_delivered: u64,
-    /// Events pushed into the future-event list (including those still
-    /// pending or discarded at the horizon).  A timer an entity reserved a
-    /// sequence number for ([`crate::Context::reserve_seqs`]) counts once
-    /// it is scheduled, not when its number is reserved.
+    /// Events pushed into the future-event list.  A run drains the list, so
+    /// at its end this equals `events_delivered`.  A timer an entity
+    /// reserved a sequence number for ([`crate::Context::reserve_seqs`])
+    /// counts once it is scheduled, not when its number is reserved.
     pub events_scheduled: u64,
     /// Messages between two *different* entities (a subset of
     /// `events_delivered`).
@@ -25,11 +25,6 @@ pub struct SimStats {
     pub lane_pushes: u64,
     /// Self-timers delivered.
     pub timers_delivered: u64,
-    /// Events that were still pending when the simulation stopped (horizon
-    /// reached or explicit stop).  Timers an entity had reserved sequence
-    /// numbers for but not yet scheduled are not pending events and are not
-    /// counted.
-    pub events_dropped_at_stop: u64,
     /// Most events the future-event list's heap held at once: timers,
     /// reserved pushes and out-of-order messages pending together (lane
     /// events never count).  A model that scheduled its whole script up

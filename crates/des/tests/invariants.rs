@@ -5,8 +5,12 @@
 
 use grid_des::{Context, Entity, Event, EventQueue, SimTime, Simulation};
 
-/// An entity that schedules a few future timers and otherwise does nothing.
-struct Ticker;
+/// An entity that schedules three future timers.  With `rewind` set, the
+/// first delivery (t = 10) rewinds the earliest pending timer, the heap's
+/// t = 20 head, to t = 5.
+struct Ticker {
+    rewind: bool,
+}
 
 impl Entity<u32> for Ticker {
     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
@@ -15,13 +19,17 @@ impl Entity<u32> for Ticker {
         ctx.timer_at(SimTime::new(30.0), 3);
     }
 
-    fn on_event(&mut self, _event: Event<u32>, _ctx: &mut Context<'_, u32>) {}
+    fn on_event(&mut self, event: Event<u32>, ctx: &mut Context<'_, u32>) {
+        if self.rewind && event.payload == 1 {
+            assert!(ctx.corrupt_earliest_event_time(SimTime::new(5.0)));
+        }
+    }
 }
 
 #[test]
 fn intact_run_delivers_in_order() {
-    let mut sim = Simulation::new(7, ());
-    sim.add_entity(Ticker);
+    let mut sim = Simulation::new(());
+    sim.add_entity(Ticker { rewind: false });
     sim.run();
     assert_eq!(sim.now(), SimTime::new(30.0));
     assert_eq!(sim.stats().events_delivered, 3);
@@ -30,21 +38,16 @@ fn intact_run_delivers_in_order() {
 #[test]
 #[should_panic(expected = "event from the past")]
 fn reordered_event_trips_the_monotonicity_assert() {
-    let mut sim = Simulation::new(7, ());
-    sim.add_entity(Ticker);
-    // Deliver the t=10 event, so the clock sits at 10 with t=20/t=30
-    // pending...
-    sim.run_to(SimTime::new(15.0));
-    assert_eq!(sim.now(), SimTime::new(15.0));
-    // ...then corrupt the earliest pending event back to t=5 and keep
-    // running: the engine must refuse to run its clock backwards.
-    assert!(sim.corrupt_earliest_event_time(SimTime::new(5.0)));
+    // The clock sits at 10 when the t = 20 timer is rewound to t = 5: the
+    // engine must refuse to run its clock backwards.
+    let mut sim = Simulation::new(());
+    sim.add_entity(Ticker { rewind: true });
     sim.run();
 }
 
-/// An entity whose timer sends a message, so the only pending event
-/// afterwards sits in the queue's FIFO lane: a corruption that missed the
-/// lane would find nothing to rewind.
+/// An entity whose timer sends a message and then rewinds it to t = 5, so
+/// the rewound event sits in the queue's FIFO lane: a corruption that
+/// missed the lane would find nothing to rewind.
 struct Messenger;
 
 impl Entity<u32> for Messenger {
@@ -55,6 +58,8 @@ impl Entity<u32> for Messenger {
     fn on_event(&mut self, event: Event<u32>, ctx: &mut Context<'_, u32>) {
         if event.payload == 1 {
             ctx.send(ctx.self_id(), 10.0, 2);
+            // The t = 20 message, the lane's head, is the only pending event.
+            assert!(ctx.corrupt_earliest_event_time(SimTime::new(5.0)));
         }
     }
 }
@@ -62,11 +67,8 @@ impl Entity<u32> for Messenger {
 #[test]
 #[should_panic(expected = "event from the past")]
 fn reordered_lane_event_trips_the_monotonicity_assert() {
-    let mut sim = Simulation::new(7, ());
+    let mut sim = Simulation::new(());
     sim.add_entity(Messenger);
-    sim.run_to(SimTime::new(15.0));
-    // The t=20 message, the lane's head, is the only pending event.
-    assert!(sim.corrupt_earliest_event_time(SimTime::new(5.0)));
     sim.run();
 }
 

@@ -87,7 +87,7 @@ struct MonotoneChecker {
 impl Entity<u32> for MonotoneChecker {
     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
         for (i, d) in self.to_schedule.iter().enumerate() {
-            ctx.timer(*d, i as u32);
+            ctx.timer_at(ctx.now().after(*d), i as u32);
         }
     }
     fn on_event(&mut self, event: Event<u32>, ctx: &mut Context<'_, u32>) {
@@ -98,7 +98,7 @@ impl Entity<u32> for MonotoneChecker {
         self.last_seen = now;
         // Occasionally fan out more work to exercise interleaving.
         if event.payload % 7 == 0 && now < 1_000.0 {
-            ctx.timer(3.0, event.payload + 1);
+            ctx.timer_at(ctx.now().after(3.0), event.payload + 1);
         }
     }
 }
@@ -106,21 +106,21 @@ impl Entity<u32> for MonotoneChecker {
 proptest! {
     #![proptest_config(ProptestConfig::default())]
     /// The simulation clock never moves backwards regardless of how timers
-    /// are scheduled.
+    /// are scheduled.  A follow-up timer never schedules another, so every
+    /// run drains.
     #[test]
-    fn clock_never_goes_backwards(delays in proptest::collection::vec(0.0f64..500.0, 1..64), seed in any::<u64>()) {
-        let mut sim = Simulation::new(seed, ());
+    fn clock_never_goes_backwards(delays in proptest::collection::vec(0.0f64..500.0, 1..64)) {
+        let mut sim = Simulation::new(());
         sim.add_entity(MonotoneChecker {
             to_schedule: delays,
             last_seen: 0.0,
             violations: 0,
         });
-        sim.set_max_events(10_000);
         sim.run();
-        // The checker records violations internally; the engine also
-        // debug-asserts, but in release proptest runs we re-verify via stats:
-        prop_assert!(sim.stats().events_delivered > 0);
-        prop_assert!(sim.now().as_secs() >= 0.0);
+        // The engine also debug-asserts monotonicity, but release proptest
+        // runs rely on what the checker saw.
+        prop_assert_eq!(sim.entities()[0].violations, 0);
+        prop_assert_eq!(sim.stats().events_delivered, sim.stats().events_scheduled);
     }
 }
 
@@ -184,7 +184,7 @@ impl Entity<u32> for ScriptMixer {
         self.delivered.push((event.time.as_secs().to_bits(), event.seq));
         for _ in 0..FOLLOWUPS_PER_EVENT {
             if let Some(delay) = self.followups.get(self.next) {
-                ctx.timer(f64::from(*delay), 0);
+                ctx.timer_at(ctx.now().after(f64::from(*delay)), 0);
                 self.next += 1;
             }
         }
@@ -202,7 +202,7 @@ proptest! {
         batch in proptest::collection::vec(0u32..20, 0..80),
         followups in proptest::collection::vec(0u32..6, 0..120),
     ) {
-        let mut sim = Simulation::new(1, ());
+        let mut sim = Simulation::new(());
         sim.add_entity(ScriptMixer {
             batch: batch.clone(),
             script: None,
@@ -319,7 +319,7 @@ proptest! {
         draws in proptest::collection::vec(0u32..64, 0..160),
     ) {
         let followups: Vec<Followup> = draws.iter().map(|d| Followup::from_draw(*d)).collect();
-        let mut sim = Simulation::new(1, ());
+        let mut sim = Simulation::new(());
         sim.add_entity(LaneMixer {
             batch: batch.clone(),
             script: None,
@@ -370,8 +370,6 @@ enum QueueOp {
     Timer(u32),
     /// `pop`.
     Pop,
-    /// `pop_at_or_before(last pop + window)`.
-    PopWithin(u32),
     /// `reserve` a block of this many timers, pushed one at a time in
     /// `(time, seq)` order: each when its predecessor pops.
     Reserve(u32),
@@ -384,8 +382,7 @@ impl QueueOp {
             0..=4 => QueueOp::Send,
             5 => QueueOp::Delayed(1 + arg),
             6..=8 => QueueOp::Timer(arg),
-            9..=11 => QueueOp::Pop,
-            12..=14 => QueueOp::PopWithin(arg),
+            9..=14 => QueueOp::Pop,
             _ => QueueOp::Reserve(1 + arg),
         }
     }
@@ -442,8 +439,8 @@ impl Blocks {
 
 proptest! {
     #![proptest_config(ProptestConfig::default())]
-    /// Driven directly by a random script of pushes, pops, bounded pops and
-    /// reserved blocks, the engine's queue returns exactly the `(time, seq,
+    /// Driven directly by a random script of pushes, pops and reserved
+    /// blocks, the engine's queue returns exactly the `(time, seq,
     /// payload)` sequence the plain binary-heap queue returns when every
     /// reserved block is pushed up front.  Every event carries a unique
     /// payload, so an event delivered from the wrong container shows up
@@ -500,14 +497,6 @@ proptest! {
                 QueueOp::Pop => {
                     let expected = reference.pop();
                     (queue.pop(), expected)
-                }
-                QueueOp::PopWithin(window) => {
-                    let limit = SimTime::new(f64::from(now + window));
-                    let expected = match reference.peek_time() {
-                        Some(t) if t <= limit => reference.pop(),
-                        _ => None,
-                    };
-                    (queue.pop_at_or_before(limit), expected)
                 }
             };
             blocks.popped(got.as_ref(), &mut queue);

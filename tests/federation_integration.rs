@@ -266,6 +266,12 @@ fn small_federation(config: FederationConfig) -> FederationReport {
 /// doubles the events, sends the negotiation legs to the heap or schedules
 /// a GFA's script up front shows here first.
 fn work_counts(report: &FederationReport) -> [u64; 7] {
+    // A run ends when the future-event list drains: every scheduled event
+    // was delivered.
+    assert_eq!(
+        report.engine.events_scheduled,
+        report.engine.events_delivered
+    );
     [
         report.engine.events_delivered,
         report.engine.lane_pushes,
