@@ -1,7 +1,7 @@
 //! Cross-crate integration tests exercising the public API end to end:
 //! SWF traces → jobs → federation runs → reports, scheduling-mode and
 //! LRMS-policy comparisons on identical workloads, and the pinned work
-//! counts of three small federations.
+//! counts of four small federations.
 
 use grid_cluster::{paper_resources, ResourceSpec};
 use grid_experiments::exp6::DEFAULT_LEVELS;
@@ -310,4 +310,16 @@ fn maan_churn_faults_work_counts_are_pinned() {
         ..FederationConfig::default()
     });
     assert_eq!(work_counts(&report), [1397, 837, 76, 282, 22, 25, 257]);
+}
+
+/// The one pinned EASY federation: no experiment runs EASY, so its work
+/// counts and run digest are what hold its schedule fixed.
+#[test]
+fn easy_work_counts_and_digest_are_pinned() {
+    let report = small_federation(FederationConfig {
+        lrms: LrmsKind::EasyBackfilling,
+        ..FederationConfig::default()
+    });
+    assert_eq!(work_counts(&report), [1318, 888, 71, 336, 0, 269, 67]);
+    assert_eq!(report.digest.to_string(), "6bc30359362e17b1 29b4b8823d72d51e 1949");
 }
