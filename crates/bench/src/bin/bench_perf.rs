@@ -46,7 +46,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use grid_bench::{bench_quote, populated_directory};
-use grid_cluster::{ClusterJob, EasyBackfilling, LocalScheduler, SpaceSharedFcfs, StartedJob};
+use grid_cluster::{ClusterJob, LocalScheduler, SpaceShared, StartedJob};
 use grid_des::{BinaryHeapEventQueue, Context, Entity, EntityId, Event, EventKind, EventQueue, SimTime, Simulation};
 use grid_directory::{AnyDirectory, FederationDirectory, MaanDirectory, RankOrder};
 use grid_experiments::workloads::{replicated_workloads, scaled_stream_config, WorkloadOptions};
@@ -210,7 +210,7 @@ fn bench_dispatch(events: u64) -> f64 {
 
 /// Builds a scheduler with a deep queue: 4 running jobs and 128 queued ones
 /// (the acceptance criterion's "loaded 128-job queue").
-fn loaded<S: LocalScheduler>(mut scheduler: S) -> S {
+fn loaded(mut scheduler: SpaceShared) -> SpaceShared {
     let mut sink = Vec::new();
     for i in 0..132usize {
         scheduler.submit_into(
@@ -228,11 +228,7 @@ fn loaded<S: LocalScheduler>(mut scheduler: S) -> S {
 }
 
 /// (incremental ns/quote, replay ns/quote), asserting bit-identical answers.
-fn bench_estimator<S: LocalScheduler>(
-    scheduler: &S,
-    quotes: usize,
-    oracle: impl Fn(&S, u32, f64, f64) -> f64,
-) -> (f64, f64) {
+fn bench_estimator(scheduler: &SpaceShared, quotes: usize) -> (f64, f64) {
     // Varying probe shapes, drawn before the clock starts, so each quote
     // answers a distinct question from one profile, as the DBC loop does.
     let probes: Vec<(u32, f64)> = (0..quotes)
@@ -252,7 +248,7 @@ fn bench_estimator<S: LocalScheduler>(
     let rep_secs = best_of(2, || {
         let (secs, _) = timed(|| {
             for (i, (fast, &(procs, service))) in incremental.iter().zip(&probes).enumerate().take(replay_quotes) {
-                let slow = oracle(scheduler, procs, service, 10.0);
+                let slow = scheduler.estimate_completion_replay(procs, service, 10.0);
                 assert_eq!(
                     slow.to_bits(),
                     fast.to_bits(),
@@ -271,7 +267,7 @@ fn bench_estimator<S: LocalScheduler>(
 /// A 128-PE FCFS cluster of 4-PE jobs, 32 running and 128 queued: each
 /// on-time finish starts exactly one queued job, so the queue stays at 128.
 struct AcceptCycle {
-    lrms: SpaceSharedFcfs,
+    lrms: SpaceShared,
     running: Vec<StartedJob>,
     now: f64,
     seq: usize,
@@ -282,7 +278,7 @@ impl AcceptCycle {
 
     fn new() -> Self {
         let mut cycle = AcceptCycle {
-            lrms: SpaceSharedFcfs::new(128),
+            lrms: SpaceShared::new(128),
             running: Vec::new(),
             now: 0.0,
             seq: 0,
@@ -308,7 +304,7 @@ impl AcceptCycle {
 
     /// One accept cycle: submit a job, finish the earliest running one on
     /// time, then quote with `quote`.
-    fn step(&mut self, quote: impl Fn(&SpaceSharedFcfs, u32, f64, f64) -> f64) -> f64 {
+    fn step(&mut self, quote: impl Fn(&SpaceShared, u32, f64, f64) -> f64) -> f64 {
         self.submit();
         let (idx, next) = self
             .running
@@ -332,7 +328,7 @@ fn bench_accept_cycle(cycles: usize) -> f64 {
         let mut cycle = AcceptCycle::new();
         let (secs, _) = timed(|| {
             for slot in &mut quotes {
-                *slot = cycle.step(SpaceSharedFcfs::estimate_completion);
+                *slot = cycle.step(SpaceShared::estimate_completion);
             }
         });
         assert_eq!(cycle.lrms.queued_count(), AcceptCycle::QUEUED);
@@ -340,7 +336,7 @@ fn bench_accept_cycle(cycles: usize) -> f64 {
     });
     let mut oracle = AcceptCycle::new();
     for (i, fast) in quotes.iter().enumerate() {
-        let slow = oracle.step(SpaceSharedFcfs::estimate_completion_replay);
+        let slow = oracle.step(SpaceShared::estimate_completion_replay);
         assert_eq!(
             slow.to_bits(),
             fast.to_bits(),
@@ -486,12 +482,8 @@ fn main() {
     let dispatch_eps = bench_dispatch(dispatch_events);
 
     eprintln!("[3/5] admission-control estimator ({quotes} quotes and {accept_cycles} accept cycles, 128-job queue)…");
-    let fcfs = loaded(SpaceSharedFcfs::new(128));
-    let (fcfs_inc, fcfs_rep) =
-        bench_estimator(&fcfs, quotes, |s, p, t, now| s.estimate_completion_replay(p, t, now));
-    let easy = loaded(EasyBackfilling::new(128));
-    let (easy_inc, easy_rep) =
-        bench_estimator(&easy, quotes, |s, p, t, now| s.estimate_completion_replay(p, t, now));
+    let (fcfs_inc, fcfs_rep) = bench_estimator(&loaded(SpaceShared::new(128)), quotes);
+    let (easy_inc, easy_rep) = bench_estimator(&loaded(SpaceShared::backfilling(128)), quotes);
     let accept_cycle_ns = bench_accept_cycle(accept_cycles);
 
     eprintln!(
@@ -656,8 +648,8 @@ mod tests {
     fn the_accept_cycle_keeps_its_queue_and_matches_the_replay_oracle() {
         let (mut fast, mut slow) = (AcceptCycle::new(), AcceptCycle::new());
         for i in 0..200 {
-            let quote = fast.step(SpaceSharedFcfs::estimate_completion);
-            assert_eq!(quote.to_bits(), slow.step(SpaceSharedFcfs::estimate_completion_replay).to_bits(), "cycle {i}");
+            let quote = fast.step(SpaceShared::estimate_completion);
+            assert_eq!(quote.to_bits(), slow.step(SpaceShared::estimate_completion_replay).to_bits(), "cycle {i}");
             assert_eq!(fast.lrms.queued_count(), AcceptCycle::QUEUED);
         }
     }

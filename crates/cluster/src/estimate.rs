@@ -1,4 +1,4 @@
-//! Incremental admission-control estimation shared by the local schedulers.
+//! Incremental admission-control estimation for the local scheduler.
 //!
 //! The GFA's DBC loop asks "when would this job finish if accepted now?"
 //! (Eq. 2 / Algorithm 1) once per candidate per negotiation round, so a
@@ -31,7 +31,7 @@
 //!   ([`QuoteCache::keep_across_finish`]).
 //!
 //! Any other finish, a state change outside the window, and every state
-//! change of the EASY scheduler (whose backfilling may start a job ahead of
+//! change under EASY backfilling (which may start a job ahead of
 //! the queue) bump the epoch instead.
 //!
 //! The original replay estimator is retained as [`replay_estimate`]: it is

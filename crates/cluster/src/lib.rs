@@ -12,31 +12,28 @@
 //! * [`cost`] — the execution-time model of Eq. 2–3 (pricing and the
 //!   budget/deadline rules of Eq. 4 and 7–8 live in the federation core's
 //!   charging policy),
-//! * [`lrms`] — the space-shared FCFS local scheduler (queue, allocation,
+//! * [`lrms`] — the space-shared local scheduler (queue, allocation,
 //!   completion-time estimation for admission control, utilization
-//!   accounting),
-//! * [`backfill`] — an EASY-backfilling variant (not part of the paper's
-//!   configuration, but a natural extension the paper's future-work section
-//!   gestures at).
+//!   accounting), FCFS as in the paper or with EASY backfilling (not part
+//!   of the paper's configuration, but a natural extension the paper's
+//!   future-work section gestures at).
 //!
-//! The LRMS types are deliberately *passive* state machines: they are driven
-//! by whoever owns the clock (the GFA entities inside `grid-federation-core`,
-//! or unit tests calling them directly), and they never schedule events
-//! themselves.  That keeps them reusable both inside the discrete-event
+//! The LRMS is deliberately a *passive* state machine: it is driven by
+//! whoever owns the clock (the GFA entities inside `grid-federation-core`,
+//! or unit tests calling it directly), and it never schedules events
+//! itself.  That keeps it reusable both inside the discrete-event
 //! simulation and in standalone analytical tests.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod backfill;
 pub mod catalog;
 pub mod cost;
 mod estimate;
 pub mod lrms;
 pub mod resource;
 
-pub use backfill::EasyBackfilling;
 pub use catalog::{paper_resources, replicated_resources, PaperResource};
 pub use cost::{completion_time, service_time};
-pub use lrms::{ClusterJob, LocalScheduler, SpaceSharedFcfs, StartedJob};
+pub use lrms::{ClusterJob, LocalScheduler, SpaceShared, SpaceSharedFcfs, StartedJob};
 pub use resource::ResourceSpec;

@@ -11,27 +11,9 @@
 //! in between.  The case count is the shim default, so
 //! `PROPTEST_CASES=4096` buys a deeper run.
 
-use grid_cluster::{ClusterJob, EasyBackfilling, LocalScheduler, SpaceSharedFcfs, StartedJob};
+use grid_cluster::{ClusterJob, LocalScheduler, SpaceShared, StartedJob};
 use grid_workload::JobId;
 use proptest::prelude::*;
-
-/// The schedulers expose their retained replay estimator as an inherent
-/// method; this local trait lets the differential driver stay generic.
-trait ReplayOracle: LocalScheduler {
-    fn oracle(&self, processors: u32, service_time: f64, now: f64) -> f64;
-}
-
-impl ReplayOracle for SpaceSharedFcfs {
-    fn oracle(&self, processors: u32, service_time: f64, now: f64) -> f64 {
-        self.estimate_completion_replay(processors, service_time, now)
-    }
-}
-
-impl ReplayOracle for EasyBackfilling {
-    fn oracle(&self, processors: u32, service_time: f64, now: f64) -> f64 {
-        self.estimate_completion_replay(processors, service_time, now)
-    }
-}
 
 #[derive(Debug, Clone)]
 struct Step {
@@ -59,7 +41,14 @@ fn step() -> impl Strategy<Value = Step> {
         0.0f64..2_000.0,
     )
         .prop_map(
-            |(arrival_gap, procs_fraction, service, quote_gap, probe_procs_fraction, probe_service)| Step {
+            |(
+                arrival_gap,
+                procs_fraction,
+                service,
+                quote_gap,
+                probe_procs_fraction,
+                probe_service,
+            )| Step {
                 arrival_gap,
                 procs_fraction,
                 service,
@@ -111,14 +100,14 @@ fn procs_for(total: u32, fraction: f64) -> u32 {
 /// Drives one scheduler through the whole random sequence, comparing the
 /// incremental estimator against the replay oracle after every state change
 /// and between state changes.
-fn differential_drive<S: ReplayOracle>(scheduler: &mut S, total: u32, steps: &[Step]) {
+fn differential_drive(scheduler: &mut SpaceShared, total: u32, steps: &[Step]) {
     let mut running: Vec<StartedJob> = Vec::new();
     let mut scratch: Vec<StartedJob> = Vec::new();
     let mut now = 0.0f64;
 
-    let check = |s: &S, probe_procs: u32, probe_service: f64, at: f64| {
+    let check = |s: &SpaceShared, probe_procs: u32, probe_service: f64, at: f64| {
         let incremental = s.estimate_completion(probe_procs, probe_service, at);
-        let oracle = s.oracle(probe_procs, probe_service, at);
+        let oracle = s.estimate_completion_replay(probe_procs, probe_service, at);
         assert_eq!(
             incremental.to_bits(),
             oracle.to_bits(),
@@ -188,7 +177,7 @@ proptest! {
         procs_pow in 3u32..9,
     ) {
         let total = 1u32 << procs_pow;
-        let mut scheduler = SpaceSharedFcfs::new(total);
+        let mut scheduler = SpaceShared::new(total);
         differential_drive(&mut scheduler, total, &steps);
     }
 
@@ -201,7 +190,7 @@ proptest! {
         procs_pow in 3u32..9,
     ) {
         let total = 1u32 << procs_pow;
-        let mut scheduler = EasyBackfilling::new(total);
+        let mut scheduler = SpaceShared::backfilling(total);
         differential_drive(&mut scheduler, total, &steps);
     }
 
@@ -213,7 +202,7 @@ proptest! {
         procs_pow in 3u32..9,
     ) {
         let total = 1u32 << procs_pow;
-        let mut scheduler = SpaceSharedFcfs::new(total);
+        let mut scheduler = SpaceShared::new(total);
         differential_drive(&mut scheduler, total, &steps);
     }
 
@@ -224,7 +213,7 @@ proptest! {
         procs_pow in 3u32..9,
     ) {
         let total = 1u32 << procs_pow;
-        let mut scheduler = EasyBackfilling::new(total);
+        let mut scheduler = SpaceShared::backfilling(total);
         differential_drive(&mut scheduler, total, &steps);
     }
 }

@@ -1,9 +1,9 @@
-//! Property-based tests for the local schedulers: the space-shared FCFS
-//! policy and the EASY-backfilling variant must never over-allocate
+//! Property-based tests for the local scheduler: the space-shared FCFS
+//! policy and its EASY-backfilling variant must never over-allocate
 //! processors, must account utilization consistently, and their
 //! completion-time estimators must be safe (never optimistic for FCFS).
 
-use grid_cluster::{ClusterJob, EasyBackfilling, LocalScheduler, SpaceSharedFcfs};
+use grid_cluster::{ClusterJob, LocalScheduler, SpaceShared};
 use grid_workload::JobId;
 use proptest::prelude::*;
 
@@ -26,8 +26,8 @@ fn job_input() -> impl Strategy<Value = JobInput> {
 
 /// Drives a scheduler through a whole workload, checking capacity and time
 /// monotonicity at every step, and returns (completed jobs, makespan).
-fn drive<S: LocalScheduler>(
-    scheduler: &mut S,
+fn drive(
+    scheduler: &mut SpaceShared,
     total_procs: u32,
     inputs: &[JobInput],
 ) -> (usize, f64) {
@@ -100,7 +100,7 @@ proptest! {
             })
             .sum();
 
-        let mut fcfs = SpaceSharedFcfs::new(total_procs);
+        let mut fcfs = SpaceShared::new(total_procs);
         let (completed, makespan) = drive(&mut fcfs, total_procs, &inputs);
         prop_assert_eq!(completed, inputs.len());
         prop_assert_eq!(fcfs.busy_processors(), 0);
@@ -110,7 +110,7 @@ proptest! {
             "FCFS busy {} != submitted work {}", busy, total_work);
         prop_assert!(busy <= f64::from(total_procs) * makespan * (1.0 + 1e-9));
 
-        let mut easy = EasyBackfilling::new(total_procs);
+        let mut easy = SpaceShared::backfilling(total_procs);
         let (completed_e, makespan_e) = drive(&mut easy, total_procs, &inputs);
         prop_assert_eq!(completed_e, inputs.len());
         prop_assert_eq!(easy.busy_processors(), 0);
@@ -131,7 +131,7 @@ proptest! {
         procs_pow in 3u32..8,
     ) {
         let total_procs = 1u32 << procs_pow;
-        let mut fcfs = SpaceSharedFcfs::new(total_procs);
+        let mut fcfs = SpaceShared::new(total_procs);
         let mut running: Vec<grid_cluster::StartedJob> = Vec::new();
         let mut now = 0.0;
         for (i, input) in inputs.iter().enumerate() {

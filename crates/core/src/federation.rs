@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use grid_cluster::ResourceSpec;
+use grid_cluster::{LocalScheduler, ResourceSpec};
 use grid_des::{
     DedupWindow, LinkFaults, NetworkFaultConfig, SimRng, SimStats, Simulation,
     TransmissionPlan,
@@ -40,12 +40,15 @@ pub enum SchedulingMode {
     Economy,
 }
 
-/// Which local scheduler each cluster runs.
+/// The policy of each cluster's space-shared LRMS
+/// ([`grid_cluster::SpaceShared`]), the one LRMS selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LrmsKind {
-    /// Space-shared FCFS, as in the paper (GridSim `SpaceShared`).
+    /// Space-shared FCFS, as in the paper (GridSim `SpaceShared`):
+    /// [`grid_cluster::SpaceShared::new`].
     SpaceSharedFcfs,
-    /// EASY backfilling, an extension beyond the paper's configuration.
+    /// FCFS with EASY backfilling, an extension beyond the paper's
+    /// configuration: [`grid_cluster::SpaceShared::backfilling`].
     EasyBackfilling,
 }
 

@@ -42,8 +42,8 @@
 use std::collections::BTreeMap;
 
 use grid_cluster::{
-    completion_time, service_time, ClusterJob, EasyBackfilling, LocalScheduler, ResourceSpec,
-    SpaceSharedFcfs, StartedJob,
+    completion_time, service_time, ClusterJob, LocalScheduler, ResourceSpec, SpaceShared,
+    StartedJob,
 };
 use grid_des::{Context, Entity, EntityId, Event, FlowRecord, SimTime, SpanRecord, SpanTrack};
 use grid_directory::{FederationDirectory, Quote, QuoteCache, RankCursor, RankOrder};
@@ -340,7 +340,7 @@ pub struct Gfa {
     mode: SchedulingMode,
     charging: ChargingPolicy,
     latency: f64,
-    pub(crate) lrms: Box<dyn LocalScheduler>,
+    pub(crate) lrms: SpaceShared,
     /// The local users' job arrivals and the scripted and churn-drawn
     /// directory actions, streamed into the event queue one at a time.
     script: Script,
@@ -384,9 +384,9 @@ impl Gfa {
         schedule: GfaSchedule,
         config: &FederationConfig,
     ) -> Self {
-        let lrms: Box<dyn LocalScheduler> = match config.lrms {
-            LrmsKind::SpaceSharedFcfs => Box::new(SpaceSharedFcfs::new(spec.processors)),
-            LrmsKind::EasyBackfilling => Box::new(EasyBackfilling::new(spec.processors)),
+        let lrms = match config.lrms {
+            LrmsKind::SpaceSharedFcfs => SpaceShared::new(spec.processors),
+            LrmsKind::EasyBackfilling => SpaceShared::backfilling(spec.processors),
         };
         let churn = config.churn.as_ref();
         let own_jobs = OwnJobs::new(index, &local_jobs);
@@ -525,11 +525,11 @@ impl Gfa {
     fn update_lrms(
         &mut self,
         ctx: &mut Ctx<'_>,
-        update: impl FnOnce(&mut dyn LocalScheduler, &mut Vec<StartedJob>),
+        update: impl FnOnce(&mut SpaceShared, &mut Vec<StartedJob>),
     ) {
         let mut started = std::mem::take(&mut self.scratch);
         started.clear();
-        update(self.lrms.as_mut(), &mut started);
+        update(&mut self.lrms, &mut started);
         for s in &started {
             if let Some(ExecutingJob::Own { start, .. } | ExecutingJob::Remote { start, .. }) =
                 self.executing.get_mut(&s.id)
