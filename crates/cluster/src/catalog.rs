@@ -119,15 +119,24 @@ mod tests {
         let rs = paper_resources();
         assert_eq!(rs.len(), 8);
         let total_procs: u32 = rs.iter().map(|r| r.spec.processors).sum();
-        assert_eq!(total_procs, 512 + 100 + 1024 + 2048 + 128 + 416 + 1152 + 128);
+        assert_eq!(
+            total_procs,
+            512 + 100 + 1024 + 2048 + 128 + 416 + 1152 + 128
+        );
         // Quote column of Table 1.
         let quotes: Vec<f64> = rs.iter().map(|r| r.spec.price).collect();
         assert_eq!(quotes, vec![4.84, 5.12, 3.98, 3.59, 5.3, 4.04, 4.16, 5.24]);
         // NASA iPSC is the fastest, LANL Origin the cheapest — the two poles
         // the OFT/OFC strategies gravitate towards.
-        let fastest = rs.iter().max_by(|a, b| a.spec.mips.total_cmp(&b.spec.mips)).unwrap();
+        let fastest = rs
+            .iter()
+            .max_by(|a, b| a.spec.mips.total_cmp(&b.spec.mips))
+            .unwrap();
         assert_eq!(fastest.spec.name, "NASA iPSC");
-        let cheapest = rs.iter().min_by(|a, b| a.spec.price.total_cmp(&b.spec.price)).unwrap();
+        let cheapest = rs
+            .iter()
+            .min_by(|a, b| a.spec.price.total_cmp(&b.spec.price))
+            .unwrap();
         assert_eq!(cheapest.spec.name, "LANL Origin");
     }
 
@@ -156,9 +165,17 @@ mod tests {
     fn only_the_sdsc_machines_are_oversubscribed() {
         for r in paper_resources() {
             if r.spec.name.starts_with("SDSC Blue") || r.spec.name.starts_with("SDSC SP2") {
-                assert!(r.offered_load > 1.0, "{} should be oversubscribed", r.spec.name);
+                assert!(
+                    r.offered_load > 1.0,
+                    "{} should be oversubscribed",
+                    r.spec.name
+                );
             } else {
-                assert!(r.offered_load < 0.7, "{} should be undersubscribed", r.spec.name);
+                assert!(
+                    r.offered_load < 0.7,
+                    "{} should be undersubscribed",
+                    r.spec.name
+                );
             }
         }
     }

@@ -45,13 +45,20 @@ mod tests {
     fn job() -> Job {
         Job {
             id: JobId { origin: 2, seq: 0 },
-            user: UserId { origin: 2, local: 0 },
+            user: UserId {
+                origin: 2,
+                local: 0,
+            },
             submit: 0.0,
             processors: 32,
             // 1800 s of compute on the 700-MIPS origin.
             length_mi: 1_800.0 * 700.0 * 32.0,
             comm_overhead: 200.0,
-            qos: Qos { budget: 0.0, deadline: 0.0, strategy: Strategy::Ofc },
+            qos: Qos {
+                budget: 0.0,
+                deadline: 0.0,
+                strategy: Strategy::Ofc,
+            },
         }
     }
 

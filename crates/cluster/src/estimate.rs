@@ -273,7 +273,10 @@ impl QuoteCache {
     /// free (the hypothetical job's start, before clamping against `now`).
     fn threshold(&self, processors: u32) -> f64 {
         let idx = self.steps.partition_point(|&(_, f)| f < processors);
-        debug_assert!(idx < self.steps.len(), "capacity check happens before the quote");
+        debug_assert!(
+            idx < self.steps.len(),
+            "capacity check happens before the quote"
+        );
         self.steps[idx].0
     }
 }
@@ -356,14 +359,19 @@ mod tests {
     #[test]
     fn profile_matches_replay_on_a_loaded_machine() {
         let running = vec![started(0, 0.0, 100.0, 12), started(1, 0.0, 60.0, 2)];
-        let queue: VecDeque<ClusterJob> =
-            vec![queued(2, 8, 50.0), queued(3, 10, 30.0)].into_iter().collect();
+        let queue: VecDeque<ClusterJob> = vec![queued(2, 8, 50.0), queued(3, 10, 30.0)]
+            .into_iter()
+            .collect();
         let mut cache = QuoteCache::default();
         for procs in 1..=16u32 {
             for service in [0.0, 40.0, 123.5] {
                 let fast = cache.estimate(16, 14, &running, &queue, 1, procs, service, 10.0);
                 let slow = replay_estimate(16, 14, &running, &queue, procs, service, 10.0);
-                assert_eq!(fast.to_bits(), slow.to_bits(), "procs={procs} service={service}");
+                assert_eq!(
+                    fast.to_bits(),
+                    slow.to_bits(),
+                    "procs={procs} service={service}"
+                );
             }
         }
     }

@@ -31,7 +31,10 @@ impl ResourceSpec {
     pub fn new(name: &str, processors: u32, mips: f64, bandwidth: f64, price: f64) -> Self {
         assert!(processors > 0, "a cluster needs at least one processor");
         assert!(mips > 0.0, "mips must be positive, got {mips}");
-        assert!(bandwidth > 0.0, "bandwidth must be positive, got {bandwidth}");
+        assert!(
+            bandwidth > 0.0,
+            "bandwidth must be positive, got {bandwidth}"
+        );
         assert!(price > 0.0, "price must be positive, got {price}");
         ResourceSpec {
             name: name.to_string(),
@@ -71,7 +74,10 @@ mod tests {
     #[test]
     fn construction_and_derived_quantities() {
         let r = ResourceSpec::new("CTC SP2", 512, 850.0, 2.0, 4.84);
-        assert_eq!((r.processors, r.mips, r.bandwidth, r.price), (512, 850.0, 2.0, 4.84));
+        assert_eq!(
+            (r.processors, r.mips, r.bandwidth, r.price),
+            (512, 850.0, 2.0, 4.84)
+        );
         assert!(format!("{r}").contains("CTC SP2"));
     }
 

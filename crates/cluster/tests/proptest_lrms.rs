@@ -15,22 +15,18 @@ struct JobInput {
 }
 
 fn job_input() -> impl Strategy<Value = JobInput> {
-    (0.0f64..500.0, 0.01f64..1.0, 1.0f64..5_000.0).prop_map(|(arrival_gap, procs_fraction, service)| {
-        JobInput {
+    (0.0f64..500.0, 0.01f64..1.0, 1.0f64..5_000.0).prop_map(
+        |(arrival_gap, procs_fraction, service)| JobInput {
             arrival_gap,
             procs_fraction,
             service,
-        }
-    })
+        },
+    )
 }
 
 /// Drives a scheduler through a whole workload, checking capacity and time
 /// monotonicity at every step, and returns (completed jobs, makespan).
-fn drive(
-    scheduler: &mut SpaceShared,
-    total_procs: u32,
-    inputs: &[JobInput],
-) -> (usize, f64) {
+fn drive(scheduler: &mut SpaceShared, total_procs: u32, inputs: &[JobInput]) -> (usize, f64) {
     let mut running: Vec<grid_cluster::StartedJob> = Vec::new();
     let mut now = 0.0f64;
     let mut completed = 0usize;
@@ -50,7 +46,8 @@ fn drive(
             assert!(scheduler.busy_processors() <= total_procs);
         }
         now = arrival;
-        let procs = ((f64::from(total_procs) * input.procs_fraction).ceil() as u32).clamp(1, total_procs);
+        let procs =
+            ((f64::from(total_procs) * input.procs_fraction).ceil() as u32).clamp(1, total_procs);
         let started = scheduler.submit(
             ClusterJob {
                 id: JobId { origin: 0, seq: i },
@@ -60,7 +57,10 @@ fn drive(
             now,
         );
         running.extend(started);
-        assert!(scheduler.busy_processors() <= total_procs, "over-allocation");
+        assert!(
+            scheduler.busy_processors() <= total_procs,
+            "over-allocation"
+        );
     }
     // Drain the rest.
     let mut makespan = now;
