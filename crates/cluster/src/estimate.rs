@@ -47,9 +47,9 @@ use crate::lrms::{ClusterJob, StartedJob};
 /// Finish event used by the completion-time estimators (a job releasing
 /// `processors` PEs at `time`).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct FinishEvent {
-    pub(crate) time: f64,
-    pub(crate) processors: u32,
+struct FinishEvent {
+    time: f64,
+    processors: u32,
 }
 
 impl Eq for FinishEvent {}

@@ -30,12 +30,11 @@
 //! schedule and therefore safe for admission control.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use grid_workload::JobId;
 
-use crate::estimate::{replay_estimate, FinishEvent, QuoteCache};
+use crate::estimate::{replay_estimate, QuoteCache};
 
 /// A job as seen by the LRMS: identity, size and service time.
 ///
@@ -252,24 +251,21 @@ impl SpaceShared {
     /// Earliest time at which `procs` processors will be free, and the number
     /// of processors free at that time, considering only running jobs.
     fn shadow(&self, procs: u32, now: f64) -> (f64, u32) {
-        let mut heap: BinaryHeap<Reverse<FinishEvent>> = self
+        let mut finishes: Vec<(f64, u32)> = self
             .running
             .iter()
-            .map(|r| {
-                Reverse(FinishEvent {
-                    time: r.finish,
-                    processors: r.processors,
-                })
-            })
+            .map(|r| (r.finish, r.processors))
             .collect();
-        let mut free = self.total - self.busy;
-        let mut t = now;
-        while free < procs {
-            let Reverse(ev) = heap.pop().expect("head job fits on the machine");
-            if ev.time > t {
-                t = ev.time;
+        finishes.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let (mut t, mut free) = (now, self.total - self.busy);
+        for (finish, processors) in finishes {
+            if free >= procs {
+                break;
             }
-            free += ev.processors;
+            if finish > t {
+                t = finish;
+            }
+            free += processors;
         }
         (t, free)
     }
