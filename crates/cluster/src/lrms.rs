@@ -278,13 +278,18 @@ impl SpaceShared {
             return;
         };
         let (shadow_time, shadow_free) = self.shadow(head.processors, now);
-        let extra = shadow_free - head.processors;
+        let mut extra = shadow_free - head.processors;
         let mut idx = 1;
         while idx < self.queue.len() {
             let candidate = self.queue[idx];
             let fits_now = candidate.processors <= self.total - self.busy;
             let ends_before_shadow = now + candidate.service_time <= shadow_time + 1e-9;
             if fits_now && (ends_before_shadow || candidate.processors <= extra) {
+                // A job that outlives the shadow time holds its processors
+                // at the head's reservation too.
+                if !ends_before_shadow {
+                    extra -= candidate.processors;
+                }
                 self.queue.remove(idx);
                 started.push(self.start_job(candidate, now));
             } else {
@@ -775,6 +780,24 @@ mod tests {
         let started = s.submit(job(3, 4, 500.0), 0.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].id, jid(3));
+    }
+
+    #[test]
+    fn backfilled_jobs_that_outlive_the_shadow_share_the_spare_processors() {
+        let mut s = SpaceShared::backfilling(10);
+        s.submit(job(0, 6, 100.0), 0.0);
+        s.submit(job(1, 4, 10.0), 0.0);
+        // The head: reserved for t = 100, when 10 PEs are free, 2 spare.
+        s.submit(job(2, 8, 50.0), 0.0);
+        s.submit(job(3, 2, 1_000.0), 0.0);
+        s.submit(job(4, 2, 1_000.0), 0.0);
+        // Jobs 3 and 4 each fit the 2 spare PEs, but not both together.
+        let started = s.on_finished(jid(1), 10.0);
+        assert_eq!(started.len(), 1);
+        assert_eq!(started[0].id, jid(3));
+        let started = s.on_finished(jid(0), 100.0);
+        assert_eq!(started[0].id, jid(2));
+        assert_eq!(started[0].start, 100.0);
     }
 
     #[test]
