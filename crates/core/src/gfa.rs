@@ -364,7 +364,7 @@ pub struct Gfa {
     own_jobs: OwnJobs,
     executing: BTreeMap<JobId, ExecutingJob>,
     /// Reusable buffer for LRMS start notifications, so the steady-state
-    /// event loop performs no per-event allocation.
+    /// event loop performs no per-event allocation; empty between events.
     scratch: Vec<StartedJob>,
 }
 
@@ -519,18 +519,10 @@ impl Gfa {
         admitted
     }
 
-    /// Applies one LRMS `update` (a submission or a completion) and
-    /// registers the jobs it started: remembers their start times and
-    /// schedules their completion timers.
-    fn update_lrms(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        update: impl FnOnce(&mut SpaceShared, &mut Vec<StartedJob>),
-    ) {
-        let mut started = std::mem::take(&mut self.scratch);
-        started.clear();
-        update(&mut self.lrms, &mut started);
-        for s in &started {
+    /// Registers the jobs the last LRMS call appended to `scratch`:
+    /// remembers their start times and schedules their completion timers.
+    fn register_started(&mut self, ctx: &mut Ctx<'_>) {
+        for s in self.scratch.drain(..) {
             if let Some(ExecutingJob::Own { start, .. } | ExecutingJob::Remote { start, .. }) =
                 self.executing.get_mut(&s.id)
             {
@@ -541,7 +533,6 @@ impl Gfa {
                 FedMessage::LocalJobFinished { job: s.id },
             );
         }
-        self.scratch = started;
     }
 
     /// Reserves `job` on the local LRMS as `entry`: admission control
@@ -550,7 +541,8 @@ impl Gfa {
     fn reserve(&mut self, job: ClusterJob, entry: ExecutingJob, ctx: &mut Ctx<'_>) {
         let now = ctx.now().as_secs();
         self.executing.insert(job.id, entry);
-        self.update_lrms(ctx, |lrms, started| lrms.submit_into(job, now, started));
+        self.lrms.submit_into(job, now, &mut self.scratch);
+        self.register_started(ctx);
     }
 
     /// Handles a job arriving from the local user population.
@@ -887,7 +879,8 @@ impl Gfa {
     /// Handles the completion of a job running on the local LRMS.
     fn on_local_job_finished(&mut self, job: JobId, ctx: &mut Ctx<'_>) {
         let now = ctx.now().as_secs();
-        self.update_lrms(ctx, |lrms, started| lrms.on_finished_into(job, now, started));
+        self.lrms.on_finished_into(job, now, &mut self.scratch);
+        self.register_started(ctx);
         let entry = self
             .executing
             .remove(&job)
