@@ -3,7 +3,9 @@
 //! processors, must account utilization consistently, and their
 //! completion-time estimators must be safe (never optimistic for FCFS).
 
-use grid_cluster::{ClusterJob, LocalScheduler, SpaceShared};
+use std::collections::VecDeque;
+
+use grid_cluster::{ClusterJob, LocalScheduler, SpaceShared, StartedJob};
 use grid_workload::JobId;
 use proptest::prelude::*;
 
@@ -24,59 +26,98 @@ fn job_input() -> impl Strategy<Value = JobInput> {
     )
 }
 
-/// Drives a scheduler through a whole workload, checking capacity and time
-/// monotonicity at every step, and returns (completed jobs, makespan).
-fn drive(scheduler: &mut SpaceShared, total_procs: u32, inputs: &[JobInput]) -> (usize, f64) {
-    let mut running: Vec<grid_cluster::StartedJob> = Vec::new();
+/// The driver's view of one run: the running jobs, the queued ones in
+/// submission order, and the queue head's reservation.
+#[derive(Default)]
+struct Run {
+    total: u32,
+    running: Vec<StartedJob>,
+    queued: VecDeque<(JobId, u32)>,
+    reservation: Option<f64>,
+    /// `(reservation, start)` of every head that blocked: its reservation
+    /// when it first blocked, and when it started.
+    heads: Vec<(f64, f64)>,
+    completed: usize,
+    makespan: f64,
+}
+
+impl Run {
+    /// Follows one scheduler call at `now` that started `newly`.  A head
+    /// left blocked is reserved, unless it already is, for the earliest
+    /// time its processors are free given the jobs running then.
+    fn follow(&mut self, newly: Vec<StartedJob>, now: f64) {
+        for s in &newly {
+            if self.queued.front().is_some_and(|q| q.0 == s.id) {
+                self.heads
+                    .extend(self.reservation.take().map(|r| (r, s.start)));
+            }
+            self.queued.retain(|q| q.0 != s.id);
+        }
+        self.running.extend(newly);
+        if let (None, Some(&(_, procs))) = (self.reservation, self.queued.front()) {
+            let mut finishes: Vec<_> = self
+                .running
+                .iter()
+                .map(|r| (r.finish, r.processors))
+                .collect();
+            finishes.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let mut free = self.total - finishes.iter().map(|f| f.1).sum::<u32>();
+            let mut at = now;
+            for (finish, processors) in finishes {
+                if free >= procs {
+                    break;
+                }
+                (at, free) = (finish, free + processors);
+            }
+            self.reservation = Some(at);
+        }
+    }
+}
+
+/// Drives a scheduler through a whole workload, finishing every job at its
+/// recorded time and checking capacity and time monotonicity at every step.
+fn drive(scheduler: &mut SpaceShared, total: u32, inputs: &[JobInput]) -> Run {
+    let mut run = Run {
+        total,
+        ..Run::default()
+    };
     let mut now = 0.0f64;
-    let mut completed = 0usize;
-    for (i, input) in inputs.iter().enumerate() {
-        // Finish everything that ends before this arrival.
-        let arrival = now + input.arrival_gap;
-        while let Some(next) = running
+    // One round per arrival, then one that drains the machine.
+    for (seq, input) in inputs.iter().map(Some).chain([None]).enumerate() {
+        // Finish everything that ends by this arrival.
+        let arrival = input.map_or(f64::INFINITY, |input| now + input.arrival_gap);
+        while let Some(next) = run
+            .running
             .iter()
             .filter(|s| s.finish <= arrival)
             .min_by(|a, b| a.finish.total_cmp(&b.finish))
             .copied()
         {
-            running.retain(|s| s.id != next.id);
-            let newly = scheduler.on_finished(next.id, next.finish);
-            completed += 1;
-            running.extend(newly);
-            assert!(scheduler.busy_processors() <= total_procs);
+            run.running.retain(|s| s.id != next.id);
+            run.follow(scheduler.on_finished(next.id, next.finish), next.finish);
+            run.completed += 1;
+            run.makespan = run.makespan.max(next.finish);
+            assert!(scheduler.busy_processors() <= total);
         }
+        let Some(input) = input else {
+            break;
+        };
         now = arrival;
-        let procs =
-            ((f64::from(total_procs) * input.procs_fraction).ceil() as u32).clamp(1, total_procs);
-        let started = scheduler.submit(
-            ClusterJob {
-                id: JobId { origin: 0, seq: i },
-                processors: procs,
-                service_time: input.service,
-            },
-            now,
-        );
-        running.extend(started);
-        assert!(
-            scheduler.busy_processors() <= total_procs,
-            "over-allocation"
-        );
+        run.makespan = now;
+        let job = ClusterJob {
+            id: JobId { origin: 0, seq },
+            processors: procs_for(total, input.procs_fraction),
+            service_time: input.service,
+        };
+        run.queued.push_back((job.id, job.processors));
+        run.follow(scheduler.submit(job, now), now);
+        assert!(scheduler.busy_processors() <= total, "over-allocation");
     }
-    // Drain the rest.
-    let mut makespan = now;
-    while let Some(next) = running
-        .iter()
-        .min_by(|a, b| a.finish.total_cmp(&b.finish))
-        .copied()
-    {
-        running.retain(|s| s.id != next.id);
-        let newly = scheduler.on_finished(next.id, next.finish);
-        completed += 1;
-        makespan = makespan.max(next.finish);
-        running.extend(newly);
-        assert!(scheduler.busy_processors() <= total_procs);
-    }
-    (completed, makespan)
+    run
+}
+
+fn procs_for(total_procs: u32, fraction: f64) -> u32 {
+    ((f64::from(total_procs) * fraction).ceil() as u32).clamp(1, total_procs)
 }
 
 proptest! {
@@ -93,32 +134,38 @@ proptest! {
         let total_procs = 1u32 << procs_pow;
         let total_work: f64 = inputs
             .iter()
-            .map(|i| {
-                let procs = ((f64::from(total_procs) * i.procs_fraction).ceil() as u32)
-                    .clamp(1, total_procs);
-                i.service * f64::from(procs)
-            })
+            .map(|i| i.service * f64::from(procs_for(total_procs, i.procs_fraction)))
             .sum();
+        for (policy, mut s) in [
+            ("FCFS", SpaceShared::new(total_procs)),
+            ("EASY", SpaceShared::backfilling(total_procs)),
+        ] {
+            let run = drive(&mut s, total_procs, &inputs);
+            prop_assert_eq!(run.completed, inputs.len());
+            prop_assert_eq!(s.busy_processors(), 0);
+            prop_assert_eq!(s.queued_count(), 0);
+            let busy = s.busy_processor_seconds(run.makespan);
+            prop_assert!((busy - total_work).abs() <= 1e-6 * total_work.max(1.0),
+                "{} busy {} != submitted work {}", policy, busy, total_work);
+            prop_assert!(busy <= f64::from(total_procs) * run.makespan * (1.0 + 1e-9));
+        }
+    }
 
-        let mut fcfs = SpaceShared::new(total_procs);
-        let (completed, makespan) = drive(&mut fcfs, total_procs, &inputs);
-        prop_assert_eq!(completed, inputs.len());
-        prop_assert_eq!(fcfs.busy_processors(), 0);
-        prop_assert_eq!(fcfs.queued_count(), 0);
-        let busy = fcfs.busy_processor_seconds(makespan);
-        prop_assert!((busy - total_work).abs() <= 1e-6 * total_work.max(1.0),
-            "FCFS busy {} != submitted work {}", busy, total_work);
-        prop_assert!(busy <= f64::from(total_procs) * makespan * (1.0 + 1e-9));
-
-        let mut easy = SpaceShared::backfilling(total_procs);
-        let (completed_e, makespan_e) = drive(&mut easy, total_procs, &inputs);
-        prop_assert_eq!(completed_e, inputs.len());
-        prop_assert_eq!(easy.busy_processors(), 0);
-        let busy_e = easy.busy_processor_seconds(makespan_e);
-        prop_assert!((busy_e - total_work).abs() <= 1e-6 * total_work.max(1.0));
-        // Backfilling can only help the makespan on identical input when all
-        // arrivals and services are identical... in general it may differ, but
-        // it must never lose or duplicate work (checked above).
+    /// Under EASY, a head that blocks starts no later than the reservation
+    /// it had when it first blocked.  Every job finishes at its recorded
+    /// time, so backfilling may hold the reservation or, as running jobs
+    /// leave, find it earlier, but never delay it.
+    #[test]
+    fn easy_heads_start_by_their_first_reservation(
+        inputs in proptest::collection::vec(job_input(), 1..60),
+        procs_pow in 3u32..9,
+    ) {
+        let total_procs = 1u32 << procs_pow;
+        let run = drive(&mut SpaceShared::backfilling(total_procs), total_procs, &inputs);
+        for (reservation, start) in run.heads {
+            prop_assert!(start <= reservation + 1e-6,
+                "a head reserved for {} started at {}", reservation, start);
+        }
     }
 
     /// For FCFS without future arrivals, the completion-time estimator is
@@ -132,19 +179,17 @@ proptest! {
     ) {
         let total_procs = 1u32 << procs_pow;
         let mut fcfs = SpaceShared::new(total_procs);
-        let mut running: Vec<grid_cluster::StartedJob> = Vec::new();
+        let mut running: Vec<StartedJob> = Vec::new();
         let mut now = 0.0;
         for (i, input) in inputs.iter().enumerate() {
             now += input.arrival_gap;
-            let procs = ((f64::from(total_procs) * input.procs_fraction).ceil() as u32)
-                .clamp(1, total_procs);
+            let procs = procs_for(total_procs, input.procs_fraction);
             running.extend(fcfs.submit(
                 ClusterJob { id: JobId { origin: 0, seq: i }, processors: procs, service_time: input.service },
                 now,
             ));
         }
-        let probe_procs = ((f64::from(total_procs) * probe.procs_fraction).ceil() as u32)
-            .clamp(1, total_procs);
+        let probe_procs = procs_for(total_procs, probe.procs_fraction);
         let estimate = fcfs.estimate_completion(probe_procs, probe.service, now);
 
         // Now actually submit the probe job and replay completions.
