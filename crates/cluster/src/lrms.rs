@@ -69,14 +69,8 @@ pub struct StartedJob {
 /// the next change to that benchmark calls [`SpaceShared`] directly and
 /// deletes this trait.
 pub trait LocalScheduler {
-    /// Total processors managed by this scheduler.
-    fn total_processors(&self) -> u32;
-
     /// Processors currently executing jobs.
     fn busy_processors(&self) -> u32;
-
-    /// Number of running jobs.
-    fn running_count(&self) -> usize;
 
     /// Number of queued (not yet started) jobs.
     fn queued_count(&self) -> usize;
@@ -141,7 +135,6 @@ pub struct SpaceShared {
     // Utilization accounting.
     busy_acc: f64,
     last_change: f64,
-    completed_jobs: u64,
     /// Bumped on every state change the quote profile could not follow in
     /// place (see [`crate::estimate`]): a finish off its recorded time, any
     /// change while no current profile covers `now`, and every EASY change,
@@ -168,7 +161,6 @@ impl SpaceShared {
             backfill: false,
             busy_acc: 0.0,
             last_change: 0.0,
-            completed_jobs: 0,
             epoch: 0,
             quote_cache: RefCell::new(QuoteCache::default()),
         }
@@ -184,12 +176,6 @@ impl SpaceShared {
             backfill: true,
             ..Self::new(processors)
         }
-    }
-
-    /// Number of jobs that have run to completion on this cluster.
-    #[must_use]
-    pub fn completed_jobs(&self) -> u64 {
-        self.completed_jobs
     }
 
     /// The original full-replay estimator, retained as the differential
@@ -300,16 +286,8 @@ impl SpaceShared {
 }
 
 impl LocalScheduler for SpaceShared {
-    fn total_processors(&self) -> u32 {
-        self.total
-    }
-
     fn busy_processors(&self) -> u32 {
         self.busy
-    }
-
-    fn running_count(&self) -> usize {
-        self.running.len()
     }
 
     fn queued_count(&self) -> usize {
@@ -355,7 +333,6 @@ impl LocalScheduler for SpaceShared {
             .unwrap_or_else(|| panic!("job {id} is not running on this cluster"));
         let finished = self.running.swap_remove(pos);
         self.busy -= finished.processors;
-        self.completed_jobs += 1;
         self.start_queued(now, started);
         // Under FCFS a finish the quote profile predicted leaves it exact;
         // any other one invalidates it.
@@ -419,6 +396,22 @@ mod tests {
         ]
     }
 
+    /// Finishes the `started` jobs and every job they free, each at its
+    /// recorded finish time, and returns them in finish order.
+    fn run_to_completion(s: &mut SpaceShared, mut started: Vec<StartedJob>) -> Vec<StartedJob> {
+        let mut finished = Vec::new();
+        while let Some(next) = started
+            .iter()
+            .min_by(|a, b| a.finish.total_cmp(&b.finish))
+            .copied()
+        {
+            started.retain(|x| x.id != next.id);
+            started.extend(s.on_finished(next.id, next.finish));
+            finished.push(next);
+        }
+        finished
+    }
+
     /// Runs `f` under EASY, where it must panic with a message containing
     /// `expected`, then under FCFS, whose panic the calling test's
     /// `should_panic` checks.
@@ -442,7 +435,7 @@ mod tests {
         assert_eq!(started[0].start, 0.0);
         assert_eq!(started[0].finish, 100.0);
         assert_eq!(s.busy_processors(), 8);
-        assert_eq!(s.running_count(), 1);
+        assert_eq!(s.running.len(), 1);
         assert_eq!(s.queued_count(), 0);
     }
 
@@ -476,7 +469,7 @@ mod tests {
         assert_eq!(started[0].start, 100.0);
         assert_eq!(started[1].id, jid(2));
         assert_eq!(s.busy_processors(), 10);
-        assert_eq!(s.completed_jobs(), 1);
+        assert_eq!(s.running.len(), 2);
     }
 
     #[test]
@@ -485,7 +478,7 @@ mod tests {
         s.submit(job(0, 10, 100.0), 0.0);
         s.submit(job(1, 10, 100.0), 0.0); // queued, needs 10, only 6 free
         s.submit(job(2, 4, 10.0), 0.0); // would fit, but FCFS forbids starting it
-        assert_eq!(s.running_count(), 1);
+        assert_eq!(s.running.len(), 1);
         assert_eq!(s.queued_count(), 2);
         assert_eq!(s.busy_processors(), 10);
     }
@@ -496,11 +489,9 @@ mod tests {
         s.submit(job(0, 12, 100.0), 0.0);
         s.submit(job(1, 8, 50.0), 10.0);
         s.submit(job(2, 10, 30.0), 20.0);
-        // Estimate a 6-processor, 40 s job submitted at t = 25.
-        // FCFS replay: job0 runs to 100; job1 starts at 100 (free 4→... wait).
-        // At t=100: job0 done, free = 16; job1 (8) starts → free 8; job2 needs 10 → waits
-        // until job1 finishes at 150 → free 16, job2 starts at 150 (ends 180), free 6;
-        // our 6-proc job starts at 150 as well (6 <= 6) → finishes 190.
+        // Estimate a 6-processor, 40 s job submitted at t = 25.  FCFS replay:
+        // job1 (8) starts when job0 ends at 100; job2 (10) waits for job1 to
+        // end at 150 and leaves 6 free, so our job starts then → ends 190.
         let est = s.estimate_completion(6, 40.0, 25.0);
         assert!((est - 190.0).abs() < 1e-9, "estimate {est}");
         // The incremental profile and the retained replay oracle agree.
@@ -512,22 +503,10 @@ mod tests {
         // Now actually run it and compare.
         let started_new = s.submit(job(3, 6, 40.0), 25.0);
         assert!(started_new.is_empty());
-        let mut finish_of_3 = None;
-        // Drive completions in order of their finish times.
-        let mut started = s.on_finished(jid(0), 100.0);
-        while let Some(next) = started
-            .iter()
-            .min_by(|a, b| a.finish.total_cmp(&b.finish))
-            .copied()
-        {
-            let more = s.on_finished(next.id, next.finish);
-            if next.id == jid(3) {
-                finish_of_3 = Some(next.finish);
-            }
-            started.retain(|x| x.id != next.id);
-            started.extend(more);
-        }
-        assert!((finish_of_3.unwrap() - est).abs() < 1e-9);
+        let started = s.on_finished(jid(0), 100.0);
+        let finished = run_to_completion(&mut s, started);
+        let finish_of_3 = finished.iter().find(|j| j.id == jid(3)).unwrap().finish;
+        assert!((finish_of_3 - est).abs() < 1e-9);
     }
 
     #[test]
@@ -544,22 +523,10 @@ mod tests {
         s.submit(job(0, 12, 100.0), 0.0);
         s.submit(job(1, 8, 50.0), 10.0);
         // A burst of differently-shaped quotes, as the DBC loop issues them.
-        for procs in 1..=16u32 {
-            for service in [0.0, 5.0, 80.0] {
-                let inc = s.estimate_completion(procs, service, 20.0);
-                let oracle = s.estimate_completion_replay(procs, service, 20.0);
-                assert_eq!(
-                    inc.to_bits(),
-                    oracle.to_bits(),
-                    "procs={procs} service={service}"
-                );
-            }
-        }
+        assert_quotes_exact(&s, 20.0);
         // State change invalidates the profile; quotes stay exact.
         s.on_finished(jid(0), 100.0);
-        let inc = s.estimate_completion(16, 10.0, 100.0);
-        let oracle = s.estimate_completion_replay(16, 10.0, 100.0);
-        assert_eq!(inc.to_bits(), oracle.to_bits());
+        assert_quotes_exact(&s, 100.0);
     }
 
     /// Quote profile rebuilds so far.
@@ -569,7 +536,7 @@ mod tests {
 
     /// A burst of quotes at `now`, each bit-identical to the replay oracle.
     fn assert_quotes_exact(s: &SpaceShared, now: f64) {
-        for procs in 1..=s.total_processors() {
+        for procs in 1..=s.total {
             for service in [0.0, 7.5, 80.0] {
                 let inc = s.estimate_completion(procs, service, now);
                 let oracle = s.estimate_completion_replay(procs, service, now);
@@ -763,7 +730,7 @@ mod tests {
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].id, jid(2));
         assert_eq!(started[0].start, 0.0);
-        assert_eq!(s.running_count(), 2);
+        assert_eq!(s.running.len(), 2);
         assert_eq!(s.queued_count(), 1);
     }
 
@@ -811,22 +778,10 @@ mod tests {
             job(4, 6, 30.0),
         ];
         let [fcfs_makespan, easy_makespan] = both_policies(16).map(|mut s| {
-            let mut started: Vec<StartedJob> = Vec::new();
-            for j in jobs {
-                started.extend(s.submit(j, 0.0));
-            }
-            let mut makespan: f64 = 0.0;
-            while let Some(next) = started
-                .iter()
-                .min_by(|a, b| a.finish.total_cmp(&b.finish))
-                .copied()
-            {
-                started.retain(|x| x.id != next.id);
-                started.extend(s.on_finished(next.id, next.finish));
-                makespan = makespan.max(next.finish);
-            }
-            assert_eq!(s.completed_jobs(), 5);
-            makespan
+            let started = jobs.iter().flat_map(|&j| s.submit(j, 0.0)).collect();
+            let finished = run_to_completion(&mut s, started);
+            assert!(s.queue.is_empty() && s.running.is_empty());
+            finished.last().unwrap().finish
         });
         assert!(easy_makespan <= fcfs_makespan + 1e-9);
     }

@@ -40,8 +40,7 @@ pub enum SchedulingMode {
     Economy,
 }
 
-/// The policy of each cluster's space-shared LRMS
-/// ([`grid_cluster::SpaceShared`]), the one LRMS selector.
+/// The policy of each cluster's space-shared LRMS, [`grid_cluster::SpaceShared`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LrmsKind {
     /// Space-shared FCFS, as in the paper (GridSim `SpaceShared`):
