@@ -31,8 +31,8 @@
 //!   ([`QuoteCache::keep_across_finish`]).
 //!
 //! Any other finish, a state change outside the window, and every state
-//! change under EASY backfilling (which may start a job ahead of
-//! the queue) bump the epoch instead.
+//! change under EASY backfilling (which may start a job ahead of the
+//! queue) bump the epoch instead.
 //!
 //! The original replay estimator is retained as [`replay_estimate`]: it is
 //! the differential oracle the property tests compare against and the

@@ -26,7 +26,7 @@ fn job_input() -> impl Strategy<Value = JobInput> {
     )
 }
 
-/// The driver's view of one run: the running jobs, the queued ones in
+/// What [`drive`] tracks of one run: the running jobs, the queued ones in
 /// submission order, and the queue head's reservation.
 #[derive(Default)]
 struct Run {
