@@ -662,14 +662,22 @@ mod tests {
 
     #[test]
     fn utilization_accounting() {
-        for mut s in both_policies(10) {
-            s.submit(job(0, 5, 100.0), 0.0);
-            // At t=100 the job finishes: 5 procs × 100 s = 500 proc·s busy.
-            s.on_finished(jid(0), 100.0);
-            assert!((s.busy_processor_seconds(100.0) - 500.0).abs() < 1e-9);
-            // Idle afterwards: the busy total stays put.
-            assert!((s.busy_processor_seconds(200.0) - 500.0).abs() < 1e-9);
-        }
+        let mut s = SpaceShared::new(10);
+        s.submit(job(0, 5, 100.0), 0.0);
+        // At t=100 the job finishes: 5 procs × 100 s = 500 proc·s busy.
+        s.on_finished(jid(0), 100.0);
+        assert!((s.busy_processor_seconds(100.0) - 500.0).abs() < 1e-9);
+        // Idle afterwards: the busy total stays put.
+        assert!((s.busy_processor_seconds(200.0) - 500.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn utilization_is_tracked_like_fcfs() {
+        let mut s = SpaceShared::backfilling(10);
+        s.submit(job(0, 5, 100.0), 0.0);
+        s.on_finished(jid(0), 100.0);
+        assert!((s.busy_processor_seconds(100.0) - 500.0).abs() < 1e-9);
+        assert!((s.busy_processor_seconds(200.0) - 500.0).abs() < 1e-9);
     }
 
     #[test]
@@ -683,9 +691,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "requests 32 processors")]
     fn oversized_submission_panics() {
-        panics_under_both_policies(16, "requests 32 processors", |mut s| {
-            s.submit(job(0, 32, 10.0), 0.0);
-        });
+        let mut s = SpaceShared::new(16);
+        s.submit(job(0, 32, 10.0), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "requests 99 processors")]
+    fn backfilling_oversized_submission_panics() {
+        let mut s = SpaceShared::backfilling(16);
+        s.submit(job(0, 99, 10.0), 0.0);
     }
 
     #[test]
