@@ -135,12 +135,6 @@ impl GridBank {
         self.owner_earnings[owner]
     }
 
-    /// Total spending of the users local to resource `origin` so far.
-    #[must_use]
-    pub fn spending(&self, origin: usize) -> f64 {
-        self.user_spending[origin]
-    }
-
     /// Spending of every origin's users (indexed by resource).
     #[must_use]
     pub fn all_spending(&self) -> &[f64] {
@@ -214,8 +208,8 @@ mod tests {
         bank.pay(1, 3, 25.0);
         assert!(bank.is_balanced());
         assert_eq!(bank.earnings(1), 150.0);
-        assert_eq!(bank.spending(0), 100.0);
-        assert_eq!(bank.spending(1), 25.0);
+        assert_eq!(bank.all_spending()[0], 100.0);
+        assert_eq!(bank.all_spending()[1], 25.0);
         assert_eq!(bank.total_volume(), 175.0);
         assert_eq!(bank.all_spending().iter().sum::<f64>(), 175.0);
     }
@@ -227,7 +221,7 @@ mod tests {
         let mut bank = GridBank::new(2);
         bank.pay(0, 0, 10.0);
         assert_eq!(bank.earnings(0), 10.0);
-        assert_eq!(bank.spending(0), 10.0);
+        assert_eq!(bank.all_spending()[0], 10.0);
         assert!(bank.is_balanced());
     }
 

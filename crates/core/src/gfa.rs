@@ -410,12 +410,6 @@ impl Gfa {
         }
     }
 
-    /// The resource this GFA manages.
-    #[must_use]
-    pub fn spec(&self) -> &ResourceSpec {
-        &self.spec
-    }
-
     /// Sends one negotiation-protocol message to a *remote* GFA over the
     /// (possibly unreliable) transport.
     ///

@@ -64,15 +64,6 @@ impl SimRng {
         self.inner.gen_range(lo..hi)
     }
 
-    /// Samples a uniform integer in `[lo, hi]` (inclusive).
-    ///
-    /// # Panics
-    /// Panics if `lo > hi`.
-    pub fn uniform_int(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "uniform_int requires lo <= hi ({lo} > {hi})");
-        self.inner.gen_range(lo..=hi)
-    }
-
     /// Bernoulli trial with success probability `p` (clamped to `[0, 1]`).
     pub fn bernoulli(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
@@ -161,7 +152,6 @@ mod tests {
                 a.uniform_range(1.5, 9.5).to_bits(),
                 b.uniform_range(1.5, 9.5).to_bits()
             );
-            assert_eq!(a.uniform_int(3, 1_000), b.uniform_int(3, 1_000));
             assert_eq!(a.bernoulli(0.37), b.bernoulli(0.37));
             assert_eq!(a.exponential(4.0).to_bits(), b.exponential(4.0).to_bits());
         }
@@ -212,16 +202,6 @@ mod tests {
             assert!((2.0..5.0).contains(&v));
         }
         assert_eq!(r.uniform_range(3.0, 3.0), 3.0);
-    }
-
-    #[test]
-    fn uniform_int_bounds() {
-        let mut r = SimRng::from_seed(2);
-        for _ in 0..1000 {
-            let v = r.uniform_int(3, 9);
-            assert!((3..=9).contains(&v));
-        }
-        assert_eq!(r.uniform_int(4, 4), 4);
     }
 
     #[test]

@@ -116,17 +116,6 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Component-wise sum, for aggregating per-GFA caches into one report.
-    #[must_use]
-    pub fn merged(self, other: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-        }
-    }
-}
-
 /// One ranking's cached prefix.
 #[derive(Debug, Clone, Default)]
 struct OrderCache {
@@ -409,14 +398,6 @@ mod tests {
             assert_eq!(cache.stats().misses, 12, "probes after a mutation must re-stream");
             assert_eq!(cache.stats().hits, 0);
         }
-    }
-
-    #[test]
-    fn cache_stats_merge() {
-        let a = CacheStats { hits: 3, misses: 2 };
-        let b = CacheStats { hits: 1, misses: 5 };
-        assert_eq!(a.merged(b), CacheStats { hits: 4, misses: 7 });
-        assert_eq!(CacheStats::default().merged(a), a);
     }
 
     #[test]

@@ -73,12 +73,6 @@ impl IdealDirectory {
         });
     }
 
-    /// All quotes currently subscribed, in subscription order.
-    #[must_use]
-    pub fn quotes(&self) -> &[Quote] {
-        &self.quotes
-    }
-
     /// Resolves the `r`-th quote of `order`, counting the served query
     /// (rank 0 is answered locally and not counted).  O(1): both rank
     /// orders are maintained across mutations.
@@ -303,13 +297,13 @@ mod tests {
     #[test]
     fn rankings_agree_with_a_sorted_oracle() {
         let dir = paper_directory();
-        let mut prices: Vec<f64> = dir.quotes().iter().map(|q| q.price).collect();
+        let mut prices: Vec<f64> = dir.quotes.iter().map(|q| q.price).collect();
         prices.sort_by(f64::total_cmp);
         for (i, price) in prices.iter().enumerate() {
             let got = dir.query_ranked(0, RankOrder::Cheapest, i + 1).quote.unwrap();
             assert_eq!(got.price, *price);
         }
-        let mut speeds: Vec<f64> = dir.quotes().iter().map(|q| q.mips).collect();
+        let mut speeds: Vec<f64> = dir.quotes.iter().map(|q| q.mips).collect();
         speeds.sort_by(|a, b| b.total_cmp(a));
         for (i, mips) in speeds.iter().enumerate() {
             assert_eq!(dir.query_ranked(0, RankOrder::Fastest, i + 1).quote.unwrap().mips, *mips);
@@ -320,7 +314,7 @@ mod tests {
     fn resubscription_overwrites_and_unsubscribe_removes() {
         let mut dir = paper_directory();
         // Make GFA 0 the cheapest by republishing with a lower price.
-        let mut q = *dir.quotes().iter().find(|q| q.gfa == 0).unwrap();
+        let mut q = *dir.quotes.iter().find(|q| q.gfa == 0).unwrap();
         q.price = 1.0;
         let _ = dir.subscribe(q);
         assert_eq!(dir.len(), 8);
@@ -353,12 +347,12 @@ mod tests {
                 0 => 0.01 + step as f64 * 0.003,       // migrate to the front
                 1 => 50.0 - step as f64 * 0.1,         // migrate to the back
                 2 => 3.59,                             // collide with LANL Origin
-                3 => dir.quotes()[gfa.min(dir.len() - 1)].price, // no-op reprice
+                3 => dir.quotes[gfa.min(dir.len() - 1)].price, // no-op reprice
                 _ => 2.0 + ((step * 7) % 11) as f64 * 0.25,
             };
             let _ = dir.update_price(gfa, price);
             let mut oracle: Vec<(f64, usize)> =
-                dir.quotes().iter().map(|q| (q.price, q.gfa)).collect();
+                dir.quotes.iter().map(|q| (q.price, q.gfa)).collect();
             oracle.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             for (i, (price, gfa)) in oracle.iter().enumerate() {
                 let got = dir.query_ranked(0, RankOrder::Cheapest, i + 1).quote.unwrap();

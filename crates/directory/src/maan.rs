@@ -274,16 +274,6 @@ impl MaanDirectory {
             .collect()
     }
 
-    /// Number of entries of `gfa`'s node store in `order` — exposes the
-    /// actual data placement for tests asserting the index is genuinely
-    /// partitioned.
-    #[must_use]
-    pub fn node_entries(&self, gfa: usize, order: RankOrder) -> usize {
-        self.nodes
-            .get(gfa)
-            .map_or(0, |n| n.entries[order.index()].len())
-    }
-
     /// Routed messages from `publisher`'s node to the owner of `key`
     /// (measured closest-preceding-finger hops).
     fn route_hops_from(&self, publisher: usize, key: u64) -> u64 {
@@ -919,6 +909,17 @@ mod tests {
     use super::*;
     use crate::ideal::IdealDirectory;
     use grid_cluster::paper_resources;
+
+    impl MaanDirectory {
+        /// Number of entries of `gfa`'s node store in `order` — the actual
+        /// data placement, for tests asserting the index is genuinely
+        /// partitioned.
+        fn node_entries(&self, gfa: usize, order: RankOrder) -> usize {
+            self.nodes
+                .get(gfa)
+                .map_or(0, |n| n.entries[order.index()].len())
+        }
+    }
 
     fn paper_maan(n_nodes: usize) -> MaanDirectory {
         let mut dir = MaanDirectory::new(n_nodes, 11);

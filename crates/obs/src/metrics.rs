@@ -384,12 +384,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Number of per-GFA scopes.
-    #[must_use]
-    pub fn gfas(&self) -> usize {
-        self.per_gfa.len()
-    }
-
     /// Bumps `counter` by one in GFA `gfa`'s scope and the run scope.
     pub fn inc(&mut self, gfa: usize, counter: Counter) {
         self.add(gfa, counter, 1);

@@ -1,21 +1,11 @@
-//! Probability distributions used by the synthetic workload generator.
+//! The log-normal runtime distribution of the synthetic workload generator.
 //!
-//! Implemented from first principles (inverse-transform, Box–Muller and
-//! Marsaglia–Tsang sampling) so that the workspace does not need `rand_distr`.
-//! Each distribution is a small value type implementing [`Distribution`], and
-//! is sampled with any [`rand::Rng`] — in practice the deterministic
+//! Sampled by the Box–Muller transform, implemented from first principles so
+//! that the workspace does not need `rand_distr`.  [`LogNormal`] is a small
+//! value type sampled with any [`rand::Rng`] — in practice the deterministic
 //! `grid_des::SimRng` stream of the experiment.
 
 use rand::Rng;
-
-/// A continuous probability distribution that can be sampled and described.
-pub trait Distribution {
-    /// Draws one sample.
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64;
-
-    /// Theoretical mean of the distribution (used by calibration code).
-    fn mean(&self) -> f64;
-}
 
 fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Box–Muller transform; rejects u1 == 0 to avoid ln(0).
@@ -25,39 +15,6 @@ fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         if u1 > f64::EPSILON {
             return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         }
-    }
-}
-
-/// Exponential distribution with a given mean (`1/λ`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    mean: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution with the given mean.
-    ///
-    /// # Panics
-    /// Panics unless `mean > 0`.
-    #[must_use]
-    pub fn new(mean: f64) -> Self {
-        assert!(mean > 0.0, "exponential mean must be positive, got {mean}");
-        Exponential { mean }
-    }
-}
-
-impl Distribution for Exponential {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = loop {
-            let u = rng.gen::<f64>();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        -self.mean * u.ln()
-    }
-    fn mean(&self) -> f64 {
-        self.mean
     }
 }
 
@@ -73,16 +30,6 @@ pub struct LogNormal {
 }
 
 impl LogNormal {
-    /// Creates the distribution from the log-space parameters.
-    ///
-    /// # Panics
-    /// Panics if `sigma < 0`.
-    #[must_use]
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(sigma >= 0.0, "sigma must be non-negative, got {sigma}");
-        LogNormal { mu, sigma }
-    }
-
     /// Creates the distribution whose *median* is `median` and whose log-space
     /// standard deviation is `sigma`.  The median form is more intuitive when
     /// calibrating job runtimes ("a typical job runs ~900 s").
@@ -92,215 +39,13 @@ impl LogNormal {
     #[must_use]
     pub fn from_median(median: f64, sigma: f64) -> Self {
         assert!(median > 0.0, "median must be positive, got {median}");
-        LogNormal::new(median.ln(), sigma)
+        assert!(sigma >= 0.0, "sigma must be non-negative, got {sigma}");
+        LogNormal { mu: median.ln(), sigma }
     }
-}
 
-impl Distribution for LogNormal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    /// Draws one sample.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         (self.mu + self.sigma * standard_normal(rng)).exp()
-    }
-    fn mean(&self) -> f64 {
-        (self.mu + self.sigma * self.sigma / 2.0).exp()
-    }
-}
-
-/// Gamma distribution with shape `k` and scale `theta` (Marsaglia–Tsang).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Gamma {
-    shape: f64,
-    scale: f64,
-}
-
-impl Gamma {
-    /// Creates a gamma distribution.
-    ///
-    /// # Panics
-    /// Panics unless both parameters are positive.
-    #[must_use]
-    pub fn new(shape: f64, scale: f64) -> Self {
-        assert!(shape > 0.0, "gamma shape must be positive, got {shape}");
-        assert!(scale > 0.0, "gamma scale must be positive, got {scale}");
-        Gamma { shape, scale }
-    }
-
-    fn sample_standard<R: Rng + ?Sized>(shape: f64, rng: &mut R) -> f64 {
-        if shape < 1.0 {
-            // Boost: Gamma(a) = Gamma(a+1) * U^(1/a)
-            let u: f64 = loop {
-                let u = rng.gen::<f64>();
-                if u > 0.0 {
-                    break u;
-                }
-            };
-            return Self::sample_standard(shape + 1.0, rng) * u.powf(1.0 / shape);
-        }
-        let d = shape - 1.0 / 3.0;
-        let c = 1.0 / (9.0 * d).sqrt();
-        loop {
-            let x = standard_normal(rng);
-            let v = (1.0 + c * x).powi(3);
-            if v <= 0.0 {
-                continue;
-            }
-            let u: f64 = rng.gen::<f64>();
-            if u < 1.0 - 0.0331 * x.powi(4) {
-                return d * v;
-            }
-            if u > 0.0 && u.ln() < 0.5 * x * x + d * (1.0 - v + v.ln()) {
-                return d * v;
-            }
-        }
-    }
-}
-
-impl Distribution for Gamma {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        Self::sample_standard(self.shape, rng) * self.scale
-    }
-    fn mean(&self) -> f64 {
-        self.shape * self.scale
-    }
-}
-
-/// Weibull distribution with shape `k` and scale `lambda`
-/// (inverse-transform sampling).  Used for inter-arrival burstiness studies.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    shape: f64,
-    scale: f64,
-}
-
-impl Weibull {
-    /// Creates a Weibull distribution.
-    ///
-    /// # Panics
-    /// Panics unless both parameters are positive.
-    #[must_use]
-    pub fn new(shape: f64, scale: f64) -> Self {
-        assert!(shape > 0.0, "weibull shape must be positive, got {shape}");
-        assert!(scale > 0.0, "weibull scale must be positive, got {scale}");
-        Weibull { shape, scale }
-    }
-}
-
-impl Distribution for Weibull {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = loop {
-            let u = rng.gen::<f64>();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        self.scale * (-u.ln()).powf(1.0 / self.shape)
-    }
-    fn mean(&self) -> f64 {
-        self.scale * gamma_fn(1.0 + 1.0 / self.shape)
-    }
-}
-
-/// Two-phase hyper-exponential distribution: with probability `p` sample from
-/// an exponential with mean `mean1`, otherwise from one with mean `mean2`.
-/// Captures the "many short jobs, a few very long jobs" shape of real
-/// supercomputer traces.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HyperExponential {
-    p: f64,
-    short: Exponential,
-    long: Exponential,
-}
-
-impl HyperExponential {
-    /// Creates a two-phase hyper-exponential distribution.
-    ///
-    /// # Panics
-    /// Panics unless `p ∈ [0,1]` and both means are positive.
-    #[must_use]
-    pub fn new(p: f64, mean1: f64, mean2: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
-        HyperExponential {
-            p,
-            short: Exponential::new(mean1),
-            long: Exponential::new(mean2),
-        }
-    }
-}
-
-impl Distribution for HyperExponential {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        if rng.gen::<f64>() < self.p {
-            self.short.sample(rng)
-        } else {
-            self.long.sample(rng)
-        }
-    }
-    fn mean(&self) -> f64 {
-        self.p * self.short.mean() + (1.0 - self.p) * self.long.mean()
-    }
-}
-
-/// Log-uniform distribution on `[lo, hi]`: `exp(U(ln lo, ln hi))`.
-/// The classic Feitelson choice for job runtimes when only a range is known.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogUniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl LogUniform {
-    /// Creates a log-uniform distribution over `[lo, hi]`.
-    ///
-    /// # Panics
-    /// Panics unless `0 < lo <= hi`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo > 0.0 && hi >= lo, "need 0 < lo <= hi, got [{lo}, {hi}]");
-        LogUniform { lo, hi }
-    }
-}
-
-impl Distribution for LogUniform {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        if self.lo == self.hi {
-            return self.lo;
-        }
-        let u: f64 = rng.gen::<f64>();
-        (self.lo.ln() + u * (self.hi.ln() - self.lo.ln())).exp()
-    }
-    fn mean(&self) -> f64 {
-        if self.lo == self.hi {
-            self.lo
-        } else {
-            (self.hi - self.lo) / (self.hi.ln() - self.lo.ln())
-        }
-    }
-}
-
-/// Lanczos approximation of the gamma function, needed for the Weibull mean.
-fn gamma_fn(x: f64) -> f64 {
-    // Coefficients for g = 7, n = 9.
-    const G: f64 = 7.0;
-    const COEFFS: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        std::f64::consts::PI / ((std::f64::consts::PI * x).sin() * gamma_fn(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = COEFFS[0];
-        let t = x + G + 0.5;
-        for (i, &c) in COEFFS.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        (2.0 * std::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * a
     }
 }
 
@@ -310,96 +55,18 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(0xC0FFEE)
-    }
-
-    fn sample_mean<D: Distribution>(d: &D, n: usize) -> f64 {
-        let mut r = rng();
-        (0..n).map(|_| d.sample(&mut r)).sum::<f64>() / n as f64
-    }
-
-    #[test]
-    fn exponential_mean_matches() {
-        let d = Exponential::new(42.0);
-        let m = sample_mean(&d, 100_000);
-        assert!((m - 42.0).abs() / 42.0 < 0.03, "mean {m}");
-        assert_eq!(d.mean(), 42.0);
-    }
-
     #[test]
     fn lognormal_mean_and_positivity() {
         let d = LogNormal::from_median(900.0, 1.0);
-        let mut r = rng();
+        let mut r = StdRng::seed_from_u64(0xC0FFEE);
         for _ in 0..10_000 {
             assert!(d.sample(&mut r) > 0.0);
         }
-        let m = sample_mean(&d, 200_000);
-        let expected = d.mean();
+        let n = 200_000;
+        let mut r = StdRng::seed_from_u64(0xC0FFEE);
+        let m = (0..n).map(|_| d.sample(&mut r)).sum::<f64>() / n as f64;
+        // E[exp(N(mu, sigma²))] = exp(mu + sigma² / 2).
+        let expected = (900.0_f64.ln() + 0.5).exp();
         assert!((m - expected).abs() / expected < 0.05, "mean {m} vs {expected}");
-    }
-
-    #[test]
-    fn gamma_mean_matches() {
-        for (shape, scale) in [(0.5, 2.0), (2.0, 3.0), (9.0, 0.5)] {
-            let d = Gamma::new(shape, scale);
-            let m = sample_mean(&d, 100_000);
-            let expected = shape * scale;
-            assert!(
-                (m - expected).abs() / expected < 0.05,
-                "shape {shape} scale {scale}: mean {m} vs {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn weibull_mean_matches() {
-        let d = Weibull::new(1.5, 100.0);
-        let m = sample_mean(&d, 100_000);
-        let expected = d.mean();
-        assert!((m - expected).abs() / expected < 0.05, "mean {m} vs {expected}");
-    }
-
-    #[test]
-    fn hyperexponential_mean_matches() {
-        let d = HyperExponential::new(0.8, 10.0, 1_000.0);
-        assert!((d.mean() - (0.8 * 10.0 + 0.2 * 1_000.0)).abs() < 1e-9);
-        let m = sample_mean(&d, 300_000);
-        assert!((m - d.mean()).abs() / d.mean() < 0.05, "mean {m}");
-    }
-
-    #[test]
-    fn loguniform_bounds_and_mean() {
-        let d = LogUniform::new(10.0, 10_000.0);
-        let mut r = rng();
-        for _ in 0..10_000 {
-            let x = d.sample(&mut r);
-            assert!((10.0..=10_000.0).contains(&x));
-        }
-        let m = sample_mean(&d, 200_000);
-        assert!((m - d.mean()).abs() / d.mean() < 0.05, "mean {m} vs {}", d.mean());
-        let point = LogUniform::new(5.0, 5.0);
-        assert_eq!(point.sample(&mut r), 5.0);
-        assert_eq!(point.mean(), 5.0);
-    }
-
-    #[test]
-    fn gamma_function_known_values() {
-        assert!((gamma_fn(1.0) - 1.0).abs() < 1e-9);
-        assert!((gamma_fn(2.0) - 1.0).abs() < 1e-9);
-        assert!((gamma_fn(5.0) - 24.0).abs() < 1e-6);
-        assert!((gamma_fn(0.5) - std::f64::consts::PI.sqrt()).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn invalid_exponential_panics() {
-        let _ = Exponential::new(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "p must be in [0,1]")]
-    fn invalid_hyperexponential_panics() {
-        let _ = HyperExponential::new(1.5, 1.0, 2.0);
     }
 }

@@ -22,9 +22,9 @@
 //! consumers that still collect eagerly.
 //!
 //! The crate also defines the [`job::Job`] type shared by every other crate
-//! in the workspace, the probability distributions used by the generator
-//! ([`dist`] — implemented from scratch so no extra dependencies are needed),
-//! and the user population machinery that splits users into
+//! in the workspace, the log-normal runtime distribution the generator
+//! samples ([`dist`] — implemented from scratch so no extra dependencies are
+//! needed), and the user population machinery that splits users into
 //! *optimise-for-cost* (OFC) and *optimise-for-time* (OFT) camps
 //! ([`population`]).
 
@@ -38,7 +38,7 @@ pub mod source;
 pub mod swf;
 pub mod synthetic;
 
-pub use dist::{Distribution, Exponential, Gamma, HyperExponential, LogNormal, LogUniform, Weibull};
+pub use dist::LogNormal;
 pub use job::{Job, JobId, Qos, Strategy, UserId};
 pub use population::{PopulationProfile, UserPopulation};
 pub use source::{JobSource, Populated};

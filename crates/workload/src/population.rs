@@ -106,12 +106,6 @@ impl UserPopulation {
         self.strategies.is_empty()
     }
 
-    /// Number of OFT users.
-    #[must_use]
-    pub fn oft_count(&self) -> usize {
-        self.strategies.iter().filter(|s| **s == Strategy::Oft).count()
-    }
-
     /// Assigns the population's strategy to a single job in place — the
     /// per-job primitive behind both [`UserPopulation::apply`] and the
     /// streaming [`crate::source::JobSource::populated`] adapter.  Jobs
@@ -164,7 +158,8 @@ mod tests {
     fn population_has_exact_proportion() {
         for pct in [0, 10, 30, 50, 70, 100] {
             let pop = UserPopulation::new(2, 200, PopulationProfile::new(pct), 42);
-            assert_eq!(pop.oft_count(), 2 * pct as usize, "pct {pct}");
+            let oft = pop.strategies.iter().filter(|&&s| s == Strategy::Oft).count();
+            assert_eq!(oft, 2 * pct as usize, "pct {pct}");
             assert_eq!(pop.len(), 200);
             assert!(!pop.is_empty());
         }

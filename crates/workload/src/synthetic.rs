@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::dist::{Distribution, LogNormal};
+use crate::dist::LogNormal;
 use crate::job::{Job, JobId, UserId};
 use crate::source::JobSource;
 
