@@ -139,6 +139,9 @@ impl SyntheticWorkloadConfig {
         if self.user_count == 0 {
             return Err("user_count must be at least 1".into());
         }
+        if !(0.0..).contains(&self.runtime_sigma) {
+            return Err(format!("runtime_sigma must be non-negative, got {}", self.runtime_sigma));
+        }
         if self.max_runtime < self.min_runtime {
             return Err(format!(
                 "max_runtime ({}) must be at least min_runtime ({})",
@@ -504,6 +507,11 @@ mod tests {
         let mut c = config();
         c.day_night_ratio = 0.5;
         assert!(c.validate().is_err());
+        for sigma in [-0.5, f64::NAN] {
+            let mut c = config();
+            c.runtime_sigma = sigma;
+            assert!(c.validate().is_err(), "sigma {sigma}");
+        }
         assert!(config().validate().is_ok());
     }
 
