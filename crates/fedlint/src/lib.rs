@@ -20,6 +20,7 @@
 //! | `adhoc-print` | sim crates | `println!`/`eprintln!`/`dbg!` outside the obs layer and test code |
 //! | `bare-allow` | whole workspace | an allow escape whose comment does not name the invariant it waives |
 //! | `single-charge-path` | sim crates but `accounting.rs` | writing the message ledger, audit chains, bank or job records outside the accounting fold |
+//! | `unreached-pub` | library crates' `src/` but `bin/` | a `pub` item no other code reaches (see below) |
 //!
 //! The *sim crates* — `grid-des`, `grid-cluster`, `grid-federation-core`,
 //! `grid-directory` — are the ones whose behaviour feeds the rendered paper
@@ -45,7 +46,14 @@
 //! `tests/`/`benches/` targets is exempt from the API-hygiene rules but
 //! still checked for determinism: a flaky test is as expensive as a flaky
 //! run.
+//!
+//! `unreached-pub` is the one rule that needs every file at once: a library
+//! `pub` item is a finding unless its name occurs somewhere outside its own
+//! definition (for a type, also its file's `impl … Type` blocks), its own
+//! file's `#[cfg(test)]` module and `pub use` lines.  A function counts only
+//! as a call, method or path use (`f(`, `.f(`, `::f`).
 
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -82,11 +90,14 @@ pub enum Rule {
     BareAllow,
     /// A sim-crate write to an accounting store outside the accounting fold.
     SingleChargePath,
+    /// A library-crate `pub` item that nothing outside its own definition,
+    /// its file's tests and `pub use` re-exports refers to.
+    UnreachedPub,
 }
 
 impl Rule {
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 11] = [
+    pub const ALL: [Rule; 12] = [
         Rule::HashIteration,
         Rule::WallClock,
         Rule::FloatSort,
@@ -98,6 +109,7 @@ impl Rule {
         Rule::AdhocPrint,
         Rule::BareAllow,
         Rule::SingleChargePath,
+        Rule::UnreachedPub,
     ];
 
     /// The kebab-case id used in reports and `fedlint: allow(...)` escapes.
@@ -115,6 +127,7 @@ impl Rule {
             Rule::AdhocPrint => "adhoc-print",
             Rule::BareAllow => "bare-allow",
             Rule::SingleChargePath => "single-charge-path",
+            Rule::UnreachedPub => "unreached-pub",
         }
     }
 
@@ -163,6 +176,9 @@ impl Rule {
                 "an allow escape is a waived invariant; its comment block must say why the invariant holds here, and the waiver itself cannot be waived"
             }
             Rule::SingleChargePath => "the ledger, audit chains, bank and job records are views of one charge stream; record a Charge through SharedState::record so they cannot drift apart",
+            Rule::UnreachedPub => {
+                "a pub item that only its own definition, tests and re-exports mention is dead API; delete it or move it into the tests"
+            }
         }
     }
 
@@ -184,6 +200,7 @@ impl Rule {
             Rule::AdhocPrint => &["diagnostic", "metric", "registry", "obs", "report"],
             Rule::BareAllow => &[],
             Rule::SingleChargePath => &["charge", "fold", "accounting", "drift"],
+            Rule::UnreachedPub => &["api", "caller", "reach", "external"],
         }
     }
 }
@@ -234,6 +251,9 @@ struct FileClass {
     /// `eager-materialise` applies: sim crates plus the workload and
     /// experiments crates, minus the streaming adapter itself.
     workload_scope: bool,
+    /// `unreached-pub` checks this file's `pub` items: a library crate's
+    /// `src/`, minus `src/bin/`.
+    lib_api: bool,
 }
 
 /// Crates whose behaviour feeds the rendered paper tables.
@@ -243,6 +263,9 @@ const SIM_CRATE_PREFIXES: [&str; 4] = [
     "crates/core/",
     "crates/directory/",
 ];
+
+/// The library crates whose `pub` items `unreached-pub` checks.
+const LIB_CRATES: [&str; 7] = ["des", "obs", "workload", "cluster", "directory", "core", "experiments"];
 
 /// The per-event hot-path files identified by the PR 3 profiling pass.
 const HOT_PATH_FILES: [&str; 4] = [
@@ -279,6 +302,12 @@ fn classify(rel: &str) -> Option<FileClass> {
             || rel.starts_with("crates/workload/")
             || rel.starts_with("crates/experiments/"))
             && rel != "crates/workload/src/source.rs",
+        lib_api: LIB_CRATES.iter().any(|c| {
+            rel.strip_prefix("crates/")
+                .and_then(|r| r.strip_prefix(c))
+                .and_then(|r| r.strip_prefix("/src/"))
+                .is_some_and(|r| !r.starts_with("bin/"))
+        }),
     })
 }
 
@@ -634,8 +663,60 @@ const PUB_ITEM_KEYWORDS: [&str; 11] = [
 /// `tests/fixtures/` but are scanned *as if* they sat at sim-crate paths.
 #[must_use]
 pub fn scan_source(rel_path: &str, content: &str) -> Vec<Finding> {
+    scan_file(rel_path, content).0
+}
+
+/// Scans a set of source files as one workspace: every per-file rule of
+/// [`scan_source`], plus `unreached-pub`, which weighs each library `pub`
+/// item against the identifiers of all the files.  Findings come back
+/// sorted by path and line.
+#[must_use]
+pub fn scan_sources(files: &[(&str, &str)]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let mut refs = Vec::with_capacity(files.len());
+    for &(rel, content) in files {
+        let (found, file_refs) = scan_file(rel, content);
+        findings.extend(found);
+        refs.push((rel, file_refs));
+    }
+    findings.extend(unreached_pub(&refs));
+    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    findings
+}
+
+/// A definition `unreached-pub` weighs: a checked `pub` item, or an `impl`
+/// block, which counts as part of its self type's definition.
+struct Def {
+    /// The item keyword, or `None` for an `impl` block.
+    kind: Option<&'static str>,
+    /// The item's name, or the `impl` block's self type.
+    name: String,
+    /// First and last line (1-based, inclusive).
+    span: (usize, usize),
+    suppressed: bool,
+}
+
+/// One occurrence of an identifier.
+struct Use {
+    line: usize,
+    /// Followed by `(` or `::<`, or preceded by `::`: a call, method or path
+    /// use, the only kind that reaches a function.
+    call: bool,
+    in_test: bool,
+}
+
+/// What one file contributes to `unreached-pub`: its definitions, and every
+/// identifier outside `pub use` statements.
+#[derive(Default)]
+struct FileRefs {
+    defs: Vec<Def>,
+    uses: HashMap<String, Vec<Use>>,
+}
+
+fn scan_file(rel_path: &str, content: &str) -> (Vec<Finding>, FileRefs) {
+    let mut refs = FileRefs::default();
     let Some(class) = classify(rel_path) else {
-        return Vec::new();
+        return (Vec::new(), refs);
     };
     let originals: Vec<&str> = content.lines().collect();
     let mut stripper = Stripper::default();
@@ -647,6 +728,10 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<Finding> {
     let mut brace_depth: i64 = 0;
     let mut pending_cfg_test = false;
     let mut test_mod_depth: Option<i64> = None;
+    let mut in_pub_use = false;
+    // Definitions whose last line is still ahead: index, brace depth at
+    // their first line, and whether they have opened a brace yet.
+    let mut open_defs: Vec<(usize, i64, bool)> = Vec::new();
 
     for (idx, (code, comment)) in stripped.iter().enumerate() {
         let line_no = idx + 1;
@@ -658,6 +743,7 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<Finding> {
         let suppressed = |rule: Rule| active.contains(&rule);
 
         // --- test-module tracking -----------------------------------------
+        let cfg_test_item = pending_cfg_test;
         if trimmed.contains("#[cfg(test)]") {
             pending_cfg_test = true;
         } else if pending_cfg_test && !trimmed.is_empty() {
@@ -880,10 +966,31 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<Finding> {
             }
         }
 
+        // --- hygiene: unreached-pub (definitions and uses) -----------------
+        let def = match pub_decl(trimmed) {
+            Some((kind, name)) => Some((Some(kind), name)),
+            None => impl_self_type(trimmed).map(|name| (None, name)),
+        };
+        if let Some((kind, name)) = def.filter(|_| class.lib_api && !in_test && !cfg_test_item) {
+            let suppressed = suppressed(Rule::UnreachedPub);
+            refs.defs.push(Def { kind, name, span: (line_no, line_no), suppressed });
+            open_defs.push((refs.defs.len() - 1, brace_depth, false));
+        }
+        in_pub_use |= trimmed.starts_with("pub use ");
+        if in_pub_use {
+            in_pub_use = !trimmed.ends_with(';');
+        } else {
+            record_uses(code, line_no, in_test, &mut refs.uses);
+        }
+
         // --- bookkeeping ---------------------------------------------------
+        let mut deepest = brace_depth;
         for c in code.chars() {
             match c {
-                '{' => brace_depth += 1,
+                '{' => {
+                    brace_depth += 1;
+                    deepest = deepest.max(brace_depth);
+                }
                 '}' => {
                     brace_depth -= 1;
                     if test_mod_depth.is_some_and(|d| brace_depth <= d) {
@@ -893,9 +1000,127 @@ pub fn scan_source(rel_path: &str, content: &str) -> Vec<Finding> {
                 _ => {}
             }
         }
+        open_defs.retain_mut(|(def, depth, opened)| {
+            *opened |= deepest > *depth;
+            let closed = if *opened {
+                brace_depth <= *depth
+            } else {
+                brace_depth == *depth && trimmed.ends_with(';')
+            };
+            if closed {
+                refs.defs[*def].span.1 = line_no;
+            }
+            !closed
+        });
         parse_allows(comment, &mut window_allows);
         if trimmed.ends_with(';') || trimmed.ends_with('{') || trimmed.ends_with('}') {
             window_allows.clear();
+        }
+    }
+    (findings, refs)
+}
+
+/// Item keywords whose `pub` declarations `unreached-pub` checks.
+const UNREACHED_PUB_KINDS: [&str; 7] = ["fn", "struct", "enum", "trait", "const", "static", "type"];
+
+/// If the line declares a `pub` item that `unreached-pub` checks, returns
+/// its keyword and name (`pub const fn f` is a `fn`).
+fn pub_decl(trimmed: &str) -> Option<(&'static str, String)> {
+    let mut words = trimmed
+        .strip_prefix("pub ")?
+        .split_whitespace()
+        .skip_while(|w| matches!(*w, "async" | "unsafe"));
+    let (mut kind, mut name) = (words.next()?, words.next()?);
+    if (kind, name) == ("const", "fn") {
+        (kind, name) = ("fn", words.next()?);
+    }
+    let kind = UNREACHED_PUB_KINDS.into_iter().find(|&k| k == kind)?;
+    Some((kind, leading_ident(name))).filter(|(_, n)| !n.is_empty())
+}
+
+/// If the line opens an `impl` block, returns the name of its self type
+/// (the last path segment, generics dropped).
+fn impl_self_type(trimmed: &str) -> Option<String> {
+    let mut rest = trimmed.strip_prefix("impl")?;
+    if let Some(generics) = rest.strip_prefix('<') {
+        let mut depth = 1;
+        let close = generics.find(|c| {
+            depth += match c {
+                '<' => 1,
+                '>' => -1,
+                _ => 0,
+            };
+            depth == 0
+        })?;
+        rest = &generics[close + 1..];
+    } else if !rest.starts_with(' ') {
+        return None;
+    }
+    let header = &rest[..rest.find('{').unwrap_or(rest.len())];
+    let header = &header[..token_positions(header, "where").first().map_or(header.len(), |&at| at)];
+    let ty = token_positions(header, "for").last().map_or(header, |&at| &header[at + "for".len()..]);
+    let name = leading_ident(ty.split('<').next()?.trim().rsplit("::").next()?);
+    Some(name).filter(|n| !n.is_empty())
+}
+
+/// Records every identifier of a stripped code line.
+fn record_uses(code: &str, line: usize, in_test: bool, uses: &mut HashMap<String, Vec<Use>>) {
+    let bytes = code.as_bytes();
+    let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let mut i = 0;
+    while i < bytes.len() {
+        if !word(bytes[i]) {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && word(bytes[i]) {
+            i += 1;
+        }
+        if bytes[start].is_ascii_digit() {
+            continue;
+        }
+        let after = code[i..].trim_start();
+        let call = after.starts_with('(') || after.starts_with("::<") || code[..start].ends_with("::");
+        uses.entry(code[start..i].to_string()).or_default().push(Use { line, call, in_test });
+    }
+}
+
+/// `unreached-pub`: every library `pub` item whose name occurs in no file
+/// but at its own definition, in its file's `#[cfg(test)]` module or in
+/// `pub use` lines.  Each file's identifiers were gathered once, by
+/// [`scan_file`]; this only looks names up.
+fn unreached_pub(files: &[(&str, FileRefs)]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for (own, (rel, refs)) in files.iter().enumerate() {
+        for (kind, item) in refs.defs.iter().filter_map(|d| Some((d.kind?, d))) {
+            let is_type = matches!(kind, "struct" | "enum" | "trait" | "type");
+            // Its own span, plus (for a type) the spans of its file's impls.
+            let own_definition = |line: usize| {
+                refs.defs.iter().any(|d| {
+                    (std::ptr::eq(d, item) || is_type && d.kind.is_none() && d.name == item.name)
+                        && (d.span.0..=d.span.1).contains(&line)
+                })
+            };
+            let reached = item.suppressed
+                || files.iter().enumerate().any(|(file, (_, other))| {
+                    other.uses.get(&item.name).is_some_and(|uses| {
+                        uses.iter().any(|u| {
+                            (kind != "fn" || u.call) && !(file == own && (u.in_test || own_definition(u.line)))
+                        })
+                    })
+                });
+            if !reached {
+                findings.push(Finding {
+                    file: (*rel).to_string(),
+                    line: item.span.0,
+                    rule: Rule::UnreachedPub,
+                    message: format!(
+                        "`pub {kind} {}` is reached only from its own definition, its file's tests or `pub use` lines — delete it, or move it into the tests",
+                        item.name
+                    ),
+                });
+            }
         }
     }
     findings
@@ -1064,15 +1289,15 @@ fn has_doc_above(originals: &[&str], idx: usize) -> bool {
 /// # Errors
 /// Propagates I/O errors from directory walks and file reads.
 pub fn scan_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)?;
-    files.sort();
-    let mut findings = Vec::new();
-    for rel in files {
-        let content = fs::read_to_string(root.join(&rel))?;
-        findings.extend(scan_source(&rel, &content));
-    }
-    Ok(findings)
+    let mut paths = Vec::new();
+    collect_rs_files(root, root, &mut paths)?;
+    paths.sort();
+    let contents = paths
+        .iter()
+        .map(|rel| fs::read_to_string(root.join(rel)))
+        .collect::<io::Result<Vec<_>>>()?;
+    let files: Vec<(&str, &str)> = paths.iter().map(String::as_str).zip(contents.iter().map(String::as_str)).collect();
+    Ok(scan_sources(&files))
 }
 
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {

@@ -4,7 +4,7 @@
 
 use std::path::Path;
 
-use fedlint::{scan_source, scan_workspace, Finding, Rule};
+use fedlint::{scan_source, scan_sources, scan_workspace, Finding, Rule};
 
 /// Lines at which `rule` fired when scanning `content` as `path`.
 fn lines(path: &str, content: &str, rule: Rule) -> Vec<usize> {
@@ -293,4 +293,57 @@ fn single_charge_path_fires_on_fixture() {
     // The fold itself and non-sim crates may write the stores.
     assert_eq!(lines("crates/core/src/accounting.rs", src, Rule::SingleChargePath), vec![]);
     assert_eq!(lines("crates/experiments/src/fixture.rs", src, Rule::SingleChargePath), vec![]);
+}
+
+/// The `unreached-pub` fixture library at `lib_path`, scanned with its two
+/// caller fixtures as one workspace.
+fn unreached_pub_findings(lib_path: &str) -> Vec<Finding> {
+    scan_sources(&[
+        (lib_path, include_str!("fixtures/unreached_pub.rs")),
+        ("crates/des/tests/callers.rs", include_str!("fixtures/unreached_pub_test.rs")),
+        ("examples/caller.rs", include_str!("fixtures/unreached_pub_example.rs")),
+    ])
+}
+
+#[test]
+fn unreached_pub_fires_on_fixture() {
+    // A fn called only from its own file's tests, a type named only by its
+    // own impl, a fn whose name is elsewhere only a local variable and a fn
+    // reached only through a `pub use`; the fns called from a test target
+    // and an example, and the escaped const, pass.
+    let findings: Vec<String> = unreached_pub_findings("crates/des/src/fixture.rs")
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+    let tail = "is reached only from its own definition, its file's tests or `pub use` lines — delete it, or move it into the tests";
+    assert_eq!(
+        findings,
+        [
+            (5, "fn only_tested"),
+            (10, "struct OnlySelf"),
+            (19, "fn total"),
+            (24, "fn reexported"),
+        ]
+        .map(|(line, item)| format!("crates/des/src/fixture.rs:{line}: [unreached-pub] `pub {item}` {tail}"))
+    );
+}
+
+#[test]
+fn unreached_pub_is_scoped_to_library_sources() {
+    // Binaries and crates outside the library list are not checked.
+    for path in ["crates/experiments/src/bin/fixture.rs", "crates/bench/src/fixture.rs", "src/fixture.rs"] {
+        assert_eq!(unreached_pub_findings(path), vec![], "{path}");
+    }
+    assert_eq!(unreached_pub_findings("crates/experiments/src/fixture.rs").len(), 4);
+}
+
+#[test]
+fn unreached_pub_escapes_need_a_reason() {
+    let src = "\
+// fedlint: allow(unreached-pub)
+/// Escaped without a reason.
+pub const BARE: u32 = 1;
+";
+    assert_eq!(lines("crates/des/src/fixture.rs", src, Rule::BareAllow), vec![1]);
+    assert_eq!(scan_sources(&[("crates/des/src/fixture.rs", src)]).len(), 1);
 }
