@@ -387,7 +387,10 @@ mod tests {
         assert!(w.admit(100));
         assert!(w.base() > 0, "window must have slid past zero");
         assert!(!w.admit(1), "stale sequence numbers are rejected");
-        assert!(w.admit(100 + DEDUP_WINDOW_WIDTH * 3), "far jumps clear the bitmap");
+        assert!(
+            w.admit(100 + DEDUP_WINDOW_WIDTH * 3),
+            "far jumps clear the bitmap"
+        );
         assert!(!w.admit(100), "the original is now stale");
         // Base never decreases as the window slides.
         let mut prev = 0;

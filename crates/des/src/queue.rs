@@ -503,8 +503,9 @@ mod tests {
         assert_eq!(q.pop().unwrap().payload, 3);
         // Pushed late, t = 5 under seq 0 still leads the t = 5 under seq 5.
         q.push_reserved(reserved(first, timer(5.0, 0)));
-        let order: Vec<(u64, u32)> =
-            std::iter::from_fn(|| q.pop()).map(|e| (e.seq, e.payload)).collect();
+        let order: Vec<(u64, u32)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.seq, e.payload))
+            .collect();
         assert_eq!(order, vec![(2, 2), (4, 4), (0, 0), (5, 5)]);
         assert!(q.is_empty());
         assert_eq!(q.scheduled_total(), 6);
@@ -598,9 +599,15 @@ mod tests {
         let mut out_dary = Vec::new();
         let mut out_binary = Vec::new();
         for i in 0..500u32 {
-            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
             let t = f64::from((state >> 33) as u32 % 97);
-            let e = if state % 5 == 0 { timer(t, i) } else { event(t, i) };
+            let e = if state % 5 == 0 {
+                timer(t, i)
+            } else {
+                event(t, i)
+            };
             dary.push(e.clone());
             binary.push(e);
             if state % 3 == 0 {

@@ -182,7 +182,11 @@ mod tests {
 
     impl Clocker {
         fn new(period: f64, remaining: u32) -> Self {
-            Clocker { period, remaining, fired: 0 }
+            Clocker {
+                period,
+                remaining,
+                fired: 0,
+            }
         }
     }
 
@@ -205,8 +209,13 @@ mod tests {
     /// passes each payload on to `next`, a kickoff sends the first one, a
     /// clocker ticks alongside.
     enum Node {
-        Forwarder { next: Option<EntityId>, seen: Vec<u64> },
-        Kickoff { target: EntityId },
+        Forwarder {
+            next: Option<EntityId>,
+            seen: Vec<u64>,
+        },
+        Kickoff {
+            target: EntityId,
+        },
         Clocker(Clocker),
     }
 
@@ -290,9 +299,13 @@ mod tests {
     #[should_panic(expected = "before the simulation starts")]
     fn adding_entity_after_start_panics() {
         let mut sim = Simulation::new(());
-        sim.add_entity(Node::Kickoff { target: EntityId::new(0) });
+        sim.add_entity(Node::Kickoff {
+            target: EntityId::new(0),
+        });
         sim.run();
-        sim.add_entity(Node::Kickoff { target: EntityId::new(0) });
+        sim.add_entity(Node::Kickoff {
+            target: EntityId::new(0),
+        });
     }
 
     #[test]
@@ -345,7 +358,10 @@ mod tests {
         let entered = Rc::new(RefCell::new(0u64));
         let mut sim = Simulation::new(());
         sim.add_entity(Clocker::new(1.0, 4));
-        sim.set_profiler(Box::new(CountingProfiler { entered: Rc::clone(&entered), open: false }));
+        sim.set_profiler(Box::new(CountingProfiler {
+            entered: Rc::clone(&entered),
+            open: false,
+        }));
         sim.run();
         assert_eq!(*entered.borrow(), sim.stats().events_delivered);
     }

@@ -33,4 +33,3 @@ pub struct SimStats {
     /// Final simulation clock value.
     pub end_time: SimTime,
 }
-

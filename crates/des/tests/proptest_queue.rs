@@ -143,8 +143,11 @@ struct Script {
 impl Script {
     fn start(batch: &[u32], ctx: &mut Context<'_, u32>) -> Self {
         let first = ctx.reserve_seqs(batch.len() as u64);
-        let mut rest: Vec<(u32, u64)> =
-            batch.iter().zip(first..).map(|(t, seq)| (*t, seq)).collect();
+        let mut rest: Vec<(u32, u64)> = batch
+            .iter()
+            .zip(first..)
+            .map(|(t, seq)| (*t, seq))
+            .collect();
         rest.sort_unstable_by(|a, b| b.cmp(a));
         let mut script = Script { rest };
         script.advance(ctx);
@@ -181,7 +184,8 @@ impl Entity<u32> for ScriptMixer {
                 script.advance(ctx);
             }
         }
-        self.delivered.push((event.time.as_secs().to_bits(), event.seq));
+        self.delivered
+            .push((event.time.as_secs().to_bits(), event.seq));
         for _ in 0..FOLLOWUPS_PER_EVENT {
             if let Some(delay) = self.followups.get(self.next) {
                 ctx.timer_at(ctx.now().after(f64::from(*delay)), 0);
@@ -292,7 +296,8 @@ impl Entity<u32> for LaneMixer {
                 script.advance(ctx);
             }
         }
-        self.delivered.push((event.time.as_secs().to_bits(), event.seq));
+        self.delivered
+            .push((event.time.as_secs().to_bits(), event.seq));
         for _ in 0..FOLLOWUPS_PER_EVENT {
             let Some(followup) = self.followups.get(self.next).copied() else {
                 break;

@@ -265,7 +265,15 @@ const SIM_CRATE_PREFIXES: [&str; 4] = [
 ];
 
 /// The library crates whose `pub` items `unreached-pub` checks.
-const LIB_CRATES: [&str; 7] = ["des", "obs", "workload", "cluster", "directory", "core", "experiments"];
+const LIB_CRATES: [&str; 7] = [
+    "des",
+    "obs",
+    "workload",
+    "cluster",
+    "directory",
+    "core",
+    "experiments",
+];
 
 /// The per-event hot-path files identified by the PR 3 profiling pass.
 const HOT_PATH_FILES: [&str; 4] = [
@@ -516,7 +524,11 @@ fn charge_call_at_statement_start(trimmed: &str) -> Option<(&'static str, usize)
     loop {
         // Skip balanced (...) or [...] suffixes of the previous segment.
         while i < bytes.len() && (bytes[i] == b'(' || bytes[i] == b'[') {
-            let (open, close) = if bytes[i] == b'(' { (b'(', b')') } else { (b'[', b']') };
+            let (open, close) = if bytes[i] == b'(' {
+                (b'(', b')')
+            } else {
+                (b'[', b']')
+            };
             let mut depth = 0usize;
             while i < bytes.len() {
                 if bytes[i] == open {
@@ -555,7 +567,11 @@ fn char_after_balanced(stripped: &[(String, String)], line_idx: usize, col: usiz
     let mut depth = 0usize;
     let mut started = false;
     for (n, (code, _)) in stripped.iter().enumerate().skip(line_idx).take(40) {
-        let text = if n == line_idx { &code[col..] } else { code.as_str() };
+        let text = if n == line_idx {
+            &code[col..]
+        } else {
+            code.as_str()
+        };
         for (ci, c) in text.char_indices() {
             match c {
                 '(' | '[' | '{' => {
@@ -593,7 +609,11 @@ fn balanced_text(stripped: &[(String, String)], line_idx: usize, col: usize) -> 
     let mut depth = 0usize;
     let mut started = false;
     for (n, (code, _)) in stripped.iter().enumerate().skip(line_idx).take(15) {
-        let text = if n == line_idx { &code[col..] } else { code.as_str() };
+        let text = if n == line_idx {
+            &code[col..]
+        } else {
+            code.as_str()
+        };
         for c in text.chars() {
             out.push(c);
             match c {
@@ -638,7 +658,12 @@ const FLOAT_SORT_OPENERS: [&str; 6] = [
 
 /// Wall-clock / OS-thread tokens banned outside the sanctioned scopes: the
 /// experiments' one worker pool lives in `parallel.rs`.
-const WALL_CLOCK_TOKENS: [&str; 4] = ["Instant::now", "SystemTime", "thread::spawn", "thread::scope"];
+const WALL_CLOCK_TOKENS: [&str; 4] = [
+    "Instant::now",
+    "SystemTime",
+    "thread::spawn",
+    "thread::scope",
+];
 
 /// Print-style macros banned in sim crates outside test code: run telemetry
 /// belongs in the grid-obs metrics registry and trace sinks, not on stdio.
@@ -648,7 +673,12 @@ const ADHOC_PRINT_MACROS: [&str; 3] = ["println!", "eprintln!", "dbg!"];
 
 /// Writes to the ledger, audit chains, bank and job records, which only
 /// `crates/core/src/accounting.rs` may make.
-const ACCOUNTING_WRITES: [&str; 4] = [".ledger.record", ".audit.record", ".bank.pay(", ".jobs.push("];
+const ACCOUNTING_WRITES: [&str; 4] = [
+    ".ledger.record",
+    ".audit.record",
+    ".bank.pay(",
+    ".jobs.push(",
+];
 
 /// Item keywords that `undocumented-pub` recognises after `pub `.
 const PUB_ITEM_KEYWORDS: [&str; 11] = [
@@ -973,7 +1003,12 @@ fn scan_file(rel_path: &str, content: &str) -> (Vec<Finding>, FileRefs) {
         };
         if let Some((kind, name)) = def.filter(|_| class.lib_api && !in_test && !cfg_test_item) {
             let suppressed = suppressed(Rule::UnreachedPub);
-            refs.defs.push(Def { kind, name, span: (line_no, line_no), suppressed });
+            refs.defs.push(Def {
+                kind,
+                name,
+                span: (line_no, line_no),
+                suppressed,
+            });
             open_defs.push((refs.defs.len() - 1, brace_depth, false));
         }
         in_pub_use |= trimmed.starts_with("pub use ");
@@ -1057,8 +1092,12 @@ fn impl_self_type(trimmed: &str) -> Option<String> {
         return None;
     }
     let header = &rest[..rest.find('{').unwrap_or(rest.len())];
-    let header = &header[..token_positions(header, "where").first().map_or(header.len(), |&at| at)];
-    let ty = token_positions(header, "for").last().map_or(header, |&at| &header[at + "for".len()..]);
+    let header = &header[..token_positions(header, "where")
+        .first()
+        .map_or(header.len(), |&at| at)];
+    let ty = token_positions(header, "for")
+        .last()
+        .map_or(header, |&at| &header[at + "for".len()..]);
     let name = leading_ident(ty.split('<').next()?.trim().rsplit("::").next()?);
     Some(name).filter(|n| !n.is_empty())
 }
@@ -1081,8 +1120,15 @@ fn record_uses(code: &str, line: usize, in_test: bool, uses: &mut HashMap<String
             continue;
         }
         let after = code[i..].trim_start();
-        let call = after.starts_with('(') || after.starts_with("::<") || code[..start].ends_with("::");
-        uses.entry(code[start..i].to_string()).or_default().push(Use { line, call, in_test });
+        let call =
+            after.starts_with('(') || after.starts_with("::<") || code[..start].ends_with("::");
+        uses.entry(code[start..i].to_string())
+            .or_default()
+            .push(Use {
+                line,
+                call,
+                in_test,
+            });
     }
 }
 
@@ -1106,7 +1152,8 @@ fn unreached_pub(files: &[(&str, FileRefs)]) -> Vec<Finding> {
                 || files.iter().enumerate().any(|(file, (_, other))| {
                     other.uses.get(&item.name).is_some_and(|uses| {
                         uses.iter().any(|u| {
-                            (kind != "fn" || u.call) && !(file == own && (u.in_test || own_definition(u.line)))
+                            (kind != "fn" || u.call)
+                                && !(file == own && (u.in_test || own_definition(u.line)))
                         })
                     })
                 });
@@ -1296,7 +1343,11 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         .iter()
         .map(|rel| fs::read_to_string(root.join(rel)))
         .collect::<io::Result<Vec<_>>>()?;
-    let files: Vec<(&str, &str)> = paths.iter().map(String::as_str).zip(contents.iter().map(String::as_str)).collect();
+    let files: Vec<(&str, &str)> = paths
+        .iter()
+        .map(String::as_str)
+        .zip(contents.iter().map(String::as_str))
+        .collect();
     Ok(scan_sources(&files))
 }
 

@@ -38,7 +38,14 @@ fn hash_iteration_fires_on_fixture() {
 #[test]
 fn hash_iteration_is_scoped_to_sim_crates() {
     let src = include_str!("fixtures/hash_iteration.rs");
-    assert_eq!(lines("crates/experiments/src/fixture.rs", src, Rule::HashIteration), vec![]);
+    assert_eq!(
+        lines(
+            "crates/experiments/src/fixture.rs",
+            src,
+            Rule::HashIteration
+        ),
+        vec![]
+    );
 }
 
 #[test]
@@ -57,8 +64,14 @@ fn wall_clock_catches_an_ad_hoc_scoped_pool() {
     let src = include_str!("fixtures/scoped_pool.rs");
     // An experiment fanning runs over its own `thread::scope` pool instead
     // of the one in `parallel.rs`, where the same code is allowed.
-    assert_eq!(lines("crates/experiments/src/exp3.rs", src, Rule::WallClock), vec![7]);
-    assert_eq!(lines("crates/experiments/src/parallel.rs", src, Rule::WallClock), vec![]);
+    assert_eq!(
+        lines("crates/experiments/src/exp3.rs", src, Rule::WallClock),
+        vec![7]
+    );
+    assert_eq!(
+        lines("crates/experiments/src/parallel.rs", src, Rule::WallClock),
+        vec![]
+    );
 }
 
 #[test]
@@ -66,15 +79,27 @@ fn wall_clock_exempts_only_the_obs_profiler() {
     let src = include_str!("fixtures/obs_clock.rs");
     // The self-profiler may read the host clock; the rest of the obs crate
     // (the registry, the tracer) may not.
-    assert_eq!(lines("crates/obs/src/profile.rs", src, Rule::WallClock), vec![]);
-    assert_eq!(lines("crates/obs/src/metrics.rs", src, Rule::WallClock), vec![6]);
+    assert_eq!(
+        lines("crates/obs/src/profile.rs", src, Rule::WallClock),
+        vec![]
+    );
+    assert_eq!(
+        lines("crates/obs/src/metrics.rs", src, Rule::WallClock),
+        vec![6]
+    );
 }
 
 #[test]
 fn wall_clock_exempts_parallel_driver_and_benches() {
     let src = include_str!("fixtures/wall_clock.rs");
-    assert_eq!(lines("crates/experiments/src/parallel.rs", src, Rule::WallClock), vec![]);
-    assert_eq!(lines("crates/bench/src/bin/bench_perf.rs", src, Rule::WallClock), vec![]);
+    assert_eq!(
+        lines("crates/experiments/src/parallel.rs", src, Rule::WallClock),
+        vec![]
+    );
+    assert_eq!(
+        lines("crates/bench/src/bin/bench_perf.rs", src, Rule::WallClock),
+        vec![]
+    );
 }
 
 #[test]
@@ -82,9 +107,18 @@ fn wall_clock_exempts_only_bench_perf_in_the_bench_crate() {
     let src = include_str!("fixtures/bench_clock.rs");
     // `bench_perf` times kernels; the gate and the shared helpers only read
     // and compare its output, so a clock read there is a finding.
-    assert_eq!(lines("crates/bench/src/bin/bench_perf.rs", src, Rule::WallClock), vec![]);
-    assert_eq!(lines("crates/bench/src/bin/perf_gate.rs", src, Rule::WallClock), vec![6]);
-    assert_eq!(lines("crates/bench/src/lib.rs", src, Rule::WallClock), vec![6]);
+    assert_eq!(
+        lines("crates/bench/src/bin/bench_perf.rs", src, Rule::WallClock),
+        vec![]
+    );
+    assert_eq!(
+        lines("crates/bench/src/bin/perf_gate.rs", src, Rule::WallClock),
+        vec![6]
+    );
+    assert_eq!(
+        lines("crates/bench/src/lib.rs", src, Rule::WallClock),
+        vec![6]
+    );
 }
 
 #[test]
@@ -111,7 +145,10 @@ fn charge_drop_fires_on_fixture() {
 #[test]
 fn charge_drop_applies_in_sim_crates_too() {
     let src = include_str!("fixtures/charge_drop.rs");
-    assert_eq!(lines("crates/directory/src/fixture.rs", src, Rule::ChargeDrop), vec![5, 10, 19]);
+    assert_eq!(
+        lines("crates/directory/src/fixture.rs", src, Rule::ChargeDrop),
+        vec![5, 10, 19]
+    );
 }
 
 #[test]
@@ -128,8 +165,18 @@ fn undocumented_pub_fires_on_fixture() {
 #[test]
 fn undocumented_pub_is_scoped_to_sim_crate_sources() {
     let src = include_str!("fixtures/undocumented_pub.rs");
-    assert_eq!(lines("crates/experiments/src/fixture.rs", src, Rule::UndocumentedPub), vec![]);
-    assert_eq!(lines("crates/des/tests/fixture.rs", src, Rule::UndocumentedPub), vec![]);
+    assert_eq!(
+        lines(
+            "crates/experiments/src/fixture.rs",
+            src,
+            Rule::UndocumentedPub
+        ),
+        vec![]
+    );
+    assert_eq!(
+        lines("crates/des/tests/fixture.rs", src, Rule::UndocumentedPub),
+        vec![]
+    );
 }
 
 #[test]
@@ -145,7 +192,10 @@ fn hot_path_unwrap_fires_on_fixture() {
 #[test]
 fn hot_path_unwrap_only_applies_to_listed_files() {
     let src = include_str!("fixtures/hot_path_unwrap.rs");
-    assert_eq!(lines("crates/des/src/rng.rs", src, Rule::HotPathUnwrap), vec![]);
+    assert_eq!(
+        lines("crates/des/src/rng.rs", src, Rule::HotPathUnwrap),
+        vec![]
+    );
 }
 
 #[test]
@@ -155,11 +205,22 @@ fn eager_materialise_fires_on_fixture() {
     // turbofish; `collect_jobs()` (the sanctioned adapter), a
     // `Vec<JobRecord>` collect, the allowlisted collect and the
     // `#[cfg(test)]` oracle all pass.
-    for path in ["crates/experiments/src/fixture.rs", "crates/core/src/fixture.rs"] {
-        assert_eq!(lines(path, src, Rule::EagerMaterialise), vec![5, 6, 7], "{path}");
+    for path in [
+        "crates/experiments/src/fixture.rs",
+        "crates/core/src/fixture.rs",
+    ] {
+        assert_eq!(
+            lines(path, src, Rule::EagerMaterialise),
+            vec![5, 6, 7],
+            "{path}"
+        );
     }
     assert_eq!(
-        other_rules("crates/experiments/src/fixture.rs", src, Rule::EagerMaterialise),
+        other_rules(
+            "crates/experiments/src/fixture.rs",
+            src,
+            Rule::EagerMaterialise
+        ),
         vec![]
     );
 }
@@ -168,14 +229,31 @@ fn eager_materialise_fires_on_fixture() {
 fn eager_materialise_exempts_the_adapter_tests_and_other_crates() {
     let src = include_str!("fixtures/eager_materialise.rs");
     // The streaming adapter is the one sanctioned materialisation point…
-    assert_eq!(lines("crates/workload/src/source.rs", src, Rule::EagerMaterialise), vec![]);
+    assert_eq!(
+        lines("crates/workload/src/source.rs", src, Rule::EagerMaterialise),
+        vec![]
+    );
     // …test targets build reference vectors freely…
-    assert_eq!(lines("crates/workload/tests/fixture.rs", src, Rule::EagerMaterialise), vec![]);
+    assert_eq!(
+        lines(
+            "crates/workload/tests/fixture.rs",
+            src,
+            Rule::EagerMaterialise
+        ),
+        vec![]
+    );
     // …and crates outside the sim/workload/experiments scope are untouched.
-    assert_eq!(lines("crates/bench/src/fixture.rs", src, Rule::EagerMaterialise), vec![]);
+    assert_eq!(
+        lines("crates/bench/src/fixture.rs", src, Rule::EagerMaterialise),
+        vec![]
+    );
     // Elsewhere in the workload crate the rule is live.
     assert_eq!(
-        lines("crates/workload/src/synthetic.rs", src, Rule::EagerMaterialise),
+        lines(
+            "crates/workload/src/synthetic.rs",
+            src,
+            Rule::EagerMaterialise
+        ),
         vec![5, 6, 7]
     );
 }
@@ -194,8 +272,18 @@ fn unbounded_retry_fires_on_fixture() {
 #[test]
 fn unbounded_retry_is_scoped_to_sim_crates() {
     let src = include_str!("fixtures/unbounded_retry.rs");
-    assert_eq!(lines("crates/experiments/src/fixture.rs", src, Rule::UnboundedRetry), vec![]);
-    assert_eq!(lines("crates/core/tests/fixture.rs", src, Rule::UnboundedRetry), vec![]);
+    assert_eq!(
+        lines(
+            "crates/experiments/src/fixture.rs",
+            src,
+            Rule::UnboundedRetry
+        ),
+        vec![]
+    );
+    assert_eq!(
+        lines("crates/core/tests/fixture.rs", src, Rule::UnboundedRetry),
+        vec![]
+    );
 }
 
 #[test]
@@ -212,16 +300,25 @@ fn adhoc_print_fires_on_fixture() {
 fn adhoc_print_is_scoped_to_sim_crate_sources() {
     let src = include_str!("fixtures/adhoc_print.rs");
     // The experiment drivers render tables on stdout by design…
-    assert_eq!(lines("crates/experiments/src/fixture.rs", src, Rule::AdhocPrint), vec![]);
+    assert_eq!(
+        lines("crates/experiments/src/fixture.rs", src, Rule::AdhocPrint),
+        vec![]
+    );
     // …and sim-crate test targets may print diagnostics freely.
-    assert_eq!(lines("crates/core/tests/fixture.rs", src, Rule::AdhocPrint), vec![]);
+    assert_eq!(
+        lines("crates/core/tests/fixture.rs", src, Rule::AdhocPrint),
+        vec![]
+    );
 }
 
 #[test]
 fn shims_and_fixtures_are_out_of_scope() {
     let src = include_str!("fixtures/wall_clock.rs");
     assert_eq!(scan_source("crates/shims/rand/src/lib.rs", src), vec![]);
-    assert_eq!(scan_source("crates/fedlint/tests/fixtures/wall_clock.rs", src), vec![]);
+    assert_eq!(
+        scan_source("crates/fedlint/tests/fixtures/wall_clock.rs", src),
+        vec![]
+    );
 }
 
 #[test]
@@ -251,7 +348,10 @@ fn bare_allow_fires_on_fixture() {
 fn bare_allow_is_exempt_in_tests_and_cannot_be_waived() {
     let src = include_str!("fixtures/bare_allow.rs");
     // Test targets embed escape-shaped strings freely.
-    assert_eq!(lines("crates/cluster/tests/fixture.rs", src, Rule::BareAllow), vec![]);
+    assert_eq!(
+        lines("crates/cluster/tests/fixture.rs", src, Rule::BareAllow),
+        vec![]
+    );
     // `allow(bare-allow)` parses to nothing: the waiver cannot be waived.
     assert_eq!(Rule::from_id("bare-allow"), None);
     let src = "\
@@ -291,8 +391,18 @@ fn single_charge_path_fires_on_fixture() {
     assert_eq!(lines(path, src, Rule::SingleChargePath), vec![3, 4, 5, 6]);
     assert_eq!(other_rules(path, src, Rule::SingleChargePath), vec![]);
     // The fold itself and non-sim crates may write the stores.
-    assert_eq!(lines("crates/core/src/accounting.rs", src, Rule::SingleChargePath), vec![]);
-    assert_eq!(lines("crates/experiments/src/fixture.rs", src, Rule::SingleChargePath), vec![]);
+    assert_eq!(
+        lines("crates/core/src/accounting.rs", src, Rule::SingleChargePath),
+        vec![]
+    );
+    assert_eq!(
+        lines(
+            "crates/experiments/src/fixture.rs",
+            src,
+            Rule::SingleChargePath
+        ),
+        vec![]
+    );
 }
 
 /// The `unreached-pub` fixture library at `lib_path`, scanned with its two
@@ -300,8 +410,14 @@ fn single_charge_path_fires_on_fixture() {
 fn unreached_pub_findings(lib_path: &str) -> Vec<Finding> {
     scan_sources(&[
         (lib_path, include_str!("fixtures/unreached_pub.rs")),
-        ("crates/des/tests/callers.rs", include_str!("fixtures/unreached_pub_test.rs")),
-        ("examples/caller.rs", include_str!("fixtures/unreached_pub_example.rs")),
+        (
+            "crates/des/tests/callers.rs",
+            include_str!("fixtures/unreached_pub_test.rs"),
+        ),
+        (
+            "examples/caller.rs",
+            include_str!("fixtures/unreached_pub_example.rs"),
+        ),
     ])
 }
 
@@ -324,17 +440,26 @@ fn unreached_pub_fires_on_fixture() {
             (19, "fn total"),
             (24, "fn reexported"),
         ]
-        .map(|(line, item)| format!("crates/des/src/fixture.rs:{line}: [unreached-pub] `pub {item}` {tail}"))
+        .map(|(line, item)| format!(
+            "crates/des/src/fixture.rs:{line}: [unreached-pub] `pub {item}` {tail}"
+        ))
     );
 }
 
 #[test]
 fn unreached_pub_is_scoped_to_library_sources() {
     // Binaries and crates outside the library list are not checked.
-    for path in ["crates/experiments/src/bin/fixture.rs", "crates/bench/src/fixture.rs", "src/fixture.rs"] {
+    for path in [
+        "crates/experiments/src/bin/fixture.rs",
+        "crates/bench/src/fixture.rs",
+        "src/fixture.rs",
+    ] {
         assert_eq!(unreached_pub_findings(path), vec![], "{path}");
     }
-    assert_eq!(unreached_pub_findings("crates/experiments/src/fixture.rs").len(), 4);
+    assert_eq!(
+        unreached_pub_findings("crates/experiments/src/fixture.rs").len(),
+        4
+    );
 }
 
 #[test]
@@ -344,6 +469,9 @@ fn unreached_pub_escapes_need_a_reason() {
 /// Escaped without a reason.
 pub const BARE: u32 = 1;
 ";
-    assert_eq!(lines("crates/des/src/fixture.rs", src, Rule::BareAllow), vec![1]);
+    assert_eq!(
+        lines("crates/des/src/fixture.rs", src, Rule::BareAllow),
+        vec![1]
+    );
     assert_eq!(scan_sources(&[("crates/des/src/fixture.rs", src)]).len(), 1);
 }

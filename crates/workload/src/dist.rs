@@ -40,7 +40,10 @@ impl LogNormal {
     pub fn from_median(median: f64, sigma: f64) -> Self {
         assert!(median > 0.0, "median must be positive, got {median}");
         assert!(sigma >= 0.0, "sigma must be non-negative, got {sigma}");
-        LogNormal { mu: median.ln(), sigma }
+        LogNormal {
+            mu: median.ln(),
+            sigma,
+        }
     }
 
     /// Draws one sample.
@@ -67,6 +70,9 @@ mod tests {
         let m = (0..n).map(|_| d.sample(&mut r)).sum::<f64>() / n as f64;
         // E[exp(N(mu, sigma²))] = exp(mu + sigma² / 2).
         let expected = (900.0_f64.ln() + 0.5).exp();
-        assert!((m - expected).abs() / expected < 0.05, "mean {m} vs {expected}");
+        assert!(
+            (m - expected).abs() / expected < 0.05,
+            "mean {m} vs {expected}"
+        );
     }
 }

@@ -173,7 +173,10 @@ mod tests {
     fn job() -> Job {
         Job {
             id: JobId { origin: 1, seq: 4 },
-            user: UserId { origin: 1, local: 2 },
+            user: UserId {
+                origin: 1,
+                local: 2,
+            },
             submit: 100.0,
             processors: 8,
             length_mi: 850.0 * 8.0 * 900.0, // 900 s of compute on an 850-MIPS cluster
@@ -202,7 +205,10 @@ mod tests {
     fn from_runtime_splits_compute_and_comm() {
         let j = Job::from_runtime(
             JobId { origin: 0, seq: 0 },
-            UserId { origin: 0, local: 0 },
+            UserId {
+                origin: 0,
+                local: 0,
+            },
             50.0,
             4,
             1_000.0, // total runtime on origin
@@ -237,7 +243,10 @@ mod tests {
     fn zero_processor_job_rejected() {
         let _ = Job::from_runtime(
             JobId { origin: 0, seq: 0 },
-            UserId { origin: 0, local: 0 },
+            UserId {
+                origin: 0,
+                local: 0,
+            },
             0.0,
             0,
             10.0,

@@ -7,8 +7,8 @@
 //! by an OFT user is scheduled with the OFT policy.
 
 use crate::job::{Job, Strategy};
-use rand::seq::SliceRandom;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// A population mix: what percentage of users seek *optimise-for-time*.
@@ -25,7 +25,10 @@ impl PopulationProfile {
     /// Panics if `oft_percent > 100`.
     #[must_use]
     pub fn new(oft_percent: u32) -> Self {
-        assert!(oft_percent <= 100, "oft_percent must be <= 100, got {oft_percent}");
+        assert!(
+            oft_percent <= 100,
+            "oft_percent must be <= 100, got {oft_percent}"
+        );
         PopulationProfile { oft_percent }
     }
 
@@ -80,7 +83,8 @@ impl UserPopulation {
         let mut rng = StdRng::seed_from_u64(seed ^ (origin as u64).wrapping_mul(0x9E37_79B9));
         order.shuffle(&mut rng);
         // Round to nearest so a 30 % profile over 10 users gives exactly 3.
-        let oft_count = ((user_count as f64) * f64::from(profile.oft_percent) / 100.0).round() as usize;
+        let oft_count =
+            ((user_count as f64) * f64::from(profile.oft_percent) / 100.0).round() as usize;
         let mut strategies = vec![Strategy::Ofc; user_count];
         for &u in order.iter().take(oft_count) {
             strategies[u] = Strategy::Oft;
@@ -158,7 +162,11 @@ mod tests {
     fn population_has_exact_proportion() {
         for pct in [0, 10, 30, 50, 70, 100] {
             let pop = UserPopulation::new(2, 200, PopulationProfile::new(pct), 42);
-            let oft = pop.strategies.iter().filter(|&&s| s == Strategy::Oft).count();
+            let oft = pop
+                .strategies
+                .iter()
+                .filter(|&&s| s == Strategy::Oft)
+                .count();
             assert_eq!(oft, 2 * pct as usize, "pct {pct}");
             assert_eq!(pop.len(), 200);
             assert!(!pop.is_empty());
@@ -172,7 +180,10 @@ mod tests {
         assert_eq!(a.strategies, b.strategies);
         // Different seed should (almost surely) produce a different assignment.
         let c = UserPopulation::new(1, 50, PopulationProfile::new(40), 8);
-        assert_ne!(a.strategies, c.strategies, "different seeds should shuffle users differently");
+        assert_ne!(
+            a.strategies, c.strategies,
+            "different seeds should shuffle users differently"
+        );
     }
 
     #[test]
@@ -181,21 +192,35 @@ mod tests {
         let mut jobs = vec![
             Job {
                 id: JobId { origin: 0, seq: 0 },
-                user: UserId { origin: 0, local: 3 },
+                user: UserId {
+                    origin: 0,
+                    local: 3,
+                },
                 submit: 0.0,
                 processors: 1,
                 length_mi: 1.0,
                 comm_overhead: 0.0,
-                qos: Qos { budget: 1.0, deadline: 1.0, strategy: Strategy::Ofc },
+                qos: Qos {
+                    budget: 1.0,
+                    deadline: 1.0,
+                    strategy: Strategy::Ofc,
+                },
             },
             Job {
                 id: JobId { origin: 1, seq: 0 },
-                user: UserId { origin: 1, local: 3 },
+                user: UserId {
+                    origin: 1,
+                    local: 3,
+                },
                 submit: 0.0,
                 processors: 1,
                 length_mi: 1.0,
                 comm_overhead: 0.0,
-                qos: Qos { budget: 1.0, deadline: 1.0, strategy: Strategy::Ofc },
+                qos: Qos {
+                    budget: 1.0,
+                    deadline: 1.0,
+                    strategy: Strategy::Ofc,
+                },
             },
         ];
         pop.apply(&mut jobs);

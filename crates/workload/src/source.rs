@@ -120,7 +120,10 @@ mod tests {
     #[test]
     fn populated_leaves_foreign_origins_untouched() {
         let population = UserPopulation::new(0, 5, PopulationProfile::new(100), 7);
-        let jobs: Vec<Job> = (0..4).map(|s| job(3, s, 0)).populated(&population).collect_jobs();
+        let jobs: Vec<Job> = (0..4)
+            .map(|s| job(3, s, 0))
+            .populated(&population)
+            .collect_jobs();
         assert!(jobs.iter().all(|j| j.qos.strategy == Strategy::Ofc));
     }
 

@@ -317,7 +317,13 @@ impl<'a> SwfJobStream<&'a [u8]> {
         max_processors: u32,
         comm_fraction: f64,
     ) -> Self {
-        SwfJobStream::new(text.as_bytes(), origin, origin_mips, max_processors, comm_fraction)
+        SwfJobStream::new(
+            text.as_bytes(),
+            origin,
+            origin_mips,
+            max_processors,
+            comm_fraction,
+        )
     }
 }
 
@@ -518,6 +524,8 @@ mod tests {
 
     #[test]
     fn stream_of_empty_input_is_empty() {
-        assert!(SwfJobStream::from_text("", 0, 800.0, 8, 0.10).next().is_none());
+        assert!(SwfJobStream::from_text("", 0, 800.0, 8, 0.10)
+            .next()
+            .is_none());
     }
 }

@@ -116,13 +116,22 @@ impl SyntheticWorkloadConfig {
             return Err("max_processors must be at least 1".into());
         }
         if self.origin_mips <= 0.0 {
-            return Err(format!("origin_mips must be positive, got {}", self.origin_mips));
+            return Err(format!(
+                "origin_mips must be positive, got {}",
+                self.origin_mips
+            ));
         }
         if self.offered_load <= 0.0 {
-            return Err(format!("offered_load must be positive, got {}", self.offered_load));
+            return Err(format!(
+                "offered_load must be positive, got {}",
+                self.offered_load
+            ));
         }
         if !(0.0..=1.0).contains(&self.serial_fraction) {
-            return Err(format!("serial_fraction must be in [0,1], got {}", self.serial_fraction));
+            return Err(format!(
+                "serial_fraction must be in [0,1], got {}",
+                self.serial_fraction
+            ));
         }
         if !(0.0..=1.0).contains(&self.power_of_two_fraction) {
             return Err(format!(
@@ -131,16 +140,25 @@ impl SyntheticWorkloadConfig {
             ));
         }
         if !(0.0..1.0).contains(&self.comm_fraction) {
-            return Err(format!("comm_fraction must be in [0,1), got {}", self.comm_fraction));
+            return Err(format!(
+                "comm_fraction must be in [0,1), got {}",
+                self.comm_fraction
+            ));
         }
         if self.day_night_ratio < 1.0 {
-            return Err(format!("day_night_ratio must be >= 1, got {}", self.day_night_ratio));
+            return Err(format!(
+                "day_night_ratio must be >= 1, got {}",
+                self.day_night_ratio
+            ));
         }
         if self.user_count == 0 {
             return Err("user_count must be at least 1".into());
         }
         if !(0.0..).contains(&self.runtime_sigma) {
-            return Err(format!("runtime_sigma must be non-negative, got {}", self.runtime_sigma));
+            return Err(format!(
+                "runtime_sigma must be non-negative, got {}",
+                self.runtime_sigma
+            ));
         }
         if self.max_runtime < self.min_runtime {
             return Err(format!(
@@ -196,7 +214,9 @@ impl SyntheticWorkloadConfig {
         if let Err(e) = self.validate() {
             panic!("invalid synthetic workload configuration: {e}");
         }
-        let mut rng = StdRng::seed_from_u64(self.seed ^ (self.origin as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut rng = StdRng::seed_from_u64(
+            self.seed ^ (self.origin as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        );
 
         // --- 1. arrival times with a diurnal cycle ---------------------------
         let mut submits: Vec<f64> = (0..self.total_jobs)
@@ -268,8 +288,16 @@ impl SyntheticWorkloadConfig {
             let day_start = day as f64 * 86_400.0;
             for (s, e, intensity) in [
                 (day_start, day_start + 8.0 * 3_600.0, night_intensity),
-                (day_start + 8.0 * 3_600.0, day_start + 20.0 * 3_600.0, day_intensity),
-                (day_start + 20.0 * 3_600.0, day_start + 24.0 * 3_600.0, night_intensity),
+                (
+                    day_start + 8.0 * 3_600.0,
+                    day_start + 20.0 * 3_600.0,
+                    day_intensity,
+                ),
+                (
+                    day_start + 20.0 * 3_600.0,
+                    day_start + 24.0 * 3_600.0,
+                    night_intensity,
+                ),
             ] {
                 let end = e.min(self.duration);
                 if end > s {
@@ -344,8 +372,14 @@ impl Iterator for SyntheticJobStream {
         self.next_seq += 1;
         let user_local = self.rng.gen_range(0..self.user_count);
         Some(Job::from_runtime(
-            JobId { origin: self.origin, seq },
-            UserId { origin: self.origin, local: user_local },
+            JobId {
+                origin: self.origin,
+                seq,
+            },
+            UserId {
+                origin: self.origin,
+                local: user_local,
+            },
             self.submits[seq],
             self.processors[seq],
             self.runtimes[seq],
@@ -436,13 +470,19 @@ mod tests {
             .jobs()
             .windows(2)
             .all(|pair| pair[0].submit <= pair[1].submit));
-        assert!(w.jobs().iter().all(|j| j.submit >= 0.0 && j.submit < w.config.duration));
+        assert!(w
+            .jobs()
+            .iter()
+            .all(|j| j.submit >= 0.0 && j.submit < w.config.duration));
     }
 
     #[test]
     fn processors_respect_bounds() {
         let w = config().generate();
-        assert!(w.jobs().iter().all(|j| j.processors >= 1 && j.processors <= 128));
+        assert!(w
+            .jobs()
+            .iter()
+            .all(|j| j.processors >= 1 && j.processors <= 128));
         // With a 25 % serial fraction we expect a healthy number of 1-proc jobs.
         let serial = w.jobs().iter().filter(|j| j.processors == 1).count();
         assert!(serial > 40, "expected some serial jobs, got {serial}");

@@ -8,15 +8,15 @@ use proptest::prelude::*;
 
 fn config_strategy() -> impl Strategy<Value = SyntheticWorkloadConfig> {
     (
-        1usize..400,           // total_jobs
-        3u32..12,              // processors as a power of two
-        400.0f64..1_200.0,     // mips
-        0.1f64..1.6,           // offered load
-        0.0f64..0.6,           // serial fraction
-        0.5f64..1.5,           // runtime sigma
-        1.0f64..5.0,           // day/night ratio
-        1usize..40,            // user count
-        any::<u64>(),          // seed
+        1usize..400,            // total_jobs
+        3u32..12,               // processors as a power of two
+        400.0f64..1_200.0,      // mips
+        0.1f64..1.6,            // offered load
+        0.0f64..0.6,            // serial fraction
+        0.5f64..1.5,            // runtime sigma
+        1.0f64..5.0,            // day/night ratio
+        1usize..40,             // user count
+        any::<u64>(),           // seed
         21_600.0f64..259_200.0, // duration: 6 hours to 3 days
     )
         .prop_map(
