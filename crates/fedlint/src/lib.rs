@@ -1139,12 +1139,13 @@ fn record_uses(code: &str, line: usize, in_test: bool, uses: &mut HashMap<String
 fn unreached_pub(files: &[(&str, FileRefs)]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (own, (rel, refs)) in files.iter().enumerate() {
-        for (kind, item) in refs.defs.iter().filter_map(|d| Some((d.kind?, d))) {
+        for (i, item) in refs.defs.iter().enumerate() {
+            let Some(kind) = item.kind else { continue };
             let is_type = matches!(kind, "struct" | "enum" | "trait" | "type");
             // Its own span, plus (for a type) the spans of its file's impls.
             let own_definition = |line: usize| {
-                refs.defs.iter().any(|d| {
-                    (std::ptr::eq(d, item) || is_type && d.kind.is_none() && d.name == item.name)
+                refs.defs.iter().enumerate().any(|(j, d)| {
+                    (j == i || is_type && d.kind.is_none() && d.name == item.name)
                         && (d.span.0..=d.span.1).contains(&line)
                 })
             };
